@@ -34,6 +34,9 @@ pub(crate) struct FlushItem {
     version: u64,
 }
 
+/// One reserved piece of a fetch: `(d_offset, len, c_file, c_offset)`.
+pub(crate) type FetchPiece = (u64, u64, FileId, u64);
+
 /// A background action awaiting plan completion.
 #[derive(Debug, Clone)]
 pub(crate) enum Pending {
@@ -51,8 +54,8 @@ pub(crate) enum Pending {
         orig: FileId,
         /// The `(offset, len)` CDT keys whose `C_flag` this fetch clears.
         cdt_keys: Vec<(u64, u64)>,
-        /// `(d_offset, len, c_file, c_offset)` pieces reserved for the data.
-        pieces: Vec<(u64, u64, FileId, u64)>,
+        /// The cache pieces reserved for the data.
+        pieces: Vec<FetchPiece>,
     },
     /// A foreground write finished: seal the extents it filled, as
     /// `(file, d_offset, version)` captured at plan time. The version gate

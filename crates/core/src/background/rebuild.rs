@@ -15,8 +15,9 @@ use crate::durability::crash::CrashSite;
 use crate::durability::journal::{self, JournalRecord};
 use crate::layer::S4dCache;
 use crate::names::MAX_GROUP_BYTES;
+use crate::shard::ShardSegment;
 
-use super::{FlushItem, Pending};
+use super::{FetchPiece, FlushItem, Pending};
 
 impl S4dCache {
     /// Builds the Rebuilder's flush plans (dirty cache data → DServers,
@@ -42,8 +43,11 @@ impl S4dCache {
         } else {
             self.config.max_flush_per_wake
         };
-        let mut candidates = self.plane.dirty_lru(limit);
-        candidates.retain(|(f, d, _)| !self.bg.inflight_flush.contains(&(*f, *d)));
+        let mut candidates: Vec<_> = self
+            .plane
+            .dirty_lru(limit)
+            .filter(|(f, d, _)| !self.bg.inflight_flush.contains(&(*f, *d)))
+            .collect();
         candidates.sort_by_key(|(f, d, _)| (f.0, *d));
         let plans_base = plans.len();
         let flushes_before = self.metrics.flushes;
@@ -170,9 +174,13 @@ impl S4dCache {
         if self.health.any_unhealthy(now) {
             return;
         }
-        let mut flagged = self.plane.cdt_flagged(self.config.max_fetch_per_wake);
-        flagged.retain(|e| !self.bg.inflight_fetch.contains(&(e.file, e.offset, e.len)));
+        let mut flagged: Vec<_> = self
+            .plane
+            .cdt_flagged(self.config.max_fetch_per_wake)
+            .filter(|e| !self.bg.inflight_fetch.contains(&(e.file, e.offset, e.len)))
+            .collect();
         flagged.sort_by_key(|e| (e.file.0, e.offset));
+        let mut view = std::mem::take(&mut self.view_scratch);
         let mut i = 0;
         while let Some(head) = flagged.get(i) {
             let file = head.file;
@@ -193,7 +201,7 @@ impl S4dCache {
             if !self.cache_file_of.contains_key(&file) {
                 continue;
             }
-            let view = self.plane.view(file, start, end - start);
+            self.plane.view_into(file, start, end - start, &mut view);
             if view.fully_covered() {
                 for &(o, l) in &keys {
                     self.plane.cdt_clear_c_flag(file, o, l);
@@ -201,38 +209,15 @@ impl S4dCache {
                 continue;
             }
             let total: u64 = view.gaps.iter().map(|&(_, l)| l).sum();
-            // Each gap splits into shard segments; every owning shard
-            // must make room before the group's fetch is planned.
-            let mut shard_asks: Vec<u64> = vec![0; self.plane.shard_count()];
-            for &(g_off, g_len) in &view.gaps {
-                for seg in self.plane.router().segments(file, g_off, g_len) {
-                    if let Some(ask) = shard_asks.get_mut(seg.shard) {
-                        *ask += seg.len;
-                    }
-                }
-            }
-            let mut roomy = true;
-            for (shard, &ask) in shard_asks.iter().enumerate() {
-                if ask > 0 && !self.make_room(cluster, shard, ask) {
-                    roomy = false;
-                    break;
-                }
-            }
-            if !roomy {
+            // Every shard owning part of a gap must make room before the
+            // group's fetch is planned.
+            if !self.make_room_for(cluster, file, &view.gaps) {
                 // No clean space to reclaim: stop fetching this wake.
                 break;
             }
             let mut reads = Vec::new();
-            let mut writes = Vec::new();
-            let mut pieces = Vec::new();
-            for &(g_off, g_len) in &view.gaps {
-                for seg in self.plane.router().segments(file, g_off, g_len) {
-                    let Some(c_file) = self.cache_file_for(file, seg.shard) else {
-                        continue;
-                    };
-                    let Some(allocs) = self.plane.alloc(seg.shard, c_file, seg.len) else {
-                        continue; // make_room guaranteed capacity; skip the segment if not
-                    };
+            let (writes, pieces) =
+                self.reserve_fetch(file, &view.gaps, Priority::Background, |seg| {
                     reads.push(PlannedIo {
                         tier: Tier::DServers,
                         file,
@@ -243,23 +228,7 @@ impl S4dCache {
                         data: None,
                         app_offset: None,
                     });
-                    let mut cursor = seg.offset;
-                    for p in allocs {
-                        writes.push(PlannedIo {
-                            tier: Tier::CServers,
-                            file: c_file,
-                            kind: IoKind::Write,
-                            offset: p.c_offset,
-                            len: p.len,
-                            priority: Priority::Background,
-                            data: None,
-                            app_offset: None,
-                        });
-                        pieces.push((cursor, p.len, c_file, p.c_offset));
-                        cursor += p.len;
-                    }
-                }
-            }
+                });
             for &(o, l) in &keys {
                 self.bg.inflight_fetch.insert((file, o, l));
             }
@@ -277,6 +246,50 @@ impl S4dCache {
                 deadline: None,
             });
         }
+        self.view_scratch = view;
+    }
+
+    /// Reserves cache space for fetching `gaps` of `file`, shard segment
+    /// by shard segment. [`S4dCache::make_room_for`] has guaranteed the
+    /// capacity; a segment that still cannot allocate is skipped. Returns
+    /// the CServer writes that fill the reservation and the pieces for the
+    /// [`Pending::Fetch`]; `on_segment` sees every segment that got space.
+    pub(crate) fn reserve_fetch(
+        &mut self,
+        file: FileId,
+        gaps: &[(u64, u64)],
+        priority: Priority,
+        mut on_segment: impl FnMut(ShardSegment),
+    ) -> (Vec<PlannedIo>, Vec<FetchPiece>) {
+        let mut writes = Vec::new();
+        let mut pieces = Vec::new();
+        for &(g_off, g_len) in gaps {
+            for seg in self.plane.router().segments_iter(file, g_off, g_len) {
+                let Some(c_file) = self.cache_file_for(file, seg.shard) else {
+                    continue; // fetches are only planned for opened files
+                };
+                let Some(allocs) = self.plane.alloc(seg.shard, c_file, seg.len) else {
+                    continue;
+                };
+                on_segment(seg);
+                let mut cursor = seg.offset;
+                for p in allocs {
+                    writes.push(PlannedIo {
+                        tier: Tier::CServers,
+                        file: c_file,
+                        kind: IoKind::Write,
+                        offset: p.c_offset,
+                        len: p.len,
+                        priority,
+                        data: None,
+                        app_offset: None,
+                    });
+                    pieces.push((cursor, p.len, c_file, p.c_offset));
+                    cursor += p.len;
+                }
+            }
+        }
+        (writes, pieces)
     }
 
     /// Applies the completion action a finished plan registered.
@@ -371,16 +384,17 @@ impl S4dCache {
         cluster: &mut Cluster,
         orig: FileId,
         cdt_keys: Vec<(u64, u64)>,
-        pieces: Vec<(u64, u64, FileId, u64)>,
+        pieces: Vec<FetchPiece>,
     ) {
         let mut seals: Vec<(FileId, u64, u64)> = Vec::new();
+        let mut view = std::mem::take(&mut self.view_scratch);
         for (d_off, len, c_file, c_off) in pieces {
             // A foreground write may have mapped (parts of) this range while
             // the fetch was in flight; only fill the still-missing gaps and
             // return the rest of the reservation. Pieces are allocated per
             // shard segment, so the whole piece lives in `d_off`'s shard.
             let shard = self.plane.router().shard_of(orig, d_off);
-            let view = self.plane.view(orig, d_off, len);
+            self.plane.view_into(orig, d_off, len, &mut view);
             for &(g_off, g_len) in &view.gaps {
                 let rel = g_off - d_off;
                 let allowed = self.dur.fuse_consume(CrashSite::FetchFill, g_len);
@@ -411,6 +425,7 @@ impl S4dCache {
                 self.plane.release(shard, c_file, c_off + rel, piece.len);
             }
         }
+        self.view_scratch = view;
         for (o, l) in cdt_keys {
             self.plane.cdt_clear_c_flag(orig, o, l);
             self.bg.inflight_fetch.remove(&(orig, o, l));

@@ -144,8 +144,7 @@ impl S4dCache {
     ) {
         let targets: Vec<u64> = self
             .plane
-            .extents_overlapping(file, offset, len)
-            .into_iter()
+            .overlapping(file, offset, len)
             .map(|(o, _)| o)
             .collect();
         for o in targets {

@@ -100,6 +100,12 @@ impl Dmt {
         std::mem::take(&mut self.pending_journal)
     }
 
+    /// [`Dmt::take_pending_journal`] in place: the buffer keeps its
+    /// capacity, so a drained table does not regrow it record by record.
+    pub fn drain_pending_journal(&mut self) -> std::vec::Drain<'_, JournalRecord> {
+        self.pending_journal.drain(..)
+    }
+
     /// Iterates over every live extent as `(file, d_offset, extent)`.
     pub fn iter_extents(&self) -> impl Iterator<Item = (FileId, u64, &MapExtent)> {
         self.files
@@ -143,9 +149,8 @@ impl Dmt {
         dirty: bool,
     ) {
         assert!(len > 0, "cannot map an empty extent");
-        let view = self.view(file, d_offset, len);
         assert!(
-            view.fully_missed(),
+            self.overlapping(file, d_offset, len).next().is_none(),
             "DMT insert overlaps an existing extent at {file}:{d_offset}+{len}"
         );
         let touch = self.bump();
@@ -179,17 +184,41 @@ impl Dmt {
 
     /// Refreshes the LRU position of every extent overlapping the range.
     pub fn touch_range(&mut self, file: FileId, offset: u64, len: u64) {
-        let keys = self.overlapping_keys(file, offset, len);
-        for key in keys {
-            let touch = self.bump();
-            let Some(e) = self.files.get_mut(&file).and_then(|m| m.get_mut(&key)) else {
-                continue; // key came from overlapping_keys on this same map
+        let Some(map) = self.files.get_mut(&file) else {
+            return;
+        };
+        let span = view::overlap_span(map, offset, len);
+        for (&key, e) in map.range_mut(span) {
+            let touch = self.next_touch;
+            self.next_touch += 1;
+            let idx = if e.dirty {
+                &mut self.lru_dirty
+            } else {
+                &mut self.lru_clean
             };
-            let (old_touch, dirty) = (e.touch, e.dirty);
-            e.touch = touch;
-            let idx = self.index(dirty);
-            idx.remove(&old_touch);
+            idx.remove(&e.touch);
             idx.insert(touch, (file, key));
+            e.touch = touch;
+        }
+    }
+
+    /// Splits the extents straddling either end of `[offset, offset+len)`
+    /// so that every extent overlapping the range lies fully inside it.
+    /// Only the first and last overlapping extents can straddle.
+    fn split_at_bounds(&mut self, file: FileId, offset: u64, len: u64) {
+        let Some(map) = self.files.get(&file) else {
+            return;
+        };
+        let mut keys = map
+            .range(view::overlap_span(map, offset, len))
+            .map(|(&s, _)| s);
+        let Some(first) = keys.next() else {
+            return;
+        };
+        let last = keys.next_back();
+        self.split_off(file, first, offset, offset + len);
+        if let Some(last) = last {
+            self.split_off(file, last, offset, offset + len);
         }
     }
 
@@ -197,34 +226,33 @@ impl Dmt {
     /// only the written bytes are flagged. Bytes of the range not covered
     /// by the DMT are ignored (the caller routes them elsewhere).
     pub fn mark_dirty(&mut self, file: FileId, offset: u64, len: u64) {
-        let keys = self.overlapping_keys(file, offset, len);
-        for key in keys {
-            self.split_off(file, key, offset, offset + len);
-        }
-        // After splitting, flag every fully contained extent.
-        let keys = self.overlapping_keys(file, offset, len);
-        for key in keys {
-            let touch = self.bump();
-            let Some(e) = self.files.get_mut(&file).and_then(|m| m.get_mut(&key)) else {
-                continue; // key came from overlapping_keys on this same map
-            };
+        self.split_at_bounds(file, offset, len);
+        // After splitting, flag every (now fully contained) extent.
+        let Some(map) = self.files.get_mut(&file) else {
+            return;
+        };
+        let span = view::overlap_span(map, offset, len);
+        for (&key, e) in map.range_mut(span) {
             debug_assert!(key >= offset && key + e.len <= offset + len);
-            let was_dirty = e.dirty;
-            let (old_touch, e_len) = (e.touch, e.len);
+            let touch = self.next_touch;
+            self.next_touch += 1;
+            if e.dirty {
+                self.lru_dirty.remove(&e.touch);
+            } else {
+                self.lru_clean.remove(&e.touch);
+                self.dirty_total += e.len;
+            }
+            self.lru_dirty.insert(touch, (file, key));
             e.dirty = true;
             e.version += 1;
             e.checksum = None; // the bytes are about to change
             e.touch = touch;
-            self.index(was_dirty).remove(&old_touch);
-            self.lru_dirty.insert(touch, (file, key));
-            if !was_dirty {
-                self.dirty_total += e_len;
-            }
-            self.record(JournalRecord::SetDirty {
+            self.pending_journal.push(JournalRecord::SetDirty {
                 d_file: file,
                 d_offset: key,
-                len: e_len,
+                len: e.len,
             });
+            self.journal_total += 1;
         }
     }
 
@@ -235,16 +263,14 @@ impl Dmt {
     /// record is emitted (a lost or stale seal only downgrades integrity
     /// checking — both copies hold the new bytes, so repair converges).
     pub fn unseal(&mut self, file: FileId, offset: u64, len: u64) {
-        let keys = self.overlapping_keys(file, offset, len);
-        for key in keys {
-            self.split_off(file, key, offset, offset + len);
-        }
-        let keys = self.overlapping_keys(file, offset, len);
-        for key in keys {
-            if let Some(e) = self.files.get_mut(&file).and_then(|m| m.get_mut(&key)) {
-                e.version += 1;
-                e.checksum = None;
-            }
+        self.split_at_bounds(file, offset, len);
+        let Some(map) = self.files.get_mut(&file) else {
+            return;
+        };
+        let span = view::overlap_span(map, offset, len);
+        for e in map.range_mut(span).map(|(_, e)| e) {
+            e.version += 1;
+            e.checksum = None;
         }
     }
 
@@ -389,30 +415,30 @@ impl Dmt {
         bytes: u64,
         is_pinned: impl Fn(FileId, u64, u64) -> bool,
     ) -> Vec<(FileId, u64, MapExtent)> {
-        let mut victim_keys = Vec::new();
+        let mut victims = Vec::new();
         let mut reclaimed = 0u64;
-        for (_, &(file, d_off)) in self.lru_clean.iter() {
+        for &(file, d_off) in self.lru_clean.values() {
             if reclaimed >= bytes {
                 break;
             }
-            let Some(len) = self.get(file, d_off).map(|e| e.len) else {
+            let Some(e) = self.get(file, d_off) else {
                 continue; // clean index entries are kept live; skip if stale
             };
-            if is_pinned(file, d_off, len) {
+            if is_pinned(file, d_off, e.len) {
                 continue;
             }
-            reclaimed += len;
-            victim_keys.push((file, d_off));
+            reclaimed += e.len;
+            victims.push((file, d_off, *e));
         }
-        victim_keys
-            .into_iter()
-            .filter_map(|(file, d_off)| self.remove(file, d_off).map(|e| (file, d_off, e)))
-            .collect()
+        for &(file, d_off, _) in &victims {
+            self.remove(file, d_off);
+        }
+        victims
     }
 
     /// Up to `limit` dirty extents, least recently used first, as
     /// `(file, d_offset, extent)` snapshots. Cost is `O(limit)`.
-    pub fn dirty_lru(&self, limit: usize) -> Vec<(FileId, u64, MapExtent)> {
+    pub fn dirty_lru(&self, limit: usize) -> impl Iterator<Item = (FileId, u64, MapExtent)> + '_ {
         self.lru_dirty
             .values()
             .take(limit)
@@ -421,7 +447,6 @@ impl Dmt {
                 debug_assert!(e.dirty);
                 Some((file, d_off, *e))
             })
-            .collect()
     }
 }
 
@@ -578,11 +603,11 @@ mod tests {
         d.insert(F, 0, 10, CF, 0, true);
         d.insert(F, 100, 10, CF, 10, true);
         d.insert(F, 200, 10, CF, 20, false);
-        let dirty = d.dirty_lru(10);
+        let dirty: Vec<_> = d.dirty_lru(10).collect();
         assert_eq!(dirty.len(), 2);
         assert_eq!(dirty[0].1, 0);
         assert_eq!(dirty[1].1, 100);
-        assert_eq!(d.dirty_lru(1).len(), 1);
+        assert_eq!(d.dirty_lru(1).count(), 1);
     }
 
     #[test]
@@ -616,10 +641,10 @@ mod tests {
         assert_eq!(d.get(F, 0).unwrap().checksum, Some(9));
         // A split invalidates whole-extent checksums on every piece.
         d.mark_dirty(F, 2, 4);
-        for (off, e) in d.extents_overlapping(F, 0, 10) {
+        for (off, e) in d.overlapping(F, 0, 10) {
             assert_eq!(e.checksum, None, "piece at {off} kept a stale seal");
         }
-        assert_eq!(d.extents_overlapping(F, 0, 10).len(), 3);
+        assert_eq!(d.overlapping(F, 0, 10).count(), 3);
         // clear_dirty_checksums drops only dirty seals.
         let mut d = Dmt::new();
         d.insert(F, 0, 10, CF, 0, false);
@@ -734,7 +759,38 @@ mod tests {
                 d.iter_extents().count()
             );
             let dirty_entries = d.iter_extents().filter(|(_, _, e)| e.dirty).count();
-            prop_assert_eq!(d.dirty_lru(usize::MAX).len(), dirty_entries);
+            prop_assert_eq!(d.dirty_lru(usize::MAX).count(), dirty_entries);
+        }
+
+        /// `view_into` on a scratch still holding an earlier query's
+        /// result equals a fresh `view`, and both agree with the
+        /// `overlapping` walk they are built on.
+        #[test]
+        fn prop_view_into_reused_scratch_matches_fresh_view(
+            extents in proptest::collection::vec((0u64..240, 1u64..16, any::<bool>()), 0..30),
+            queries in proptest::collection::vec((0u64..256, 0u64..64), 1..20),
+        ) {
+            let mut d = Dmt::new();
+            for (i, &(off, len, dirty)) in extents.iter().enumerate() {
+                if d.overlapping(F, off, len).next().is_none() {
+                    d.insert(F, off, len, CF, i as u64 * 100, dirty);
+                }
+            }
+            let mut scratch = RangeView::default();
+            for &(off, len) in &queries {
+                d.view_into(F, off, len, &mut scratch);
+                let fresh = d.view(F, off, len);
+                prop_assert_eq!(&scratch, &fresh);
+                let covered: u64 = d
+                    .overlapping(F, off, len)
+                    .map(|(s, e)| (s + e.len).min(off + len) - s.max(off))
+                    .sum();
+                prop_assert_eq!(fresh.covered_bytes(), covered);
+                // A file the table has never seen is one gap (or nothing).
+                d.view_into(FileId(99), off, len, &mut scratch);
+                prop_assert!(scratch.fully_missed());
+                prop_assert_eq!(scratch.gaps.len(), usize::from(len > 0));
+            }
         }
     }
 }

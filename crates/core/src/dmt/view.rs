@@ -2,6 +2,9 @@
 //! enumeration, and the boundary-split primitive shared by the mutation
 //! paths in the parent module.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use s4d_pfs::FileId;
 
 use super::{Dmt, MapExtent};
@@ -32,6 +35,13 @@ pub struct RangeView {
 }
 
 impl RangeView {
+    /// Empties the view, keeping its buffers — the reset `view_into`
+    /// applies on entry.
+    pub fn clear(&mut self) {
+        self.pieces.clear();
+        self.gaps.clear();
+    }
+
     /// True if the whole range is cached.
     pub fn fully_covered(&self) -> bool {
         self.gaps.is_empty()
@@ -48,81 +58,78 @@ impl RangeView {
     }
 }
 
+/// The key range of `map` holding every extent that overlaps
+/// `[offset, offset+len)`: from the extent straddling `offset` (if any)
+/// up to the range's end. Extents are non-empty and disjoint, so every
+/// key in the span overlaps.
+pub(super) fn overlap_span(map: &BTreeMap<u64, MapExtent>, offset: u64, len: u64) -> Range<u64> {
+    if len == 0 {
+        return offset..offset;
+    }
+    let start = map
+        .range(..=offset)
+        .next_back()
+        .filter(|(&s, e)| s + e.len > offset)
+        .map_or(offset, |(&s, _)| s);
+    start..offset + len
+}
+
 impl Dmt {
     /// Queries coverage of `[offset, offset+len)`.
     pub fn view(&self, file: FileId, offset: u64, len: u64) -> RangeView {
         let mut view = RangeView::default();
-        if len == 0 {
-            return view;
-        }
-        let end = offset + len;
-        let mut cursor = offset;
-        if let Some(map) = self.files.get(&file) {
-            // Start from the extent at or before `offset`.
-            let start_key = map
-                .range(..=offset)
-                .next_back()
-                .filter(|(&s, e)| s + e.len > offset)
-                .map(|(&s, _)| s)
-                .unwrap_or(offset);
-            for (&s, e) in map.range(start_key..end) {
-                let e_end = s + e.len;
-                if e_end <= offset || s >= end {
-                    continue;
-                }
-                let lo = s.max(offset);
-                let hi = e_end.min(end);
-                if lo > cursor {
-                    view.gaps.push((cursor, lo - cursor));
-                }
-                view.pieces.push(CoveredPiece {
-                    d_offset: lo,
-                    len: hi - lo,
-                    c_file: e.c_file,
-                    c_offset: e.c_offset + (lo - s),
-                    dirty: e.dirty,
-                });
-                cursor = hi;
-            }
-        }
-        if cursor < end {
-            view.gaps.push((cursor, end - cursor));
-        }
+        self.view_into(file, offset, len, &mut view);
         view
     }
 
-    /// Extents overlapping `[offset, offset+len)`, as
-    /// `(d_offset, extent)` snapshots in file order.
-    pub fn extents_overlapping(
+    /// [`Dmt::view`] into a caller-owned buffer: `out` is cleared, then
+    /// filled, so a reused scratch view allocates only while it grows.
+    pub fn view_into(&self, file: FileId, offset: u64, len: u64, out: &mut RangeView) {
+        out.clear();
+        self.append_view(file, offset, len, out);
+    }
+
+    /// Appends the coverage of `[offset, offset+len)` to `out` — the
+    /// sharded plane concatenates per-segment views this way.
+    pub(crate) fn append_view(&self, file: FileId, offset: u64, len: u64, out: &mut RangeView) {
+        if len == 0 {
+            return;
+        }
+        let end = offset + len;
+        let mut cursor = offset;
+        for (s, e) in self.overlapping(file, offset, len) {
+            let lo = s.max(offset);
+            let hi = (s + e.len).min(end);
+            if lo > cursor {
+                out.gaps.push((cursor, lo - cursor));
+            }
+            out.pieces.push(CoveredPiece {
+                d_offset: lo,
+                len: hi - lo,
+                c_file: e.c_file,
+                c_offset: e.c_offset + (lo - s),
+                dirty: e.dirty,
+            });
+            cursor = hi;
+        }
+        if cursor < end {
+            out.gaps.push((cursor, end - cursor));
+        }
+    }
+
+    /// Extents overlapping `[offset, offset+len)`, as `(d_offset, extent)`
+    /// in file order.
+    pub fn overlapping(
         &self,
         file: FileId,
         offset: u64,
         len: u64,
-    ) -> Vec<(u64, MapExtent)> {
-        self.overlapping_keys(file, offset, len)
+    ) -> impl Iterator<Item = (u64, &MapExtent)> {
+        self.files
+            .get(&file)
             .into_iter()
-            .filter_map(|k| self.get(file, k).map(|e| (k, *e)))
-            .collect()
-    }
-
-    pub(super) fn overlapping_keys(&self, file: FileId, offset: u64, len: u64) -> Vec<u64> {
-        let Some(map) = self.files.get(&file) else {
-            return Vec::new();
-        };
-        if len == 0 {
-            return Vec::new();
-        }
-        let end = offset + len;
-        let start_key = map
-            .range(..=offset)
-            .next_back()
-            .filter(|(&s, e)| s + e.len > offset)
-            .map(|(&s, _)| s)
-            .unwrap_or(offset);
-        map.range(start_key..end)
-            .filter(|(&s, e)| s < end && s + e.len > offset)
-            .map(|(&s, _)| s)
-            .collect()
+            .flat_map(move |map| map.range(overlap_span(map, offset, len)))
+            .map(|(&s, e)| (s, e))
     }
 
     /// Splits the extent at `key` so that no extent straddles `lo` or `hi`.
@@ -147,15 +154,15 @@ impl Dmt {
         if e.dirty {
             self.dirty_total -= e.len;
         }
-        let mut pieces: Vec<(u64, u64)> = Vec::new();
-        if cut_lo > key {
-            pieces.push((key, cut_lo - key));
-        }
-        pieces.push((cut_lo, cut_hi - cut_lo));
-        if e_end > cut_hi {
-            pieces.push((cut_hi, e_end - cut_hi));
-        }
+        let pieces = [
+            (key, cut_lo - key),
+            (cut_lo, cut_hi - cut_lo),
+            (cut_hi, e_end - cut_hi),
+        ];
         for (p_off, p_len) in pieces {
+            if p_len == 0 {
+                continue; // the cut sits on the extent's own boundary
+            }
             let touch = self.bump();
             self.index(e.dirty).insert(touch, (file, p_off));
             self.files.entry(file).or_default().insert(

@@ -165,11 +165,8 @@ impl DurabilityEngine {
     ) {
         for shard in 0..plane.shard_count() {
             let fresh = plane.take_shard_pending(shard);
-            if fresh.is_empty() {
-                continue;
-            }
             if config.record_journal_log {
-                self.journal_log.extend_from_slice(&fresh);
+                self.journal_log.extend_from_slice(fresh.as_slice());
             }
             self.group.extend(shard, fresh);
         }

@@ -127,8 +127,11 @@ impl S4dCache {
             return HedgeDirective::Wait;
         }
         for &(off, len) in &ctx.app_segments {
-            let view = self.plane.view(app_file, off, len);
-            if view.pieces.iter().any(|p| p.dirty) {
+            if self
+                .plane
+                .overlapping(app_file, off, len)
+                .any(|(_, e)| e.dirty)
+            {
                 // The straggler holds the only copy of dirty bytes:
                 // hedging to OPFS would serve stale data.
                 self.metrics.straggler_waits += 1;

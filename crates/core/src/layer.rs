@@ -24,7 +24,7 @@ use s4d_storage::IoKind;
 use crate::background::BackgroundScheduler;
 use crate::cdt::Cdt;
 use crate::config::S4dConfig;
-use crate::dmt::Dmt;
+use crate::dmt::{Dmt, RangeView};
 use crate::durability::crash::CrashFuse;
 use crate::durability::journal::JournalRecord;
 use crate::durability::recovery::RecoveryReport;
@@ -63,6 +63,13 @@ pub struct S4dCache {
     /// journal-before-discard, reusing first could resurrect the old
     /// mapping over fresh bytes at recovery.
     pub(crate) stalled_discards: Vec<(usize, FileId, u64, u64)>,
+    /// Scratch coverage view for the request path (DESIGN.md §12): a
+    /// stage `mem::take`s it, fills it with `MetadataPlane::view_into`
+    /// (which clears it first), and stores it back when done, so its
+    /// vectors keep their capacity from request to request. It carries no
+    /// state between uses and is never borrowed across a `Middleware`
+    /// call.
+    pub(crate) view_scratch: RangeView,
 }
 
 impl S4dCache {
@@ -83,6 +90,7 @@ impl S4dCache {
             dur: DurabilityEngine::new(router),
             bg,
             stalled_discards: Vec::new(),
+            view_scratch: RangeView::default(),
         }
     }
 
@@ -243,8 +251,13 @@ impl Middleware for S4dCache {
             _ if self.config.force_miss => self.direct_plan(req),
             (_, None) => self.direct_plan(req),
             (IoKind::Write, Some(cache)) => {
-                let route = self.route_write(now, req, &ctx);
-                self.admit_write(cluster, req, cache, &ctx, route)
+                let mut view = std::mem::take(&mut self.view_scratch);
+                self.plane
+                    .view_into(req.file, req.offset, req.len, &mut view);
+                let route = self.route_write(now, req, &ctx, &view);
+                let plan = self.admit_write(cluster, req, cache, &ctx, route, &view.gaps);
+                self.view_scratch = view;
+                plan
             }
             (IoKind::Read, Some(_)) => self.plan_read(cluster, now, req, &ctx),
         };

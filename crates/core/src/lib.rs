@@ -80,7 +80,7 @@ pub use journal::{JournalError, JournalRecord, RecoveredJournal};
 pub use layer::S4dCache;
 pub use memcache::{MemCache, MemCacheMetrics};
 pub use metrics::S4dMetrics;
-pub use shard::{MetadataPlane, ShardRouter, ShardSegment};
+pub use shard::{MetadataPlane, Segments, ShardRouter, ShardSegment};
 pub use space::SpaceManager;
 
 /// Size in bytes of one persisted DMT record frame.

@@ -7,7 +7,7 @@
 //! phase that makes admission atomic (DESIGN.md §9). The eager-fetch
 //! ablation claims space through the same path.
 
-use s4d_mpiio::{AppRequest, Cluster, Plan, PlannedIo, Tier};
+use s4d_mpiio::{AppRequest, Cluster, Plan, Tier};
 use s4d_pfs::{FileId, Priority};
 use s4d_storage::IoKind;
 
@@ -27,42 +27,23 @@ impl S4dCache {
         cache: FileId,
         ctx: &RequestCtx,
         route: WriteRoute,
+        gaps: &[(u64, u64)],
     ) -> Plan {
         let WriteRoute {
             mut ops,
             mut used_cache,
-            gaps,
             gap_total,
             healthy,
         } = route;
-        // The admission ask is sized per owning shard: each gap splits
-        // into shard segments, and every shard with a non-zero ask must
-        // make room or the whole admission degrades to OPFS. At
-        // `shard_count = 1` this is one segment per gap and one
-        // `make_room` call for `gap_total` — the legacy behaviour.
-        let mut shard_asks: Vec<u64> = vec![0; self.plane.shard_count()];
-        for &(g_off, g_len) in &gaps {
-            for seg in self.plane.router().segments(req.file, g_off, g_len) {
-                if let Some(ask) = shard_asks.get_mut(seg.shard) {
-                    *ask += seg.len;
-                }
-            }
-        }
         let admit = ctx.critical && gap_total > 0 && healthy && {
-            let mut ok = true;
-            for (shard, &ask) in shard_asks.iter().enumerate() {
-                if ask > 0 && !self.make_room(cluster, shard, ask) {
-                    ok = false;
-                    break;
-                }
-            }
+            let ok = self.make_room_for(cluster, req.file, gaps);
             if !ok {
                 self.metrics.admission_denied_space += 1;
             }
             ok
         };
         let mut fresh: Vec<(u64, u64)> = Vec::new();
-        for &(g_off, g_len) in &gaps {
+        for &(g_off, g_len) in gaps {
             if !admit {
                 ops.push(self.data_op(
                     Tier::DServers,
@@ -78,7 +59,7 @@ impl S4dCache {
             // `make_room` guaranteed capacity per shard, so `alloc`
             // should succeed for every admitted segment; degrade the
             // segment to a disk write if not.
-            for seg in self.plane.router().segments(req.file, g_off, g_len) {
+            for seg in self.plane.router().segments_iter(req.file, g_off, g_len) {
                 let c_file = self.cache_file_for(req.file, seg.shard).unwrap_or(cache);
                 if let Some(pieces) = self.plane.alloc(seg.shard, c_file, seg.len) {
                     let mut cursor = seg.offset;
@@ -129,10 +110,8 @@ impl S4dCache {
             &mut journal_ops,
         );
         let mut plan = Plan {
-            tag: 0,
             lead_in: self.config.decision_overhead,
-            phases: vec![ops],
-            deadline: None,
+            ..Plan::single_phase(ops)
         };
         if !journal_ops.is_empty() {
             plan.phases.push(journal_ops);
@@ -144,8 +123,7 @@ impl S4dCache {
         // instead (`S4dCache::unwind_failed`).
         let seals: Vec<(FileId, u64, u64)> = self
             .plane
-            .extents_overlapping(req.file, req.offset, req.len)
-            .into_iter()
+            .overlapping(req.file, req.offset, req.len)
             .map(|(d_off, e)| (req.file, d_off, e.version))
             .collect();
         let mut actions: Vec<Pending> = Vec::new();
@@ -161,10 +139,40 @@ impl S4dCache {
         if !seals.is_empty() {
             actions.push(Pending::Seal(seals));
         }
-        if !actions.is_empty() {
+        // A lone obligation registers as itself; only several share a
+        // `Multi` (and its vector).
+        if actions.len() > 1 {
             plan.tag = self.bg.register(Pending::Multi(actions));
+        } else if let Some(only) = actions.pop() {
+            plan.tag = self.bg.register(only);
         }
         plan
+    }
+
+    /// Makes room for the admission of `gaps` of `file`, sized per owning
+    /// shard: each gap splits into shard segments, and every shard with a
+    /// non-zero ask must make room — in shard order, stopping at the
+    /// first that cannot — or the whole admission is off. At
+    /// `shard_count = 1` this is one `make_room` call for the gap total.
+    pub(crate) fn make_room_for(
+        &mut self,
+        cluster: &mut Cluster,
+        file: FileId,
+        gaps: &[(u64, u64)],
+    ) -> bool {
+        let router = self.plane.router();
+        for shard in 0..self.plane.shard_count() {
+            let ask: u64 = gaps
+                .iter()
+                .flat_map(|&(g_off, g_len)| router.segments_iter(file, g_off, g_len))
+                .filter(|seg| seg.shard == shard)
+                .map(|seg| seg.len)
+                .sum();
+            if ask > 0 && !self.make_room(cluster, shard, ask) {
+                return false;
+            }
+        }
+        true
     }
 
     /// Makes room for `len` more cache bytes on `shard`, evicting its
@@ -240,55 +248,15 @@ impl S4dCache {
         &mut self,
         cluster: &mut Cluster,
         req: &AppRequest,
-        cache: FileId,
         gaps: &[(u64, u64)],
         plan: &mut Plan,
     ) {
         let total: u64 = gaps.iter().map(|&(_, l)| l).sum();
-        let mut shard_asks: Vec<u64> = vec![0; self.plane.shard_count()];
-        for &(g_off, g_len) in gaps {
-            for seg in self.plane.router().segments(req.file, g_off, g_len) {
-                if let Some(ask) = shard_asks.get_mut(seg.shard) {
-                    *ask += seg.len;
-                }
-            }
-        }
-        let mut roomy = total > 0;
-        for (shard, &ask) in shard_asks.iter().enumerate() {
-            if ask > 0 && !self.make_room(cluster, shard, ask) {
-                roomy = false;
-                break;
-            }
-        }
-        if !roomy {
+        if total == 0 || !self.make_room_for(cluster, req.file, gaps) {
             self.metrics.admission_denied_space += 1;
             return;
         }
-        let mut phase = Vec::new();
-        let mut pieces = Vec::new();
-        for &(g_off, g_len) in gaps {
-            for seg in self.plane.router().segments(req.file, g_off, g_len) {
-                let c_file = self.cache_file_for(req.file, seg.shard).unwrap_or(cache);
-                let Some(allocs) = self.plane.alloc(seg.shard, c_file, seg.len) else {
-                    continue; // make_room guaranteed capacity; skip the segment if not
-                };
-                let mut cursor = seg.offset;
-                for p in allocs {
-                    phase.push(PlannedIo {
-                        tier: Tier::CServers,
-                        file: c_file,
-                        kind: IoKind::Write,
-                        offset: p.c_offset,
-                        len: p.len,
-                        priority: Priority::Normal,
-                        data: None,
-                        app_offset: None,
-                    });
-                    pieces.push((cursor, p.len, c_file, p.c_offset));
-                    cursor += p.len;
-                }
-            }
-        }
+        let (phase, pieces) = self.reserve_fetch(req.file, gaps, Priority::Normal, |_| {});
         let fetch = Pending::Fetch {
             orig: req.file,
             cdt_keys: vec![(req.offset, req.len)],

@@ -53,9 +53,9 @@ pub(crate) struct WriteRoute {
     pub(crate) ops: Vec<PlannedIo>,
     /// Whether any piece was routed to the cache tier.
     pub(crate) used_cache: bool,
-    /// Unmapped `(d_offset, len)` gaps the admit stage decides on.
-    pub(crate) gaps: Vec<(u64, u64)>,
-    /// Total gap bytes (the size of the admission ask).
+    /// Total bytes of the unmapped gaps the admit stage decides on (the
+    /// size of the admission ask; the gaps themselves stay in the
+    /// request's scratch view).
     pub(crate) gap_total: u64,
     /// Tier health verdict at routing time: new admissions stripe over
     /// every CServer, so one quarantined server vetoes admission.

@@ -11,6 +11,7 @@ use s4d_sim::SimTime;
 use s4d_storage::IoKind;
 
 use crate::background::Pending;
+use crate::dmt::RangeView;
 use crate::layer::S4dCache;
 use crate::pipeline::{RequestCtx, WriteRoute};
 
@@ -23,9 +24,9 @@ impl S4dCache {
         now: SimTime,
         req: &AppRequest,
         ctx: &RequestCtx,
+        view: &RangeView,
     ) -> WriteRoute {
         let mut ops: Vec<PlannedIo> = Vec::new();
-        let view = self.plane.view(req.file, req.offset, req.len);
         let mut used_cache = false;
 
         // While the journal is stalled no new record can be made durable
@@ -103,7 +104,6 @@ impl S4dCache {
         WriteRoute {
             ops,
             used_cache,
-            gaps: view.gaps,
             gap_total,
             healthy,
         }
@@ -117,10 +117,10 @@ impl S4dCache {
         req: &AppRequest,
         ctx: &RequestCtx,
     ) -> Plan {
-        let Some(cache) = ctx.cache else {
+        if ctx.cache.is_none() {
             // Not opened through the middleware: route straight to disk.
             return self.direct_plan(req);
-        };
+        }
         if self.config.verify_on_read {
             // Verify the seals of every cached extent in range before
             // routing: corrupt clean bytes are repaired from DServers
@@ -130,7 +130,9 @@ impl S4dCache {
             self.verify_range(cluster, req.file, req.offset, req.len);
         }
         let mut ops: Vec<PlannedIo> = Vec::new();
-        let view = self.plane.view(req.file, req.offset, req.len);
+        let mut view = std::mem::take(&mut self.view_scratch);
+        self.plane
+            .view_into(req.file, req.offset, req.len, &mut view);
         self.plane.touch_range(req.file, req.offset, req.len);
         // Graceful degradation: a *clean* cached piece striped over a
         // quarantined CServer is served from OPFS instead (same bytes,
@@ -138,7 +140,7 @@ impl S4dCache {
         // or fail-slow) CServer counts too. Dirty pieces have no other
         // copy — they keep routing to the cache, and the runner's
         // retry/replan machinery rides out the outage.
-        let mut cache_pieces: Vec<(u64, u64)> = Vec::new();
+        let mut pins: Vec<(FileId, u64, u64)> = Vec::new();
         for piece in &view.pieces {
             if !piece.dirty
                 && (self.cache_range_unhealthy(cluster, now, piece.c_offset, piece.len)
@@ -157,7 +159,7 @@ impl S4dCache {
                 ));
                 continue;
             }
-            cache_pieces.push((piece.d_offset, piece.len));
+            pins.push((req.file, piece.d_offset, piece.len));
             ops.push(self.data_op(
                 Tier::CServers,
                 piece.c_file,
@@ -180,21 +182,15 @@ impl S4dCache {
             ));
         }
         let mut plan = Plan {
-            tag: 0,
             lead_in: self.config.decision_overhead,
-            phases: vec![ops],
-            deadline: None,
+            ..Plan::single_phase(ops)
         };
-        if !cache_pieces.is_empty() {
+        if !pins.is_empty() {
             // Pin the cached pieces this read references until the plan
             // completes, so eviction cannot free space under a queued
             // sub-request. (Fallback pieces read OPFS and need no pin.)
-            let ranges: Vec<(FileId, u64, u64)> = cache_pieces
-                .iter()
-                .map(|&(d_offset, len)| (req.file, d_offset, len))
-                .collect();
-            self.bg.pin_all(&ranges);
-            plan.tag = self.bg.register(Pending::Unpin(ranges));
+            self.bg.pin_all(&pins);
+            plan.tag = self.bg.register(Pending::Unpin(pins));
         }
         if view.fully_covered() {
             self.metrics.read_full_hits += 1;
@@ -212,7 +208,7 @@ impl S4dCache {
                 if self.shed_admission(ctx) {
                     self.metrics.shed_admissions += 1;
                 } else if self.config.eager_read_fetch {
-                    self.plan_eager_fetch(cluster, req, cache, &view.gaps, &mut plan);
+                    self.plan_eager_fetch(cluster, req, &view.gaps, &mut plan);
                 } else if self.plane.cdt_set_c_flag(req.file, req.offset, req.len) {
                     // Lazy caching: mark for the Rebuilder (line 18).
                     self.metrics.lazy_marks += 1;
@@ -226,6 +222,7 @@ impl S4dCache {
         // write plan or the background straggler drain.
         self.dur
             .collect_pending_records(&mut self.plane, &self.config);
+        self.view_scratch = view;
         plan
     }
 
@@ -280,10 +277,8 @@ impl S4dCache {
             IoKind::Read => self.metrics.read_misses += 1,
         }
         Plan {
-            tag: 0,
             lead_in: self.config.decision_overhead,
-            phases: vec![vec![op]],
-            deadline: None,
+            ..Plan::single_phase(vec![op])
         }
     }
 

@@ -20,4 +20,4 @@ mod plane;
 mod router;
 
 pub use plane::MetadataPlane;
-pub use router::{ShardRouter, ShardSegment};
+pub use router::{Segments, ShardRouter, ShardSegment};

@@ -5,7 +5,7 @@
 //! Every mutation enters through a routed method on [`MetadataPlane`]:
 //! point-keyed operations go to [`ShardRouter::shard_of`] of their durable
 //! key, range operations are split into shard-local segments by
-//! [`ShardRouter::segments`] and applied per shard in ascending offset
+//! [`ShardRouter::segments_iter`] and applied per shard in ascending offset
 //! order. The s4d-lint `shard-discipline` rule enforces that no code
 //! outside this plane (and the table/allocator implementations themselves)
 //! reaches a shard's `dmt`/`cdt`/`space` directly.
@@ -117,13 +117,14 @@ impl MetadataPlane {
         }
         for (i, shard) in self.shards_mut().enumerate() {
             let _ = shard.dmt.take_pending_journal();
-            let extents: Vec<(FileId, u64, u64)> = shard
-                .dmt
-                .iter_extents()
-                .map(|(_, _, e)| (e.c_file, e.c_offset, e.len))
-                .collect();
             let cap = if i == 0 { first } else { base };
-            shard.space = SpaceManager::rebuild(cap, extents.into_iter());
+            shard.space = SpaceManager::rebuild(
+                cap,
+                shard
+                    .dmt
+                    .iter_extents()
+                    .map(|(_, _, e)| (e.c_file, e.c_offset, e.len)),
+            );
         }
     }
 
@@ -239,10 +240,11 @@ impl MetadataPlane {
         &self.shard0.space
     }
 
-    /// Drains shard `idx`'s freshly recorded journal records, in the order
-    /// the shard produced them.
-    pub(crate) fn take_shard_pending(&mut self, idx: usize) -> Vec<JournalRecord> {
-        self.shard_mut(idx).dmt.take_pending_journal()
+    /// Drains shard `idx`'s freshly recorded journal records in place (the
+    /// shard's buffer keeps its capacity), in the order the shard
+    /// produced them.
+    pub(crate) fn take_shard_pending(&mut self, idx: usize) -> std::vec::Drain<'_, JournalRecord> {
+        self.shard_mut(idx).dmt.drain_pending_journal()
     }
 
     // ---- routed DMT operations -------------------------------------
@@ -251,38 +253,36 @@ impl MetadataPlane {
     /// in offset order. Gaps never span a shard boundary, so at higher
     /// shard counts a physical gap may appear as several adjacent entries
     /// — the admission path allocates per gap, which is exactly the
-    /// shard-local split it needs.
-    pub(crate) fn view(&self, file: FileId, offset: u64, len: u64) -> RangeView {
-        let mut out = RangeView::default();
-        for seg in self.router.segments(file, offset, len) {
-            let v = self.shard(seg.shard).dmt.view(file, seg.offset, seg.len);
-            out.pieces.extend(v.pieces);
-            out.gaps.extend(v.gaps);
+    /// shard-local split it needs. `out` is a caller-owned buffer (the
+    /// middleware's scratch view), cleared first.
+    pub(crate) fn view_into(&self, file: FileId, offset: u64, len: u64, out: &mut RangeView) {
+        out.clear();
+        for seg in self.router.segments_iter(file, offset, len) {
+            self.shard(seg.shard)
+                .dmt
+                .append_view(file, seg.offset, seg.len, out);
         }
-        out
     }
 
     /// Extents overlapping the range, across segments in offset order.
-    pub(crate) fn extents_overlapping(
+    pub(crate) fn overlapping(
         &self,
         file: FileId,
         offset: u64,
         len: u64,
-    ) -> Vec<(u64, MapExtent)> {
-        let mut out = Vec::new();
-        for seg in self.router.segments(file, offset, len) {
-            out.extend(
+    ) -> impl Iterator<Item = (u64, &MapExtent)> {
+        self.router
+            .segments_iter(file, offset, len)
+            .flat_map(move |seg| {
                 self.shard(seg.shard)
                     .dmt
-                    .extents_overlapping(file, seg.offset, seg.len),
-            );
-        }
-        out
+                    .overlapping(file, seg.offset, seg.len)
+            })
     }
 
     /// Inserts a shard-local extent, routed by its start offset. Callers
     /// obtain shard-local ranges from [`MetadataPlane::view`] gaps or
-    /// [`ShardRouter::segments`]; a range must never cross a shard
+    /// [`ShardRouter::segments_iter`]; a range must never cross a shard
     /// boundary (with one shard nothing does).
     pub(crate) fn insert(
         &mut self,
@@ -301,7 +301,7 @@ impl MetadataPlane {
 
     /// Marks a range dirty, segment by segment.
     pub(crate) fn mark_dirty(&mut self, file: FileId, offset: u64, len: u64) {
-        for seg in self.router.segments(file, offset, len) {
+        for seg in self.router.segments_iter(file, offset, len) {
             self.shard_mut(seg.shard)
                 .dmt
                 .mark_dirty(file, seg.offset, seg.len);
@@ -310,7 +310,7 @@ impl MetadataPlane {
 
     /// Refreshes LRU recency over a range, segment by segment.
     pub(crate) fn touch_range(&mut self, file: FileId, offset: u64, len: u64) {
-        for seg in self.router.segments(file, offset, len) {
+        for seg in self.router.segments_iter(file, offset, len) {
             self.shard_mut(seg.shard)
                 .dmt
                 .touch_range(file, seg.offset, seg.len);
@@ -319,7 +319,7 @@ impl MetadataPlane {
 
     /// Invalidates seals over a range, segment by segment.
     pub(crate) fn unseal(&mut self, file: FileId, offset: u64, len: u64) {
-        for seg in self.router.segments(file, offset, len) {
+        for seg in self.router.segments_iter(file, offset, len) {
             self.shard_mut(seg.shard)
                 .dmt
                 .unseal(file, seg.offset, seg.len);
@@ -374,16 +374,13 @@ impl MetadataPlane {
     /// its own LRU run (oldest first), shard 0 first. Callers that need a
     /// global age order sort the result, exactly as they already sort the
     /// single-shard LRU output.
-    pub(crate) fn dirty_lru(&self, limit: usize) -> Vec<(FileId, u64, MapExtent)> {
-        let mut out = Vec::new();
-        for s in self.shards() {
-            let remaining = limit.saturating_sub(out.len());
-            if remaining == 0 {
-                break;
-            }
-            out.extend(s.dmt.dirty_lru(remaining));
-        }
-        out
+    pub(crate) fn dirty_lru(
+        &self,
+        limit: usize,
+    ) -> impl Iterator<Item = (FileId, u64, MapExtent)> + '_ {
+        self.shards()
+            .flat_map(move |s| s.dmt.dirty_lru(limit))
+            .take(limit)
     }
 
     /// LRU clean eviction within one shard (the shard whose space the
@@ -421,16 +418,10 @@ impl MetadataPlane {
 
     /// Up to `limit` flagged candidates, shard 0's oldest first, then
     /// shard 1's, and so on.
-    pub(crate) fn cdt_flagged(&self, limit: usize) -> Vec<CdtEntry> {
-        let mut out = Vec::new();
-        for s in self.shards() {
-            let remaining = limit.saturating_sub(out.len());
-            if remaining == 0 {
-                break;
-            }
-            out.extend(s.cdt.flagged(remaining));
-        }
-        out
+    pub(crate) fn cdt_flagged(&self, limit: usize) -> impl Iterator<Item = CdtEntry> + '_ {
+        self.shards()
+            .flat_map(move |s| s.cdt.flagged(limit))
+            .take(limit)
     }
 
     // ---- routed space operations -----------------------------------
@@ -467,6 +458,14 @@ mod tests {
     use proptest::prelude::*;
 
     const F: FileId = FileId(5);
+
+    impl MetadataPlane {
+        fn view(&self, file: FileId, offset: u64, len: u64) -> RangeView {
+            let mut out = RangeView::default();
+            self.view_into(file, offset, len, &mut out);
+            out
+        }
+    }
 
     fn plane(count: u32, stripe: u64, capacity: u64) -> MetadataPlane {
         MetadataPlane::new(ShardRouter::new(count, stripe), capacity, 64)
@@ -534,8 +533,7 @@ mod tests {
                 let start = (off / 64) * 64;
                 let end = (off + len).div_ceil(64) * 64;
                 let targets: Vec<u64> = p
-                    .extents_overlapping(F, start, end - start)
-                    .into_iter()
+                    .overlapping(F, start, end - start)
                     .map(|(d_off, _)| d_off)
                     .collect();
                 for d_off in targets {
@@ -566,6 +564,13 @@ mod tests {
             }
             prop_assert_eq!(shape(&reference, 1024), shape(&sharded, 1024));
             prop_assert_eq!(reference.allocated(), sharded.allocated());
+            // One scratch reused across queries (the middleware's usage)
+            // reads the same as a fresh view each time.
+            let mut scratch = RangeView::default();
+            for &(off, len, _) in &ops {
+                sharded.view_into(F, off, len, &mut scratch);
+                prop_assert_eq!(&scratch, &sharded.view(F, off, len));
+            }
             prop_assert_eq!(reference.mapped_bytes(), reference.allocated());
         }
 
@@ -653,8 +658,8 @@ mod tests {
         p.cdt_insert(F, 0, 32);
         p.cdt_insert(F, 64, 32);
         assert!(p.cdt_set_c_flag(F, 64, 32));
-        assert_eq!(p.cdt_flagged(8).len(), 1);
+        assert_eq!(p.cdt_flagged(8).count(), 1);
         assert!(p.cdt_clear_c_flag(F, 64, 32));
-        assert_eq!(p.cdt_flagged(8).len(), 0);
+        assert_eq!(p.cdt_flagged(8).count(), 0);
     }
 }

@@ -66,25 +66,82 @@ impl ShardRouter {
     /// segments in ascending offset order, coalescing consecutive tiles
     /// that land on the same shard. Returns an empty vector for
     /// zero-length ranges; with one shard the whole range is a single
-    /// segment.
+    /// segment. Collects [`ShardRouter::segments_iter`]; code that only
+    /// walks the segments should use the iterator directly.
     pub fn segments(&self, file: FileId, offset: u64, len: u64) -> Vec<ShardSegment> {
-        if len == 0 {
-            return Vec::new();
+        self.segments_iter(file, offset, len).collect()
+    }
+
+    /// Lazy form of [`ShardRouter::segments`]: the same segments in the
+    /// same order, computed one at a time without allocating.
+    pub fn segments_iter(&self, file: FileId, offset: u64, len: u64) -> Segments {
+        Segments {
+            router: *self,
+            file,
+            cursor: offset,
+            end: offset.saturating_add(len),
         }
-        if self.count == 1 {
-            return vec![ShardSegment {
-                shard: 0,
-                offset,
-                len,
-            }];
+    }
+}
+
+/// Iterator over the shard-local segments of one byte range — see
+/// [`ShardRouter::segments_iter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segments {
+    router: ShardRouter,
+    file: FileId,
+    /// Start of the next segment.
+    cursor: u64,
+    /// Saturated end of the range.
+    end: u64,
+}
+
+impl Iterator for Segments {
+    type Item = ShardSegment;
+
+    fn next(&mut self) -> Option<ShardSegment> {
+        if self.cursor >= self.end {
+            return None;
         }
+        let ShardRouter { count, stripe } = self.router;
+        let offset = self.cursor;
+        let shard = self.router.shard_of(self.file, offset);
+        if count == 1 {
+            self.cursor = self.end;
+        } else {
+            // Extend tile by tile while the owner stays the same.
+            loop {
+                let tile_end = (self.cursor / stripe + 1).saturating_mul(stripe);
+                self.cursor = tile_end.min(self.end);
+                if self.cursor >= self.end || self.router.shard_of(self.file, self.cursor) != shard
+                {
+                    break;
+                }
+            }
+        }
+        Some(ShardSegment {
+            shard,
+            offset,
+            len: self.cursor - offset,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The eager tile-by-tile split `segments` used before it became an
+    /// iterator — the oracle for `prop_segments_match_eager`.
+    fn segments_eager(r: &ShardRouter, file: FileId, offset: u64, len: u64) -> Vec<ShardSegment> {
         let end = offset.saturating_add(len);
         let mut out: Vec<ShardSegment> = Vec::new();
         let mut cursor = offset;
         while cursor < end {
-            let tile_end = ((cursor / self.stripe) + 1).saturating_mul(self.stripe);
+            let tile_end = ((cursor / r.stripe) + 1).saturating_mul(r.stripe);
             let piece_end = tile_end.min(end);
-            let shard = self.shard_of(file, cursor);
+            let shard = r.shard_of(file, cursor);
             match out.last_mut() {
                 Some(last) if last.shard == shard && last.offset + last.len == cursor => {
                     last.len += piece_end - cursor;
@@ -99,11 +156,33 @@ impl ShardRouter {
         }
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        /// The lazy iterator yields exactly the eager split — including
+        /// empty ranges, ranges whose end saturates at `u64::MAX`, and the
+        /// tile index wrapping with the file id (where two neighbouring
+        /// tiles can share a shard and must coalesce).
+        #[test]
+        fn prop_segments_match_eager(
+            count in 1u32..18,
+            stripe in 1u64..(1 << 17),
+            file in prop_oneof![0u64..64, Just(u64::MAX), Just(u64::MAX - 1)],
+            near_end in any::<bool>(),
+            raw_offset in 0u64..(1 << 20),
+            len in prop_oneof![Just(0u64), 1u64..(1 << 20), Just(u64::MAX)],
+        ) {
+            let r = ShardRouter::new(count, stripe);
+            let offset = if near_end || len == u64::MAX {
+                u64::MAX - raw_offset
+            } else {
+                raw_offset
+            };
+            let eager = segments_eager(&r, FileId(file), offset, len);
+            let lazy: Vec<_> = r.segments_iter(FileId(file), offset, len).collect();
+            prop_assert_eq!(&lazy, &eager);
+            prop_assert_eq!(&r.segments(FileId(file), offset, len), &eager);
+        }
+    }
 
     #[test]
     fn single_shard_is_identity() {

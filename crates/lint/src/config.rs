@@ -223,6 +223,7 @@ pub const SHARD_MUTATOR_FNS: &[&str] = &[
     "apply_seal",
     "clear_dirty_checksums",
     "take_pending_journal",
+    "drain_pending_journal",
     "evict_clean_lru_excluding",
     "alloc",
     "release",
@@ -233,10 +234,11 @@ pub const SHARD_MUTATOR_FNS: &[&str] = &[
 
 /// Router dispatch calls: an index expression containing one of these is
 /// **routed** — it came out of the `ShardRouter` that defines shard
-/// ownership (`shard_of(file, offset)`, or the `segments(…)` iterator
-/// whose items carry a `.shard` field). The `shard-affinity` alias
-/// analysis accepts shard-state access only through such provenance.
-pub const ROUTER_DISPATCH_FNS: &[&str] = &["shard_of", "segments"];
+/// ownership (`shard_of(file, offset)`, or the `segments(…)` /
+/// `segments_iter(…)` split whose items carry a `.shard` field). The
+/// `shard-affinity` alias analysis accepts shard-state access only
+/// through such provenance.
+pub const ROUTER_DISPATCH_FNS: &[&str] = &["shard_of", "segments", "segments_iter"];
 
 /// The plane's internal shard accessors: `shard(idx)` / `shard_mut(idx)`
 /// select one shard's state by index, so the *index* argument must carry

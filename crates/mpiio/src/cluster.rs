@@ -131,7 +131,7 @@ impl Cluster {
     /// Copies `len` bytes between tiers at store level (used at Rebuilder
     /// plan completion: the timed I/O has already been simulated; this
     /// applies the data effect). In timing mode this only transfers extent
-    /// coverage.
+    /// coverage. The source and destination ranges must not overlap.
     ///
     /// # Errors
     ///
@@ -147,28 +147,25 @@ impl Cluster {
         }
         let (src_tier, src_file, src_off) = from;
         let (dst_tier, dst_file, dst_off) = to;
-        // Read each source sub-range from its server store.
         let src_plan =
             self.pfs_mut(src_tier)
                 .plan(src_file, s4d_storage::IoKind::Read, src_off, len)?;
-        let src_layout = self.pfs(src_tier).layout();
-        let mut gathered: Vec<(u64, u64, Option<Vec<u8>>)> = Vec::new();
-        let mut coverage: Vec<(u64, u64, u64)> = Vec::new();
-        for sub in src_plan {
+        let src = self.pfs(src_tier);
+        let src_layout = src.layout();
+        // Gather the source bytes stripe piece by stripe piece — but only
+        // while every piece carries some: one metadata-only piece (timing
+        // mode) makes the whole copy coverage-only, with nothing to hold.
+        let mut gathered: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+        let mut has_bytes = true;
+        'gather: for sub in src_plan {
+            let server = src.server(sub.server)?;
             let mut local = sub.local_offset;
             for (file_off, seg_len) in src_layout.file_segments(&sub) {
-                let (outcome, covered) = {
-                    let server = self.pfs_mut(src_tier).server_mut(sub.server)?;
-                    // Access the store through a read-shaped completion:
-                    // servers expose stores only via I/O, so use a direct
-                    // store read helper below.
-                    (
-                        server.peek_store(src_file, local, seg_len),
-                        server.peek_coverage(src_file, local, seg_len),
-                    )
+                let Some(data) = server.peek_store(src_file, local, seg_len) else {
+                    has_bytes = false;
+                    break 'gather;
                 };
-                gathered.push((file_off, seg_len, outcome));
-                coverage.push((file_off, seg_len, covered));
+                gathered.push((file_off, seg_len, data));
                 local += seg_len;
             }
         }
@@ -184,9 +181,9 @@ impl Cluster {
                 // the source holds nothing there (never written, or wiped
                 // by a server crash), don't fabricate zero coverage in the
                 // destination.
-                let rel = file_off - dst_off;
-                if source_covered(&coverage, src_off + rel, seg_len) {
-                    let data = assemble(&gathered, src_off + rel, seg_len);
+                let at = src_off + (file_off - dst_off);
+                if source_covered(self.pfs(src_tier), src_file, (src_off, len), at, seg_len) {
+                    let data = has_bytes.then(|| assemble(&gathered, at, seg_len));
                     let server = self.pfs_mut(dst_tier).server_mut(sub.server)?;
                     server.poke_store(dst_file, local, seg_len, data.as_deref());
                 }
@@ -197,23 +194,36 @@ impl Cluster {
     }
 }
 
-/// Assembles `len` bytes starting at absolute source offset `at` from
-/// gathered `(file_off, len, data)` pieces; `None` if any piece is
-/// metadata-only (timing mode).
-/// True if any source piece overlapping `[at, at+len)` had stored bytes.
-fn source_covered(coverage: &[(u64, u64, u64)], at: u64, len: u64) -> bool {
-    coverage
-        .iter()
-        .any(|(p_off, p_len, covered)| *covered > 0 && at < p_off + p_len && *p_off < at + len)
+/// True if any stripe piece of the copy's source range `(offset, len)`
+/// that overlaps `[at, at + len)` holds stored bytes. Pieces are the
+/// source layout's stripes clipped to the copied range, so the query
+/// widens to whole stripes before clipping.
+fn source_covered(src: &Pfs, file: FileId, range: (u64, u64), at: u64, len: u64) -> bool {
+    let layout = src.layout();
+    let stripe = layout.stripe_size();
+    let lo = (at / stripe * stripe).max(range.0);
+    let hi = (at + len)
+        .div_ceil(stripe)
+        .saturating_mul(stripe)
+        .min(range.0 + range.1);
+    layout.split_iter(lo, hi - lo).any(|sub| {
+        let Ok(server) = src.server(sub.server) else {
+            return false; // layout splits stay within the server count
+        };
+        let mut local = sub.local_offset;
+        layout.file_segments(&sub).any(|(_, seg_len)| {
+            let covered = server.peek_coverage(file, local, seg_len);
+            local += seg_len;
+            covered > 0
+        })
+    })
 }
 
-fn assemble(pieces: &[(u64, u64, Option<Vec<u8>>)], at: u64, len: u64) -> Option<Vec<u8>> {
+/// Assembles `len` bytes starting at absolute source offset `at` from
+/// gathered `(file_off, len, data)` pieces, zero-filled where none reach.
+fn assemble(pieces: &[(u64, u64, Vec<u8>)], at: u64, len: u64) -> Vec<u8> {
     let mut out = vec![0u8; len as usize];
     for (p_off, p_len, data) in pieces {
-        let data = match data {
-            Some(d) => d,
-            None => return None,
-        };
         let lo = at.max(*p_off);
         let hi = (at + len).min(p_off + p_len);
         if lo < hi {
@@ -225,7 +235,7 @@ fn assemble(pieces: &[(u64, u64, Option<Vec<u8>>)], at: u64, len: u64) -> Option
             }
         }
     }
-    Some(out)
+    out
 }
 
 #[cfg(test)]
@@ -353,12 +363,10 @@ mod tests {
     #[test]
     fn assemble_merges_pieces() {
         let pieces = vec![
-            (0u64, 4u64, Some(b"abcd".to_vec())),
-            (4u64, 4u64, Some(b"efgh".to_vec())),
+            (0u64, 4u64, b"abcd".to_vec()),
+            (4u64, 4u64, b"efgh".to_vec()),
         ];
-        assert_eq!(assemble(&pieces, 2, 4).unwrap(), b"cdef");
-        assert_eq!(assemble(&pieces, 0, 8).unwrap(), b"abcdefgh");
-        let timing = vec![(0u64, 4u64, None)];
-        assert_eq!(assemble(&timing, 0, 4), None);
+        assert_eq!(assemble(&pieces, 2, 4), b"cdef");
+        assert_eq!(assemble(&pieces, 0, 8), b"abcdefgh");
     }
 }

@@ -1,7 +1,7 @@
 //! Script advancement and plan execution: process bookkeeping, phase
 //! submission, sub-request decomposition, and completion assembly.
 
-use s4d_pfs::{Priority, SubReqId, SubRequest};
+use s4d_pfs::{Priority, SubRange, SubReqId, SubRequest};
 use s4d_sim::{EventQueue, SimDuration, SimTime};
 use s4d_storage::IoKind;
 
@@ -64,8 +64,6 @@ pub(super) struct SubMeta {
     pub(super) plan_id: u64,
     /// Tier the sub-request was dispatched to.
     pub(super) tier: Tier,
-    /// Server index within the tier.
-    pub(super) server: usize,
     /// Tier-local file the sub-request targets.
     pub(super) file: s4d_pfs::FileId,
     /// Read or write.
@@ -74,8 +72,10 @@ pub(super) struct SubMeta {
     pub(super) op_offset: u64,
     /// Application-file offset the op's bytes belong to, if data-carrying.
     pub(super) app_offset: Option<u64>,
-    /// `(file_offset_within_op_file, len)` segments of this sub-request.
-    pub(super) segments: Vec<(u64, u64)>,
+    /// The server-local piece of the op this sub-request carries. Its
+    /// `(file_offset_within_op_file, len)` segments are derived on demand
+    /// from the tier's layout ([`s4d_pfs::StripeLayout::file_segments`]).
+    pub(super) sub: SubRange,
     /// Service class (needed to rebuild the sub-request on retry).
     pub(super) priority: Priority,
     /// Attempts so far, including the in-flight one.
@@ -88,13 +88,6 @@ pub(super) struct SubMeta {
     /// outright instead of hedging again, bounding the escalation chain
     /// at original → hedge → abandon/re-plan.
     pub(super) hedge: bool,
-}
-
-impl SubMeta {
-    /// Total bytes of this sub-request.
-    pub(super) fn len(&self) -> u64 {
-        self.segments.iter().map(|(_, l)| *l).sum()
-    }
 }
 
 impl<M: Middleware> State<M> {
@@ -290,14 +283,10 @@ impl<M: Middleware> State<M> {
         exec: &mut PlanExec,
         q: &mut EventQueue<Event>,
     ) -> usize {
-        while exec.phase < exec.plan.phases.len() {
-            let phase_idx = exec.phase;
+        while let Some(ops) = exec.plan.phases.get(exec.phase) {
             let mut created = 0;
-            let Some(ops) = exec.plan.phases.get(phase_idx).cloned() else {
-                break; // unreachable: the loop guard bounds phase_idx
-            };
             let deadline = exec.plan.deadline;
-            for op in &ops {
+            for op in ops {
                 if op.len == 0 {
                     continue;
                 }
@@ -336,12 +325,11 @@ impl<M: Middleware> State<M> {
         for sub in subranges {
             let id = SubReqId(self.next_sub);
             self.next_sub += 1;
-            let segments = layout.file_segments(&sub);
             let data = op.data.as_ref().map(|full| {
                 let mut buf = Vec::with_capacity(sub.len as usize);
-                for (seg_off, seg_len) in &segments {
+                for (seg_off, seg_len) in layout.file_segments(&sub) {
                     let at = (seg_off - op.offset) as usize;
-                    if let Some(seg) = full.get(at..at + *seg_len as usize) {
+                    if let Some(seg) = full.get(at..at + seg_len as usize) {
                         buf.extend_from_slice(seg);
                     }
                 }
@@ -352,12 +340,11 @@ impl<M: Middleware> State<M> {
                 SubMeta {
                     plan_id,
                     tier: op.tier,
-                    server: sub.server,
                     file: op.file,
                     kind: op.kind,
                     op_offset: op.offset,
                     app_offset: op.app_offset,
-                    segments,
+                    sub,
                     priority: op.priority,
                     attempts: 1,
                     submitted: now,
@@ -495,11 +482,12 @@ impl<M: Middleware> State<M> {
                 } = &mut exec.owner
                 {
                     let buf = read_buf.get_or_insert_with(|| vec![0u8; *len as usize]);
+                    let layout = self.cluster.pfs(tier).layout();
                     let mut cursor = 0usize;
-                    for (seg_off, seg_len) in &meta.segments {
+                    for (seg_off, seg_len) in layout.file_segments(&meta.sub) {
                         let app_pos = app_off + (seg_off - meta.op_offset);
                         let at = (app_pos - *offset) as usize;
-                        let n = *seg_len as usize;
+                        let n = seg_len as usize;
                         if let (Some(dst), Some(src)) =
                             (buf.get_mut(at..at + n), data.get(cursor..cursor + n))
                         {

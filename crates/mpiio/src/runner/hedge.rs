@@ -68,19 +68,21 @@ impl<M: Middleware> State<M> {
             PlanOwner::Background => None,
         });
         let app_segments = match meta.app_offset {
-            Some(app_off) => meta
-                .segments
-                .iter()
-                .map(|&(o, l)| (app_off + (o - meta.op_offset), l))
+            Some(app_off) => self
+                .cluster
+                .pfs(meta.tier)
+                .layout()
+                .file_segments(&meta.sub)
+                .map(|(o, l)| (app_off + (o - meta.op_offset), l))
                 .collect(),
             None => Vec::new(),
         };
         let ctx = StragglerCtx {
             tier: meta.tier,
-            server: meta.server,
+            server: meta.sub.server,
             file: meta.file,
             kind: meta.kind,
-            len: meta.len(),
+            len: meta.sub.len,
             app_file,
             app_segments,
             attempts: meta.attempts,
@@ -164,8 +166,8 @@ impl<M: Middleware> State<M> {
         q: &mut EventQueue<Event>,
     ) {
         self.middleware
-            .on_io_abandoned(meta.tier, meta.server, meta.kind, meta.len());
-        let Ok(srv) = self.cluster.pfs_mut(meta.tier).server_mut(meta.server) else {
+            .on_io_abandoned(meta.tier, meta.sub.server, meta.kind, meta.sub.len);
+        let Ok(srv) = self.cluster.pfs_mut(meta.tier).server_mut(meta.sub.server) else {
             return; // the sub was dispatched to a server the tier has
         };
         let (freed, next) = srv.abandon(now, sub);
@@ -177,7 +179,7 @@ impl<M: Middleware> State<M> {
                 s.completes_at,
                 Event::ServerDone {
                     tier: meta.tier,
-                    server: meta.server,
+                    server: meta.sub.server,
                 },
             );
         }

@@ -6,7 +6,7 @@ use s4d_sim::SimRng;
 use s4d_storage::{HddConfig, IoKind, SsdConfig, StoreMode};
 
 use crate::error::PfsError;
-use crate::layout::{StripeLayout, SubRange};
+use crate::layout::{StripeLayout, SubRanges};
 use crate::network::NetworkConfig;
 use crate::server::FileServer;
 use crate::types::FileId;
@@ -286,8 +286,10 @@ impl Pfs {
         Ok(())
     }
 
-    /// Plans the decomposition of a request into per-server sub-ranges.
-    /// Writes extend the file size.
+    /// Plans the decomposition of a request into per-server sub-ranges:
+    /// validates it and (for writes) extends the file size now, then
+    /// yields the sub-ranges lazily. The iterator does not borrow the
+    /// file system.
     ///
     /// # Errors
     ///
@@ -299,7 +301,7 @@ impl Pfs {
         kind: IoKind,
         offset: u64,
         len: u64,
-    ) -> Result<Vec<SubRange>, PfsError> {
+    ) -> Result<SubRanges, PfsError> {
         let meta = self
             .files
             .get_mut(&file)
@@ -310,7 +312,7 @@ impl Pfs {
         if kind.is_write() {
             meta.size = meta.size.max(offset + len);
         }
-        Ok(self.layout.split(offset, len))
+        Ok(self.layout.split_iter(offset, len))
     }
 
     /// Discards stored data of `[offset, offset+len)` on every involved
@@ -323,7 +325,7 @@ impl Pfs {
         if !self.files.contains_key(&file) {
             return Err(PfsError::UnknownFile(file));
         }
-        for sub in self.layout.split(offset, len) {
+        for sub in self.layout.split_iter(offset, len) {
             if let Some(s) = self.servers.get_mut(sub.server) {
                 s.discard_range(file, sub.local_offset, sub.len);
             }
@@ -377,7 +379,7 @@ impl Pfs {
         }
         // Gate the whole call on every involved server *before* any
         // effect, so a scripted ENOSPC/media fault fails it atomically.
-        for sub in self.layout.split(offset, len) {
+        for sub in self.layout.split_iter(offset, len) {
             if let Some(s) = self.servers.get(sub.server) {
                 match s.bypass_write_fault(file, sub.local_offset, sub.len) {
                     Some(crate::faults::IoFault::NoSpace) => {
@@ -393,7 +395,7 @@ impl Pfs {
         if let Some(meta) = self.files.get_mut(&file) {
             meta.size = meta.size.max(offset + len);
         }
-        for sub in self.layout.split(offset, len) {
+        for sub in self.layout.split_iter(offset, len) {
             let mut local = sub.local_offset;
             for (file_off, seg_len) in self.layout.file_segments(&sub) {
                 let slice = data.and_then(|d| {
@@ -427,8 +429,9 @@ impl Pfs {
         if !self.files.contains_key(&file) {
             return Err(PfsError::UnknownFile(file));
         }
-        let mut out = vec![0u8; len as usize];
-        for sub in self.layout.split(offset, len) {
+        // Decide before allocating: a media fault or a timing-mode server
+        // ends the read with no buffer to fill.
+        for sub in self.layout.split_iter(offset, len) {
             let Some(server) = self.servers.get(sub.server) else {
                 continue; // layout splits stay within the server count
             };
@@ -441,6 +444,12 @@ impl Pfs {
             if server.store_mode() == s4d_storage::StoreMode::Timing {
                 return Ok(None);
             }
+        }
+        let mut out = vec![0u8; len as usize];
+        for sub in self.layout.split_iter(offset, len) {
+            let Some(server) = self.servers.get(sub.server) else {
+                continue;
+            };
             let mut local = sub.local_offset;
             for (file_off, seg_len) in self.layout.file_segments(&sub) {
                 if let Some(data) = server.peek_store(file, local, seg_len) {
@@ -466,7 +475,7 @@ impl Pfs {
             return Err(PfsError::UnknownFile(file));
         }
         let mut covered = 0;
-        for sub in self.layout.split(offset, len) {
+        for sub in self.layout.split_iter(offset, len) {
             if let Some(s) = self.servers.get(sub.server) {
                 covered += s.peek_coverage(file, sub.local_offset, sub.len);
             }

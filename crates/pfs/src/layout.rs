@@ -75,13 +75,9 @@ impl StripeLayout {
     /// Size of the largest per-server sub-request — the paper's `s_m`
     /// (Table II), computed directly from the decomposition.
     pub fn max_subrequest(&self, offset: u64, len: u64) -> u64 {
-        self.split(offset, len)
-            .iter()
-            .fold(std::collections::HashMap::new(), |mut acc, sr| {
-                *acc.entry(sr.server).or_insert(0u64) += sr.len;
-                acc
-            })
-            .into_values()
+        // Each involved server gets exactly one sub-range (see `SubRanges`).
+        self.split_iter(offset, len)
+            .map(|sr| sr.len)
             .max()
             .unwrap_or(0)
     }
@@ -90,28 +86,179 @@ impl StripeLayout {
     /// ranges, merging stripes that are adjacent in a server's local space.
     ///
     /// Sub-ranges are returned ordered by file offset. A zero-length request
-    /// yields no sub-ranges.
+    /// yields no sub-ranges. Collects [`StripeLayout::split_iter`]; code
+    /// that only walks the pieces should use the iterator directly.
     pub fn split(&self, offset: u64, len: u64) -> Vec<SubRange> {
+        self.split_iter(offset, len).collect()
+    }
+
+    /// Lazy form of [`StripeLayout::split`]: the same sub-ranges in the
+    /// same order, computed one at a time without allocating.
+    pub fn split_iter(&self, offset: u64, len: u64) -> SubRanges {
+        // Saturate instead of panicking: an end past u64::MAX clips the
+        // split to the addressable range.
+        let end = offset.saturating_add(len);
+        let stripes = if len == 0 {
+            0
+        } else {
+            (end - 1) / self.stripe - offset / self.stripe + 1
+        };
+        SubRanges {
+            layout: *self,
+            offset,
+            end,
+            stripes,
+            next: 0,
+        }
+    }
+
+    /// Expands a sub-range back into the global-file segments it carries.
+    ///
+    /// A merged sub-range is contiguous in the server's local space but may
+    /// correspond to several stripes of the global file, spaced
+    /// `servers × stripe` apart. Yields `(file_offset, len)` pairs in file
+    /// order; their lengths sum to `sub.len`.
+    pub fn file_segments(&self, sub: &SubRange) -> FileSegments {
+        FileSegments {
+            layout: *self,
+            server: sub.server as u64,
+            local: sub.local_offset,
+            remaining: sub.len,
+        }
+    }
+
+    /// Maps a single file offset to `(server, local_offset)`.
+    pub fn locate(&self, offset: u64) -> (usize, u64) {
+        let k = offset / self.stripe;
+        let server = (k % self.servers as u64) as usize;
+        let local = (k / self.servers as u64) * self.stripe + offset % self.stripe;
+        (server, local)
+    }
+}
+
+/// Iterator over the sub-ranges of one request — see
+/// [`StripeLayout::split_iter`].
+///
+/// Round-robin placement puts stripe `k + servers` directly after stripe
+/// `k` in the same server's local space, so every stripe a request covers
+/// on one server merges into a single sub-range: the request's first
+/// `min(stripes, servers)` stripes each open one, in file order, and the
+/// `i`-th absorbs every `servers`-th stripe after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubRanges {
+    layout: StripeLayout,
+    offset: u64,
+    /// Saturated end of the request.
+    end: u64,
+    /// Global stripes the request touches.
+    stripes: u64,
+    /// Index of the next sub-range to yield.
+    next: u64,
+}
+
+impl Iterator for SubRanges {
+    type Item = SubRange;
+
+    fn next(&mut self) -> Option<SubRange> {
+        let StripeLayout { stripe, servers } = self.layout;
+        let servers = servers as u64;
+        let i = self.next;
+        if i >= self.stripes.min(servers) {
+            return None;
+        }
+        self.next += 1;
+        let k = self.offset / stripe + i;
+        let stripe_start = k * stripe;
+        let lo = stripe_start.max(self.offset);
+        let hi = stripe_start.saturating_add(stripe).min(self.end);
+        // Stripes k, k + servers, … up to the request's last stripe.
+        let merged = (self.stripes - 1 - i) / servers + 1;
+        let mut len = hi - lo;
+        if merged > 1 {
+            let last_start = (k + (merged - 1) * servers) * stripe;
+            len += (merged - 2) * stripe + stripe.min(self.end - last_start);
+        }
+        Some(SubRange {
+            server: (k % servers) as usize,
+            local_offset: (k / servers) * stripe + (lo - stripe_start),
+            file_offset: lo,
+            len,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.stripes.min(self.layout.servers as u64) - self.next) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for SubRanges {}
+
+/// Iterator over the global-file `(file_offset, len)` segments of one
+/// sub-range — see [`StripeLayout::file_segments`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileSegments {
+    layout: StripeLayout,
+    server: u64,
+    /// Server-local offset of the next segment.
+    local: u64,
+    remaining: u64,
+}
+
+impl Iterator for FileSegments {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let StripeLayout { stripe, servers } = self.layout;
+        let within = self.local % stripe;
+        let global_stripe = (self.local / stripe) * servers as u64 + self.server;
+        let chunk = self.remaining.min(stripe - within);
+        self.local += chunk;
+        self.remaining -= chunk;
+        Some((global_stripe * stripe + within, chunk))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let stripe = self.layout.stripe;
+        let n = if self.remaining == 0 {
+            0
+        } else {
+            ((self.local % stripe).saturating_add(self.remaining - 1) / stripe + 1) as usize
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for FileSegments {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const KIB: u64 = 1024;
+
+    fn layout() -> StripeLayout {
+        StripeLayout::new(64 * KIB, 8)
+    }
+
+    /// The eager stripe-by-stripe decomposition `split` used before it
+    /// became an iterator — the oracle for `prop_split_iter_matches_eager`.
+    fn split_eager(l: &StripeLayout, offset: u64, len: u64) -> Vec<SubRange> {
         let mut out: Vec<SubRange> = Vec::new();
         if len == 0 {
             return out;
         }
-        // Saturate instead of panicking: an end past u64::MAX clips the
-        // split to the addressable range.
         let end = offset.saturating_add(len);
-        let first = offset / self.stripe;
-        let last = (end - 1) / self.stripe;
-        for k in first..=last {
-            let stripe_start = k * self.stripe;
+        for k in offset / l.stripe..=(end - 1) / l.stripe {
+            let stripe_start = k * l.stripe;
             let lo = stripe_start.max(offset);
-            let hi = (stripe_start + self.stripe).min(end);
-            let server = (k % self.servers as u64) as usize;
-            let local = (k / self.servers as u64) * self.stripe + (lo - stripe_start);
-            // Merge with the previous piece on the same server when the
-            // local ranges are contiguous.
-            // Within one split, pieces land on a server in increasing local-
-            // stripe order, so local contiguity is exactly the "previous
-            // stripe fully covered, next starts at its local beginning" case.
+            let hi = stripe_start.saturating_add(l.stripe).min(end);
+            let server = (k % l.servers as u64) as usize;
+            let local = (k / l.servers as u64) * l.stripe + (lo - stripe_start);
             if let Some(prev) = out.iter_mut().rev().find(|p| p.server == server) {
                 if prev.local_offset + prev.len == local {
                     prev.len += hi - lo;
@@ -128,47 +275,20 @@ impl StripeLayout {
         out
     }
 
-    /// Expands a sub-range back into the global-file segments it carries.
-    ///
-    /// A merged sub-range is contiguous in the server's local space but may
-    /// correspond to several stripes of the global file, spaced
-    /// `servers × stripe` apart. Returns `(file_offset, len)` pairs in file
-    /// order; their lengths sum to `sub.len`.
-    pub fn file_segments(&self, sub: &SubRange) -> Vec<(u64, u64)> {
+    /// Eager oracle for `file_segments`, likewise.
+    fn file_segments_eager(l: &StripeLayout, sub: &SubRange) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut local = sub.local_offset;
         let mut remaining = sub.len;
         while remaining > 0 {
-            let local_stripe = local / self.stripe;
-            let within = local % self.stripe;
-            let global_stripe = local_stripe * self.servers as u64 + sub.server as u64;
-            let file_off = global_stripe * self.stripe + within;
-            let chunk = remaining.min(self.stripe - within);
-            out.push((file_off, chunk));
+            let within = local % l.stripe;
+            let global_stripe = (local / l.stripe) * l.servers as u64 + sub.server as u64;
+            let chunk = remaining.min(l.stripe - within);
+            out.push((global_stripe * l.stripe + within, chunk));
             local += chunk;
             remaining -= chunk;
         }
         out
-    }
-
-    /// Maps a single file offset to `(server, local_offset)`.
-    pub fn locate(&self, offset: u64) -> (usize, u64) {
-        let k = offset / self.stripe;
-        let server = (k % self.servers as u64) as usize;
-        let local = (k / self.servers as u64) * self.stripe + offset % self.stripe;
-        (server, local)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    const KIB: u64 = 1024;
-
-    fn layout() -> StripeLayout {
-        StripeLayout::new(64 * KIB, 8)
     }
 
     #[test]
@@ -316,6 +436,38 @@ mod tests {
     }
 
     proptest! {
+        /// The lazy iterators yield exactly the eager decompositions,
+        /// with exact size hints — including empty requests and requests
+        /// whose end saturates at `u64::MAX`.
+        #[test]
+        fn prop_split_iter_matches_eager(
+            stripe in 1u64..(1 << 17),
+            servers in 1usize..12,
+            near_end in any::<bool>(),
+            raw_offset in 0u64..(1 << 20),
+            len in prop_oneof![Just(0u64), 1u64..(1 << 20), Just(u64::MAX)],
+        ) {
+            let l = StripeLayout::new(stripe, servers);
+            // A saturating `len` only stays walkable next to the end of
+            // the address space.
+            let offset = if near_end || len == u64::MAX {
+                u64::MAX - raw_offset
+            } else {
+                raw_offset
+            };
+            let eager = split_eager(&l, offset, len);
+            let lazy = l.split_iter(offset, len);
+            prop_assert_eq!(lazy.len(), eager.len());
+            prop_assert_eq!(&lazy.collect::<Vec<_>>(), &eager);
+            prop_assert_eq!(&l.split(offset, len), &eager);
+            for sub in &eager {
+                let segs = file_segments_eager(&l, sub);
+                let lazy = l.file_segments(sub);
+                prop_assert_eq!(lazy.len(), segs.len());
+                prop_assert_eq!(lazy.collect::<Vec<_>>(), segs);
+            }
+        }
+
         /// The decomposition must exactly tile the requested range.
         #[test]
         fn prop_split_tiles_range(

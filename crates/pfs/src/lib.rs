@@ -42,7 +42,7 @@ mod types;
 pub use error::PfsError;
 pub use faults::{FaultPlan, IoFault, OpClass, ServerFault, StallState, MAX_SLOWDOWN};
 pub use fs::{FileMeta, Pfs};
-pub use layout::{StripeLayout, SubRange};
+pub use layout::{FileSegments, StripeLayout, SubRange, SubRanges};
 pub use network::NetworkConfig;
 pub use server::{CompletedSubRequest, FileServer, ServerStats, Started, SubRequest};
 pub use types::{FileId, Priority, SubReqId};

@@ -1,0 +1,140 @@
+//! Tier-1 allocation ceiling for the foreground request path.
+//!
+//! `benchmark/` scores `host_allocs_per_req` end to end, but it is its
+//! own workspace and root `cargo test` never builds it. This file keeps a
+//! cheap version of the same count in tier-1: a counting global allocator
+//! (this test binary only) around `Runner::run()` on a Timing-mode
+//! cluster, for the two shapes the request path has — small requests the
+//! cache core serves (overwrites of mapped extents, full-hit reads) and a
+//! large request that bypasses it.
+//!
+//! The ceilings sit 30–45 % above what the path costs today (4.9 per warm
+//! 16 KiB request; 47 for the one-request run) and well below what it
+//! cost before the scratch-view / iterator-split rework (23.4 and 81), so
+//! bringing back a per-request `Vec` in `plan_io`, `on_plan_complete`,
+//! the pfs split or the runner's sub-request bookkeeping fails here
+//! first.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use s4d::bench::testbed;
+use s4d::cache::{S4dCache, S4dConfig};
+use s4d::mpiio::{script, Runner};
+use s4d::workloads::{AccessPattern, IorConfig};
+
+const KIB: u64 = 1024;
+const MIB: u64 = 1024 * 1024;
+
+/// Counts allocation calls made by the current thread while switched on
+/// (`None` = off), so parallel test threads do not see each other.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down simply stops counting.
+    let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only addition
+// is a thread-local counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above, for `alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above, for `realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above, for `dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` with counting on; returns its result and the allocation calls.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = ALLOCS.with(|c| c.replace(None)).unwrap_or(0);
+    (out, n)
+}
+
+fn ior(seed: u64) -> IorConfig {
+    IorConfig {
+        file_name: "steady.dat".into(),
+        file_size: 32 * MIB,
+        processes: 8,
+        request_size: 16 * KIB,
+        pattern: AccessPattern::Random,
+        do_write: true,
+        do_read: true,
+        seed,
+    }
+}
+
+#[test]
+fn request_path_allocations_stay_under_their_ceilings() {
+    let tb = testbed(3);
+    // The cache holds the whole file twice over: nothing is evicted, so
+    // after the prefill every write overwrites a mapped extent and every
+    // read is a full hit.
+    let mw = S4dCache::new(S4dConfig::new(64 * MIB), tb.cost_params());
+    let mut prefill = Runner::new(tb.cluster(), mw, ior(5).scripts(), tb.seed);
+    let end = prefill.run().end_time;
+    prefill.drain_background(end);
+    let (cluster, mw, _) = prefill.into_parts();
+    let before = *mw.metrics();
+
+    let cfg = ior(6);
+    let requests = 2 * cfg.processes as u64 * cfg.requests_per_process();
+    let mut warm = Runner::new(cluster, mw, cfg.scripts(), tb.seed ^ 1);
+    let (report, allocs) = counted(|| warm.run());
+    let (cluster, mw, _) = warm.into_parts();
+    let after = *mw.metrics();
+    assert_eq!(
+        report.writes.meter.ops() + report.reads.meter.ops(),
+        requests
+    );
+    assert_eq!(after.read_full_hits - before.read_full_hits, requests / 2);
+    assert_eq!(after.read_misses, before.read_misses);
+    assert_eq!(after.evictions, 0);
+    let per_req = allocs as f64 / requests as f64;
+    assert!(
+        per_req <= 7.0,
+        "warm 16 KiB requests cost {per_req:.2} allocations each \
+         ({allocs} over {requests} requests); ceiling 7.0"
+    );
+
+    // One 4 MiB write: never critical, so it goes straight to all eight
+    // DServers as eight 8-stripe sub-requests. The count covers the whole
+    // one-request run — open, close and first-use growth included, which
+    // is most of what is left (the 34 the rework removed were all the
+    // request's own).
+    let bypass = script().open("bypass.dat").write(0, 0, 4 * MIB).close(0);
+    let mut large = Runner::new(cluster, mw, vec![bypass.build()], tb.seed ^ 2);
+    let (report, allocs) = counted(|| large.run());
+    assert_eq!(report.writes.meter.ops(), 1);
+    assert_eq!(report.tiers.c_ops, 0, "a 4 MiB request bypasses the cache");
+    assert!(
+        allocs <= 60,
+        "one 4 MiB bypass request cost {allocs} allocations; ceiling 60"
+    );
+}
