@@ -109,7 +109,7 @@ fn run_pipeline(shards: u32) -> (f64, u64, f64) {
     let mut tiles_of_shard: Vec<Vec<u64>> = vec![Vec::new(); shards as usize];
     for t in 0..TILES {
         let shard = router.shard_of(file, t * TILE);
-        if let Some(list) = tiles_of_shard.get_mut(shard) {
+        if let Some(list) = tiles_of_shard.get_mut(shard.index()) {
             list.push(t);
         }
     }

@@ -15,7 +15,6 @@ pub struct ChaosRng {
 impl ChaosRng {
     /// The single seeding site of the harness: every chaos run derives
     /// all of its randomness from the schedule seed passed here.
-    // s4d-lint: allow(determinism) — seeded pure generator, no ambient entropy; the seed is the run's identity; panic-path witness: none (no panics)
     pub fn seed(seed: u64) -> Self {
         ChaosRng {
             state: seed ^ 0x9e37_79b9_7f4a_7c15,

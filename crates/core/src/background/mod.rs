@@ -21,7 +21,7 @@ use s4d_pfs::{FileId, Priority};
 use s4d_sim::SimTime;
 
 use crate::layer::S4dCache;
-use crate::shard::MetadataPlane;
+use crate::shard::{MetadataPlane, ShardId};
 
 /// One dirty extent inside a flush group.
 #[derive(Debug, Clone, Copy)]
@@ -37,8 +37,11 @@ pub(crate) struct FlushItem {
 /// One reserved piece of a fetch: `(d_offset, len, c_file, c_offset)`.
 pub(crate) type FetchPiece = (u64, u64, FileId, u64);
 
-/// A background action awaiting plan completion.
-#[derive(Debug, Clone)]
+/// A background action awaiting plan completion. Not `Clone`, and consumed
+/// by value everywhere: an obligation is attached to exactly one plan tag
+/// ([`BackgroundScheduler::attach`]) and claimed exactly once.
+#[derive(Debug)]
+#[must_use = "a Pending that is not attached to a plan tag is a leaked obligation"]
 pub(crate) enum Pending {
     /// A foreground read finished: release its eviction pins.
     Unpin(Vec<(FileId, u64, u64)>),
@@ -133,22 +136,24 @@ impl BackgroundScheduler {
         }
     }
 
-    /// Registers a completion action under a fresh plan tag.
-    pub(crate) fn register(&mut self, action: Pending) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.pending.insert(tag, action);
-        tag
-    }
-
-    /// Chains `action` onto an already-registered tag (both apply when
-    /// the plan completes).
-    pub(crate) fn chain(&mut self, tag: u64, action: Pending) {
+    /// Attaches a completion action to a plan and returns the plan's tag.
+    /// `tag == 0` ("no callback yet") mints a fresh tag; a live tag keeps
+    /// its value and gains `action` after whatever it already carries
+    /// (both apply when the plan completes).
+    #[must_use = "the tag must ride the plan, or the action never runs"]
+    pub(crate) fn attach(&mut self, tag: u64, action: Pending) -> u64 {
+        if tag == 0 {
+            let fresh = self.next_tag;
+            self.next_tag += 1;
+            self.pending.insert(fresh, action);
+            return fresh;
+        }
         let chained = match self.pending.remove(&tag) {
             Some(existing) => Pending::Multi(vec![existing, action]),
             None => action,
         };
         self.pending.insert(tag, chained);
+        tag
     }
 
     /// Claims the action registered under `tag`, if any.
@@ -255,7 +260,7 @@ impl S4dCache {
                 }
             }
             Some(Pending::Admitted { orig, ranges }) => {
-                let mut freed: Vec<(usize, FileId, u64, u64)> = Vec::new();
+                let mut freed: Vec<(ShardId, FileId, u64, u64)> = Vec::new();
                 for (d_offset, len) in ranges {
                     // Only the extent this plan inserted: same start, same
                     // length, still dirty (nothing acked it since).
@@ -322,7 +327,6 @@ impl S4dCache {
                 work_pending: false,
             };
         }
-        let mut plans = Vec::new();
         // A stalled journal (ENOSPC / media error under the append) blocks
         // every durable effect; retry it first so the rest of the wake can
         // make progress, then finish any discard/release work that was
@@ -345,11 +349,13 @@ impl S4dCache {
                 }
             }
         }
-        if !self.config.persistent_placement {
-            // CARL-style placement keeps data on the CServers for good:
-            // nothing is ever written back, so there is nothing to flush.
-            self.build_flushes(cluster, now, &mut plans);
-        }
+        // CARL-style placement keeps data on the CServers for good:
+        // nothing is ever written back, so there is nothing to flush.
+        let mut plans = if self.config.persistent_placement {
+            Vec::new()
+        } else {
+            self.build_flushes(cluster, now)
+        };
         self.build_fetches(cluster, now, &mut plans);
         if self.config.scrub_bytes_per_wake > 0 {
             self.run_scrub(cluster);
@@ -368,7 +374,7 @@ impl S4dCache {
             let mut plan = Plan::single_phase(vec![op]);
             // Tag the frame so a failed drain rolls its reservation back
             // instead of leaving a hole in the journal.
-            plan.tag = self.bg.register(Pending::Journal { offset, records });
+            plan.tag = self.bg.attach(0, Pending::Journal { offset, records });
             plans.push(plan);
         }
         debug_assert_eq!(
@@ -389,5 +395,36 @@ impl S4dCache {
             next_wake: Some(now + self.config.rebuild_period),
             work_pending,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn attach_mints_on_zero_and_chains_on_a_live_tag() {
+        let mut bg = BackgroundScheduler::new(1);
+        // Tag 0 = "no callback yet": a fresh tag, the action stored as is.
+        let tag = bg.attach(0, Pending::Unpin(vec![(FileId(1), 0, 8)]));
+        assert_eq!(tag, 1);
+        assert_eq!(bg.attach(0, Pending::Seal(Vec::new())), 2, "tags count up");
+        // A live tag keeps its value and gains the action after the one it
+        // already carries: existing first.
+        assert_eq!(bg.attach(tag, Pending::Flush(Vec::new())), tag);
+        match bg.take(tag) {
+            Some(Pending::Multi(actions)) => {
+                assert!(matches!(
+                    actions.as_slice(),
+                    [Pending::Unpin(_), Pending::Flush(_)]
+                ));
+            }
+            other => panic!("expected Multi[Unpin, Flush], got {other:?}"),
+        }
+        // A tag nothing is attached to (already claimed) just takes the
+        // action.
+        assert_eq!(bg.attach(tag, Pending::Seal(Vec::new())), tag);
+        assert!(matches!(bg.take(tag), Some(Pending::Seal(_))));
+        assert!(bg.take(tag).is_none(), "claimed exactly once");
     }
 }

@@ -13,6 +13,7 @@ use s4d_storage::IoKind;
 
 use crate::durability::crash::CrashSite;
 use crate::durability::journal::{self, JournalRecord};
+use crate::durability::StagedFlushes;
 use crate::layer::S4dCache;
 use crate::names::MAX_GROUP_BYTES;
 use crate::shard::ShardSegment;
@@ -24,12 +25,7 @@ impl S4dCache {
     /// §III.F step 1). Adjacent dirty extents of a file are grouped into
     /// one plan: phase 1 reads the cached bytes, phase 2 writes them to
     /// the original file as a single sequential op.
-    pub(crate) fn build_flushes(
-        &mut self,
-        cluster: &mut Cluster,
-        now: SimTime,
-        plans: &mut Vec<Plan>,
-    ) {
+    pub(crate) fn build_flushes(&mut self, cluster: &mut Cluster, now: SimTime) -> Vec<Plan> {
         // With `flush_on_risk`, a CServer showing trouble (quarantine, a
         // recent failure, or a latency EWMA above the threshold) triggers
         // flushing *everything* dirty — shrinking the data-loss window a
@@ -49,7 +45,7 @@ impl S4dCache {
             .filter(|(f, d, _)| !self.bg.inflight_flush.contains(&(*f, *d)))
             .collect();
         candidates.sort_by_key(|(f, d, _)| (f.0, *d));
-        let plans_base = plans.len();
+        let mut staged = StagedFlushes::default();
         let flushes_before = self.metrics.flushes;
         let flushed_before = self.metrics.flushed_bytes;
         let mut intents: Vec<JournalRecord> = Vec::new();
@@ -122,39 +118,44 @@ impl S4dCache {
                 d_file: file,
                 d_offset: start,
             });
-            let tag = self.bg.register(Pending::Flush(items));
-            plans.push(Plan {
+            let tag = self.bg.attach(0, Pending::Flush(items));
+            staged.push(Plan {
                 tag,
                 lead_in: SimDuration::ZERO,
                 phases: vec![reads, vec![write]],
                 deadline: None,
             });
         }
-        if !intents.is_empty() {
-            // Journal the intents before any flush plan can run: recovery
-            // sees which ranges were mid-flush and that a re-flush is due.
-            // The matching commit is the SetClean record at completion, so
-            // a crash between the two re-flushes idempotently.
-            let durable = self.dur.append_journal_sync(
-                cluster,
-                &mut self.plane,
-                &self.config,
-                &mut self.metrics,
-                &intents,
-            );
-            if durable.is_none() {
+        if intents.is_empty() {
+            return Vec::new();
+        }
+        // Journal the intents before any flush plan can run: recovery
+        // sees which ranges were mid-flush and that a re-flush is due.
+        // The matching commit is the SetClean record at completion, so
+        // a crash between the two re-flushes idempotently. The staged
+        // plans come out only against the append's handle.
+        match self.dur.append_journal_sync(
+            cluster,
+            &mut self.plane,
+            &self.config,
+            &mut self.metrics,
+            &intents,
+        ) {
+            Some(proof) => staged.release(&proof),
+            None => {
                 // Journal stalled (ENOSPC / media error): the intents are
                 // queued but not durable, so the flush plans must not run
                 // this wake. Abandon them — the extents stay dirty and the
                 // next wake retries. (A stray FlushIntent that lands later
                 // without its flush is harmless: recovery just schedules
                 // an idempotent re-flush.)
-                for plan in plans.drain(plans_base..) {
-                    let action = self.bg.take(plan.tag);
+                for tag in staged.abandon() {
+                    let action = self.bg.take(tag);
                     self.bg.abandon(&mut self.plane, action);
                 }
                 self.metrics.flushes = flushes_before;
                 self.metrics.flushed_bytes = flushed_before;
+                Vec::new()
             }
         }
     }
@@ -232,11 +233,14 @@ impl S4dCache {
             for &(o, l) in &keys {
                 self.bg.inflight_fetch.insert((file, o, l));
             }
-            let tag = self.bg.register(Pending::Fetch {
-                orig: file,
-                cdt_keys: keys,
-                pieces,
-            });
+            let tag = self.bg.attach(
+                0,
+                Pending::Fetch {
+                    orig: file,
+                    cdt_keys: keys,
+                    pieces,
+                },
+            );
             self.metrics.fetches += 1;
             self.metrics.fetched_bytes += total;
             plans.push(Plan {
@@ -351,14 +355,13 @@ impl S4dCache {
                 // bytes — if a write raced the flush, DServers receive the
                 // newest data and the extent simply stays dirty for a
                 // later flush).
-                let allowed = self.dur.fuse_consume(CrashSite::FlushCopy, item.len);
-                if allowed > 0 {
-                    let _ = cluster.copy_range(
-                        (Tier::CServers, item.c_file, item.c_offset),
-                        (Tier::DServers, item.orig, item.d_offset),
-                        allowed,
-                    );
-                }
+                let allowed = self.dur.fused_copy(
+                    cluster,
+                    CrashSite::FlushCopy,
+                    (Tier::CServers, item.c_file, item.c_offset),
+                    (Tier::DServers, item.orig, item.d_offset),
+                    item.len,
+                );
                 // The commit (SetClean) only follows a complete copy; a
                 // torn copy leaves the extent dirty, so recovery re-flushes
                 // the whole range — idempotent because the same bytes land
@@ -397,14 +400,13 @@ impl S4dCache {
             self.plane.view_into(orig, d_off, len, &mut view);
             for &(g_off, g_len) in &view.gaps {
                 let rel = g_off - d_off;
-                let allowed = self.dur.fuse_consume(CrashSite::FetchFill, g_len);
-                if allowed > 0 {
-                    let _ = cluster.copy_range(
-                        (Tier::DServers, orig, g_off),
-                        (Tier::CServers, c_file, c_off + rel),
-                        allowed,
-                    );
-                }
+                let allowed = self.dur.fused_copy(
+                    cluster,
+                    CrashSite::FetchFill,
+                    (Tier::DServers, orig, g_off),
+                    (Tier::CServers, c_file, c_off + rel),
+                    g_len,
+                );
                 // Data-before-metadata: the mapping only exists once the
                 // fill completed. A torn fill leaves orphaned cache bytes
                 // for the recovery sweep, never a mapping to a hole.

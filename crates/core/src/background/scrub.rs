@@ -36,7 +36,8 @@ impl S4dCache {
                     return None;
                 };
                 if truth != bytes {
-                    let _ = cluster.copy_range(
+                    self.dur.repair_copy(
+                        cluster,
                         (Tier::DServers, orig, d_offset),
                         (Tier::CServers, e.c_file, e.c_offset),
                         e.len,
@@ -92,7 +93,7 @@ impl S4dCache {
         let mut per_shard: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); shards];
         for (f, o, _) in self.plane.iter_extents() {
             let shard = self.plane.router().shard_of(f, o);
-            if let Some(list) = per_shard.get_mut(shard) {
+            if let Some(list) = per_shard.get_mut(shard.index()) {
                 list.push((f, o));
             }
         }

@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 
 use crate::journal::JournalRecord;
-use crate::shard::ShardRouter;
+use crate::shard::{ShardId, ShardRouter};
 
 /// Per-shard journal append queues feeding one group-committed batch.
 #[derive(Debug)]
@@ -42,19 +42,24 @@ impl GroupCommitQueue {
         self.queues.len()
     }
 
-    /// Appends a record to its shard's queue. An out-of-range shard index
-    /// falls back to queue 0 rather than panicking — the router can never
-    /// produce one, so this path only guards against a misconfigured
-    /// caller.
-    pub fn push(&mut self, shard: usize, record: JournalRecord) {
-        let idx = if shard < self.queues.len() { shard } else { 0 };
-        if let Some(q) = self.queues.get_mut(idx) {
+    /// The queue owning `shard`. An id minted by a wider router than the
+    /// one this queue set was sized for lands in queue 0 rather than
+    /// panicking.
+    fn queue_mut(&mut self, shard: ShardId) -> Option<&mut VecDeque<JournalRecord>> {
+        let idx = shard.index();
+        let idx = if idx < self.queues.len() { idx } else { 0 };
+        self.queues.get_mut(idx)
+    }
+
+    /// Appends a record to its shard's queue.
+    pub fn push(&mut self, shard: ShardId, record: JournalRecord) {
+        if let Some(q) = self.queue_mut(shard) {
             q.push_back(record);
         }
     }
 
     /// Appends a run of records to one shard's queue, preserving order.
-    pub fn extend(&mut self, shard: usize, records: impl IntoIterator<Item = JournalRecord>) {
+    pub fn extend(&mut self, shard: ShardId, records: impl IntoIterator<Item = JournalRecord>) {
         for r in records {
             self.push(shard, r);
         }
@@ -108,9 +113,7 @@ impl GroupCommitQueue {
     pub fn requeue_front(&mut self, records: Vec<JournalRecord>, router: &ShardRouter) {
         for r in records.into_iter().rev() {
             let (f, o) = r.d_key();
-            let shard = router.shard_of(f, o);
-            let idx = if shard < self.queues.len() { shard } else { 0 };
-            if let Some(q) = self.queues.get_mut(idx) {
+            if let Some(q) = self.queue_mut(router.shard_of(f, o)) {
                 q.push_front(r);
             }
         }
@@ -122,6 +125,12 @@ mod tests {
     use super::*;
     use s4d_pfs::FileId;
 
+    /// The ids of a `count`-shard router, in index order — the only way to
+    /// name a queue.
+    fn ids(count: u32) -> Vec<ShardId> {
+        ShardRouter::new(count, 1).all_shards().collect()
+    }
+
     fn rec(file: u64, offset: u64) -> JournalRecord {
         JournalRecord::SetClean {
             d_file: FileId(file),
@@ -131,11 +140,12 @@ mod tests {
 
     #[test]
     fn single_shard_is_a_plain_fifo() {
+        let s = ids(1);
         let mut q = GroupCommitQueue::new(1);
         assert!(q.is_empty());
-        q.push(0, rec(1, 10));
-        q.push(0, rec(1, 20));
-        q.push(0, rec(2, 30));
+        q.push(s[0], rec(1, 10));
+        q.push(s[0], rec(1, 20));
+        q.push(s[0], rec(2, 30));
         assert_eq!(q.len(), 3);
         assert!(!q.any_due(4));
         assert!(q.any_due(3));
@@ -145,11 +155,12 @@ mod tests {
 
     #[test]
     fn drain_is_shard_order_then_append_order() {
+        let s = ids(3);
         let mut q = GroupCommitQueue::new(3);
-        q.push(2, rec(2, 1));
-        q.push(0, rec(0, 1));
-        q.push(2, rec(2, 2));
-        q.push(1, rec(1, 1));
+        q.push(s[2], rec(2, 1));
+        q.push(s[0], rec(0, 1));
+        q.push(s[2], rec(2, 2));
+        q.push(s[1], rec(1, 1));
         assert_eq!(q.per_queue_lens(), vec![1, 1, 2]);
         assert_eq!(q.max_queue_len(), 2);
         assert_eq!(
@@ -160,11 +171,12 @@ mod tests {
 
     #[test]
     fn any_due_fires_on_the_longest_queue() {
+        let s = ids(4);
         let mut q = GroupCommitQueue::new(4);
-        q.extend(3, [rec(3, 1), rec(3, 2), rec(3, 3)]);
-        q.push(0, rec(0, 1));
+        q.extend(s[3], [rec(3, 1), rec(3, 2), rec(3, 3)]);
+        q.push(s[0], rec(0, 1));
         assert!(!q.any_due(4));
-        q.push(3, rec(3, 4));
+        q.push(s[3], rec(3, 4));
         assert!(q.any_due(4));
     }
 
@@ -173,15 +185,16 @@ mod tests {
         // Router: stripe 10, 2 shards — file 0 offsets 0..10 -> shard 0,
         // 10..20 -> shard 1.
         let router = ShardRouter::new(2, 10);
+        let s = ids(2);
         let mut q = GroupCommitQueue::new(2);
-        q.push(0, rec(0, 0));
-        q.push(1, rec(0, 10));
-        q.push(0, rec(0, 5));
-        q.push(1, rec(0, 15));
+        q.push(s[0], rec(0, 0));
+        q.push(s[1], rec(0, 10));
+        q.push(s[0], rec(0, 5));
+        q.push(s[1], rec(0, 15));
         let batch = q.drain_all();
         assert_eq!(batch, vec![rec(0, 0), rec(0, 5), rec(0, 10), rec(0, 15)]);
         // New records arrive while the failed batch awaits its retry.
-        q.push(0, rec(0, 7));
+        q.push(s[0], rec(0, 7));
         q.requeue_front(batch.clone(), &router);
         let retry = q.drain_all();
         assert_eq!(&retry[..2], &batch[..2]);
@@ -190,9 +203,19 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_shard_falls_back_to_queue_zero() {
-        let mut q = GroupCommitQueue::new(2);
-        q.push(9, rec(0, 1));
-        assert_eq!(q.per_queue_lens(), vec![1, 0]);
+    fn router_minted_ids_reach_their_own_queue() {
+        // A raw index is no longer constructible: every id comes from a
+        // router, and each lands in the queue at its own index.
+        let router = ShardRouter::new(4, 10);
+        let mut q = GroupCommitQueue::new(router.count());
+        for tile in 0..4 {
+            q.push(router.shard_of(FileId(0), tile * 10), rec(0, tile * 10));
+        }
+        assert_eq!(q.per_queue_lens(), vec![1, 1, 1, 1]);
+        // An id from a wider router than the queue set falls back to
+        // queue 0 instead of panicking.
+        let mut narrow = GroupCommitQueue::new(2);
+        narrow.push(router.shard_of(FileId(0), 30), rec(0, 30));
+        assert_eq!(narrow.per_queue_lens(), vec![1, 0]);
     }
 }

@@ -14,8 +14,11 @@
 //! [`DurabilityEngine::discard_cache`], which demands a
 //! [`DurabilityHandle`] — and the only source of handles is
 //! [`DurabilityEngine::append_journal_sync`]. A caller cannot reach the
-//! destructive effect without having made the metadata durable first
-//! (DESIGN.md §9, §12).
+//! destructive effect without having made the metadata durable first.
+//! Flush plans are held to the same contract ([`StagedFlushes`]), and
+//! every durable effect is one `fused_*` call that charges the crash
+//! fuse and applies the affordable prefix — the raw CPFS effects appear
+//! nowhere else in the crate (s4d-lint `durability`; DESIGN.md §9, §12).
 
 pub mod checkpoint;
 pub mod crash;
@@ -27,8 +30,8 @@ mod replay;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use s4d_mpiio::{Cluster, PlannedIo, Tier};
-use s4d_pfs::{FileId, Priority};
+use s4d_mpiio::{Cluster, Plan, PlannedIo, Tier};
+use s4d_pfs::{FileId, PfsError, Priority};
 use s4d_storage::IoKind;
 
 use crate::config::S4dConfig;
@@ -49,6 +52,33 @@ use recovery::RecoveryReport;
 /// fact rather than a reviewable convention.
 #[derive(Debug)]
 pub(crate) struct DurabilityHandle(());
+
+/// One end of a simulated copy: `(tier, file, offset)`.
+pub(crate) type CopyEnd = (Tier, FileId, u64);
+
+/// Flush plans held back until their `FlushIntent` records are durable:
+/// the plans come out only in exchange for the [`DurabilityHandle`] the
+/// intent append returned, so a flush can never run ahead of the record
+/// that makes a mid-flush crash re-flush.
+#[derive(Debug, Default)]
+pub(crate) struct StagedFlushes(Vec<Plan>);
+
+impl StagedFlushes {
+    /// Stages one flush plan.
+    pub(crate) fn push(&mut self, plan: Plan) {
+        self.0.push(plan);
+    }
+
+    /// The staged plans, released by the proof that their intents landed.
+    pub(crate) fn release(self, _proof: &DurabilityHandle) -> Vec<Plan> {
+        self.0
+    }
+
+    /// The staged plans' tags, to abandon: the intent append failed.
+    pub(crate) fn abandon(self) -> impl Iterator<Item = u64> {
+        self.0.into_iter().map(|plan| plan.tag)
+    }
+}
 
 /// Owns every durable-metadata concern of the cache: the DMT journal,
 /// the double-buffered checkpoint slots, and the crash fuse that gates
@@ -125,12 +155,69 @@ impl DurabilityEngine {
 
     /// Charges the crash fuse for a durable effect of `len` bytes at
     /// `site`, returning the affordable prefix (all of `len` when no fuse
-    /// is attached). Callers must apply only the returned prefix.
-    pub(crate) fn fuse_consume(&mut self, site: CrashSite, len: u64) -> u64 {
+    /// is attached). Private: only the `fused_*` effects below call it.
+    fn fuse_consume(&mut self, site: CrashSite, len: u64) -> u64 {
         match &self.crash_fuse {
             Some(f) => f.borrow_mut().consume(site, len),
             None => len,
         }
+    }
+
+    /// Writes the prefix of `data` the crash fuse affords at `site` to a
+    /// CPFS file, returning that prefix's length.
+    fn fused_apply(
+        &mut self,
+        cluster: &mut Cluster,
+        site: CrashSite,
+        file: FileId,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<u64, PfsError> {
+        let allowed = self.fuse_consume(site, data.len() as u64);
+        cluster
+            .cpfs_mut()
+            .apply_bytes(file, offset, allowed, Some(data))
+            .map(|()| allowed)
+    }
+
+    /// Discards the prefix of a CPFS range the fuse affords at `site`.
+    fn fused_discard(
+        &mut self,
+        cluster: &mut Cluster,
+        site: CrashSite,
+        file: FileId,
+        offset: u64,
+        len: u64,
+    ) {
+        let allowed = self.fuse_consume(site, len);
+        if allowed > 0 {
+            let _ = cluster.cpfs_mut().discard(file, offset, allowed);
+        }
+    }
+
+    /// Copies the prefix of `len` bytes the crash fuse affords at `site`,
+    /// returning its length (the data effect of a finished flush or
+    /// fetch; metadata commits only when all of `len` was affordable).
+    pub(crate) fn fused_copy(
+        &mut self,
+        cluster: &mut Cluster,
+        site: CrashSite,
+        src: CopyEnd,
+        dst: CopyEnd,
+        len: u64,
+    ) -> u64 {
+        let allowed = self.fuse_consume(site, len);
+        if allowed > 0 {
+            let _ = cluster.copy_range(src, dst, allowed);
+        }
+        allowed
+    }
+
+    /// Rewrites a clean cache range from its OPFS ground truth (scrub
+    /// repair). Not a crash site: a torn repair still mismatches its
+    /// seal, and the next scrub pass repairs it from the same source.
+    pub(crate) fn repair_copy(&self, cluster: &mut Cluster, src: CopyEnd, dst: CopyEnd, len: u64) {
+        let _ = cluster.copy_range(src, dst, len);
     }
 
     /// The report of the recovery that built this instance, if any.
@@ -163,7 +250,7 @@ impl DurabilityEngine {
         plane: &mut MetadataPlane,
         config: &S4dConfig,
     ) {
-        for shard in 0..plane.shard_count() {
+        for shard in self.router.all_shards() {
             let fresh = plane.take_shard_pending(shard);
             if config.record_journal_log {
                 self.journal_log.extend_from_slice(fresh.as_slice());
@@ -172,11 +259,12 @@ impl DurabilityEngine {
         }
     }
 
-    /// Accumulates pending DMT mutations and appends a journal write to
-    /// `ops` once a group-commit batch is full. Returns the reserved
-    /// offset and the records the frame carries, so the caller can
-    /// register a [`crate::background::Pending::Journal`] unwind: if the
-    /// plan carrying the op fails, the reservation must be rolled back
+    /// Accumulates pending DMT mutations and, once a group-commit batch
+    /// is full, returns the journal write and the records its frame
+    /// carries. The caller owns placing the op — as the plan's *final*
+    /// phase, data before metadata — and attaching a
+    /// [`crate::background::Pending::Journal`] unwind: if the plan
+    /// carrying the op fails, the reservation must be rolled back
     /// ([`DurabilityEngine::unplan_journal`]) or the journal gets a hole
     /// that truncates every later acked record at recovery.
     pub(crate) fn journal_op(
@@ -185,17 +273,12 @@ impl DurabilityEngine {
         plane: &mut MetadataPlane,
         config: &S4dConfig,
         metrics: &mut S4dMetrics,
-        ops: &mut Vec<PlannedIo>,
-    ) -> Option<(u64, Vec<JournalRecord>)> {
+    ) -> Option<(PlannedIo, Vec<JournalRecord>)> {
         self.collect_pending_records(plane, config);
         if !self.group.any_due(config.journal_batch_records) {
             return None;
         }
-        let (op, records) =
-            self.drain_journal(cluster, plane, config, metrics, Priority::Normal)?;
-        let offset = op.offset;
-        ops.push(op);
-        Some((offset, records))
+        self.drain_journal(cluster, plane, config, metrics, Priority::Normal)
     }
 
     /// Builds a journal write covering every pending record, if any. The
@@ -283,6 +366,7 @@ impl DurabilityEngine {
     /// the *same* offset, the engine is stalled (see
     /// [`DurabilityEngine::is_stalled`]), and the caller must not perform
     /// the destructive effect it wanted the proof for.
+    #[must_use = "the handle (or its absence) decides whether the effect may proceed"]
     pub(crate) fn append_journal_sync(
         &mut self,
         cluster: &mut Cluster,
@@ -309,12 +393,9 @@ impl DurabilityEngine {
         let records = self.group.drain_all();
         let data = journal::encode_batch(&records);
         let len = data.len() as u64;
-        let allowed = self.fuse_consume(CrashSite::SyncAppend, len);
-        match cluster
-            .cpfs_mut()
-            .apply_bytes(journal, self.journal_offset, allowed, Some(&data))
-        {
-            Ok(()) => {
+        let offset = self.journal_offset;
+        match self.fused_apply(cluster, CrashSite::SyncAppend, journal, offset, &data) {
+            Ok(_) => {
                 // The full reservation is consumed even on a torn write:
                 // this instance is dead then, and recovery works from the
                 // cluster.
@@ -335,8 +416,8 @@ impl DurabilityEngine {
                 self.stalled = true;
                 metrics.durability_stalls += 1;
                 match err {
-                    s4d_pfs::PfsError::NoSpace { .. } => metrics.nospace_failures += 1,
-                    s4d_pfs::PfsError::MediaError { .. } => metrics.media_failures += 1,
+                    PfsError::NoSpace { .. } => metrics.nospace_failures += 1,
+                    PfsError::MediaError { .. } => metrics.media_failures += 1,
                     _ => {}
                 }
                 None
@@ -377,10 +458,7 @@ impl DurabilityEngine {
         c_offset: u64,
         len: u64,
     ) {
-        let allowed = self.fuse_consume(CrashSite::EvictDiscard, len);
-        if allowed > 0 {
-            let _ = cluster.cpfs_mut().discard(c_file, c_offset, allowed);
-        }
+        self.fused_discard(cluster, CrashSite::EvictDiscard, c_file, c_offset, len);
     }
 
     /// Installs a DMT checkpoint snapshot once enough journal growth has
@@ -454,18 +532,14 @@ impl DurabilityEngine {
         };
         let slot = cluster.cpfs_mut().create_or_open(slot_name);
         let len = data.len() as u64;
-        let allowed = self.fuse_consume(CrashSite::CheckpointWrite, len);
-        if cluster
-            .cpfs_mut()
-            .apply_bytes(slot, 0, allowed, Some(&data))
-            .is_err()
-        {
+        let Ok(allowed) = self.fused_apply(cluster, CrashSite::CheckpointWrite, slot, 0, &data)
+        else {
             // Slot write failed outright (ENOSPC / media error on the
             // slot's extents): nothing landed, the previous checkpoint
             // stays authoritative, and we retry on a later poll.
             metrics.checkpoints_skipped += 1;
             return;
-        }
+        };
         if allowed < len {
             // Torn install: the CRC trailer never landed, so recovery keeps
             // using the previous slot. This instance is dead.
@@ -475,12 +549,14 @@ impl DurabilityEngine {
         let compacted = tail_offset.saturating_sub(self.journal_base);
         if compacted > 0 {
             let journal = self.ensure_journal(cluster);
-            let allowed = self.fuse_consume(CrashSite::JournalTruncate, compacted);
-            if allowed > 0 {
-                let _ = cluster
-                    .cpfs_mut()
-                    .discard(journal, self.journal_base, allowed);
-            }
+            let base = self.journal_base;
+            self.fused_discard(
+                cluster,
+                CrashSite::JournalTruncate,
+                journal,
+                base,
+                compacted,
+            );
         }
         self.checkpoint_seq = seq;
         self.last_ckpt_tail = tail_offset;

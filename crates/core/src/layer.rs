@@ -31,7 +31,7 @@ use crate::durability::recovery::RecoveryReport;
 use crate::durability::DurabilityEngine;
 use crate::health::HealthMonitor;
 use crate::metrics::S4dMetrics;
-use crate::shard::{MetadataPlane, ShardRouter};
+use crate::shard::{MetadataPlane, ShardId, ShardRouter};
 use crate::space::SpaceManager;
 
 /// The Smart Selective SSD Cache middleware (the paper's Fig. 3).
@@ -62,7 +62,7 @@ pub struct S4dCache {
     /// `background_poll` clears the stall — discarding first would break
     /// journal-before-discard, reusing first could resurrect the old
     /// mapping over fresh bytes at recovery.
-    pub(crate) stalled_discards: Vec<(usize, FileId, u64, u64)>,
+    pub(crate) stalled_discards: Vec<(ShardId, FileId, u64, u64)>,
     /// Scratch coverage view for the request path (DESIGN.md §12): a
     /// stage `mem::take`s it, fills it with `MetadataPlane::view_into`
     /// (which clears it first), and stores it back when done, so its
@@ -180,7 +180,7 @@ impl S4dCache {
     /// Cache ranges whose discard/release is parked behind a journal
     /// stall (see the field docs). Empty in a healthy run; the chaos
     /// oracle adds these bytes to the space-accounting identity.
-    pub fn stalled_discards(&self) -> &[(usize, FileId, u64, u64)] {
+    pub fn stalled_discards(&self) -> &[(ShardId, FileId, u64, u64)] {
         &self.stalled_discards
     }
 
@@ -196,9 +196,9 @@ impl S4dCache {
 
     /// The cache file backing `shard`'s slice of `orig`'s cached bytes
     /// (shard 0's file is the legacy `{name}.cache`).
-    pub(crate) fn cache_file_for(&self, orig: FileId, shard: usize) -> Option<FileId> {
+    pub(crate) fn cache_file_for(&self, orig: FileId, shard: ShardId) -> Option<FileId> {
         let files = self.cache_file_of.get(&orig)?;
-        files.get(shard).or_else(|| files.first()).copied()
+        files.get(shard.index()).or_else(|| files.first()).copied()
     }
 }
 

@@ -48,6 +48,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// `Pending` obligations and durability handles are `#[must_use]`: one
+// dropped on the floor — as a discarded expression, or bound to a name
+// that is never attached — is a protocol violation, not a style nit.
+#![deny(unused_must_use, unused_variables)]
 
 mod background;
 mod cdt;
@@ -80,7 +84,7 @@ pub use journal::{JournalError, JournalRecord, RecoveredJournal};
 pub use layer::S4dCache;
 pub use memcache::{MemCache, MemCacheMetrics};
 pub use metrics::S4dMetrics;
-pub use shard::{MetadataPlane, Segments, ShardRouter, ShardSegment};
+pub use shard::{MetadataPlane, Segments, ShardId, ShardRouter, ShardSegment};
 pub use space::SpaceManager;
 
 /// Size in bytes of one persisted DMT record frame.

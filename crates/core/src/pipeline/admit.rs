@@ -14,6 +14,7 @@ use s4d_storage::IoKind;
 use crate::background::Pending;
 use crate::layer::S4dCache;
 use crate::pipeline::{RequestCtx, WriteRoute};
+use crate::shard::ShardId;
 
 impl S4dCache {
     /// Algorithm 1, write side, admission half (lines 3–14): claim space
@@ -101,21 +102,13 @@ impl S4dCache {
         // in a phase *after* the data writes (data-before-metadata). A
         // crash between the two leaves orphaned cache bytes — swept on
         // recovery — never a mapping to unwritten space.
-        let mut journal_ops = Vec::new();
-        let frame = self.dur.journal_op(
-            cluster,
-            &mut self.plane,
-            &self.config,
-            &mut self.metrics,
-            &mut journal_ops,
-        );
+        let frame = self
+            .dur
+            .journal_op(cluster, &mut self.plane, &self.config, &mut self.metrics);
         let mut plan = Plan {
             lead_in: self.config.decision_overhead,
             ..Plan::single_phase(ops)
         };
-        if !journal_ops.is_empty() {
-            plan.phases.push(journal_ops);
-        }
         // Once the plan completes, seal the cache extents this write
         // filled: the checksum is computed from the bytes then on CPFS,
         // version-gated against racing overwrites. If the plan *fails*,
@@ -133,18 +126,20 @@ impl S4dCache {
                 ranges: fresh,
             });
         }
-        if let Some((offset, records)) = frame {
+        if let Some((op, records)) = frame {
+            let offset = op.offset;
             actions.push(Pending::Journal { offset, records });
+            plan.phases.push(vec![op]);
         }
         if !seals.is_empty() {
             actions.push(Pending::Seal(seals));
         }
-        // A lone obligation registers as itself; only several share a
+        // A lone obligation attaches as itself; only several share a
         // `Multi` (and its vector).
         if actions.len() > 1 {
-            plan.tag = self.bg.register(Pending::Multi(actions));
+            plan.tag = self.bg.attach(0, Pending::Multi(actions));
         } else if let Some(only) = actions.pop() {
-            plan.tag = self.bg.register(only);
+            plan.tag = self.bg.attach(0, only);
         }
         plan
     }
@@ -161,7 +156,7 @@ impl S4dCache {
         gaps: &[(u64, u64)],
     ) -> bool {
         let router = self.plane.router();
-        for shard in 0..self.plane.shard_count() {
+        for shard in router.all_shards() {
             let ask: u64 = gaps
                 .iter()
                 .flat_map(|&(g_off, g_len)| router.segments_iter(file, g_off, g_len))
@@ -180,7 +175,7 @@ impl S4dCache {
     /// whether the shard's space now fits the ask. Eviction victims come
     /// only from the owning shard — cross-shard space cannot help,
     /// because the allocation must land in the shard's own cache file.
-    pub(crate) fn make_room(&mut self, cluster: &mut Cluster, shard: usize, len: u64) -> bool {
+    pub(crate) fn make_room(&mut self, cluster: &mut Cluster, shard: ShardId, len: u64) -> bool {
         if self.plane.fits(shard, len) {
             return true;
         }
@@ -262,12 +257,8 @@ impl S4dCache {
             cdt_keys: vec![(req.offset, req.len)],
             pieces,
         };
-        if plan.tag != 0 {
-            // The read already registered an Unpin action; chain them.
-            self.bg.chain(plan.tag, fetch);
-        } else {
-            plan.tag = self.bg.register(fetch);
-        }
+        // Joins the read's Unpin action when it attached one.
+        plan.tag = self.bg.attach(plan.tag, fetch);
         self.metrics.fetches += 1;
         self.metrics.fetched_bytes += total;
         plan.phases.push(phase);

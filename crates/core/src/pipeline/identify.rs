@@ -35,7 +35,11 @@ impl S4dCache {
             critical,
             // Shard 0's cache file doubles as the "opened through the
             // middleware" marker; per-gap files are resolved at admission.
-            cache: self.cache_file_for(req.file, 0),
+            cache: self
+                .cache_file_of
+                .get(&req.file)
+                .and_then(|files| files.first())
+                .copied(),
             benefit_secs: benefit.benefit_secs,
             predicted_secs: benefit.t_d_secs.max(benefit.t_c_secs),
         }

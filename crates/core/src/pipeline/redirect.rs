@@ -190,7 +190,7 @@ impl S4dCache {
             // completes, so eviction cannot free space under a queued
             // sub-request. (Fallback pieces read OPFS and need no pin.)
             self.bg.pin_all(&pins);
-            plan.tag = self.bg.register(Pending::Unpin(pins));
+            plan.tag = self.bg.attach(0, Pending::Unpin(pins));
         }
         if view.fully_covered() {
             self.metrics.read_full_hits += 1;

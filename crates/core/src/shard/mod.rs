@@ -20,4 +20,4 @@ mod plane;
 mod router;
 
 pub use plane::MetadataPlane;
-pub use router::{Segments, ShardRouter, ShardSegment};
+pub use router::{Segments, ShardId, ShardRouter, ShardSegment};

@@ -6,9 +6,10 @@
 //! point-keyed operations go to [`ShardRouter::shard_of`] of their durable
 //! key, range operations are split into shard-local segments by
 //! [`ShardRouter::segments_iter`] and applied per shard in ascending offset
-//! order. The s4d-lint `shard-discipline` rule enforces that no code
-//! outside this plane (and the table/allocator implementations themselves)
-//! reaches a shard's `dmt`/`cdt`/`space` directly.
+//! order. [`MetadataShard`] and its fields are private to this module, so
+//! no code outside the plane can reach a shard's `dmt`/`cdt`/`space`
+//! directly, and the per-shard methods take a [`ShardId`] — an index only
+//! the router can mint — so none can be handed an unrouted shard.
 //!
 //! With `shard_count = 1` there is exactly one shard holding the full
 //! capacity, every range is a single segment, and each routed method
@@ -23,7 +24,7 @@ use crate::dmt::{Dmt, MapExtent, RangeView};
 use crate::journal::JournalRecord;
 use crate::space::{AllocPiece, SpaceManager};
 
-use super::ShardRouter;
+use super::{ShardId, ShardRouter};
 
 /// One shard: a partition of the mapping table, the candidate table, and
 /// the space ledger.
@@ -60,8 +61,8 @@ fn split_capacity(capacity: u64, n: usize) -> (u64, u64) {
 pub struct MetadataPlane {
     router: ShardRouter,
     /// Shard 0 lives outside the vector so the plane is never empty and
-    /// shard access needs no panicking index — out-of-range indices
-    /// (unreachable through the router) fall back here.
+    /// shard access needs no panicking index — an id minted by a wider
+    /// router than this plane's own falls back here.
     shard0: MetadataShard,
     rest: Vec<MetadataShard>,
 }
@@ -147,7 +148,8 @@ impl MetadataPlane {
         std::iter::once(&mut self.shard0).chain(self.rest.iter_mut())
     }
 
-    fn shard(&self, idx: usize) -> &MetadataShard {
+    fn shard(&self, id: ShardId) -> &MetadataShard {
+        let idx = id.index();
         if idx == 0 {
             return &self.shard0;
         }
@@ -157,7 +159,8 @@ impl MetadataPlane {
         }
     }
 
-    fn shard_mut(&mut self, idx: usize) -> &mut MetadataShard {
+    fn shard_mut(&mut self, id: ShardId) -> &mut MetadataShard {
+        let idx = id.index();
         if idx == 0 {
             return &mut self.shard0;
         }
@@ -240,11 +243,14 @@ impl MetadataPlane {
         &self.shard0.space
     }
 
-    /// Drains shard `idx`'s freshly recorded journal records in place (the
+    /// Drains one shard's freshly recorded journal records in place (the
     /// shard's buffer keeps its capacity), in the order the shard
     /// produced them.
-    pub(crate) fn take_shard_pending(&mut self, idx: usize) -> std::vec::Drain<'_, JournalRecord> {
-        self.shard_mut(idx).dmt.drain_pending_journal()
+    pub(crate) fn take_shard_pending(
+        &mut self,
+        shard: ShardId,
+    ) -> std::vec::Drain<'_, JournalRecord> {
+        self.shard_mut(shard).dmt.drain_pending_journal()
     }
 
     // ---- routed DMT operations -------------------------------------
@@ -387,11 +393,11 @@ impl MetadataPlane {
     /// caller is trying to free), skipping pinned ranges.
     pub(crate) fn evict_clean_lru_excluding(
         &mut self,
-        idx: usize,
+        shard: ShardId,
         bytes: u64,
         is_pinned: impl Fn(FileId, u64, u64) -> bool,
     ) -> Vec<(FileId, u64, MapExtent)> {
-        self.shard_mut(idx)
+        self.shard_mut(shard)
             .dmt
             .evict_clean_lru_excluding(bytes, is_pinned)
     }
@@ -426,29 +432,29 @@ impl MetadataPlane {
 
     // ---- routed space operations -----------------------------------
 
-    /// Allocates `len` bytes from shard `idx`'s space ledger.
+    /// Allocates `len` bytes from `shard`'s space ledger.
     pub(crate) fn alloc(
         &mut self,
-        idx: usize,
+        shard: ShardId,
         c_file: FileId,
         len: u64,
     ) -> Option<Vec<AllocPiece>> {
-        self.shard_mut(idx).space.alloc(c_file, len)
+        self.shard_mut(shard).space.alloc(c_file, len)
     }
 
-    /// Returns `len` bytes to shard `idx`'s space ledger.
-    pub(crate) fn release(&mut self, idx: usize, c_file: FileId, c_offset: u64, len: u64) {
-        self.shard_mut(idx).space.release(c_file, c_offset, len);
+    /// Returns `len` bytes to `shard`'s space ledger.
+    pub(crate) fn release(&mut self, shard: ShardId, c_file: FileId, c_offset: u64, len: u64) {
+        self.shard_mut(shard).space.release(c_file, c_offset, len);
     }
 
-    /// True when shard `idx` can allocate `len` bytes right now.
-    pub(crate) fn fits(&self, idx: usize, len: u64) -> bool {
-        self.shard(idx).space.fits(len)
+    /// True when `shard` can allocate `len` bytes right now.
+    pub(crate) fn fits(&self, shard: ShardId, len: u64) -> bool {
+        self.shard(shard).space.fits(len)
     }
 
-    /// Unallocated bytes in shard `idx`'s slice of the capacity.
-    pub(crate) fn shard_available(&self, idx: usize) -> u64 {
-        self.shard(idx).space.available()
+    /// Unallocated bytes in `shard`'s slice of the capacity.
+    pub(crate) fn shard_available(&self, shard: ShardId) -> u64 {
+        self.shard(shard).space.available()
     }
 }
 
@@ -511,7 +517,7 @@ mod tests {
                         let tile_end = ((at / 64) + 1) * 64;
                         let piece_len = tile_end.min(end) - at;
                         let shard = p.router().shard_of(F, at);
-                        let cache = FileId(100 + shard as u64);
+                        let cache = FileId(100 + shard.index() as u64);
                         if let Some(allocs) = p.alloc(shard, cache, piece_len) {
                             let mut cursor = at;
                             for a in allocs {
@@ -610,10 +616,14 @@ mod tests {
     fn capacity_splits_exactly_with_shard_zero_remainder() {
         let p = plane(4, 64, 1003);
         assert_eq!(p.capacity(), 1003);
-        assert_eq!(p.shard_available(0), 1003 - 250 * 3);
-        assert_eq!(p.shard_available(1), 250);
+        let available: Vec<u64> = p
+            .router()
+            .all_shards()
+            .map(|s| p.shard_available(s))
+            .collect();
+        assert_eq!(available, vec![1003 - 250 * 3, 250, 250, 250]);
         let single = plane(1, 64, 1003);
-        assert_eq!(single.shard_available(0), 1003);
+        assert_eq!(single.shard_available(single.router().shard_of(F, 0)), 1003);
     }
 
     #[test]

@@ -8,12 +8,27 @@
 
 use s4d_pfs::FileId;
 
+/// A shard index only a [`ShardRouter`] can mint — by
+/// [`ShardRouter::shard_of`], a routed [`ShardSegment`]'s `.shard`, or
+/// the [`ShardRouter::all_shards`] sweep — so per-shard state is reached
+/// only through an index the routing function produced (`< count`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
+pub struct ShardId(usize);
+
+impl ShardId {
+    /// The index as a plain number, for positional tables and display.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// One shard-local slice of a byte range, produced by
 /// [`ShardRouter::segments`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSegment {
-    /// Owning shard index, `< ShardRouter::count()`.
-    pub shard: usize,
+    /// Owning shard, `index() < ShardRouter::count()`.
+    pub shard: ShardId,
     /// Absolute offset of the slice within the file.
     pub offset: u64,
     /// Slice length in bytes (never zero).
@@ -54,12 +69,18 @@ impl ShardRouter {
     }
 
     /// The shard owning byte `offset` of `file`.
-    pub fn shard_of(&self, file: FileId, offset: u64) -> usize {
+    pub fn shard_of(&self, file: FileId, offset: u64) -> ShardId {
         if self.count == 1 {
-            return 0;
+            return ShardId(0);
         }
         let tile = offset / self.stripe;
-        (file.0.wrapping_add(tile) % self.count as u64) as usize
+        ShardId((file.0.wrapping_add(tile) % self.count as u64) as usize)
+    }
+
+    /// Every shard once, in index order — the uniform sweep (journal
+    /// collection, per-shard eviction asks).
+    pub fn all_shards(&self) -> impl Iterator<Item = ShardId> {
+        (0..self.count).map(ShardId)
     }
 
     /// Splits `[offset, offset + len)` of `file` into shard-local
@@ -187,16 +208,35 @@ mod tests {
     #[test]
     fn single_shard_is_identity() {
         let r = ShardRouter::new(1, 64 * 1024);
-        assert_eq!(r.shard_of(FileId(7), 123456789), 0);
+        assert_eq!(r.shard_of(FileId(7), 123456789).index(), 0);
         let segs = r.segments(FileId(7), 1000, 5_000_000);
         assert_eq!(
             segs,
             vec![ShardSegment {
-                shard: 0,
+                shard: ShardId(0),
                 offset: 1000,
                 len: 5_000_000
             }]
         );
+    }
+
+    /// Every constructor of [`ShardId`] agrees: the sweep yields each
+    /// index below `count` once, and `shard_of` / segment shards are
+    /// members of that sweep naming the same shard for the same byte.
+    #[test]
+    fn shard_ids_round_trip_router_segments_and_sweep() {
+        for count in [1u32, 4, 16] {
+            let r = ShardRouter::new(count, 64);
+            let sweep: Vec<ShardId> = r.all_shards().collect();
+            let indices: Vec<usize> = sweep.iter().map(|s| s.index()).collect();
+            assert_eq!(indices, (0..count as usize).collect::<Vec<_>>());
+            for file in [FileId(0), FileId(3), FileId(u64::MAX)] {
+                for seg in r.segments(file, 10, 64 * 40) {
+                    assert_eq!(seg.shard, r.shard_of(file, seg.offset));
+                    assert_eq!(sweep.get(seg.shard.index()), Some(&seg.shard));
+                }
+            }
+        }
     }
 
     #[test]
@@ -210,13 +250,13 @@ mod tests {
     fn tiles_rotate_across_shards() {
         let r = ShardRouter::new(4, 100);
         // file 0: tile t -> shard t % 4.
-        assert_eq!(r.shard_of(FileId(0), 0), 0);
-        assert_eq!(r.shard_of(FileId(0), 99), 0);
-        assert_eq!(r.shard_of(FileId(0), 100), 1);
-        assert_eq!(r.shard_of(FileId(0), 399), 3);
-        assert_eq!(r.shard_of(FileId(0), 400), 0);
+        assert_eq!(r.shard_of(FileId(0), 0).index(), 0);
+        assert_eq!(r.shard_of(FileId(0), 99).index(), 0);
+        assert_eq!(r.shard_of(FileId(0), 100).index(), 1);
+        assert_eq!(r.shard_of(FileId(0), 399).index(), 3);
+        assert_eq!(r.shard_of(FileId(0), 400).index(), 0);
         // The file id offsets the rotation so files spread too.
-        assert_eq!(r.shard_of(FileId(1), 0), 1);
+        assert_eq!(r.shard_of(FileId(1), 0).index(), 1);
     }
 
     #[test]

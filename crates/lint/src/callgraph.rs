@@ -17,8 +17,8 @@
 //!   "edges" are noise, not information.
 //!
 //! Both caveats degrade toward *fewer* edges, so the analyses built on
-//! the graph (effect propagation, panic reachability) may miss paths
-//! routed through ubiquitous names but never invent impossible ones.
+//! the graph (panic reachability) may miss paths routed through
+//! ubiquitous names but never invent impossible ones.
 //! DESIGN.md §10 records the trade-off.
 
 use std::collections::BTreeMap;
@@ -48,11 +48,6 @@ pub struct CallGraph {
     pub nodes: Vec<(usize, usize)>,
     /// Resolved outgoing edges per node, in call-site order.
     pub edges: Vec<Vec<Edge>>,
-    /// Reverse edges: for each node, the `(caller, call-site line)`
-    /// pairs that reach it.
-    pub callers: Vec<Vec<(FnId, u32)>>,
-    /// Resolution table: bare name → node ids, for names that resolve.
-    by_name: BTreeMap<String, Vec<FnId>>,
 }
 
 impl CallGraph {
@@ -82,7 +77,6 @@ impl CallGraph {
                 && !config::CALL_NAME_STOPLIST.contains(&name.as_str())
         });
         let mut edges = vec![Vec::new(); nodes.len()];
-        let mut callers = vec![Vec::new(); nodes.len()];
         for (id, &(fi, ni)) in nodes.iter().enumerate() {
             for ev in &items[fi].fns[ni].events {
                 let EventKind::Call { name, .. } = &ev.kind else {
@@ -99,16 +93,10 @@ impl CallGraph {
                         callee: t,
                         line: ev.line,
                     });
-                    callers[t].push((id, ev.line));
                 }
             }
         }
-        CallGraph {
-            nodes,
-            edges,
-            callers,
-            by_name,
-        }
+        CallGraph { nodes, edges }
     }
 
     /// Number of nodes.
@@ -119,12 +107,6 @@ impl CallGraph {
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The node ids a bare name resolves to (empty for stoplisted,
-    /// over-ambiguous, or unknown names).
-    pub fn resolve(&self, name: &str) -> &[FnId] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Breadth-first reachability from `roots` (deduplicated, in order).

@@ -4,14 +4,15 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
+use crate::analysis::Analysis;
 use crate::config;
 use crate::diag::{Diagnostic, Severity};
 use crate::items::{self, ItemIndex};
 use crate::pragma::{pragmas, Pragma};
 use crate::rules;
 use crate::source::SourceFile;
-use crate::summary::Analysis;
 
 /// Outcome of a lint run.
 #[derive(Debug, Default)]
@@ -26,8 +27,10 @@ pub struct Report {
     /// Number of pragma comment sites across the analysis scope (for the
     /// budget gate — each site may suppress more than one finding).
     pub pragmas: usize,
-    /// Analysis cost counters (for `--bench`).
-    pub stats: crate::summary::Stats,
+    /// Call-graph nodes: non-test library functions (for `--bench`).
+    pub functions: usize,
+    /// Resolved call-graph edges (for `--bench`).
+    pub call_edges: usize,
 }
 
 impl Report {
@@ -60,7 +63,8 @@ pub fn lint_files(files: &[SourceFile]) -> Report {
 
     let mut report = Report {
         files: files.len(),
-        stats: analysis.stats,
+        functions: analysis.graph.len(),
+        call_edges: analysis.graph.edges.iter().map(Vec::len).sum(),
         ..Report::default()
     };
     let by_path: BTreeMap<&Path, usize> = files
@@ -91,9 +95,22 @@ pub fn lint_files(files: &[SourceFile]) -> Report {
     report
 }
 
+/// The `pragma` hint, naming every id in [`config::RULES`] — rendered
+/// from the table so it cannot drift from it.
+fn pragma_hint() -> &'static str {
+    static HINT: OnceLock<String> = OnceLock::new();
+    HINT.get_or_init(|| {
+        let ids: Vec<&str> = config::RULES.iter().map(|r| r.id).collect();
+        format!(
+            "format: `// s4d-lint: allow(<rule>) — <justification>`; rules: {}",
+            ids.join(", ")
+        )
+    })
+}
+
 /// `pragma`: malformed pragmas, unknown rule ids, missing justification,
-/// and unused allows. A misspelled rule id must never silently suppress —
-/// it is reported instead.
+/// and unused allows. A misspelled or retired rule id must never silently
+/// suppress — it is reported instead.
 fn pragma_hygiene(file: &SourceFile, prags: &[Pragma], report: &mut Report) {
     for p in prags {
         let mut fail = |message: String, severity: Severity| {
@@ -102,11 +119,7 @@ fn pragma_hygiene(file: &SourceFile, prags: &[Pragma], report: &mut Report) {
                 line: p.line,
                 rule: "pragma",
                 message,
-                hint: "format: `// s4d-lint: allow(<rule>) — <justification>`; rules: \
-                       determinism, ordered-iter, panic, panic-path, lock-graph, \
-                       lock-across-io, durability, typestate, file-budget, \
-                       unbounded-retry, shard-discipline, shard-affinity, \
-                       async-ready, hot-alloc",
+                hint: pragma_hint(),
                 severity,
                 chain: Vec::new(),
             });
@@ -119,7 +132,7 @@ fn pragma_hygiene(file: &SourceFile, prags: &[Pragma], report: &mut Report) {
             continue;
         }
         for r in &p.rules {
-            if !config::RULES.contains(&r.as_str()) {
+            if !config::is_rule(r) {
                 fail(
                     format!("allow names unknown rule `{r}` — nothing is suppressed"),
                     Severity::Error,
@@ -131,7 +144,7 @@ fn pragma_hygiene(file: &SourceFile, prags: &[Pragma], report: &mut Report) {
                 "allow pragma without a justification".to_string(),
                 Severity::Error,
             );
-        } else if !p.used.get() && p.rules.iter().all(|r| config::RULES.contains(&r.as_str())) {
+        } else if !p.used.get() && p.rules.iter().all(|r| config::is_rule(r)) {
             fail(
                 format!(
                     "unused allow pragma for `{}` (nothing on the covered lines trips it)",
@@ -170,8 +183,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// The workspace directories the linter covers.
 const WORKSPACE_ROOTS: &[&str] = &["src", "tests", "examples", "crates"];
 
-/// Lints the whole workspace rooted at `root`.
-pub fn lint_workspace(root: &Path) -> Result<Report, String> {
+/// The `.rs` files a workspace lint of `root` covers, in walk order.
+pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
     for r in WORKSPACE_ROOTS {
         collect_rs(&root.join(r), &mut files);
@@ -182,7 +195,12 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             root.display()
         ));
     }
-    lint_paths(root, &files)
+    Ok(files)
+}
+
+/// Lints the whole workspace rooted at `root`.
+pub fn lint_workspace(root: &Path) -> Result<Report, String> {
+    lint_paths(root, &workspace_files(root)?)
 }
 
 /// Lints an explicit set of files as one analysis scope (workspace-
@@ -201,4 +219,33 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> Result<Report, String> {
         files.push(SourceFile::parse(path.clone(), rel, &src));
     }
     Ok(lint_files(&files))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lint_one(src: &str) -> Report {
+        let rel = "crates/sim/src/x.rs";
+        lint_files(&[SourceFile::parse(PathBuf::from(rel), rel.into(), src)])
+    }
+
+    #[test]
+    fn pragma_hint_names_every_rule_and_retired_ids_are_unknown() {
+        for rule in config::RULES {
+            assert!(pragma_hint().contains(rule.id), "hint lacks `{}`", rule.id);
+        }
+        // A retired id suppresses nothing and is reported as unknown, with
+        // the live ids in the hint.
+        for retired in ["shard-affinity", "typestate", "lock-graph", "retry"] {
+            let report = lint_one(&format!(
+                "// s4d-lint: allow({retired}) — was valid once\npub fn f() {{}}\n"
+            ));
+            assert_eq!(report.suppressed, 0);
+            let d = &report.diagnostics[0];
+            assert_eq!((d.rule, d.severity), ("pragma", Severity::Error));
+            assert!(d.message.contains("unknown rule"), "{}", d.message);
+            assert!(d.hint.contains("panic-path") && !d.hint.contains(retired));
+        }
+    }
 }

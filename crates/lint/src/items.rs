@@ -1,13 +1,11 @@
-//! Item parser: function definitions, call expressions, lock
-//! acquisitions, panic sites, and const-initializer spans, extracted from
-//! the lexed token stream.
+//! Item parser: function definitions, call expressions, panic sites,
+//! and const-initializer spans, extracted from the lexed token stream.
 //!
-//! This is the layer between the lexer and the interprocedural rules: it
-//! turns each file's flat token stream into a list of [`FnItem`]s, each
-//! carrying the ordered [`Event`]s its body performs. The call-graph
-//! builder ([`crate::callgraph`]) resolves `Event::Call` names to other
-//! [`FnItem`]s workspace-wide, and the effect summaries
-//! ([`crate::summary`]) propagate along the resulting edges.
+//! This is the layer between the lexer and the one interprocedural rule
+//! (`panic-path`): it turns each file's flat token stream into a list of
+//! [`FnItem`]s, each carrying the ordered [`Event`]s its body performs.
+//! The call-graph builder ([`crate::callgraph`]) resolves `Event::Call`
+//! names to other [`FnItem`]s workspace-wide.
 //!
 //! Parsing is deliberately shallow: no expression trees, no types, no
 //! generics. Function bodies are brace-matched token ranges; calls are
@@ -17,7 +15,6 @@
 
 use std::ops::Range;
 
-use crate::config;
 use crate::lexer::Tok;
 use crate::source::{match_brace, SourceFile};
 
@@ -27,8 +24,6 @@ use crate::source::{match_brace, SourceFile};
 pub struct Event {
     /// What happened.
     pub kind: EventKind,
-    /// Code-token index of the event's anchor token.
-    pub tok: usize,
     /// 1-based source line.
     pub line: u32,
 }
@@ -40,20 +35,7 @@ pub enum EventKind {
     Call {
         /// Final path segment of the callee.
         name: String,
-        /// True for `.name(…)` method syntax.
-        method: bool,
     },
-    /// A zero-argument `.lock()`/`.read()`/`.write()` on a named field or
-    /// binding — a lock acquisition.
-    Acquire {
-        /// The receiver field/binding the guard came from.
-        lock: String,
-        /// Token range the guard may be held over (statement end, or the
-        /// body end for `let`-bound guards).
-        extent: Range<usize>,
-    },
-    /// An occurrence of the `FlushIntent` record constructor identifier.
-    Intent,
     /// A panicking construct (`.unwrap()`, `panic!`, indexing, …).
     Panic {
         /// Human-readable description of the construct.
@@ -78,10 +60,6 @@ pub struct FnItem {
     /// Direct events of the body, in source order, with nested function
     /// bodies excluded.
     pub events: Vec<Event>,
-    /// Token spans of inner `fn` items carved out of this body — the
-    /// event extractor skipped them, and the CFG builder
-    /// ([`crate::cfg`]) must skip the same ranges.
-    pub nested: Vec<Range<usize>>,
 }
 
 /// Everything the interprocedural layer needs from one file.
@@ -149,7 +127,6 @@ pub fn index(file: &SourceFile) -> ItemIndex {
             body: s.body.clone(),
             in_test: file.in_test_span(file.line_of(s.sig_start)),
             events,
-            nested,
         });
     }
     ItemIndex { fns, const_spans }
@@ -302,36 +279,6 @@ fn extract_events(
         if let Some(what) = panic_site(file, i) {
             out.push(Event {
                 kind: EventKind::Panic { what },
-                tok: i,
-                line,
-            });
-        }
-        // Lock acquisitions: `<recv> . {lock|read|write} ( )`.
-        if matches!(file.ident(i), Some("lock" | "read" | "write"))
-            && file.punct_is(i.wrapping_sub(1), '.')
-            && file.punct_is(i + 1, '(')
-            && file.punct_is(i + 2, ')')
-        {
-            if let Some(recv) = i.checked_sub(2).and_then(|r| file.ident(r)) {
-                if recv != "self" {
-                    out.push(Event {
-                        kind: EventKind::Acquire {
-                            lock: recv.to_string(),
-                            extent: i..guard_extent_end(file, &body, i),
-                        },
-                        tok: i,
-                        line,
-                    });
-                    i += 3;
-                    continue;
-                }
-            }
-        }
-        // Intent-record constructor occurrences.
-        if file.ident(i) == Some(config::INTENT_RECORD) {
-            out.push(Event {
-                kind: EventKind::Intent,
-                tok: i,
                 line,
             });
         }
@@ -345,9 +292,7 @@ fn extract_events(
                 out.push(Event {
                     kind: EventKind::Call {
                         name: name.to_string(),
-                        method: file.punct_is(i.wrapping_sub(1), '.'),
                     },
-                    tok: i,
                     line,
                 });
             }
@@ -355,33 +300,6 @@ fn extract_events(
         i += 1;
     }
     out
-}
-
-/// Where a guard acquired at token `i` may be held until: the end of its
-/// statement, or the end of the body for `let`-bound guards
-/// (conservative — justify early drops with a pragma).
-fn guard_extent_end(file: &SourceFile, body: &Range<usize>, i: usize) -> usize {
-    // `let`-bound: scan back to the statement start.
-    let mut j = i;
-    let mut bound = false;
-    while j > body.start {
-        j -= 1;
-        if file.punct_is(j, ';') || file.punct_is(j, '{') {
-            break;
-        }
-        if file.ident(j) == Some("let") {
-            bound = true;
-            break;
-        }
-    }
-    if bound {
-        return body.end;
-    }
-    let mut j = i;
-    while j < body.end && !file.punct_is(j, ';') {
-        j += 1;
-    }
-    j
 }
 
 /// Classifies token `i` as a panicking construct, if it is one. The
@@ -463,7 +381,7 @@ mod tests {
         f.events
             .iter()
             .filter_map(|e| match &e.kind {
-                EventKind::Call { name, .. } => Some(name.as_str()),
+                EventKind::Call { name } => Some(name.as_str()),
                 _ => None,
             })
             .collect()
@@ -500,39 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn acquisitions_with_extents() {
-        let (_, idx) = parse(
-            "fn f(s: &S) { let g = s.records.lock(); use_it(&g); }\n\
-             fn h(s: &S) { s.records.lock().clear(); other(); }",
-        );
-        let f = &idx.fns[0];
-        let acq: Vec<_> = f
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Acquire { lock, extent } => Some((lock.clone(), extent.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(acq.len(), 1);
-        assert_eq!(acq[0].0, "records");
-        assert_eq!(acq[0].1.end, f.body.end, "let-bound guard held to body end");
-        let h = &idx.fns[1];
-        let acq_h: Vec<_> = h
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Acquire { extent, .. } => Some(extent.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            acq_h[0].end < h.body.end,
-            "statement-scoped guard ends before the body does"
-        );
-    }
-
-    #[test]
     fn const_initializers_are_carved_out() {
         let (_, idx) = parse(
             "const T: [u32; 4] = { let mut t = [0; 4]; t[0] = 1; t };\n\
@@ -562,14 +447,5 @@ mod tests {
             })
             .collect();
         assert_eq!(what, vec!["`.unwrap()`", "`panic!`"]);
-    }
-
-    #[test]
-    fn intent_occurrences_are_events() {
-        let (_, idx) = parse("fn f() { push(FlushIntent { a: 1 }); }");
-        assert!(idx.fns[0]
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Intent)));
     }
 }

@@ -1,27 +1,22 @@
 //! # s4d-lint — workspace-aware static analysis for S4D-Cache
 //!
-//! A self-contained (dependency-free) source analyzer enforcing the
-//! invariant families the middleware's correctness arguments rest on.
-//! Since PR 5 the analysis is **interprocedural**: a shallow item parser
-//! ([`items`]) extracts function definitions and their ordered events
-//! from the lexed stream, a conservative name-resolved call graph
-//! ([`callgraph`]) links them workspace-wide, and per-function effect
-//! summaries ([`summary`]) propagate along the edges — so the protocol
-//! rules see through helper functions instead of stopping at each
-//! function's own tokens.
+//! A self-contained (dependency-free) source analyzer for the invariants
+//! the language cannot carry. The durability protocol itself lives in
+//! `s4d-cache`'s types (proof tokens, by-value obligations, a router-only
+//! shard index); what is left for a linter is lexical — forbidden
+//! identifiers per crate scope, census ratchets, a module size cap, a
+//! file-scope fence around the raw durable effects — plus one
+//! interprocedural question: which panic sites can the public API reach?
+//! For that a shallow item parser ([`items`]) extracts function
+//! definitions and their events from the lexed stream and a conservative
+//! name-resolved call graph ([`callgraph`]) links them workspace-wide.
 //!
-//! | rule family | ids | why |
-//! |-------------|-----|-----|
-//! | determinism | `determinism`, `ordered-iter` | the crash-matrix harness and replay proptests compare byte-for-byte |
-//! | panic-freedom | `panic`, `panic-path` | the middleware sits on every I/O path; `panic` flags sites lexically, `panic-path` reports the transitive panic surface of the public API with witness call chains |
-//! | lock discipline | `lock-graph`, `lock-across-io` | deadlock cycles in the computed lock-acquisition graph and device-latency lock holds are availability bugs — held-lock sets propagate through callees |
-//! | durability protocol | `durability` | DESIGN.md §9 write ordering keeps crashes recoverable — checked along call paths via effect summaries |
-//! | concurrency readiness | `shard-affinity`, `async-ready`, `hot-alloc` | ROADMAP items 2/4/5: shard mutations must be router-dominated ([`alias`]), blocking-under-lock on the service surface and hot-path allocations are ratcheted before real concurrency lands |
-//! | file budget | `file-budget` | a module past 800 non-test lines means a missed component seam (DESIGN.md §12) |
-//!
-//! Plus `pragma` for allow-pragma hygiene. Run with:
+//! The rule catalogue is one table, [`config::RULES`] — id, mechanism,
+//! what it guards — which `--list-rules`, the pragma hint, and pragma
+//! validation all read:
 //!
 //! ```text
+//! cargo run -p s4d-lint -- --list-rules
 //! cargo run -p s4d-lint -- --workspace                # human-readable
 //! cargo run -p s4d-lint -- --workspace --format=json  # one JSON object per finding
 //! ```
@@ -32,17 +27,16 @@
 //! // s4d-lint: allow(panic) — index is the loop bound, < len by construction
 //! ```
 //!
-//! See `DESIGN.md` §10 for the full rule catalogue and the
-//! conservative-resolution caveats (mirrored in [`config`]).
+//! See `DESIGN.md` §10 for the rule table with its real-code findings,
+//! the mutation-gate row each rule kills, and what carries the retired
+//! rules' properties now.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alias;
+pub mod analysis;
 pub mod callgraph;
-pub mod cfg;
 pub mod config;
-pub mod dataflow;
 pub mod diag;
 pub mod engine;
 pub mod items;
@@ -50,9 +44,8 @@ pub mod lexer;
 pub mod pragma;
 pub mod rules;
 pub mod source;
-pub mod summary;
 
+pub use analysis::Analysis;
 pub use diag::{Diagnostic, Severity};
 pub use engine::{lint_files, lint_paths, lint_workspace, Report};
 pub use source::SourceFile;
-pub use summary::Analysis;

@@ -123,16 +123,14 @@ impl Pragma {
     /// covers: the reachability finding anchors at the panic *site*, so
     /// the pragma that justifies the site justifies its reachability —
     /// one justification, both rules, and the pragma stays load-bearing.
-    /// `allow(retry)` is the short alias for `unbounded-retry`.
     pub fn suppresses(&self, rule: &str, line: u32) -> bool {
         self.well_formed
             && self.justified
             && self.covers.0 <= line
             && line <= self.covers.1
-            && self.rules.iter().any(|r| {
-                r == rule
-                    || (r == "panic" && rule == "panic-path")
-                    || (r == "retry" && rule == "unbounded-retry")
-            })
+            && self
+                .rules
+                .iter()
+                .any(|r| r == rule || (r == "panic" && rule == "panic-path"))
     }
 }

@@ -5,6 +5,10 @@
 //! time), `thread_rng()` (OS entropy), or `std::thread::spawn` (scheduler
 //! nondeterminism) silently invalidates the crash-matrix torture harness
 //! and the replay-equivalence proptests, which compare byte-for-byte.
+//! `Mutex`/`RwLock`/`Condvar` are forbidden with the threads: nothing on
+//! the simulated path is concurrent, and while that stays lexically true
+//! there is no lock order, lock-held-across-I/O or blocking-under-lock
+//! property left to analyse.
 //! Likewise, iterating a `HashMap`/`HashSet` while serializing journal,
 //! checkpoint, or report state makes the byte stream order-of-iteration
 //! dependent; those paths must use `BTreeMap`/`BTreeSet` or sort
@@ -34,7 +38,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     ordered_iter(file, out);
 }
 
-/// `determinism`: wall-clock, OS randomness, OS threads.
+/// `determinism`: wall-clock, OS randomness, OS threads and locks.
 fn forbidden_sources(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let path2 = |i: usize, a: &str, b: &str| {
         file.ident(i) == Some(a)
@@ -51,6 +55,8 @@ fn forbidden_sources(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             Some("thread_rng() draws OS entropy")
         } else if path2(i, "thread", "spawn") {
             Some("thread::spawn introduces scheduler nondeterminism")
+        } else if matches!(file.ident(i), Some("Mutex" | "RwLock" | "Condvar")) {
+            Some("a lock type implies concurrent execution")
         } else {
             None
         };

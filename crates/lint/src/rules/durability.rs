@@ -1,456 +1,57 @@
-//! `durability`: the DESIGN.md §9 write-ordering protocol, checked along
-//! call paths **and along control-flow paths**.
+//! `durability`: raw durable effects live only in the durability engine.
 //!
-//! PR 2's crash-matrix harness proves crash consistency *for the
-//! orderings the code happens to have today*; this rule keeps those
-//! orderings from regressing. Since the component decomposition
-//! (DESIGN.md §12) the protocol steps routinely span functions — the
-//! append lives in `durability/mod.rs` while the discard it must precede
-//! hides in a `pipeline/admit.rs` helper — so the checks expand callee
-//! effect summaries ([`crate::summary::Summary`]). Since the
-//! flow-sensitive rewrite they are also **path-aware**: ordering state
-//! is a forward *must*-fact over the function's CFG ("on every path
-//! reaching this point, an append has occurred"), so a `journal.append`
-//! on one `match` arm no longer covers a discard on the opposite arm,
-//! and a branch-guarded append+discard pair on the *same* arm lints
-//! clean without a pragma.
-//!
-//! Scope: library files of `core` that reference a journal primitive
-//! (`append_journal_sync` or the batched `journal_op`) — the middleware
-//! layer itself plus any future file that joins the protocol. Files that
-//! never touch the journal (e.g. `durability/recovery.rs`, which runs
-//! *before* a journal exists and re-enters recovery on a crash) stay
-//! exempt by construction.
-//!
-//! Per function, four checks:
-//!
-//! 1. **Remove-before-discard** — a discard (direct `.discard(…)`, or a
-//!    callee whose summary leaks an *exposed* discard) is a violation
-//!    when an append does **not** precede it on every path but does
-//!    follow it on some path: the two paths concatenate into a real
-//!    execution where bytes vanish before their `Remove` records are
-//!    durable. A function that never appends leaves the obligation to
-//!    its caller (the exposed-discard summary re-raises it there).
-//! 2. **FlushIntent is synchronous** — from a `FlushIntent` record
-//!    *construction* (pattern-position occurrences are deconstruction
-//!    and exempt), some path must reach a synchronous append — directly
-//!    or via a callee that appends — before the function returns, or a
-//!    crash mid-flush loses the re-flush obligation.
-//! 3. **Data before metadata** — once the batched `journal_op(…)` has
-//!    been planned on a path (directly or via a callee), no further
-//!    `data_op(…)` may be planned on that path. A callee that builds
-//!    *both* data and journal phases is a **closed plan** — internally
-//!    complete, contributing neither to the caller's ordering state.
-//! 4. **Fuse-gated effects** — every durable effect (`apply_bytes`,
-//!    `discard`), direct or leaked by a callee as an *exposed unfused
-//!    effect*, must be preceded by a `fuse_consume(…)` charge on every
-//!    path reaching it, so the crash-point torture matrix can crash
-//!    inside it. An ungated effect is an untested crash site.
-//!
-//! Findings produced through a callee carry the witness call chain, and
-//! every path-sensitive finding ends its chain with the concrete
-//! violating block trace (`path through fn …: entry@L -> … -> arm@L`),
-//! rendered by [`crate::summary::Analysis::path_trace`].
+//! The DESIGN.md §9 write-ordering protocol is carried by `s4d-cache`'s
+//! types: a discard needs the `DurabilityHandle` only a journal append
+//! returns, flush plans are released against the same handle, a
+//! `Pending` cannot be copied or dropped unattached, and every durable
+//! effect is one `fused_*` call that charges the crash fuse and applies
+//! the affordable prefix. What a type cannot say is "nobody calls the
+//! raw effect directly" — `Cluster` is another crate's public API. This
+//! rule says it: in `core` library code, `.apply_bytes(…)`,
+//! `.copy_range(…)` and `cpfs_mut().discard(…)` may appear only under
+//! `crates/core/src/durability/`, so an effect outside the engine is an
+//! effect the crash-point torture matrix cannot crash inside. (A bare
+//! `.discard(…)` is also the in-memory `ExtentStore` method the client
+//! memory cache uses; only the CPFS receiver is a durable effect.)
 
-use crate::callgraph::FnId;
-use crate::cfg::BlockId;
 use crate::config;
-use crate::dataflow;
 use crate::diag::{Diagnostic, Severity};
-use crate::items::EventKind;
-use crate::summary::Analysis;
+use crate::source::{FileKind, SourceFile};
 
-/// Function names that *implement* the protocol primitives; their bodies
-/// are the gate, not gated.
-fn is_primitive(name: &str) -> bool {
-    name == config::JOURNAL_SYNC_FN
-        || name == config::JOURNAL_BATCH_FN
-        || name == config::DATA_OP_FN
-        || name == config::FUSE_FN
-}
+/// The directory whose files implement the fused effects.
+const ENGINE_DIR: &str = "crates/core/src/durability/";
 
-/// Runs the durability-protocol checks over the analyzed workspace.
-pub fn check(a: &Analysis, out: &mut Vec<Diagnostic>) {
-    for id in 0..a.graph.len() {
-        let file = a.file_of(id);
-        if file.crate_name != "core" {
+/// Flags raw durable-effect calls in `core` outside the engine.
+pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    if file.crate_name != "core" || file.kind != FileKind::Lib || file.rel.starts_with(ENGINE_DIR) {
+        return;
+    }
+    for i in 1..file.code.len() {
+        let Some(name) = file.ident(i) else { continue };
+        if !config::DURABLE_EFFECT_FNS.contains(&name)
+            || !file.punct_is(i - 1, '.')
+            || !file.punct_is(i + 1, '(')
+        {
             continue;
         }
-        let participates = (0..file.code.len()).any(|i| {
-            matches!(
-                file.ident(i),
-                Some(n) if n == config::JOURNAL_SYNC_FN || n == config::JOURNAL_BATCH_FN
-            )
+        // `discard` only through `cpfs_mut ( ) .`.
+        if name == "discard" && i.checked_sub(4).and_then(|r| file.ident(r)) != Some("cpfs_mut") {
+            continue;
+        }
+        let line = file.line_of(i);
+        if file.in_test_span(line) {
+            continue;
+        }
+        out.push(Diagnostic {
+            path: file.path.clone(),
+            line,
+            rule: "durability",
+            message: format!("raw durable effect `.{name}(…)` outside the durability engine"),
+            hint: "go through DurabilityEngine (`discard_cache` with its handle, \
+                   `fused_copy`, or a new `fused_*` effect next to them) so the \
+                   crash fuse is charged in the same call — DESIGN.md §9, §12",
+            severity: Severity::Error,
+            chain: Vec::new(),
         });
-        if !participates {
-            continue;
-        }
-        if is_primitive(&a.fn_item(id).name) {
-            continue;
-        }
-        walk(a, id, out);
-    }
-}
-
-/// True when event `e` of function `id` performs (or may transitively
-/// perform) a synchronous journal append.
-fn event_appends(a: &Analysis, id: FnId, e: usize) -> bool {
-    let ev = &a.fn_item(id).events[e];
-    let EventKind::Call { name, .. } = &ev.kind else {
-        return false;
-    };
-    if name == config::JOURNAL_SYNC_FN {
-        return true;
-    }
-    crate::summary::call_targets(&a.graph, ev)
-        .iter()
-        .any(|&c| c != id && a.summaries[c].appends)
-}
-
-/// Per-event "an append may still happen strictly after this event on
-/// some path", from a backward may-analysis.
-fn may_append_after(a: &Analysis, id: FnId) -> Vec<bool> {
-    let cfg = &a.cfgs[id];
-    let f = a.fn_item(id);
-    let sol = dataflow::backward(cfg, false, false, dataflow::may_meet, |b, fact| {
-        *fact
-            || cfg.blocks[b]
-                .events
-                .iter()
-                .any(|&e| event_appends(a, id, e))
-    });
-    a.stats.add_iterations(sol.iterations);
-    let mut after = vec![false; f.events.len()];
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        // `entry` of a backward solution is the fact at the block's end.
-        let mut fact = sol.entry[b];
-        for &e in blk.events.iter().rev() {
-            after[e] = fact;
-            fact |= event_appends(a, id, e);
-        }
-    }
-    after
-}
-
-/// The violating block trace for an ordering finding: the shortest path
-/// from `from` to the event's block through blocks that do not
-/// establish the covering fact (`covers`), rendered as a chain line.
-fn violating_path<F: Fn(BlockId) -> bool>(
-    a: &Analysis,
-    id: FnId,
-    from: BlockId,
-    to: BlockId,
-    covers: F,
-) -> Option<String> {
-    let cfg = &a.cfgs[id];
-    cfg.path_via(from, to, |b| !covers(b))
-        .map(|p| a.path_trace(id, &p))
-}
-
-/// Walks one function's CFG, checking each event against its path facts.
-fn walk(a: &Analysis, id: FnId, out: &mut Vec<Diagnostic>) {
-    let f = a.fn_item(id);
-    let file = a.file_of(id);
-    let cfg = &a.cfgs[id];
-    let facts = &a.facts[id];
-    let append_after = may_append_after(a, id);
-    // Forward may-analysis for check 3: the earliest line a journal op
-    // was planned on some path reaching this point (`None` = no path has
-    // planned one yet; meet keeps the smallest line for determinism).
-    let journal_plans = |e: usize| -> Option<u32> {
-        let ev = &f.events[e];
-        let EventKind::Call { name, .. } = &ev.kind else {
-            return None;
-        };
-        if name == config::JOURNAL_BATCH_FN {
-            return Some(ev.line);
-        }
-        crate::summary::call_targets(&a.graph, ev)
-            .iter()
-            .filter(|&&c| c != id)
-            .find(|&&c| {
-                let s = &a.summaries[c];
-                s.journal_op && !s.data_op
-            })
-            .map(|_| ev.line)
-    };
-    let sol = dataflow::forward(
-        cfg,
-        None,
-        None,
-        |x: &Option<u32>, y: &Option<u32>| match (x, y) {
-            (Some(a), Some(b)) => Some(*a.min(b)),
-            (Some(a), None) => Some(*a),
-            (None, b) => *b,
-        },
-        |b, fact| {
-            let mut fact = *fact;
-            for &e in &cfg.blocks[b].events {
-                if let Some(line) = journal_plans(e) {
-                    fact = Some(fact.map_or(line, |l: u32| l.min(line)));
-                }
-            }
-            fact
-        },
-    );
-    a.stats.add_iterations(sol.iterations);
-
-    // A block "establishes the append" (for path witnesses) when any of
-    // its events appends; same for the fuse.
-    let block_appends = |b: BlockId| {
-        cfg.blocks[b]
-            .events
-            .iter()
-            .any(|&e| event_appends(a, id, e))
-    };
-    let block_fuses = |b: BlockId| {
-        cfg.blocks[b].events.iter().any(|&e| {
-            let ev = &f.events[e];
-            let EventKind::Call { name, .. } = &ev.kind else {
-                return false;
-            };
-            name == config::FUSE_FN
-                || crate::summary::call_targets(&a.graph, ev)
-                    .iter()
-                    .any(|&c| c != id && a.summaries[c].fuse_all)
-        })
-    };
-
-    let mut journal_state: Vec<Option<u32>> = vec![None; f.events.len()];
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        let mut fact = sol.entry[b];
-        for &e in &blk.events {
-            journal_state[e] = fact;
-            if let Some(line) = journal_plans(e) {
-                fact = Some(fact.map_or(line, |l| l.min(line)));
-            }
-        }
-    }
-
-    for (e, ev) in f.events.iter().enumerate() {
-        if !facts.reachable[e] {
-            continue;
-        }
-        let eb = cfg.ev_block[e];
-        match &ev.kind {
-            EventKind::Intent => {
-                // Check 2 — construction only; a `FlushIntent { .. }`
-                // match pattern destructures an already-durable record.
-                if cfg.in_pattern(ev.tok) {
-                    continue;
-                }
-                if !append_after[e] {
-                    let mut chain = Vec::new();
-                    if let Some(trace) = violating_path(a, id, eb, cfg.exit, block_appends) {
-                        chain.push(trace);
-                    }
-                    out.push(Diagnostic {
-                        path: file.path.clone(),
-                        line: ev.line,
-                        rule: "durability",
-                        message: "FlushIntent record constructed without a following \
-                                  synchronous journal append on this path"
-                            .to_string(),
-                        hint: "pass the intents to append_journal_sync (directly or via a \
-                               callee that appends) before the flush plans are returned — \
-                               the intent must be durable before any flush I/O can run \
-                               (DESIGN.md §9 flush ordering)",
-                        severity: Severity::Error,
-                        chain,
-                    });
-                }
-            }
-            EventKind::Call { name, method } => {
-                let n = name.as_str();
-                let direct_discard = *method && n == "discard";
-                let direct_effect = *method && config::DURABLE_EFFECT_FNS.contains(&n);
-                // Callee exposures (skip protocol vocabulary).
-                let mut callee_discard = None;
-                let mut callee_unfused = None;
-                if !crate::summary::is_protocol_name(n) && !direct_effect {
-                    for &callee in a.graph.resolve(n) {
-                        if callee == id {
-                            continue;
-                        }
-                        let c = &a.summaries[callee];
-                        if c.exposed_discard && callee_discard.is_none() {
-                            callee_discard = Some(callee);
-                        }
-                        if c.exposed_unfused_effect && callee_unfused.is_none() {
-                            callee_unfused = Some(callee);
-                        }
-                        // Check 3 at the call site: a non-closed callee
-                        // planning data ops after a journal op is planned.
-                        let closed = c.data_op && c.journal_op;
-                        if c.data_op && !closed {
-                            if let Some(j) = journal_state[e] {
-                                let chain =
-                                    via(a, id, ev.line, callee, first_data_op, |s| s.data_op);
-                                out.push(data_after_metadata(a, id, ev.line, j, chain));
-                            }
-                        }
-                    }
-                }
-                // Check 3, direct.
-                if n == config::DATA_OP_FN {
-                    if let Some(j) = journal_state[e] {
-                        out.push(data_after_metadata(a, id, ev.line, j, Vec::new()));
-                    }
-                }
-                // Check 1 — discard not must-covered, append follows on
-                // some path: the uncovered prefix and the appending
-                // suffix concatenate into a real violating execution.
-                let discards = direct_discard || callee_discard.is_some();
-                if discards && !facts.appended_before[e] && append_after[e] {
-                    let mut chain = match callee_discard {
-                        Some(callee) => via(a, id, ev.line, callee, first_exposed_discard, |s| {
-                            s.exposed_discard
-                        }),
-                        None => Vec::new(),
-                    };
-                    if let Some(trace) = violating_path(a, id, cfg.entry, eb, block_appends) {
-                        chain.push(trace);
-                    }
-                    out.push(discard_before_append(a, id, ev.line, chain));
-                }
-                // Check 4 — durable effect not must-fused.
-                let unfused = (direct_effect || callee_unfused.is_some()) && !facts.fused_before[e];
-                if unfused {
-                    let (what, mut chain) = match callee_unfused {
-                        Some(callee) if !direct_effect => (
-                            "in a callee, see call chain".to_string(),
-                            via(a, id, ev.line, callee, first_unfused_effect, |s| {
-                                s.exposed_unfused_effect
-                            }),
-                        ),
-                        _ => (format!("`{n}(…)`"), Vec::new()),
-                    };
-                    if let Some(trace) = violating_path(a, id, cfg.entry, eb, block_fuses) {
-                        chain.push(trace);
-                    }
-                    out.push(unfused_effect(a, id, ev.line, &what, chain));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Builds the witness chain for a finding raised at a call site: the
-/// caller's step followed by the deterministic descent to the callee's
-/// first direct witness event.
-fn via(
-    a: &Analysis,
-    id: FnId,
-    call_line: u32,
-    callee: FnId,
-    pred: fn(&Analysis, FnId) -> Option<u32>,
-    hold: fn(&crate::summary::Summary) -> bool,
-) -> Vec<String> {
-    let mut chain = vec![a.step(id, call_line)];
-    chain.extend(a.witness(callee, pred, hold));
-    chain
-}
-
-/// First direct discard not must-covered by an append — the same
-/// per-event facts the summary fixpoint computed.
-fn first_exposed_discard(a: &Analysis, id: FnId) -> Option<u32> {
-    let f = a.fn_item(id);
-    let facts = &a.facts[id];
-    f.events
-        .iter()
-        .enumerate()
-        .find_map(|(e, ev)| match &ev.kind {
-            EventKind::Call { name, method }
-                if *method
-                    && name == "discard"
-                    && facts.reachable[e]
-                    && !facts.appended_before[e] =>
-            {
-                Some(ev.line)
-            }
-            _ => None,
-        })
-}
-
-/// First direct durable effect not must-covered by a fuse charge.
-fn first_unfused_effect(a: &Analysis, id: FnId) -> Option<u32> {
-    let f = a.fn_item(id);
-    let facts = &a.facts[id];
-    f.events
-        .iter()
-        .enumerate()
-        .find_map(|(e, ev)| match &ev.kind {
-            EventKind::Call { name, method }
-                if *method
-                    && config::DURABLE_EFFECT_FNS.contains(&name.as_str())
-                    && facts.reachable[e]
-                    && !facts.fused_before[e] =>
-            {
-                Some(ev.line)
-            }
-            _ => None,
-        })
-}
-
-/// First direct `data_op(…)` call.
-fn first_data_op(a: &Analysis, id: FnId) -> Option<u32> {
-    a.fn_item(id).events.iter().find_map(|ev| match &ev.kind {
-        EventKind::Call { name, .. } if name == config::DATA_OP_FN => Some(ev.line),
-        _ => None,
-    })
-}
-
-fn discard_before_append(a: &Analysis, id: FnId, line: u32, chain: Vec<String>) -> Diagnostic {
-    Diagnostic {
-        path: a.file_of(id).path.clone(),
-        line,
-        rule: "durability",
-        message: "cache bytes discarded before the journal append that records their \
-                  removal"
-            .to_string(),
-        hint: "append the Remove records synchronously first (metadata durable before \
-               destruction), then discard — see DESIGN.md §9 eviction ordering",
-        severity: Severity::Error,
-        chain,
-    }
-}
-
-fn unfused_effect(a: &Analysis, id: FnId, line: u32, what: &str, chain: Vec<String>) -> Diagnostic {
-    Diagnostic {
-        path: a.file_of(id).path.clone(),
-        line,
-        rule: "durability",
-        message: format!(
-            "durable effect ({what}) is not gated by a crash-fuse charge on this path"
-        ),
-        hint: "call fuse_consume(CrashSite::…, len) first and apply only the affordable \
-               prefix, so the torture matrix can crash inside this effect; \
-               recovery-only paths may justify with \
-               `// s4d-lint: allow(durability) — <why>`",
-        severity: Severity::Error,
-        chain,
-    }
-}
-
-fn data_after_metadata(
-    a: &Analysis,
-    id: FnId,
-    line: u32,
-    journal_line: u32,
-    chain: Vec<String>,
-) -> Diagnostic {
-    Diagnostic {
-        path: a.file_of(id).path.clone(),
-        line,
-        rule: "durability",
-        message: format!(
-            "data op planned after the journal op (line {journal_line}): the mapping \
-             record would become durable before its cache bytes"
-        ),
-        hint: "plan every data phase first and make the journal write the final phase \
-               (DESIGN.md §9 admission ordering: data before metadata)",
-        severity: Severity::Error,
-        chain,
     }
 }

@@ -24,11 +24,11 @@
 
 use std::collections::BTreeSet;
 
+use crate::analysis::Analysis;
 use crate::callgraph::{FnId, ROOT_PARENT};
 use crate::config;
 use crate::diag::{Diagnostic, Severity};
 use crate::items::EventKind;
-use crate::summary::Analysis;
 
 /// Runs panic reachability from the public API roots.
 pub fn check(a: &Analysis, out: &mut Vec<Diagnostic>) {

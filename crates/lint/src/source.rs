@@ -2,7 +2,7 @@
 //! workspace-relative path, owning crate, file role (library / test /
 //! example), `#[cfg(test)]` spans, and a function index.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::lexer::{lex, Tok, Token};
 
@@ -145,12 +145,6 @@ impl SourceFile {
     pub fn line_of(&self, i: usize) -> u32 {
         self.code.get(i).map(|t| t.line).unwrap_or(self.last_line)
     }
-
-    /// True when the token sequence starting at `i` is a call of `name`:
-    /// `name (` — optionally as a method (`. name (`) or plain.
-    pub fn is_call(&self, i: usize, name: &str) -> bool {
-        self.ident(i) == Some(name) && self.punct_is(i + 1, '(')
-    }
 }
 
 /// Finds the matching `}` for the `{` at code index `open`. Returns the
@@ -291,12 +285,4 @@ fn index_fns(code: &[Token]) -> Vec<FnSpan> {
         i = j + 1;
     }
     fns
-}
-
-/// Reads and parses one file from disk.
-pub fn load(root: &Path, rel: &str) -> Result<SourceFile, String> {
-    let path = root.join(rel);
-    let src = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Ok(SourceFile::parse(path, rel.to_string(), &src))
 }

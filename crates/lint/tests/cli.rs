@@ -117,81 +117,52 @@ fn json_format_emits_one_parseable_object_per_finding() {
     );
 }
 
+/// A public `core` root calling a `sim` helper that indexes: only the
+/// interprocedural `panic-path` rule can report it (report-only).
+const CHAIN_CALLER: &str = "pub fn api(w: &[u32]) -> u32 {\n    pick_weight(w, 3)\n}\n";
+const CHAIN_HELPER: &str = "pub fn pick_weight(w: &[u32], k: usize) -> u32 {\n    w[k]\n}\n";
+
 #[test]
-fn json_chain_is_populated_for_interprocedural_findings() {
-    let root = std::env::temp_dir().join(format!("s4d-lint-cli-chain-{}", std::process::id()));
-    let dir = root.join("crates/core/src");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("caller.rs"),
-        "pub fn evict_then_log(c: &mut C, j: &mut J) {\n    drop_extent(c);\n    append_journal_sync(j, &[]);\n}\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("helper.rs"),
-        "pub fn drop_extent(c: &mut C) {\n    fuse_consume(CrashSite::Evict, 4096);\n    c.discard(1, 0, 4096);\n}\n",
-    )
-    .unwrap();
-    let out = bin()
-        .current_dir(&root)
-        .args(["--workspace", "--format=json"])
-        .output()
-        .expect("spawn s4d-lint");
+fn witness_chain_is_rendered_in_json_and_human_output() {
+    let s = Scratch::new("chain", "crates/core/src/caller.rs", CHAIN_CALLER);
+    std::fs::create_dir_all(s.root.join("crates/sim/src")).unwrap();
+    std::fs::write(s.root.join("crates/sim/src/helper.rs"), CHAIN_HELPER).unwrap();
+    let out = s.run(&["--workspace", "--format=json"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let _ = std::fs::remove_dir_all(&root);
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    let durability: Vec<&str> = stdout
+    assert_eq!(out.status.code(), Some(0), "warnings exit 0: {stdout}");
+    let found: Vec<&str> = stdout
         .lines()
-        .filter(|l| l.contains("\"rule\":\"durability\""))
+        .filter(|l| l.contains("\"rule\":\"panic-path\""))
         .collect();
-    assert_eq!(durability.len(), 1, "{stdout}");
+    assert_eq!(found.len(), 1, "{stdout}");
     assert!(
-        durability[0].contains("\"chain\":[\"crates/core/src/caller.rs:"),
+        found[0].contains("\"chain\":[\"crates/core/src/caller.rs:"),
         "chain names the caller first: {}",
-        durability[0]
+        found[0]
     );
     assert!(
-        durability[0].contains("helper.rs:"),
-        "chain descends into the helper: {}",
-        durability[0]
-    );
-}
-
-#[test]
-fn list_rules_includes_the_interprocedural_family() {
-    let out = bin().arg("--list-rules").output().expect("spawn s4d-lint");
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "durability",
-        "lock-graph",
-        "lock-across-io",
-        "panic",
-        "panic-path",
-        "shard-affinity",
-        "async-ready",
-        "hot-alloc",
-    ] {
-        assert!(
-            stdout.lines().any(|l| l == rule),
-            "missing {rule}: {stdout}"
-        );
-    }
-}
-
-#[test]
-fn human_output_renders_the_witness_chain() {
-    let s = Scratch::new(
-        "chain-human",
-        "crates/core/src/caller.rs",
-        "pub fn evict_then_log(c: &mut C, j: &mut J) {\n    drop_extent(c);\n    append_journal_sync(j, &[]);\n}\n\
-         pub fn drop_extent(c: &mut C) {\n    fuse_consume(CrashSite::Evict, 4096);\n    c.discard(1, 0, 4096);\n}\n",
+        found[0].contains("helper.rs:"),
+        "then the helper: {}",
+        found[0]
     );
     let out = s.run(&["--workspace"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("via: "), "chain rendered: {stdout}");
-    assert!(stdout.contains("fn drop_extent"), "{stdout}");
+    assert!(stdout.contains("fn pick_weight"), "{stdout}");
+}
+
+#[test]
+fn list_rules_prints_the_rule_table() {
+    let out = bin().arg("--list-rules").output().expect("spawn s4d-lint");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let table: Vec<&str> = s4d_lint::config::RULES.iter().map(|r| r.id).collect();
+    assert_eq!(ids, table, "one line per RULES entry, id first: {stdout}");
+    assert!(ids.contains(&"panic-path") && !ids.contains(&"lock-graph"));
 }
 
 // Appease the unused-helper lint when individual tests are filtered out.

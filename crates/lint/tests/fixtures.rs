@@ -9,12 +9,11 @@
 //! with a *forced* workspace-relative path so it lands in the crate scope
 //! its rule targets.
 //!
-//! The `xfn_*` pairs exercise the interprocedural analyzer: each pair
-//! splits one violation across two functions in two files. Linting
-//! either file *alone* reproduces what the pre-interprocedural, per-file
-//! analyzer could see — and must be silent; linting the pair as one
-//! analysis scope must produce exactly the pair's rule, with a witness
-//! call chain. Both directions are asserted.
+//! The `xfn_panic_*` pair exercises the one interprocedural rule: the
+//! panic site and the public root sit in two files of two crates.
+//! Linting either file *alone* must be silent; linting the pair as one
+//! analysis scope must produce exactly `panic-path`, with a witness call
+//! chain. Both directions are asserted.
 
 use std::path::Path;
 
@@ -57,13 +56,13 @@ const CASES: &[(&str, &str, &str)] = &[
         "ordered-iter",
     ),
     ("panic.rs", "crates/pfs/src/fixture.rs", "panic"),
-    (
-        "lock_across_io.rs",
-        "crates/sim/src/fixture.rs",
-        "lock-across-io",
-    ),
     ("durability.rs", "crates/core/src/fixture.rs", "durability"),
     ("pragma.rs", "crates/sim/src/fixture.rs", "pragma"),
+    (
+        "flow_alloc_hot.rs",
+        "crates/core/src/pipeline/fixture.rs",
+        "hot-alloc",
+    ),
 ];
 
 #[test]
@@ -81,202 +80,42 @@ fn each_fixture_trips_exactly_its_rule() {
     }
 }
 
-/// The cross-function pairs: `(caller fixture, caller rel, helper
-/// fixture, helper rel, rule that must fire on the pair, severity)`.
-const XFN_CASES: &[(&str, &str, &str, &str, &str, Severity)] = &[
-    (
-        "xfn_durability_caller.rs",
-        "crates/core/src/xfn_caller.rs",
-        "xfn_durability_helper.rs",
-        "crates/core/src/xfn_helper.rs",
-        "durability",
-        Severity::Error,
-    ),
-    (
-        "xfn_lock_caller.rs",
-        "crates/sim/src/xfn_caller.rs",
-        "xfn_lock_helper.rs",
-        "crates/sim/src/xfn_helper.rs",
-        "lock-across-io",
-        Severity::Error,
-    ),
-    (
-        "xfn_panic_caller.rs",
-        "crates/core/src/xfn_caller.rs",
-        "xfn_panic_helper.rs",
-        "crates/sim/src/xfn_helper.rs",
-        "panic-path",
-        Severity::Warning,
-    ),
-    (
-        "xfn_retry_caller.rs",
-        "crates/mpiio/src/xfn_caller.rs",
-        "xfn_retry_helper.rs",
-        "crates/mpiio/src/xfn_helper.rs",
-        "unbounded-retry",
-        Severity::Warning,
-    ),
-    (
-        "xfn_lockgraph_caller.rs",
-        "crates/sim/src/xfn_caller.rs",
-        "xfn_lockgraph_helper.rs",
-        "crates/sim/src/xfn_helper.rs",
-        "lock-graph",
-        Severity::Error,
-    ),
-];
-
-/// Branch-sensitivity pairs, one per flow-sensitive rule family:
-/// `(hot fixture, clean fixture, forced rel path, rule)`. The *hot* half
-/// hides its violation on one `match` arm and must be caught; the
-/// *clean* half has the correct branch-guarded ordering and must lint
-/// clean **without a pragma** — the same shapes a path-insensitive
-/// analysis either misses or over-flags.
-const FLOW_CASES: &[(&str, &str, &str, &str)] = &[
-    (
-        "flow_durability_hot.rs",
-        "flow_durability_clean.rs",
-        "crates/core/src/fixture.rs",
-        "durability",
-    ),
-    (
-        "flow_locks_hot.rs",
-        "flow_locks_clean.rs",
-        "crates/sim/src/fixture.rs",
-        "lock-across-io",
-    ),
-    (
-        "flow_typestate_hot.rs",
-        "flow_typestate_clean.rs",
-        "crates/core/src/fixture.rs",
-        "typestate",
-    ),
-    (
-        "flow_group_commit_hot.rs",
-        "flow_group_commit_clean.rs",
-        "crates/core/src/fixture.rs",
-        "durability",
-    ),
-    (
-        "flow_affinity_hot.rs",
-        "flow_affinity_clean.rs",
-        "crates/core/src/shard/plane.rs",
-        "shard-affinity",
-    ),
-    (
-        "flow_lockgraph_hot.rs",
-        "flow_lockgraph_clean.rs",
-        "crates/sim/src/fixture.rs",
-        "lock-graph",
-    ),
-    (
-        "flow_asyncready_hot.rs",
-        "flow_asyncready_clean.rs",
-        "crates/mpiio/src/fixture.rs",
-        "async-ready",
-    ),
-    (
-        "flow_alloc_hot.rs",
-        "flow_alloc_clean.rs",
-        "crates/core/src/pipeline/fixture.rs",
-        "hot-alloc",
-    ),
-];
+/// The cross-function pair: `(caller fixture, caller rel, helper fixture,
+/// helper rel)`. The helper sits in `sim`, outside the lexical `panic`
+/// rule's crates, so only reachability can report it.
+const XFN_PANIC: (&str, &str, &str, &str) = (
+    "xfn_panic_caller.rs",
+    "crates/core/src/xfn_caller.rs",
+    "xfn_panic_helper.rs",
+    "crates/sim/src/xfn_helper.rs",
+);
 
 #[test]
-fn flow_hot_halves_are_caught_despite_the_branch() {
-    for &(hot, _, rel, rule) in FLOW_CASES {
-        let report = lint_fixture(hot, rel);
-        let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
-        assert_eq!(
-            rules,
-            vec![rule],
-            "{hot}: the arm-hidden violation must produce exactly one \
-             `{rule}` finding, got {:?}",
-            report.diagnostics
-        );
-        assert_eq!(report.suppressed, 0, "{hot}");
-    }
+fn hot_alloc_clean_half_needs_no_pragma() {
+    let report = lint_fixture("flow_alloc_clean.rs", "crates/core/src/pipeline/fixture.rs");
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    assert_eq!(report.suppressed, 0);
 }
 
 #[test]
-fn flow_clean_halves_need_no_pragma() {
-    for &(_, clean, rel, rule) in FLOW_CASES {
-        let report = lint_fixture(clean, rel);
-        assert!(
-            report.diagnostics.is_empty(),
-            "{clean}: branch-guarded correct ordering must be clean \
-             without a pragma (rule `{rule}`): {:?}",
-            report.diagnostics
-        );
-        assert_eq!(report.suppressed, 0, "{clean}: nothing suppressed");
+fn xfn_pair_trips_panic_path_only_as_a_pair_with_a_witness_chain() {
+    let (caller, caller_rel, helper, helper_rel) = XFN_PANIC;
+    // One file by itself is all a per-file analysis sees: silent.
+    for (name, rel) in [(caller, caller_rel), (helper, helper_rel)] {
+        let report = lint_fixture(name, rel);
+        assert!(report.diagnostics.is_empty(), "{name} alone: {report:?}");
     }
-}
-
-#[test]
-fn flow_violations_carry_a_block_path_witness() {
-    // The durability, typestate, and affinity findings are *path* facts;
-    // the diagnostic must name the violating path through the CFG so the
-    // reader can follow it arm by arm.
-    for &(hot, rel) in &[
-        ("flow_durability_hot.rs", "crates/core/src/fixture.rs"),
-        ("flow_typestate_hot.rs", "crates/core/src/fixture.rs"),
-        ("flow_affinity_hot.rs", "crates/core/src/shard/plane.rs"),
-    ] {
-        let report = lint_fixture(hot, rel);
-        assert_eq!(report.diagnostics.len(), 1, "{hot}");
-        let d = &report.diagnostics[0];
-        assert!(
-            d.chain.iter().any(|c| c.contains("path through fn")),
-            "{hot}: expected a block-path witness in the chain, got {:?}",
-            d.chain
-        );
-    }
-}
-
-#[test]
-fn xfn_halves_alone_are_invisible_to_per_file_analysis() {
-    // Linting one file by itself is exactly the visibility the old
-    // per-file lexical analyzer had: each half must come out clean.
-    for &(caller, caller_rel, helper, helper_rel, rule, _) in XFN_CASES {
-        for (name, rel) in [(caller, caller_rel), (helper, helper_rel)] {
-            let report = lint_fixture(name, rel);
-            assert!(
-                report.diagnostics.is_empty(),
-                "{name} alone must be silent (the violation spans two \
-                 functions; rule `{rule}` needs the pair): {:?}",
-                report.diagnostics
-            );
-        }
-    }
-}
-
-#[test]
-fn xfn_pairs_trip_exactly_their_rule_with_a_witness_chain() {
-    for &(caller, caller_rel, helper, helper_rel, rule, severity) in XFN_CASES {
-        let caller_src = fixture_source(caller);
-        let helper_src = fixture_source(helper);
-        let report = lint_fixture_set(&[
-            (caller_src.as_str(), caller_rel),
-            (helper_src.as_str(), helper_rel),
-        ]);
-        let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
-        assert_eq!(
-            rules,
-            vec![rule],
-            "{caller}+{helper}: expected exactly one `{rule}` finding, got {:?}",
-            report.diagnostics
-        );
-        let d = &report.diagnostics[0];
-        assert_eq!(d.severity, severity, "{caller}+{helper}");
-        assert!(
-            d.chain.len() >= 2,
-            "{caller}+{helper}: interprocedural finding must carry the \
-             caller→helper witness chain, got {:?}",
-            d.chain
-        );
-        assert_eq!(report.suppressed, 0, "{caller}+{helper}");
-    }
+    let (caller_src, helper_src) = (fixture_source(caller), fixture_source(helper));
+    let report = lint_fixture_set(&[
+        (caller_src.as_str(), caller_rel),
+        (helper_src.as_str(), helper_rel),
+    ]);
+    let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
+    assert_eq!(rules, vec!["panic-path"], "{:?}", report.diagnostics);
+    let d = &report.diagnostics[0];
+    assert_eq!(d.severity, Severity::Warning);
+    assert!(d.chain.len() >= 2, "caller→helper chain, got {:?}", d.chain);
+    assert_eq!(report.suppressed, 0);
 }
 
 #[test]
@@ -284,14 +123,15 @@ fn xfn_panic_site_pragma_suppresses_reachability_too() {
     // `allow(panic)` on the panic *site* must also suppress the
     // site-anchored `panic-path` finding — one justification covers the
     // construct and its reachability.
-    let caller_src = fixture_source("xfn_panic_caller.rs");
-    let helper_src = fixture_source("xfn_panic_helper.rs").replace(
+    let (caller, caller_rel, helper, helper_rel) = XFN_PANIC;
+    let caller_src = fixture_source(caller);
+    let helper_src = fixture_source(helper).replace(
         "    weights[k]",
         "    // s4d-lint: allow(panic) — fixture-local proof for the self-test\n    weights[k]",
     );
     let report = lint_fixture_set(&[
-        (caller_src.as_str(), "crates/core/src/xfn_caller.rs"),
-        (helper_src.as_str(), "crates/sim/src/xfn_helper.rs"),
+        (caller_src.as_str(), caller_rel),
+        (helper_src.as_str(), helper_rel),
     ]);
     assert!(
         report.diagnostics.is_empty(),
@@ -302,54 +142,17 @@ fn xfn_panic_site_pragma_suppresses_reachability_too() {
 }
 
 #[test]
-fn retry_alias_pragma_suppresses_the_retry_pair() {
-    // `allow(retry)` is the short alias for `unbounded-retry`; placed on
-    // the loop the finding anchors at, it must suppress the pair's
-    // cross-function finding.
-    let caller_src = fixture_source("xfn_retry_caller.rs").replace(
-        "    loop {",
-        "    // s4d-lint: allow(retry) — fixture-local proof for the self-test\n    loop {",
-    );
-    let helper_src = fixture_source("xfn_retry_helper.rs");
-    let report = lint_fixture_set(&[
-        (caller_src.as_str(), "crates/mpiio/src/xfn_caller.rs"),
-        (helper_src.as_str(), "crates/mpiio/src/xfn_helper.rs"),
-    ]);
-    assert!(
-        report.diagnostics.is_empty(),
-        "the `retry` alias must suppress `unbounded-retry`: {:?}",
-        report.diagnostics
-    );
-    assert_eq!(report.suppressed, 1);
-}
-
-#[test]
-fn bound_evidence_in_the_helper_clears_the_retry_pair() {
-    // Giving the helper its own attempt bound is the sanctioned fix:
-    // the same pair must then lint clean without any pragma.
-    let caller_src = fixture_source("xfn_retry_caller.rs");
-    let helper_src = fixture_source("xfn_retry_helper.rs").replace(
-        "        fire_retry(op);",
-        "        if op.attempts < MAX_ATTEMPTS {\n            fire_retry(op);\n        }",
-    );
-    let report = lint_fixture_set(&[
-        (caller_src.as_str(), "crates/mpiio/src/xfn_caller.rs"),
-        (helper_src.as_str(), "crates/mpiio/src/xfn_helper.rs"),
-    ]);
-    assert!(
-        report.diagnostics.is_empty(),
-        "an attempt cap in the helper must clear the loop: {:?}",
-        report.diagnostics
-    );
-    assert_eq!(report.suppressed, 0);
-}
-
-#[test]
 fn fixture_findings_are_errors_with_hints() {
-    for &(name, rel, _) in CASES {
+    for &(name, rel, rule) in CASES {
         let report = lint_fixture(name, rel);
         for d in &report.diagnostics {
-            assert_eq!(d.severity, Severity::Error, "{name}");
+            // The allocation census is report-only; everything else fails.
+            let expected = if rule == "hot-alloc" {
+                Severity::Warning
+            } else {
+                Severity::Error
+            };
+            assert_eq!(d.severity, expected, "{name}");
             assert!(!d.hint.is_empty(), "{name}: every finding carries a hint");
             assert!(d.line > 0, "{name}: diagnostics are 1-based");
         }
@@ -418,71 +221,6 @@ fn determinism_is_report_only_in_test_code() {
     assert_eq!(d.severity, Severity::Warning);
     assert_eq!(report.errors(), 0);
     assert_eq!(report.warnings(), 1);
-}
-
-#[test]
-fn shard_discipline_catches_raw_component_mutation() {
-    let report = lint_fixture("shard_discipline_hot.rs", "crates/core/src/fixture.rs");
-    let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
-    assert_eq!(
-        rules,
-        vec!["shard-discipline"],
-        "raw dmt.insert outside the owner files must produce exactly one \
-         finding: {:?}",
-        report.diagnostics
-    );
-    let d = &report.diagnostics[0];
-    assert_eq!(d.severity, Severity::Error);
-    assert!(d.message.contains("dmt.insert"), "message names the call");
-}
-
-#[test]
-fn shard_discipline_clean_when_routed_through_the_plane() {
-    let report = lint_fixture("shard_discipline_clean.rs", "crates/core/src/fixture.rs");
-    assert!(
-        report.diagnostics.is_empty(),
-        "plane-routed mutations and raw reads must be clean: {:?}",
-        report.diagnostics
-    );
-}
-
-#[test]
-fn shard_discipline_exempts_owners_tests_and_other_crates() {
-    let src = fixture_source("shard_discipline_hot.rs");
-    // The replay path legitimately rebuilds a raw Dmt before adoption.
-    for rel in [
-        "crates/core/src/durability/replay.rs",
-        "crates/core/src/shard/plane.rs",
-        "crates/core/tests/fixture.rs",
-        "crates/pfs/src/fixture.rs",
-    ] {
-        let report = lint_fixture_src(&src, rel);
-        let tripped: Vec<_> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.rule == "shard-discipline")
-            .collect();
-        assert!(
-            tripped.is_empty(),
-            "{rel}: owner files, test dirs, and other crates are exempt: {tripped:?}"
-        );
-    }
-}
-
-#[test]
-fn shard_discipline_pragma_suppresses_with_justification() {
-    let src = fixture_source("shard_discipline_hot.rs").replace(
-        "    dmt.insert",
-        "    // s4d-lint: allow(shard-discipline) — fixture-local proof for the self-test\n    \
-         dmt.insert",
-    );
-    let report = lint_fixture_src(&src, "crates/core/src/fixture.rs");
-    assert!(
-        report.diagnostics.is_empty(),
-        "justified allow(shard-discipline) must suppress: {:?}",
-        report.diagnostics
-    );
-    assert_eq!(report.suppressed, 1);
 }
 
 /// `lines` trivial, rule-silent code lines — oversized-module input for

@@ -1,10 +1,11 @@
-//! Fixture: a durable effect not gated by a crash-fuse charge.
+//! Fixture: a raw durable effect outside the durability engine.
 //! Seeded violation — trips exactly `durability`.
 
-/// Evicts an extent: journals the removal, then discards the bytes —
-/// without charging the crash fuse first, so the torture matrix can
-/// never crash inside the discard.
-pub fn evict(cpfs: &mut Cpfs, file: FileId, off: u64, len: u64) {
-    append_journal_sync(&[remove_record(file, off, len)]);
-    cpfs.discard(file, off, len);
+/// Copies a flushed extent home without going through
+/// `DurabilityEngine::fused_copy`: no crash-fuse charge, so the torture
+/// matrix can never crash inside the copy. (The `ExtentStore::discard`
+/// below is the in-memory store's method, not a durable effect.)
+pub fn flush_home(cluster: &mut Cluster, store: &mut ExtentStore, src: End, dst: End, len: u64) {
+    let _ = cluster.copy_range(src, dst, len);
+    store.discard(0, len);
 }

@@ -19,10 +19,11 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use s4d::cache::names::JOURNAL_NAME;
 use s4d::cache::DMT_RECORD_BYTES;
 use s4d::cache::{CrashFuse, CrashSite, S4dCache, S4dConfig};
 use s4d::cost::CostParams;
-use s4d::mpiio::{AppRequest, Cluster, Middleware, Plan, Rank};
+use s4d::mpiio::{AppRequest, Cluster, Middleware, Plan, PlannedIo, Rank, Tier};
 use s4d::pfs::FileId;
 use s4d::sim::SimTime;
 use s4d::storage::{presets, IoKind};
@@ -555,6 +556,7 @@ fn journal_before_ack_audit() {
     let mut cluster = Cluster::paper_testbed_small(5);
     let mut mw = S4dCache::new(torture_config(), params());
     let file = mw.open(&mut cluster, Rank(0), "audit.dat").unwrap();
+    let journal = cluster.cpfs_mut().create_or_open(JOURNAL_NAME);
     for i in 0..6u64 {
         let req = AppRequest {
             rank: Rank(0),
@@ -566,6 +568,21 @@ fn journal_before_ack_audit() {
         };
         let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &req);
         assert_eq!(mw.dmt().pending_records(), 0, "unjournaled mutation");
+        // Data before metadata (DESIGN.md §9): at batch size 1 every
+        // admission carries its journal frame, and that write is the
+        // plan's final phase with nothing beside it — a mapping record
+        // can never become durable ahead of the bytes it maps.
+        let is_journal = |op: &PlannedIo| op.tier == Tier::CServers && op.file == journal;
+        let journal_phases: Vec<usize> = (0..plan.phases.len())
+            .filter(|&k| plan.phases[k].iter().any(is_journal))
+            .collect();
+        assert_eq!(
+            journal_phases,
+            vec![plan.phases.len() - 1],
+            "journal write must be the last phase only: {:?}",
+            plan.phases
+        );
+        assert!(plan.phases[plan.phases.len() - 1].iter().all(is_journal));
         assert!(exec_plan(&mut cluster, None, &plan));
         if plan.tag != 0 {
             mw.on_plan_complete(&mut cluster, SimTime::ZERO, plan.tag);

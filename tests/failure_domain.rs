@@ -8,8 +8,11 @@ use std::rc::Rc;
 
 use s4d::bench::testbed;
 use s4d::cache::{S4dCache, S4dConfig};
-use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner, ScriptBuilder};
-use s4d::pfs::{FaultPlan, ServerFault};
+use s4d::mpiio::{
+    script, Cluster, ErrorDirective, IoObserver, Middleware, Rank, Runner, ScriptBuilder,
+    SubIoFailure, Tier,
+};
+use s4d::pfs::{FaultPlan, IoFault, ServerFault};
 use s4d::sim::{SimDuration, SimTime};
 use s4d::storage::IoKind;
 
@@ -184,7 +187,7 @@ fn transient_errors_are_retried_without_degradation() {
     let Setup {
         mut runner,
         failures,
-    } = build(23, config, fault, b, expected);
+    } = build(23, config.clone(), fault, b, expected);
     let report = runner.run();
     assert!(
         failures.borrow().is_empty(),
@@ -201,6 +204,33 @@ fn transient_errors_are_retried_without_degradation() {
     assert_eq!(m.fallback_reads, 0, "retries sufficed; no degradation");
     assert_eq!(m.quarantines, 0);
     assert_eq!(report.degraded.replans, 0, "no plan ever gave up");
+
+    // The retry budget is a hard cap on both tiers. Retries are
+    // event-driven — no loop exists to bound — so this directive is the
+    // only thing between a persistent transient fault and retrying
+    // forever: the attempt that reaches the cap gives up (the runner
+    // re-plans), the one before it still retries.
+    let mut cluster = Cluster::paper_testbed_small(23);
+    let mut mw = S4dCache::new(config, testbed(23).cost_params());
+    for tier in [Tier::DServers, Tier::CServers] {
+        let mut failure = SubIoFailure {
+            tier,
+            server: 0,
+            kind: IoKind::Write,
+            len: 16 * KIB,
+            error: IoFault::Transient,
+            attempts: 7,
+            overhead: false,
+        };
+        let directive = mw.on_io_error(&mut cluster, SimTime::ZERO, &failure);
+        assert!(
+            matches!(directive, ErrorDirective::Retry { .. }),
+            "{tier:?}"
+        );
+        failure.attempts = 8;
+        let directive = mw.on_io_error(&mut cluster, SimTime::ZERO, &failure);
+        assert_eq!(directive, ErrorDirective::GiveUp, "{tier:?} at the cap");
+    }
 }
 
 /// A saturated error window quarantines the CServer; reads of clean

@@ -168,7 +168,7 @@ fn run(budget: Option<u64>) -> Outcome {
     let n = offsets.len();
     let mut by_shard: Vec<Vec<(bool, usize)>> = vec![Vec::new(); SHARDS as usize];
     for (i, &o) in offsets.iter().enumerate() {
-        let s = router.shard_of(file, o);
+        let s = router.shard_of(file, o).index();
         by_shard[s].push((true, i));
         if i + 1 < n {
             by_shard[s].push((false, i));

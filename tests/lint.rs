@@ -2,10 +2,12 @@
 //!
 //! This is the same check CI runs via `cargo run -p s4d-lint --
 //! --workspace`, wired into the ordinary test suite so a plain
-//! `cargo test` refuses determinism, panic-freedom, lock-discipline,
-//! and durability-protocol regressions. Warnings (report-only findings,
-//! e.g. determinism in test code and `panic-path` reachability reports)
-//! are printed but do not fail.
+//! `cargo test` refuses determinism (clocks, entropy, threads, locks),
+//! panic-freedom, file-budget and durability-fence regressions — the
+//! rest of the durability protocol is carried by `s4d-cache`'s types and
+//! fails `cargo build` instead. Warnings (report-only findings: the
+//! `hot-alloc` census and `panic-path` reachability reports) are printed
+//! but do not fail.
 //!
 //! A second test pins the run as a snapshot — violation-free, a stable
 //! suppression count, deterministic ordering — so a regression that
@@ -52,10 +54,8 @@ fn workspace_lints_clean() {
 fn workspace_report_matches_the_pinned_snapshot() {
     let report = report();
     assert_eq!(report.errors(), 0, "the workspace is pinned violation-free");
-    // 22 = the previous 26 minus the four findings (two `panic` sites
-    // and their `panic-path` shadows) retired when the scrub-cursor and
-    // CRC-table indexing were rewritten to `.get(…)` — provably-in-range
-    // masks no longer need a pragma to say so.
+    // 22 = the 11 justified `panic` sites and their 11 `panic-path`
+    // shadows (one pragma covers the construct and its reachability).
     assert_eq!(
         report.suppressed, 22,
         "pragma-suppression count drifted — a pragma was added or \
@@ -63,12 +63,23 @@ fn workspace_report_matches_the_pinned_snapshot() {
          lexical `panic` findings + the site-anchored `panic-path` \
          findings their pragmas also cover)"
     );
-    // Every surviving warning is a reviewed reachability report (or a
-    // report-only determinism note) — none may carry an empty message.
+    assert_eq!(report.pragmas, 11, "pragma comment sites");
+    // Every surviving warning is a reviewed reachability report or a
+    // census entry: 11 `panic-path` chains and the 18 `hot-alloc` sites
+    // of alloc_budget.toml — nothing else, none with an empty message.
     for d in &report.diagnostics {
         assert_eq!(d.severity, Severity::Warning);
         assert!(!d.message.is_empty());
     }
+    let count = |rule: &str| report.diagnostics.iter().filter(|d| d.rule == rule).count();
+    assert_eq!(
+        (
+            count("panic-path"),
+            count("hot-alloc"),
+            report.diagnostics.len()
+        ),
+        (11, 18, 29)
+    );
     // Deterministic output order: (file, line, rule, message),
     // strictly sorted, so CI artifact diffs are stable line-by-line.
     let keys: Vec<_> = report
@@ -90,9 +101,8 @@ fn workspace_report_matches_the_pinned_snapshot() {
 
 /// The linter's output is part of the CI contract: two runs over the
 /// same tree must be byte-identical — same findings, same order, same
-/// chains, same rendered JSON. The CFG construction, the dataflow
-/// fixpoints, and the diagnostic sort are all deterministic; this pins
-/// that end to end.
+/// chains, same rendered JSON. The walk, the call-graph BFS, and the
+/// diagnostic sort are all deterministic; this pins that end to end.
 #[test]
 fn lint_output_is_byte_identical_across_runs() {
     let render = |r: &s4d_lint::Report| -> String {
@@ -112,6 +122,6 @@ fn lint_output_is_byte_identical_across_runs() {
         render(&a),
         render(&b),
         "two lint runs over the same tree diverged — nondeterminism in \
-         the walk, the CFG/dataflow layer, or the sort"
+         the walk, the call graph, or the sort"
     );
 }
