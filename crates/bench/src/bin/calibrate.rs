@@ -1,41 +1,18 @@
-//! Quick calibration probe: prints the headline comparisons so the model
-//! parameters can be sanity-checked against the paper's shapes without
-//! running the full bench suite.
+//! Quick calibration probe: the headline campaign comparison together
+//! with the middleware counters behind it (critical/evaluated, flushes,
+//! fetches, evictions, journal traffic), so the model parameters can be
+//! sanity-checked against the paper's shapes. The figures themselves —
+//! Fig. 1's sequential-vs-random shape included — come from `reproduce`.
 
 use s4d_bench::{campaign_scripts, run_s4d, run_stock, testbed, Scale};
 use s4d_cache::S4dConfig;
-use s4d_workloads::{AccessPattern, IorConfig};
 
 fn main() {
     let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-
-    // --- Fig. 1 shape: stock seq vs random reads across request sizes ---
-    println!("-- Fig.1 probe: stock IOR read, 16 procs, seq vs random --");
-    for req_kib in [4u64, 16, 64, 256, 1024, 4096] {
-        let file_size = scale.bytes(2 << 30);
-        let mk = |pattern| {
-            IorConfig {
-                file_name: format!("fig1_{req_kib}_{pattern:?}"),
-                file_size,
-                processes: 16,
-                request_size: req_kib * 1024,
-                pattern,
-                do_write: true,
-                do_read: true,
-                seed: 7,
-            }
-            .scripts()
-        };
-        let seq = run_stock(&tb, mk(AccessPattern::Sequential), Vec::new());
-        let rnd = run_stock(&tb, mk(AccessPattern::Random), Vec::new());
-        println!(
-            "  {req_kib:>5} KiB  seq read {:>8.1} MiB/s   random read {:>8.1} MiB/s   ratio {:.2}",
-            seq.read_mibs(),
-            rnd.read_mibs(),
-            seq.read_mibs() / rnd.read_mibs().max(1e-9),
-        );
-    }
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("calibrate: {e}");
+        std::process::exit(2);
+    });
 
     // --- Fig. 6 shape: campaign, stock vs s4d ---
     println!("-- Fig.6 probe: campaign (6 seq + 4 random), 32 procs --");

@@ -1,310 +1,52 @@
-//! One-shot reproduction driver: runs every experiment of the paper's
-//! evaluation and prints a consolidated report (the source of
-//! EXPERIMENTS.md's measured columns).
+//! Regenerates the paper's evaluation: prints the tables of every
+//! artefact in [`s4d_bench::figures::FIGURES`], or of the ids named on the
+//! command line. This is the source of EXPERIMENTS.md's measured columns.
 //!
 //! ```text
-//! cargo run -p s4d-bench --release --bin reproduce          # scaled (÷8)
-//! S4D_SCALE_FACTOR=1 cargo run -p s4d-bench --release --bin reproduce
+//! cargo run --release -p s4d-bench --bin reproduce                  # all, ÷8
+//! cargo run --release -p s4d-bench --bin reproduce -- fig09_hpio    # one
+//! cargo run --release -p s4d-bench --bin reproduce -- --list        # the ids
+//! S4D_SCALE_FACTOR=1 cargo run --release -p s4d-bench --bin reproduce
 //! ```
 
-use s4d_bench::table;
-use s4d_bench::{
-    campaign_scripts, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read, testbed,
-    Scale, Testbed,
-};
-use s4d_cache::S4dConfig;
-use s4d_sim::SimTime;
-use s4d_storage::IoKind;
-use s4d_trace::{analysis, TraceCollector};
-use s4d_workloads::campaign::CampaignConfig;
-use s4d_workloads::{AccessPattern, HpioConfig, IorConfig, TileIoConfig};
+use std::process::ExitCode;
 
-fn main() {
-    let tb = testbed(0x54D);
-    let scale = Scale::from_env();
-    println!(
-        "# S4D-Cache reproduction run (scale factor {}, seed 0x54D)\n",
-        scale.factor()
-    );
-    fig1(&tb, scale);
-    fig6_and_tables(&tb, scale);
-    fig7(&tb, scale);
-    fig8(scale);
-    fig9(&tb, scale);
-    fig10(&tb, scale);
-    fig11(&tb, scale);
-    println!("\nDone. Compare against the paper via EXPERIMENTS.md.");
-}
+use s4d_bench::figures::{Figure, FIGURES};
+use s4d_bench::{table, Scale};
 
-fn fig1(tb: &Testbed, scale: Scale) {
-    let mut rows = Vec::new();
-    for req_kib in [4u64, 16, 64, 256, 1024, 4096] {
-        let mk = |pattern| {
-            IorConfig {
-                file_name: format!("r_fig1_{req_kib}_{pattern:?}"),
-                file_size: scale.bytes(16 << 30),
-                processes: 16,
-                request_size: req_kib * 1024,
-                pattern,
-                do_write: true,
-                do_read: true,
-                seed: 0xF16,
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--list") {
+        for figure in FIGURES {
+            println!("{}", figure.id);
+        }
+        return ExitCode::SUCCESS;
+    }
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("reproduce: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut selected: Vec<&Figure> = Vec::new();
+    for id in &args {
+        match FIGURES.iter().find(|f| f.id == id) {
+            Some(figure) => selected.push(figure),
+            None => {
+                eprintln!("reproduce: unknown id {id:?} (see --list)");
+                return ExitCode::from(2);
             }
-            .scripts()
-        };
-        let seq = run_stock(tb, mk(AccessPattern::Sequential), Vec::new());
-        let rnd = run_stock(tb, mk(AccessPattern::Random), Vec::new());
-        rows.push(vec![
-            format!("{req_kib} KiB"),
-            table::mibs(seq.read_mibs()),
-            table::mibs(rnd.read_mibs()),
-            format!("{:.2}x", seq.read_mibs() / rnd.read_mibs().max(1e-9)),
-        ]);
+        }
     }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 1 — stock seq vs random reads",
-            &["req", "seq", "random", "ratio"],
-            &rows
-        )
-    );
-}
-
-fn fig6_and_tables(tb: &Testbed, scale: Scale) {
-    let mut wrows = Vec::new();
-    let mut rrows = Vec::new();
-    for req_kib in [8u64, 16, 32, 64, 4096] {
-        let (cfg, scripts) = campaign_scripts(32, req_kib * 1024, scale);
-        let capacity = cfg.total_data_bytes() / 5;
-        let stock = run_stock(tb, scripts, Vec::new());
-        let (_, scripts) = campaign_scripts(32, req_kib * 1024, scale);
-        let s4d = run_s4d(tb, S4dConfig::new(capacity), scripts, Vec::new());
-        let read_cfg = CampaignConfig {
-            do_write: false,
-            ..cfg.clone()
-        };
-        let (_, first) = campaign_scripts(32, req_kib * 1024, scale);
-        let stock2 = run_stock_second_read(tb, first, read_cfg.scripts());
-        let (_, first) = campaign_scripts(32, req_kib * 1024, scale);
-        let s4d2 = run_s4d_second_read(tb, S4dConfig::new(capacity), first, read_cfg.scripts());
-        wrows.push(vec![
-            format!("{req_kib} KiB"),
-            table::mibs(stock.write_mibs()),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-        ]);
-        rrows.push(vec![
-            format!("{req_kib} KiB"),
-            table::mibs(stock2.read_mibs()),
-            table::mibs(s4d2.read_mibs()),
-            table::speedup_pct(stock2.read_mibs(), s4d2.read_mibs()),
-        ]);
+    if selected.is_empty() {
+        selected.extend(FIGURES);
     }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 6a — campaign writes",
-            &["req", "stock", "s4d", "gain"],
-            &wrows
-        )
-    );
-    print!(
-        "{}",
-        table::render(
-            "Fig. 6b — second-run reads",
-            &["req", "stock", "s4d", "gain"],
-            &rrows
-        )
-    );
-
-    // Table III via tracing.
-    let mut rows = Vec::new();
-    for req_kib in [16u64, 4096] {
-        let (cfg, scripts) = campaign_scripts(32, req_kib * 1024, scale);
-        let (collector, handle) = TraceCollector::new();
-        let out = run_s4d(
-            tb,
-            S4dConfig::new(cfg.total_data_bytes() / 5),
-            scripts,
-            vec![Box::new(collector)],
-        );
-        let records = handle.snapshot();
-        let end = out.report.end_time.as_nanos();
-        let dist = analysis::tier_distribution(
-            &records,
-            Some((
-                SimTime::from_nanos(end / 2),
-                SimTime::from_nanos(end / 2 + end / 10),
-            )),
-            Some(IoKind::Write),
-        );
-        rows.push(vec![
-            format!("{req_kib} KiB"),
-            format!("{:.1}", dist.d_percent()),
-            format!("{:.1}", dist.c_percent()),
-        ]);
+    println!("# scale factor {}", scale.factor());
+    for figure in selected {
+        for t in (figure.run)(scale) {
+            print!("{}", table::render(&t));
+        }
     }
-    print!(
-        "{}",
-        table::render("Table III — distribution", &["req", "D %", "C %"], &rows)
-    );
-
-    // Table IV capacity sweep.
-    let (cfg, scripts) = campaign_scripts(32, 16 * 1024, scale);
-    let total = cfg.total_data_bytes();
-    let stock = run_stock(tb, scripts, Vec::new());
-    let mut rows = vec![vec![
-        "0".into(),
-        table::mibs(stock.write_mibs()),
-        "+0.0%".into(),
-    ]];
-    for gb in [2u64, 4, 6] {
-        let (_, scripts) = campaign_scripts(32, 16 * 1024, scale);
-        let s4d = run_s4d(tb, S4dConfig::new(total * gb / 20), scripts, Vec::new());
-        rows.push(vec![
-            format!("{gb} GB eq"),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Table IV — capacity sweep",
-            &["cap", "MiB/s", "gain"],
-            &rows
-        )
-    );
-}
-
-fn fig7(tb: &Testbed, scale: Scale) {
-    let mut rows = Vec::new();
-    for procs in [16u32, 32, 64, 128] {
-        let file_size = procs as u64 * scale.bytes(64 << 20);
-        let mk = || CampaignConfig::paper_mix(procs, file_size, 16 * 1024);
-        let stock = run_stock(tb, mk().scripts(), Vec::new());
-        let s4d = run_s4d(
-            tb,
-            S4dConfig::new(mk().total_data_bytes() / 5),
-            mk().scripts(),
-            Vec::new(),
-        );
-        rows.push(vec![
-            procs.to_string(),
-            table::mibs(stock.write_mibs()),
-            table::mibs(s4d.write_mibs()),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 7 — process sweep (writes)",
-            &["procs", "stock", "s4d", "gain"],
-            &rows
-        )
-    );
-}
-
-fn fig8(scale: Scale) {
-    let (cfg, _) = campaign_scripts(32, 16 * 1024, scale);
-    let capacity = cfg.total_data_bytes() / 5;
-    let mut rows = Vec::new();
-    for c_servers in 1..=6usize {
-        let tb = Testbed {
-            c_servers,
-            seed: 0x54D,
-            ..Testbed::default()
-        };
-        let (_, scripts) = campaign_scripts(32, 16 * 1024, scale);
-        let s4d = run_s4d(&tb, S4dConfig::new(capacity), scripts, Vec::new());
-        rows.push(vec![c_servers.to_string(), table::mibs(s4d.write_mibs())]);
-    }
-    print!(
-        "{}",
-        table::render("Fig. 8 — CServer count (writes)", &["N", "MiB/s"], &rows)
-    );
-}
-
-fn fig9(tb: &Testbed, scale: Scale) {
-    let mut rows = Vec::new();
-    for spacing in [0u64, 1024, 2048, 4096] {
-        let mut cfg = HpioConfig::paper_default(format!("r_hpio_{spacing}"), spacing);
-        cfg.region_count = scale.bytes(4096 * 1024) / 1024;
-        let data = cfg.processes as u64 * cfg.process_bytes();
-        let stock = run_stock(tb, cfg.scripts(), Vec::new());
-        let s4d = run_s4d(tb, S4dConfig::new(data / 5), cfg.scripts(), Vec::new());
-        rows.push(vec![
-            format!("{} KiB", spacing / 1024),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-            table::speedup_pct(stock.read_mibs(), s4d.read_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 9 — HPIO spacing",
-            &["spacing", "W gain", "R gain"],
-            &rows
-        )
-    );
-}
-
-fn fig10(tb: &Testbed, scale: Scale) {
-    let mut rows = Vec::new();
-    for procs in [100u32, 200, 300, 400] {
-        let mut cfg = TileIoConfig::paper_default(format!("r_tile_{procs}"), procs);
-        cfg.element_size = scale.bytes(32 * 1024).max(4096);
-        let data = cfg.dataset_bytes();
-        let stock = run_stock(tb, cfg.scripts(), Vec::new());
-        let s4d = run_s4d(tb, S4dConfig::new(data / 5), cfg.scripts(), Vec::new());
-        rows.push(vec![
-            procs.to_string(),
-            table::speedup_pct(stock.write_mibs(), s4d.write_mibs()),
-            table::speedup_pct(stock.read_mibs(), s4d.read_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render(
-            "Fig. 10 — Tile-IO procs",
-            &["procs", "W gain", "R gain"],
-            &rows
-        )
-    );
-}
-
-fn fig11(tb: &Testbed, scale: Scale) {
-    let mut rows = Vec::new();
-    for req_kib in [8u64, 16, 32] {
-        let mk = || {
-            IorConfig {
-                file_name: format!("r_fig11_{req_kib}"),
-                file_size: scale.bytes(10 << 30),
-                processes: 32,
-                request_size: req_kib * 1024,
-                pattern: AccessPattern::Random,
-                do_write: true,
-                do_read: false,
-                seed: 0xF11,
-            }
-            .scripts()
-        };
-        let stock = run_stock(tb, mk(), Vec::new());
-        let fm = run_s4d(
-            tb,
-            S4dConfig::new(1 << 30).with_force_miss(true),
-            mk(),
-            Vec::new(),
-        );
-        rows.push(vec![
-            format!("{req_kib} KiB"),
-            table::speedup_pct(stock.write_mibs(), fm.write_mibs()),
-        ]);
-    }
-    print!(
-        "{}",
-        table::render("Fig. 11 — force-miss overhead", &["req", "delta"], &rows)
-    );
+    ExitCode::SUCCESS
 }

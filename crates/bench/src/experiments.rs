@@ -2,7 +2,9 @@
 
 use s4d_cache::{S4dCache, S4dConfig, S4dMetrics};
 use s4d_cost::CostParams;
-use s4d_mpiio::{Cluster, IoObserver, ProcessScript, RunReport, Runner};
+use s4d_mpiio::{
+    Cluster, IoObserver, Middleware, ProcessScript, RunReport, Runner, StockMiddleware,
+};
 use s4d_pfs::NetworkConfig;
 use s4d_storage::{presets, StoreMode};
 use s4d_workloads::campaign::CampaignConfig;
@@ -37,18 +39,35 @@ impl Scale {
         Scale { factor }
     }
 
-    /// Reads `S4D_SCALE_FACTOR` (or legacy `S4D_PAPER_SCALE=1`) from the
-    /// environment; defaults to [`Scale::SCALED`].
-    pub fn from_env() -> Scale {
-        if std::env::var("S4D_PAPER_SCALE").as_deref() == Ok("1") {
-            return Scale::PAPER;
+    /// Parses a scale factor as given in `S4D_SCALE_FACTOR`: unset means
+    /// [`Scale::SCALED`], anything else must be a positive integer.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the rejected value — a typo must not silently
+    /// print ÷8 numbers under a paper-scale command line.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        let Some(text) = value else {
+            return Ok(Scale::SCALED);
+        };
+        match text.parse::<u64>() {
+            Ok(factor) if factor > 0 => Ok(Scale { factor }),
+            _ => Err(format!(
+                "S4D_SCALE_FACTOR must be a positive integer, got {text:?}"
+            )),
         }
-        match std::env::var("S4D_SCALE_FACTOR")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            Some(f) if f > 0 => Scale { factor: f },
-            _ => Scale::SCALED,
+    }
+
+    /// [`Scale::parse`] of the `S4D_SCALE_FACTOR` environment variable.
+    ///
+    /// # Errors
+    ///
+    /// As [`Scale::parse`]; a non-Unicode value is rejected too.
+    pub fn from_env() -> Result<Scale, String> {
+        match std::env::var("S4D_SCALE_FACTOR") {
+            Ok(v) => Scale::parse(Some(&v)),
+            Err(std::env::VarError::NotPresent) => Scale::parse(None),
+            Err(e) => Err(format!("S4D_SCALE_FACTOR: {e}")),
         }
     }
 
@@ -131,11 +150,6 @@ impl Testbed {
     }
 }
 
-/// An S4D middleware for this testbed with the given cache capacity.
-pub fn s4d_middleware(tb: &Testbed, cache_capacity: u64) -> S4dCache {
-    S4dCache::new(S4dConfig::new(cache_capacity), tb.cost_params())
-}
-
 /// The outcome of one measured configuration.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
@@ -174,16 +188,7 @@ pub fn run_stock(
     scripts: Vec<impl ProcessScript + 'static>,
     observers: Vec<Box<dyn IoObserver>>,
 ) -> ExperimentOutcome {
-    let mut runner = Runner::new(
-        tb.cluster(),
-        s4d_mpiio::StockMiddleware::new(),
-        scripts,
-        tb.seed,
-    );
-    for obs in observers {
-        runner.add_observer(obs);
-    }
-    let report = runner.run();
+    let (report, _) = run_custom(tb, StockMiddleware::new(), scripts, observers);
     ExperimentOutcome {
         report,
         metrics: S4dMetrics::default(),
@@ -198,12 +203,7 @@ pub fn run_s4d(
     observers: Vec<Box<dyn IoObserver>>,
 ) -> ExperimentOutcome {
     let middleware = S4dCache::new(config, tb.cost_params());
-    let mut runner = Runner::new(tb.cluster(), middleware, scripts, tb.seed);
-    for obs in observers {
-        runner.add_observer(obs);
-    }
-    let report = runner.run();
-    let (_cluster, mw, _r) = runner.into_parts();
+    let (report, mw) = run_custom(tb, middleware, scripts, observers);
     ExperimentOutcome {
         report,
         metrics: *mw.metrics(),
@@ -212,7 +212,7 @@ pub fn run_s4d(
 
 /// Runs scripts over an arbitrary middleware (custom policies, stacked
 /// combinators like [`s4d_cache::MemCache`]).
-pub fn run_custom<M: s4d_mpiio::Middleware>(
+pub fn run_custom<M: Middleware>(
     tb: &Testbed,
     middleware: M,
     scripts: Vec<impl ProcessScript + 'static>,
@@ -227,34 +227,44 @@ pub fn run_custom<M: s4d_mpiio::Middleware>(
     (report, mw)
 }
 
-/// Second-run measurement for the stock baseline: run `first`, then run
-/// and measure `second` on the same (now warm) cluster. Stock has no cache
-/// to warm, but the HDD stream state and file layout carry over, keeping
-/// the comparison with [`run_s4d_second_read`] apples-to-apples.
+/// The paper's second-run measurement (§V.A) over any middleware: run
+/// `first`, let the background work it left behind drain, then run and
+/// measure `second` on the same (now warm) cluster and middleware.
+fn run_second<M: Middleware>(
+    tb: &Testbed,
+    middleware: M,
+    first: Vec<impl ProcessScript + 'static>,
+    second: Vec<impl ProcessScript + 'static>,
+) -> (RunReport, M) {
+    let mut runner = Runner::new(tb.cluster(), middleware, first, tb.seed);
+    let first_report = runner.run();
+    runner.drain_background(first_report.end_time);
+    let (cluster, middleware, _) = runner.into_parts();
+    let mut runner = Runner::new(cluster, middleware, second, tb.seed ^ 1);
+    let report = runner.run();
+    let (_cluster, mw, _r) = runner.into_parts();
+    (report, mw)
+}
+
+/// Second-run measurement for the stock baseline. Stock has no cache to
+/// warm (and no background work to drain), but the HDD stream state and
+/// file layout carry over, keeping the comparison with
+/// [`run_s4d_second_read`] apples-to-apples.
 pub fn run_stock_second_read(
     tb: &Testbed,
     first: Vec<impl ProcessScript + 'static>,
     second: Vec<impl ProcessScript + 'static>,
 ) -> ExperimentOutcome {
-    let mut runner = Runner::new(
-        tb.cluster(),
-        s4d_mpiio::StockMiddleware::new(),
-        first,
-        tb.seed,
-    );
-    runner.run();
-    let (cluster, middleware, _) = runner.into_parts();
-    let mut runner = Runner::new(cluster, middleware, second, tb.seed ^ 1);
-    let report = runner.run();
+    let (report, _) = run_second(tb, StockMiddleware::new(), first, second);
     ExperimentOutcome {
         report,
         metrics: S4dMetrics::default(),
     }
 }
 
-/// The paper's second-run read measurement (§V.A): run the scripts once to
-/// let the Identifier learn and the Rebuilder cache critical data, drain
-/// the Rebuilder, then run `second` and measure it.
+/// The paper's second-run read measurement (§V.A): the first run lets
+/// the Identifier learn and the Rebuilder cache critical data; the
+/// Rebuilder is drained before `second` is measured.
 pub fn run_s4d_second_read(
     tb: &Testbed,
     config: S4dConfig,
@@ -262,14 +272,7 @@ pub fn run_s4d_second_read(
     second: Vec<impl ProcessScript + 'static>,
 ) -> ExperimentOutcome {
     let middleware = S4dCache::new(config, tb.cost_params());
-    let mut runner = Runner::new(tb.cluster(), middleware, first, tb.seed);
-    let first_report = runner.run();
-    let end = runner.drain_background(first_report.end_time);
-    let (cluster, middleware, _) = runner.into_parts();
-    let mut runner = Runner::new(cluster, middleware, second, tb.seed ^ 1);
-    let _ = end;
-    let report = runner.run();
-    let (_cluster, mw, _r) = runner.into_parts();
+    let (report, mw) = run_second(tb, middleware, first, second);
     ExperimentOutcome {
         report,
         metrics: *mw.metrics(),
@@ -307,6 +310,17 @@ mod tests {
     #[should_panic(expected = "scale factor must be positive")]
     fn scale_rejects_zero() {
         Scale::with_factor(0);
+    }
+
+    #[test]
+    fn scale_parse_rejects_what_it_cannot_honour() {
+        assert_eq!(Scale::parse(None), Ok(Scale::SCALED));
+        assert_eq!(Scale::parse(Some("1")), Ok(Scale::PAPER));
+        assert_eq!(Scale::parse(Some("64")), Ok(Scale::with_factor(64)));
+        for bad in ["0", "abc", "-3", ""] {
+            let err = Scale::parse(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]
@@ -361,7 +375,7 @@ mod tests {
     #[test]
     fn second_run_reads_hit_cache() {
         let tb = testbed(3);
-        let mut read_only = IorConfig {
+        let read_only = IorConfig {
             file_name: "tiny".into(),
             file_size: 8 * 1024 * 1024,
             processes: 4,
@@ -371,7 +385,6 @@ mod tests {
             do_read: true,
             seed: 3,
         };
-        read_only.do_write = false;
         let out = run_s4d_second_read(
             &tb,
             S4dConfig::new(16 * 1024 * 1024),

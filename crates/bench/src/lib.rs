@@ -3,21 +3,23 @@
 //! Builds the paper's testbed (§V.A: 8 HDD DServers + 4 SSD CServers,
 //! 64 KiB stripes, Gigabit Ethernet, 32 computing processes) out of the
 //! workspace crates and regenerates every table and figure of the
-//! evaluation. The mapping from paper artifact to bench target lives in
-//! `DESIGN.md`; measured-vs-paper numbers live in `EXPERIMENTS.md`.
+//! evaluation: [`figures::FIGURES`] holds one generator per artefact and
+//! the `reproduce` binary prints them. Measured-vs-paper numbers live in
+//! `EXPERIMENTS.md`.
 //!
 //! Experiments run at a scaled-down data size by default (same geometry,
 //! same request sizes, smaller files) so the whole suite completes in
-//! minutes; set `S4D_PAPER_SCALE=1` to run the paper's full 2 GB-per-
+//! minutes; set `S4D_SCALE_FACTOR=1` to run the paper's full 2 GB-per-
 //! instance sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod figures;
 pub mod table;
 
 pub use experiments::{
     campaign_scripts, run_custom, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read,
-    s4d_middleware, testbed, ExperimentOutcome, Scale, Testbed,
+    testbed, ExperimentOutcome, Scale, Testbed,
 };

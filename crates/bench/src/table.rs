@@ -1,43 +1,60 @@
-//! Plain-text table rendering for bench output.
+//! Tables as data, and their plain-text rendering.
 
-/// Renders a simple aligned table with a title, header row, and data rows.
+/// One table of a paper artefact: what a [`crate::figures`] generator
+/// returns and [`render`] prints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Table {
+    /// Caption, e.g. `"Fig. 6(a) — IOR write throughput …"`.
+    pub title: &'static str,
+    /// Column names; every row has exactly this many cells.
+    pub header: &'static [&'static str],
+    /// Data rows: a label cell followed by formatted numbers.
+    pub rows: Vec<Vec<String>>,
+    /// The paper's expectation for this artefact, printed under the
+    /// table; empty on all but the last table of a multi-table figure.
+    pub note: &'static str,
+}
+
+/// Renders an aligned table: title, header row, rule, data rows, then
+/// the note (if any) on a line of its own.
 ///
 /// ```
-/// use s4d_bench::table::render;
-/// let out = render(
-///     "Demo",
-///     &["size", "MB/s"],
-///     &[vec!["8KB".into(), "12.5".into()]],
-/// );
-/// assert!(out.contains("Demo"));
+/// use s4d_bench::table::{render, Table};
+/// let out = render(&Table {
+///     title: "Demo",
+///     header: &["size", "MB/s"],
+///     rows: vec![vec!["8KB".into(), "12.5".into()]],
+///     note: "paper: 12",
+/// });
+/// assert!(out.starts_with("== Demo =="));
 /// assert!(out.contains("8KB"));
+/// assert!(out.ends_with("paper: 12\n"));
 /// ```
-pub fn render(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+pub fn render(table: &Table) -> String {
+    let mut widths: Vec<usize> = table.header.iter().map(|h| h.len()).collect();
+    for row in &table.rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    let fmt_row = |cells: &[String]| -> String {
-        cells
+    fn line<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
+        let padded: Vec<String> = cells
             .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let header_cells: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&header_cells));
+            .zip(widths)
+            .map(|(c, &width)| format!("{:>width$}", c.as_ref()))
+            .collect();
+        padded.join("  ") + "\n"
+    }
+    let rule_len = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+    let mut out = format!("== {} ==\n", table.title);
+    out += &line(table.header, &widths);
+    out += &"-".repeat(rule_len);
     out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row));
+    for row in &table.rows {
+        out += &line(row, &widths);
+    }
+    if !table.note.is_empty() {
+        out.push_str(table.note);
         out.push('\n');
     }
     out
@@ -62,18 +79,20 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let t = render(
-            "T",
-            &["a", "long-header"],
-            &[
+        let t = render(&Table {
+            title: "T",
+            header: &["a", "long-header"],
+            rows: vec![
                 vec!["1".into(), "2".into()],
                 vec!["333333".into(), "4".into()],
             ],
-        );
+            note: "",
+        });
         assert!(t.starts_with("== T =="));
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 5);
-        assert!(lines[1].contains("long-header"));
+        assert_eq!(lines[1], "     a  long-header");
+        assert_eq!(lines[4], "333333            4");
     }
 
     #[test]

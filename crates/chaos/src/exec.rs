@@ -335,19 +335,13 @@ impl Executor {
     /// and deliver the `Offline` failure the timed runner would.
     fn fail_stop(&mut self, server: usize) {
         let layout = self.cluster.cpfs().layout();
-        let stripe = layout.stripe_size();
-        let n = layout.server_count() as u64;
         let file = self.file;
         let doomed: Vec<(u64, u64)> = self
             .mw
             .plane()
             .iter_extents()
             .filter(|(f, _, e)| {
-                Some(*f) == file && e.dirty && {
-                    let first = e.c_offset / stripe;
-                    let last = (e.c_offset + e.len - 1) / stripe;
-                    last - first + 1 >= n || (first..=last).any(|k| (k % n) as usize == server)
-                }
+                Some(*f) == file && e.dirty && layout.touches(server, e.c_offset, e.len)
             })
             .map(|(_, o, e)| (o, e.len))
             .collect();

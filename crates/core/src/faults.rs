@@ -37,17 +37,10 @@ impl S4dCache {
             return;
         }
         let layout = cluster.cpfs().layout();
-        let stripe = layout.stripe_size();
-        let n = layout.server_count();
         let mut doomed: Vec<(FileId, u64, u64, FileId, u64, bool)> = self
             .plane
             .iter_extents()
-            .filter(|(_, _, e)| {
-                let first = e.c_offset / stripe;
-                let last = (e.c_offset + e.len - 1) / stripe;
-                last - first + 1 >= n as u64
-                    || (first..=last).any(|k| (k % n as u64) as usize == server)
-            })
+            .filter(|(_, _, e)| layout.touches(server, e.c_offset, e.len))
             .map(|(f, o, e)| (f, o, e.len, e.c_file, e.c_offset, e.dirty))
             .collect();
         doomed.sort_unstable_by_key(|&(f, o, ..)| (f.0, o));

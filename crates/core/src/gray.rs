@@ -201,14 +201,7 @@ impl S4dCache {
         if !self.config.backpressure || len == 0 {
             return false;
         }
-        let layout = cluster.cpfs().layout();
-        let stripe = layout.stripe_size();
-        let n = layout.server_count();
-        let first = c_offset / stripe;
-        let last = (c_offset + len - 1) / stripe;
-        if last - first + 1 >= n as u64 {
-            return (0..n).any(|i| self.server_congested(i));
-        }
-        (first..=last).any(|k| self.server_congested((k % n as u64) as usize))
+        let mut touched = cluster.cpfs().layout().servers_touched(c_offset, len);
+        touched.any(|server| self.server_congested(server))
     }
 }

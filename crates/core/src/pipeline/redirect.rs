@@ -283,9 +283,7 @@ impl S4dCache {
     }
 
     /// True if any CServer holding part of the cache range
-    /// `[c_offset, c_offset + len)` is quarantined at `now`. Cache files
-    /// are round-robin striped, so the touched servers follow from the
-    /// stripe indices alone.
+    /// `[c_offset, c_offset + len)` is quarantined at `now`.
     pub(crate) fn cache_range_unhealthy(
         &self,
         cluster: &Cluster,
@@ -296,15 +294,7 @@ impl S4dCache {
         if len == 0 || !self.health.any_unhealthy(now) {
             return false;
         }
-        let layout = cluster.cpfs().layout();
-        let stripe = layout.stripe_size();
-        let n = layout.server_count();
-        let first = c_offset / stripe;
-        let last = (c_offset + len - 1) / stripe;
-        if last - first + 1 >= n as u64 {
-            // The range spans a full round: every server is involved.
-            return self.health.any_unhealthy(now);
-        }
-        (first..=last).any(|k| self.health.is_unhealthy((k % n as u64) as usize, now))
+        let mut touched = cluster.cpfs().layout().servers_touched(c_offset, len);
+        touched.any(|server| self.health.is_unhealthy(server, now))
     }
 }

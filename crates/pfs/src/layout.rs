@@ -60,16 +60,38 @@ impl StripeLayout {
         self.servers
     }
 
+    /// Global stripes `[offset, offset+len)` covers. An end past
+    /// `u64::MAX` saturates instead of panicking, clipping the request to
+    /// the addressable range.
+    fn stripes_spanned(&self, offset: u64, len: u64) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        (offset.saturating_add(len) - 1) / self.stripe - offset / self.stripe + 1
+    }
+
     /// Number of distinct servers a request touches — the paper's `m`
     /// (Equation 6): `min(E − B + 1, M)` for beginning stripe `B` and
     /// ending stripe `E`.
     pub fn involved_servers(&self, offset: u64, len: u64) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        let b = offset / self.stripe;
-        let e = (offset + len - 1) / self.stripe;
-        ((e - b + 1) as usize).min(self.servers)
+        self.stripes_spanned(offset, len).min(self.servers as u64) as usize
+    }
+
+    /// The distinct servers holding part of `[offset, offset+len)`, in
+    /// file order from the request's first stripe — exactly the servers
+    /// of [`StripeLayout::split_iter`], without computing the pieces.
+    /// Allocation-free; yields [`StripeLayout::involved_servers`] items.
+    pub fn servers_touched(&self, offset: u64, len: u64) -> impl Iterator<Item = usize> {
+        let servers = self.servers as u64;
+        let first = offset / self.stripe;
+        // `first + i` never passes the request's last stripe index.
+        (0..self.involved_servers(offset, len) as u64)
+            .map(move |i| ((first + i) % servers) as usize)
+    }
+
+    /// True if `server` holds part of `[offset, offset+len)`.
+    pub fn touches(&self, server: usize, offset: u64, len: u64) -> bool {
+        self.servers_touched(offset, len).any(|s| s == server)
     }
 
     /// Size of the largest per-server sub-request — the paper's `s_m`
@@ -95,14 +117,8 @@ impl StripeLayout {
     /// Lazy form of [`StripeLayout::split`]: the same sub-ranges in the
     /// same order, computed one at a time without allocating.
     pub fn split_iter(&self, offset: u64, len: u64) -> SubRanges {
-        // Saturate instead of panicking: an end past u64::MAX clips the
-        // split to the addressable range.
         let end = offset.saturating_add(len);
-        let stripes = if len == 0 {
-            0
-        } else {
-            (end - 1) / self.stripe - offset / self.stripe + 1
-        };
+        let stripes = self.stripes_spanned(offset, len);
         SubRanges {
             layout: *self,
             offset,
@@ -465,6 +481,31 @@ mod tests {
                 let lazy = l.file_segments(sub);
                 prop_assert_eq!(lazy.len(), segs.len());
                 prop_assert_eq!(lazy.collect::<Vec<_>>(), segs);
+            }
+        }
+
+        /// `servers_touched` / `touches` name exactly the servers of the
+        /// decomposition — single-stripe requests, requests spanning one
+        /// or many full rounds, and ends that saturate at `u64::MAX`.
+        #[test]
+        fn prop_servers_touched_matches_split(
+            stripe in 1u64..(1 << 17),
+            servers in 1usize..12,
+            near_end in any::<bool>(),
+            raw_offset in 0u64..(1 << 20),
+            len in prop_oneof![Just(0u64), 1u64..(1 << 22), Just(u64::MAX)],
+        ) {
+            let l = StripeLayout::new(stripe, servers);
+            let offset = if near_end || len == u64::MAX {
+                u64::MAX - raw_offset
+            } else {
+                raw_offset
+            };
+            let expected: Vec<usize> = l.split_iter(offset, len).map(|s| s.server).collect();
+            prop_assert_eq!(&l.servers_touched(offset, len).collect::<Vec<_>>(), &expected);
+            prop_assert_eq!(expected.len(), l.involved_servers(offset, len));
+            for server in 0..servers {
+                prop_assert_eq!(l.touches(server, offset, len), expected.contains(&server));
             }
         }
 
