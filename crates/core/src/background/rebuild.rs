@@ -20,6 +20,14 @@ use crate::shard::ShardSegment;
 
 use super::{FetchPiece, FlushItem, Pending};
 
+/// Maximum critical read ranges fetched per wake.
+const MAX_FETCH_PER_WAKE: usize = 64;
+
+/// Latency-EWMA ratio (observed / predicted `T_C`) above which a server
+/// counts as at-risk for `flush_on_risk`. Sub-request latency includes
+/// queueing, so this must sit well above 1.
+const DEGRADED_LATENCY_RATIO: f64 = 8.0;
+
 impl S4dCache {
     /// Builds the Rebuilder's flush plans (dirty cache data → DServers,
     /// §III.F step 1). Adjacent dirty extents of a file are grouped into
@@ -30,15 +38,12 @@ impl S4dCache {
         // recent failure, or a latency EWMA above the threshold) triggers
         // flushing *everything* dirty — shrinking the data-loss window a
         // subsequent crash could hit.
-        let limit = if self.config.flush_on_risk
-            && self
-                .health
-                .any_at_risk(now, self.config.degraded_latency_ratio)
-        {
-            usize::MAX
-        } else {
-            self.config.max_flush_per_wake
-        };
+        let limit =
+            if self.config.flush_on_risk && self.health.any_at_risk(now, DEGRADED_LATENCY_RATIO) {
+                usize::MAX
+            } else {
+                self.config.max_flush_per_wake
+            };
         let mut candidates: Vec<_> = self
             .plane
             .dirty_lru(limit)
@@ -177,7 +182,7 @@ impl S4dCache {
         }
         let mut flagged: Vec<_> = self
             .plane
-            .cdt_flagged(self.config.max_fetch_per_wake)
+            .cdt_flagged(MAX_FETCH_PER_WAKE)
             .filter(|e| !self.bg.inflight_fetch.contains(&(e.file, e.offset, e.len)))
             .collect();
         flagged.sort_by_key(|e| (e.file.0, e.offset));

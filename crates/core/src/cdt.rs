@@ -136,11 +136,6 @@ impl Cdt {
         }
     }
 
-    /// Number of entries whose `C_flag` is set.
-    pub fn flagged_count(&self) -> usize {
-        self.flagged.len()
-    }
-
     /// Up to `limit` entries whose `C_flag` is set, oldest first. Cost is
     /// `O(limit)`.
     pub fn flagged(&self, limit: usize) -> Vec<CdtEntry> {

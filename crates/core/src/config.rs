@@ -29,10 +29,9 @@ pub struct S4dConfig {
     pub cache_capacity: u64,
     /// Rebuilder wake period (§III.F "triggered periodically").
     pub rebuild_period: SimDuration,
-    /// Maximum dirty extents flushed per wake.
+    /// Maximum dirty extents flushed per wake (`0`: the Rebuilder
+    /// flushes nothing).
     pub max_flush_per_wake: usize,
-    /// Maximum critical read ranges fetched per wake.
-    pub max_fetch_per_wake: usize,
     /// Maximum entries the Critical Data Table retains (oldest evicted).
     pub cdt_max_entries: usize,
     /// Admission policy (the paper's is the default).
@@ -41,10 +40,6 @@ pub struct S4dConfig {
     /// redirect, so the middleware's bookkeeping overhead can be measured
     /// in isolation.
     pub force_miss: bool,
-    /// Simulated CPU cost of the per-request decision path (cost-model
-    /// evaluation + CDT/DMT lookups), charged before a request's plan
-    /// starts. The paper measures this overhead to be negligible (§V.E.2).
-    pub decision_overhead: SimDuration,
     /// DMT journal group-commit size: mutation records accumulate and are
     /// written to the CServer journal file once this many are pending (the
     /// paper's Berkeley DB layer provides the same effect through its
@@ -84,10 +79,6 @@ pub struct S4dConfig {
     /// `max_flush_per_wake`) whenever any CServer looks at risk — trades
     /// background traffic for a smaller data-loss window.
     pub flush_on_risk: bool,
-    /// Latency-EWMA ratio (observed / predicted `T_C`) above which a
-    /// server counts as at-risk for `flush_on_risk`. Sub-request latency
-    /// includes queueing, so this must sit well above 1.
-    pub degraded_latency_ratio: f64,
     /// Journal records (since the last checkpoint) that trigger a new DMT
     /// checkpoint. Compaction keeps crash recovery proportional to live
     /// extents plus the journal tail instead of all mutations ever made.
@@ -120,22 +111,6 @@ pub struct S4dConfig {
     /// abandoned and the first responder wins. Dirty reads always wait —
     /// the cache holds the only copy. Off by default.
     pub hedge_reads: bool,
-    /// Enable queue-depth/tail-latency backpressure: shed marginal
-    /// admissions away from congested CServers and pause admission
-    /// entirely under global overload, degrading to OPFS. Off by
-    /// default.
-    pub backpressure: bool,
-    /// Outstanding sub-requests on one CServer above which it counts as
-    /// congested for backpressure.
-    pub backpressure_depth: u64,
-    /// Tail-quantile (p99) latency ratio (observed / predicted `T_C`)
-    /// above which a CServer counts as congested for backpressure.
-    pub backpressure_tail_ratio: f64,
-    /// Under *elevated* pressure (some CServers congested), admissions
-    /// whose predicted benefit `B` is below this margin (seconds) are
-    /// shed — the marginal, lowest-benefit admissions go first. Under
-    /// global overload every admission is shed regardless of benefit.
-    pub shed_benefit_margin: f64,
     /// Number of deterministic metadata-plane shards. Each shard owns a
     /// disjoint slice of the DMT interval map, the CDT, and the space
     /// accounting, keyed by `(file, offset / shard_stripe) % shard_count`
@@ -171,11 +146,9 @@ impl S4dConfig {
             cache_capacity,
             rebuild_period: SimDuration::from_secs(1),
             max_flush_per_wake: 16384,
-            max_fetch_per_wake: 64,
             cdt_max_entries: 1 << 20,
             admission: AdmissionPolicy::Benefit,
             force_miss: false,
-            decision_overhead: SimDuration::from_micros(2),
             journal_batch_records: 64,
             record_journal_log: false,
             persistent_placement: false,
@@ -186,7 +159,6 @@ impl S4dConfig {
             quarantine_after: 3,
             quarantine_duration: SimDuration::from_secs(10),
             flush_on_risk: false,
-            degraded_latency_ratio: 8.0,
             checkpoint_after_records: 8192,
             checkpoint_after_bytes: 8 * 1024 * 1024,
             scrub_bytes_per_wake: 0,
@@ -194,10 +166,6 @@ impl S4dConfig {
             deadline_factor: 0.0,
             deadline_min: SimDuration::from_millis(2),
             hedge_reads: false,
-            backpressure: false,
-            backpressure_depth: 16,
-            backpressure_tail_ratio: 16.0,
-            shed_benefit_margin: 0.0005,
             shard_count: 1,
             shard_stripe: 64 * 1024,
             chaos_bug_skip_journal: false,
@@ -223,37 +191,6 @@ impl S4dConfig {
     /// Enables hedged reads for straggling clean cached reads.
     pub fn with_hedged_reads(mut self, on: bool) -> Self {
         self.hedge_reads = on;
-        self
-    }
-
-    /// Enables queue-depth/tail-latency backpressure.
-    pub fn with_backpressure(mut self, on: bool) -> Self {
-        self.backpressure = on;
-        self
-    }
-
-    /// Sets the backpressure thresholds: a CServer counts as congested
-    /// above `depth` outstanding sub-requests or a p99 latency ratio
-    /// above `tail_ratio`; admissions with benefit below `benefit_margin`
-    /// seconds are shed under elevated pressure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero or `tail_ratio` is not finite and ≥ 1.
-    pub fn with_backpressure_thresholds(
-        mut self,
-        depth: u64,
-        tail_ratio: f64,
-        benefit_margin: f64,
-    ) -> Self {
-        assert!(depth > 0, "backpressure depth must be positive");
-        assert!(
-            tail_ratio.is_finite() && tail_ratio >= 1.0,
-            "backpressure tail ratio must be ≥ 1"
-        );
-        self.backpressure_depth = depth;
-        self.backpressure_tail_ratio = tail_ratio;
-        self.shed_benefit_margin = benefit_margin;
         self
     }
 
@@ -364,13 +301,10 @@ impl S4dConfig {
         self
     }
 
-    /// Caps how many dirty extents one Rebuilder wake may flush.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extents == 0`.
+    /// Caps how many dirty extents one Rebuilder wake may flush. `0`
+    /// means the Rebuilder flushes nothing: dirty data stays in the
+    /// cache until evicted or lost (crash and scrub tests rely on it).
     pub fn with_max_flush_per_wake(mut self, extents: usize) -> Self {
-        assert!(extents > 0, "flush cap must be positive");
         self.max_flush_per_wake = extents;
         self
     }
@@ -512,31 +446,18 @@ mod tests {
         let c = S4dConfig::new(1);
         assert_eq!(c.deadline_factor, 0.0, "deadlines are opt-in");
         assert!(!c.hedge_reads);
-        assert!(!c.backpressure);
         let c = c
             .with_deadlines(8.0, SimDuration::from_millis(5))
-            .with_hedged_reads(true)
-            .with_backpressure(true)
-            .with_backpressure_thresholds(4, 12.0, 0.001);
+            .with_hedged_reads(true);
         assert_eq!(c.deadline_factor, 8.0);
         assert_eq!(c.deadline_min, SimDuration::from_millis(5));
         assert!(c.hedge_reads);
-        assert!(c.backpressure);
-        assert_eq!(c.backpressure_depth, 4);
-        assert_eq!(c.backpressure_tail_ratio, 12.0);
-        assert_eq!(c.shed_benefit_margin, 0.001);
     }
 
     #[test]
     #[should_panic(expected = "deadline factor")]
     fn rejects_non_positive_deadline_factor() {
         S4dConfig::new(1).with_deadlines(0.0, SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "backpressure depth")]
-    fn rejects_zero_backpressure_depth() {
-        S4dConfig::new(1).with_backpressure_thresholds(0, 2.0, 0.0);
     }
 
     #[test]

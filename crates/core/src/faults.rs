@@ -110,9 +110,6 @@ impl S4dCache {
             };
         }
         self.ensure_health(cluster);
-        // The failed attempt is settled either way; a granted retry
-        // re-opens the depth accounting when it is re-dispatched.
-        self.health.on_settle(failure.server);
         match failure.error {
             IoFault::Offline => {
                 // An offline CServer is a crash window: its stores are
@@ -181,8 +178,6 @@ impl S4dCache {
             return;
         }
         self.health.ensure_servers(server + 1);
-        // The completion settles the depth opened at dispatch.
-        self.health.on_settle(server);
         // Observed-over-predicted latency feeds the degradation EWMA. The
         // prediction is the cost model's T_C for a request of this size;
         // the observation includes queueing, so the ratio is noisy — the

@@ -1,13 +1,12 @@
-//! Gray-failure handling: deadline budgets, the straggler verdict, and
-//! queue-depth/tail-latency backpressure (DESIGN.md §13).
+//! Gray-failure handling: deadline budgets and the straggler verdict
+//! (DESIGN.md §13).
 //!
 //! Crashes are loud; *fail-slow* servers are not. A CServer that still
 //! answers — just ten times slower than the cost model promises — never
 //! trips the error path, yet it drags every request striped over it. The
-//! machinery here notices (deadline budgets derived from the cost model,
-//! per-server queue depth, a streaming p99 of the latency ratio) and
-//! reacts without ever waiting on the straggler when a second copy of
-//! the bytes exists:
+//! machinery here notices (deadline budgets derived from the cost model)
+//! and reacts without ever waiting on the straggler when a second copy
+//! of the bytes exists:
 //!
 //! * [`S4dCache::apply_deadline`] prices each foreground plan with the
 //!   model's own prediction — a sub-request that outlives
@@ -15,10 +14,7 @@
 //! * [`S4dCache::deadline_directive`] answers the runner's
 //!   `on_deadline`: hedge clean cached reads to OPFS (same bytes, no
 //!   risk), abandon and re-plan writes, wait on dirty reads (the cache
-//!   holds the only copy — nothing else can produce the bytes);
-//! * [`S4dCache::shed_admission`] degrades marginal admissions to OPFS
-//!   while CServers are congested, and all of them under global
-//!   overload.
+//!   holds the only copy — nothing else can produce the bytes).
 //!
 //! Abandoned writes are safe to re-plan: the DMT mapping survives the
 //! abandonment, so the re-planned write lands on the same cache offsets
@@ -31,17 +27,6 @@ use s4d_storage::IoKind;
 
 use crate::layer::S4dCache;
 use crate::pipeline::RequestCtx;
-
-/// Aggregate congestion verdict over the CServer tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pressure {
-    /// No CServer is congested: admit normally.
-    Normal,
-    /// Some (not all) CServers are congested: shed marginal admissions.
-    Elevated,
-    /// Every CServer is congested: pause admission entirely.
-    Overload,
-}
 
 impl S4dCache {
     /// Prices the plan's deadline budget from the cost model's predicted
@@ -147,61 +132,5 @@ impl S4dCache {
             })
             .collect();
         HedgeDirective::Hedge { ops }
-    }
-
-    /// True if one CServer looks congested: queue depth or tail latency
-    /// above the configured thresholds.
-    fn server_congested(&self, index: usize) -> bool {
-        self.health.queue_depth(index) > self.config.backpressure_depth
-            || self
-                .health
-                .latency_tail(index)
-                .is_some_and(|p99| p99 > self.config.backpressure_tail_ratio)
-    }
-
-    /// Aggregate congestion over the CServer tier.
-    pub(crate) fn pressure(&self) -> Pressure {
-        let n = self.health.server_count();
-        if n == 0 {
-            return Pressure::Normal;
-        }
-        let congested = (0..n).filter(|&i| self.server_congested(i)).count();
-        if congested == 0 {
-            Pressure::Normal
-        } else if congested == n {
-            Pressure::Overload
-        } else {
-            Pressure::Elevated
-        }
-    }
-
-    /// The backpressure shed verdict for one admission-sized decision:
-    /// under overload every admission is shed; under elevated pressure
-    /// only the marginal ones (benefit below the configured margin) —
-    /// the lowest-`B` admissions go first, which costs the least
-    /// predicted win. Callers count the shed in the metrics so sizing
-    /// decisions and read-path marks are each counted once.
-    pub(crate) fn shed_admission(&self, ctx: &RequestCtx) -> bool {
-        if !self.config.backpressure {
-            return false;
-        }
-        match self.pressure() {
-            Pressure::Normal => false,
-            Pressure::Overload => true,
-            Pressure::Elevated => ctx.benefit_secs < self.config.shed_benefit_margin,
-        }
-    }
-
-    /// True if any CServer holding part of the cache range
-    /// `[c_offset, c_offset + len)` is congested (backpressure on only).
-    /// The clean-read fallback uses this alongside the quarantine check:
-    /// a deep-queued server's clean bytes are served from OPFS instead
-    /// of joining the queue.
-    pub(crate) fn cache_range_congested(&self, cluster: &Cluster, c_offset: u64, len: u64) -> bool {
-        if !self.config.backpressure || len == 0 {
-            return false;
-        }
-        let mut touched = cluster.cpfs().layout().servers_touched(c_offset, len);
-        touched.any(|server| self.server_congested(server))
     }
 }

@@ -29,181 +29,6 @@ const EWMA_ALPHA: f64 = 0.2;
 /// duration, so a flapping server cannot push the window to infinity.
 const MAX_BACKOFF_EXP: u32 = 6;
 
-/// Streaming quantile estimator (the P² algorithm of Jain & Chlamtac).
-///
-/// Tracks one quantile of an unbounded observation stream in O(1) space
-/// and time — five marker heights and positions, no allocation, no
-/// sample buffer — so it can sit in the per-sub-request completion path.
-/// Until five observations arrive the markers double as a sorted sample
-/// buffer and the estimate is exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct P2Quantile {
-    p: f64,
-    count: u64,
-    /// Marker heights: estimates of the 0, p/2, p, (1+p)/2 and 1
-    /// quantiles (the middle marker is the answer).
-    heights: [f64; 5],
-    /// Actual marker positions (1-indexed observation ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-}
-
-impl P2Quantile {
-    /// An estimator for the `p`-quantile, `0 < p < 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not strictly inside `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile must be in (0, 1)");
-        P2Quantile {
-            p,
-            count: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-        }
-    }
-
-    /// The quantile this estimator tracks.
-    pub fn quantile(&self) -> f64 {
-        self.p
-    }
-
-    /// Observations ingested so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Ingests one observation. Non-finite values are ignored (they
-    /// would poison every marker).
-    ///
-    /// The marker arrays are only ever read and written by destructuring
-    /// into five named locals — no slice indexing, no allocation — so
-    /// this is safe to call from the per-sub-request completion path.
-    pub fn observe(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if self.count < 5 {
-            // Warm-up: collect the first five observations sorted.
-            let filled = self.count as usize;
-            if let Some(slot) = self.heights.get_mut(filled) {
-                *slot = x;
-            }
-            self.count += 1;
-            if let Some(prefix) = self.heights.get_mut(..self.count as usize) {
-                prefix.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        // Find the cell k with q[k] <= x < q[k+1], extending the extremes.
-        let [q0, q1, q2, q3, q4] = self.heights;
-        let (k, q0, q4) = if x < q0 {
-            (0, x, q4)
-        } else if x >= q4 {
-            (3, q0, x)
-        } else if x < q1 {
-            (0, q0, q4)
-        } else if x < q2 {
-            (1, q0, q4)
-        } else if x < q3 {
-            (2, q0, q4)
-        } else {
-            (3, q0, q4)
-        };
-        self.heights = [q0, q1, q2, q3, q4];
-        let [n0, n1, n2, n3, n4] = self.positions;
-        self.positions = [
-            n0,
-            if k < 1 { n1 + 1.0 } else { n1 },
-            if k < 2 { n2 + 1.0 } else { n2 },
-            if k < 3 { n3 + 1.0 } else { n3 },
-            n4 + 1.0,
-        ];
-        let inc = [0.0, self.p / 2.0, self.p, (1.0 + self.p) / 2.0, 1.0];
-        for (d, i) in self.desired.iter_mut().zip(inc) {
-            *d += i;
-        }
-        // Adjust the three interior markers towards their desired ranks.
-        for i in [1_usize, 2, 3] {
-            self.adjust_marker(i);
-        }
-        self.count += 1;
-    }
-
-    /// One P² marker adjustment: moves interior marker `i` (1, 2 or 3)
-    /// one rank towards its desired position when it lags by a full
-    /// rank, re-estimating its height parabolically (linearly when the
-    /// parabola leaves the neighbour bracket).
-    fn adjust_marker(&mut self, i: usize) {
-        let [q0, q1, q2, q3, q4] = self.heights;
-        let [n0, n1, n2, n3, n4] = self.positions;
-        let [_, w1, w2, w3, _] = self.desired;
-        // (previous, current, next) neighbourhood of marker i.
-        let (qm, qc, qp, nm, nc, np, want) = match i {
-            1 => (q0, q1, q2, n0, n1, n2, w1),
-            2 => (q1, q2, q3, n1, n2, n3, w2),
-            _ => (q2, q3, q4, n2, n3, n4, w3),
-        };
-        let lag = want - nc;
-        if !((lag >= 1.0 && np - nc > 1.0) || (lag <= -1.0 && nm - nc < -1.0)) {
-            return;
-        }
-        let d = lag.signum();
-        // Piecewise-parabolic prediction of the new height.
-        let parabolic = qc
-            + d / (np - nm)
-                * ((nc - nm + d) * (qp - qc) / (np - nc) + (np - nc - d) * (qc - qm) / (nc - nm));
-        let new_q = if qm < parabolic && parabolic < qp {
-            parabolic
-        } else if d > 0.0 {
-            // Parabola left the bracket: fall back to linear.
-            qc + d * (qp - qc) / (np - nc)
-        } else {
-            qc + d * (qm - qc) / (nm - nc)
-        };
-        match i {
-            1 => {
-                self.heights = [q0, new_q, q2, q3, q4];
-                self.positions = [n0, nc + d, n2, n3, n4];
-            }
-            2 => {
-                self.heights = [q0, q1, new_q, q3, q4];
-                self.positions = [n0, n1, nc + d, n3, n4];
-            }
-            _ => {
-                self.heights = [q0, q1, q2, new_q, q4];
-                self.positions = [n0, n1, n2, nc + d, n4];
-            }
-        }
-    }
-
-    /// The current estimate, or `None` before any observation. Exact for
-    /// fewer than five observations.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < 5 {
-            // Exact: the warm-up prefix is sorted.
-            let n = self.count as usize;
-            let rank = ((self.p * n as f64).ceil() as usize).clamp(1, n);
-            return self.heights.get(rank - 1).copied();
-        }
-        let [_, _, q2, _, _] = self.heights;
-        Some(q2)
-    }
-}
-
-impl Default for P2Quantile {
-    /// Defaults to the tail quantile the backpressure policy watches.
-    fn default() -> Self {
-        P2Quantile::new(0.99)
-    }
-}
-
 /// Health of one server.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerHealth {
@@ -225,15 +50,6 @@ pub struct ServerHealth {
     /// `2^MAX_BACKOFF_EXP`), so a server that keeps failing its probation
     /// is benched for exponentially longer. Reset by any success.
     pub backoff_exp: u32,
-    /// Sub-requests dispatched to this server and not yet settled
-    /// (completed, errored, or abandoned) — the queue-depth signal the
-    /// backpressure policy watches.
-    pub outstanding: u64,
-    /// Streaming tail quantile (P², p99 by default) of the
-    /// observed-over-predicted latency ratio. Unlike the EWMA it is not
-    /// dragged down by a majority of fast ops, so it catches fail-slow
-    /// servers that only straggle on some requests.
-    pub latency_tail: P2Quantile,
 }
 
 impl ServerHealth {
@@ -290,36 +106,7 @@ impl HealthMonitor {
                 Some(prev) => prev * (1.0 - EWMA_ALPHA) + ratio * EWMA_ALPHA,
                 None => ratio,
             });
-            s.latency_tail.observe(ratio);
         }
-    }
-
-    /// Notes one sub-request dispatched to the server (queue depth +1).
-    pub fn on_dispatch(&mut self, index: usize) {
-        if let Some(s) = self.servers.get_mut(index) {
-            s.outstanding += 1;
-        }
-    }
-
-    /// Notes one dispatched sub-request settled — completed, errored, or
-    /// abandoned (queue depth −1).
-    pub fn on_settle(&mut self, index: usize) {
-        if let Some(s) = self.servers.get_mut(index) {
-            s.outstanding = s.outstanding.saturating_sub(1);
-        }
-    }
-
-    /// Outstanding (dispatched, unsettled) sub-requests on one server.
-    pub fn queue_depth(&self, index: usize) -> u64 {
-        self.servers.get(index).map_or(0, |s| s.outstanding)
-    }
-
-    /// Tail-quantile estimate of the server's latency ratio, or `None`
-    /// before any observation.
-    pub fn latency_tail(&self, index: usize) -> Option<f64> {
-        self.servers
-            .get(index)
-            .and_then(|s| s.latency_tail.estimate())
     }
 
     /// Records a failed operation. Quarantines the server until
@@ -501,22 +288,13 @@ mod tests {
         m.ensure_servers(3);
         assert_eq!(m.server_count(), 3);
         m.record_failure(2, t(0), 1, Q);
+        m.record_success(1, 4.0);
         m.ensure_servers(2);
         assert_eq!(m.server_count(), 3, "never shrinks");
-        assert!(m.is_unhealthy(2, t(0)), "state survives ensure");
-    }
-
-    #[test]
-    fn ensure_servers_preserves_depth_and_tail() {
-        let mut m = HealthMonitor::new(2);
-        m.on_dispatch(1);
-        m.on_dispatch(1);
-        m.record_success(1, 4.0);
         m.ensure_servers(4);
-        assert_eq!(m.server_count(), 4);
-        assert_eq!(m.queue_depth(1), 2, "depth survives growth");
-        assert_eq!(m.latency_tail(1), Some(4.0), "tail survives growth");
-        assert_eq!(m.queue_depth(3), 0, "new servers start empty");
+        assert!(m.is_unhealthy(2, t(0)), "quarantine survives growth");
+        assert_eq!(m.server(1).unwrap().latency_ratio, Some(4.0));
+        assert_eq!(m.server(3), Some(&ServerHealth::default()));
     }
 
     #[test]
@@ -552,77 +330,5 @@ mod tests {
         let s = m.server(0).unwrap();
         assert_eq!(s.quarantined_until, Some(t(1010)));
         assert_eq!(s.backoff_exp, 0);
-    }
-
-    #[test]
-    fn depth_tracks_dispatch_and_settle() {
-        let mut m = HealthMonitor::new(2);
-        m.on_dispatch(0);
-        m.on_dispatch(0);
-        m.on_dispatch(1);
-        assert_eq!(m.queue_depth(0), 2);
-        assert_eq!(m.queue_depth(1), 1);
-        m.on_settle(0);
-        assert_eq!(m.queue_depth(0), 1);
-        // Settling below zero saturates (a stray settle must not wrap).
-        m.on_settle(1);
-        m.on_settle(1);
-        assert_eq!(m.queue_depth(1), 0);
-        // Out-of-range indices are ignored.
-        m.on_dispatch(9);
-        assert_eq!(m.queue_depth(9), 0);
-    }
-
-    #[test]
-    fn p2_exact_below_five_observations() {
-        let mut q = P2Quantile::new(0.5);
-        assert_eq!(q.estimate(), None);
-        q.observe(3.0);
-        assert_eq!(q.estimate(), Some(3.0));
-        q.observe(1.0);
-        q.observe(2.0);
-        // Median of {1, 2, 3} is 2 (rank ceil(0.5·3) = 2).
-        assert_eq!(q.estimate(), Some(2.0));
-        q.observe(f64::NAN); // ignored
-        assert_eq!(q.count(), 3);
-    }
-
-    #[test]
-    fn p2_median_of_uniform_stream() {
-        let mut q = P2Quantile::new(0.5);
-        // Deterministic low-discrepancy stream over (0, 1).
-        let mut x = 0.0_f64;
-        for _ in 0..10_000 {
-            x = (x + 0.618_033_988_749_895) % 1.0;
-            q.observe(x);
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 0.5).abs() < 0.02, "median estimate off: {est}");
-    }
-
-    #[test]
-    fn p2_tail_quantile_flags_stragglers() {
-        let mut q = P2Quantile::default();
-        assert_eq!(q.quantile(), 0.99);
-        // 99 fast ops per 1 straggler: the p99 must sit near the
-        // straggler's ratio, where an EWMA would stay near 1.
-        let mut x = 0.0_f64;
-        for _ in 0..20_000 {
-            x = (x + 0.618_033_988_749_895) % 1.0;
-            q.observe(if x < 0.01 { 100.0 } else { 1.0 });
-        }
-        let est = q.estimate().unwrap();
-        assert!(est > 10.0, "tail estimate missed the stragglers: {est}");
-    }
-
-    #[test]
-    fn tail_feeds_from_successes() {
-        let mut m = HealthMonitor::new(1);
-        assert_eq!(m.latency_tail(0), None);
-        for _ in 0..10 {
-            m.record_success(0, 2.0);
-        }
-        let est = m.latency_tail(0).unwrap();
-        assert!((est - 2.0).abs() < 1e-9);
     }
 }

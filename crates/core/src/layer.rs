@@ -171,12 +171,6 @@ impl S4dCache {
         &self.health
     }
 
-    /// True while a failed synchronous journal append (space exhaustion
-    /// or media error under the journal) is waiting to be retried.
-    pub fn journal_stalled(&self) -> bool {
-        self.dur.is_stalled()
-    }
-
     /// Cache ranges whose discard/release is parked behind a journal
     /// stall (see the field docs). Empty in a healthy run; the chaos
     /// oracle adds these bytes to the space-accounting identity.
@@ -320,19 +314,6 @@ impl Middleware for S4dCache {
         self.record_latency(tier, server, len, latency);
     }
 
-    fn on_io_dispatched(&mut self, tier: Tier, server: usize, _kind: IoKind, _len: u64) {
-        if tier == Tier::CServers {
-            self.health.ensure_servers(server + 1);
-            self.health.on_dispatch(server);
-        }
-    }
-
-    fn on_io_abandoned(&mut self, tier: Tier, server: usize, _kind: IoKind, _len: u64) {
-        if tier == Tier::CServers {
-            self.health.on_settle(server);
-        }
-    }
-
     fn on_deadline(
         &mut self,
         cluster: &mut Cluster,
@@ -340,10 +321,6 @@ impl Middleware for S4dCache {
         ctx: &s4d_mpiio::StragglerCtx,
     ) -> s4d_mpiio::HedgeDirective {
         self.deadline_directive(cluster, now, ctx)
-    }
-
-    fn shed_admissions(&self) -> u64 {
-        self.metrics.shed_admissions
     }
 
     fn on_plan_failed(&mut self, cluster: &mut Cluster, _now: SimTime, tag: u64) {

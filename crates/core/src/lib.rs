@@ -79,7 +79,7 @@ pub use crash::{CrashFuse, CrashSite, CrashStep};
 pub use dmt::{CoveredPiece, Dmt, MapExtent, RangeView};
 pub use durability::group::GroupCommitQueue;
 pub use durability::recovery::RecoveryReport;
-pub use health::{HealthMonitor, P2Quantile, ServerHealth};
+pub use health::{HealthMonitor, ServerHealth};
 pub use journal::{JournalError, JournalRecord, RecoveredJournal};
 pub use layer::S4dCache;
 pub use memcache::{MemCache, MemCacheMetrics};

@@ -33,6 +33,9 @@ use s4d_sim::{SimDuration, SimTime};
 use s4d_storage::{ExtentStore, IoKind, StoreMode};
 use serde::{Deserialize, Serialize};
 
+/// Simulated cost of serving a read from the client-side RAM cache.
+const RAM_LATENCY: SimDuration = SimDuration::from_micros(5);
+
 /// Counters for the memory-cache layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemCacheMetrics {
@@ -125,7 +128,6 @@ impl RankCache {
 pub struct MemCache<M> {
     inner: M,
     per_rank_capacity: u64,
-    ram_latency: SimDuration,
     ranks: HashMap<u32, RankCache>,
     metrics: MemCacheMetrics,
     name: String,
@@ -133,7 +135,7 @@ pub struct MemCache<M> {
 
 impl<M: Middleware> MemCache<M> {
     /// Wraps `inner` with `per_rank_capacity` bytes of client cache per
-    /// process. RAM hits cost 5 µs by default.
+    /// process.
     ///
     /// # Panics
     ///
@@ -147,17 +149,10 @@ impl<M: Middleware> MemCache<M> {
         MemCache {
             inner,
             per_rank_capacity,
-            ram_latency: SimDuration::from_micros(5),
             ranks: HashMap::new(),
             metrics: MemCacheMetrics::default(),
             name,
         }
-    }
-
-    /// Overrides the RAM-hit latency.
-    pub fn with_ram_latency(mut self, latency: SimDuration) -> Self {
-        self.ram_latency = latency;
-        self
     }
 
     /// The layer's counters.
@@ -213,7 +208,7 @@ impl<M: Middleware> Middleware for MemCache<M> {
                     self.metrics.ram_hits += 1;
                     return Plan {
                         tag: 0,
-                        lead_in: self.ram_latency,
+                        lead_in: RAM_LATENCY,
                         phases: Vec::new(),
                         deadline: None,
                     };

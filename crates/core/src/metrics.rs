@@ -76,9 +76,6 @@ pub struct S4dMetrics {
     /// Dirty unsealed bytes the scrubber skipped (nothing to verify
     /// against).
     pub scrub_unverified_bytes: u64,
-    /// Cache admissions shed under backpressure (degraded to OPFS
-    /// because the cache tier was congested or fail-slow).
-    pub shed_admissions: u64,
     /// Straggling clean cached reads answered with a hedged OPFS read.
     pub hedged_reads: u64,
     /// Deadline misses the middleware chose to wait out (dirty bytes

@@ -13,7 +13,7 @@ use s4d_storage::IoKind;
 
 use crate::background::Pending;
 use crate::layer::S4dCache;
-use crate::pipeline::{RequestCtx, WriteRoute};
+use crate::pipeline::{RequestCtx, WriteRoute, DECISION_OVERHEAD};
 use crate::shard::ShardId;
 
 impl S4dCache {
@@ -106,7 +106,7 @@ impl S4dCache {
             .dur
             .journal_op(cluster, &mut self.plane, &self.config, &mut self.metrics);
         let mut plan = Plan {
-            lead_in: self.config.decision_overhead,
+            lead_in: DECISION_OVERHEAD,
             ..Plan::single_phase(ops)
         };
         // Once the plan completes, seal the cache extents this write

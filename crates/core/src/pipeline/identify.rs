@@ -40,7 +40,6 @@ impl S4dCache {
                 .get(&req.file)
                 .and_then(|files| files.first())
                 .copied(),
-            benefit_secs: benefit.benefit_secs,
             predicted_secs: benefit.t_d_secs.max(benefit.t_c_secs),
         }
     }

@@ -25,6 +25,12 @@ pub(crate) mod redirect;
 
 use s4d_mpiio::PlannedIo;
 use s4d_pfs::FileId;
+use s4d_sim::SimDuration;
+
+/// Simulated CPU cost of the per-request decision path (cost-model
+/// evaluation + CDT/DMT lookups), charged before a request's plan
+/// starts. The paper measures this overhead to be negligible (§V.E.2).
+pub(crate) const DECISION_OVERHEAD: SimDuration = SimDuration::from_micros(2);
 
 /// Typed decision of the identify stage: what the Data Identifier
 /// concluded about one request, consumed by redirect and admit.
@@ -36,9 +42,6 @@ pub(crate) struct RequestCtx {
     /// The request's cache file, if its original file was opened through
     /// the middleware; `None` routes straight to DServers.
     pub(crate) cache: Option<FileId>,
-    /// Predicted benefit `B = T_D − T_C` (Eq. 8), seconds. The
-    /// backpressure policy sheds the lowest-benefit admissions first.
-    pub(crate) benefit_secs: f64,
     /// The slower of the two predicted access times, seconds — the basis
     /// of the request's deadline budget (whichever tier the plan picks,
     /// the budget covers it).

@@ -13,7 +13,7 @@ use s4d_storage::IoKind;
 use crate::background::Pending;
 use crate::dmt::RangeView;
 use crate::layer::S4dCache;
-use crate::pipeline::{RequestCtx, WriteRoute};
+use crate::pipeline::{RequestCtx, WriteRoute, DECISION_OVERHEAD};
 
 impl S4dCache {
     /// Algorithm 1, write side, routing half: re-dirty and route the
@@ -80,8 +80,7 @@ impl S4dCache {
         // Unmapped parts: admission requires the whole tier healthy. New
         // admissions stripe over every CServer, so one quarantined server
         // pauses admission entirely — consistency over throughput while
-        // the tier is suspect. Backpressure (when enabled) folds in the
-        // same way: a congested tier sheds marginal admissions to OPFS.
+        // the tier is suspect.
         let gap_total: u64 = view.gaps.iter().map(|&(_, l)| l).sum();
         let mut healthy = !self.health.any_unhealthy(now);
         if ctx.critical && gap_total > 0 && !healthy {
@@ -92,12 +91,6 @@ impl S4dCache {
             // before the ack; the gaps go straight to OPFS instead.
             if ctx.critical && gap_total > 0 && healthy {
                 self.metrics.admission_denied_stall += 1;
-            }
-            healthy = false;
-        }
-        if healthy && self.shed_admission(ctx) {
-            if ctx.critical && gap_total > 0 {
-                self.metrics.shed_admissions += 1;
             }
             healthy = false;
         }
@@ -136,16 +129,12 @@ impl S4dCache {
         self.plane.touch_range(req.file, req.offset, req.len);
         // Graceful degradation: a *clean* cached piece striped over a
         // quarantined CServer is served from OPFS instead (same bytes,
-        // none of the risk); under backpressure a congested (deep-queued
-        // or fail-slow) CServer counts too. Dirty pieces have no other
-        // copy — they keep routing to the cache, and the runner's
-        // retry/replan machinery rides out the outage.
+        // none of the risk). Dirty pieces have no other copy — they keep
+        // routing to the cache, and the runner's retry/replan machinery
+        // rides out the outage.
         let mut pins: Vec<(FileId, u64, u64)> = Vec::new();
         for piece in &view.pieces {
-            if !piece.dirty
-                && (self.cache_range_unhealthy(cluster, now, piece.c_offset, piece.len)
-                    || self.cache_range_congested(cluster, piece.c_offset, piece.len))
-            {
+            if !piece.dirty && self.cache_range_unhealthy(cluster, now, piece.c_offset, piece.len) {
                 self.metrics.fallback_reads += 1;
                 self.metrics.fallback_bytes += piece.len;
                 ops.push(self.data_op(
@@ -182,7 +171,7 @@ impl S4dCache {
             ));
         }
         let mut plan = Plan {
-            lead_in: self.config.decision_overhead,
+            lead_in: DECISION_OVERHEAD,
             ..Plan::single_phase(ops)
         };
         if !pins.is_empty() {
@@ -202,12 +191,9 @@ impl S4dCache {
             }
             // No new cache fills while any CServer is quarantined: fetches
             // stripe over the whole tier, so they would land on the sick
-            // server too. Backpressure sheds fills the same way — a
-            // congested tier gets no new fetch work.
+            // server too.
             if ctx.critical && !self.health.any_unhealthy(now) {
-                if self.shed_admission(ctx) {
-                    self.metrics.shed_admissions += 1;
-                } else if self.config.eager_read_fetch {
+                if self.config.eager_read_fetch {
                     self.plan_eager_fetch(cluster, req, &view.gaps, &mut plan);
                 } else if self.plane.cdt_set_c_flag(req.file, req.offset, req.len) {
                     // Lazy caching: mark for the Rebuilder (line 18).
@@ -277,7 +263,7 @@ impl S4dCache {
             IoKind::Read => self.metrics.read_misses += 1,
         }
         Plan {
-            lead_in: self.config.decision_overhead,
+            lead_in: DECISION_OVERHEAD,
             ..Plan::single_phase(vec![op])
         }
     }

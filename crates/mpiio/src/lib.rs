@@ -52,7 +52,7 @@ pub use middleware::{BackgroundPoll, Middleware, StockMiddleware};
 pub use report::{
     DegradedCounts, DurabilityCounts, GrayFailureCounts, KindReport, RunReport, TierCounts,
 };
-pub use runner::{IoObserver, Runner, RunnerConfig};
+pub use runner::{IoObserver, Runner};
 pub use script::{script, ProcessScript, ScriptBuilder, VecScript};
 pub use types::{
     AppOp, AppRequest, ErrorDirective, FileHandle, HedgeDirective, MiddlewareError, Plan,

@@ -98,8 +98,8 @@ pub trait Middleware {
     }
 
     /// Called for every sub-request the runner submits to a server
-    /// (including retries) — the health monitor's outstanding-op depth
-    /// signal. Balanced by exactly one of
+    /// (including retries) — a per-server outstanding-op depth signal.
+    /// Balanced by exactly one of
     /// [`on_io_complete`](Middleware::on_io_complete),
     /// [`on_io_error`](Middleware::on_io_error), or
     /// [`on_io_abandoned`](Middleware::on_io_abandoned). Default: ignored.

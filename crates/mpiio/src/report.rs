@@ -110,7 +110,7 @@ pub struct DegradedCounts {
 }
 
 /// Gray-failure (fail-slow) counters: deadline misses and what the
-/// hedging/backpressure machinery did about them. All zero on a healthy
+/// hedging machinery did about them. All zero on a healthy
 /// run or when the middleware sets no deadlines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GrayFailureCounts {
@@ -170,8 +170,8 @@ pub struct RunReport {
     pub overhead_bytes: u64,
     /// Fault/retry/re-plan counters (all zero on a healthy run).
     pub degraded: DegradedCounts,
-    /// Deadline/hedging/backpressure counters (all zero on a healthy run
-    /// or with deadlines disabled).
+    /// Deadline/hedging counters (all zero on a healthy run or with
+    /// deadlines disabled).
     pub gray: GrayFailureCounts,
     /// Journal/checkpoint durability counters, when the middleware keeps
     /// a persistent journal (`None` for e.g. the stock middleware).

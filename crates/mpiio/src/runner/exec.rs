@@ -13,6 +13,9 @@ use crate::types::{
 
 use super::{Event, State};
 
+/// Time charged to a process for each `open` (metadata round-trip).
+const OPEN_COST: SimDuration = SimDuration::from_micros(500);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum ProcStatus {
     Running,
@@ -130,7 +133,7 @@ impl<M: Middleware> State<M> {
                             proc.cursors.push(0);
                         }
                     }
-                    now += self.config.open_cost;
+                    now += OPEN_COST;
                 }
                 AppOp::Close { handle } => {
                     let rank = self.proc(i).rank;

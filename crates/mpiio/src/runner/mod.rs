@@ -29,7 +29,7 @@ mod retry;
 use std::collections::HashMap;
 
 use s4d_pfs::SubReqId;
-use s4d_sim::{Engine, EventQueue, SimDuration, SimTime, World};
+use s4d_sim::{Engine, EventQueue, SimTime, World};
 
 use crate::cluster::Cluster;
 use crate::middleware::Middleware;
@@ -41,25 +41,6 @@ use exec::{PlanExec, PlanOwner, Proc, ProcStatus, SubMeta};
 use retry::{PendingReplan, PendingRetry};
 
 pub use observe::IoObserver;
-
-/// Runner tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct RunnerConfig {
-    /// Time charged to a process for each `open` (metadata round-trip).
-    pub open_cost: SimDuration,
-    /// Hard stop: panic if the simulation passes this horizon (guards
-    /// against runaway configurations). `SimTime::MAX` disables it.
-    pub horizon: SimTime,
-}
-
-impl Default for RunnerConfig {
-    fn default() -> Self {
-        RunnerConfig {
-            open_cost: SimDuration::from_micros(500),
-            horizon: SimTime::MAX,
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -87,7 +68,6 @@ struct State<M: Middleware> {
     cluster: Cluster,
     middleware: M,
     procs: Vec<Proc>,
-    config: RunnerConfig,
     plans: HashMap<u64, PlanExec>,
     next_plan: u64,
     subs: HashMap<SubReqId, SubMeta>,
@@ -114,7 +94,7 @@ pub struct Runner<M: Middleware> {
 }
 
 impl<M: Middleware> Runner<M> {
-    /// Creates a runner over `scripts.len()` processes with default config.
+    /// Creates a runner over `scripts.len()` processes.
     ///
     /// `seed` is reserved for future stochastic components of the runner
     /// itself; determinism currently comes from the cluster and scripts.
@@ -141,7 +121,6 @@ impl<M: Middleware> Runner<M> {
                 cluster,
                 middleware,
                 procs,
-                config: RunnerConfig::default(),
                 plans: HashMap::new(),
                 next_plan: 1,
                 subs: HashMap::new(),
@@ -158,12 +137,6 @@ impl<M: Middleware> Runner<M> {
                 observers: Vec::new(),
             },
         }
-    }
-
-    /// Replaces the default configuration.
-    pub fn with_config(mut self, config: RunnerConfig) -> Self {
-        self.state.config = config;
-        self
     }
 
     /// Registers a tracing observer.
@@ -185,12 +158,10 @@ impl<M: Middleware> Runner<M> {
             .push(SimTime::ZERO, Event::BackgroundWake);
         self.state.background_armed = true;
         self.state.drain_mode = false;
-        let horizon = self.state.config.horizon;
-        let end = engine.run_until(&mut self.state, horizon);
-        assert!(
-            engine.queue().is_empty(),
-            "simulation hit the configured horizon with work pending"
-        );
+        // To queue-empty. Spelled `run_until(MAX)` because s4d-lint
+        // resolves calls by bare name and `run` is too common to resolve:
+        // `engine.run(…)` would hide every panic site below `handle`.
+        let end = engine.run_until(&mut self.state, SimTime::MAX);
         self.state.report.end_time = end;
         self.state.report.events = engine.processed();
         self.state.report.durability = self.state.middleware.durability();
@@ -205,8 +176,7 @@ impl<M: Middleware> Runner<M> {
         engine.queue_mut().push(start, Event::BackgroundWake);
         self.state.background_armed = true;
         self.state.drain_mode = true;
-        let horizon = self.state.config.horizon;
-        let end = engine.run_until(&mut self.state, horizon);
+        let end = engine.run_until(&mut self.state, SimTime::MAX);
         self.state.drain_mode = false;
         end
     }
@@ -219,11 +189,6 @@ impl<M: Middleware> Runner<M> {
     /// The report accumulated so far.
     pub fn report(&self) -> &RunReport {
         &self.state.report
-    }
-
-    /// The cluster (e.g. to pre-create files before running).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.state.cluster
     }
 
     /// The middleware (e.g. to inspect cache state after running).

@@ -11,7 +11,7 @@
 //! [`IoFault`]s on completed sub-requests and reacts (retry, quarantine,
 //! fall back to the other tier), while fail-slow modes are only visible
 //! as latency — detecting those is the gray-failure layer's job
-//! (deadlines, hedging, backpressure).
+//! (deadlines, hedging).
 
 use s4d_sim::{SimRng, SimTime};
 use s4d_storage::IoKind;

@@ -167,11 +167,6 @@ impl FileServer {
         self.faults = plan;
     }
 
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// True if a scripted crash window covers `now`.
     pub fn is_offline(&self, now: SimTime) -> bool {
         self.faults.offline_at(now)

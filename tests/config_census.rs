@@ -1,0 +1,50 @@
+//! Tier-1 gate: every `S4dConfig` builder has a caller.
+//!
+//! ROADMAP aim 2 — every knob points at a number or a caught bug. A
+//! `with_*` builder nothing in the workspace calls is an option no test,
+//! figure, example or chaos schedule has ever turned on; it goes, with
+//! the code only it reaches, rather than ship unmeasured.
+
+use std::path::Path;
+
+/// Appends the text of every `.rs` file under `dir`, skipping `config.rs`
+/// itself (its unit tests call every builder by construction).
+fn read_sources(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            read_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && !path.ends_with("crates/core/src/config.rs")
+        {
+            out.push_str(&std::fs::read_to_string(&path).expect("source file reads"));
+        }
+    }
+}
+
+#[test]
+fn every_config_builder_has_a_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let config = std::fs::read_to_string(root.join("crates/core/src/config.rs")).unwrap();
+    let mut callers = String::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
+        read_sources(&krate.path().join("src"), &mut callers);
+        read_sources(&krate.path().join("tests"), &mut callers);
+    }
+    read_sources(&root.join("tests"), &mut callers);
+    read_sources(&root.join("examples"), &mut callers);
+    let builders: Vec<&str> = config
+        .split("pub fn with_")
+        .skip(1)
+        .filter_map(|rest| rest.split('(').next())
+        .collect();
+    assert!(builders.len() > 10, "found only {builders:?}");
+    let uncalled: Vec<&&str> = builders
+        .iter()
+        .filter(|b| !callers.contains(&format!(".with_{b}(")))
+        .collect();
+    assert!(
+        uncalled.is_empty(),
+        "S4dConfig builders nothing calls: {uncalled:?}"
+    );
+}

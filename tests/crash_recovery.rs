@@ -86,8 +86,7 @@ fn cached_bytes_survive_a_crash() {
 
     // Rebuilder disabled (no flush candidates accepted), so the crash
     // catches the cache fully dirty.
-    let mut config = recovery_config(64 * MIB);
-    config.max_flush_per_wake = 0;
+    let config = recovery_config(64 * MIB).with_max_flush_per_wake(0);
 
     let payloads: Vec<(u64, Vec<u8>)> = (0..24u64)
         .map(|i| {

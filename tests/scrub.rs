@@ -205,10 +205,10 @@ fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
 #[test]
 fn corrupt_dirty_extent_is_reported_and_never_served() {
     // No flushing: the cache holds the only copy of the dirty write.
-    let mut config = S4dConfig::new(64 * MIB)
+    let config = S4dConfig::new(64 * MIB)
         .with_journal_batch(1)
-        .with_verify_on_read(true);
-    config.max_flush_per_wake = 0;
+        .with_verify_on_read(true)
+        .with_max_flush_per_wake(0);
     let mut cluster = Cluster::paper_testbed_small(32);
     let mut mw = S4dCache::new(config, params());
     let file = mw.open(&mut cluster, Rank(0), "dirty.dat").unwrap();
