@@ -26,7 +26,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "ordered-iter",
         mechanism: "lexical",
-        guards: "no HashMap/HashSet where journal, checkpoint or report bytes are produced",
+        guards: "no HashMap/HashSet/IdMap where journal, checkpoint or report bytes are produced",
     },
     Rule {
         id: "panic",
@@ -186,15 +186,19 @@ pub const PANIC_PATH_ROOT_CRATES: &[&str] = &["core", "mpiio"];
 
 /// Hot-path modules under the allocation lint (`hot-alloc`): the
 /// identify→redirect→admit pipeline, the shard plane, the group-commit
-/// queue, and the runner's exec/drain stages — the code ROADMAP item 2
-/// commits to making allocation-free. Matched as a path prefix for
-/// directories and exactly for files.
+/// queue, the runner's exec/drain stages, and below them the file
+/// server's service loop and its extent store (every sub-request
+/// completion runs both) — the code ROADMAP item 2 commits to making
+/// allocation-free. Matched as a path prefix for directories and exactly
+/// for files.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/pipeline/",
     "crates/core/src/shard/",
     "crates/core/src/durability/group.rs",
     "crates/mpiio/src/runner/exec.rs",
     "crates/mpiio/src/runner/drain.rs",
+    "crates/pfs/src/server.rs",
+    "crates/storage/src/store.rs",
 ];
 
 /// True when a workspace-relative path lies in the hot-path set.

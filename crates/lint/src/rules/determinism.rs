@@ -9,7 +9,8 @@
 //! the simulated path is concurrent, and while that stays lexically true
 //! there is no lock order, lock-held-across-I/O or blocking-under-lock
 //! property left to analyse.
-//! Likewise, iterating a `HashMap`/`HashSet` while serializing journal,
+//! Likewise, iterating a `HashMap`/`HashSet` (or `s4d_sim::IdMap`, the
+//! same table under another hasher) while serializing journal,
 //! checkpoint, or report state makes the byte stream order-of-iteration
 //! dependent; those paths must use `BTreeMap`/`BTreeSet` or sort
 //! explicitly.
@@ -96,7 +97,7 @@ fn ordered_iter(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     for r in ranges {
         for i in r {
             let Some(name) = file.ident(i) else { continue };
-            if name != "HashMap" && name != "HashSet" {
+            if !matches!(name, "HashMap" | "HashSet" | "IdMap") {
                 continue;
             }
             let line = file.line_of(i);
@@ -106,7 +107,7 @@ fn ordered_iter(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 rule: "ordered-iter",
                 message: format!(
                     "`{name}` in a journal/checkpoint/report serialization path: \
-                     iteration order is nondeterministic"
+                     iteration order is arbitrary"
                 ),
                 hint: "use BTreeMap/BTreeSet, or collect and sort explicitly before \
                        emitting bytes",

@@ -113,6 +113,10 @@ fn rows() -> Vec<Row> {
         row("hashmap-in-journal-codec", "crates/core/src/durability/journal.rs",
             "use s4d_pfs::FileId;\n", "use s4d_pfs::FileId;\nuse std::collections::HashMap;\n",
             Lint("ordered-iter"), "HashMap"),
+        row("idmap-iterated-in-report", "crates/mpiio/src/report.rs",
+            "        self.meter.add(bytes);\n",
+            "        let seen: s4d_sim::IdMap<u64, u64> = s4d_sim::IdMap::default();\n        for n in seen.values() {\n            self.meter.add(*n);\n        }\n        self.meter.add(bytes);\n",
+            Lint("ordered-iter"), "IdMap"),
         row("unwrap-in-middleware", "crates/core/src/durability/group.rs",
             ".max().unwrap_or(0)", ".max().unwrap()",
             Lint("panic"), ".unwrap()"),

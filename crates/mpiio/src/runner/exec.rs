@@ -1,7 +1,7 @@
 //! Script advancement and plan execution: process bookkeeping, phase
 //! submission, sub-request decomposition, and completion assembly.
 
-use s4d_pfs::{Priority, SubRange, SubReqId, SubRequest};
+use s4d_pfs::{Priority, SubRange, SubRequest};
 use s4d_sim::{EventQueue, SimDuration, SimTime};
 use s4d_storage::IoKind;
 
@@ -51,6 +51,17 @@ pub(super) enum PlanOwner {
         replans: u32,
     },
     Background,
+}
+
+impl PlanOwner {
+    /// The owning process's index and request kind; `None` for
+    /// background plans.
+    pub(super) fn process(&self) -> Option<(usize, IoKind)> {
+        match self {
+            PlanOwner::Process { index, kind, .. } => Some((*index, *kind)),
+            PlanOwner::Background => None,
+        }
+    }
 }
 
 pub(super) struct PlanExec {
@@ -260,48 +271,41 @@ impl<M: Middleware> State<M> {
         }
     }
 
-    pub(super) fn start_plan(
-        &mut self,
-        now: SimTime,
-        plan_id: u64,
-        mut exec: PlanExec,
-        q: &mut EventQueue<Event>,
-    ) {
-        let launched = self.submit_phase(now, plan_id, &mut exec, q);
-        exec.outstanding = launched;
-        if launched == 0 {
-            // Empty plan (or zero-length ops only): completes instantly.
-            self.complete_plan(now, exec, q);
-        } else {
-            self.plans.insert(plan_id, exec);
-        }
-    }
-
-    /// Submits every op of the current phase; returns how many sub-requests
-    /// were created. Empty phases are skipped (advancing `exec.phase`).
-    fn submit_phase(
-        &mut self,
-        now: SimTime,
-        plan_id: u64,
-        exec: &mut PlanExec,
-        q: &mut EventQueue<Event>,
-    ) -> usize {
-        while let Some(ops) = exec.plan.phases.get(exec.phase) {
-            let mut created = 0;
+    /// Submits the plan's current phase, skipping phases that create no
+    /// sub-request, and completes the plan when no phase is left (an
+    /// empty plan completes instantly). The plan is updated where it
+    /// sits in the table; a phase's ops are moved out while they are
+    /// submitted, since nothing reads them afterwards.
+    pub(super) fn advance_plan(&mut self, now: SimTime, plan_id: u64, q: &mut EventQueue<Event>) {
+        loop {
+            let Some(exec) = self.plans.get_mut(&plan_id) else {
+                return; // a PlanStart or drain names a plan still in the table
+            };
+            let Some(ops) = exec.plan.phases.get_mut(exec.phase).map(std::mem::take) else {
+                break;
+            };
             let deadline = exec.plan.deadline;
-            for op in ops {
+            let owner = exec.owner.process();
+            let mut created = 0;
+            for op in &ops {
                 if op.len == 0 {
                     continue;
                 }
-                self.account_dispatch(now, exec, op);
+                self.account_dispatch(now, owner, op);
                 created += self.submit_planned_op(now, plan_id, op, deadline, false, q);
             }
+            let Some(exec) = self.plans.get_mut(&plan_id) else {
+                return; // submission completes nothing, so the plan is still there
+            };
             if created > 0 {
-                return created;
+                exec.outstanding = created;
+                return;
             }
             exec.phase += 1;
         }
-        0
+        if let Some(exec) = self.plans.remove(&plan_id) {
+            self.complete_plan(now, exec, q);
+        }
     }
 
     /// Decomposes one planned op into per-server sub-requests, registers
@@ -322,12 +326,10 @@ impl<M: Middleware> State<M> {
             .cluster
             .pfs_mut(op.tier)
             .plan(op.file, op.kind, op.offset, op.len)
-            // s4d-lint: allow(panic) — a plan the middleware just produced names unknown files only if the middleware is broken; fail fast with the op; panic-path witness: run → run_until → handle → server_done → submit_phase → submit_planned_op
+            // s4d-lint: allow(panic) — a plan the middleware just produced names unknown files only if the middleware is broken; fail fast with the op; panic-path witness: run → run_until → handle → server_done → settle_drained_plan → advance_plan → submit_planned_op
             .unwrap_or_else(|e| panic!("planning {op:?}: {e}"));
         let layout = self.cluster.pfs(op.tier).layout();
         for sub in subranges {
-            let id = SubReqId(self.next_sub);
-            self.next_sub += 1;
             let data = op.data.as_ref().map(|full| {
                 let mut buf = Vec::with_capacity(sub.len as usize);
                 for (seg_off, seg_len) in layout.file_segments(&sub) {
@@ -338,23 +340,20 @@ impl<M: Middleware> State<M> {
                 }
                 buf
             });
-            self.subs.insert(
-                id,
-                SubMeta {
-                    plan_id,
-                    tier: op.tier,
-                    file: op.file,
-                    kind: op.kind,
-                    op_offset: op.offset,
-                    app_offset: op.app_offset,
-                    sub,
-                    priority: op.priority,
-                    attempts: 1,
-                    submitted: now,
-                    deadline,
-                    hedge,
-                },
-            );
+            let id = self.subs.insert(SubMeta {
+                plan_id,
+                tier: op.tier,
+                file: op.file,
+                kind: op.kind,
+                op_offset: op.offset,
+                app_offset: op.app_offset,
+                sub,
+                priority: op.priority,
+                attempts: 1,
+                submitted: now,
+                deadline,
+                hedge,
+            });
             let sr = SubRequest {
                 id,
                 file: op.file,
@@ -368,7 +367,7 @@ impl<M: Middleware> State<M> {
             let server_idx = sub.server;
             let sub_len = sub.len;
             let Ok(server) = self.cluster.pfs_mut(tier).server_mut(server_idx) else {
-                self.subs.remove(&id);
+                self.subs.remove(id);
                 continue; // the layout only names servers in range
             };
             let started = server.submit(now, sr);
@@ -384,13 +383,7 @@ impl<M: Middleware> State<M> {
                 );
             }
             if let Some(budget) = deadline {
-                q.push(
-                    now + budget,
-                    Event::Deadline {
-                        sub: id,
-                        attempt: 1,
-                    },
-                );
+                q.push(now + budget, Event::Deadline(id));
             }
             created += 1;
         }
@@ -411,11 +404,11 @@ impl<M: Middleware> State<M> {
         if let Some(s) = next {
             q.push(s.completes_at, Event::ServerDone { tier, server });
         }
-        let Some(meta) = self.subs.remove(&completed.id) else {
-            return; // every submitted sub-request is registered first
+        let Some(meta) = self.subs.remove(completed.id) else {
+            return; // an abandoned straggler's late completion: its key is retired
         };
         let plan_id = meta.plan_id;
-        let Some(mut exec) = self.plans.remove(&plan_id) else {
+        let Some(exec) = self.plans.get_mut(&plan_id) else {
             return; // a sub-request's plan stays live until it drains
         };
         if let Some(error) = completed.error {
@@ -438,7 +431,8 @@ impl<M: Middleware> State<M> {
                 ErrorDirective::Retry { delay } => {
                     let mut meta = meta;
                     meta.attempts += 1;
-                    // A failed write hands its payload back in `data`.
+                    // A failed write hands its payload back in `data`. The
+                    // id is retired; the retry is submitted under a new one.
                     let req = SubRequest {
                         id: completed.id,
                         file: completed.file,
@@ -448,9 +442,8 @@ impl<M: Middleware> State<M> {
                         priority: meta.priority,
                         data: completed.data,
                     };
-                    self.schedule_retry(now, delay, tier, server, req, meta, q);
                     // The sub-request stays outstanding on its plan.
-                    self.plans.insert(plan_id, exec);
+                    self.schedule_retry(now, delay, tier, server, req, meta, q);
                     return;
                 }
                 ErrorDirective::GiveUp => {
@@ -502,34 +495,30 @@ impl<M: Middleware> State<M> {
             }
         }
         exec.outstanding -= 1;
-        if exec.outstanding > 0 {
-            self.plans.insert(plan_id, exec);
-            return;
+        if exec.outstanding == 0 {
+            self.settle_drained_plan(now, plan_id, q);
         }
-        self.settle_drained_plan(now, plan_id, exec, q);
     }
 
-    /// A plan's current phase has fully drained: fail it, advance to the
-    /// next phase, or complete it.
+    /// A plan's current phase has fully drained: fail it, or advance to
+    /// the next phase (completing it when there is none).
     pub(super) fn settle_drained_plan(
         &mut self,
         now: SimTime,
         plan_id: u64,
-        mut exec: PlanExec,
         q: &mut EventQueue<Event>,
     ) {
+        let Some(exec) = self.plans.get_mut(&plan_id) else {
+            return; // callers just saw the plan drain
+        };
         if exec.failed {
-            self.fail_plan(now, exec, q);
+            if let Some(exec) = self.plans.remove(&plan_id) {
+                self.fail_plan(now, exec, q);
+            }
             return;
         }
         exec.phase += 1;
-        let launched = self.submit_phase(now, plan_id, &mut exec, q);
-        if launched > 0 {
-            exec.outstanding = launched;
-            self.plans.insert(plan_id, exec);
-        } else {
-            self.complete_plan(now, exec, q);
-        }
+        self.advance_plan(now, plan_id, q);
     }
 
     pub(super) fn complete_plan(

@@ -2,22 +2,24 @@
 //! ops, and abandonment.
 //!
 //! A plan carrying a [`Plan::deadline`](crate::Plan::deadline) budget
-//! gets a timer per dispatched sub-request (armed in `submit_phase`,
-//! re-armed per attempt in `fire_retry`). When a timer fires with its
-//! sub-request still outstanding, the middleware is consulted
-//! ([`Middleware::on_deadline`]) and the runner executes the verdict:
+//! gets a timer per dispatched sub-request (armed in
+//! `submit_planned_op`, re-armed per attempt in `fire_retry`). When a
+//! timer fires with its sub-request still outstanding, the middleware is
+//! consulted ([`Middleware::on_deadline`]) and the runner executes the
+//! verdict:
 //!
 //! * **Wait** — nothing happens; the straggler keeps its slot (correct
 //!   when the straggler holds the only copy of dirty bytes).
 //! * **Hedge** — cancel-and-replace: the straggler is abandoned and the
 //!   replacement ops run under the same plan. A straggler genuinely in
-//!   device service cannot be recalled; its late completion finds its
-//!   metadata already removed and is discarded idempotently (the
-//!   `subs.remove` lookup in `server_done`), so whichever path delivers
-//!   first is the one the application observes. Re-planned/hedged writes
-//!   are safe against late-landing originals because the durability
-//!   protocol re-plans a write onto the *same* mapping with the same
-//!   payload — a duplicate apply is byte-identical, never half-applied.
+//!   device service cannot be recalled; its late completion carries a
+//!   retired slab key — abandoning bumped the slot's generation — so
+//!   `server_done` misses and discards it, however the slot has been
+//!   reused since; whichever path delivers first is the one the
+//!   application observes. Re-planned/hedged writes are safe against
+//!   late-landing originals because the durability protocol re-plans a
+//!   write onto the *same* mapping with the same payload — a duplicate
+//!   apply is byte-identical, never half-applied.
 //! * **Abandon** — the straggler is abandoned and its plan fails; the
 //!   runner re-plans the request once drained, with middleware health
 //!   state that now routes around the straggling server.
@@ -38,25 +40,14 @@ use super::exec::{PlanOwner, SubMeta};
 use super::{Event, State};
 
 impl<M: Middleware> State<M> {
-    /// A deadline timer fired: if its sub-request (same attempt) is still
-    /// outstanding, record the miss and apply the middleware's verdict.
-    pub(super) fn fire_deadline(
-        &mut self,
-        now: SimTime,
-        sub: SubReqId,
-        attempt: u32,
-        q: &mut EventQueue<Event>,
-    ) {
-        let Some(meta) = self.subs.get(&sub) else {
-            return; // completed (or already abandoned) within budget
+    /// A deadline timer fired: if its sub-request is still outstanding
+    /// under the key the timer was armed for, record the miss and apply
+    /// the middleware's verdict.
+    pub(super) fn fire_deadline(&mut self, now: SimTime, sub: SubReqId, q: &mut EventQueue<Event>) {
+        let Some(meta) = self.subs.get(sub) else {
+            return; // completed, abandoned or retried (new key) within budget
         };
-        if meta.attempts != attempt {
-            return; // stale timer from a previous attempt generation
-        }
         self.report.gray.deadline_misses += 1;
-        let Some(meta) = self.subs.get(&sub) else {
-            return; // unreachable: checked above
-        };
         if meta.hedge {
             // A hedge that misses too is abandoned outright — the
             // escalation chain ends at original → hedge → re-plan.
@@ -107,56 +98,54 @@ impl<M: Middleware> State<M> {
         if ops.is_empty() {
             return; // nothing to hedge with — equivalent to Wait
         }
-        let Some(meta) = self.subs.remove(&sub) else {
+        let Some(meta) = self.subs.remove(sub) else {
             return; // raced with a completion delivered this instant
         };
         self.detach_straggler(now, &meta, sub, q);
         let plan_id = meta.plan_id;
-        let Some(mut exec) = self.plans.remove(&plan_id) else {
+        let Some(owner) = self.plans.get(&plan_id).map(|e| e.owner.process()) else {
             return; // an outstanding sub keeps its plan live
         };
-        exec.outstanding -= 1;
         self.report.gray.hedges_issued += 1;
         let mut launched = 0;
         for op in &ops {
             if op.len == 0 {
                 continue;
             }
-            self.account_dispatch(now, &exec, op);
+            self.account_dispatch(now, owner, op);
             launched += self.submit_planned_op(now, plan_id, op, meta.deadline, true, q);
         }
-        exec.outstanding += launched;
-        if exec.outstanding > 0 {
-            self.plans.insert(plan_id, exec);
-            return;
+        let Some(exec) = self.plans.get_mut(&plan_id) else {
+            return; // submission completes nothing, so the plan is still there
+        };
+        exec.outstanding = exec.outstanding - 1 + launched;
+        if exec.outstanding == 0 {
+            self.settle_drained_plan(now, plan_id, q);
         }
-        self.settle_drained_plan(now, plan_id, exec, q);
     }
 
     /// Abandons the straggler and fails its plan; once the plan drains,
     /// the owning request is re-planned around the straggling server.
     fn abandon_sub(&mut self, now: SimTime, sub: SubReqId, q: &mut EventQueue<Event>) {
-        let Some(meta) = self.subs.remove(&sub) else {
+        let Some(meta) = self.subs.remove(sub) else {
             return; // raced with a completion delivered this instant
         };
         self.detach_straggler(now, &meta, sub, q);
         let plan_id = meta.plan_id;
-        let Some(mut exec) = self.plans.remove(&plan_id) else {
+        let Some(exec) = self.plans.get_mut(&plan_id) else {
             return; // an outstanding sub keeps its plan live
         };
         exec.failed = true;
         exec.outstanding -= 1;
-        if exec.outstanding > 0 {
-            self.plans.insert(plan_id, exec);
-            return;
+        if exec.outstanding == 0 {
+            self.settle_drained_plan(now, plan_id, q);
         }
-        self.settle_drained_plan(now, plan_id, exec, q);
     }
 
     /// Closes the books on an abandoned straggler: balances the dispatch
     /// depth accounting and frees server-side state. A parked or queued
     /// op is physically removed; one genuinely in device service runs to
-    /// its promised completion, which then finds its metadata gone and is
+    /// its promised completion, which then finds its key retired and is
     /// discarded.
     fn detach_straggler(
         &mut self,

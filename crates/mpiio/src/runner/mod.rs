@@ -17,19 +17,19 @@
 //! and the public `Runner` surface. The machinery lives in the
 //! submodules — [`exec`] (script advancement and plan execution),
 //! [`retry`] (sub-request retries and request re-planning), [`drain`]
-//! (background polling and draining), and [`observe`] (tracing hooks and
-//! report accounting).
+//! (background polling and draining), [`hedge`] (deadline budgets),
+//! [`observe`] (tracing hooks and report accounting), and [`slab`] (the
+//! table of in-flight sub-requests, keyed by the id the servers echo).
 
 mod drain;
 mod exec;
 mod hedge;
 mod observe;
 mod retry;
-
-use std::collections::HashMap;
+mod slab;
 
 use s4d_pfs::SubReqId;
-use s4d_sim::{Engine, EventQueue, SimTime, World};
+use s4d_sim::{Engine, EventQueue, IdMap, SimTime, World};
 
 use crate::cluster::Cluster;
 use crate::middleware::Middleware;
@@ -39,6 +39,7 @@ use crate::types::{Plan, Rank, Tier};
 
 use exec::{PlanExec, PlanOwner, Proc, ProcStatus, SubMeta};
 use retry::{PendingReplan, PendingRetry};
+use slab::Slab;
 
 pub use observe::IoObserver;
 
@@ -55,26 +56,23 @@ enum Event {
     Retry(u64),
     /// Re-plan an application request after a plan failure.
     Replan(u64),
-    /// A sub-request's deadline budget lapsed. `attempt` pins the timer
-    /// to one attempt generation: a retry re-arms a fresh deadline, and
-    /// the stale timer for the failed attempt must not fire on it.
-    Deadline {
-        sub: SubReqId,
-        attempt: u32,
-    },
+    /// A sub-request's deadline budget lapsed. The key pins the timer to
+    /// one attempt: a retry runs under a fresh key with a fresh deadline,
+    /// and the stale timer for the failed attempt misses.
+    Deadline(SubReqId),
 }
 
 struct State<M: Middleware> {
     cluster: Cluster,
     middleware: M,
     procs: Vec<Proc>,
-    plans: HashMap<u64, PlanExec>,
+    plans: IdMap<u64, PlanExec>,
     next_plan: u64,
-    subs: HashMap<SubReqId, SubMeta>,
-    next_sub: u64,
-    retries: HashMap<u64, PendingRetry>,
+    /// In-flight sub-requests; the slab's key is the id the servers echo.
+    subs: Slab<SubMeta>,
+    retries: IdMap<u64, PendingRetry>,
     next_retry: u64,
-    replans: HashMap<u64, PendingReplan>,
+    replans: IdMap<u64, PendingReplan>,
     next_replan: u64,
     barrier_waiting: usize,
     finished: usize,
@@ -121,13 +119,12 @@ impl<M: Middleware> Runner<M> {
                 cluster,
                 middleware,
                 procs,
-                plans: HashMap::new(),
+                plans: IdMap::default(),
                 next_plan: 1,
-                subs: HashMap::new(),
-                next_sub: 0,
-                retries: HashMap::new(),
+                subs: Slab::new(),
+                retries: IdMap::default(),
                 next_retry: 0,
-                replans: HashMap::new(),
+                replans: IdMap::default(),
                 next_replan: 0,
                 barrier_waiting: 0,
                 finished: 0,
@@ -206,17 +203,11 @@ impl<M: Middleware> World<Event> for State<M> {
         match ev {
             Event::ProcessWake(i) => self.advance_process(now, i, q),
             Event::ServerDone { tier, server } => self.server_done(now, tier, server, q),
-            Event::PlanStart(id) => {
-                // A missing entry means the queue replayed a stale id;
-                // there is nothing to start.
-                if let Some(exec) = self.plans.remove(&id) {
-                    self.start_plan(now, id, exec, q);
-                }
-            }
+            Event::PlanStart(id) => self.advance_plan(now, id, q),
             Event::BackgroundWake => self.background_wake(now, q),
             Event::Retry(token) => self.fire_retry(now, token, q),
             Event::Replan(token) => self.fire_replan(now, token, q),
-            Event::Deadline { sub, attempt } => self.fire_deadline(now, sub, attempt, q),
+            Event::Deadline(sub) => self.fire_deadline(now, sub, q),
         }
     }
 }
@@ -251,20 +242,24 @@ impl<M: Middleware> State<M> {
     ) {
         let plan_id = self.next_plan;
         self.next_plan += 1;
-        let exec = PlanExec {
-            plan,
-            phase: 0,
-            outstanding: 0,
-            owner,
-            failed: false,
-        };
-        if !exec.plan.lead_in.is_zero() {
+        let lead_in = plan.lead_in;
+        // The plan stays in the table until it completes or fails; every
+        // step in between updates it in place.
+        self.plans.insert(
+            plan_id,
+            PlanExec {
+                plan,
+                phase: 0,
+                outstanding: 0,
+                owner,
+                failed: false,
+            },
+        );
+        if lead_in.is_zero() {
+            self.advance_plan(now, plan_id, q);
+        } else {
             // Charge the middleware's decision time before any I/O starts.
-            let starts_at = now + exec.plan.lead_in;
-            self.plans.insert(plan_id, exec);
-            q.push(starts_at, Event::PlanStart(plan_id));
-            return;
+            q.push(now + lead_in, Event::PlanStart(plan_id));
         }
-        self.start_plan(now, plan_id, exec, q);
     }
 }

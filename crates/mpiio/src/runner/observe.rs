@@ -6,7 +6,6 @@ use s4d_storage::IoKind;
 use crate::middleware::Middleware;
 use crate::types::{PlannedIo, Rank, Tier};
 
-use super::exec::{PlanExec, PlanOwner};
 use super::State;
 
 /// Observation hooks for tracing tools.
@@ -45,20 +44,26 @@ pub trait IoObserver {
 impl<M: Middleware> State<M> {
     /// Books a dispatched op into the report (tier traffic, overhead, or
     /// background bytes) and fans it out to the observers.
-    pub(super) fn account_dispatch(&mut self, now: SimTime, exec: &PlanExec, op: &PlannedIo) {
-        match (&exec.owner, op.app_offset) {
-            (PlanOwner::Process { index, kind, .. }, Some(app_off)) => {
+    /// `owner` is [`PlanOwner::process`](super::exec::PlanOwner::process)
+    /// of the op's plan.
+    pub(super) fn account_dispatch(
+        &mut self,
+        now: SimTime,
+        owner: Option<(usize, IoKind)>,
+        op: &PlannedIo,
+    ) {
+        match (owner, op.app_offset) {
+            (Some((index, kind)), Some(app_off)) => {
                 self.report.tiers.record(op.tier, op.len);
-                let rank = self.proc(*index).rank;
-                let kind = *kind;
+                let rank = self.proc(index).rank;
                 for obs in &mut self.observers {
                     obs.on_dispatch(now, rank, op.tier, kind, app_off, op.len);
                 }
             }
-            (PlanOwner::Process { .. }, None) => {
+            (Some(_), None) => {
                 self.report.overhead_bytes += op.len;
             }
-            (PlanOwner::Background, _) => {
+            (None, _) => {
                 self.report.background_bytes += op.len;
             }
         }

@@ -81,34 +81,30 @@ impl<M: Middleware> State<M> {
         let Some(PendingRetry {
             tier,
             server,
-            req,
+            mut req,
             mut meta,
         }) = self.retries.remove(&token)
         else {
             return; // Retry tokens are minted once per pending retry
         };
         meta.submitted = now;
-        let id = req.id;
+        let deadline = meta.deadline;
         let kind = req.kind;
         let len = req.len;
+        // Each attempt runs under a fresh key with a fresh deadline; the
+        // failed attempt's key was retired when it completed, so its timer
+        // cannot fire on this one.
+        let id = self.subs.insert(meta);
+        req.id = id;
         let Ok(srv) = self.cluster.pfs_mut(tier).server_mut(server) else {
+            self.subs.remove(id);
             return; // the retried server was valid when the retry was queued
         };
         let started = srv.submit(now, req);
         self.middleware.on_io_dispatched(tier, server, kind, len);
-        // Each attempt gets a fresh deadline; the generation check in
-        // `fire_deadline` keeps the previous attempt's timer from firing
-        // on this one.
-        if let Some(budget) = meta.deadline {
-            q.push(
-                now + budget,
-                Event::Deadline {
-                    sub: id,
-                    attempt: meta.attempts,
-                },
-            );
+        if let Some(budget) = deadline {
+            q.push(now + budget, Event::Deadline(id));
         }
-        self.subs.insert(id, meta);
         if let Some(s) = started {
             q.push(s.completes_at, Event::ServerDone { tier, server });
         }

@@ -6,8 +6,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use s4d_mpiio::{
-    script, AppRequest, Cluster, ErrorDirective, IoObserver, Middleware, MiddlewareError, Plan,
-    Rank, Runner, StockMiddleware, SubIoFailure,
+    script, AppRequest, Cluster, ErrorDirective, HedgeDirective, IoObserver, Middleware,
+    MiddlewareError, Plan, Rank, Runner, StockMiddleware, StragglerCtx, SubIoFailure,
 };
 use s4d_pfs::FileId;
 use s4d_sim::stats::MIB;
@@ -219,11 +219,28 @@ fn bad_handle_panics() {
     Runner::new(small_cluster(), StockMiddleware::new(), scripts, 7).run();
 }
 
-/// Stock middleware plus a fixed retry policy — exercises the
-/// runner's retry and re-plan machinery without the cache layer.
+/// Stock middleware plus a fixed retry policy and, optionally, a
+/// deadline budget — exercises the runner's retry, re-plan and deadline
+/// machinery without the cache layer.
 struct RetryingStock {
     inner: StockMiddleware,
     max_attempts: u32,
+    /// Deadline budget stamped on every plan.
+    deadline: Option<SimDuration>,
+    /// How many deadline misses are answered with `Abandon` before the
+    /// middleware settles for `Wait`.
+    abandons: u32,
+}
+
+impl RetryingStock {
+    fn new(max_attempts: u32) -> Self {
+        RetryingStock {
+            inner: StockMiddleware::new(),
+            max_attempts,
+            deadline: None,
+            abandons: 0,
+        }
+    }
 }
 
 impl Middleware for RetryingStock {
@@ -237,7 +254,9 @@ impl Middleware for RetryingStock {
     }
 
     fn plan_io(&mut self, cluster: &mut Cluster, now: SimTime, req: &AppRequest) -> Plan {
-        self.inner.plan_io(cluster, now, req)
+        let mut plan = self.inner.plan_io(cluster, now, req);
+        plan.deadline = self.deadline;
+        plan
     }
 
     fn close(
@@ -247,6 +266,19 @@ impl Middleware for RetryingStock {
         file: FileId,
     ) -> Result<(), MiddlewareError> {
         self.inner.close(cluster, rank, file)
+    }
+
+    fn on_deadline(
+        &mut self,
+        _cluster: &mut Cluster,
+        _now: SimTime,
+        _ctx: &StragglerCtx,
+    ) -> HedgeDirective {
+        if self.abandons == 0 {
+            return HedgeDirective::Wait;
+        }
+        self.abandons -= 1;
+        HedgeDirective::Abandon
     }
 
     fn on_io_error(
@@ -293,10 +325,7 @@ fn transient_errors_are_retried_to_success() {
         .read(0, 0, payload.len() as u64)
         .close(0)
         .build()];
-    let mw = RetryingStock {
-        inner: StockMiddleware::new(),
-        max_attempts: 50,
-    };
+    let mw = RetryingStock::new(50);
     let mut r = Runner::new(cluster, mw, scripts, 11);
     struct Capture(Rc<RefCell<Vec<Vec<u8>>>>);
     impl IoObserver for Capture {
@@ -337,10 +366,7 @@ fn plan_failure_replans_until_the_outage_ends() {
             .unwrap();
     }
     let scripts = vec![script().open("f").write(0, 0, 64 * 1024).close(0).build()];
-    let mw = RetryingStock {
-        inner: StockMiddleware::new(),
-        max_attempts: 1, // offline: retrying the same server is futile
-    };
+    let mw = RetryingStock::new(1); // offline: retrying the same server is futile
     let mut r = Runner::new(cluster, mw, scripts, 12);
     let rep = r.run();
     assert_eq!(
@@ -353,4 +379,94 @@ fn plan_failure_replans_until_the_outage_ends() {
         rep.end_time >= SimTime::from_secs(2),
         "success only after recovery"
     );
+}
+
+fn at_millis(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(ms)
+}
+
+/// Runs one 4 KiB write (a single sub-request on DServer 0, issued at
+/// t = 500 µs after the open) under a 30 ms deadline budget, with
+/// `faults` scripted on that server. Returns the report and how many
+/// ops the server serviced.
+fn run_one_write_with_deadline(
+    mut mw: RetryingStock,
+    abandons: u32,
+    faults: s4d_pfs::FaultPlan,
+) -> (s4d_mpiio::RunReport, u64) {
+    mw.deadline = Some(SimDuration::from_millis(30));
+    mw.abandons = abandons;
+    let mut cluster = small_cluster();
+    cluster.opfs_mut().set_fault_plan(0, faults).unwrap();
+    let scripts = vec![script().open("f").write(0, 0, 4096).close(0).build()];
+    let mut r = Runner::new(cluster, mw, scripts, 13);
+    let rep = r.run();
+    let (cluster, _, _) = r.into_parts();
+    let serviced = cluster.opfs().server(0).unwrap().stats().ops;
+    (rep, serviced)
+}
+
+/// Ops started in `[from, 100 ms)` are serviced a thousand times too
+/// slowly — far beyond the deadline budget.
+fn limping(from: SimTime) -> s4d_pfs::ServerFault {
+    s4d_pfs::ServerFault::Degraded {
+        from,
+        until: at_millis(100),
+        factor: 1000.0,
+    }
+}
+
+#[test]
+fn late_completion_of_an_abandoned_straggler_is_discarded() {
+    let faults = || s4d_pfs::FaultPlan::new().with(limping(SimTime::ZERO));
+    // Reference: the middleware waits the limping op out.
+    let (waited, serviced) = run_one_write_with_deadline(RetryingStock::new(1), 0, faults());
+    assert_eq!(waited.app_ops(IoKind::Write), 1);
+    assert_eq!(serviced, 1);
+    assert_eq!(waited.gray.deadline_misses, 1);
+    assert!(waited.writes.last_completion > Some(at_millis(100)));
+
+    // Abandon it instead: it is in device service and cannot be recalled,
+    // so the request is re-planned and the new sub-request — which reuses
+    // the abandoned one's slot under a new key — queues behind it. The
+    // straggler's completion must not be taken for the new sub-request's.
+    let (abandoned, serviced) = run_one_write_with_deadline(RetryingStock::new(1), 1, faults());
+    assert_eq!(abandoned.app_ops(IoKind::Write), 1);
+    assert_eq!(abandoned.degraded.replans, 1);
+    assert_eq!(abandoned.gray.stall_abandons, 0, "in service, not recalled");
+    assert_eq!(
+        abandoned.gray.deadline_misses, 2,
+        "the straggler, then its queued successor"
+    );
+    assert_eq!(serviced, 2, "the server ran both to completion");
+    assert!(
+        abandoned.writes.last_completion > waited.writes.last_completion,
+        "the write completes with the re-planned op ({:?}), not with the straggler's \
+         late completion ({:?})",
+        abandoned.writes.last_completion,
+        waited.writes.last_completion
+    );
+}
+
+#[test]
+fn a_retried_sub_request_gets_a_fresh_deadline_under_its_new_key() {
+    // The first attempt fails fast; the retry starts inside the limping
+    // window and outlives its budget.
+    let faults = s4d_pfs::FaultPlan::new()
+        .with(s4d_pfs::ServerFault::TransientErrors {
+            from: SimTime::ZERO,
+            until: at_millis(1),
+            error_rate: 1.0,
+        })
+        .with(limping(at_millis(1)));
+    let (rep, serviced) = run_one_write_with_deadline(RetryingStock::new(2), 0, faults);
+    assert_eq!(rep.app_ops(IoKind::Write), 1);
+    assert_eq!(rep.degraded.io_errors, 1);
+    assert_eq!(rep.degraded.retries, 1);
+    assert_eq!(rep.degraded.replans, 0);
+    assert_eq!(serviced, 2);
+    // The failed attempt's timer lapses while the retry is in flight and
+    // must miss (its key is retired); the retry's own timer fires once.
+    assert_eq!(rep.gray.deadline_misses, 1);
+    assert!(rep.end_time > at_millis(100));
 }

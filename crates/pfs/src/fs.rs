@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use s4d_sim::SimRng;
+use s4d_sim::{IdMap, SimRng};
 use s4d_storage::{HddConfig, IoKind, SsdConfig, StoreMode};
 
 use crate::error::PfsError;
@@ -51,7 +51,7 @@ pub struct Pfs {
     name: String,
     layout: StripeLayout,
     servers: Vec<FileServer>,
-    files: HashMap<FileId, FileMeta>,
+    files: IdMap<FileId, FileMeta>,
     by_name: HashMap<String, FileId>,
     next_file: u64,
 }
@@ -72,7 +72,7 @@ impl Pfs {
             name: name.into(),
             layout,
             servers,
-            files: HashMap::new(),
+            files: IdMap::default(),
             by_name: HashMap::new(),
             next_file: 0,
         }

@@ -1,8 +1,8 @@
 //! A single file server: device + per-file stores + two-level service queue.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use s4d_sim::{SimDuration, SimRng, SimTime};
+use s4d_sim::{IdMap, SimDuration, SimRng, SimTime};
 use s4d_storage::{DeviceModel, ExtentStore, IoKind, StoreMode};
 
 use crate::faults::{FaultPlan, IoFault, StallState, MAX_SLOWDOWN};
@@ -104,8 +104,8 @@ pub struct FileServer {
     device: Box<dyn DeviceModel>,
     net: NetworkConfig,
     store_mode: StoreMode,
-    stores: HashMap<FileId, ExtentStore>,
-    bases: HashMap<FileId, u64>,
+    stores: IdMap<FileId, ExtentStore>,
+    bases: IdMap<FileId, u64>,
     next_base: u64,
     file_region: u64,
     capacity: u64,
@@ -145,8 +145,8 @@ impl FileServer {
             device,
             net,
             store_mode,
-            stores: HashMap::new(),
-            bases: HashMap::new(),
+            stores: IdMap::default(),
+            bases: IdMap::default(),
             next_base: 0,
             file_region,
             capacity,

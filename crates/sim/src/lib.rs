@@ -3,8 +3,9 @@
 //! This crate provides the simulation substrate used by the S4D-Cache
 //! reproduction: a nanosecond-resolution simulated clock ([`SimTime`],
 //! [`SimDuration`]), a deterministic event queue ([`EventQueue`]), a generic
-//! event-loop driver ([`Engine`]), a seeded random-number source ([`SimRng`])
-//! and lightweight statistics collectors ([`stats`]).
+//! event-loop driver ([`Engine`]), a seeded random-number source ([`SimRng`]),
+//! a hash table for simulation-minted ids ([`IdMap`]) and lightweight
+//! statistics collectors ([`stats`]).
 //!
 //! Determinism is a design requirement: two runs with the same configuration
 //! and seed produce bit-identical event orders. Ties in event time are broken
@@ -36,11 +37,13 @@
 
 mod engine;
 mod event;
+mod idmap;
 mod rng;
 pub mod stats;
 mod time;
 
 pub use engine::{Engine, World};
 pub use event::EventQueue;
+pub use idmap::{IdHasher, IdMap};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -115,7 +115,12 @@ impl ExtentStore {
                 );
                 Some(d.to_vec())
             }
-            StoreMode::Timing => None,
+            StoreMode::Timing => {
+                if self.grow_in_place(offset, end) {
+                    return;
+                }
+                None
+            }
         };
         self.remove_range(offset, end);
         self.insert_coalescing(offset, Extent { len, data: keep });
@@ -202,10 +207,36 @@ impl ExtentStore {
             .filter(move |(&s, e)| s < hi && s + e.len > lo)
     }
 
+    /// Records a data-less write of `[offset, end)` when that changes at
+    /// most one extent: nothing if an extent already covers the range,
+    /// a longer extent if the range starts inside or right after one and
+    /// reaches no other. Returns false, having changed nothing, when the
+    /// write must split, bridge or create extents.
+    fn grow_in_place(&mut self, offset: u64, end: u64) -> bool {
+        // The last extent starting at or before `end`: if it starts at or
+        // before `offset` too, no other extent can touch `[offset, end]`.
+        let Some((&start, ext)) = self.extents.range_mut(..=end).next_back() else {
+            return false;
+        };
+        let ext_end = start + ext.len;
+        if start > offset || ext_end < offset {
+            return false;
+        }
+        if ext_end < end {
+            self.written += end - ext_end;
+            ext.len = end - start;
+        }
+        true
+    }
+
     /// Cuts `[lo, hi)` out of the extent map, splitting boundary extents.
     fn remove_range(&mut self, lo: u64, hi: u64) {
-        let keys: Vec<u64> = self.overlapping(lo, hi).map(|(&s, _)| s).collect();
-        for start in keys {
+        // Each pass removes the first overlapping extent; what survives of
+        // it lies outside `[lo, hi)`, so the next pass finds the next one.
+        // Extents are disjoint: one that reaches `hi` is the last.
+        loop {
+            let first = self.overlapping(lo, hi).next().map(|(&s, _)| s);
+            let Some(start) = first else { return };
             let ext = self.extents.remove(&start).expect("key just observed");
             let end = start + ext.len;
             self.written -= ext.len;
@@ -225,6 +256,9 @@ impl ExtentStore {
                     .map(|d| d[(hi - start) as usize..].to_vec());
                 self.written += keep;
                 self.extents.insert(hi, Extent { len: keep, data });
+            }
+            if end >= hi {
+                return;
             }
         }
     }
@@ -389,6 +423,90 @@ mod tests {
     #[should_panic(expected = "data length")]
     fn functional_write_checks_length() {
         ExtentStore::new(StoreMode::Functional).write(0, 4, Some(b"xy"));
+    }
+
+    /// Maximal written runs `[start, end)` of a bitmap model.
+    fn runs_of(model: &[bool]) -> Vec<(u64, u64)> {
+        let mut runs = Vec::new();
+        let mut open = None;
+        for (i, &set) in model.iter().enumerate() {
+            match (set, open) {
+                (true, None) => open = Some(i as u64),
+                (false, Some(start)) => {
+                    runs.push((start, i as u64));
+                    open = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(start) = open {
+            runs.push((start, model.len() as u64));
+        }
+        runs
+    }
+
+    // Differential test of Timing mode, whose writes take `grow_in_place`
+    // when they can and the split/insert/coalesce path when they cannot:
+    // both must be the one behaviour a bitmap describes. Ops are shaped
+    // against the model's current runs so the interesting cases (append
+    // to a run, overlap its tail, land inside it, bridge to the next run)
+    // are common rather than lucky.
+    proptest! {
+        #[test]
+        fn prop_timing_matches_bitmap_model(
+            ops in proptest::collection::vec((0u8..8, 0u64..256, 1u64..40), 1..80)
+        ) {
+            const N: u64 = 256;
+            let mut model = [false; N as usize];
+            let mut store = ExtentStore::new(StoreMode::Timing);
+            for (shape, pick, len) in ops {
+                let runs = runs_of(&model);
+                let chosen = (!runs.is_empty()).then(|| pick as usize % runs.len());
+                let run = chosen.map(|i| runs[i]);
+                let next = chosen.and_then(|i| runs.get(i + 1).copied());
+                let (off, end, discard) = match (shape, run, next) {
+                    // Appended right after a run.
+                    (0, Some((_, e)), _) => (e, e + len, false),
+                    // Starts inside a run, ends past it.
+                    (1, Some((s, e)), _) => (s + pick % (e - s), e + len, false),
+                    // Entirely inside a run.
+                    (2, Some((s, e)), _) => {
+                        let off = s + pick % (e - s);
+                        (off, (off + len).min(e), false)
+                    }
+                    // Bridges to the next run: fills the gap exactly, or
+                    // overlaps either side by one.
+                    (3, Some((_, e)), Some((ns, _))) => (e - pick % 2, ns + len % 2, false),
+                    // Ends exactly where the next run starts.
+                    (4, Some(_), Some((ns, _))) => (ns.saturating_sub(len), ns, false),
+                    (5, _, _) => (pick, pick + len, true),
+                    _ => (pick, pick + len, false),
+                };
+                let end = end.min(N);
+                if off >= end {
+                    continue;
+                }
+                if discard {
+                    store.discard(off, end - off);
+                } else {
+                    store.write(off, end - off, None);
+                }
+                model[off as usize..end as usize].fill(!discard);
+                let written = model.iter().filter(|&&b| b).count() as u64;
+                prop_assert_eq!(store.written_bytes(), written);
+                prop_assert_eq!(store.extent_count(), runs_of(&model).len());
+                let probe = pick.min(N - 1);
+                let probe_end = (probe + len).min(N);
+                let covered = model[probe as usize..probe_end as usize]
+                    .iter()
+                    .filter(|&&b| b)
+                    .count() as u64;
+                prop_assert_eq!(store.read_covered(probe, probe_end - probe), covered);
+            }
+            for i in 0..N {
+                prop_assert_eq!(store.covers(i, 1), model[i as usize], "position {}", i);
+            }
+        }
     }
 
     // Model-based property test: the extent store must agree with a plain

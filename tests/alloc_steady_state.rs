@@ -8,12 +8,13 @@
 //! cache core serves (overwrites of mapped extents, full-hit reads) and a
 //! large request that bypasses it.
 //!
-//! The ceilings sit 30–45 % above what the path costs today (4.9 per warm
-//! 16 KiB request; 47 for the one-request run) and well below what it
-//! cost before the scratch-view / iterator-split rework (23.4 and 81), so
-//! bringing back a per-request `Vec` in `plan_io`, `on_plan_complete`,
-//! the pfs split or the runner's sub-request bookkeeping fails here
-//! first.
+//! The ceilings sit 30–45 % above what the path costs today (3.84 per
+//! warm 16 KiB request; 45 for the one-request run) and well below what
+//! it cost before the scratch-view / iterator-split rework (23.4 and 81),
+//! so bringing back a per-request `Vec` in `plan_io`, `on_plan_complete`,
+//! the pfs split, the runner's sub-request bookkeeping or the extent
+//! store's range removal (a key `Vec` per discard until PR 16: 4.85)
+//! fails here first.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,9 +119,9 @@ fn request_path_allocations_stay_under_their_ceilings() {
     assert_eq!(after.evictions, 0);
     let per_req = allocs as f64 / requests as f64;
     assert!(
-        per_req <= 7.0,
+        per_req <= 5.2,
         "warm 16 KiB requests cost {per_req:.2} allocations each \
-         ({allocs} over {requests} requests); ceiling 7.0"
+         ({allocs} over {requests} requests); ceiling 5.2"
     );
 
     // One 4 MiB write: never critical, so it goes straight to all eight

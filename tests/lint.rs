@@ -65,7 +65,7 @@ fn workspace_report_matches_the_pinned_snapshot() {
     );
     assert_eq!(report.pragmas, 11, "pragma comment sites");
     // Every surviving warning is a reviewed reachability report or a
-    // census entry: 11 `panic-path` chains and the 18 `hot-alloc` sites
+    // census entry: 11 `panic-path` chains and the 24 `hot-alloc` sites
     // of alloc_budget.toml — nothing else, none with an empty message.
     for d in &report.diagnostics {
         assert_eq!(d.severity, Severity::Warning);
@@ -78,7 +78,7 @@ fn workspace_report_matches_the_pinned_snapshot() {
             count("hot-alloc"),
             report.diagnostics.len()
         ),
-        (11, 18, 29)
+        (11, 24, 35)
     );
     // Deterministic output order: (file, line, rule, message),
     // strictly sorted, so CI artifact diffs are stable line-by-line.
