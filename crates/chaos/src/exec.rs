@@ -3,11 +3,12 @@
 //! byte-for-byte against the cluster stores — while firing the schedule's
 //! fault events and checking the [`Oracle`] continuously.
 //!
-//! The driver mirrors the crash-torture idiom: application data payloads
-//! and plan-carried journal frames route through the incarnation's
-//! [`CrashFuse`]; the middleware's own internal durable effects (sync
-//! appends, eviction discards, flush/fetch copies, checkpoints) charge
-//! the same fuse through its attached hooks. When the fuse dies the
+//! Plans execute through [`exec_plan_fused`], the executor the
+//! crash-torture suite shares: application data payloads and plan-carried
+//! journal frames route through the incarnation's [`CrashFuse`]; the
+//! middleware's own internal durable effects (sync appends, eviction
+//! discards, flush/fetch copies, checkpoints) charge the same fuse
+//! through its attached hooks. When the fuse dies the
 //! middleware is discarded and rebuilt from nothing but the cluster's
 //! persisted bytes — twice, to prove recovery re-enterable — and the run
 //! continues on the recovered instance. ENOSPC and media faults surface
@@ -18,7 +19,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use s4d_cache::{CrashFuse, CrashSite, RecoveryReport, S4dCache, S4dConfig};
+use s4d_cache::{exec_plan_fused, CrashFuse, RecoveryReport, S4dCache, S4dConfig};
 use s4d_cost::CostParams;
 use s4d_mpiio::{
     AppOp, AppRequest, Cluster, ErrorDirective, Middleware, Plan, PlannedIo, Rank, SubIoFailure,
@@ -26,7 +27,7 @@ use s4d_mpiio::{
 };
 use s4d_pfs::{FaultPlan, FileId, IoFault, PfsError, ServerFault};
 use s4d_sim::SimTime;
-use s4d_storage::{presets, IoKind};
+use s4d_storage::IoKind;
 
 use crate::oracle::{Oracle, Violation};
 use crate::schedule::{ChaosEvent, Schedule};
@@ -34,20 +35,6 @@ use crate::schedule::{ChaosEvent, Schedule};
 const KIB: u64 = 1024;
 /// "Never recovers" horizon for fail-stop crash windows.
 const FAR_FUTURE: u64 = 1_000_000_000;
-
-/// Cost parameters for chaos runs: the paper's small testbed, matching
-/// the crash-torture suite so fault behavior is comparable.
-fn params() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 /// The outcome of one chaos run — everything the CLI report and the
 /// minimizer need, and nothing nondeterministic.
@@ -100,7 +87,7 @@ pub fn run(schedule: &Schedule, inject_bug: bool) -> ChaosReport {
         config = config.with_checkpoint_thresholds(wl.ckpt_records, u64::MAX);
     }
     config.chaos_bug_skip_journal = inject_bug;
-    let mut mw = S4dCache::new(config, params());
+    let mut mw = S4dCache::new(config, CostParams::paper_testbed_small());
     mw.attach_crash_fuse(fuse.clone());
     let mut ex = Executor {
         schedule: schedule.clone(),
@@ -385,79 +372,33 @@ impl Executor {
     /// Applies a plan's ops against the functional stores, routing
     /// durable effects through the fuse and faults through
     /// `on_io_error`. `out` receives application read bytes.
-    fn exec_plan(&mut self, plan: &Plan, mut out: Option<(&mut [u8], u64)>) -> ExecStatus {
-        for phase in &plan.phases {
-            for op in phase {
-                if self.fuse.borrow().is_dead() {
-                    return ExecStatus::Died;
-                }
-                match op.kind {
-                    IoKind::Write => {
-                        let Some(data) = &op.data else {
-                            // Flush/fetch copy: the engine moves these
-                            // bytes itself at plan completion.
-                            continue;
-                        };
-                        let site = if op.app_offset.is_some() {
-                            CrashSite::DataWrite
-                        } else {
-                            CrashSite::JournalWrite
-                        };
-                        let allowed = self.fuse.borrow_mut().consume(site, op.len);
-                        match self.cluster.pfs_mut(op.tier).apply_bytes(
-                            op.file,
-                            op.offset,
-                            allowed,
-                            Some(data),
-                        ) {
-                            Ok(()) => {
-                                self.fp.word(op.offset);
-                                self.fp.word(allowed);
-                                if allowed < op.len {
-                                    return ExecStatus::Died;
-                                }
-                            }
-                            Err(e) => {
-                                if let Some(st) = self.report_io_error(op, e) {
-                                    return st;
-                                }
-                            }
-                        }
-                    }
-                    IoKind::Read => {
-                        match self
-                            .cluster
-                            .pfs(op.tier)
-                            .read_bytes(op.file, op.offset, op.len)
-                        {
-                            Ok(Some(bytes)) => {
-                                if let (Some((buf, base)), Some(app)) = (&mut out, op.app_offset) {
-                                    let at = (app - *base) as usize;
-                                    buf[at..at + op.len as usize].copy_from_slice(&bytes);
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(e) => {
-                                if let Some(st) = self.report_io_error(op, e) {
-                                    return st;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    fn exec_plan(&mut self, plan: &Plan, out: Option<(&mut [u8], u64)>) -> ExecStatus {
+        let fp = &mut self.fp;
+        let end = exec_plan_fused(
+            &mut self.cluster,
+            Some(&self.fuse),
+            plan,
+            out,
+            |op, allowed| {
+                fp.word(op.offset);
+                fp.word(allowed);
+            },
+        );
+        match end {
+            Ok(true) => ExecStatus::Done,
+            Ok(false) => ExecStatus::Died,
+            Err((op, err)) => self.report_io_error(op, err),
         }
-        ExecStatus::Done
     }
 
     /// Reports a faulted sub-request through the middleware's error seam
     /// and maps the directive. Deterministic window faults make
     /// same-instant retries pointless, so both directives fail the plan.
-    fn report_io_error(&mut self, op: &PlannedIo, err: PfsError) -> Option<ExecStatus> {
+    fn report_io_error(&mut self, op: &PlannedIo, err: PfsError) -> ExecStatus {
         let (server, fault) = match err {
             PfsError::NoSpace { server } => (server, IoFault::NoSpace),
             PfsError::MediaError { server } => (server, IoFault::Media),
-            other => return Some(ExecStatus::Failed(other.to_string())),
+            other => return ExecStatus::Failed(other.to_string()),
         };
         let failure = SubIoFailure {
             tier: op.tier,
@@ -471,9 +412,9 @@ impl Executor {
         let now = self.now();
         let directive = self.mw.on_io_error(&mut self.cluster, now, &failure);
         match directive {
-            ErrorDirective::GiveUp | ErrorDirective::Retry { .. } => Some(ExecStatus::Failed(
-                format!("{fault} on {} server {server}", op.tier),
-            )),
+            ErrorDirective::GiveUp | ErrorDirective::Retry { .. } => {
+                ExecStatus::Failed(format!("{fault} on {} server {server}", op.tier))
+            }
         }
     }
 
@@ -670,7 +611,7 @@ impl Executor {
             let fused = CrashFuse::armed(budget).shared();
             if let Some((mw, report)) = S4dCache::recover_from_cluster_fused(
                 self.config(),
-                params(),
+                CostParams::paper_testbed_small(),
                 &mut self.cluster,
                 Some(fused),
             ) {
@@ -683,11 +624,17 @@ impl Executor {
             // recovery re-enters below from the mutated cluster.
             self.fp.byte(b'R');
         }
-        let (mw1, report1) =
-            S4dCache::recover_from_cluster(self.config(), params(), &mut self.cluster);
+        let (mw1, report1) = S4dCache::recover_from_cluster(
+            self.config(),
+            CostParams::paper_testbed_small(),
+            &mut self.cluster,
+        );
         let e1 = extents_of(&mw1);
-        let (mw2, report2) =
-            S4dCache::recover_from_cluster(self.config(), params(), &mut self.cluster);
+        let (mw2, report2) = S4dCache::recover_from_cluster(
+            self.config(),
+            CostParams::paper_testbed_small(),
+            &mut self.cluster,
+        );
         let e2 = extents_of(&mw2);
         if e1 != e2 {
             self.oracle.violate(

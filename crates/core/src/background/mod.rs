@@ -286,13 +286,10 @@ impl S4dCache {
                 // Remove lands would resurrect the stale mapping over
                 // foreign bytes. Same discipline as eviction's
                 // journal-before-discard, through the same proof type.
-                match self.dur.append_journal_sync(
-                    cluster,
-                    &mut self.plane,
-                    &self.config,
-                    &mut self.metrics,
-                    &[],
-                ) {
+                match self
+                    .dur
+                    .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
+                {
                     Some(proof) => {
                         for (shard, c_file, c_off, len) in freed {
                             self.plane.release(shard, c_file, c_off, len);
@@ -333,16 +330,13 @@ impl S4dCache {
         // parked behind the stall.
         if self.dur.is_stalled() {
             self.dur
-                .retry_stall(cluster, &mut self.plane, &self.config, &mut self.metrics);
+                .retry_stall(cluster, &mut self.plane, &mut self.metrics);
         }
         if !self.dur.is_stalled() && !self.stalled_discards.is_empty() {
-            if let Some(proof) = self.dur.append_journal_sync(
-                cluster,
-                &mut self.plane,
-                &self.config,
-                &mut self.metrics,
-                &[],
-            ) {
+            if let Some(proof) =
+                self.dur
+                    .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
+            {
                 for (shard, c_file, c_off, len) in std::mem::take(&mut self.stalled_discards) {
                     self.plane.release(shard, c_file, c_off, len);
                     self.dur.discard_cache(cluster, &proof, c_file, c_off, len);
@@ -366,7 +360,6 @@ impl S4dCache {
         if let Some((op, records)) = self.dur.drain_journal(
             cluster,
             &mut self.plane,
-            &self.config,
             &mut self.metrics,
             Priority::Background,
         ) {

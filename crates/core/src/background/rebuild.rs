@@ -139,13 +139,10 @@ impl S4dCache {
         // The matching commit is the SetClean record at completion, so
         // a crash between the two re-flushes idempotently. The staged
         // plans come out only against the append's handle.
-        match self.dur.append_journal_sync(
-            cluster,
-            &mut self.plane,
-            &self.config,
-            &mut self.metrics,
-            &intents,
-        ) {
+        match self
+            .dur
+            .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
+        {
             Some(proof) => staged.release(&proof),
             None => {
                 // Journal stalled (ENOSPC / media error): the intents are

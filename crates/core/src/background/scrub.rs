@@ -51,13 +51,10 @@ impl S4dCache {
                 // Unrecoverable: the only up-to-date copy is corrupt.
                 let shard = self.plane.router().shard_of(orig, d_offset);
                 self.plane.remove(orig, d_offset);
-                match self.dur.append_journal_sync(
-                    cluster,
-                    &mut self.plane,
-                    &self.config,
-                    &mut self.metrics,
-                    &[],
-                ) {
+                match self
+                    .dur
+                    .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
+                {
                     Some(proof) => {
                         self.dur
                             .discard_cache(cluster, &proof, e.c_file, e.c_offset, e.len);

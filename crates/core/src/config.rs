@@ -46,10 +46,6 @@ pub struct S4dConfig {
     /// write-ahead log's group commit). `1` journals synchronously with
     /// every mutating request.
     pub journal_batch_records: u64,
-    /// Retain the full journal record log in memory (for crash-recovery
-    /// tests and journal inspection; real deployments read the journal
-    /// file back instead).
-    pub record_journal_log: bool,
     /// CARL-style persistent placement (the paper's predecessor system,
     /// §II.C): critical data is *placed* on the CServers permanently
     /// instead of cached — the Rebuilder never flushes, so CServer space
@@ -150,7 +146,6 @@ impl S4dConfig {
             admission: AdmissionPolicy::Benefit,
             force_miss: false,
             journal_batch_records: 64,
-            record_journal_log: false,
             persistent_placement: false,
             eager_read_fetch: false,
             retry_base_delay: SimDuration::from_micros(500),
@@ -263,12 +258,6 @@ impl S4dConfig {
     /// Enables CARL-style persistent placement (no flushing/eviction).
     pub fn with_persistent_placement(mut self, on: bool) -> Self {
         self.persistent_placement = on;
-        self
-    }
-
-    /// Enables in-memory retention of the journal record log.
-    pub fn with_journal_log(mut self, on: bool) -> Self {
-        self.record_journal_log = on;
         self
     }
 

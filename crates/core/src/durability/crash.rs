@@ -25,10 +25,21 @@
 //! the doomed instance finish its turn keeps the injection surface small
 //! without weakening the model.
 //!
+//! The middleware charges its own effects (sync appends, discards, copies,
+//! checkpoints) inside the durability engine. The two sites a *plan*
+//! carries — [`CrashSite::DataWrite`] and [`CrashSite::JournalWrite`] —
+//! land when whoever executes the plan applies its ops, so a harness that
+//! stands in for the timed runner charges them through
+//! [`exec_plan_fused`], the one place that half of the contract lives.
+//!
 //! [unlimited]: CrashFuse::unlimited
 
 use std::cell::RefCell;
 use std::rc::Rc;
+
+use s4d_mpiio::{Cluster, Plan, PlannedIo};
+use s4d_pfs::PfsError;
+use s4d_storage::IoKind;
 
 /// Which durable effect a fuse charge belongs to.
 ///
@@ -144,6 +155,77 @@ impl CrashFuse {
     pub fn steps(&self) -> &[CrashStep] {
         &self.steps
     }
+}
+
+/// Executes `plan` against functional stores the way the timed runner's
+/// completions would, routing the plan-carried durable effects through
+/// `fuse` (`None`: every op lands in full).
+///
+/// Ops run in phase order. A write carrying a payload charges
+/// [`CrashSite::DataWrite`] when it has an `app_offset` and
+/// [`CrashSite::JournalWrite`] when it does not (a journal frame), and
+/// only the prefix the fuse affords is applied; `applied(op, prefix)`
+/// reports each write that reached the stores. Payload-less writes are
+/// flush/fetch copies the middleware moves itself at plan completion and
+/// are skipped. Reads are performed (a media error must surface), and
+/// those with an `app_offset` are assembled into `read_into`'s buffer,
+/// whose first byte is the application offset beside it.
+///
+/// Returns `Ok(true)` when every op ran, `Ok(false)` when the fuse was
+/// found dead or tore a write — the remaining ops never ran and the
+/// caller must not complete the plan.
+///
+/// # Errors
+///
+/// The first store error ends the plan and is returned with its op.
+pub fn exec_plan_fused<'p>(
+    cluster: &mut Cluster,
+    fuse: Option<&RefCell<CrashFuse>>,
+    plan: &'p Plan,
+    mut read_into: Option<(&mut [u8], u64)>,
+    mut applied: impl FnMut(&PlannedIo, u64),
+) -> Result<bool, (&'p PlannedIo, PfsError)> {
+    for op in plan.phases.iter().flatten() {
+        if fuse.is_some_and(|f| f.borrow().is_dead()) {
+            return Ok(false);
+        }
+        match (op.kind, &op.data) {
+            (IoKind::Write, None) => {}
+            (IoKind::Write, Some(data)) => {
+                let site = if op.app_offset.is_some() {
+                    CrashSite::DataWrite
+                } else {
+                    CrashSite::JournalWrite
+                };
+                let allowed = fuse.map_or(op.len, |f| f.borrow_mut().consume(site, op.len));
+                cluster
+                    .pfs_mut(op.tier)
+                    .apply_bytes(op.file, op.offset, allowed, Some(data))
+                    .map_err(|e| (op, e))?;
+                applied(op, allowed);
+                if allowed < op.len {
+                    return Ok(false);
+                }
+            }
+            (IoKind::Read, _) => {
+                let bytes = cluster
+                    .pfs(op.tier)
+                    .read_bytes(op.file, op.offset, op.len)
+                    .map_err(|e| (op, e))?;
+                if let (Some(bytes), Some((buf, base)), Some(app)) =
+                    (bytes, &mut read_into, op.app_offset)
+                {
+                    let dst = app
+                        .checked_sub(*base)
+                        .and_then(|at| buf.get_mut(at as usize..at as usize + bytes.len()));
+                    if let Some(dst) = dst {
+                        dst.copy_from_slice(&bytes);
+                    }
+                }
+            }
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -4,12 +4,13 @@
 //! order to survive power failures" (§III.D), storing records of six
 //! four-byte fields in a Berkeley DB file on CServers. This module gives
 //! the reproduction the same property *verifiably*: every DMT mutation
-//! emits a fixed-size CRC32-framed [`JournalRecord`], and [`replay`]
-//! reconstructs the mapping table (and, through
+//! emits a fixed-size CRC32-framed [`JournalRecord`], and
+//! [`replay_tolerant`] reconstructs the mapping table (and, through
 //! [`crate::SpaceManager::rebuild`], the cache-space allocator) from the
 //! record stream alone. The crash-recovery integration tests run a
-//! workload, "power-fail" the middleware, rebuild it from the journal, and
-//! verify that every byte still reads back correctly.
+//! workload, "power-fail" the middleware, rebuild it from the journal
+//! file on CPFS ([`crate::S4dCache::recover_from_cluster`]), and verify
+//! that every byte still reads back correctly.
 //!
 //! A crash can tear the final record (partial write) or storage can flip
 //! bits anywhere in the stream. [`decode_prefix`] therefore recovers the
@@ -30,7 +31,7 @@ pub use super::checkpoint::{
     decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointError, CHECKPOINT_HEADER_BYTES,
     CHECKPOINT_MAGIC,
 };
-pub use super::replay::{apply_record_tolerant, replay, replay_tolerant};
+pub use super::replay::replay_tolerant;
 
 /// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
 const CRC32_TABLE: [u32; 256] = {

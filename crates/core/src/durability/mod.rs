@@ -96,9 +96,6 @@ pub(crate) struct DurabilityEngine {
     /// The routing function shared with the metadata plane, used to
     /// requeue a failed batch back to its owning per-shard queues.
     router: ShardRouter,
-    /// Full record log (kept only when the config asks; crash-recovery
-    /// tests read it back as "the journal file's contents").
-    journal_log: Vec<JournalRecord>,
     /// Torture-harness hook: when attached, every durable effect asks the
     /// fuse for permission and a crash truncates it mid-effect.
     crash_fuse: Option<Rc<RefCell<CrashFuse>>>,
@@ -130,7 +127,6 @@ impl DurabilityEngine {
             journal_offset: 0,
             group: GroupCommitQueue::new(router.count()),
             router,
-            journal_log: Vec::new(),
             crash_fuse: None,
             checkpoint_seq: 0,
             last_ckpt_tail: 0,
@@ -225,11 +221,6 @@ impl DurabilityEngine {
         self.last_recovery.as_ref()
     }
 
-    /// The retained journal record log.
-    pub(crate) fn journal_log(&self) -> &[JournalRecord] {
-        &self.journal_log
-    }
-
     /// Resolves (creating on first use) the journal file.
     pub(crate) fn ensure_journal(&mut self, cluster: &mut Cluster) -> FileId {
         match self.journal_file {
@@ -243,18 +234,11 @@ impl DurabilityEngine {
     }
 
     /// Moves every shard's fresh mutation records into that shard's
-    /// group-commit queue (and the retained log, when configured), in
-    /// shard order — with one shard, the exact pre-shard collection order.
-    pub(crate) fn collect_pending_records(
-        &mut self,
-        plane: &mut MetadataPlane,
-        config: &S4dConfig,
-    ) {
+    /// group-commit queue, in shard order — with one shard, the exact
+    /// pre-shard collection order.
+    pub(crate) fn collect_pending_records(&mut self, plane: &mut MetadataPlane) {
         for shard in self.router.all_shards() {
             let fresh = plane.take_shard_pending(shard);
-            if config.record_journal_log {
-                self.journal_log.extend_from_slice(fresh.as_slice());
-            }
             self.group.extend(shard, fresh);
         }
     }
@@ -274,11 +258,11 @@ impl DurabilityEngine {
         config: &S4dConfig,
         metrics: &mut S4dMetrics,
     ) -> Option<(PlannedIo, Vec<JournalRecord>)> {
-        self.collect_pending_records(plane, config);
+        self.collect_pending_records(plane);
         if !self.group.any_due(config.journal_batch_records) {
             return None;
         }
-        self.drain_journal(cluster, plane, config, metrics, Priority::Normal)
+        self.drain_journal(cluster, plane, metrics, Priority::Normal)
     }
 
     /// Builds a journal write covering every pending record, if any. The
@@ -291,11 +275,10 @@ impl DurabilityEngine {
         &mut self,
         cluster: &mut Cluster,
         plane: &mut MetadataPlane,
-        config: &S4dConfig,
         metrics: &mut S4dMetrics,
         priority: Priority,
     ) -> Option<(PlannedIo, Vec<JournalRecord>)> {
-        self.collect_pending_records(plane, config);
+        self.collect_pending_records(plane);
         if self.stalled {
             // A failed sync append owns the current offset; planning a
             // write past it would leave a hole that truncates every later
@@ -371,19 +354,13 @@ impl DurabilityEngine {
         &mut self,
         cluster: &mut Cluster,
         plane: &mut MetadataPlane,
-        config: &S4dConfig,
         metrics: &mut S4dMetrics,
         extra: &[JournalRecord],
     ) -> Option<DurabilityHandle> {
-        self.collect_pending_records(plane, config);
-        if !extra.is_empty() {
-            if config.record_journal_log {
-                self.journal_log.extend_from_slice(extra);
-            }
-            for r in extra {
-                let (f, o) = r.d_key();
-                self.group.push(self.router.shard_of(f, o), *r);
-            }
+        self.collect_pending_records(plane);
+        for r in extra {
+            let (f, o) = r.d_key();
+            self.group.push(self.router.shard_of(f, o), *r);
         }
         if self.group.is_empty() {
             self.stalled = false;
@@ -436,13 +413,12 @@ impl DurabilityEngine {
         &mut self,
         cluster: &mut Cluster,
         plane: &mut MetadataPlane,
-        config: &S4dConfig,
         metrics: &mut S4dMetrics,
     ) -> bool {
         if !self.stalled {
             return true;
         }
-        self.append_journal_sync(cluster, plane, config, metrics, &[])
+        self.append_journal_sync(cluster, plane, metrics, &[])
             .is_some()
     }
 
@@ -485,7 +461,7 @@ impl DurabilityEngine {
         // Force-drain so the snapshot covers every journaled mutation and
         // the tail past `tail_offset` is an exact record-order suffix.
         if self
-            .append_journal_sync(cluster, plane, config, metrics, &[])
+            .append_journal_sync(cluster, plane, metrics, &[])
             .is_none()
         {
             // Journal stalled (ENOSPC / media error): a snapshot now would

@@ -55,27 +55,6 @@ impl RecoveryReport {
 }
 
 impl S4dCache {
-    /// Reconstructs a middleware after a crash from the persisted journal
-    /// record stream: the DMT is replayed and the space allocator rebuilt
-    /// from the live extents. The CDT and LRU recency are volatile
-    /// (memory-only, as in the paper) and start empty; cache files are
-    /// re-associated as applications re-open their files.
-    pub fn recover(
-        config: S4dConfig,
-        params: CostParams,
-        records: &[journal::JournalRecord],
-    ) -> Self {
-        let dmt = journal::replay(records);
-        let capacity = config.cache_capacity;
-        let mut s = S4dCache::new(config, params);
-        // `adopt` redistributes the replayed extents to their owning
-        // shards (the shard of every record is derivable from its d-key,
-        // so the on-disk stream carries no shard tags) and rebuilds each
-        // shard's space ledger from what it now maps.
-        s.plane.adopt(dmt, capacity);
-        s
-    }
-
     /// Reconstructs a middleware from the cluster state alone — the
     /// checkpoint slots, the journal file, and the cache files on CPFS —
     /// which is exactly what survives a middleware crash. Requires

@@ -1,49 +1,20 @@
 //! Journal replay: rebuilding a Data Mapping Table from a record stream.
 //!
 //! Split out of [`super::journal`] (which keeps the record/checkpoint
-//! codecs) so each module stays within the file budget and so the sharded
-//! metadata plane can re-use [`apply_record_tolerant`] — the single source
-//! of truth for how one record mutates a table — when routing shard-tagged
-//! records of a group-commit batch to their owning shards during recovery.
+//! codecs) so each module stays within the file budget. There is one
+//! replay, and it is tolerant: recovery applies a checkpoint snapshot and
+//! then a journal tail that may repeat records the snapshot already
+//! folded in, so no record may assume the table is in the exact state it
+//! was produced against.
 
 use crate::dmt::Dmt;
 use crate::journal::JournalRecord;
-
-/// Rebuilds a Data Mapping Table from a journal record stream — the
-/// recovery path after a middleware crash.
-///
-/// Versions and LRU recency are runtime state and start fresh; the mapping
-/// itself (extents, cache locations, dirty flags) is reconstructed exactly.
-pub fn replay(records: &[JournalRecord]) -> Dmt {
-    let mut dmt = Dmt::new();
-    for r in records {
-        match *r {
-            JournalRecord::Insert {
-                d_file,
-                d_offset,
-                len,
-                c_file,
-                c_offset,
-                dirty,
-            } => dmt.insert(d_file, d_offset, len, c_file, c_offset, dirty),
-            _ => apply_record_tolerant(&mut dmt, r),
-        }
-    }
-    // Replaying re-recorded every mutation; a recovered table starts with
-    // an empty pending set.
-    let _ = dmt.take_pending_journal();
-    dmt
-}
 
 /// Applies one record to a table that may not be in the exact state the
 /// record was produced against. `Insert` fills only the still-uncovered
 /// gaps of its range (with correspondingly shifted cache offsets); every
 /// other record no-ops when its target extent is absent or mismatched.
-///
-/// Shared by [`replay_tolerant`] and the per-shard replay of
-/// [`crate::MetadataPlane`] so single-table and sharded recovery cannot
-/// diverge.
-pub fn apply_record_tolerant(dmt: &mut Dmt, r: &JournalRecord) {
+fn apply_record(dmt: &mut Dmt, r: &JournalRecord) {
     match *r {
         JournalRecord::Insert {
             d_file,
@@ -88,16 +59,21 @@ pub fn apply_record_tolerant(dmt: &mut Dmt, r: &JournalRecord) {
     }
 }
 
-/// Rebuilds a table tolerantly: like [`replay`], but every record — not
-/// just the non-`Insert` kinds — is applied with tolerant (skip, don't
+/// Replays a record stream onto `dmt` — the recovery path after a
+/// middleware crash, applied first to the checkpoint snapshot and then to
+/// the journal tail. Every record is applied with tolerant (skip, don't
 /// panic) semantics, so a stream whose prefix was already folded into a
-/// checkpoint snapshot (or that lost interior records to a torn journal
-/// region) replays without panicking. On a well-formed exact history the
-/// result is identical to [`replay`].
+/// snapshot (or that lost interior records to a torn journal region)
+/// replays without panicking; on a well-formed exact history replayed
+/// into a fresh table the mapping (extents, cache locations, dirty flags)
+/// is reconstructed exactly. Versions and LRU recency are runtime state
+/// and start fresh.
 pub fn replay_tolerant(dmt: &mut Dmt, records: &[JournalRecord]) {
     for r in records {
-        apply_record_tolerant(dmt, r);
+        apply_record(dmt, r);
     }
+    // Replaying re-recorded every mutation; a recovered table starts with
+    // an empty pending set.
     let _ = dmt.take_pending_journal();
 }
 
@@ -110,6 +86,13 @@ mod tests {
     const F: FileId = FileId(3);
     const CF: FileId = FileId(9);
 
+    /// Replays `records` into a fresh table, as recovery does.
+    fn replayed(records: &[JournalRecord]) -> Dmt {
+        let mut dmt = Dmt::new();
+        replay_tolerant(&mut dmt, records);
+        dmt
+    }
+
     #[test]
     fn replay_reconstructs_simple_history() {
         let mut live = Dmt::new();
@@ -120,7 +103,7 @@ mod tests {
         live.mark_clean_if(F, 500, v);
         live.remove(F, 0); // the [0,20) clean piece after the split
         let log = live.take_pending_journal();
-        let recovered = replay(&log);
+        let recovered = replayed(&log);
         // Byte-for-byte identical coverage.
         let a = live.view(F, 0, 600);
         let b = recovered.view(F, 0, 600);
@@ -156,7 +139,7 @@ mod tests {
                 }
             }
             let log = live.take_pending_journal();
-            let recovered = replay(&log);
+            let recovered = replayed(&log);
             prop_assert_eq!(live.view(F, 0, 512), recovered.view(F, 0, 512));
             prop_assert_eq!(live.mapped_bytes(), recovered.mapped_bytes());
             prop_assert_eq!(live.dirty_bytes(), recovered.dirty_bytes());
@@ -174,7 +157,7 @@ mod tests {
         live.mark_dirty(F, 20, 30);
         live.remove(F, 0);
         let log = live.take_pending_journal();
-        let mut dmt = replay(&log);
+        let mut dmt = replayed(&log);
         replay_tolerant(&mut dmt, &log[1..]); // re-apply a suffix
         assert_eq!(dmt.view(F, 0, 200), live.view(F, 0, 200));
         assert_eq!(dmt.mapped_bytes(), live.mapped_bytes());
@@ -213,7 +196,7 @@ mod tests {
         let v0 = live.get(F, 0).unwrap().version;
         assert!(live.seal_if(F, 0, v0, 0xFEED_FACE));
         let log = live.take_pending_journal();
-        let recovered = replay(&log);
+        let recovered = replayed(&log);
         assert_eq!(recovered.get(F, 0).unwrap().checksum, Some(0xFEED_FACE));
         assert_eq!(recovered.get(F, 100).unwrap().checksum, None);
         // A seal whose length no longer matches the extent does not apply.

@@ -59,13 +59,10 @@ impl S4dCache {
         // The Removes must be durable before the bytes go away: recovering
         // a mapping to discarded space would serve garbage. (Orphaned bytes
         // from the reverse order are merely swept and discarded.)
-        let Some(proof) = self.dur.append_journal_sync(
-            cluster,
-            &mut self.plane,
-            &self.config,
-            &mut self.metrics,
-            &[],
-        ) else {
+        let Some(proof) =
+            self.dur
+                .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
+        else {
             // Journal stalled (ENOSPC / media error): the extents are
             // already invalidated in memory, but until their Removes are
             // durable the cache ranges may be neither discarded nor

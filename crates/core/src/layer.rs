@@ -26,7 +26,6 @@ use crate::cdt::Cdt;
 use crate::config::S4dConfig;
 use crate::dmt::{Dmt, RangeView};
 use crate::durability::crash::CrashFuse;
-use crate::durability::journal::JournalRecord;
 use crate::durability::recovery::RecoveryReport;
 use crate::durability::DurabilityEngine;
 use crate::health::HealthMonitor;
@@ -113,24 +112,6 @@ impl S4dCache {
     /// The report of the recovery that built this instance, if any.
     pub fn last_recovery(&self) -> Option<&RecoveryReport> {
         self.dur.last_recovery()
-    }
-
-    /// The retained journal record log (empty unless
-    /// [`S4dConfig::record_journal_log`] is set).
-    pub fn journal_log(&self) -> &[JournalRecord] {
-        self.dur.journal_log()
-    }
-
-    /// Moves any not-yet-committed mutation records into the retained log
-    /// (the equivalent of a final group commit before clean shutdown).
-    /// Without this, a crash loses the last un-batched records and
-    /// recovery lands on the previous committed state — which is exactly
-    /// the guarantee a write-ahead journal gives.
-    pub fn sync_journal_log(&mut self) {
-        // When the log is not retained, the records simply stay pending
-        // for the next simulated journal write instead of being dropped.
-        self.dur
-            .collect_pending_records(&mut self.plane, &self.config);
     }
 
     /// The middleware's counters.
@@ -232,7 +213,7 @@ impl Middleware for S4dCache {
             // mode (see `route_write`) because no new record can be made
             // durable before the ack.
             self.dur
-                .retry_stall(cluster, &mut self.plane, &self.config, &mut self.metrics);
+                .retry_stall(cluster, &mut self.plane, &mut self.metrics);
         }
         // Stage 1: classify (Data Identifier).
         let ctx = self.identify(req);
@@ -285,8 +266,7 @@ impl Middleware for S4dCache {
         // Journal-before-ack audit: completion-side mutations (SetClean,
         // fetch Inserts, Seals) enter the journaling pipeline before the
         // runner regains control.
-        self.dur
-            .collect_pending_records(&mut self.plane, &self.config);
+        self.dur.collect_pending_records(&mut self.plane);
         debug_assert_eq!(
             self.plane.pending_records(),
             0,

@@ -75,7 +75,7 @@ pub use durability::{crash, journal};
 
 pub use cdt::{Cdt, CdtEntry};
 pub use config::{AdmissionPolicy, S4dConfig};
-pub use crash::{CrashFuse, CrashSite, CrashStep};
+pub use crash::{exec_plan_fused, CrashFuse, CrashSite, CrashStep};
 pub use dmt::{CoveredPiece, Dmt, MapExtent, RangeView};
 pub use durability::group::GroupCommitQueue;
 pub use durability::recovery::RecoveryReport;

@@ -207,13 +207,10 @@ impl S4dCache {
         // their Remove records; make those durable *before* the bytes
         // go away, so recovery never maps discarded space. The handle
         // is the proof `discard_cache` demands.
-        let Some(proof) = self.dur.append_journal_sync(
-            cluster,
-            &mut self.plane,
-            &self.config,
-            &mut self.metrics,
-            &[],
-        ) else {
+        let Some(proof) =
+            self.dur
+                .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
+        else {
             // The journal is stalled (ENOSPC / media error): without a
             // durable Remove the victims' bytes may be neither discarded
             // nor reused, so undo the eviction — re-insert each victim

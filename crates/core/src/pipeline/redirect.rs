@@ -206,8 +206,7 @@ impl S4dCache {
         // (and fail reads under space exhaustion for no data reason).
         // Any records a read's bookkeeping produced wait for the next
         // write plan or the background straggler drain.
-        self.dur
-            .collect_pending_records(&mut self.plane, &self.config);
+        self.dur.collect_pending_records(&mut self.plane);
         self.view_scratch = view;
         plan
     }

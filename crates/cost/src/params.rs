@@ -1,6 +1,6 @@
 //! Cost-model parameters (the paper's Table I).
 
-use s4d_storage::{HddConfig, IoKind, SeekProfile, SsdConfig};
+use s4d_storage::{presets, HddConfig, IoKind, SeekProfile, SsdConfig};
 use serde::{Deserialize, Serialize};
 
 /// The parameters of the data-access cost model.
@@ -63,6 +63,24 @@ impl CostParams {
             beta_c: ssd.beta_secs_per_byte(IoKind::Write),
             seek: hdd.seek_profile().clone(),
         }
+    }
+
+    /// Parameters of the small functional testbed the crash, scrub and
+    /// chaos harnesses run on (2 DServers + 1 CServer of the paper's
+    /// hardware, 64 KiB stripes, gigabit link, 300 µs per CServer op
+    /// amortised over 16 KiB). The figures are literals on purpose: the
+    /// same values derived from a network config differ in the last bit
+    /// of `β_C`, and every recorded chaos fingerprint hangs on it.
+    pub fn paper_testbed_small() -> Self {
+        CostParams::from_hardware(
+            &presets::hdd_seagate_st3250(),
+            &presets::ssd_ocz_revodrive_x2(),
+            2,
+            1,
+            64 * 1024,
+        )
+        .with_network_bandwidth(117.0e6)
+        .with_cserver_op_overhead(300.0e-6, 16 * 1024)
     }
 
     /// Folds a network bottleneck into both per-byte costs: transfers
@@ -140,7 +158,6 @@ impl CostParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s4d_storage::presets;
 
     fn params() -> CostParams {
         CostParams::from_hardware(

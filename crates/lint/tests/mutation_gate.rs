@@ -47,6 +47,7 @@ const REDIRECT: &str = "crates/core/src/pipeline/redirect.rs";
 const REBUILD: &str = "crates/core/src/background/rebuild.rs";
 const ENGINE: &str = "crates/core/src/durability/mod.rs";
 const FAULTS: &str = "crates/core/src/faults.rs";
+const RECOVERY: &str = "crates/core/src/durability/recovery.rs";
 const LAST_NAME: &str = "pub const MAX_GROUP_BYTES: u64 = 4 * 1024 * 1024;\n";
 const ATTACH_FETCH: &str = "        plan.tag = self.bg.attach(plan.tag, fetch);\n";
 const ROUTED: &str = "let shard = self.plane.router().shard_of(orig, d_off);";
@@ -59,13 +60,10 @@ const FUSED_FLUSH_COPY: &str = "                let allowed = self.dur.fused_cop
                     (Tier::DServers, item.orig, item.d_offset),
                     item.len,
                 );\n";
-const INTENT_APPEND: &str = "        match self.dur.append_journal_sync(
-            cluster,
-            &mut self.plane,
-            &self.config,
-            &mut self.metrics,
-            &intents,
-        ) {\n";
+const INTENT_APPEND: &str = "        match self
+            .dur
+            .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
+        {\n";
 
 #[rustfmt::skip]
 fn rows() -> Vec<Row> {
@@ -142,6 +140,14 @@ fn rows() -> Vec<Row> {
         row("retry-cap-removed", FAULTS,
             "IoFault::Transient if failure.attempts < self.config.retry_max_attempts => {", "IoFault::Transient => {",
             Test("failure_domain", "transient_errors_are_retried_without_degradation"), "at the cap"),
+        row("recovery-appends-past-torn-suffix", RECOVERY,
+            "journal_offset = tail_start + (bytes.len() as u64 - tail.dropped_bytes);", "journal_offset = tail_start + bytes.len() as u64;",
+            Test("double_crash", "writes_acked_after_a_torn_journal_recovery_survive_the_next_crash"), "did not survive the second crash"),
+        row("recovery-trusts-dirty-seals", RECOVERY, "        dmt.clear_dirty_checksums();\n", "",
+            Test("scrub", "torn_overwrite_of_a_sealed_dirty_extent_survives_recovery_and_scrub"), "a torn write is not rot"),
+        row("journal-frame-charged-as-data", "crates/core/src/durability/crash.rs",
+            "                } else {\n                    CrashSite::JournalWrite\n                };", "                } else {\n                    CrashSite::DataWrite\n                };",
+            Test("crash_torture", "crash_matrix_every_budget_recovers"), "never exercised JournalWrite"),
     ]
 }
 

@@ -1,17 +1,17 @@
 //! Scriptable server-level fault injection.
 //!
-//! [`s4d_storage::FaultyDevice`] degrades a *device* by operation number;
-//! this module scripts whole-*server* failures on the simulation clock: a
-//! hard crash that loses all stored data, a window of transient
-//! (retryable) errors, slowdown windows (whole-server, per-op-class, and
-//! probabilistic heavy tails), or a stall that parks operations in the
-//! service slot without completing *or* erring. A [`FaultPlan`] is
-//! installed on a [`FileServer`](crate::FileServer) and queried as
-//! simulated time advances; the middleware above observes the resulting
-//! [`IoFault`]s on completed sub-requests and reacts (retry, quarantine,
-//! fall back to the other tier), while fail-slow modes are only visible
-//! as latency — detecting those is the gray-failure layer's job
-//! (deadlines, hedging).
+//! The workspace's one fault vocabulary: every injected failure is a
+//! [`ServerFault`] scripted on the simulation clock — a hard crash that
+//! loses all stored data, a window of transient (retryable) errors,
+//! slowdown windows (whole-server, per-op-class, and probabilistic heavy
+//! tails), space exhaustion, a seeded bad-sector map, or a stall that
+//! parks operations in the service slot without completing *or* erring.
+//! A [`FaultPlan`] is installed on a [`FileServer`](crate::FileServer)
+//! and queried as simulated time advances; the middleware above observes
+//! the resulting [`IoFault`]s on completed sub-requests and reacts
+//! (retry, quarantine, fall back to the other tier), while fail-slow
+//! modes are only visible as latency — detecting those is the
+//! gray-failure layer's job (deadlines, hedging).
 
 use s4d_sim::{SimRng, SimTime};
 use s4d_storage::IoKind;
@@ -79,8 +79,7 @@ pub enum ServerFault {
         error_rate: f64,
     },
     /// In `[from, until)` device service times are multiplied by `factor`
-    /// (a degrading server). For op-count-keyed schedules, wrap the
-    /// device in [`s4d_storage::FaultyDevice`] instead.
+    /// (a degrading server).
     Degraded {
         /// Window start.
         from: SimTime,

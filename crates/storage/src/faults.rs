@@ -1,40 +1,11 @@
-//! Fault injection for device models.
+//! The seeded media-error map.
 //!
-//! Real deployments degrade: a disk develops remapped sectors and slows
-//! down, a controller hiccups, an SSD hits a garbage-collection stall.
-//! [`FaultyDevice`] wraps any [`DeviceModel`] with a schedule of such
-//! degradations, so tests and experiments can ask how the I/O stack —
-//! and S4D-Cache's static cost model — behaves when reality drifts from
-//! the modelled service times.
-
-use s4d_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
-
-use crate::device::{DeviceKind, DeviceModel, IoKind};
-
-/// One injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Fault {
-    /// Every operation from op number `from_op` onward takes `factor`
-    /// times as long (a degrading device). Factors stack multiplicatively
-    /// with other active faults.
-    SlowdownAfter {
-        /// First affected operation (0-based).
-        from_op: u64,
-        /// Service-time multiplier (must be ≥ 1).
-        factor: f64,
-    },
-    /// Operations in `[from_op, to_op)` stall for an extra fixed delay
-    /// (GC pause, controller reset, RAID rebuild window).
-    StallWindow {
-        /// First affected operation (0-based).
-        from_op: u64,
-        /// One past the last affected operation.
-        to_op: u64,
-        /// Added delay per operation.
-        extra: SimDuration,
-    },
-}
+//! A device's bad sectors are a pure function of `(seed, sector)`, so the
+//! same seed always corrupts the same ranges. The map lives with the
+//! device models because it is keyed by device LBA; `s4d-pfs` turns a hit
+//! into a failed sub-request (`ServerFault::MediaErrors`), and every
+//! other fault — degradation, stalls, crashes, space exhaustion — is
+//! scripted there too, on the simulation clock (`FaultPlan`).
 
 /// Granularity of the seeded media-error map: device LBAs are grouped
 /// into 4 KiB sectors and each sector is independently (but
@@ -76,113 +47,9 @@ pub fn range_has_bad_sector(seed: u64, bad_ppm: u32, lba: u64, len: u64) -> bool
     (first..=last).any(|sector| sector_is_bad(seed, sector, bad_ppm))
 }
 
-/// A device wrapper that applies a fault schedule.
-///
-/// ```
-/// use s4d_sim::{SimDuration, SimRng};
-/// use s4d_storage::{presets, DeviceModel, Fault, FaultyDevice, IoKind};
-///
-/// let ssd = presets::ssd_ocz_revodrive_x2().build();
-/// let mut faulty = FaultyDevice::new(Box::new(ssd))
-///     .with_fault(Fault::SlowdownAfter { from_op: 1, factor: 10.0 });
-/// let mut rng = SimRng::seed(1);
-/// let healthy = faulty.service_time(IoKind::Read, 0, 4096, &mut rng);
-/// let degraded = faulty.service_time(IoKind::Read, 0, 4096, &mut rng);
-/// assert!(degraded > healthy * 5);
-/// ```
-#[derive(Debug)]
-pub struct FaultyDevice {
-    inner: Box<dyn DeviceModel>,
-    faults: Vec<Fault>,
-    ops: u64,
-}
-
-impl FaultyDevice {
-    /// Wraps a device with an empty fault schedule.
-    pub fn new(inner: Box<dyn DeviceModel>) -> Self {
-        FaultyDevice {
-            inner,
-            faults: Vec::new(),
-            ops: 0,
-        }
-    }
-
-    /// Adds a fault to the schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a slowdown factor below 1 or a non-finite factor, or a
-    /// stall window with `to_op <= from_op`.
-    pub fn with_fault(mut self, fault: Fault) -> Self {
-        match fault {
-            Fault::SlowdownAfter { factor, .. } => {
-                assert!(
-                    factor.is_finite() && factor >= 1.0,
-                    "slowdown factor must be >= 1"
-                );
-            }
-            Fault::StallWindow { from_op, to_op, .. } => {
-                assert!(to_op > from_op, "stall window must be non-empty");
-            }
-        }
-        self.faults.push(fault);
-        self
-    }
-
-    /// Operations serviced so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-}
-
-impl DeviceModel for FaultyDevice {
-    fn kind(&self) -> DeviceKind {
-        self.inner.kind()
-    }
-
-    fn service_time(&mut self, kind: IoKind, lba: u64, len: u64, rng: &mut SimRng) -> SimDuration {
-        let op = self.ops;
-        self.ops += 1;
-        let base = self.inner.service_time(kind, lba, len, rng);
-        let mut secs = base.as_secs_f64();
-        for fault in &self.faults {
-            match *fault {
-                Fault::SlowdownAfter { from_op, factor } if op >= from_op => {
-                    secs *= factor;
-                }
-                Fault::StallWindow {
-                    from_op,
-                    to_op,
-                    extra,
-                } if op >= from_op && op < to_op => {
-                    secs += extra.as_secs_f64();
-                }
-                _ => {}
-            }
-        }
-        SimDuration::from_secs_f64(secs)
-    }
-
-    fn transfer_rate(&self, kind: IoKind) -> f64 {
-        self.inner.transfer_rate(kind)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        // The fault schedule is keyed by operation number; forgetting to
-        // rewind it would leave every fault phase-shifted after a reset.
-        self.ops = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
-
-    fn ssd() -> Box<dyn DeviceModel> {
-        Box::new(presets::ssd_ocz_revodrive_x2().build())
-    }
 
     #[test]
     fn media_map_is_deterministic_and_rate_shaped() {
@@ -238,121 +105,5 @@ mod tests {
         // Zero length and zero ppm never trip.
         assert!(!range_has_bad_sector(seed, ppm, lba, 0));
         assert!(!range_has_bad_sector(seed, 0, lba, MEDIA_SECTOR_BYTES));
-    }
-
-    #[test]
-    fn healthy_wrapper_is_transparent() {
-        let mut plain = presets::ssd_ocz_revodrive_x2().build();
-        let mut wrapped = FaultyDevice::new(ssd());
-        let mut r1 = SimRng::seed(1);
-        let mut r2 = SimRng::seed(1);
-        for i in 0..10u64 {
-            assert_eq!(
-                plain.service_time(IoKind::Write, i * 4096, 4096, &mut r1),
-                wrapped.service_time(IoKind::Write, i * 4096, 4096, &mut r2)
-            );
-        }
-        assert_eq!(wrapped.kind(), DeviceKind::Ssd);
-        assert_eq!(
-            wrapped.transfer_rate(IoKind::Read),
-            plain.transfer_rate(IoKind::Read)
-        );
-        assert_eq!(wrapped.ops(), 10);
-        wrapped.reset();
-    }
-
-    #[test]
-    fn slowdown_kicks_in_at_threshold() {
-        let mut d = FaultyDevice::new(ssd()).with_fault(Fault::SlowdownAfter {
-            from_op: 2,
-            factor: 4.0,
-        });
-        let mut rng = SimRng::seed(2);
-        let a = d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        let b = d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        let c = d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        assert_eq!(a, b, "ops before the threshold are healthy");
-        assert_eq!(c.as_nanos(), a.as_nanos() * 4);
-    }
-
-    #[test]
-    fn stall_window_is_bounded() {
-        let mut d = FaultyDevice::new(ssd()).with_fault(Fault::StallWindow {
-            from_op: 1,
-            to_op: 3,
-            extra: SimDuration::from_millis(50),
-        });
-        let mut rng = SimRng::seed(3);
-        let base = d.service_time(IoKind::Read, 0, 512, &mut rng);
-        let stalled = d.service_time(IoKind::Read, 0, 512, &mut rng);
-        let stalled2 = d.service_time(IoKind::Read, 0, 512, &mut rng);
-        let after = d.service_time(IoKind::Read, 0, 512, &mut rng);
-        assert!(stalled >= base + SimDuration::from_millis(50));
-        assert!(stalled2 >= base + SimDuration::from_millis(50));
-        assert_eq!(after, base);
-    }
-
-    #[test]
-    fn faults_compose() {
-        let mut d = FaultyDevice::new(ssd())
-            .with_fault(Fault::SlowdownAfter {
-                from_op: 0,
-                factor: 2.0,
-            })
-            .with_fault(Fault::StallWindow {
-                from_op: 0,
-                to_op: 1,
-                extra: SimDuration::from_millis(10),
-            });
-        let mut plain = FaultyDevice::new(ssd());
-        let mut r1 = SimRng::seed(4);
-        let mut r2 = SimRng::seed(4);
-        let faulty = d.service_time(IoKind::Write, 0, 4096, &mut r1);
-        let healthy = plain.service_time(IoKind::Write, 0, 4096, &mut r2);
-        let expect = SimDuration::from_secs_f64(healthy.as_secs_f64() * 2.0 + 10e-3);
-        assert_eq!(faulty, expect);
-    }
-
-    #[test]
-    fn reset_rewinds_the_fault_schedule() {
-        let mut d = FaultyDevice::new(ssd()).with_fault(Fault::SlowdownAfter {
-            from_op: 2,
-            factor: 4.0,
-        });
-        let mut rng = SimRng::seed(5);
-        let healthy = d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        for _ in 0..4 {
-            d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        }
-        assert!(d.ops() == 5);
-        d.reset();
-        assert_eq!(d.ops(), 0, "reset must rewind the op counter");
-        // After the reset the schedule starts over: the first two ops are
-        // healthy again rather than inheriting the degraded phase.
-        let a = d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        let b = d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        let c = d.service_time(IoKind::Read, 0, 8192, &mut rng);
-        assert_eq!(a, healthy);
-        assert_eq!(b, healthy);
-        assert_eq!(c.as_nanos(), healthy.as_nanos() * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "slowdown factor")]
-    fn rejects_speedup() {
-        FaultyDevice::new(ssd()).with_fault(Fault::SlowdownAfter {
-            from_op: 0,
-            factor: 0.5,
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "stall window")]
-    fn rejects_empty_window() {
-        FaultyDevice::new(ssd()).with_fault(Fault::StallWindow {
-            from_op: 5,
-            to_op: 5,
-            extra: SimDuration::ZERO,
-        });
     }
 }

@@ -17,8 +17,9 @@
 //! * [`ExtentStore`] — a sparse extent map holding file bytes (optional, so
 //!   large timing-only simulations do not hold gigabytes in RAM);
 //! * [`presets`] — parameter sets for the paper's testbed hardware;
-//! * [`FaultyDevice`] — fault injection (degradation, stall windows) over
-//!   any device model.
+//! * [`sector_is_bad`] / [`range_has_bad_sector`] — the seeded bad-sector
+//!   map behind `s4d-pfs`'s media-error fault (all fault *scripting* lives
+//!   there, on the simulation clock).
 //!
 //! ```
 //! use s4d_sim::SimRng;
@@ -44,7 +45,7 @@ mod ssd;
 mod store;
 
 pub use device::{DeviceKind, DeviceModel, IoKind};
-pub use faults::{range_has_bad_sector, sector_is_bad, Fault, FaultyDevice, MEDIA_SECTOR_BYTES};
+pub use faults::{range_has_bad_sector, sector_is_bad, MEDIA_SECTOR_BYTES};
 pub use hdd::{HddConfig, HddModel};
 pub use seek::SeekProfile;
 pub use ssd::{SsdConfig, SsdModel};

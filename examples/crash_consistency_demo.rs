@@ -9,28 +9,19 @@
 //! cargo run --release --example crash_consistency_demo
 //! ```
 
-use s4d::cache::{CrashFuse, CrashSite, S4dCache, S4dConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use s4d::cache::{exec_plan_fused, CrashFuse, CrashSite, S4dCache, S4dConfig};
 use s4d::cost::CostParams;
 use s4d::mpiio::{AppRequest, Cluster, Middleware, Plan, Rank};
 use s4d::pfs::FileId;
 use s4d::sim::SimTime;
-use s4d::storage::{presets, IoKind};
+use s4d::storage::IoKind;
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * 1024;
 const REQ: u64 = 16 * KIB;
-
-fn params() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 fn config() -> S4dConfig {
     S4dConfig::new(MIB)
@@ -41,42 +32,15 @@ fn config() -> S4dConfig {
 
 /// Executes a plan against the functional stores; application payloads
 /// and plan-carried journal frames pass through the fuse.
-fn exec_plan(
-    cluster: &mut Cluster,
-    fuse: &std::rc::Rc<std::cell::RefCell<CrashFuse>>,
-    plan: &Plan,
-) -> bool {
-    for phase in &plan.phases {
-        for op in phase {
-            if fuse.borrow().is_dead() {
-                return false;
-            }
-            if op.kind != IoKind::Write {
-                continue;
-            }
-            let Some(data) = &op.data else { continue };
-            let site = if op.app_offset.is_some() {
-                CrashSite::DataWrite
-            } else {
-                CrashSite::JournalWrite
-            };
-            let allowed = fuse.borrow_mut().consume(site, op.len);
-            let _ = cluster
-                .pfs_mut(op.tier)
-                .apply_bytes(op.file, op.offset, allowed, Some(data));
-            if allowed < op.len {
-                return false;
-            }
-        }
-    }
-    true
+fn exec_plan(cluster: &mut Cluster, fuse: &RefCell<CrashFuse>, plan: &Plan) -> bool {
+    exec_plan_fused(cluster, Some(fuse), plan, None, |_, _| {}).expect("healthy stores")
 }
 
 /// Runs the demo workload until it finishes or the fuse blows, and
 /// returns the cluster as the crash left it.
-fn run_until_crash(budget: Option<u64>) -> (Cluster, std::rc::Rc<std::cell::RefCell<CrashFuse>>) {
+fn run_until_crash(budget: Option<u64>) -> (Cluster, Rc<RefCell<CrashFuse>>) {
     let mut cluster = Cluster::paper_testbed_small(2026);
-    let mut mw = S4dCache::new(config(), params());
+    let mut mw = S4dCache::new(config(), CostParams::paper_testbed_small());
     let fuse = match budget {
         Some(b) => CrashFuse::armed(b).shared(),
         None => CrashFuse::unlimited().shared(),
@@ -126,7 +90,8 @@ fn run_until_crash(budget: Option<u64>) -> (Cluster, std::rc::Rc<std::cell::RefC
 }
 
 fn recover_and_report(label: &str, cluster: &mut Cluster) -> S4dCache {
-    let (mw, report) = S4dCache::recover_from_cluster(config(), params(), cluster);
+    let (mw, report) =
+        S4dCache::recover_from_cluster(config(), CostParams::paper_testbed_small(), cluster);
     println!("{label}");
     match report.used_checkpoint {
         Some(seq) => println!(
@@ -189,7 +154,8 @@ fn main() {
     // Bit rot under a valid seal: the scrubber catches and repairs it.
     println!("\nbit rot in a clean cached extent:");
     let (mut cluster, _fuse) = run_until_crash(None);
-    let (mut mw, _) = S4dCache::recover_from_cluster(config(), params(), &mut cluster);
+    let (mut mw, _) =
+        S4dCache::recover_from_cluster(config(), CostParams::paper_testbed_small(), &mut cluster);
     let victim = mw
         .dmt()
         .iter_extents()

@@ -1,24 +1,41 @@
 //! Crash recovery: the paper persists DMT changes synchronously "to
 //! survive power failures" (§III.D). These tests crash the middleware at
-//! arbitrary points and rebuild it from the journal record stream,
-//! verifying that the mapping, the space accounting, and — in functional
-//! mode — every cached byte survive.
+//! arbitrary points and rebuild it from what the cluster persisted — the
+//! journal file and the cache files on CPFS — verifying that the mapping,
+//! the space accounting, and every cached byte survive.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use s4d::bench::testbed;
-use s4d::cache::{journal, S4dCache, S4dConfig};
+use s4d::bench::{testbed, Testbed};
+use s4d::cache::names::JOURNAL_NAME;
+use s4d::cache::{journal, S4dCache, S4dConfig, DMT_RECORD_BYTES};
+use s4d::cost::CostParams;
 use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner};
+use s4d::pfs::{FileId, NetworkConfig};
+use s4d::storage::{presets, StoreMode};
 use s4d::workloads::{AccessPattern, IorConfig};
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * 1024;
 
 fn recovery_config(capacity: u64) -> S4dConfig {
-    S4dConfig::new(capacity)
-        .with_journal_log(true)
-        .with_journal_batch(1)
+    S4dConfig::new(capacity).with_journal_batch(1)
+}
+
+/// `tb`'s cluster with functional stores: recovery reads the journal and
+/// the cache files back, so they must hold bytes.
+fn functional_cluster(tb: &Testbed) -> Cluster {
+    Cluster::build(
+        tb.d_servers,
+        tb.c_servers,
+        tb.stripe,
+        presets::hdd_seagate_st3250(),
+        presets::ssd_ocz_revodrive_x2(),
+        NetworkConfig::gigabit_ethernet(),
+        StoreMode::Functional,
+        tb.seed,
+    )
 }
 
 #[test]
@@ -35,40 +52,35 @@ fn journal_encodes_and_replays_a_real_run() {
         seed: 21,
     };
     let middleware = S4dCache::new(recovery_config(4 * MIB), tb.cost_params());
-    let mut runner = Runner::new(tb.cluster(), middleware, cfg.scripts(), 21);
-    runner.run();
-    let (_cluster, mut mw, _report) = runner.into_parts();
-    // Clean shutdown: commit the final record batch, so recovery is exact.
-    mw.sync_journal_log();
+    let mut runner = Runner::new(functional_cluster(&tb), middleware, cfg.scripts(), 21);
+    let report = runner.run();
+    // Clean shutdown: `run` returns with the completion-side records of
+    // the last flushes (their SetCleans) still queued for the next
+    // journal write; draining commits them, so recovery is exact.
+    runner.drain_background(report.end_time);
+    let (mut cluster, mw, _report) = runner.into_parts();
 
-    // Round-trip the log through the on-disk encoding, as a real journal
-    // file would store it.
-    let log = mw.journal_log();
-    assert!(!log.is_empty(), "a caching run must have journaled");
-    let bytes = journal::encode_batch(log);
-    let decoded = journal::decode_batch(&bytes).expect("journal decodes");
-    assert_eq!(decoded.len(), log.len());
+    // Recover from the journal file as CPFS stores it.
+    let (recovered, report) =
+        S4dCache::recover_from_cluster(recovery_config(4 * MIB), tb.cost_params(), &mut cluster);
+    assert!(report.tail_records > 0, "a caching run must have journaled");
+    assert_eq!(report.dropped_journal_bytes, 0, "journal decodes");
+    assert_eq!(report.tail_records, mw.metrics().journal_records_written);
 
-    // Recover and compare the mapping tables.
-    let recovered = S4dCache::recover(recovery_config(4 * MIB), tb.cost_params(), &decoded);
+    // Compare the mapping tables.
     assert_eq!(recovered.dmt().mapped_bytes(), mw.dmt().mapped_bytes());
     assert_eq!(recovered.dmt().entry_count(), mw.dmt().entry_count());
     assert_eq!(recovered.dmt().dirty_bytes(), mw.dmt().dirty_bytes());
     assert_eq!(recovered.space().allocated(), mw.space().allocated());
-    // Byte-level agreement over the whole file.
+    // Byte-level agreement over the whole file (opfs assigns id 0 to the
+    // first created file).
     for off in (0..8 * MIB).step_by(1 << 20) {
         assert_eq!(
-            recovered.dmt().view(pfs_file(&mw), off, 1 << 20),
-            mw.dmt().view(pfs_file(&mw), off, 1 << 20),
+            recovered.dmt().view(FileId(0), off, 1 << 20),
+            mw.dmt().view(FileId(0), off, 1 << 20),
             "coverage diverged at offset {off}"
         );
     }
-}
-
-/// The original-file id of the single file these tests use (opfs assigns 0
-/// to the first created file).
-fn pfs_file(_mw: &S4dCache) -> s4d::pfs::FileId {
-    s4d::pfs::FileId(0)
 }
 
 #[test]
@@ -108,18 +120,18 @@ fn cached_bytes_survive_a_crash() {
         writer = writer.write_bytes(0, *off, data.clone());
     }
     let cluster = Cluster::paper_testbed_small(22);
-    let middleware = S4dCache::new(config.clone(), tb_params_small());
+    let middleware = S4dCache::new(config.clone(), CostParams::paper_testbed_small());
     let mut runner = Runner::new(cluster, middleware, vec![writer.build()], 22);
     let report = runner.run();
     assert!(report.tiers.c_ops > 0, "writes must have been cached");
-    let (cluster, mw, _) = runner.into_parts();
+    let (mut cluster, mw, _) = runner.into_parts();
     assert!(mw.dmt().dirty_bytes() > 0, "crash catches dirty data");
-    let log = mw.journal_log().to_vec();
     drop(mw); // the crash
 
     // Recovery: same cluster (CServer contents are persistent SSD state),
     // fresh middleware from the journal.
-    let recovered = S4dCache::recover(config, tb_params_small(), &log);
+    let (recovered, _) =
+        S4dCache::recover_from_cluster(config, CostParams::paper_testbed_small(), &mut cluster);
     assert!(recovered.dmt().dirty_bytes() > 0, "dirtiness survives");
 
     let mut reader = script().open("crash2.dat");
@@ -141,19 +153,6 @@ fn cached_bytes_survive_a_crash() {
     }
 }
 
-fn tb_params_small() -> s4d::cost::CostParams {
-    use s4d::storage::presets;
-    s4d::cost::CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
-
 #[test]
 fn recovery_at_every_prefix_is_sound() {
     // Chaos variant: recovering from ANY journal prefix must yield a DMT
@@ -171,27 +170,41 @@ fn recovery_at_every_prefix_is_sound() {
         seed: 24,
     };
     let middleware = S4dCache::new(recovery_config(MIB), tb.cost_params());
-    let mut runner = Runner::new(tb.cluster(), middleware, cfg.scripts(), 24);
+    let mut runner = Runner::new(functional_cluster(&tb), middleware, cfg.scripts(), 24);
     runner.run();
-    let (_c, mw, _r) = runner.into_parts();
-    let log = mw.journal_log();
-    assert!(log.len() > 50);
-    // Check a sweep of prefixes (every 7th to keep the test fast).
-    for cut in (0..=log.len()).step_by(7) {
-        let recovered = S4dCache::recover(recovery_config(MIB), tb.cost_params(), &log[..cut]);
+    let (mut cluster, mw, _r) = runner.into_parts();
+    drop(mw);
+    let journal_file = cluster.cpfs().open(JOURNAL_NAME).unwrap();
+    let size = cluster.cpfs().meta(journal_file).unwrap().size;
+    let records = size / DMT_RECORD_BYTES;
+    assert!(records > 50);
+    // Check a sweep of prefixes (every 7th to keep the test fast), longest
+    // first: each round cuts the on-disk journal shorter and recovers from
+    // what is left.
+    let mut recovered_bytes = 0;
+    for cut in (0..=records).rev().step_by(7) {
+        let keep = cut * DMT_RECORD_BYTES;
+        cluster
+            .cpfs_mut()
+            .discard(journal_file, keep, size - keep)
+            .unwrap();
+        let (recovered, report) =
+            S4dCache::recover_from_cluster(recovery_config(MIB), tb.cost_params(), &mut cluster);
+        assert_eq!(report.tail_records, cut, "prefix {cut}");
         // mapped bytes equal the sum over extents, and fit the capacity.
         let sum: u64 = recovered.dmt().iter_extents().map(|(_, _, e)| e.len).sum();
         assert_eq!(sum, recovered.dmt().mapped_bytes(), "prefix {cut}");
         assert!(recovered.space().allocated() <= recovered.space().capacity());
         assert_eq!(recovered.space().allocated(), sum);
+        recovered_bytes += sum;
     }
+    assert!(recovered_bytes > 0, "the sweep must recover real mappings");
 }
 
 mod torn_journal_props {
     use super::*;
     use proptest::prelude::*;
-    use s4d::cache::{Dmt, DMT_RECORD_BYTES};
-    use s4d::pfs::FileId;
+    use s4d::cache::Dmt;
 
     const F: FileId = FileId(7);
     const CF: FileId = FileId(8);
@@ -218,6 +231,13 @@ mod torn_journal_props {
         }
         let records = live.take_pending_journal();
         (live, records)
+    }
+
+    /// Replays `records` into a fresh table, as recovery does.
+    fn replayed(records: &[s4d::cache::JournalRecord]) -> Dmt {
+        let mut dmt = Dmt::new();
+        journal::replay_tolerant(&mut dmt, records);
+        dmt
     }
 
     /// Produces a realistic record stream by driving a live DMT.
@@ -274,11 +294,11 @@ mod torn_journal_props {
 
             // Replaying the prefix must yield a self-consistent mapping
             // (it is a valid history: the journal is written in order).
-            let dmt = journal::replay(&rec.records);
+            let dmt = replayed(&rec.records);
             let sum: u64 = dmt.iter_extents().map(|(_, _, e)| e.len).sum();
             prop_assert_eq!(sum, dmt.mapped_bytes());
             // And agree exactly with a live DMT fed the same prefix.
-            let reference = journal::replay(&records[..rec.records.len()]);
+            let reference = replayed(&records[..rec.records.len()]);
             prop_assert_eq!(dmt.view(F, 0, 1024), reference.view(F, 0, 1024));
             prop_assert_eq!(dmt.dirty_bytes(), reference.dirty_bytes());
         }
@@ -292,7 +312,7 @@ mod torn_journal_props {
             ops in proptest::collection::vec((0u64..500, 1u64..64, 0u8..3), 1..60),
         ) {
             let (live, records) = drive_ops(&ops);
-            let replayed = journal::replay(&records);
+            let replayed = replayed(&records);
             prop_assert_eq!(replayed.mapped_bytes(), live.mapped_bytes());
             prop_assert_eq!(replayed.dirty_bytes(), live.dirty_bytes());
             prop_assert_eq!(replayed.entry_count(), live.entry_count());

@@ -15,18 +15,20 @@
 //! middle of every step, covering every [`CrashSite`] the workload
 //! exercises.
 
+mod common;
+
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use common::{check_invariants, read_through, run_plan, write_req};
 use s4d::cache::names::JOURNAL_NAME;
 use s4d::cache::DMT_RECORD_BYTES;
 use s4d::cache::{CrashFuse, CrashSite, S4dCache, S4dConfig};
 use s4d::cost::CostParams;
-use s4d::mpiio::{AppRequest, Cluster, Middleware, Plan, PlannedIo, Rank, Tier};
-use s4d::pfs::FileId;
+use s4d::mpiio::{AppRequest, Cluster, Middleware, PlannedIo, Rank, Tier};
 use s4d::sim::SimTime;
-use s4d::storage::{presets, IoKind};
+use s4d::storage::IoKind;
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * 1024;
@@ -35,18 +37,6 @@ const FILE_LEN: u64 = 2 * MIB;
 /// Small cache capacity so the workload overflows it and must evict.
 const CAPACITY: u64 = 256 * KIB;
 const REQ: u64 = 16 * KIB;
-
-fn params() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 fn torture_config() -> S4dConfig {
     // Batch size 1: every plan carries its own journal write, so the
@@ -98,50 +88,11 @@ impl Outcome {
     }
 }
 
-/// Executes a plan the way the runner would in functional mode, but with
-/// the *application-side* durable effects routed through the fuse: data
-/// payloads charge [`CrashSite::DataWrite`], plan-carried journal frames
-/// charge [`CrashSite::JournalWrite`]. Returns false if the fuse died
-/// before the plan finished (the remaining ops never ran).
-fn exec_plan(cluster: &mut Cluster, fuse: Option<&Rc<RefCell<CrashFuse>>>, plan: &Plan) -> bool {
-    for phase in &plan.phases {
-        for op in phase {
-            if fuse.is_some_and(|f| f.borrow().is_dead()) {
-                return false;
-            }
-            if op.kind != IoKind::Write {
-                continue;
-            }
-            let Some(data) = &op.data else {
-                // Timing-shaped op: the middleware moves these bytes
-                // itself on completion (flush/fetch copies).
-                continue;
-            };
-            let site = if op.app_offset.is_some() {
-                CrashSite::DataWrite
-            } else {
-                CrashSite::JournalWrite
-            };
-            let allowed = match fuse {
-                Some(f) => f.borrow_mut().consume(site, op.len),
-                None => op.len,
-            };
-            let _ = cluster
-                .pfs_mut(op.tier)
-                .apply_bytes(op.file, op.offset, allowed, Some(data));
-            if allowed < op.len {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Drives the deterministic torture workload until it completes or the
 /// fuse blows. `budget = None` is the clean recording run.
 fn run_workload(budget: Option<u64>) -> Outcome {
     let mut cluster = Cluster::paper_testbed_small(77);
-    let mut mw = S4dCache::new(torture_config(), params());
+    let mut mw = S4dCache::new(torture_config(), CostParams::paper_testbed_small());
     let fuse = match budget {
         Some(b) => CrashFuse::armed(b).shared(),
         None => CrashFuse::unlimited().shared(),
@@ -179,19 +130,10 @@ fn run_workload(budget: Option<u64>) -> Outcome {
             op_no += 1;
             let data = write_payload(op_no);
             let old = shadow[offset as usize..(offset + REQ) as usize].to_vec();
-            let req = AppRequest {
-                rank: Rank(0),
-                file,
-                kind: IoKind::Write,
-                offset,
-                len: REQ,
-                data: Some(data.clone()),
-            };
-            let plan = mw.plan_io(&mut cluster, SimTime::from_secs(now_s), &req);
-            let done = exec_plan(&mut cluster, Some(&fuse), &plan);
-            if done && plan.tag != 0 {
-                mw.on_plan_complete(&mut cluster, SimTime::from_secs(now_s), plan.tag);
-            }
+            let req = write_req(file, offset, data.clone());
+            let now = SimTime::from_secs(now_s);
+            let plan = mw.plan_io(&mut cluster, now, &req);
+            run_plan(&mut cluster, &mut mw, Some(&fuse), &plan, now);
             if fuse.borrow().is_dead() {
                 wild = Some((offset, old, data));
                 finish!();
@@ -212,11 +154,9 @@ fn run_workload(budget: Option<u64>) -> Outcome {
                 len: REQ,
                 data: None,
             };
-            let plan = mw.plan_io(&mut cluster, SimTime::from_secs(now_s), &req);
-            let done = exec_plan(&mut cluster, Some(&fuse), &plan);
-            if done && plan.tag != 0 {
-                mw.on_plan_complete(&mut cluster, SimTime::from_secs(now_s), plan.tag);
-            }
+            let now = SimTime::from_secs(now_s);
+            let plan = mw.plan_io(&mut cluster, now, &req);
+            run_plan(&mut cluster, &mut mw, Some(&fuse), &plan, now);
             if fuse.borrow().is_dead() {
                 finish!();
             }
@@ -228,15 +168,13 @@ fn run_workload(budget: Option<u64>) -> Outcome {
         () => {{
             for _ in 0..40 {
                 now_s += 1;
-                let poll = mw.poll_background(&mut cluster, SimTime::from_secs(now_s));
+                let now = SimTime::from_secs(now_s);
+                let poll = mw.poll_background(&mut cluster, now);
                 if fuse.borrow().is_dead() {
                     finish!();
                 }
                 for plan in &poll.plans {
-                    let done = exec_plan(&mut cluster, Some(&fuse), plan);
-                    if done && plan.tag != 0 {
-                        mw.on_plan_complete(&mut cluster, SimTime::from_secs(now_s), plan.tag);
-                    }
+                    run_plan(&mut cluster, &mut mw, Some(&fuse), plan, now);
                     if fuse.borrow().is_dead() {
                         finish!();
                     }
@@ -271,85 +209,14 @@ fn run_workload(budget: Option<u64>) -> Outcome {
     finish!();
 }
 
-/// Structural invariants every recovered instance must satisfy.
-fn check_invariants(cluster: &Cluster, mw: &S4dCache) {
-    let sum: u64 = mw.dmt().iter_extents().map(|(_, _, e)| e.len).sum();
-    assert_eq!(sum, mw.dmt().mapped_bytes(), "extent sum vs mapped_bytes");
-    assert_eq!(
-        mw.space().allocated(),
-        sum,
-        "space accounting diverged from the recovered mapping"
-    );
-    assert!(mw.space().allocated() <= mw.space().capacity());
-    for (f, o, e) in mw.dmt().iter_extents() {
-        let covered = cluster
-            .cpfs()
-            .covered_bytes(e.c_file, e.c_offset, e.len)
-            .unwrap();
-        assert_eq!(
-            covered, e.len,
-            "extent ({f:?},{o}) maps cache bytes that are not present"
-        );
-    }
-}
-
-/// Reads `[offset, offset+len)` through the middleware (executing the
-/// read plan against the functional stores) and returns the bytes.
-fn read_back(
-    cluster: &mut Cluster,
-    mw: &mut S4dCache,
-    file: FileId,
-    offset: u64,
-    len: u64,
-) -> Vec<u8> {
-    let req = AppRequest {
-        rank: Rank(0),
-        file,
-        kind: IoKind::Read,
-        offset,
-        len,
-        data: None,
-    };
-    let plan = mw.plan_io(cluster, SimTime::ZERO, &req);
-    let mut out = vec![0u8; len as usize];
-    for phase in &plan.phases {
-        for op in phase {
-            match op.kind {
-                IoKind::Read => {
-                    if let Some(app) = op.app_offset {
-                        let bytes = cluster
-                            .pfs(op.tier)
-                            .read_bytes(op.file, op.offset, op.len)
-                            .unwrap()
-                            .expect("functional stores");
-                        let at = (app - offset) as usize;
-                        out[at..at + op.len as usize].copy_from_slice(&bytes);
-                    }
-                }
-                IoKind::Write => {
-                    if let Some(data) = &op.data {
-                        let _ = cluster.pfs_mut(op.tier).apply_bytes(
-                            op.file,
-                            op.offset,
-                            op.len,
-                            Some(data),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    if plan.tag != 0 {
-        mw.on_plan_complete(cluster, SimTime::ZERO, plan.tag);
-    }
-    out
-}
-
 /// Recovers from the outcome's cluster and verifies every invariant plus
 /// byte-exact reads against the shadow model.
 fn verify_recovery(mut outcome: Outcome) -> s4d::cache::RecoveryReport {
-    let (mut mw, report) =
-        S4dCache::recover_from_cluster(torture_config(), params(), &mut outcome.cluster);
+    let (mut mw, report) = S4dCache::recover_from_cluster(
+        torture_config(),
+        CostParams::paper_testbed_small(),
+        &mut outcome.cluster,
+    );
     check_invariants(&outcome.cluster, &mw);
     let file = mw
         .open(&mut outcome.cluster, Rank(0), "torture.dat")
@@ -357,7 +224,7 @@ fn verify_recovery(mut outcome: Outcome) -> s4d::cache::RecoveryReport {
     let step = 64 * KIB;
     for chunk in 0..(FILE_LEN / step) {
         let offset = chunk * step;
-        let got = read_back(&mut outcome.cluster, &mut mw, file, offset, step);
+        let got = read_through(&mut outcome.cluster, &mut mw, file, offset, step);
         for (i, &got_byte) in got.iter().enumerate() {
             let abs = offset + i as u64;
             let expect = outcome.shadow[abs as usize];
@@ -462,20 +329,21 @@ fn flush_idempotency_after_mid_flush_crash() {
     let mut cluster = outcome.cluster;
     let shadow = outcome.shadow;
 
-    let (mut mw, _report) =
-        S4dCache::recover_from_cluster(torture_config(), params(), &mut cluster);
+    let (mut mw, _report) = S4dCache::recover_from_cluster(
+        torture_config(),
+        CostParams::paper_testbed_small(),
+        &mut cluster,
+    );
     check_invariants(&cluster, &mw);
     // The torn flush never recorded its SetClean: the extent is still
     // dirty, so the flush is simply re-done — idempotently.
     assert!(mw.dmt().dirty_bytes() > 0, "mid-flush crash leaves dirt");
     let file = mw.open(&mut cluster, Rank(0), "torture.dat").unwrap();
     for round in 0..40u64 {
-        let poll = mw.poll_background(&mut cluster, SimTime::from_secs(100 + round));
+        let now = SimTime::from_secs(100 + round);
+        let poll = mw.poll_background(&mut cluster, now);
         for plan in &poll.plans {
-            assert!(exec_plan(&mut cluster, None, plan));
-            if plan.tag != 0 {
-                mw.on_plan_complete(&mut cluster, SimTime::from_secs(100 + round), plan.tag);
-            }
+            assert!(run_plan(&mut cluster, &mut mw, None, plan, now));
         }
         if !poll.work_pending {
             break;
@@ -518,7 +386,11 @@ fn checkpoint_bounds_recovery_and_torn_install_falls_back() {
         .sum();
     let total_history = journal_bytes / DMT_RECORD_BYTES;
     let mut cluster = clean.cluster;
-    let (_mw, report) = S4dCache::recover_from_cluster(torture_config(), params(), &mut cluster);
+    let (_mw, report) = S4dCache::recover_from_cluster(
+        torture_config(),
+        CostParams::paper_testbed_small(),
+        &mut cluster,
+    );
     assert!(report.used_checkpoint.is_some(), "snapshot slot used");
     assert!(
         report.records_replayed() < total_history,
@@ -554,18 +426,11 @@ fn journal_before_ack_audit() {
     // on_plan_complete, and poll_background, so every other test in this
     // file audits it continuously.)
     let mut cluster = Cluster::paper_testbed_small(5);
-    let mut mw = S4dCache::new(torture_config(), params());
+    let mut mw = S4dCache::new(torture_config(), CostParams::paper_testbed_small());
     let file = mw.open(&mut cluster, Rank(0), "audit.dat").unwrap();
     let journal = cluster.cpfs_mut().create_or_open(JOURNAL_NAME);
     for i in 0..6u64 {
-        let req = AppRequest {
-            rank: Rank(0),
-            file,
-            kind: IoKind::Write,
-            offset: i * REQ,
-            len: REQ,
-            data: Some(write_payload(i)),
-        };
+        let req = write_req(file, i * REQ, write_payload(i));
         let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &req);
         assert_eq!(mw.dmt().pending_records(), 0, "unjournaled mutation");
         // Data before metadata (DESIGN.md §9): at batch size 1 every
@@ -583,20 +448,15 @@ fn journal_before_ack_audit() {
             plan.phases
         );
         assert!(plan.phases[plan.phases.len() - 1].iter().all(is_journal));
-        assert!(exec_plan(&mut cluster, None, &plan));
-        if plan.tag != 0 {
-            mw.on_plan_complete(&mut cluster, SimTime::ZERO, plan.tag);
-        }
+        assert!(run_plan(&mut cluster, &mut mw, None, &plan, SimTime::ZERO));
         assert_eq!(mw.dmt().pending_records(), 0, "completion left records");
     }
     for round in 0..10u64 {
-        let poll = mw.poll_background(&mut cluster, SimTime::from_secs(1 + round));
+        let now = SimTime::from_secs(1 + round);
+        let poll = mw.poll_background(&mut cluster, now);
         assert_eq!(mw.dmt().pending_records(), 0, "background left records");
         for plan in &poll.plans {
-            assert!(exec_plan(&mut cluster, None, plan));
-            if plan.tag != 0 {
-                mw.on_plan_complete(&mut cluster, SimTime::from_secs(1 + round), plan.tag);
-            }
+            assert!(run_plan(&mut cluster, &mut mw, None, plan, now));
         }
         if !poll.work_pending {
             break;

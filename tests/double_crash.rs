@@ -9,32 +9,29 @@
 //! the start and the middle of every recorded recovery step, re-enters
 //! plain recovery after each mid-recovery death, and requires the final
 //! state to be byte-identical to a single uninterrupted recovery.
+//!
+//! A second matrix spaces the two crashes apart instead: tear a journal
+//! frame, recover, acknowledge more writes on the recovered instance, cut
+//! the power, recover again — everything acknowledged on either side of
+//! the first recovery must read back exactly.
 
+mod common;
+
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
+use common::{check_invariants, extents_of, read_through, run_plan, write_req};
 use s4d::cache::{CrashFuse, CrashSite, S4dCache, S4dConfig};
 use s4d::cost::CostParams;
-use s4d::mpiio::{AppRequest, Cluster, Middleware, Plan, Rank};
+use s4d::mpiio::{Cluster, Middleware, Rank};
 use s4d::pfs::FileId;
 use s4d::sim::SimTime;
-use s4d::storage::{presets, IoKind};
 
 const KIB: u64 = 1024;
 const FILE_LEN: u64 = 1024 * KIB;
 const CAPACITY: u64 = 128 * KIB;
 const REQ: u64 = 16 * KIB;
-
-fn params() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 fn config() -> S4dConfig {
     S4dConfig::new(CAPACITY).with_journal_batch(1)
@@ -50,83 +47,42 @@ fn write_payload(n: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Executes a plan's write ops against the functional stores, charging
-/// the workload fuse (data vs journal sites).
-fn exec_plan(
-    cluster: &mut Cluster,
-    fuse: &std::rc::Rc<std::cell::RefCell<CrashFuse>>,
-    plan: &Plan,
-) -> bool {
-    for phase in &plan.phases {
-        for op in phase {
-            if fuse.borrow().is_dead() {
-                return false;
-            }
-            if op.kind != IoKind::Write {
-                continue;
-            }
-            let Some(data) = &op.data else {
-                continue;
-            };
-            let site = if op.app_offset.is_some() {
-                CrashSite::DataWrite
-            } else {
-                CrashSite::JournalWrite
-            };
-            let allowed = fuse.borrow_mut().consume(site, op.len);
-            let _ = cluster
-                .pfs_mut(op.tier)
-                .apply_bytes(op.file, op.offset, allowed, Some(data));
-            if allowed < op.len {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Deterministic workload: fill the cache, flush clean, overflow it so
-/// evictions journal synchronously. Crashes when `budget` runs out.
-/// Returns the cluster and the acknowledged shadow content.
-fn run_workload(
-    budget: Option<u64>,
-) -> (Cluster, Vec<u8>, std::rc::Rc<std::cell::RefCell<CrashFuse>>) {
-    let mut cluster = Cluster::paper_testbed_small(41);
-    let mut mw = S4dCache::new(config(), params());
-    let fuse = match budget {
-        Some(b) => CrashFuse::armed(b).shared(),
-        None => CrashFuse::unlimited().shared(),
-    };
-    mw.attach_crash_fuse(fuse.clone());
-    let file = mw.open(&mut cluster, Rank(0), "dc.dat").unwrap();
-    let seed = seed_bytes();
-    cluster
-        .opfs_mut()
-        .apply_bytes(file, 0, FILE_LEN, Some(&seed))
-        .unwrap();
-    let mut shadow = seed;
-    let mut op_no = 0u64;
-    let mut now_s = 0u64;
-    let offsets: Vec<u64> = (0..8)
+/// The script: eight writes that fill the cache, then four at fresh
+/// offsets that overflow it.
+fn script() -> Vec<u64> {
+    (0..8)
         .map(|i| i * REQ)
         .chain((0..4).map(|i| 512 * KIB + i * REQ))
-        .collect();
-    for (phase, offset) in offsets.into_iter().enumerate() {
-        if phase == 8 {
-            // Flush everything clean so the overflow writes must evict.
+        .collect()
+}
+
+/// Issues the script's writes from index `from` on, flushing everything
+/// clean before write 8 so the overflow writes must evict (and journal
+/// their Removes synchronously). Each acknowledged write lands in
+/// `shadow`. Stops when the fuse dies; returns the index of the first
+/// write that was not acknowledged.
+fn drive(
+    cluster: &mut Cluster,
+    mw: &mut S4dCache,
+    fuse: Option<&RefCell<CrashFuse>>,
+    shadow: &mut [u8],
+    from: usize,
+) -> usize {
+    let dead = || fuse.is_some_and(|f| f.borrow().is_dead());
+    let file = mw.open(cluster, Rank(0), "dc.dat").unwrap();
+    let mut now_s = 0u64;
+    for (n, offset) in script().into_iter().enumerate().skip(from) {
+        if n == 8 {
             for _ in 0..40 {
                 now_s += 1;
-                let poll = mw.poll_background(&mut cluster, SimTime::from_secs(now_s));
-                if fuse.borrow().is_dead() {
-                    return (cluster, shadow, fuse);
+                let now = SimTime::from_secs(now_s);
+                let poll = mw.poll_background(cluster, now);
+                if dead() {
+                    return n;
                 }
                 for plan in &poll.plans {
-                    let done = exec_plan(&mut cluster, &fuse, plan);
-                    if done && plan.tag != 0 {
-                        mw.on_plan_complete(&mut cluster, SimTime::from_secs(now_s), plan.tag);
-                    }
-                    if fuse.borrow().is_dead() {
-                        return (cluster, shadow, fuse);
+                    if !run_plan(cluster, mw, fuse, plan, now) || dead() {
+                        return n;
                     }
                 }
                 if !poll.work_pending {
@@ -134,35 +90,58 @@ fn run_workload(
                 }
             }
         }
-        op_no += 1;
-        let data = write_payload(op_no);
-        let req = AppRequest {
-            rank: Rank(0),
-            file,
-            kind: IoKind::Write,
-            offset,
-            len: REQ,
-            data: Some(data.clone()),
-        };
-        let plan = mw.plan_io(&mut cluster, SimTime::from_secs(now_s), &req);
-        let done = exec_plan(&mut cluster, &fuse, &plan);
-        if done && plan.tag != 0 {
-            mw.on_plan_complete(&mut cluster, SimTime::from_secs(now_s), plan.tag);
-        }
-        if fuse.borrow().is_dead() {
-            return (cluster, shadow, fuse);
+        let data = write_payload(n as u64 + 1);
+        let req = write_req(file, offset, data.clone());
+        let now = SimTime::from_secs(now_s);
+        let plan = mw.plan_io(cluster, now, &req);
+        run_plan(cluster, mw, fuse, &plan, now);
+        if dead() {
+            return n;
         }
         shadow[offset as usize..(offset + REQ) as usize].copy_from_slice(&data);
     }
-    (cluster, shadow, fuse)
+    script().len()
+}
+
+/// One run of the script on a fresh cluster, crashing when `budget` runs
+/// out.
+struct Run {
+    cluster: Cluster,
+    /// Acknowledged file content.
+    shadow: Vec<u8>,
+    fuse: Rc<RefCell<CrashFuse>>,
+    /// Index of the first script write that was not acknowledged.
+    acked: usize,
+}
+
+fn run_workload(budget: Option<u64>) -> Run {
+    let mut cluster = Cluster::paper_testbed_small(41);
+    let mut mw = S4dCache::new(config(), CostParams::paper_testbed_small());
+    let fuse = match budget {
+        Some(b) => CrashFuse::armed(b).shared(),
+        None => CrashFuse::unlimited().shared(),
+    };
+    mw.attach_crash_fuse(fuse.clone());
+    let file = mw.open(&mut cluster, Rank(0), "dc.dat").unwrap();
+    let mut shadow = seed_bytes();
+    cluster
+        .opfs_mut()
+        .apply_bytes(file, 0, FILE_LEN, Some(&shadow))
+        .unwrap();
+    let acked = drive(&mut cluster, &mut mw, Some(&fuse), &mut shadow, 0);
+    Run {
+        cluster,
+        shadow,
+        fuse,
+        acked,
+    }
 }
 
 /// The workload-crash budget: the middle of the last synchronous append,
 /// so the crashed cluster carries a torn journal suffix for recovery to
 /// truncate.
 fn crash_budget() -> u64 {
-    let (_, _, fuse) = run_workload(None);
-    let steps = fuse.borrow().steps().to_vec();
+    let steps = run_workload(None).fuse.borrow().steps().to_vec();
     let last_sync = steps
         .iter()
         .rev()
@@ -180,7 +159,11 @@ fn crash_budget() -> u64 {
 /// are deterministic, derived from `probe` (a plain recovery of an
 /// identical regeneration).
 fn crashed_and_mutated(budget: u64, probe: &(FileId, u64, u64)) -> (Cluster, Vec<u8>) {
-    let (mut cluster, shadow, _) = run_workload(Some(budget));
+    let Run {
+        mut cluster,
+        shadow,
+        ..
+    } = run_workload(Some(budget));
     let cache = cluster.cpfs_mut().create_or_open("dc.dat.cache");
     let size = cluster.cpfs().meta(cache).map(|m| m.size).unwrap_or(0);
     // Orphan: cache bytes far past every mapping.
@@ -202,73 +185,10 @@ fn crashed_and_mutated(budget: u64, probe: &(FileId, u64, u64)) -> (Cluster, Vec
 /// Reads the whole file back through a recovered middleware.
 fn read_all(cluster: &mut Cluster, mw: &mut S4dCache) -> Vec<u8> {
     let file = mw.open(cluster, Rank(0), "dc.dat").unwrap();
-    let mut out = vec![0u8; FILE_LEN as usize];
     let step = 64 * KIB;
-    for chunk in 0..(FILE_LEN / step) {
-        let offset = chunk * step;
-        let req = AppRequest {
-            rank: Rank(0),
-            file,
-            kind: IoKind::Read,
-            offset,
-            len: step,
-            data: None,
-        };
-        let plan = mw.plan_io(cluster, SimTime::ZERO, &req);
-        for phase in &plan.phases {
-            for op in phase {
-                match op.kind {
-                    IoKind::Read => {
-                        if let Some(app) = op.app_offset {
-                            let bytes = cluster
-                                .pfs(op.tier)
-                                .read_bytes(op.file, op.offset, op.len)
-                                .unwrap()
-                                .expect("functional stores");
-                            let at = app as usize;
-                            out[at..at + op.len as usize].copy_from_slice(&bytes);
-                        }
-                    }
-                    IoKind::Write => {
-                        if let Some(data) = &op.data {
-                            let _ = cluster.pfs_mut(op.tier).apply_bytes(
-                                op.file,
-                                op.offset,
-                                op.len,
-                                Some(data),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if plan.tag != 0 {
-            mw.on_plan_complete(cluster, SimTime::ZERO, plan.tag);
-        }
-    }
-    out
-}
-
-fn extents_of(mw: &S4dCache) -> Vec<(u64, u64, u64, u64, u64, bool)> {
-    let mut v: Vec<_> = mw
-        .dmt()
-        .iter_extents()
-        .map(|(f, o, e)| (f.0, o, e.len, e.c_file.0, e.c_offset, e.dirty))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
-fn check_invariants(cluster: &Cluster, mw: &S4dCache) {
-    let sum: u64 = mw.dmt().iter_extents().map(|(_, _, e)| e.len).sum();
-    assert_eq!(mw.space().allocated(), sum, "space vs mapping");
-    for (f, o, e) in mw.dmt().iter_extents() {
-        let covered = cluster
-            .cpfs()
-            .covered_bytes(e.c_file, e.c_offset, e.len)
-            .unwrap();
-        assert_eq!(covered, e.len, "extent ({f:?},{o}) under-covered");
-    }
+    (0..FILE_LEN / step)
+        .flat_map(|chunk| read_through(cluster, mw, file, chunk * step, step))
+        .collect()
 }
 
 #[test]
@@ -277,8 +197,12 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
 
     // Probe: recover a pristine regeneration to learn a clean mapped
     // extent whose tail the mutation can punch out.
-    let (mut probe_cluster, _, _) = run_workload(Some(budget));
-    let (probe_mw, _) = S4dCache::recover_from_cluster(config(), params(), &mut probe_cluster);
+    let mut probe_cluster = run_workload(Some(budget)).cluster;
+    let (probe_mw, _) = S4dCache::recover_from_cluster(
+        config(),
+        CostParams::paper_testbed_small(),
+        &mut probe_cluster,
+    );
     let probe = probe_mw
         .dmt()
         .iter_extents()
@@ -292,7 +216,7 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
     let ref_fuse = CrashFuse::unlimited().shared();
     let (mut ref_mw, ref_report) = S4dCache::recover_from_cluster_fused(
         config(),
-        params(),
+        CostParams::paper_testbed_small(),
         &mut ref_cluster,
         Some(ref_fuse.clone()),
     )
@@ -321,7 +245,11 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
     // fixpoint every interrupted history must also converge to. (Its
     // report re-derives the dropped extent and the journal-hole truncate
     // from the unchanged journal — both no-op discards — by design.)
-    let (fix_mw, fix_report) = S4dCache::recover_from_cluster(config(), params(), &mut ref_cluster);
+    let (fix_mw, fix_report) = S4dCache::recover_from_cluster(
+        config(),
+        CostParams::paper_testbed_small(),
+        &mut ref_cluster,
+    );
     assert_eq!(extents_of(&fix_mw), ref_extents, "reference not a fixpoint");
     assert_eq!(
         fix_report.orphan_bytes_discarded, 0,
@@ -353,7 +281,7 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
         let fuse = CrashFuse::armed(b).shared();
         let first = S4dCache::recover_from_cluster_fused(
             config(),
-            params(),
+            CostParams::paper_testbed_small(),
             &mut cluster,
             Some(fuse.clone()),
         );
@@ -363,7 +291,11 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
         }
         // Second crash happened; re-enter recovery on the half-recovered
         // cluster. It must converge to the reference state.
-        let (mut mw2, _) = S4dCache::recover_from_cluster(config(), params(), &mut cluster);
+        let (mut mw2, _) = S4dCache::recover_from_cluster(
+            config(),
+            CostParams::paper_testbed_small(),
+            &mut cluster,
+        );
         check_invariants(&cluster, &mw2);
         assert_eq!(
             extents_of(&mw2),
@@ -379,7 +311,11 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
         // cluster reached: identical extents AND an identical report,
         // regardless of where the second crash interrupted the first
         // recovery.
-        let (mw3, report3) = S4dCache::recover_from_cluster(config(), params(), &mut cluster);
+        let (mw3, report3) = S4dCache::recover_from_cluster(
+            config(),
+            CostParams::paper_testbed_small(),
+            &mut cluster,
+        );
         assert_eq!(extents_of(&mw3), ref_extents, "budget {b}: not a fixpoint");
         assert_eq!(report3, fix_report, "budget {b}: fixpoint report differs");
     }
@@ -389,5 +325,64 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
         CrashSite::RecoverySweep,
     ] {
         assert!(died_at.contains(&site), "no budget died at {site:?}");
+    }
+}
+
+#[test]
+fn writes_acked_after_a_torn_journal_recovery_survive_the_next_crash() {
+    // Checkpoints stay off (the default thresholds are far above this
+    // script), so nothing but the journal tail carries the mapping: a
+    // recovery that resumes appending anywhere but at the start of the
+    // torn suffix it truncated leaves a hole, and the *next* recovery
+    // stops decoding there — silently dropping every record acknowledged
+    // in between. A later snapshot would heal the hole and hide the bug.
+    let frames: Vec<_> = run_workload(None)
+        .fuse
+        .borrow()
+        .steps()
+        .iter()
+        .filter(|s| matches!(s.site, CrashSite::JournalWrite | CrashSite::SyncAppend))
+        .copied()
+        .collect();
+    for site in [CrashSite::JournalWrite, CrashSite::SyncAppend] {
+        assert!(frames.iter().any(|s| s.site == site), "no {site:?} step");
+    }
+    for frame in frames {
+        // 13 bytes into the frame's first record: always mid-record.
+        let budget = frame.start + 13;
+        let Run {
+            mut cluster,
+            mut shadow,
+            acked,
+            ..
+        } = run_workload(Some(budget));
+        let (mut mw, report) = S4dCache::recover_from_cluster(
+            config(),
+            CostParams::paper_testbed_small(),
+            &mut cluster,
+        );
+        assert!(
+            report.dropped_journal_bytes > 0,
+            "budget {budget}: the crash must leave a torn frame to truncate"
+        );
+        assert!(report.used_checkpoint.is_none());
+        // The application retries its unacknowledged write and finishes
+        // the script on the recovered instance...
+        let done = drive(&mut cluster, &mut mw, None, &mut shadow, acked);
+        assert_eq!(done, script().len());
+        assert!(mw.plane().dirty_bytes() > 0, "acks rest on cached data");
+        // ...and the power goes: no drain, no clean shutdown.
+        drop(mw);
+        let (mut mw, _) = S4dCache::recover_from_cluster(
+            config(),
+            CostParams::paper_testbed_small(),
+            &mut cluster,
+        );
+        check_invariants(&cluster, &mw);
+        assert!(
+            read_all(&mut cluster, &mut mw) == shadow,
+            "budget {budget} ({:?}): an acknowledged write did not survive the second crash",
+            frame.site
+        );
     }
 }

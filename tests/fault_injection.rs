@@ -3,74 +3,25 @@
 //! must stay consistent (the static cost model keeps routing as before —
 //! an explicit limitation worth pinning in a test).
 
-use s4d::bench::testbed;
+use s4d::bench::{testbed, Testbed};
 use s4d::cache::{S4dCache, S4dConfig};
 use s4d::mpiio::{Cluster, Runner};
-use s4d::pfs::{FileServer, NetworkConfig, Pfs, StripeLayout};
-use s4d::sim::{SimDuration, SimRng};
-use s4d::storage::{presets, Fault, FaultyDevice, StoreMode};
+use s4d::pfs::{FaultPlan, ServerFault};
+use s4d::sim::SimTime;
 use s4d::workloads::{AccessPattern, IorConfig};
 
 const MIB: u64 = 1 << 20;
 
-/// Builds the paper testbed but with DServer 0 degraded by `factor` from
-/// its first operation.
-fn cluster_with_degraded_dserver(seed: u64, factor: f64) -> Cluster {
-    let hdd = presets::hdd_seagate_st3250();
-    let ssd = presets::ssd_ocz_revodrive_x2();
-    let net = NetworkConfig::gigabit_ethernet();
-    let mut rng = SimRng::seed(seed);
-    let d_layout = StripeLayout::new(64 * 1024, 8);
-    let servers: Vec<FileServer> = (0..8)
-        .map(|i| {
-            let device: Box<dyn s4d::storage::DeviceModel> = if i == 0 {
-                Box::new(
-                    FaultyDevice::new(Box::new(hdd.clone().build()))
-                        .with_fault(Fault::SlowdownAfter { from_op: 0, factor }),
-                )
-            } else {
-                Box::new(hdd.clone().build())
-            };
-            FaultyServerBuilder {
-                index: i,
-                device,
-                capacity: hdd.capacity(),
-                net,
-            }
-            .build(rng.fork(i as u64))
-        })
-        .collect();
-    let opfs = Pfs::new("opfs", d_layout, servers);
-    let cpfs = Pfs::ssd_cluster(
-        "cpfs",
-        StripeLayout::new(64 * 1024, 4),
-        ssd,
-        net,
-        StoreMode::Timing,
-        seed ^ 0xC,
-    );
-    Cluster::new(opfs, cpfs)
-}
-
-struct FaultyServerBuilder {
-    index: usize,
-    device: Box<dyn s4d::storage::DeviceModel>,
-    capacity: u64,
-    net: NetworkConfig,
-}
-
-impl FaultyServerBuilder {
-    fn build(self, rng: SimRng) -> FileServer {
-        FileServer::new(
-            self.index,
-            self.device,
-            self.capacity,
-            self.net,
-            StoreMode::Timing,
-            None,
-            rng,
-        )
-    }
+/// `tb`'s cluster with DServer 0 degraded by `factor` for the whole run.
+fn cluster_with_degraded_dserver(tb: &Testbed, factor: f64) -> Cluster {
+    let mut cluster = tb.cluster();
+    let limp = FaultPlan::new().with(ServerFault::Degraded {
+        from: SimTime::ZERO,
+        until: SimTime::MAX,
+        factor,
+    });
+    cluster.opfs_mut().set_fault_plan(0, limp).unwrap();
+    cluster
 }
 
 fn workload() -> Vec<s4d::workloads::IorScript> {
@@ -100,7 +51,7 @@ fn degraded_dserver_slows_stock_throughput() {
         r.run()
     };
     let degraded = {
-        let cluster = cluster_with_degraded_dserver(0x54D, 8.0);
+        let cluster = cluster_with_degraded_dserver(&tb, 8.0);
         let mut r = Runner::new(cluster, s4d::mpiio::StockMiddleware::new(), workload(), 40);
         r.run()
     };
@@ -124,7 +75,7 @@ fn s4d_keeps_functioning_on_degraded_substrate() {
     // DServer, but the system must stay correct: all requests complete,
     // capacity invariants hold, and the cache still absorbs critical data.
     let tb = testbed(42);
-    let cluster = cluster_with_degraded_dserver(0x54E, 6.0);
+    let cluster = cluster_with_degraded_dserver(&tb, 6.0);
     let middleware = S4dCache::new(S4dConfig::new(16 * MIB), tb.cost_params());
     let mut runner = Runner::new(cluster, middleware, workload(), 42);
     let report = runner.run();
@@ -139,44 +90,19 @@ fn s4d_keeps_functioning_on_degraded_substrate() {
 
 #[test]
 fn stall_window_creates_a_latency_spike_not_corruption() {
-    // Put a long stall window on the degraded server and verify the run
-    // still completes deterministically with the same op counts.
-    let hdd = presets::hdd_seagate_st3250();
-    let net = NetworkConfig::gigabit_ethernet();
-    let mut rng = SimRng::seed(77);
-    let servers: Vec<FileServer> = (0..2)
-        .map(|i| {
-            let device: Box<dyn s4d::storage::DeviceModel> = if i == 0 {
-                Box::new(FaultyDevice::new(Box::new(hdd.clone().build())).with_fault(
-                    Fault::StallWindow {
-                        from_op: 10,
-                        to_op: 20,
-                        extra: SimDuration::from_millis(500),
-                    },
-                ))
-            } else {
-                Box::new(hdd.clone().build())
-            };
-            FileServer::new(
-                i,
-                device,
-                hdd.capacity(),
-                net,
-                StoreMode::Timing,
-                None,
-                rng.fork(i as u64),
-            )
-        })
-        .collect();
-    let opfs = Pfs::new("opfs", StripeLayout::new(64 * 1024, 2), servers);
-    let cpfs = Pfs::ssd_cluster(
-        "cpfs",
-        StripeLayout::new(64 * 1024, 1),
-        presets::ssd_ocz_revodrive_x2(),
-        net,
-        StoreMode::Timing,
-        78,
-    );
+    // Park DServer 0 from the start of the run until well past its
+    // healthy end and verify it still completes with the same op counts.
+    let mut cluster = Testbed {
+        d_servers: 2,
+        c_servers: 1,
+        ..testbed(77)
+    }
+    .cluster();
+    let stall = FaultPlan::new().with(ServerFault::Stall {
+        since: SimTime::ZERO,
+        release: Some(SimTime::from_secs(5)),
+    });
+    cluster.opfs_mut().set_fault_plan(0, stall).unwrap();
     let scripts = IorConfig {
         file_name: "stall.dat".into(),
         file_size: 8 * MIB,
@@ -188,14 +114,9 @@ fn stall_window_creates_a_latency_spike_not_corruption() {
         seed: 79,
     }
     .scripts();
-    let mut runner = Runner::new(
-        Cluster::new(opfs, cpfs),
-        s4d::mpiio::StockMiddleware::new(),
-        scripts,
-        80,
-    );
+    let mut runner = Runner::new(cluster, s4d::mpiio::StockMiddleware::new(), scripts, 80);
     let report = runner.run();
     assert_eq!(report.app_ops(s4d::storage::IoKind::Write), 128);
-    // The 10 stalled ops add at least 5 seconds somewhere in the run.
+    // The parked ops hold the run past the release instant.
     assert!(report.end_time.as_secs_f64() > 5.0);
 }

@@ -14,16 +14,19 @@
 //! group-commit threshold of 4 records, so the single batch frame the
 //! fuse tears rejoins records from every per-shard queue.
 
+mod common;
+
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use common::{read_through, run_plan, write_req};
 use s4d::cache::{CrashFuse, CrashSite, S4dCache, S4dConfig, DMT_RECORD_BYTES};
 use s4d::cost::CostParams;
-use s4d::mpiio::{AppRequest, Cluster, Middleware, Plan, Rank};
+use s4d::mpiio::{Cluster, Middleware, Rank};
 use s4d::pfs::FileId;
 use s4d::sim::SimTime;
-use s4d::storage::{presets, IoKind};
+use s4d::storage::IoKind;
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * 1024;
@@ -33,18 +36,6 @@ const TILE: u64 = 64 * KIB;
 const REQ: u64 = 16 * KIB;
 const SHARDS: u32 = 4;
 const BATCH: u64 = 4;
-
-fn params() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 fn config() -> S4dConfig {
     // Capacity far above the workload so no eviction interleaves with the
@@ -63,40 +54,6 @@ fn write_payload(n: u64) -> Vec<u8> {
     (0..REQ)
         .map(|j| ((n * 131 + j * 7 + 13) % 256) as u8)
         .collect()
-}
-
-/// Executes a plan functionally, charging data payloads and journal
-/// frames to the fuse (the crash-torture executor, trimmed to writes).
-fn exec_plan(cluster: &mut Cluster, fuse: Option<&Rc<RefCell<CrashFuse>>>, plan: &Plan) -> bool {
-    for phase in &plan.phases {
-        for op in phase {
-            if fuse.is_some_and(|f| f.borrow().is_dead()) {
-                return false;
-            }
-            if op.kind != IoKind::Write {
-                continue;
-            }
-            let Some(data) = &op.data else {
-                continue;
-            };
-            let site = if op.app_offset.is_some() {
-                CrashSite::DataWrite
-            } else {
-                CrashSite::JournalWrite
-            };
-            let allowed = match fuse {
-                Some(f) => f.borrow_mut().consume(site, op.len),
-                None => op.len,
-            };
-            let _ = cluster
-                .pfs_mut(op.tier)
-                .apply_bytes(op.file, op.offset, allowed, Some(data));
-            if allowed < op.len {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// One run up to (and through) the first group-commit batch.
@@ -119,7 +76,7 @@ struct Outcome {
 /// journal batch, crashing (or not) per the fuse budget.
 fn run(budget: Option<u64>) -> Outcome {
     let mut cluster = Cluster::paper_testbed_small(41);
-    let mut mw = S4dCache::new(config(), params());
+    let mut mw = S4dCache::new(config(), CostParams::paper_testbed_small());
     let fuse = match budget {
         Some(b) => CrashFuse::armed(b).shared(),
         None => CrashFuse::unlimited().shared(),
@@ -136,14 +93,7 @@ fn run(budget: Option<u64>) -> Outcome {
     let mut batched = false;
     for i in 0..(SHARDS as u64 * BATCH + 1) {
         let offset = i * TILE;
-        let req = AppRequest {
-            rank: Rank(0),
-            file,
-            kind: IoKind::Write,
-            offset,
-            len: REQ,
-            data: Some(write_payload(i + 1)),
-        };
+        let req = write_req(file, offset, write_payload(i + 1));
         let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &req);
         offsets.push(offset);
         batched = plan
@@ -151,10 +101,7 @@ fn run(budget: Option<u64>) -> Outcome {
             .iter()
             .flatten()
             .any(|op| op.kind == IoKind::Write && op.app_offset.is_none());
-        let done = exec_plan(&mut cluster, Some(&fuse), &plan);
-        if done && plan.tag != 0 {
-            mw.on_plan_complete(&mut cluster, SimTime::ZERO, plan.tag);
-        }
+        run_plan(&mut cluster, &mut mw, Some(&fuse), &plan, SimTime::ZERO);
         if fuse.borrow().is_dead() || batched {
             break;
         }
@@ -182,44 +129,6 @@ fn run(budget: Option<u64>) -> Outcome {
         offsets,
         drain_order,
     }
-}
-
-/// Reads `[offset, offset+REQ)` through a recovered middleware.
-fn read_back(cluster: &mut Cluster, mw: &mut S4dCache, file: FileId, offset: u64) -> Vec<u8> {
-    let req = AppRequest {
-        rank: Rank(0),
-        file,
-        kind: IoKind::Read,
-        offset,
-        len: REQ,
-        data: None,
-    };
-    let plan = mw.plan_io(cluster, SimTime::ZERO, &req);
-    let mut out = vec![0u8; REQ as usize];
-    for phase in &plan.phases {
-        for op in phase {
-            if op.kind == IoKind::Read {
-                if let Some(app) = op.app_offset {
-                    let bytes = cluster
-                        .pfs(op.tier)
-                        .read_bytes(op.file, op.offset, op.len)
-                        .unwrap()
-                        .expect("functional stores");
-                    let at = (app - offset) as usize;
-                    out[at..at + op.len as usize].copy_from_slice(&bytes);
-                }
-            } else if let Some(data) = &op.data {
-                let _ =
-                    cluster
-                        .pfs_mut(op.tier)
-                        .apply_bytes(op.file, op.offset, op.len, Some(data));
-            }
-        }
-    }
-    if plan.tag != 0 {
-        mw.on_plan_complete(cluster, SimTime::ZERO, plan.tag);
-    }
-    out
 }
 
 #[test]
@@ -255,12 +164,16 @@ fn mid_batch_crash_keeps_an_exact_record_prefix() {
     let seed = seed_bytes();
     {
         let mut cluster = clean.cluster;
-        let (mut mw, report) = S4dCache::recover_from_cluster(config(), params(), &mut cluster);
+        let (mut mw, report) = S4dCache::recover_from_cluster(
+            config(),
+            CostParams::paper_testbed_small(),
+            &mut cluster,
+        );
         assert_eq!(report.tail_records, records, "full batch replays");
         assert_eq!(report.dropped_journal_bytes, 0);
         let file = mw.open(&mut cluster, Rank(0), "gc.dat").unwrap();
         for (i, &offset) in clean.offsets.iter().enumerate() {
-            let got = read_back(&mut cluster, &mut mw, file, offset);
+            let got = read_through(&mut cluster, &mut mw, file, offset, REQ);
             assert_eq!(got, write_payload(i as u64 + 1), "clean write {offset}");
         }
     }
@@ -281,8 +194,11 @@ fn mid_batch_crash_keeps_an_exact_record_prefix() {
                 Some(CrashSite::JournalWrite),
                 "the fuse must die inside the batch frame"
             );
-            let (mut mw, report) =
-                S4dCache::recover_from_cluster(config(), params(), &mut outcome.cluster);
+            let (mut mw, report) = S4dCache::recover_from_cluster(
+                config(),
+                CostParams::paper_testbed_small(),
+                &mut outcome.cluster,
+            );
 
             // All-or-prefix: exactly k records replayed, the torn tail
             // truncated, nothing invented past the cut.
@@ -321,7 +237,7 @@ fn mid_batch_crash_keeps_an_exact_record_prefix() {
             // was orphan-swept, never served).
             let file = mw.open(&mut outcome.cluster, Rank(0), "gc.dat").unwrap();
             for (i, &offset) in outcome.offsets.iter().enumerate() {
-                let got = read_back(&mut outcome.cluster, &mut mw, file, offset);
+                let got = read_through(&mut outcome.cluster, &mut mw, file, offset, REQ);
                 if expect.contains(&offset) {
                     assert_eq!(
                         got,

@@ -13,22 +13,9 @@ use s4d::cache::{S4dCache, S4dConfig};
 use s4d::cost::CostParams;
 use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner, ScriptBuilder};
 use s4d::sim::SimDuration;
-use s4d::storage::presets;
 
 const KIB: u64 = 1024;
 const SPAN: u64 = 96 * 16 * KIB; // 1.5 MiB of addressable file
-
-fn params_small() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -89,7 +76,7 @@ fn run_case(ops: &[Op], capacity: u64, rebuild_ms: u64, seed: u64) {
     let config = S4dConfig::new(capacity)
         .with_journal_batch(1)
         .with_rebuild_period(SimDuration::from_millis(rebuild_ms));
-    let middleware = S4dCache::new(config, params_small());
+    let middleware = S4dCache::new(config, CostParams::paper_testbed_small());
     let cluster = Cluster::paper_testbed_small(seed);
     let mut runner = Runner::new(cluster, middleware, vec![b.close(0).build()], seed);
     let reads = Rc::new(RefCell::new(Vec::new()));
@@ -176,7 +163,7 @@ fn run_two_proc_case(ops_a: &[Op], ops_b: &[Op], seed: u64) {
     let config = S4dConfig::new(256 * KIB)
         .with_journal_batch(4)
         .with_rebuild_period(SimDuration::from_millis(30));
-    let middleware = S4dCache::new(config, params_small());
+    let middleware = S4dCache::new(config, CostParams::paper_testbed_small());
     let cluster = Cluster::paper_testbed_small(seed ^ 0xAB);
     let mut runner = Runner::new(
         cluster,

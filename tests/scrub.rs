@@ -5,29 +5,21 @@
 //! dropped and reported, so reads serve the last flushed version from
 //! DServers instead of silently returning bad bytes.
 
-use s4d::cache::{S4dCache, S4dConfig};
+mod common;
+
+use common::{read_through, run_plan, write_req};
+use s4d::cache::journal::{self, JournalRecord};
+use s4d::cache::names::JOURNAL_NAME;
+use s4d::cache::{CrashFuse, CrashSite, S4dCache, S4dConfig};
 use s4d::cost::CostParams;
-use s4d::mpiio::{AppRequest, Cluster, Middleware, Plan, Rank};
+use s4d::mpiio::{Cluster, Middleware, Rank};
 use s4d::pfs::FileId;
 use s4d::sim::SimTime;
-use s4d::storage::{presets, IoKind};
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * 1024;
 const REQ: u64 = 16 * KIB;
 const FILE_LEN: u64 = 256 * KIB;
-
-fn params() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 fn seed_bytes() -> Vec<u8> {
     (0..FILE_LEN).map(|i| (i % 249) as u8).collect()
@@ -39,99 +31,17 @@ fn payload(n: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Executes a plan against the functional stores the way the runner
-/// would (no crash injection here).
-fn exec_plan(cluster: &mut Cluster, plan: &Plan) {
-    for phase in &plan.phases {
-        for op in phase {
-            if op.kind == IoKind::Write {
-                if let Some(data) = &op.data {
-                    let _ = cluster.pfs_mut(op.tier).apply_bytes(
-                        op.file,
-                        op.offset,
-                        op.len,
-                        Some(data),
-                    );
-                }
-            }
-        }
-    }
-}
-
 fn app_write(cluster: &mut Cluster, mw: &mut S4dCache, file: FileId, offset: u64, data: Vec<u8>) {
-    let req = AppRequest {
-        rank: Rank(0),
-        file,
-        kind: IoKind::Write,
-        offset,
-        len: data.len() as u64,
-        data: Some(data),
-    };
-    let plan = mw.plan_io(cluster, SimTime::ZERO, &req);
-    exec_plan(cluster, &plan);
-    if plan.tag != 0 {
-        mw.on_plan_complete(cluster, SimTime::ZERO, plan.tag);
-    }
-}
-
-fn app_read(
-    cluster: &mut Cluster,
-    mw: &mut S4dCache,
-    file: FileId,
-    offset: u64,
-    len: u64,
-) -> Vec<u8> {
-    let req = AppRequest {
-        rank: Rank(0),
-        file,
-        kind: IoKind::Read,
-        offset,
-        len,
-        data: None,
-    };
-    let plan = mw.plan_io(cluster, SimTime::ZERO, &req);
-    let mut out = vec![0u8; len as usize];
-    for phase in &plan.phases {
-        for op in phase {
-            match op.kind {
-                IoKind::Read => {
-                    if let Some(app) = op.app_offset {
-                        let bytes = cluster
-                            .pfs(op.tier)
-                            .read_bytes(op.file, op.offset, op.len)
-                            .unwrap()
-                            .expect("functional stores");
-                        let at = (app - offset) as usize;
-                        out[at..at + op.len as usize].copy_from_slice(&bytes);
-                    }
-                }
-                IoKind::Write => {
-                    if let Some(data) = &op.data {
-                        let _ = cluster.pfs_mut(op.tier).apply_bytes(
-                            op.file,
-                            op.offset,
-                            op.len,
-                            Some(data),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    if plan.tag != 0 {
-        mw.on_plan_complete(cluster, SimTime::ZERO, plan.tag);
-    }
-    out
+    let plan = mw.plan_io(cluster, SimTime::ZERO, &write_req(file, offset, data));
+    run_plan(cluster, mw, None, &plan, SimTime::ZERO);
 }
 
 fn drain(cluster: &mut Cluster, mw: &mut S4dCache, from_s: u64) {
     for round in 0..40u64 {
-        let poll = mw.poll_background(cluster, SimTime::from_secs(from_s + round));
+        let now = SimTime::from_secs(from_s + round);
+        let poll = mw.poll_background(cluster, now);
         for plan in &poll.plans {
-            exec_plan(cluster, plan);
-            if plan.tag != 0 {
-                mw.on_plan_complete(cluster, SimTime::from_secs(from_s + round), plan.tag);
-            }
+            run_plan(cluster, mw, None, plan, now);
         }
         if !poll.work_pending {
             break;
@@ -162,7 +72,7 @@ fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
         S4dConfig::new(64 * MIB)
             .with_journal_batch(1)
             .with_scrub(MIB),
-        params(),
+        CostParams::paper_testbed_small(),
     );
     let file = mw.open(&mut cluster, Rank(0), "scrub.dat").unwrap();
     cluster
@@ -190,7 +100,7 @@ fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
     assert_eq!(mw.metrics().scrub_lost_bytes, 0);
     // The cached copy is byte-identical to the truth again, and reads —
     // still routed to the cache — return the written content.
-    let got = app_read(&mut cluster, &mut mw, file, REQ, REQ);
+    let got = read_through(&mut cluster, &mut mw, file, REQ, REQ);
     assert_eq!(got, shadow[REQ as usize..2 * REQ as usize].to_vec());
     let e = *mw.dmt().get(file, REQ).expect("extent still mapped");
     let cached = cluster
@@ -210,7 +120,7 @@ fn corrupt_dirty_extent_is_reported_and_never_served() {
         .with_verify_on_read(true)
         .with_max_flush_per_wake(0);
     let mut cluster = Cluster::paper_testbed_small(32);
-    let mut mw = S4dCache::new(config, params());
+    let mut mw = S4dCache::new(config, CostParams::paper_testbed_small());
     let file = mw.open(&mut cluster, Rank(0), "dirty.dat").unwrap();
     let seed = seed_bytes();
     cluster
@@ -225,14 +135,17 @@ fn corrupt_dirty_extent_is_reported_and_never_served() {
     );
 
     // An intact dirty extent reads back through its seal untouched.
-    assert_eq!(app_read(&mut cluster, &mut mw, file, 0, REQ), payload(9));
+    assert_eq!(
+        read_through(&mut cluster, &mut mw, file, 0, REQ),
+        payload(9)
+    );
 
     let len = flip_cached_byte(&mut cluster, &mw, file, 0);
     // verify_on_read catches the mismatch before routing: the only
     // up-to-date copy is corrupt, so the mapping is dropped, the loss is
     // reported, and the read serves the last flushed version (the seed)
     // from DServers — never the corrupted cache bytes.
-    let got = app_read(&mut cluster, &mut mw, file, 0, REQ);
+    let got = read_through(&mut cluster, &mut mw, file, 0, REQ);
     assert_eq!(
         got,
         seed[..REQ as usize].to_vec(),
@@ -244,4 +157,81 @@ fn corrupt_dirty_extent_is_reported_and_never_served() {
     assert_eq!(mw.metrics().scrub_repaired_bytes, 0);
     assert!(mw.dmt().get(file, 0).is_none(), "the mapping is gone");
     assert_eq!(mw.space().allocated(), 0, "the cache space is released");
+}
+
+#[test]
+fn torn_overwrite_of_a_sealed_dirty_extent_survives_recovery_and_scrub() {
+    // No flushing: the cache holds the only copy of the dirty write, and
+    // the scrubber patrols it.
+    let config = S4dConfig::new(64 * MIB)
+        .with_journal_batch(1)
+        .with_scrub(MIB)
+        .with_max_flush_per_wake(0);
+    let mut cluster = Cluster::paper_testbed_small(33);
+    let mut mw = S4dCache::new(config.clone(), CostParams::paper_testbed_small());
+    let file = mw.open(&mut cluster, Rank(0), "torn.dat").unwrap();
+    cluster
+        .opfs_mut()
+        .apply_bytes(file, 0, FILE_LEN, Some(&seed_bytes()))
+        .unwrap();
+    // The first write is sealed at completion; the second write's journal
+    // frame carries that Seal to disk.
+    app_write(&mut cluster, &mut mw, file, 0, payload(1));
+    app_write(&mut cluster, &mut mw, file, REQ, payload(2));
+    let journal_file = cluster.cpfs().open(JOURNAL_NAME).unwrap();
+    let size = cluster.cpfs().meta(journal_file).unwrap().size;
+    let on_disk = cluster.cpfs().read_bytes(journal_file, 0, size).unwrap();
+    let sealed = |r: &JournalRecord| matches!(r, JournalRecord::Seal { d_offset: 0, .. });
+    assert!(
+        journal::decode_prefix(&on_disk.unwrap())
+            .records
+            .iter()
+            .any(sealed),
+        "the dirty extent's seal must be durable before the overwrite"
+    );
+
+    // Overwrite the sealed dirty extent; the power fails halfway through
+    // the data write. Unsealing is not journaled, so the journal still
+    // holds the seal of the old bytes over a half-old, half-new extent.
+    let fuse = CrashFuse::armed(REQ / 2).shared();
+    mw.attach_crash_fuse(fuse.clone());
+    let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(file, 0, payload(3)));
+    assert!(!run_plan(
+        &mut cluster,
+        &mut mw,
+        Some(&fuse),
+        &plan,
+        SimTime::ZERO
+    ));
+    assert_eq!(
+        fuse.borrow().steps().last().map(|s| s.site),
+        Some(CrashSite::DataWrite)
+    );
+    drop(mw);
+
+    // Recovery must not trust that seal: the scrubber would take the torn
+    // overwrite for corruption of the only copy and drop acknowledged
+    // data.
+    let (mut mw, _) =
+        S4dCache::recover_from_cluster(config, CostParams::paper_testbed_small(), &mut cluster);
+    let file = mw.open(&mut cluster, Rank(0), "torn.dat").unwrap();
+    assert!(mw.dmt().get(file, 0).is_some_and(|e| e.dirty));
+    drain(&mut cluster, &mut mw, 1);
+    assert!(mw.metrics().scrub_scanned_bytes > 0, "scrubber patrols");
+    assert_eq!(mw.metrics().scrub_lost_bytes, 0, "a torn write is not rot");
+    assert_eq!(mw.metrics().dirty_bytes_lost, 0);
+    let got = read_through(&mut cluster, &mut mw, file, 0, REQ);
+    let (old, new) = (payload(1), payload(3));
+    for (i, &b) in got.iter().enumerate() {
+        assert!(
+            b == old[i] || b == new[i],
+            "byte {i}: got {b}, expected old {} or new {}",
+            old[i],
+            new[i]
+        );
+    }
+    assert_eq!(
+        read_through(&mut cluster, &mut mw, file, REQ, REQ),
+        payload(2)
+    );
 }

@@ -18,22 +18,9 @@ use s4d::cache::{S4dCache, S4dConfig};
 use s4d::cost::CostParams;
 use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner, ScriptBuilder};
 use s4d::sim::SimDuration;
-use s4d::storage::presets;
 
 const KIB: u64 = 1024;
 const SPAN: u64 = 96 * 16 * KIB; // 1.5 MiB of addressable file
-
-fn params_small() -> CostParams {
-    CostParams::from_hardware(
-        &presets::hdd_seagate_st3250(),
-        &presets::ssd_ocz_revodrive_x2(),
-        2,
-        1,
-        64 * KIB,
-    )
-    .with_network_bandwidth(117.0e6)
-    .with_cserver_op_overhead(300.0e-6, 16 * KIB)
-}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -104,7 +91,7 @@ fn observe(ops: &[Op], shards: u32, capacity: u64, seed: u64) -> Observation {
         .with_journal_batch(4)
         .with_shards(shards)
         .with_rebuild_period(SimDuration::from_millis(40));
-    let middleware = S4dCache::new(config, params_small());
+    let middleware = S4dCache::new(config, CostParams::paper_testbed_small());
     let cluster = Cluster::paper_testbed_small(seed);
     let mut runner = Runner::new(
         cluster,
