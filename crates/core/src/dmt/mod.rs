@@ -399,17 +399,12 @@ impl Dmt {
     }
 
     /// Selects and removes clean extents in LRU order until at least
-    /// `bytes` of cache space are reclaimed (or no clean extents remain).
-    /// Returns the victims as `(file, d_offset, extent)`. Cost is
-    /// proportional to the number of victims, not the table size.
-    pub fn evict_clean_lru(&mut self, bytes: u64) -> Vec<(FileId, u64, MapExtent)> {
-        self.evict_clean_lru_excluding(bytes, |_, _, _| false)
-    }
-
-    /// Like [`Dmt::evict_clean_lru`], but skips extents for which
-    /// `is_pinned(file, d_offset, len)` returns true — the Redirector pins
-    /// ranges referenced by in-flight reads so eviction cannot discard
-    /// bytes a queued sub-request is about to return.
+    /// `bytes` of cache space are reclaimed (or no clean extents remain),
+    /// skipping extents for which `is_pinned(file, d_offset, len)`
+    /// returns true — the Redirector pins ranges referenced by in-flight
+    /// reads so eviction cannot discard bytes a queued sub-request is
+    /// about to return. Returns the victims as `(file, d_offset, extent)`.
+    /// Cost is proportional to the number of victims, not the table size.
     pub fn evict_clean_lru_excluding(
         &mut self,
         bytes: u64,
@@ -572,15 +567,18 @@ mod tests {
         d.insert(F, 200, 10, CF, 20, true); // dirty: not evictable
                                             // Touch the oldest so the middle becomes LRU.
         d.touch_range(F, 0, 10);
-        let victims = d.evict_clean_lru(10);
+        let victims = d.evict_clean_lru_excluding(10, |_, _, _| false);
         assert_eq!(victims.len(), 1);
         assert_eq!(victims[0].1, 100, "middle extent was least recently used");
         assert_eq!(d.entry_count(), 2);
         // Asking for more than clean space yields what exists.
-        let victims = d.evict_clean_lru(1000);
+        let victims = d.evict_clean_lru_excluding(1000, |_, _, _| false);
         assert_eq!(victims.len(), 1);
         assert_eq!(victims[0].1, 0);
-        assert!(d.evict_clean_lru(1).is_empty(), "only dirty data remains");
+        assert!(
+            d.evict_clean_lru_excluding(1, |_, _, _| false).is_empty(),
+            "only dirty data remains"
+        );
         assert_eq!(d.dirty_bytes(), 10);
     }
 
@@ -619,7 +617,7 @@ mod tests {
         // original (older) recency: it becomes the eviction candidate.
         let v = d.get(F, 0).unwrap().version;
         d.mark_clean_if(F, 0, v);
-        let victims = d.evict_clean_lru(5);
+        let victims = d.evict_clean_lru_excluding(5, |_, _, _| false);
         assert_eq!(victims[0].1, 0);
     }
 
@@ -731,7 +729,7 @@ mod tests {
                     }
                     _ => {
                         // Evict up to `len` clean bytes.
-                        for (_, v_off, e) in d.evict_clean_lru(len) {
+                        for (_, v_off, e) in d.evict_clean_lru_excluding(len, |_, _, _| false) {
                             for b in v_off..v_off + e.len {
                                 model[b as usize] = None;
                             }

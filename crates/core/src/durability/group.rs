@@ -87,11 +87,6 @@ impl GroupCommitQueue {
         self.max_queue_len() as u64 >= threshold
     }
 
-    /// Per-shard queue lengths, in shard order (bench occupancy probe).
-    pub fn per_queue_lens(&self) -> Vec<usize> {
-        self.queues.iter().map(VecDeque::len).collect()
-    }
-
     /// Drains every queue into one batch: shard 0's records first, then
     /// shard 1's, and so on, each in append order. Deterministic by
     /// construction — no map iteration anywhere.
@@ -131,6 +126,11 @@ mod tests {
         ShardRouter::new(count, 1).all_shards().collect()
     }
 
+    /// Per-shard queue lengths, in shard order.
+    fn lens(q: &GroupCommitQueue) -> Vec<usize> {
+        q.queues.iter().map(VecDeque::len).collect()
+    }
+
     fn rec(file: u64, offset: u64) -> JournalRecord {
         JournalRecord::SetClean {
             d_file: FileId(file),
@@ -161,7 +161,7 @@ mod tests {
         q.push(s[0], rec(0, 1));
         q.push(s[2], rec(2, 2));
         q.push(s[1], rec(1, 1));
-        assert_eq!(q.per_queue_lens(), vec![1, 1, 2]);
+        assert_eq!(lens(&q), vec![1, 1, 2]);
         assert_eq!(q.max_queue_len(), 2);
         assert_eq!(
             q.drain_all(),
@@ -211,11 +211,11 @@ mod tests {
         for tile in 0..4 {
             q.push(router.shard_of(FileId(0), tile * 10), rec(0, tile * 10));
         }
-        assert_eq!(q.per_queue_lens(), vec![1, 1, 1, 1]);
+        assert_eq!(lens(&q), vec![1, 1, 1, 1]);
         // An id from a wider router than the queue set falls back to
         // queue 0 instead of panicking.
         let mut narrow = GroupCommitQueue::new(2);
         narrow.push(router.shard_of(FileId(0), 30), rec(0, 30));
-        assert_eq!(narrow.per_queue_lens(), vec![1, 0]);
+        assert_eq!(lens(&narrow), vec![1, 0]);
     }
 }

@@ -75,7 +75,7 @@ impl S4dCache {
     ) -> (Self, RecoveryReport) {
         match Self::recover_from_cluster_fused(config, params, cluster, None) {
             Some(done) => done,
-            // s4d-lint: allow(panic) — without a fuse no charge can be cut short, so the fused body always completes; panic-path witness: recover_from_cluster → recover_from_cluster_fused
+            // s4d-lint: allow(panic) — without a fuse no charge can be cut short, so the fused body always completes
             None => unreachable!("recovery without a fuse cannot crash"),
         }
     }

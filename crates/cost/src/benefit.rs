@@ -42,7 +42,6 @@ impl Benefit {
 #[derive(Debug, Clone)]
 pub struct BenefitEvaluator<K> {
     params: CostParams,
-    sm_mode: SmMode,
     last_end: HashMap<K, u64>,
 }
 
@@ -51,25 +50,13 @@ impl<K: Eq + Hash + Clone> BenefitEvaluator<K> {
     pub fn new(params: CostParams) -> Self {
         BenefitEvaluator {
             params,
-            sm_mode: SmMode::Table2,
             last_end: HashMap::new(),
         }
-    }
-
-    /// Selects the `s_m` computation (ablation hook).
-    pub fn with_sm_mode(mut self, mode: SmMode) -> Self {
-        self.sm_mode = mode;
-        self
     }
 
     /// The model parameters in use.
     pub fn params(&self) -> &CostParams {
         &self.params
-    }
-
-    /// Number of streams currently tracked.
-    pub fn tracked_streams(&self) -> usize {
-        self.last_end.len()
     }
 
     /// Evaluates the benefit of a request at `offset` of `len` bytes on
@@ -87,8 +74,8 @@ impl<K: Eq + Hash + Clone> BenefitEvaluator<K> {
     /// Evaluates without touching stream state (used by tests and the
     /// overhead probe).
     pub fn evaluate_at_distance(&self, distance: u64, offset: u64, len: u64) -> Benefit {
-        let t_d = t_dservers(&self.params, distance, offset, len, self.sm_mode);
-        let t_c = t_cservers(&self.params, offset, len, self.sm_mode);
+        let t_d = t_dservers(&self.params, distance, offset, len, SmMode::Table2);
+        let t_c = t_cservers(&self.params, offset, len, SmMode::Table2);
         Benefit {
             t_d_secs: t_d,
             t_c_secs: t_c,
@@ -161,9 +148,9 @@ mod tests {
         // Process 0 continues sequentially despite process 1's activity.
         let b = e.evaluate((0, 0), 16 * KIB, 16 * KIB);
         assert_eq!(b.distance, 0);
-        assert_eq!(e.tracked_streams(), 2);
+        assert_eq!(e.last_end.len(), 2);
         e.reset();
-        assert_eq!(e.tracked_streams(), 0);
+        assert!(e.last_end.is_empty());
     }
 
     #[test]
@@ -182,14 +169,5 @@ mod tests {
         let b = e.evaluate_at_distance(MIB, 4 * KIB, 32 * KIB);
         assert!((b.benefit_secs - (b.t_d_secs - b.t_c_secs)).abs() < 1e-15);
         assert_eq!(b.distance, MIB);
-    }
-
-    #[test]
-    fn sm_mode_is_configurable() {
-        let e = evaluator().with_sm_mode(SmMode::Exact);
-        // Aligned full-round request: exact and Table 2 agree here, just
-        // exercise the path.
-        let b = e.evaluate_at_distance(0, 0, 8 * 64 * KIB);
-        assert!(b.t_d_secs > 0.0);
     }
 }

@@ -91,7 +91,9 @@ pub fn max_subrequest_exact(offset: u64, len: u64, stripe: u64, servers: usize) 
     for k in first..=last {
         let lo = (k * stripe).max(offset);
         let hi = ((k + 1) * stripe).min(end);
-        per_server[(k % servers as u64) as usize] += hi - lo;
+        if let Some(bytes) = per_server.get_mut((k % servers as u64) as usize) {
+            *bytes += hi - lo;
+        }
     }
     per_server.into_iter().max().unwrap_or(0)
 }

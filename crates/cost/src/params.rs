@@ -37,7 +37,7 @@ impl CostParams {
     /// * `β_D` is the HDD's per-byte sequential cost;
     /// * `β_C` is the SSD's per-byte *write* cost — the paper uses a single
     ///   `β_C`, and writes are the cache-admission direction, so this is the
-    ///   conservative choice (override with [`CostParams::with_beta_c`]);
+    ///   conservative choice;
     /// * `F` is the HDD's seek curve.
     ///
     /// # Panics
@@ -122,31 +122,6 @@ impl CostParams {
         self
     }
 
-    /// Overrides `β_C` (ablation hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `beta_c` is not positive and finite.
-    pub fn with_beta_c(mut self, beta_c: f64) -> Self {
-        assert!(
-            beta_c.is_finite() && beta_c > 0.0,
-            "beta_c must be positive"
-        );
-        self.beta_c = beta_c;
-        self
-    }
-
-    /// Overrides the CServer count (the Fig. 8 sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn with_n(mut self, n: usize) -> Self {
-        assert!(n > 0, "N must be positive");
-        self.n = n;
-        self
-    }
-
     /// Converts a logical file-level distance to a per-server seek time:
     /// the file is spread over `M` servers, so logical distance `d` moves a
     /// server's head about `d / M` bytes.
@@ -190,13 +165,6 @@ mod tests {
         // A fast link changes nothing.
         let q = params().with_network_bandwidth(10.0e9);
         assert_eq!(q.beta_d, params().beta_d);
-    }
-
-    #[test]
-    fn overrides() {
-        let p = params().with_beta_c(5.5e-8).with_n(6);
-        assert_eq!(p.beta_c, 5.5e-8);
-        assert_eq!(p.n, 6);
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! family covers. This is the single place the workspace's invariants are
 //! spelled out; DESIGN.md §10 is the prose twin of this file.
 
-/// One rule: its id, how it finds things, and what it protects.
+/// One rule: its id and what it protects.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
     /// The id findings carry and allow-pragmas name.
     pub id: &'static str,
-    /// `lexical` (one file's token stream) or `call graph`.
-    pub mechanism: &'static str,
     /// What the rule keeps true, in one line.
     pub guards: &'static str,
 }
@@ -20,42 +18,26 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         id: "determinism",
-        mechanism: "lexical",
         guards: "no wall clock, OS entropy, OS threads or locks on the simulated I/O path",
     },
     Rule {
         id: "ordered-iter",
-        mechanism: "lexical",
         guards: "no HashMap/HashSet/IdMap where journal, checkpoint or report bytes are produced",
     },
     Rule {
         id: "panic",
-        mechanism: "lexical",
-        guards: "no unwrap/expect/panic!/indexing in middleware library code",
-    },
-    Rule {
-        id: "panic-path",
-        mechanism: "call graph",
-        guards: "panic sites reachable from the public API, with witness call chains",
+        guards: "no unwrap/expect/panic!/indexing in library code on the I/O path",
     },
     Rule {
         id: "durability",
-        mechanism: "lexical",
         guards: "raw CPFS effects appear in `core` only inside the durability engine",
     },
     Rule {
-        id: "hot-alloc",
-        mechanism: "lexical",
-        guards: "allocation census of the hot modules (alloc_budget.toml ratchet)",
-    },
-    Rule {
         id: "file-budget",
-        mechanism: "lexical",
         guards: "no library module past 800 non-test code lines",
     },
     Rule {
         id: "pragma",
-        mechanism: "lexical",
         guards: "allow-pragmas are well-formed, justified, used, and name a live rule",
     },
 ];
@@ -80,18 +62,23 @@ pub const DETERMINISM_CRATES: &[&str] = &["sim", "core", "pfs", "mpiio", "chaos"
 
 /// Crates whose *library* code must be panic-free: the middleware sits on
 /// every I/O path, so a panic is an availability bug (ECI-Cache/LBICA
-/// treat cache-server failure as first-order). `lint` is included for the
-/// macro/`unwrap` checks so the tool holds itself to the bar it enforces.
-/// `chaos` is included because the harness must report a violation, not
-/// die: an engine panic inside a scheduled run is itself converted to a
-/// finding (`run_caught`), which only works if the harness around the
-/// catch is panic-free.
-pub const PANIC_CRATES: &[&str] = &["core", "pfs", "mpiio", "lint", "chaos"];
+/// treat cache-server failure as first-order). `sim`, `storage` and
+/// `cost` are the layers below the public API that every request runs
+/// through — the event queue, the device models and extent stores, the
+/// cost model — so a panic there takes the middleware down just the
+/// same. `lint` is included for the macro/`unwrap` checks so the tool
+/// holds itself to the bar it enforces. `chaos` is included because the
+/// harness must report a violation, not die: an engine panic inside a
+/// scheduled run is itself converted to a finding (`run_caught`), which
+/// only works if the harness around the catch is panic-free.
+pub const PANIC_CRATES: &[&str] = &[
+    "core", "pfs", "mpiio", "sim", "storage", "cost", "lint", "chaos",
+];
 
 /// Crates additionally checked for panicking slice/array indexing.
-/// Narrower than [`PANIC_CRATES`]: the middleware crates only, per the
-/// availability argument above.
-pub const INDEX_CRATES: &[&str] = &["core", "pfs", "mpiio"];
+/// Narrower than [`PANIC_CRATES`]: the crates on the request path only,
+/// per the availability argument above.
+pub const INDEX_CRATES: &[&str] = &["core", "pfs", "mpiio", "sim", "storage", "cost"];
 
 /// Files that serialize journal, checkpoint, or report state. Iterating a
 /// `HashMap`/`HashSet` while producing those byte streams makes the
@@ -113,104 +100,6 @@ pub const SERIALIZATION_FN_PATTERNS: &[&str] =
 /// `durability` rule admits them in `core` only inside the durability
 /// engine, where each sits in one call with its crash-fuse charge.
 pub const DURABLE_EFFECT_FNS: &[&str] = &["apply_bytes", "discard", "copy_range"];
-
-/// Call names the call-graph builder never resolves: std-prelude shadows
-/// so ubiquitous that a bare-name edge would connect unrelated components
-/// through the standard library's vocabulary, not through real calls.
-/// Dropping them loses at most real same-named workspace helpers — the
-/// conservative direction (fewer edges, never an impossible path); see
-/// `callgraph` and DESIGN.md §10.
-pub const CALL_NAME_STOPLIST: &[&str] = &[
-    "new",
-    "default",
-    "clone",
-    "len",
-    "is_empty",
-    "push",
-    "pop",
-    "get",
-    "get_mut",
-    "insert",
-    "remove",
-    "clear",
-    "contains",
-    "contains_key",
-    "iter",
-    "iter_mut",
-    "next",
-    "drain",
-    "take",
-    "extend",
-    "retain",
-    "from",
-    "into",
-    "to_string",
-    "as_str",
-    "as_ref",
-    "as_mut",
-    "fmt",
-    "eq",
-    "cmp",
-    "hash",
-    "drop",
-    "min",
-    "max",
-    "sum",
-    "write",
-    "read",
-    "lock",
-    "flush",
-    "name",
-    "map",
-    "filter",
-    "collect",
-    "find",
-    "position",
-    "sort",
-    "split",
-    "join",
-    "first",
-    "last",
-];
-
-/// A bare call name with this many (or more) workspace definitions is
-/// treated as unresolvable: past this point the edges are trait-dispatch
-/// noise, not information. Like the stoplist, this degrades toward fewer
-/// edges.
-pub const CALL_RESOLUTION_CAP: usize = 4;
-
-/// Crates whose unrestricted `pub fn`s are the roots of the `panic-path`
-/// reachability analysis: the middleware's public API surface (what the
-/// MPI-IO runner and library consumers actually call).
-pub const PANIC_PATH_ROOT_CRATES: &[&str] = &["core", "mpiio"];
-
-/// Hot-path modules under the allocation lint (`hot-alloc`): the
-/// identify→redirect→admit pipeline, the shard plane, the group-commit
-/// queue, the runner's exec/drain stages, and below them the file
-/// server's service loop and its extent store (every sub-request
-/// completion runs both) — the code ROADMAP item 2 commits to making
-/// allocation-free. Matched as a path prefix for directories and exactly
-/// for files.
-pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/core/src/pipeline/",
-    "crates/core/src/shard/",
-    "crates/core/src/durability/group.rs",
-    "crates/mpiio/src/runner/exec.rs",
-    "crates/mpiio/src/runner/drain.rs",
-    "crates/pfs/src/server.rs",
-    "crates/storage/src/store.rs",
-];
-
-/// True when a workspace-relative path lies in the hot-path set.
-pub fn is_hot_path(rel: &str) -> bool {
-    HOT_PATH_FILES.iter().any(|p| {
-        if p.ends_with('/') {
-            rel.starts_with(p)
-        } else {
-            rel == *p
-        }
-    })
-}
 
 /// Maximum non-test code lines per library module (`file-budget`).
 /// `#[cfg(test)]` / `#[test]` spans and files under `tests/`, `examples/`,

@@ -1,5 +1,4 @@
-//! Diagnostics: rule id, location, message, fix hint, severity, and (for
-//! interprocedural findings) the witness call chain.
+//! Diagnostics: rule id, location, message, fix hint, and severity.
 
 use std::path::PathBuf;
 
@@ -38,35 +37,26 @@ pub struct Diagnostic {
     pub hint: &'static str,
     /// Error or warning.
     pub severity: Severity,
-    /// Witness call chain for interprocedural findings, outermost caller
-    /// first, each step rendered as `file:line fn name`. Empty for
-    /// single-function findings.
-    pub chain: Vec<String>,
 }
 
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}:{}: {}[{}] {}",
+            "{}:{}: {}[{}] {}\n    hint: {}",
             self.path.display(),
             self.line,
             self.severity.label(),
             self.rule,
             self.message,
-        )?;
-        for (k, step) in self.chain.iter().enumerate() {
-            let label = if k == 0 { "via" } else { "   " };
-            write!(f, "\n    {label}: {step}")?;
-        }
-        write!(f, "\n    hint: {}", self.hint)
+            self.hint,
+        )
     }
 }
 
 impl Diagnostic {
     /// Renders the finding as one JSON object (the `--format=json` line
-    /// format): `file`, `line`, `rule`, `severity`, `message`, `hint`,
-    /// and `chain` (array of rendered steps, present even when empty).
+    /// format): `file`, `line`, `rule`, `severity`, `message`, `hint`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
@@ -80,15 +70,7 @@ impl Diagnostic {
             json_str(self.severity.label())
         ));
         out.push_str(&format!(",\"message\":{}", json_str(&self.message)));
-        out.push_str(&format!(",\"hint\":{}", json_str(self.hint)));
-        out.push_str(",\"chain\":[");
-        for (k, step) in self.chain.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(step));
-        }
-        out.push_str("]}");
+        out.push_str(&format!(",\"hint\":{}}}", json_str(self.hint)));
         out
     }
 }
@@ -126,7 +108,6 @@ mod tests {
             message: "a \"quoted\"\nmessage".to_string(),
             hint: "fix it",
             severity: Severity::Error,
-            chain: vec!["crates/core/src/a.rs:7 fn top".to_string()],
         };
         let j = d.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
@@ -134,23 +115,6 @@ mod tests {
         assert!(j.contains("\"line\":7"));
         assert!(j.contains("\"severity\":\"error\""));
         assert!(j.contains("\\\"quoted\\\"\\nmessage"));
-        assert!(j.contains("\"chain\":[\"crates/core/src/a.rs:7 fn top\"]"));
-    }
-
-    #[test]
-    fn display_renders_chain_steps() {
-        let d = Diagnostic {
-            path: PathBuf::from("a.rs"),
-            line: 1,
-            rule: "panic-path",
-            message: "m".to_string(),
-            hint: "h",
-            severity: Severity::Warning,
-            chain: vec!["a.rs:1 fn f".to_string(), "b.rs:2 fn g".to_string()],
-        };
-        let s = d.to_string();
-        assert!(s.contains("via: a.rs:1 fn f"));
-        assert!(s.contains("b.rs:2 fn g"));
-        assert!(s.ends_with("hint: h"));
+        assert!(j.ends_with("\"hint\":\"fix it\"}"));
     }
 }

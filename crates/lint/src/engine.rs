@@ -1,15 +1,12 @@
-//! The engine: workspace walk, two-tier rule dispatch (per-file, then
-//! interprocedural over the whole parsed set), pragma suppression, and
-//! the final report.
+//! The engine: workspace walk, per-file rule dispatch, pragma
+//! suppression, and the final report.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use crate::analysis::Analysis;
 use crate::config;
 use crate::diag::{Diagnostic, Severity};
-use crate::items::{self, ItemIndex};
 use crate::pragma::{pragmas, Pragma};
 use crate::rules;
 use crate::source::SourceFile;
@@ -24,13 +21,9 @@ pub struct Report {
     pub suppressed: usize,
     /// Number of files checked.
     pub files: usize,
-    /// Number of pragma comment sites across the analysis scope (for the
+    /// Number of pragma comment sites across the linted files (for the
     /// budget gate — each site may suppress more than one finding).
     pub pragmas: usize,
-    /// Call-graph nodes: non-test library functions (for `--bench`).
-    pub functions: usize,
-    /// Resolved call-graph edges (for `--bench`).
-    pub call_edges: usize,
 }
 
 impl Report {
@@ -48,23 +41,15 @@ impl Report {
     }
 }
 
-/// Lints a parsed file set as one unit: per-file rules, then the
-/// interprocedural rules over the call graph spanning the whole set, then
-/// pragma suppression and hygiene per file. The set *is* the analysis
-/// scope — calls into files outside it simply do not resolve.
+/// Lints a parsed file set: the rules per file, then pragma suppression
+/// and hygiene per file.
 pub fn lint_files(files: &[SourceFile]) -> Report {
-    let items: Vec<ItemIndex> = files.iter().map(items::index).collect();
     let mut found = Vec::new();
-    for (file, idx) in files.iter().zip(&items) {
-        rules::check_file(file, idx, &mut found);
+    for file in files {
+        rules::check_file(file, &mut found);
     }
-    let analysis = Analysis::build(files, &items);
-    rules::check_graph(&analysis, &mut found);
-
     let mut report = Report {
         files: files.len(),
-        functions: analysis.graph.len(),
-        call_edges: analysis.graph.edges.iter().map(Vec::len).sum(),
         ..Report::default()
     };
     let by_path: BTreeMap<&Path, usize> = files
@@ -121,7 +106,6 @@ fn pragma_hygiene(file: &SourceFile, prags: &[Pragma], report: &mut Report) {
                 message,
                 hint: pragma_hint(),
                 severity,
-                chain: Vec::new(),
             });
         };
         if !p.well_formed {
@@ -203,9 +187,8 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     lint_paths(root, &workspace_files(root)?)
 }
 
-/// Lints an explicit set of files as one analysis scope (workspace-
-/// relative scoping is derived from each path's prefix relative to
-/// `root`).
+/// Lints an explicit set of files (workspace-relative scoping is derived
+/// from each path's prefix relative to `root`).
 pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> Result<Report, String> {
     let mut files = Vec::with_capacity(paths.len());
     for path in paths {
@@ -245,7 +228,7 @@ mod tests {
             let d = &report.diagnostics[0];
             assert_eq!((d.rule, d.severity), ("pragma", Severity::Error));
             assert!(d.message.contains("unknown rule"), "{}", d.message);
-            assert!(d.hint.contains("panic-path") && !d.hint.contains(retired));
+            assert!(d.hint.contains("file-budget") && !d.hint.contains(retired));
         }
     }
 }

@@ -4,15 +4,13 @@
 //! the language cannot carry. The durability protocol itself lives in
 //! `s4d-cache`'s types (proof tokens, by-value obligations, a router-only
 //! shard index); what is left for a linter is lexical — forbidden
-//! identifiers per crate scope, census ratchets, a module size cap, a
-//! file-scope fence around the raw durable effects — plus one
-//! interprocedural question: which panic sites can the public API reach?
-//! For that a shallow item parser ([`items`]) extracts function
-//! definitions and their events from the lexed stream and a conservative
-//! name-resolved call graph ([`callgraph`]) links them workspace-wide.
+//! identifiers and panicking constructs per crate scope, a pragma
+//! ratchet, a module size cap, a file-scope fence around the raw durable
+//! effects. Every rule walks one file's token stream, and in library
+//! code every rule's finding is an error.
 //!
-//! The rule catalogue is one table, [`config::RULES`] — id, mechanism,
-//! what it guards — which `--list-rules`, the pragma hint, and pragma
+//! The rule catalogue is one table, [`config::RULES`] — id and what it
+//! guards — which `--list-rules`, the pragma hint, and pragma
 //! validation all read:
 //!
 //! ```text
@@ -34,18 +32,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod callgraph;
 pub mod config;
 pub mod diag;
 pub mod engine;
-pub mod items;
+mod items;
 pub mod lexer;
 pub mod pragma;
 pub mod rules;
 pub mod source;
 
-pub use analysis::Analysis;
 pub use diag::{Diagnostic, Severity};
 pub use engine::{lint_files, lint_paths, lint_workspace, Report};
 pub use source::SourceFile;

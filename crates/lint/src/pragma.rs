@@ -118,19 +118,11 @@ fn cover_range(file: &SourceFile, line: u32) -> (u32, u32) {
 
 impl Pragma {
     /// True when this pragma suppresses `rule` on `line`.
-    ///
-    /// `allow(panic)` also suppresses `panic-path` on the lines it
-    /// covers: the reachability finding anchors at the panic *site*, so
-    /// the pragma that justifies the site justifies its reachability —
-    /// one justification, both rules, and the pragma stays load-bearing.
     pub fn suppresses(&self, rule: &str, line: u32) -> bool {
         self.well_formed
             && self.justified
             && self.covers.0 <= line
             && line <= self.covers.1
-            && self
-                .rules
-                .iter()
-                .any(|r| r == rule || (r == "panic" && rule == "panic-path"))
+            && self.rules.iter().any(|r| r == rule)
     }
 }

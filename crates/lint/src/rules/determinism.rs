@@ -70,7 +70,6 @@ fn forbidden_sources(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 hint: "use SimTime/SimClock for time, the seeded sim RNG for randomness, \
                        and the discrete-event Runner instead of OS threads",
                 severity: severity(file, file.line_of(i)),
-                chain: Vec::new(),
             });
         }
     }
@@ -112,7 +111,6 @@ fn ordered_iter(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 hint: "use BTreeMap/BTreeSet, or collect and sort explicitly before \
                        emitting bytes",
                 severity: severity(file, line),
-                chain: Vec::new(),
             });
         }
     }

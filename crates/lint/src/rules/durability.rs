@@ -51,7 +51,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                    `fused_copy`, or a new `fused_*` effect next to them) so the \
                    crash fuse is charged in the same call — DESIGN.md §9, §12",
             severity: Severity::Error,
-            chain: Vec::new(),
         });
     }
 }

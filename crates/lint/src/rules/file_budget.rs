@@ -44,6 +44,5 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                durability engine, background scheduler) instead of growing \
                it; `#[cfg(test)]` spans do not count toward the budget",
         severity: Severity::Error,
-        chain: Vec::new(),
     });
 }

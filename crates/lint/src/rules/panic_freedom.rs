@@ -17,12 +17,12 @@
 
 use crate::config;
 use crate::diag::{Diagnostic, Severity};
-use crate::items::ItemIndex;
+use crate::items::const_init_spans;
 use crate::lexer::Tok;
 use crate::source::SourceFile;
 
 /// Runs the panic-freedom family.
-pub fn check(file: &SourceFile, items: &ItemIndex, out: &mut Vec<Diagnostic>) {
+pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if file.kind.is_test_like() {
         return;
     }
@@ -31,9 +31,10 @@ pub fn check(file: &SourceFile, items: &ItemIndex, out: &mut Vec<Diagnostic>) {
     if !macro_scope && !index_scope {
         return;
     }
+    let const_spans = const_init_spans(file);
     for i in 0..file.code.len() {
         let line = file.line_of(i);
-        if file.in_test_span(line) || items.in_const_init(i) {
+        if file.in_test_span(line) || const_spans.iter().any(|r| r.contains(&i)) {
             continue;
         }
         if macro_scope {
@@ -66,7 +67,6 @@ fn method_calls(file: &SourceFile, i: usize, line: u32, out: &mut Vec<Diagnostic
                is explicit; if locally provable, justify with \
                `// s4d-lint: allow(panic) — <proof>`",
         severity: Severity::Error,
-        chain: Vec::new(),
     });
 }
 
@@ -86,7 +86,6 @@ fn panic_macros(file: &SourceFile, i: usize, line: u32, out: &mut Vec<Diagnostic
         hint: "return a typed error instead of aborting the middleware; if the arm is \
                locally unreachable, justify with `// s4d-lint: allow(panic) — <proof>`",
         severity: Severity::Error,
-        chain: Vec::new(),
     });
 }
 
@@ -143,6 +142,5 @@ fn indexing(file: &SourceFile, i: usize, line: u32, out: &mut Vec<Diagnostic>) {
                if the bound is locally provable, justify with \
                `// s4d-lint: allow(panic) — <proof>`",
         severity: Severity::Error,
-        chain: Vec::new(),
     });
 }

@@ -103,7 +103,6 @@ fn json_format_emits_one_parseable_object_per_finding() {
             "\"severity\":",
             "\"message\":",
             "\"hint\":",
-            "\"chain\":",
         ] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
@@ -117,38 +116,38 @@ fn json_format_emits_one_parseable_object_per_finding() {
     );
 }
 
-/// A public `core` root calling a `sim` helper that indexes: only the
-/// interprocedural `panic-path` rule can report it (report-only).
-const CHAIN_CALLER: &str = "pub fn api(w: &[u32]) -> u32 {\n    pick_weight(w, 3)\n}\n";
-const CHAIN_HELPER: &str = "pub fn pick_weight(w: &[u32], k: usize) -> u32 {\n    w[k]\n}\n";
-
 #[test]
-fn witness_chain_is_rendered_in_json_and_human_output() {
-    let s = Scratch::new("chain", "crates/core/src/caller.rs", CHAIN_CALLER);
-    std::fs::create_dir_all(s.root.join("crates/sim/src")).unwrap();
-    std::fs::write(s.root.join("crates/sim/src/helper.rs"), CHAIN_HELPER).unwrap();
-    let out = s.run(&["--workspace", "--format=json"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "warnings exit 0: {stdout}");
-    let found: Vec<&str> = stdout
-        .lines()
-        .filter(|l| l.contains("\"rule\":\"panic-path\""))
-        .collect();
-    assert_eq!(found.len(), 1, "{stdout}");
-    assert!(
-        found[0].contains("\"chain\":[\"crates/core/src/caller.rs:"),
-        "chain names the caller first: {}",
-        found[0]
+fn check_budget_fails_on_a_warning_or_a_pragma_past_the_ceiling() {
+    // A wall-clock read in test code only warns: exit 0 without the
+    // gate, 1 with it — no warning is carried.
+    let s = Scratch::new(
+        "budget",
+        "crates/sim/tests/timed.rs",
+        "fn t() { let _ = std::time::Instant::now(); }\n",
     );
-    assert!(
-        found[0].contains("helper.rs:"),
-        "then the helper: {}",
-        found[0]
+    let budget = s.root.join("crates/lint/pragma_budget.toml");
+    std::fs::create_dir_all(budget.parent().unwrap()).unwrap();
+    std::fs::write(&budget, "allow_pragmas = 0\n").unwrap();
+    assert_eq!(s.run(&["--workspace"]).status.code(), Some(0));
+    let out = s.run(&["--workspace", "--check-budget"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("1 warnings"));
+    // The same finding under a justified pragma: clean, but one pragma
+    // site over a ceiling of zero.
+    std::fs::write(
+        s.root.join("crates/sim/tests/timed.rs"),
+        "// s4d-lint: allow(determinism) — measures the harness itself\n\
+         fn t() { let _ = std::time::Instant::now(); }\n",
+    )
+    .unwrap();
+    let out = s.run(&["--workspace", "--check-budget"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("exceed the budget of 0"));
+    std::fs::write(&budget, "allow_pragmas = 1\n").unwrap();
+    assert_eq!(
+        s.run(&["--workspace", "--check-budget"]).status.code(),
+        Some(0)
     );
-    let out = s.run(&["--workspace"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("via: "), "chain rendered: {stdout}");
-    assert!(stdout.contains("fn pick_weight"), "{stdout}");
 }
 
 #[test]
@@ -162,7 +161,7 @@ fn list_rules_prints_the_rule_table() {
         .collect();
     let table: Vec<&str> = s4d_lint::config::RULES.iter().map(|r| r.id).collect();
     assert_eq!(ids, table, "one line per RULES entry, id first: {stdout}");
-    assert!(ids.contains(&"panic-path") && !ids.contains(&"lock-graph"));
+    assert_eq!(ids.len(), 6);
 }
 
 // Appease the unused-helper lint when individual tests are filtered out.

@@ -8,30 +8,15 @@
 //! violations cannot leak into a real lint run. Each fixture is parsed
 //! with a *forced* workspace-relative path so it lands in the crate scope
 //! its rule targets.
-//!
-//! The `xfn_panic_*` pair exercises the one interprocedural rule: the
-//! panic site and the public root sit in two files of two crates.
-//! Linting either file *alone* must be silent; linting the pair as one
-//! analysis scope must produce exactly `panic-path`, with a witness call
-//! chain. Both directions are asserted.
 
 use std::path::Path;
 
 use s4d_lint::{engine, Severity, SourceFile};
 
-/// Parses fixture sources as if they lived at their `rel` paths inside
-/// the workspace, and lints them as one analysis scope.
-fn lint_fixture_set(sources: &[(&str, &str)]) -> engine::Report {
-    let files: Vec<SourceFile> = sources
-        .iter()
-        .map(|(src, rel)| SourceFile::parse(Path::new(rel).to_path_buf(), rel.to_string(), src))
-        .collect();
-    engine::lint_files(&files)
-}
-
 /// Parses one fixture as if it lived at `rel` inside the workspace.
 fn lint_fixture_src(src: &str, rel: &str) -> engine::Report {
-    lint_fixture_set(&[(src, rel)])
+    let file = SourceFile::parse(Path::new(rel).to_path_buf(), rel.to_string(), src);
+    engine::lint_files(&[file])
 }
 
 fn fixture_source(name: &str) -> String {
@@ -58,11 +43,6 @@ const CASES: &[(&str, &str, &str)] = &[
     ("panic.rs", "crates/pfs/src/fixture.rs", "panic"),
     ("durability.rs", "crates/core/src/fixture.rs", "durability"),
     ("pragma.rs", "crates/sim/src/fixture.rs", "pragma"),
-    (
-        "flow_alloc_hot.rs",
-        "crates/core/src/pipeline/fixture.rs",
-        "hot-alloc",
-    ),
 ];
 
 #[test]
@@ -80,79 +60,12 @@ fn each_fixture_trips_exactly_its_rule() {
     }
 }
 
-/// The cross-function pair: `(caller fixture, caller rel, helper fixture,
-/// helper rel)`. The helper sits in `sim`, outside the lexical `panic`
-/// rule's crates, so only reachability can report it.
-const XFN_PANIC: (&str, &str, &str, &str) = (
-    "xfn_panic_caller.rs",
-    "crates/core/src/xfn_caller.rs",
-    "xfn_panic_helper.rs",
-    "crates/sim/src/xfn_helper.rs",
-);
-
-#[test]
-fn hot_alloc_clean_half_needs_no_pragma() {
-    let report = lint_fixture("flow_alloc_clean.rs", "crates/core/src/pipeline/fixture.rs");
-    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-    assert_eq!(report.suppressed, 0);
-}
-
-#[test]
-fn xfn_pair_trips_panic_path_only_as_a_pair_with_a_witness_chain() {
-    let (caller, caller_rel, helper, helper_rel) = XFN_PANIC;
-    // One file by itself is all a per-file analysis sees: silent.
-    for (name, rel) in [(caller, caller_rel), (helper, helper_rel)] {
-        let report = lint_fixture(name, rel);
-        assert!(report.diagnostics.is_empty(), "{name} alone: {report:?}");
-    }
-    let (caller_src, helper_src) = (fixture_source(caller), fixture_source(helper));
-    let report = lint_fixture_set(&[
-        (caller_src.as_str(), caller_rel),
-        (helper_src.as_str(), helper_rel),
-    ]);
-    let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
-    assert_eq!(rules, vec!["panic-path"], "{:?}", report.diagnostics);
-    let d = &report.diagnostics[0];
-    assert_eq!(d.severity, Severity::Warning);
-    assert!(d.chain.len() >= 2, "caller→helper chain, got {:?}", d.chain);
-    assert_eq!(report.suppressed, 0);
-}
-
-#[test]
-fn xfn_panic_site_pragma_suppresses_reachability_too() {
-    // `allow(panic)` on the panic *site* must also suppress the
-    // site-anchored `panic-path` finding — one justification covers the
-    // construct and its reachability.
-    let (caller, caller_rel, helper, helper_rel) = XFN_PANIC;
-    let caller_src = fixture_source(caller);
-    let helper_src = fixture_source(helper).replace(
-        "    weights[k]",
-        "    // s4d-lint: allow(panic) — fixture-local proof for the self-test\n    weights[k]",
-    );
-    let report = lint_fixture_set(&[
-        (caller_src.as_str(), caller_rel),
-        (helper_src.as_str(), helper_rel),
-    ]);
-    assert!(
-        report.diagnostics.is_empty(),
-        "site pragma must cover reachability: {:?}",
-        report.diagnostics
-    );
-    assert_eq!(report.suppressed, 1);
-}
-
 #[test]
 fn fixture_findings_are_errors_with_hints() {
-    for &(name, rel, rule) in CASES {
+    for &(name, rel, _) in CASES {
         let report = lint_fixture(name, rel);
         for d in &report.diagnostics {
-            // The allocation census is report-only; everything else fails.
-            let expected = if rule == "hot-alloc" {
-                Severity::Warning
-            } else {
-                Severity::Error
-            };
-            assert_eq!(d.severity, expected, "{name}");
+            assert_eq!(d.severity, Severity::Error, "{name}");
             assert!(!d.hint.is_empty(), "{name}: every finding carries a hint");
             assert!(d.line > 0, "{name}: diagnostics are 1-based");
         }

@@ -120,17 +120,17 @@ fn rows() -> Vec<Row> {
             Lint("panic"), ".unwrap()"),
         row("panic-reachable-from-api", "crates/cost/src/model.rs",
             "    s_n as f64 * params.beta_c\n", "    Some(s_n as f64).unwrap() * params.beta_c\n",
-            Lint("panic-path"), "fn t_cservers"),
-        row("alloc-in-hot-path", "crates/core/src/pipeline/identify.rs",
-            "self.plane.cdt_insert(req.file, req.offset, req.len);",
-            "let key = vec![req.offset];\n            self.plane.cdt_insert(req.file, key[0], req.len);",
-            Lint("hot-alloc"), "vec!"),
+            Lint("panic"), "`.unwrap()` in library code of crate `cost`"),
         row("module-over-budget", "crates/core/src/names.rs", LAST_NAME, grown,
             Lint("file-budget"), "non-test code lines"),
         row("retired-rule-pragma", FAULTS,
             "    pub(crate) fn retry_backoff(", "    // s4d-lint: allow(unbounded-retry) — bounded by the cap\n    pub(crate) fn retry_backoff(",
             Lint("pragma"), "unknown rule `unbounded-retry`"),
         // -- behaviour: a named tier-1 test is the killer ----------------
+        row("alloc-in-hot-path", "crates/core/src/pipeline/identify.rs",
+            "self.plane.cdt_insert(req.file, req.offset, req.len);",
+            "let key = vec![req.offset];\n            self.plane.cdt_insert(req.file, key[0], req.len);",
+            Test("alloc_steady_state", "request_path_allocations_stay_under_their_ceilings"), "allocations each"),
         row("fuse-charge-dropped-quietly", ENGINE, FUSED_DISCARD,
             "        let allowed = { let _ = site; len };\n        if allowed > 0 {\n            let _ = cluster.cpfs_mut().discard(",
             Test("crash_torture", "crash_matrix_every_budget_recovers"), "EvictDiscard"),

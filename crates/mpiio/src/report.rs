@@ -203,25 +203,6 @@ impl RunReport {
     pub fn app_ops(&self, kind: IoKind) -> u64 {
         self.kind(kind).meter.ops()
     }
-
-    /// Aggregate throughput over both directions' union span, MiB/s.
-    pub fn total_throughput_mibs(&self) -> f64 {
-        let bytes = self.writes.meter.bytes() + self.reads.meter.bytes();
-        let first = match (self.writes.first_issue, self.reads.first_issue) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let last = match (self.writes.last_completion, self.reads.last_completion) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        match (first, last) {
-            (Some(a), Some(b)) if b > a => {
-                bytes as f64 / s4d_sim::stats::MIB / (b - a).as_secs_f64()
-            }
-            _ => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,17 +235,5 @@ mod tests {
         assert_eq!(k.span(), SimDuration::from_secs(2));
         assert!((k.throughput_mibs() - 2.0).abs() < 1e-9);
         assert_eq!(k.meter.ops(), 2);
-    }
-
-    #[test]
-    fn run_report_total_throughput() {
-        let mut r = RunReport::default();
-        r.writes
-            .record(SimTime::ZERO, SimTime::from_secs(1), 1024 * 1024);
-        r.reads
-            .record(SimTime::from_secs(1), SimTime::from_secs(2), 1024 * 1024);
-        assert!((r.total_throughput_mibs() - 1.0).abs() < 1e-9);
-        assert_eq!(r.app_ops(IoKind::Write), 1);
-        assert_eq!(r.app_ops(IoKind::Read), 1);
     }
 }

@@ -127,7 +127,7 @@ impl<M: Middleware> State<M> {
                     let file = self
                         .middleware
                         .open(&mut self.cluster, rank, &name)
-                        // s4d-lint: allow(panic) — malformed workload script or broken middleware: fail fast with rank context rather than simulate nonsense; panic-path witness: run → run_until → handle → advance_process
+                        // s4d-lint: allow(panic) — malformed workload script or broken middleware: fail fast with rank context rather than simulate nonsense
                         .unwrap_or_else(|e| panic!("{rank} failed to open {name:?}: {e}"));
                     let proc = self.proc_mut(i);
                     match proc.handles.iter().position(|h| h.is_none()) {
@@ -153,11 +153,11 @@ impl<M: Middleware> State<M> {
                         .handles
                         .get_mut(handle.0)
                         .and_then(Option::take)
-                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense; panic-path witness: run → run_until → handle → advance_process
+                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
                         .unwrap_or_else(|| panic!("{rank} closed unopened handle {}", handle.0));
                     self.middleware
                         .close(&mut self.cluster, rank, file)
-                        // s4d-lint: allow(panic) — malformed workload script or broken middleware: fail fast with rank context rather than simulate nonsense; panic-path witness: run → run_until → handle → advance_process
+                        // s4d-lint: allow(panic) — malformed workload script or broken middleware: fail fast with rank context rather than simulate nonsense
                         .unwrap_or_else(|e| panic!("{rank} failed to close: {e}"));
                 }
                 AppOp::Think { duration } => {
@@ -176,7 +176,7 @@ impl<M: Middleware> State<M> {
                     let open = proc.handles.get(handle.0).copied().flatten().is_some();
                     match proc.cursors.get_mut(handle.0) {
                         Some(cursor) if open => *cursor = offset,
-                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense; panic-path witness: run → run_until → handle → advance_process
+                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
                         _ => panic!("{rank} seeked unopened handle {}", handle.0),
                     }
                 }
@@ -189,7 +189,7 @@ impl<M: Middleware> State<M> {
                     let proc = self.proc_mut(i);
                     let rank = proc.rank;
                     let Some(cursor) = proc.cursors.get_mut(handle.0) else {
-                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense; panic-path witness: run → run_until → handle → advance_process
+                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
                         panic!("{rank} used unopened handle {}", handle.0)
                     };
                     let offset = *cursor;
@@ -231,7 +231,7 @@ impl<M: Middleware> State<M> {
             .get(handle.0)
             .copied()
             .flatten()
-            // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense; panic-path witness: run → run_until → handle → advance_process → dispatch_io
+            // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
             .unwrap_or_else(|| panic!("{rank} used unopened handle {}", handle.0));
         let req = AppRequest {
             rank,
@@ -326,7 +326,7 @@ impl<M: Middleware> State<M> {
             .cluster
             .pfs_mut(op.tier)
             .plan(op.file, op.kind, op.offset, op.len)
-            // s4d-lint: allow(panic) — a plan the middleware just produced names unknown files only if the middleware is broken; fail fast with the op; panic-path witness: run → run_until → handle → server_done → settle_drained_plan → advance_plan → submit_planned_op
+            // s4d-lint: allow(panic) — a plan the middleware just produced names unknown files only if the middleware is broken; fail fast with the op
             .unwrap_or_else(|e| panic!("planning {op:?}: {e}"));
         let layout = self.cluster.pfs(op.tier).layout();
         for sub in subranges {

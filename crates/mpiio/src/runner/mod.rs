@@ -219,7 +219,7 @@ impl<M: Middleware> State<M> {
     fn proc(&self, i: usize) -> &Proc {
         self.procs
             .get(i)
-            // s4d-lint: allow(panic) — indices are minted from `procs` at construction and the vector never shrinks; a miss is event-queue corruption; panic-path witness: run → run_until → handle → advance_process → proc
+            // s4d-lint: allow(panic) — indices are minted from `procs` at construction and the vector never shrinks; a miss is event-queue corruption
             .expect("event names a constructed process")
     }
 
@@ -228,7 +228,7 @@ impl<M: Middleware> State<M> {
     fn proc_mut(&mut self, i: usize) -> &mut Proc {
         self.procs
             .get_mut(i)
-            // s4d-lint: allow(panic) — indices are minted from `procs` at construction and the vector never shrinks; a miss is event-queue corruption; panic-path witness: run → run_until → handle → advance_process → proc_mut
+            // s4d-lint: allow(panic) — indices are minted from `procs` at construction and the vector never shrinks; a miss is event-queue corruption
             .expect("event names a constructed process")
     }
 

@@ -191,11 +191,6 @@ impl Plan {
         }
     }
 
-    /// Total bytes across all planned ops (data + overhead).
-    pub fn planned_bytes(&self) -> u64 {
-        self.phases.iter().flatten().map(|op| op.len).sum()
-    }
-
     /// True if the plan contains no ops at all.
     pub fn is_empty(&self) -> bool {
         self.phases.iter().all(|p| p.is_empty())
@@ -341,7 +336,6 @@ mod tests {
     fn plan_helpers() {
         let op = PlannedIo::data_op(Tier::DServers, FileId(1), IoKind::Write, 0, 100, 0);
         let plan = Plan::single_phase(vec![op.clone(), op]);
-        assert_eq!(plan.planned_bytes(), 200);
         assert!(!plan.is_empty());
         assert_eq!(plan.tag, 0);
         assert!(Plan::default().is_empty());

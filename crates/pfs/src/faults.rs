@@ -312,32 +312,16 @@ impl FaultPlan {
             .fold(0.0, f64::max)
     }
 
-    /// Class-independent service-time multiplier at `now` (1 when
-    /// healthy). Overlapping [`ServerFault::Degraded`] windows compose by
-    /// **multiply-then-clamp**: the active factors are sorted into a
-    /// canonical order, multiplied, and the product clamped into
-    /// `[1, MAX_SLOWDOWN]` — so the result is a pure function of the set
-    /// of active windows, independent of the order faults were inserted
-    /// into the plan (floating-point products are not associative, so an
-    /// unsorted product would differ in the last ulp between insertion
-    /// orders).
-    pub fn slowdown_at(&self, now: SimTime) -> f64 {
-        let factors = self.faults.iter().filter_map(|f| match f {
-            ServerFault::Degraded {
-                from,
-                until,
-                factor,
-            } if *from <= now && now < *until => Some(*factor),
-            _ => None,
-        });
-        compose_slowdown(factors)
-    }
-
-    /// Service-time multiplier at `now` for an operation of `kind`:
-    /// [`ServerFault::Degraded`] windows plus the
-    /// [`ServerFault::ClassDegraded`] windows whose class matches,
-    /// composed under the same multiply-then-clamp rule as
-    /// [`FaultPlan::slowdown_at`].
+    /// Service-time multiplier at `now` for an operation of `kind` (1
+    /// when healthy): [`ServerFault::Degraded`] windows plus the
+    /// [`ServerFault::ClassDegraded`] windows whose class matches.
+    /// Overlapping windows compose by **multiply-then-clamp**: the active
+    /// factors are sorted into a canonical order, multiplied, and the
+    /// product clamped into `[1, MAX_SLOWDOWN]` — so the result is a pure
+    /// function of the set of active windows, independent of the order
+    /// faults were inserted into the plan (floating-point products are
+    /// not associative, so an unsorted product would differ in the last
+    /// ulp between insertion orders).
     pub fn slowdown_for(&self, now: SimTime, kind: IoKind) -> f64 {
         let factors = self.faults.iter().filter_map(|f| match f {
             ServerFault::Degraded {
@@ -479,7 +463,7 @@ mod tests {
         assert!(p.is_empty());
         assert!(!p.offline_at(t(5)));
         assert_eq!(p.error_rate_at(t(5)), 0.0);
-        assert_eq!(p.slowdown_at(t(5)), 1.0);
+        assert_eq!(p.slowdown_for(t(5), IoKind::Read), 1.0);
         assert!(!p.crash_due(SimTime::ZERO, t(100)));
     }
 
@@ -531,9 +515,9 @@ mod tests {
                 until: t(10),
                 factor: 3.0,
             });
-        assert_eq!(p.slowdown_at(t(1)), 2.0);
-        assert_eq!(p.slowdown_at(t(6)), 6.0);
-        assert_eq!(p.slowdown_at(t(11)), 1.0);
+        assert_eq!(p.slowdown_for(t(1), IoKind::Read), 2.0);
+        assert_eq!(p.slowdown_for(t(6), IoKind::Read), 6.0);
+        assert_eq!(p.slowdown_for(t(11), IoKind::Read), 1.0);
     }
 
     #[test]
@@ -585,8 +569,8 @@ mod tests {
             })
         });
         assert_eq!(
-            forward.slowdown_at(t(5)).to_bits(),
-            reverse.slowdown_at(t(5)).to_bits(),
+            forward.slowdown_for(t(5), IoKind::Read).to_bits(),
+            reverse.slowdown_for(t(5), IoKind::Read).to_bits(),
             "multiply-then-clamp must be a pure function of the window set"
         );
     }
@@ -601,7 +585,7 @@ mod tests {
                 factor: 100.0,
             });
         }
-        assert_eq!(p.slowdown_at(t(5)), MAX_SLOWDOWN);
+        assert_eq!(p.slowdown_for(t(5), IoKind::Read), MAX_SLOWDOWN);
     }
 
     #[test]
@@ -620,7 +604,6 @@ mod tests {
             });
         assert_eq!(p.slowdown_for(t(5), IoKind::Write), 8.0);
         assert_eq!(p.slowdown_for(t(5), IoKind::Read), 2.0);
-        assert_eq!(p.slowdown_at(t(5)), 2.0, "class windows are per-kind only");
         assert_eq!(p.slowdown_for(t(11), IoKind::Write), 1.0);
     }
 

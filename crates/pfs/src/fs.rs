@@ -254,38 +254,6 @@ impl Pfs {
         self.files.get(&file).ok_or(PfsError::UnknownFile(file))
     }
 
-    /// Marks a file as (at least) `size` bytes long without touching data —
-    /// the pre-existing input files of read-only benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PfsError::UnknownFile`] if the id is not known.
-    pub fn set_size(&mut self, file: FileId, size: u64) -> Result<(), PfsError> {
-        let meta = self
-            .files
-            .get_mut(&file)
-            .ok_or(PfsError::UnknownFile(file))?;
-        meta.size = meta.size.max(size);
-        Ok(())
-    }
-
-    /// Deletes a file, dropping its data on every server.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PfsError::UnknownFile`] if the id is not known.
-    pub fn delete(&mut self, file: FileId) -> Result<(), PfsError> {
-        let meta = self
-            .files
-            .remove(&file)
-            .ok_or(PfsError::UnknownFile(file))?;
-        self.by_name.remove(&meta.name);
-        for s in &mut self.servers {
-            s.delete_file(file);
-        }
-        Ok(())
-    }
-
     /// Plans the decomposition of a request into per-server sub-ranges:
     /// validates it and (for writes) extends the file size now, then
     /// yields the sub-ranges lazily. The iterator does not borrow the
@@ -511,10 +479,7 @@ mod tests {
         let g = p.create_or_open("b");
         assert_ne!(f, g);
         assert_eq!(p.meta(f).unwrap().name, "a");
-        p.delete(f).unwrap();
-        assert_eq!(p.open("a"), Err(PfsError::NoSuchFile("a".into())));
-        assert_eq!(p.meta(f), Err(PfsError::UnknownFile(f)));
-        assert_eq!(p.delete(f), Err(PfsError::UnknownFile(f)));
+        assert_eq!(p.meta(FileId(99)), Err(PfsError::UnknownFile(FileId(99))));
     }
 
     #[test]
@@ -532,8 +497,6 @@ mod tests {
         // Reads do not extend the size.
         p.plan(f, IoKind::Read, 0, 1024 * 1024).unwrap();
         assert_eq!(p.meta(f).unwrap().size, 256 * 1024);
-        p.set_size(f, 1 << 30).unwrap();
-        assert_eq!(p.meta(f).unwrap().size, 1 << 30);
     }
 
     #[test]

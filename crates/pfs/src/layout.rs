@@ -142,14 +142,6 @@ impl StripeLayout {
             remaining: sub.len,
         }
     }
-
-    /// Maps a single file offset to `(server, local_offset)`.
-    pub fn locate(&self, offset: u64) -> (usize, u64) {
-        let k = offset / self.stripe;
-        let server = (k % self.servers as u64) as usize;
-        let local = (k / self.servers as u64) * self.stripe + offset % self.stripe;
-        (server, local)
-    }
 }
 
 /// Iterator over the sub-ranges of one request — see
@@ -256,6 +248,15 @@ mod tests {
     use proptest::prelude::*;
 
     const KIB: u64 = 1024;
+
+    /// The per-byte oracle: one file offset's `(server, local_offset)`,
+    /// straight from the round-robin definition.
+    fn locate(l: &StripeLayout, offset: u64) -> (usize, u64) {
+        let k = offset / l.stripe;
+        let server = (k % l.servers as u64) as usize;
+        let local = (k / l.servers as u64) * l.stripe + offset % l.stripe;
+        (server, local)
+    }
 
     fn layout() -> StripeLayout {
         StripeLayout::new(64 * KIB, 8)
@@ -392,7 +393,7 @@ mod tests {
     fn locate_matches_split() {
         let l = layout();
         for off in [0u64, 1, 63 * KIB, 64 * KIB, 511 * KIB, 8 * 64 * KIB + 5] {
-            let (srv, local) = l.locate(off);
+            let (srv, local) = locate(&l, off);
             let subs = l.split(off, 1);
             assert_eq!(subs.len(), 1);
             assert_eq!(subs[0].server, srv);
@@ -565,7 +566,7 @@ mod tests {
             // For every byte: locate() must agree with the sub-range whose
             // file segment contains the byte, at the matching local offset.
             for byte in offset..offset + len {
-                let (srv, local) = l.locate(byte);
+                let (srv, local) = locate(&l, byte);
                 let mut found = false;
                 for s in &subs {
                     let mut local_cursor = s.local_offset;

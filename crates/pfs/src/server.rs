@@ -167,11 +167,6 @@ impl FileServer {
         self.faults = plan;
     }
 
-    /// True if a scripted crash window covers `now`.
-    pub fn is_offline(&self, now: SimTime) -> bool {
-        self.faults.offline_at(now)
-    }
-
     /// Applies any crash effects that became due by `now`: a hard crash
     /// wipes every stored byte. Idempotent; called internally from
     /// [`FileServer::submit`] and [`FileServer::on_complete`], and by the
@@ -252,7 +247,7 @@ impl FileServer {
         let req = self
             .current
             .take()
-            // s4d-lint: allow(panic) — documented contract above: on_complete pairs with a Started; unpaired calls are scheduler bugs the sim must not mask; panic-path witness: run → run_until → handle → server_done → on_complete
+            // s4d-lint: allow(panic) — documented contract above: on_complete pairs with a Started; unpaired calls are scheduler bugs the sim must not mask
             .expect("on_complete called with no sub-request in service");
         // A fault decided at start, or a crash that hit mid-service.
         let fault = self.current_fault.take().or_else(|| {
@@ -402,11 +397,6 @@ impl FileServer {
             }
             StoreMode::Timing => store.write(local_offset, len, None),
         }
-    }
-
-    /// Drops all data of `file` (used when a cache file is destroyed).
-    pub fn delete_file(&mut self, file: FileId) {
-        self.stores.remove(&file);
     }
 
     /// Discards a stored range of `file` (cache eviction).
@@ -705,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_discard() {
+    fn discard_drops_a_stored_range() {
         let mut s = hdd_server(StoreMode::Functional);
         let t = SimTime::ZERO;
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
@@ -715,8 +705,6 @@ mod tests {
         assert_eq!(s.stored_bytes(), 4);
         s.discard_range(FileId(0), 0, 2);
         assert_eq!(s.stored_bytes(), 2);
-        s.delete_file(FileId(0));
-        assert_eq!(s.stored_bytes(), 0);
     }
 
     #[test]
@@ -739,8 +727,6 @@ mod tests {
         let st = s.submit(SimTime::ZERO, w).unwrap();
         s.on_complete(st.completes_at);
         assert_eq!(s.stored_bytes(), 4);
-        assert!(!s.is_offline(SimTime::from_secs(9)));
-        assert!(s.is_offline(SimTime::from_secs(10)));
 
         // A write during the outage fails with Offline, has no store
         // effect, and returns its payload for retry.

@@ -97,11 +97,10 @@ impl<E> Engine<E> {
     ///
     /// Panics on causality violations, as in [`Engine::run`].
     pub fn run_until(&mut self, world: &mut impl World<E>, horizon: SimTime) -> SimTime {
-        while let Some(at) = self.queue.peek_time() {
-            if at > horizon {
+        while self.queue.peek_time().is_some_and(|at| at <= horizon) {
+            let Some((at, ev)) = self.queue.pop() else {
                 break;
-            }
-            let (at, ev) = self.queue.pop().expect("peeked event must pop");
+            };
             assert!(
                 at >= self.now,
                 "causality violation: event at {at} delivered when clock is {now}",

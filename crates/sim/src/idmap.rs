@@ -30,10 +30,13 @@ impl Hasher for IdHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
+        // Each chunk read as a little-endian word, zero-padded at the top.
         for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+            let word = chunk
+                .iter()
+                .rev()
+                .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+            self.write_u64(word);
         }
     }
 

@@ -70,27 +70,9 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform draw in `[lo, hi)` over `f64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or either bound is non-finite.
-    pub fn f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad f64 range");
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p.clamp(0.0, 1.0)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -141,8 +123,6 @@ mod tests {
             assert!((5..8).contains(&w));
             let f = r.f64();
             assert!((0.0..1.0).contains(&f));
-            let g = r.f64_range(-2.0, 2.0);
-            assert!((-2.0..2.0).contains(&g));
         }
     }
 
@@ -153,17 +133,6 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(r.chance(2.0)); // clamped
         assert!(!r.chance(-1.0)); // clamped
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::seed(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "a 50-element shuffle should move something");
     }
 
     #[test]

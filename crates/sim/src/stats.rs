@@ -70,7 +70,9 @@ impl LatencyHistogram {
         } else {
             63 - ns.leading_zeros() as usize
         };
-        self.buckets[idx.min(63)] += 1;
+        if let Some(bucket) = self.buckets.get_mut(idx.min(63)) {
+            *bucket += 1;
+        }
         self.count += 1;
         self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
@@ -143,19 +145,19 @@ impl LatencyHistogram {
 
 impl fmt::Display for LatencyHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Every summary is `Some` exactly when a sample was recorded.
         match (
-            self.count,
             self.mean(),
             self.quantile(0.5),
             self.quantile(0.99),
             self.max(),
         ) {
-            (0, ..) => write!(f, "latency: no samples"),
-            (n, Some(mean), Some(p50), Some(p99), Some(max)) => write!(
+            (Some(mean), Some(p50), Some(p99), Some(max)) => write!(
                 f,
-                "latency: n={n} mean={mean} p50={p50} p99={p99} max={max}"
+                "latency: n={n} mean={mean} p50={p50} p99={p99} max={max}",
+                n = self.count
             ),
-            _ => unreachable!("non-empty histogram has all summary stats"),
+            _ => write!(f, "latency: no samples"),
         }
     }
 }
@@ -252,7 +254,9 @@ impl TimeSeries {
         if idx >= self.windows.len() {
             self.windows.resize(idx + 1, 0);
         }
-        self.windows[idx] += bytes;
+        if let Some(window) = self.windows.get_mut(idx) {
+            *window += bytes;
+        }
     }
 
     /// Bytes recorded in window `idx` (zero if beyond the last write).

@@ -76,11 +76,6 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
-    /// Time elapsed since `earlier`, or zero if `earlier` is later.
-    pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -166,14 +161,21 @@ impl SimDuration {
     }
 }
 
+/// The nanosecond count of a checked operation. The operators have no
+/// error channel, and a wrapped clock would silently reorder events.
+#[inline]
+fn checked(ns: Option<u64>, what: &'static str) -> u64 {
+    // s4d-lint: allow(panic) — overflow needs 584 simulated years and underflow a caller subtracting past zero: harness bugs that must stop the run, not wrap the clock
+    ns.expect(what)
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(
-            self.0
-                .checked_add(rhs.0)
-                .expect("SimTime overflow: simulation ran past the u64 nanosecond horizon"),
-        )
+        SimTime(checked(
+            self.0.checked_add(rhs.0),
+            "SimTime overflow: simulation ran past the u64 nanosecond horizon",
+        ))
     }
 }
 
@@ -186,11 +188,10 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimDuration) -> SimTime {
-        SimTime(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("SimTime underflow: subtracted duration before simulation start"),
-        )
+        SimTime(checked(
+            self.0.checked_sub(rhs.0),
+            "SimTime underflow: subtracted duration before simulation start",
+        ))
     }
 }
 
@@ -204,11 +205,10 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_add(rhs.0)
-                .expect("SimDuration overflow in addition"),
-        )
+        SimDuration(checked(
+            self.0.checked_add(rhs.0),
+            "SimDuration overflow in addition",
+        ))
     }
 }
 
@@ -221,11 +221,10 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("SimDuration underflow in subtraction"),
-        )
+        SimDuration(checked(
+            self.0.checked_sub(rhs.0),
+            "SimDuration underflow in subtraction",
+        ))
     }
 }
 
@@ -238,11 +237,10 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_mul(rhs)
-                .expect("SimDuration overflow in multiplication"),
-        )
+        SimDuration(checked(
+            self.0.checked_mul(rhs),
+            "SimDuration overflow in multiplication",
+        ))
     }
 }
 
@@ -298,7 +296,6 @@ mod tests {
         let u = t + SimDuration::from_millis(500);
         assert_eq!(u - t, SimDuration::from_millis(500));
         assert_eq!(u.duration_since(t), SimDuration::from_millis(500));
-        assert_eq!(t.saturating_duration_since(u), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs(1) * 3, SimDuration::from_secs(3));
         assert_eq!(SimDuration::from_secs(3) / 3, SimDuration::from_secs(1));
     }

@@ -13,11 +13,6 @@ pub enum IoKind {
 }
 
 impl IoKind {
-    /// True for [`IoKind::Read`].
-    pub fn is_read(self) -> bool {
-        matches!(self, IoKind::Read)
-    }
-
     /// True for [`IoKind::Write`].
     pub fn is_write(self) -> bool {
         matches!(self, IoKind::Write)
@@ -83,7 +78,6 @@ mod tests {
 
     #[test]
     fn iokind_helpers() {
-        assert!(IoKind::Read.is_read());
         assert!(!IoKind::Read.is_write());
         assert!(IoKind::Write.is_write());
         assert_eq!(IoKind::Read.to_string(), "read");

@@ -169,21 +169,17 @@ impl HddModel {
         self.seeks
     }
 
-    /// Number of streams currently tracked.
-    pub fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// The configuration this model was built from.
     pub fn config(&self) -> &HddConfig {
         &self.config
     }
 
-    /// Finds a stream that `lba` continues, returning its index.
-    fn find_stream(&self, lba: u64) -> Option<usize> {
+    /// Finds a stream that `lba` continues.
+    fn find_stream(&mut self, lba: u64) -> Option<&mut Stream> {
+        let window = self.config.stream_window;
         self.streams
-            .iter()
-            .position(|s| lba >= s.end && lba - s.end <= self.config.stream_window)
+            .iter_mut()
+            .find(|s| lba >= s.end && lba - s.end <= window)
     }
 }
 
@@ -195,10 +191,11 @@ impl DeviceModel for HddModel {
     fn service_time(&mut self, _kind: IoKind, lba: u64, len: u64, rng: &mut SimRng) -> SimDuration {
         self.ops += 1;
         self.clock += 1;
+        let clock = self.clock;
         let positioning = match self.find_stream(lba) {
-            Some(i) => {
-                self.streams[i].end = lba.saturating_add(len);
-                self.streams[i].last_used = self.clock;
+            Some(stream) => {
+                stream.end = lba.saturating_add(len);
+                stream.last_used = clock;
                 0.0
             }
             None => {
@@ -213,13 +210,14 @@ impl DeviceModel for HddModel {
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, s)| s.last_used)
-                        .map(|(i, _)| i)
-                        .expect("non-empty stream set has an LRU entry");
-                    self.streams.swap_remove(lru);
+                        .map(|(i, _)| i);
+                    if let Some(lru) = lru {
+                        self.streams.swap_remove(lru);
+                    }
                 }
                 self.streams.push(Stream {
                     end: lba.saturating_add(len),
-                    last_used: self.clock,
+                    last_used: clock,
                 });
                 seek + rotation
             }
@@ -296,7 +294,7 @@ mod tests {
             }
         }
         assert_eq!(m.seeks(), 32, "only the first round should seek");
-        assert_eq!(m.active_streams(), 32);
+        assert_eq!(m.streams.len(), 32);
     }
 
     #[test]
@@ -307,7 +305,7 @@ mod tests {
         for p in 0..5u64 {
             m.service_time(IoKind::Write, p * GIB, 4 * KIB, &mut rng);
         }
-        assert_eq!(m.active_streams(), 4);
+        assert_eq!(m.streams.len(), 4);
         // Stream 0 was evicted: continuing it seeks again.
         let seeks_before = m.seeks();
         m.service_time(IoKind::Write, 4 * KIB, 4 * KIB, &mut rng);
@@ -378,7 +376,7 @@ mod tests {
         m.service_time(IoKind::Read, GIB, 4 * KIB, &mut rng);
         m.reset();
         assert_eq!(m.head(), 0);
-        assert_eq!(m.active_streams(), 0);
+        assert_eq!(m.streams.len(), 0);
         assert_eq!(m.ops(), 1);
     }
 

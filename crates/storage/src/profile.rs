@@ -104,6 +104,9 @@ pub fn fit_seek_profile(samples: &[SeekSample]) -> Result<SeekProfile, FitError>
     let mut best: Option<(f64, SeekProfile)> = None;
     for split in 2..samples.len() - 1 {
         let (short, long) = samples.split_at(split);
+        let Some(boundary) = short.last() else {
+            continue;
+        };
         let (a, b, err_s) = least_squares(short, |d| (d as f64).sqrt());
         let (c, e, err_l) = least_squares(long, |d| d as f64);
         if a < -1e-4 || b < 0.0 || e < 0.0 {
@@ -113,7 +116,7 @@ pub fn fit_seek_profile(samples: &[SeekSample]) -> Result<SeekProfile, FitError>
         let profile = SeekProfile::from_coefficients(
             a.max(0.0),
             b,
-            short.last().expect("split >= 2").distance,
+            boundary.distance,
             c.max(0.0),
             e,
             max_seek,

@@ -136,11 +136,6 @@ impl SeekProfile {
     pub fn max_seek_secs(&self) -> f64 {
         self.max_seek
     }
-
-    /// The distance at which the two regimes meet, in bytes.
-    pub fn cutoff_bytes(&self) -> u64 {
-        self.cutoff
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn regimes_meet_continuously() {
         let p = profile();
-        let at = p.cutoff_bytes();
+        let at = p.cutoff;
         let below = p.seek_secs(at);
         let above = p.seek_secs(at + 1);
         assert!(
@@ -189,7 +184,7 @@ mod tests {
     fn accessors() {
         let p = profile();
         assert_eq!(p.max_seek_secs(), 9.0e-3);
-        assert_eq!(p.cutoff_bytes(), CAP / 3);
+        assert_eq!(p.cutoff, CAP / 3);
     }
 
     #[test]

