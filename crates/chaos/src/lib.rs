@@ -16,6 +16,11 @@
 //! which is what CI's determinism check asserts.
 
 #![forbid(unsafe_code)]
+// The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 pub mod exec;

@@ -14,6 +14,12 @@
 //! Exit status: 0 all green, 1 invariant violations (or an uncaught
 //! oracle in `--validate-oracle`), 2 usage error.
 
+// The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use std::process::ExitCode;
 
 use s4d_chaos::{minimize, report_json, run_caught, sweep_json, Repro, Schedule};

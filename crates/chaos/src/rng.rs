@@ -6,7 +6,10 @@
 //! primitive the storage layer's bad-sector map builds on — seeded once
 //! per schedule. Every draw in a run flows from that single seed.
 
-/// A SplitMix64 stream (Steele, Lea & Flood; public-domain constants).
+use s4d_sim::splitmix64;
+
+/// A SplitMix64 stream: the state steps by the increment [`splitmix64`]
+/// adds, so each draw is the hash of the previous state.
 #[derive(Debug, Clone)]
 pub struct ChaosRng {
     state: u64,
@@ -23,11 +26,9 @@ impl ChaosRng {
 
     /// The next 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
+        let draw = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        draw
     }
 
     /// A draw in `[0, n)`; `n` must be positive.

@@ -370,6 +370,7 @@ impl Dmt {
     /// extent's bytes ahead of its last sealed checksum, and treating that
     /// as corruption would discard acknowledged data. Dirty extents become
     /// unverified until their next flush or write completion re-seals them.
+    #[expect(clippy::iter_over_hash_type, reason = "order-independent: unseals all")]
     pub fn clear_dirty_checksums(&mut self) {
         for m in self.files.values_mut() {
             for e in m.values_mut() {

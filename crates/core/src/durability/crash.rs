@@ -178,6 +178,7 @@ impl CrashFuse {
 /// # Errors
 ///
 /// The first store error ends the plan and is returned with its op.
+#[expect(clippy::disallowed_methods, reason = "the fuse is charged just above")]
 pub fn exec_plan_fused<'p>(
     cluster: &mut Cluster,
     fuse: Option<&RefCell<CrashFuse>>,

@@ -34,6 +34,7 @@ pub use super::checkpoint::{
 pub use super::replay::replay_tolerant;
 
 /// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
+#[expect(clippy::indexing_slicing, reason = "const-evaluated at build time")]
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -48,9 +49,6 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        // Const-initializer: evaluated at build time, where an
-        // out-of-bounds index is a compile error — outside the runtime
-        // panic rules by construction.
         table[i] = crc;
         i += 1;
     }

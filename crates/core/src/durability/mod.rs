@@ -18,7 +18,7 @@
 //! Flush plans are held to the same contract ([`StagedFlushes`]), and
 //! every durable effect is one `fused_*` call that charges the crash
 //! fuse and applies the affordable prefix — the raw CPFS effects appear
-//! nowhere else in the crate (s4d-lint `durability`; DESIGN.md §9, §12).
+//! nowhere else in the crate (`crates/core/clippy.toml`; DESIGN.md §9, §12).
 
 pub mod checkpoint;
 pub mod crash;
@@ -161,6 +161,7 @@ impl DurabilityEngine {
 
     /// Writes the prefix of `data` the crash fuse affords at `site` to a
     /// CPFS file, returning that prefix's length.
+    #[expect(clippy::disallowed_methods, reason = "charges the fuse in this call")]
     fn fused_apply(
         &mut self,
         cluster: &mut Cluster,
@@ -177,6 +178,7 @@ impl DurabilityEngine {
     }
 
     /// Discards the prefix of a CPFS range the fuse affords at `site`.
+    #[expect(clippy::disallowed_methods, reason = "charges the fuse in this call")]
     fn fused_discard(
         &mut self,
         cluster: &mut Cluster,
@@ -194,6 +196,7 @@ impl DurabilityEngine {
     /// Copies the prefix of `len` bytes the crash fuse affords at `site`,
     /// returning its length (the data effect of a finished flush or
     /// fetch; metadata commits only when all of `len` was affordable).
+    #[expect(clippy::disallowed_methods, reason = "charges the fuse in this call")]
     pub(crate) fn fused_copy(
         &mut self,
         cluster: &mut Cluster,
@@ -212,6 +215,7 @@ impl DurabilityEngine {
     /// Rewrites a clean cache range from its OPFS ground truth (scrub
     /// repair). Not a crash site: a torn repair still mismatches its
     /// seal, and the next scrub pass repairs it from the same source.
+    #[expect(clippy::disallowed_methods, reason = "not a crash site, see above")]
     pub(crate) fn repair_copy(&self, cluster: &mut Cluster, src: CopyEnd, dst: CopyEnd, len: u64) {
         let _ = cluster.copy_range(src, dst, len);
     }

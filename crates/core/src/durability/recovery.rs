@@ -75,7 +75,7 @@ impl S4dCache {
     ) -> (Self, RecoveryReport) {
         match Self::recover_from_cluster_fused(config, params, cluster, None) {
             Some(done) => done,
-            // s4d-lint: allow(panic) — without a fuse no charge can be cut short, so the fused body always completes
+            #[expect(clippy::unreachable, reason = "no fuse, so no charge is cut short")]
             None => unreachable!("recovery without a fuse cannot crash"),
         }
     }
@@ -88,6 +88,7 @@ impl S4dCache {
     /// affordable prefix of the interrupted effect. The double-crash
     /// torture re-enters recovery afterwards and must converge to the same
     /// state, proving recovery idempotent.
+    #[expect(clippy::disallowed_methods, reason = "each discard follows its charge")]
     pub fn recover_from_cluster_fused(
         config: S4dConfig,
         params: CostParams,

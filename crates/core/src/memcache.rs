@@ -171,6 +171,7 @@ impl<M: Middleware> MemCache<M> {
         self.metrics.evicted_bytes += cache.enforce(self.per_rank_capacity);
     }
 
+    #[expect(clippy::iter_over_hash_type, reason = "order-independent: sums counts")]
     fn invalidate_others(&mut self, rank: Rank, file: FileId, offset: u64, len: u64) {
         for (&r, cache) in self.ranks.iter_mut() {
             if r != rank.0 && cache.invalidate(file, offset, len) {

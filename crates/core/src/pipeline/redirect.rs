@@ -213,7 +213,7 @@ impl S4dCache {
 
     /// Builds a data op for one piece of an application request, slicing
     /// the request payload to the piece (functional mode).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "an op's coordinates, both tiers")]
     pub(crate) fn data_op(
         &self,
         tier: Tier,

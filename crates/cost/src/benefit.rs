@@ -83,11 +83,6 @@ impl<K: Eq + Hash + Clone> BenefitEvaluator<K> {
             distance,
         }
     }
-
-    /// Forgets all stream positions (e.g. between benchmark phases).
-    pub fn reset(&mut self) {
-        self.last_end.clear();
-    }
 }
 
 #[cfg(test)]
@@ -149,8 +144,6 @@ mod tests {
         let b = e.evaluate((0, 0), 16 * KIB, 16 * KIB);
         assert_eq!(b.distance, 0);
         assert_eq!(e.last_end.len(), 2);
-        e.reset();
-        assert!(e.last_end.is_empty());
     }
 
     #[test]

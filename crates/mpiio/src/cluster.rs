@@ -54,7 +54,7 @@ impl Cluster {
     }
 
     /// Fully parameterised construction.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the fully parameterised ctor")]
     pub fn build(
         d_servers: usize,
         c_servers: usize,

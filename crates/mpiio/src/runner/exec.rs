@@ -107,6 +107,12 @@ pub(super) struct SubMeta {
 impl<M: Middleware> State<M> {
     /// Executes control ops until the process blocks on I/O, a barrier,
     /// think time, or finishes.
+    ///
+    /// # Panics
+    ///
+    /// A malformed workload script (an unopened handle) or a middleware
+    /// that fails an open or close stops the run with rank context rather
+    /// than simulate nonsense.
     pub(super) fn advance_process(&mut self, now: SimTime, i: usize, q: &mut EventQueue<Event>) {
         let mut now = now;
         loop {
@@ -124,10 +130,10 @@ impl<M: Middleware> State<M> {
             match op {
                 AppOp::Open { name } => {
                     let rank = self.proc(i).rank;
+                    #[expect(clippy::panic, reason = "malformed script or broken middleware")]
                     let file = self
                         .middleware
                         .open(&mut self.cluster, rank, &name)
-                        // s4d-lint: allow(panic) — malformed workload script or broken middleware: fail fast with rank context rather than simulate nonsense
                         .unwrap_or_else(|e| panic!("{rank} failed to open {name:?}: {e}"));
                     let proc = self.proc_mut(i);
                     match proc.handles.iter().position(|h| h.is_none()) {
@@ -148,16 +154,16 @@ impl<M: Middleware> State<M> {
                 }
                 AppOp::Close { handle } => {
                     let rank = self.proc(i).rank;
+                    #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
                     let file = self
                         .proc_mut(i)
                         .handles
                         .get_mut(handle.0)
                         .and_then(Option::take)
-                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
                         .unwrap_or_else(|| panic!("{rank} closed unopened handle {}", handle.0));
+                    #[expect(clippy::panic, reason = "malformed script or broken middleware")]
                     self.middleware
                         .close(&mut self.cluster, rank, file)
-                        // s4d-lint: allow(panic) — malformed workload script or broken middleware: fail fast with rank context rather than simulate nonsense
                         .unwrap_or_else(|e| panic!("{rank} failed to close: {e}"));
                 }
                 AppOp::Think { duration } => {
@@ -176,7 +182,7 @@ impl<M: Middleware> State<M> {
                     let open = proc.handles.get(handle.0).copied().flatten().is_some();
                     match proc.cursors.get_mut(handle.0) {
                         Some(cursor) if open => *cursor = offset,
-                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
+                        #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
                         _ => panic!("{rank} seeked unopened handle {}", handle.0),
                     }
                 }
@@ -188,8 +194,8 @@ impl<M: Middleware> State<M> {
                 } => {
                     let proc = self.proc_mut(i);
                     let rank = proc.rank;
+                    #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
                     let Some(cursor) = proc.cursors.get_mut(handle.0) else {
-                        // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
                         panic!("{rank} used unopened handle {}", handle.0)
                     };
                     let offset = *cursor;
@@ -212,7 +218,7 @@ impl<M: Middleware> State<M> {
     }
 
     /// Resolves a handle and launches the middleware plan for one I/O.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one I/O op's fields, unpacked")]
     fn dispatch_io(
         &mut self,
         now: SimTime,
@@ -225,13 +231,13 @@ impl<M: Middleware> State<M> {
         q: &mut EventQueue<Event>,
     ) {
         let rank = self.proc(i).rank;
+        #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
         let file = self
             .proc(i)
             .handles
             .get(handle.0)
             .copied()
             .flatten()
-            // s4d-lint: allow(panic) — malformed workload script: fail fast with rank context rather than simulate nonsense
             .unwrap_or_else(|| panic!("{rank} used unopened handle {}", handle.0));
         let req = AppRequest {
             rank,
@@ -322,11 +328,11 @@ impl<M: Middleware> State<M> {
         q: &mut EventQueue<Event>,
     ) -> usize {
         let mut created = 0;
+        #[expect(clippy::panic, reason = "the middleware's own plan names its files")]
         let subranges = self
             .cluster
             .pfs_mut(op.tier)
             .plan(op.file, op.kind, op.offset, op.len)
-            // s4d-lint: allow(panic) — a plan the middleware just produced names unknown files only if the middleware is broken; fail fast with the op
             .unwrap_or_else(|e| panic!("planning {op:?}: {e}"));
         let layout = self.cluster.pfs(op.tier).layout();
         for sub in subranges {

@@ -155,9 +155,7 @@ impl<M: Middleware> Runner<M> {
             .push(SimTime::ZERO, Event::BackgroundWake);
         self.state.background_armed = true;
         self.state.drain_mode = false;
-        // To queue-empty. Spelled `run_until(MAX)` because s4d-lint
-        // resolves calls by bare name and `run` is too common to resolve:
-        // `engine.run(…)` would hide every panic site below `handle`.
+        // To queue-empty.
         let end = engine.run_until(&mut self.state, SimTime::MAX);
         self.state.report.end_time = end;
         self.state.report.events = engine.processed();
@@ -215,20 +213,18 @@ impl<M: Middleware> World<Event> for State<M> {
 impl<M: Middleware> State<M> {
     /// Process state for an event- or owner-carried index. Indices are
     /// minted from `procs` at construction and the vector never shrinks.
-    #[allow(clippy::expect_used)] // invariant documented above
+    #[expect(clippy::expect_used, reason = "see above: a miss is queue corruption")]
     fn proc(&self, i: usize) -> &Proc {
         self.procs
             .get(i)
-            // s4d-lint: allow(panic) — indices are minted from `procs` at construction and the vector never shrinks; a miss is event-queue corruption
             .expect("event names a constructed process")
     }
 
     /// Mutable variant of [`State::proc`].
-    #[allow(clippy::expect_used)] // invariant documented above
+    #[expect(clippy::expect_used, reason = "see above: a miss is queue corruption")]
     fn proc_mut(&mut self, i: usize) -> &mut Proc {
         self.procs
             .get_mut(i)
-            // s4d-lint: allow(panic) — indices are minted from `procs` at construction and the vector never shrinks; a miss is event-queue corruption
             .expect("event names a constructed process")
     }
 

@@ -50,7 +50,7 @@ pub(super) struct PendingReplan {
 
 impl<M: Middleware> State<M> {
     /// Parks a failed sub-request until its backoff elapses.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "all a retry needs to be rebuilt")]
     pub(super) fn schedule_retry(
         &mut self,
         now: SimTime,

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// `[1, MAX_SLOWDOWN]`, so a stack of degraded windows can never
 /// overflow a service time into nonsense; a genuinely unbounded delay is
 /// modeled by [`ServerFault::Stall`] instead.
-pub const MAX_SLOWDOWN: f64 = 1e6;
+pub(crate) const MAX_SLOWDOWN: f64 = 1e6;
 
 /// The error a faulted server attaches to a completed sub-request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -182,7 +182,7 @@ impl OpClass {
 
 /// Stall status of a server at one instant (see [`FaultPlan::stall_at`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallState {
+pub(crate) enum StallState {
     /// No stall window covers the instant.
     Clear,
     /// Newly started ops park and resume service at the given instant
@@ -289,7 +289,7 @@ impl FaultPlan {
     }
 
     /// True if a crash window covers `now`.
-    pub fn offline_at(&self, now: SimTime) -> bool {
+    pub(crate) fn offline_at(&self, now: SimTime) -> bool {
         self.faults.iter().any(|f| {
             matches!(f, ServerFault::Crash { at, recover_at }
                 if *at <= now && now < *recover_at)
@@ -298,7 +298,7 @@ impl FaultPlan {
 
     /// Transient-error probability at `now` (0 outside every window; the
     /// maximum over overlapping windows).
-    pub fn error_rate_at(&self, now: SimTime) -> f64 {
+    pub(crate) fn error_rate_at(&self, now: SimTime) -> f64 {
         self.faults
             .iter()
             .filter_map(|f| match f {
@@ -322,7 +322,7 @@ impl FaultPlan {
     /// faults were inserted into the plan (floating-point products are
     /// not associative, so an unsorted product would differ in the last
     /// ulp between insertion orders).
-    pub fn slowdown_for(&self, now: SimTime, kind: IoKind) -> f64 {
+    pub(crate) fn slowdown_for(&self, now: SimTime, kind: IoKind) -> f64 {
         let factors = self.faults.iter().filter_map(|f| match f {
             ServerFault::Degraded {
                 from,
@@ -346,7 +346,7 @@ impl FaultPlan {
     /// window, in a canonical window order so the stream is insertion-
     /// order independent); hits compose multiply-then-clamp. Returns 1
     /// when no window is active or no draw hits.
-    pub fn tail_draw(&self, now: SimTime, rng: &mut SimRng) -> f64 {
+    pub(crate) fn tail_draw(&self, now: SimTime, rng: &mut SimRng) -> f64 {
         let mut active: Vec<(SimTime, SimTime, f64, f64)> = self
             .faults
             .iter()
@@ -377,7 +377,7 @@ impl FaultPlan {
     /// Stall status for an operation starting at `now`. Overlapping stall
     /// windows compose to the most severe: any forever-stall wins, else
     /// the latest release.
-    pub fn stall_at(&self, now: SimTime) -> StallState {
+    pub(crate) fn stall_at(&self, now: SimTime) -> StallState {
         let mut state = StallState::Clear;
         for f in &self.faults {
             let ServerFault::Stall { since, release } = f else {
@@ -398,7 +398,7 @@ impl FaultPlan {
 
     /// True if a space-exhaustion window covers `now`: writes fail with
     /// [`IoFault::NoSpace`], reads are unaffected.
-    pub fn no_space_at(&self, now: SimTime) -> bool {
+    pub(crate) fn no_space_at(&self, now: SimTime) -> bool {
         self.faults.iter().any(|f| {
             matches!(f, ServerFault::SpaceExhausted { from, until }
                 if *from <= now && now < *until)
@@ -409,7 +409,7 @@ impl FaultPlan {
     /// the earliest-onset [`ServerFault::MediaErrors`] whose `from` has
     /// passed (media damage is permanent, so there is no window end; the
     /// earliest onset wins so overlapping scripts stay deterministic).
-    pub fn media_map_at(&self, now: SimTime) -> Option<(u64, u32)> {
+    pub(crate) fn media_map_at(&self, now: SimTime) -> Option<(u64, u32)> {
         self.faults
             .iter()
             .filter_map(|f| match f {
@@ -426,7 +426,7 @@ impl FaultPlan {
 
     /// True if any crash instant lies in `(since, now]` — the caller must
     /// wipe the server's stores.
-    pub fn crash_due(&self, since: SimTime, now: SimTime) -> bool {
+    pub(crate) fn crash_due(&self, since: SimTime, now: SimTime) -> bool {
         self.faults
             .iter()
             .any(|f| matches!(f, ServerFault::Crash { at, .. } if *at > since && *at <= now))

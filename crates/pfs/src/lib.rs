@@ -29,6 +29,11 @@
 //! discrete-event scheduler, and unit tests can drive them by hand.
 
 #![forbid(unsafe_code)]
+// The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 mod error;
@@ -40,7 +45,7 @@ mod server;
 mod types;
 
 pub use error::PfsError;
-pub use faults::{FaultPlan, IoFault, OpClass, ServerFault, StallState, MAX_SLOWDOWN};
+pub use faults::{FaultPlan, IoFault, OpClass, ServerFault};
 pub use fs::{FileMeta, Pfs};
 pub use layout::{FileSegments, StripeLayout, SubRange, SubRanges};
 pub use network::NetworkConfig;

@@ -237,7 +237,7 @@ impl FileServer {
     ///
     /// Panics if nothing is in service — calling this without a matching
     /// [`Started`] is a scheduling bug.
-    #[allow(clippy::expect_used)] // documented panic contract above
+    #[expect(clippy::expect_used, reason = "# Panics above: a scheduling bug")]
     pub fn on_complete(&mut self, now: SimTime) -> (CompletedSubRequest, Option<Started>) {
         self.advance_faults(now);
         assert!(
@@ -247,7 +247,6 @@ impl FileServer {
         let req = self
             .current
             .take()
-            // s4d-lint: allow(panic) — documented contract above: on_complete pairs with a Started; unpaired calls are scheduler bugs the sim must not mask
             .expect("on_complete called with no sub-request in service");
         // A fault decided at start, or a crash that hit mid-service.
         let fault = self.current_fault.take().or_else(|| {

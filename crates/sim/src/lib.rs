@@ -33,6 +33,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 mod engine;
@@ -45,5 +50,5 @@ mod time;
 pub use engine::{Engine, World};
 pub use event::EventQueue;
 pub use idmap::{IdHasher, IdMap};
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -3,6 +3,18 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+/// SplitMix64 (Steele, Lea & Flood; public-domain constants): advances
+/// `x` by the golden-ratio increment and finalizes it. A pure hash of its
+/// argument — the bad-sector map (`s4d-storage`) and the chaos harness's
+/// stream (`s4d-chaos`) both build on it.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// A deterministic random-number generator.
 ///
 /// Thin wrapper over [`rand::rngs::StdRng`] that (a) is always explicitly

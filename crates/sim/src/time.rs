@@ -164,8 +164,11 @@ impl SimDuration {
 /// The nanosecond count of a checked operation. The operators have no
 /// error channel, and a wrapped clock would silently reorder events.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "overflow needs 584 simulated years and underflow a caller subtracting past zero: harness bugs that must stop the run, not wrap the clock"
+)]
 fn checked(ns: Option<u64>, what: &'static str) -> u64 {
-    // s4d-lint: allow(panic) — overflow needs 584 simulated years and underflow a caller subtracting past zero: harness bugs that must stop the run, not wrap the clock
     ns.expect(what)
 }
 

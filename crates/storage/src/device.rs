@@ -67,9 +67,6 @@ pub trait DeviceModel: std::fmt::Debug + Send {
     /// Sequential transfer rate in bytes per second for the given direction
     /// (the `1/β` of the paper's cost model).
     fn transfer_rate(&self, kind: IoKind) -> f64;
-
-    /// Resets positional state (head parked at zero); counters unaffected.
-    fn reset(&mut self);
 }
 
 #[cfg(test)]

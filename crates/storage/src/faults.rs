@@ -7,26 +7,18 @@
 //! other fault — degradation, stalls, crashes, space exhaustion — is
 //! scripted there too, on the simulation clock (`FaultPlan`).
 
+use s4d_sim::splitmix64;
+
 /// Granularity of the seeded media-error map: device LBAs are grouped
 /// into 4 KiB sectors and each sector is independently (but
 /// deterministically) marked bad or good by [`sector_is_bad`].
 pub const MEDIA_SECTOR_BYTES: u64 = 4096;
 
-/// SplitMix64 finalizer — a cheap, well-mixed hash used to derive a
-/// per-sector verdict from `(seed, sector)`. Purely arithmetic, so the
-/// bad-sector map is a deterministic function of the seed (same seed ⇒
-/// same bad sectors, across runs and platforms).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// True if sector number `sector` is bad under `(seed, bad_ppm)`: each
-/// sector draws a deterministic hash and is bad with probability
-/// `bad_ppm` parts per million. `bad_ppm == 0` marks nothing bad;
-/// `bad_ppm >= 1_000_000` marks everything bad.
+/// sector draws a deterministic hash — purely arithmetic, so the same
+/// seed gives the same bad sectors across runs and platforms — and is
+/// bad with probability `bad_ppm` parts per million. `bad_ppm == 0`
+/// marks nothing bad; `bad_ppm >= 1_000_000` marks everything bad.
 pub fn sector_is_bad(seed: u64, sector: u64, bad_ppm: u32) -> bool {
     if bad_ppm == 0 {
         return false;

@@ -230,11 +230,6 @@ impl DeviceModel for HddModel {
     fn transfer_rate(&self, _kind: IoKind) -> f64 {
         self.config.transfer_rate
     }
-
-    fn reset(&mut self) {
-        self.head = 0;
-        self.streams.clear();
-    }
 }
 
 #[cfg(test)]
@@ -367,17 +362,6 @@ mod tests {
         // Positioning adds at most ~20 ms on top of a ~320 ms transfer.
         assert!(t >= transfer_only);
         assert!(t < transfer_only + SimDuration::from_millis(20));
-    }
-
-    #[test]
-    fn reset_parks_head_but_keeps_counters() {
-        let mut m = model();
-        let mut rng = SimRng::seed(6);
-        m.service_time(IoKind::Read, GIB, 4 * KIB, &mut rng);
-        m.reset();
-        assert_eq!(m.head(), 0);
-        assert_eq!(m.streams.len(), 0);
-        assert_eq!(m.ops(), 1);
     }
 
     #[test]

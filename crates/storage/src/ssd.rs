@@ -126,8 +126,6 @@ impl DeviceModel for SsdModel {
     fn transfer_rate(&self, kind: IoKind) -> f64 {
         self.config.rate(kind)
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -187,11 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_reset() {
+    fn counters_and_kind() {
         let mut m = presets::ssd_ocz_revodrive_x2().build();
         let mut rng = SimRng::seed(5);
         m.service_time(IoKind::Read, 0, 1, &mut rng);
-        m.reset();
         assert_eq!(m.ops(), 1);
         assert_eq!(m.kind(), DeviceKind::Ssd);
     }

@@ -115,11 +115,17 @@ impl ExtentStore {
         if len == 0 {
             return;
         }
-        // s4d-lint: allow(panic) — documented contract above: an extent past u64::MAX has no representation, and clamping it would drop bytes silently
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract above: an extent past u64::MAX has no representation, and clamping it would drop bytes silently"
+        )]
         let end = offset.checked_add(len).expect("extent end overflows u64");
         let keep = match self.mode {
             StoreMode::Functional => {
-                // s4d-lint: allow(panic) — documented contract above: a functional store that invents bytes would pass the integrity tests it exists for
+                #[expect(
+                    clippy::expect_used,
+                    reason = "documented contract above: a functional store that invents bytes would pass the integrity tests it exists for"
+                )]
                 let d = data.expect("functional store requires data bytes");
                 assert!(
                     d.len() as u64 == len,

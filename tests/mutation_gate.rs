@@ -1,31 +1,31 @@
 //! The mutation gate: seeded protocol violations applied to the *real*
 //! modules, each of which must die by its declared killer — the compiler
-//! first, a lexical lint rule second, a named tier-1 test last.
+//! first, a clippy lint second, a named tier-1 test last.
 //!
-//! This is the arbiter of what `s4d-lint` contains: a rule stays only
-//! while some row names it as killer, and a property moved out of the
-//! linter (into `ShardId`, the non-`Clone` `#[must_use]` `Pending`, the
+//! This is the arbiter of what the static gate denies: a lint stays in a
+//! crate-root `#![deny(clippy::…)]` list or a `clippy.toml` only while
+//! some row names it as killer, and a property carried by a type
+//! (`ShardId`, the non-`Clone` `#[must_use]` `Pending`, the
 //! `DurabilityHandle`-gated flush plans, the `fused_*` effects, module
 //! privacy) keeps a row showing the violation still cannot land.
 //!
 //! Every row's anchor must match its file exactly once, checked in the
-//! ordinary `cargo test -p s4d-lint` run, so the table cannot rot.
-//! Lint-killed rows run there too, in-process on the mutated source.
-//! Build- and test-killed rows copy the workspace under the target dir
-//! and run `cargo check` / `cargo test --offline` on it; they are
+//! ordinary `cargo test` run, so the table cannot rot. The rows
+//! themselves copy the workspace under the target dir and run `cargo
+//! check` / `cargo clippy` / `cargo test --offline` on it; they are
 //! `#[ignore]`d and CI runs them with `-- --include-ignored`.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-use s4d_lint::{engine, SourceFile};
+#[path = "common/cargo.rs"]
+mod cargo;
 
 #[derive(Clone, Copy)]
 enum Killer {
     /// `cargo check -p s4d-cache` fails.
     Build,
-    /// The rule reports more findings than on the unmutated workspace.
-    Lint(&'static str),
+    /// The static gate's `cargo clippy` line fails, naming this lint.
+    Clippy(&'static str),
     /// The root package's `--test <target> <name>` fails.
     Test(&'static str, &'static str),
 }
@@ -47,9 +47,12 @@ const REDIRECT: &str = "crates/core/src/pipeline/redirect.rs";
 const REBUILD: &str = "crates/core/src/background/rebuild.rs";
 const ENGINE: &str = "crates/core/src/durability/mod.rs";
 const FAULTS: &str = "crates/core/src/faults.rs";
+const IDENTIFY: &str = "crates/core/src/pipeline/identify.rs";
 const RECOVERY: &str = "crates/core/src/durability/recovery.rs";
 const LAST_NAME: &str = "pub const MAX_GROUP_BYTES: u64 = 4 * 1024 * 1024;\n";
 const ATTACH_FETCH: &str = "        plan.tag = self.bg.attach(plan.tag, fetch);\n";
+const CDT_INSERT: &str = "self.plane.cdt_insert(req.file, req.offset, req.len);";
+const RETRY_BACKOFF: &str = "    pub(crate) fn retry_backoff(";
 const ROUTED: &str = "let shard = self.plane.router().shard_of(orig, d_off);";
 const FUSED_DISCARD: &str = "        let allowed = self.fuse_consume(site, len);\n        \
     if allowed > 0 {\n            let _ = cluster.cpfs_mut().discard(";
@@ -67,9 +70,9 @@ const INTENT_APPEND: &str = "        match self
 
 #[rustfmt::skip]
 fn rows() -> Vec<Row> {
-    use Killer::{Build, Lint, Test};
+    use Killer::{Build, Clippy, Test};
     let row = |id, file, anchor, replacement, killer, evidence| Row { id, file, anchor, replacement, killer, evidence };
-    let grown: &'static str = Box::leak(format!("{LAST_NAME}{}", "pub const PAD: u8 = 0;\n".repeat(800)).into_boxed_str());
+    let grown: &'static str = Box::leak(format!("{LAST_NAME}{}", "const _: u8 = 0;\n".repeat(800)).into_boxed_str());
     vec![
         // -- carried by types: the compiler is the killer ----------------
         row("discard-without-append", ADMIT,
@@ -96,7 +99,7 @@ fn rows() -> Vec<Row> {
         row("fuse-charge-dropped", ENGINE, FUSED_DISCARD,
             "        let allowed = len;\n        if allowed > 0 {\n            let _ = cluster.cpfs_mut().discard(",
             Build, "unused variable: `site`"),
-        // -- what no type can say: a lexical rule is the killer ----------
+        // -- what no type can say: a clippy lint is the killer -----------
         row("unfused-effect-outside-engine", REBUILD, FUSED_FLUSH_COPY,
             "                let allowed = item.len;
                 let _ = cluster.copy_range(
@@ -104,31 +107,63 @@ fn rows() -> Vec<Row> {
                     (Tier::DServers, item.orig, item.d_offset),
                     allowed,
                 );\n",
-            Lint("durability"), ".copy_range("),
+            Clippy("disallowed_methods"), "disallowed method `s4d_mpiio::Cluster::copy_range`"),
+        row("durable-effect-through-a-binding", REBUILD, FUSED_FLUSH_COPY,
+            "                let allowed = item.len;
+                let fs = cluster.cpfs_mut();
+                let _ = fs.discard(item.c_file, item.c_offset, allowed);\n",
+            Clippy("disallowed_methods"), "disallowed method `s4d_pfs::Pfs::discard`"),
+        row("wall-clock-read", IDENTIFY, CDT_INSERT,
+            "let _started = std::time::Instant::now();\n            self.plane.cdt_insert(req.file, req.offset, req.len);",
+            Clippy("disallowed_methods"), "disallowed method `std::time::Instant::now`"),
         row("lock-introduced", "crates/core/src/layer.rs",
             "use std::rc::Rc;\n", "use std::rc::Rc;\nuse std::sync::Mutex;\n",
-            Lint("determinism"), "lock type"),
+            Clippy("disallowed_types"), "disallowed type `std::sync::Mutex`"),
         row("hashmap-in-journal-codec", "crates/core/src/durability/journal.rs",
-            "use s4d_pfs::FileId;\n", "use s4d_pfs::FileId;\nuse std::collections::HashMap;\n",
-            Lint("ordered-iter"), "HashMap"),
+            "    for r in records {\n        out.extend_from_slice(&r.encode());\n",
+            "    let by_key: std::collections::HashMap<_, _> = records.iter().map(|r| (r.d_key(), r)).collect();\n    for r in by_key.values() {\n        out.extend_from_slice(&r.encode());\n",
+            Clippy("iter_over_hash_type"), "for r in by_key.values()"),
         row("idmap-iterated-in-report", "crates/mpiio/src/report.rs",
             "        self.meter.add(bytes);\n",
             "        let seen: s4d_sim::IdMap<u64, u64> = s4d_sim::IdMap::default();\n        for n in seen.values() {\n            self.meter.add(*n);\n        }\n        self.meter.add(bytes);\n",
-            Lint("ordered-iter"), "IdMap"),
+            Clippy("iter_over_hash_type"), "for n in seen.values()"),
         row("unwrap-in-middleware", "crates/core/src/durability/group.rs",
             ".max().unwrap_or(0)", ".max().unwrap()",
-            Lint("panic"), ".unwrap()"),
+            Clippy("unwrap_used"), "used `unwrap()` on an `Option` value"),
         row("panic-reachable-from-api", "crates/cost/src/model.rs",
             "    s_n as f64 * params.beta_c\n", "    Some(s_n as f64).unwrap() * params.beta_c\n",
-            Lint("panic"), "`.unwrap()` in library code of crate `cost`"),
+            Clippy("unwrap_used"), "crates/cost/src/model.rs"),
+        row("expect-in-pfs", "crates/pfs/src/layout.rs",
+            ".map(|sr| sr.len)\n            .max()\n            .unwrap_or(0)", ".map(|sr| sr.len)\n            .max()\n            .expect(\"non-empty\")",
+            Clippy("expect_used"), "used `expect()` on an `Option` value"),
+        row("panic-in-report", "crates/mpiio/src/report.rs",
+            "            _ => SimDuration::ZERO,\n", "            _ => panic!(\"no span\"),\n",
+            Clippy("panic"), "`panic` should not be present in production code"),
+        row("unreachable-in-sim", "crates/sim/src/stats.rs",
+            "_ => write!(f, \"latency: no samples\"),", "_ => unreachable!(\"no samples\"),",
+            Clippy("unreachable"), "usage of the `unreachable!` macro"),
+        row("todo-in-chaos-cli", "crates/chaos/src/main.rs",
+            "            _ => return Err(()),\n", "            _ => todo!(),\n",
+            Clippy("todo"), "`todo` should not be present in production code"),
+        row("unimplemented-in-chaos", "crates/chaos/src/schedule.rs",
+            "4 => ChaosEvent::FailStop { server, at_op },", "4 => unimplemented!(),",
+            Clippy("unimplemented"), "`unimplemented` should not be present in production code"),
+        row("slice-in-store", "crates/storage/src/store.rs",
+            ".and_then(|d| d.get(..keep as usize))", ".map(|d| &d[..keep as usize])",
+            Clippy("indexing_slicing"), "slicing may panic"),
+        row("unfulfilled-expect", FAULTS, RETRY_BACKOFF,
+            "    #[expect(clippy::unwrap_used, reason = \"nothing here unwraps\")]\n    pub(crate) fn retry_backoff(",
+            Clippy("unfulfilled_lint_expectations"), "this lint expectation is unfulfilled"),
+        row("allow-without-reason", FAULTS, RETRY_BACKOFF,
+            "    #[allow(clippy::unwrap_used)]\n    pub(crate) fn retry_backoff(",
+            Clippy("allow_attributes_without_reason"), "`allow` attribute without specifying a reason"),
+        row("allow-where-expect-fits", FAULTS, RETRY_BACKOFF,
+            "    #[allow(clippy::unwrap_used, reason = \"never checked for being used\")]\n    pub(crate) fn retry_backoff(",
+            Clippy("allow_attributes"), "#[allow] attribute found"),
         row("module-over-budget", "crates/core/src/names.rs", LAST_NAME, grown,
-            Lint("file-budget"), "non-test code lines"),
-        row("retired-rule-pragma", FAULTS,
-            "    pub(crate) fn retry_backoff(", "    // s4d-lint: allow(unbounded-retry) — bounded by the cap\n    pub(crate) fn retry_backoff(",
-            Lint("pragma"), "unknown rule `unbounded-retry`"),
+            Test("static_gate", "no_library_module_exceeds_the_line_budget"), "non-test code lines"),
         // -- behaviour: a named tier-1 test is the killer ----------------
-        row("alloc-in-hot-path", "crates/core/src/pipeline/identify.rs",
-            "self.plane.cdt_insert(req.file, req.offset, req.len);",
+        row("alloc-in-hot-path", IDENTIFY, CDT_INSERT,
             "let key = vec![req.offset];\n            self.plane.cdt_insert(req.file, key[0], req.len);",
             Test("alloc_steady_state", "request_path_allocations_stay_under_their_ceilings"), "allocations each"),
         row("fuse-charge-dropped-quietly", ENGINE, FUSED_DISCARD,
@@ -152,7 +187,7 @@ fn rows() -> Vec<Row> {
 }
 
 fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
 /// Applies a row to its file's source, insisting the anchor is unique.
@@ -167,95 +202,50 @@ fn mutate(row: &Row, src: &str) -> String {
     src.replacen(row.anchor, row.replacement, 1)
 }
 
+/// Every lint the static gate names: the crate-root `#![deny(clippy::…)]`
+/// lists and the `disallowed-*` tables of the two `clippy.toml`s.
+fn denied_lints(root: &Path) -> Vec<String> {
+    let mut lints = Vec::new();
+    let mut read = |path: PathBuf| {
+        for line in std::fs::read_to_string(path).unwrap_or_default().lines() {
+            if let Some(list) = line.strip_prefix("#![deny(clippy::") {
+                let list = list.trim_end_matches(")]");
+                lints.extend(list.split(", clippy::").map(str::to_owned));
+            } else if line.starts_with("disallowed-") {
+                let key = line.split(' ').next().unwrap_or_default();
+                lints.push(key.replace('-', "_"));
+            }
+        }
+    };
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("dir entry").path();
+        for file in ["src/lib.rs", "src/main.rs", "clippy.toml"] {
+            read(krate.join(file));
+        }
+    }
+    read(root.join("clippy.toml"));
+    lints.sort();
+    lints.dedup();
+    lints
+}
+
 #[test]
-fn every_anchor_matches_exactly_once_and_every_rule_is_a_killer() {
+fn every_anchor_matches_exactly_once_and_every_lint_is_a_killer() {
     let root = workspace_root();
     let rows = rows();
     for row in &rows {
         let src = std::fs::read_to_string(root.join(row.file)).expect(row.file);
         assert_ne!(mutate(row, &src), src, "{}: replacement is a no-op", row.id);
     }
-    for rule in s4d_lint::config::RULES {
+    let lints = denied_lints(&root);
+    assert!(lints.len() >= 12, "found only {lints:?}");
+    for lint in lints {
         assert!(
             rows.iter()
-                .any(|r| matches!(r.killer, Killer::Lint(id) if id == rule.id)),
-            "rule `{}` kills no mutation — retire it or seed the violation it owns",
-            rule.id
+                .any(|r| matches!(r.killer, Killer::Clippy(l) if l == lint)),
+            "lint `{lint}` kills no mutation — retire it or seed the violation it owns"
         );
     }
-}
-
-/// Lints the workspace with `file` replaced by `src` (or as is).
-fn lint_with(sources: &[(PathBuf, String, String)], patch: Option<(&str, &str)>) -> engine::Report {
-    let files: Vec<SourceFile> = sources
-        .iter()
-        .map(|(path, rel, src)| {
-            let src = match patch {
-                Some((file, mutated)) if file == rel => mutated,
-                _ => src.as_str(),
-            };
-            SourceFile::parse(path.clone(), rel.clone(), src)
-        })
-        .collect();
-    engine::lint_files(&files)
-}
-
-#[test]
-fn lint_killed_rows_die_in_process() {
-    let root = workspace_root().canonicalize().expect("workspace root");
-    let sources: Vec<(PathBuf, String, String)> = engine::workspace_files(&root)
-        .expect("workspace walk")
-        .into_iter()
-        .map(|path| {
-            let rel = path.strip_prefix(&root).expect("under root");
-            let rel = rel.to_string_lossy().replace('\\', "/");
-            let src = std::fs::read_to_string(&path).expect("readable source");
-            (path, rel, src)
-        })
-        .collect();
-    let count = |report: &engine::Report, rule: &str| {
-        report.diagnostics.iter().filter(|d| d.rule == rule).count()
-    };
-    let baseline = lint_with(&sources, None);
-    assert_eq!(baseline.errors(), 0, "the unmutated workspace lints clean");
-    for row in rows() {
-        let Killer::Lint(rule) = row.killer else {
-            continue;
-        };
-        let src = &sources.iter().find(|s| s.1 == row.file).expect(row.file).2;
-        let report = lint_with(&sources, Some((row.file, &mutate(&row, src))));
-        assert!(
-            count(&report, rule) > count(&baseline, rule),
-            "{}: survived `{rule}`",
-            row.id
-        );
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == rule && d.to_string().contains(row.evidence)),
-            "{}: `{rule}` fired, but not for `{}`",
-            row.id,
-            row.evidence
-        );
-    }
-}
-
-/// Runs cargo in the scratch workspace; `(succeeded, stdout + stderr)`.
-fn cargo(ws: &Path, args: &[&str]) -> (bool, String) {
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let out = Command::new(cargo)
-        .current_dir(ws)
-        .args(args)
-        .env("CARGO_TARGET_DIR", ws.join("target"))
-        .output()
-        .expect("spawn cargo");
-    let text = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    (out.status.success(), text)
 }
 
 fn copy_tree(from: &Path, to: &Path) {
@@ -275,7 +265,7 @@ fn copy_tree(from: &Path, to: &Path) {
 
 #[test]
 #[ignore = "copies the workspace and runs cargo on it; CI: -- --include-ignored"]
-fn build_and_test_killed_rows_die_in_a_scratch_copy() {
+fn every_row_dies_in_a_scratch_copy() {
     let root = workspace_root();
     // A fixed path under target/: cargo's fingerprints survive between
     // runs, so only the mutated crate and its dependents rebuild.
@@ -284,6 +274,8 @@ fn build_and_test_killed_rows_die_in_a_scratch_copy() {
     for part in [
         "Cargo.toml",
         "Cargo.lock",
+        "clippy.toml",
+        "EXPERIMENTS.md",
         "src",
         "tests",
         "examples",
@@ -293,30 +285,30 @@ fn build_and_test_killed_rows_die_in_a_scratch_copy() {
         let _ = std::fs::remove_dir_all(ws.join(part));
         copy_tree(&root.join(part), &ws.join(part));
     }
-    let check = ["check", "--offline", "-p", "s4d-cache"];
-    let (ok, out) = cargo(&ws, &check);
-    assert!(ok, "the unmutated copy must build:\n{out}");
+    let cargo = |args: &str| cargo::cargo(&ws, &ws.join("target"), args);
+    let (ok, out) = cargo(cargo::CLIPPY);
+    assert!(ok, "the unmutated copy must pass the static gate:\n{out}");
     let mut survivors = Vec::new();
     for row in rows() {
-        let test_args;
-        let args: &[&str] = match row.killer {
-            Killer::Lint(_) => continue,
-            Killer::Build => &check,
-            Killer::Test(target, name) => {
-                test_args = ["test", "--offline", "--test", target, name];
-                &test_args
-            }
+        let args = match row.killer {
+            Killer::Build => "check --offline -p s4d-cache".to_owned(),
+            Killer::Clippy(_) => cargo::CLIPPY.to_owned(),
+            Killer::Test(target, name) => format!("test --offline --test {target} {name}"),
         };
         let path = ws.join(row.file);
         let original = std::fs::read_to_string(&path).expect(row.file);
         std::fs::write(&path, mutate(&row, &original)).expect("write mutant");
-        let (ok, out) = cargo(&ws, args);
+        let (ok, out) = cargo(&args);
         std::fs::write(&path, original).expect("restore original");
-        let ran_tests =
-            !matches!(row.killer, Killer::Test(..)) || out.contains("test result: FAILED");
+        let by_killer = match row.killer {
+            Killer::Build => true,
+            // `-D unfulfilled-lint-expectations`, `…/index.html#unwrap_used`.
+            Killer::Clippy(lint) => out.replace('-', "_").contains(lint),
+            Killer::Test(..) => out.contains("test result: FAILED"),
+        };
         if ok {
-            survivors.push(format!("{}: survived `cargo {}`", row.id, args.join(" ")));
-        } else if !out.contains(row.evidence) || !ran_tests {
+            survivors.push(format!("{}: survived `cargo {args}`", row.id));
+        } else if !out.contains(row.evidence) || !by_killer {
             survivors.push(format!(
                 "{}: died, but not for `{}`:\n{out}",
                 row.id, row.evidence
