@@ -210,8 +210,8 @@ pub fn run_s4d(
     }
 }
 
-/// Runs scripts over an arbitrary middleware (custom policies, stacked
-/// combinators like [`s4d_cache::MemCache`]).
+/// Runs scripts over an arbitrary middleware (custom policies and
+/// configurations).
 pub fn run_custom<M: Middleware>(
     tb: &Testbed,
     middleware: M,

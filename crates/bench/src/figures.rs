@@ -9,9 +9,7 @@
 //! All generators run on the paper's testbed (§V.A) with seed `0x54D` and
 //! are deterministic: the same scale gives the same cells.
 
-use s4d_cache::{
-    AdmissionPolicy, MemCache, S4dCache, S4dConfig, DMT_PAYLOAD_BYTES, DMT_RECORD_BYTES,
-};
+use s4d_cache::{AdmissionPolicy, S4dCache, S4dConfig, DMT_PAYLOAD_BYTES, DMT_RECORD_BYTES};
 use s4d_mpiio::{ProcessScript, RunReport, Runner};
 use s4d_sim::SimTime;
 use s4d_storage::IoKind;
@@ -20,8 +18,8 @@ use s4d_workloads::campaign::CampaignConfig;
 use s4d_workloads::{AccessPattern, ChainScript, HpioConfig, IorConfig, IorScript, TileIoConfig};
 
 use crate::experiments::{
-    campaign_scripts, run_custom, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read,
-    testbed, ExperimentOutcome, Scale,
+    campaign_scripts, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read, testbed,
+    ExperimentOutcome, Scale,
 };
 use crate::table::{mibs, speedup_pct, Table};
 
@@ -453,8 +451,8 @@ fn tab05_metadata(scale: Scale) -> Vec<Table> {
     let (_cluster, mw, _report) = runner.into_parts();
     rows.push(case(
         "measured (4 KiB random)".into(),
-        mw.dmt().entry_count() as u64,
-        mw.dmt().mapped_bytes().max(1),
+        mw.plane().entry_count() as u64,
+        mw.plane().mapped_bytes().max(1),
     ));
     vec![Table {
         title: "§V.E.1 — DMT metadata space overhead",
@@ -527,9 +525,7 @@ fn mixed_scripts(instances: &[IorConfig]) -> Vec<ChainScript> {
 ///   lazily (§III.E argues lazy keeps read response time low);
 /// * `carl-placement` — the paper's predecessor CARL (§II.C): critical
 ///   data *placed* persistently on the SSD servers, no write-back or
-///   eviction — what the cache semantics add;
-/// * `memcache+benefit` — the paper's future-work stacking: a client RAM
-///   cache over S4D-Cache (re-reads short-circuit in memory).
+///   eviction — what the cache semantics add.
 fn ablation_policies(scale: Scale) -> Vec<Table> {
     use AdmissionPolicy::{AlwaysAdmit, NeverAdmit, SizeBelow};
     let tb = testbed(SEED);
@@ -545,7 +541,6 @@ fn ablation_policies(scale: Scale) -> Vec<Table> {
         )
     };
     let mut rows = vec![policy_row("stock", &stock.report)];
-    let s4d = |config: S4dConfig| S4dCache::new(config, tb.cost_params());
     let benefit = || S4dConfig::new(capacity);
     for (name, config) in [
         ("benefit (paper)", benefit()),
@@ -555,12 +550,9 @@ fn ablation_policies(scale: Scale) -> Vec<Table> {
         ("benefit+eager-fetch", benefit().with_eager_read_fetch(true)),
         ("carl-placement", benefit().with_persistent_placement(true)),
     ] {
-        let (report, _) = run_custom(&tb, s4d(config), mixed_scripts(&instances), Vec::new());
-        rows.push(policy_row(name, &report));
+        let s4d = run_s4d(&tb, config, mixed_scripts(&instances), Vec::new());
+        rows.push(policy_row(name, &s4d.report));
     }
-    let stacked = MemCache::new(s4d(benefit()), 64 << 20);
-    let (report, _) = run_custom(&tb, stacked, mixed_scripts(&instances), Vec::new());
-    rows.push(policy_row("memcache+benefit", &report));
     vec![Table {
         title: "Ablation — admission policy on a mixed campaign (16 KiB/256 KiB/2 MiB, 32 procs)",
         header: &[

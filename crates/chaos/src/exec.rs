@@ -42,8 +42,6 @@ const FAR_FUTURE: u64 = 1_000_000_000;
 pub struct ChaosReport {
     /// The schedule seed.
     pub seed: u64,
-    /// Whether the deliberate durability bug was injected.
-    pub injected_bug: bool,
     /// The fault script, in firing order (described).
     pub events: Vec<String>,
     /// Application I/O operations executed.
@@ -75,19 +73,11 @@ impl ChaosReport {
 }
 
 /// Runs one schedule to completion and returns its report.
-pub fn run(schedule: &Schedule, inject_bug: bool) -> ChaosReport {
+pub fn run(schedule: &Schedule) -> ChaosReport {
     let cluster = Cluster::paper_testbed_small(schedule.workload.cluster_seed);
     let n_servers = cluster.cpfs().server_count();
     let fuse = CrashFuse::unlimited().shared();
-    let wl = &schedule.workload;
-    let mut config = S4dConfig::new(wl.capacity)
-        .with_journal_batch(1)
-        .with_shards(wl.shards);
-    if wl.ckpt_records != u64::MAX {
-        config = config.with_checkpoint_thresholds(wl.ckpt_records, u64::MAX);
-    }
-    config.chaos_bug_skip_journal = inject_bug;
-    let mut mw = S4dCache::new(config, CostParams::paper_testbed_small());
+    let mut mw = S4dCache::new(config(schedule), CostParams::paper_testbed_small());
     mw.attach_crash_fuse(fuse.clone());
     let mut ex = Executor {
         schedule: schedule.clone(),
@@ -111,7 +101,6 @@ pub fn run(schedule: &Schedule, inject_bug: bool) -> ChaosReport {
         dirty_lost: 0,
         nospace_seen: 0,
         media_seen: 0,
-        inject_bug,
         fp: Fp::new(),
     };
     ex.drive();
@@ -121,11 +110,9 @@ pub fn run(schedule: &Schedule, inject_bug: bool) -> ChaosReport {
 /// [`run`] with engine panics converted into a violation, so one broken
 /// seed cannot abort a sweep (and the minimizer can shrink panicking
 /// schedules too).
-pub fn run_caught(schedule: &Schedule, inject_bug: bool) -> ChaosReport {
+pub fn run_caught(schedule: &Schedule) -> ChaosReport {
     let sched = schedule.clone();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        run(&sched, inject_bug)
-    })) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || run(&sched))) {
         Ok(report) => report,
         Err(payload) => {
             let msg = payload
@@ -135,7 +122,6 @@ pub fn run_caught(schedule: &Schedule, inject_bug: bool) -> ChaosReport {
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
             ChaosReport {
                 seed: schedule.seed,
-                injected_bug: inject_bug,
                 events: schedule.events.iter().map(|e| e.describe()).collect(),
                 ops: 0,
                 crashes: 0,
@@ -150,6 +136,20 @@ pub fn run_caught(schedule: &Schedule, inject_bug: bool) -> ChaosReport {
                 }],
             }
         }
+    }
+}
+
+/// The middleware configuration of a schedule's workload — the one the
+/// run starts with and every recovery rebuilds with.
+fn config(schedule: &Schedule) -> S4dConfig {
+    let wl = &schedule.workload;
+    let base = S4dConfig::new(wl.capacity)
+        .with_journal_batch(1)
+        .with_shards(wl.shards);
+    if wl.ckpt_records == u64::MAX {
+        base
+    } else {
+        base.with_checkpoint_thresholds(wl.ckpt_records, u64::MAX)
     }
 }
 
@@ -211,23 +211,10 @@ struct Executor {
     dirty_lost: u64,
     nospace_seen: u64,
     media_seen: u64,
-    inject_bug: bool,
     fp: Fp,
 }
 
 impl Executor {
-    fn config(&self) -> S4dConfig {
-        let wl = &self.schedule.workload;
-        let mut c = S4dConfig::new(wl.capacity)
-            .with_journal_batch(1)
-            .with_shards(wl.shards);
-        if wl.ckpt_records != u64::MAX {
-            c = c.with_checkpoint_thresholds(wl.ckpt_records, u64::MAX);
-        }
-        c.chaos_bug_skip_journal = self.inject_bug;
-        c
-    }
-
     fn now(&self) -> SimTime {
         SimTime::from_secs(self.now_s)
     }
@@ -610,7 +597,7 @@ impl Executor {
         if let Some(budget) = self.pending_recovery_budget.take() {
             let fused = CrashFuse::armed(budget).shared();
             if let Some((mw, report)) = S4dCache::recover_from_cluster_fused(
-                self.config(),
+                config(&self.schedule),
                 CostParams::paper_testbed_small(),
                 &mut self.cluster,
                 Some(fused),
@@ -625,13 +612,13 @@ impl Executor {
             self.fp.byte(b'R');
         }
         let (mw1, report1) = S4dCache::recover_from_cluster(
-            self.config(),
+            config(&self.schedule),
             CostParams::paper_testbed_small(),
             &mut self.cluster,
         );
         let e1 = extents_of(&mw1);
         let (mw2, report2) = S4dCache::recover_from_cluster(
-            self.config(),
+            config(&self.schedule),
             CostParams::paper_testbed_small(),
             &mut self.cluster,
         );
@@ -684,8 +671,7 @@ impl Executor {
     /// Structural invariants of the live instance: space accounting
     /// matches the mapping, and every mapped cache byte is present. Reads
     /// the plane's routed aggregates, so the identities hold across every
-    /// shard at any shard count (the shard-0 views would miss mutations
-    /// the router sent elsewhere).
+    /// shard at any shard count.
     fn check_structure(&mut self) {
         let sum: u64 = self.mw.plane().iter_extents().map(|(_, _, e)| e.len).sum();
         if sum != self.mw.plane().mapped_bytes() {
@@ -855,7 +841,6 @@ impl Executor {
         }
         ChaosReport {
             seed: self.schedule.seed,
-            injected_bug: self.inject_bug,
             events: self.schedule.events.iter().map(|e| e.describe()).collect(),
             ops: self.ops,
             crashes: self.crashes,

@@ -1,18 +1,16 @@
-//! The chaos CLI: seeded sweeps, single-seed replays, repro replays, and
-//! the oracle self-test CI gates on.
+//! The chaos CLI: seeded sweeps, single-seed replays and repro replays.
 //!
 //! ```text
 //! s4d-chaos --seeds 1000              # sweep seeds 0..1000, JSON to stdout
 //! s4d-chaos --seeds 50 --start 200    # sweep seeds 200..250
 //! s4d-chaos --seed 17                 # one seed, full report
-//! s4d-chaos --seed 17 --inject-bug    # with the deliberate durability bug
-//! s4d-chaos --validate-oracle         # prove the oracle catches the bug
 //! s4d-chaos --repro repro.json        # replay a minimized repro file
 //! s4d-chaos --seeds 100 --out repros/ # write minimized repros on failure
 //! ```
 //!
-//! Exit status: 0 all green, 1 invariant violations (or an uncaught
-//! oracle in `--validate-oracle`), 2 usage error.
+//! Exit status: 0 all green, 1 invariant violations, 2 usage error.
+//! The oracle's own self-test is a mutation-gate row
+//! (`tests/mutation_gate.rs`).
 
 // The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -29,8 +27,6 @@ struct Args {
     start: u64,
     seed: Option<u64>,
     shards: u32,
-    inject_bug: bool,
-    validate_oracle: bool,
     repro: Option<String>,
     out: Option<String>,
 }
@@ -38,7 +34,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: s4d-chaos [--seeds N] [--start S] [--seed X] [--shards K] \
-         [--inject-bug] [--validate-oracle] [--repro FILE] [--out DIR]"
+         [--repro FILE] [--out DIR]"
     );
     ExitCode::from(2)
 }
@@ -49,8 +45,6 @@ fn parse_args() -> Result<Args, ()> {
         start: 0,
         seed: None,
         shards: 1,
-        inject_bug: false,
-        validate_oracle: false,
         repro: None,
         out: None,
     };
@@ -63,8 +57,6 @@ fn parse_args() -> Result<Args, ()> {
             // Metadata-plane shard count for every run in this invocation;
             // the schedule itself (workload + fault script) is unchanged.
             "--shards" => args.shards = it.next().ok_or(())?.parse().map_err(|_| ())?,
-            "--inject-bug" => args.inject_bug = true,
-            "--validate-oracle" => args.validate_oracle = true,
             "--repro" => args.repro = Some(it.next().ok_or(())?),
             "--out" => args.out = Some(it.next().ok_or(())?),
             _ => return Err(()),
@@ -74,15 +66,14 @@ fn parse_args() -> Result<Args, ()> {
 }
 
 /// Minimizes a failing seed and writes its repro file under `out`.
-fn write_repro(out: &str, seed: u64, shards: u32, inject_bug: bool) {
+fn write_repro(out: &str, seed: u64, shards: u32) {
     let schedule = Schedule::generate_with_shards(seed, shards);
-    let Some(min) = minimize(&schedule, inject_bug) else {
+    let Some(min) = minimize(&schedule) else {
         return;
     };
     let repro = Repro {
         seed,
         shards,
-        inject_bug,
         keep: min.kept.clone(),
     };
     let path = format!("{out}/repro-seed-{seed}.json");
@@ -103,18 +94,17 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    if args.validate_oracle {
-        return validate_oracle(&args);
-    }
-
     if let Some(path) = &args.repro {
         let Ok(text) = std::fs::read_to_string(path) else {
             eprintln!("cannot read repro file {path}");
             return ExitCode::from(2);
         };
-        let Some(repro) = Repro::parse(&text) else {
-            eprintln!("cannot parse repro file {path}");
-            return ExitCode::from(2);
+        let repro = match Repro::parse(&text) {
+            Ok(repro) => repro,
+            Err(why) => {
+                eprintln!("cannot replay repro file {path}: {why}");
+                return ExitCode::from(2);
+            }
         };
         let (schedule, report) = repro.run();
         eprintln!(
@@ -134,14 +124,11 @@ fn main() -> ExitCode {
     }
 
     if let Some(seed) = args.seed {
-        let report = run_caught(
-            &Schedule::generate_with_shards(seed, args.shards),
-            args.inject_bug,
-        );
+        let report = run_caught(&Schedule::generate_with_shards(seed, args.shards));
         println!("{}", report_json(&report));
         if report.failed() {
             if let Some(out) = &args.out {
-                write_repro(out, seed, args.shards, args.inject_bug);
+                write_repro(out, seed, args.shards);
             }
             return ExitCode::from(1);
         }
@@ -151,10 +138,7 @@ fn main() -> ExitCode {
     // Sweep mode.
     let mut reports = Vec::with_capacity(args.seeds as usize);
     for seed in args.start..args.start + args.seeds {
-        let report = run_caught(
-            &Schedule::generate_with_shards(seed, args.shards),
-            args.inject_bug,
-        );
+        let report = run_caught(&Schedule::generate_with_shards(seed, args.shards));
         if report.failed() {
             eprintln!(
                 "seed {seed}: FAILED ({})",
@@ -165,7 +149,7 @@ fn main() -> ExitCode {
                     .unwrap_or("?")
             );
             if let Some(out) = &args.out {
-                write_repro(out, seed, args.shards, args.inject_bug);
+                write_repro(out, seed, args.shards);
             }
         }
         reports.push(report);
@@ -178,58 +162,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// The oracle self-test: with the deliberate durability bug injected
-/// (`chaos_bug_skip_journal` — evictions discard cache space without
-/// journaling the unmap), some seed in the scan range must go red, and
-/// its schedule must minimize to a small event list. This proves the
-/// harness can actually catch a real protocol violation end to end.
-fn validate_oracle(args: &Args) -> ExitCode {
-    let scan = if args.seeds == 25 { 64 } else { args.seeds };
-    for seed in args.start..args.start + scan {
-        let schedule = Schedule::generate_with_shards(seed, args.shards);
-        let report = run_caught(&schedule, true);
-        if !report.failed() {
-            continue;
-        }
-        eprintln!(
-            "oracle caught the injected bug at seed {seed} ({})",
-            report
-                .violations
-                .first()
-                .map(|v| v.invariant.as_str())
-                .unwrap_or("?")
-        );
-        let Some(min) = minimize(&schedule, true) else {
-            eprintln!("minimization lost the failure (nondeterminism?)");
-            return ExitCode::from(1);
-        };
-        eprintln!(
-            "minimized to {} event(s) in {} runs:",
-            min.kept.len(),
-            min.runs
-        );
-        for e in &min.events {
-            eprintln!("  {e}");
-        }
-        println!("{}", report_json(&min.report));
-        if min.kept.len() > 10 {
-            eprintln!(
-                "minimal schedule still has {} events (> 10)",
-                min.kept.len()
-            );
-            return ExitCode::from(1);
-        }
-        if let Some(out) = &args.out {
-            write_repro(out, seed, args.shards, true);
-        }
-        return ExitCode::SUCCESS;
-    }
-    eprintln!(
-        "oracle did NOT catch the injected bug in seeds {}..{}",
-        args.start,
-        args.start + scan
-    );
-    ExitCode::from(1)
 }

@@ -32,11 +32,11 @@ pub struct MinimizeResult {
 /// first try the empty set and each singleton, then greedily remove one
 /// event at a time until 1-minimal. Every probe goes through
 /// [`run_caught`], so schedules that fail by panicking minimize too.
-pub fn minimize(schedule: &Schedule, inject_bug: bool) -> Option<MinimizeResult> {
+pub fn minimize(schedule: &Schedule) -> Option<MinimizeResult> {
     let mut runs = 0u32;
     let mut probe = |keep: &[usize]| -> Option<ChaosReport> {
         runs += 1;
-        let report = run_caught(&schedule.with_events_kept(keep), inject_bug);
+        let report = run_caught(&schedule.with_events_kept(keep));
         report.failed().then_some(report)
     };
 
@@ -44,8 +44,8 @@ pub fn minimize(schedule: &Schedule, inject_bug: bool) -> Option<MinimizeResult>
     let mut best_report = probe(&all)?;
     let mut kept = all;
 
-    // Fast paths: no events at all (the failure is in the workload or
-    // the injected bug alone), then each singleton.
+    // Fast paths: no events at all (the failure is in the workload
+    // alone), then each singleton.
     if let Some(r) = probe(&[]) {
         return Some(finish(schedule, Vec::new(), r, runs));
     }
@@ -92,7 +92,7 @@ fn finish(schedule: &Schedule, kept: Vec<usize>, report: ChaosReport, runs: u32)
 }
 
 /// A replayable reproduction: regenerate the schedule from `seed`, keep
-/// only the listed events, run with the given bug flag.
+/// only the listed events, run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repro {
     /// Schedule seed.
@@ -100,8 +100,6 @@ pub struct Repro {
     /// Metadata-plane shard count the failure was observed at (1 for
     /// repro files written before sharding existed).
     pub shards: u32,
-    /// Whether the deliberate durability bug is injected.
-    pub inject_bug: bool,
     /// Original event indices to keep.
     pub keep: Vec<usize>,
 }
@@ -111,27 +109,35 @@ impl Repro {
     pub fn to_json(&self) -> String {
         let keep: Vec<String> = self.keep.iter().map(|k| k.to_string()).collect();
         format!(
-            "{{\"seed\":{},\"shards\":{},\"inject_bug\":{},\"keep\":[{}]}}\n",
+            "{{\"seed\":{},\"shards\":{},\"keep\":[{}]}}\n",
             self.seed,
             self.shards,
-            self.inject_bug,
             keep.join(",")
         )
     }
 
     /// Parses the repro-file JSON form (the exact shape [`Repro::to_json`]
-    /// writes; whitespace-tolerant, order-insensitive).
-    pub fn parse(text: &str) -> Option<Repro> {
-        let seed = field_u64(text, "seed")?;
+    /// writes; whitespace-tolerant, order-insensitive). Older files carry
+    /// an `inject_bug` key: `false` replays as before, `true` is refused,
+    /// because the bug it switched on is now a mutation-gate row.
+    pub fn parse(text: &str) -> Result<Repro, String> {
+        if field_bool(text, "inject_bug") == Some(true) {
+            return Err(
+                "\"inject_bug\":true is retired: the seeded eviction bug now lives in \
+                 the mutation gate (tests/mutation_gate.rs, \
+                 eviction-reuses-space-before-durable-remove)"
+                    .to_owned(),
+            );
+        }
+        let malformed = || "needs a \"seed\" number and a \"keep\" array".to_owned();
+        let seed = field_u64(text, "seed").ok_or_else(malformed)?;
         // Absent in repro files written before the sharded metadata
         // plane: those failures were observed at one shard.
         let shards = field_u64(text, "shards").unwrap_or(1) as u32;
-        let inject_bug = field_bool(text, "inject_bug")?;
-        let keep = field_u64_array(text, "keep")?;
-        Some(Repro {
+        let keep = field_u64_array(text, "keep").ok_or_else(malformed)?;
+        Ok(Repro {
             seed,
             shards,
-            inject_bug,
             keep: keep.into_iter().map(|k| k as usize).collect(),
         })
     }
@@ -140,7 +146,7 @@ impl Repro {
     pub fn run(&self) -> (Schedule, ChaosReport) {
         let schedule =
             Schedule::generate_with_shards(self.seed, self.shards).with_events_kept(&self.keep);
-        let report = run_caught(&schedule, self.inject_bug);
+        let report = run_caught(&schedule);
         (schedule, report)
     }
 }
@@ -195,44 +201,55 @@ mod tests {
         let r = Repro {
             seed: 1234,
             shards: 16,
-            inject_bug: true,
             keep: vec![0, 2, 4],
         };
-        assert_eq!(Repro::parse(&r.to_json()), Some(r));
+        assert_eq!(Repro::parse(&r.to_json()), Ok(r));
         let empty = Repro {
             seed: 7,
             shards: 1,
-            inject_bug: false,
             keep: vec![],
         };
-        assert_eq!(Repro::parse(&empty.to_json()), Some(empty));
+        assert_eq!(Repro::parse(&empty.to_json()), Ok(empty));
     }
 
     #[test]
     fn parse_defaults_missing_shards_to_one() {
         // Repro files written before the sharded metadata plane have no
         // "shards" field; they replay at one shard.
-        let text = "{\"seed\":42,\"inject_bug\":false,\"keep\":[1]}";
+        let text = "{\"seed\":42,\"keep\":[1]}";
         assert_eq!(
             Repro::parse(text),
-            Some(Repro {
+            Ok(Repro {
                 seed: 42,
                 shards: 1,
-                inject_bug: false,
                 keep: vec![1],
             })
         );
     }
 
     #[test]
+    fn parse_replays_bug_free_files_and_refuses_seeded_bug_ones() {
+        let old = "{\"seed\":42,\"shards\":4,\"inject_bug\":false,\"keep\":[1]}";
+        let repro = Repro {
+            seed: 42,
+            shards: 4,
+            keep: vec![1],
+        };
+        assert_eq!(Repro::parse(old), Ok(repro.clone()));
+        assert!(!repro.run().1.failed(), "and still replays green");
+        let bugged = "{\"seed\":14,\"inject_bug\":true,\"keep\":[3]}";
+        let why = Repro::parse(bugged).expect_err("the injected-bug switch is gone");
+        assert!(why.contains("mutation gate"), "{why}");
+    }
+
+    #[test]
     fn parse_tolerates_whitespace_and_order() {
-        let text = "{ \"keep\" : [ 1 , 3 ],\n  \"seed\": 99,\n  \"inject_bug\": false }";
+        let text = "{ \"keep\" : [ 1 , 3 ],\n  \"seed\": 99 }";
         assert_eq!(
             Repro::parse(text),
-            Some(Repro {
+            Ok(Repro {
                 seed: 99,
                 shards: 1,
-                inject_bug: false,
                 keep: vec![1, 3],
             })
         );
@@ -240,7 +257,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert_eq!(Repro::parse("not json"), None);
-        assert_eq!(Repro::parse("{\"seed\": 1}"), None);
+        assert!(Repro::parse("not json").is_err());
+        assert!(Repro::parse("{\"seed\": 1}").is_err());
     }
 }

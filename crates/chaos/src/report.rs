@@ -46,13 +46,12 @@ pub fn report_json(r: &ChaosReport) -> String {
         .collect();
     format!(
         concat!(
-            "{{\"seed\":{},\"injected_bug\":{},\"ok\":{},",
+            "{{\"seed\":{},\"ok\":{},",
             "\"events\":{},\"ops\":{},\"crashes\":{},\"recoveries\":{},",
             "\"plan_failures\":{},\"reads_checked\":{},\"dirty_bytes_lost\":{},",
             "\"fingerprint\":\"{:016x}\",\"violations\":[{}]}}"
         ),
         r.seed,
-        r.injected_bug,
         !r.failed(),
         string_array(&r.events),
         r.ops,
@@ -96,7 +95,6 @@ mod tests {
     fn sample(seed: u64, fail: bool) -> ChaosReport {
         ChaosReport {
             seed,
-            injected_bug: false,
             events: vec!["mw-crash@3 budget=512".to_owned()],
             ops: 10,
             crashes: 1,

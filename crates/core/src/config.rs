@@ -119,14 +119,6 @@ pub struct S4dConfig {
     /// into `shard_stripe`-sized tiles and consecutive tiles land on
     /// consecutive shards. Irrelevant at `shard_count == 1`.
     pub shard_stripe: u64,
-    /// Chaos-oracle self-test ONLY: when set, eviction discards cache
-    /// bytes *without* first making the Remove records durable —
-    /// deliberately breaking the journal-before-discard protocol so the
-    /// chaos harness can prove its invariant oracle catches (and its
-    /// minimizer shrinks) a real durability bug. Never set outside
-    /// `s4d-chaos --validate-oracle`.
-    #[doc(hidden)]
-    pub chaos_bug_skip_journal: bool,
 }
 
 impl S4dConfig {
@@ -163,7 +155,6 @@ impl S4dConfig {
             hedge_reads: false,
             shard_count: 1,
             shard_stripe: 64 * 1024,
-            chaos_bug_skip_journal: false,
         }
     }
 

@@ -22,16 +22,14 @@ use s4d_sim::{SimDuration, SimTime};
 use s4d_storage::IoKind;
 
 use crate::background::BackgroundScheduler;
-use crate::cdt::Cdt;
 use crate::config::S4dConfig;
-use crate::dmt::{Dmt, RangeView};
+use crate::dmt::RangeView;
 use crate::durability::crash::CrashFuse;
 use crate::durability::recovery::RecoveryReport;
 use crate::durability::DurabilityEngine;
 use crate::health::HealthMonitor;
 use crate::metrics::S4dMetrics;
 use crate::shard::{MetadataPlane, ShardId, ShardRouter};
-use crate::space::SpaceManager;
 
 /// The Smart Selective SSD Cache middleware (the paper's Fig. 3).
 ///
@@ -119,25 +117,9 @@ impl S4dCache {
         &self.metrics
     }
 
-    /// Shard 0's Critical Data Table — the whole table in the default
-    /// single-shard configuration. Sharded deployments read aggregates
-    /// from [`S4dCache::plane`].
-    pub fn cdt(&self) -> &Cdt {
-        self.plane.cdt0()
-    }
-
-    /// Shard 0's Data Mapping Table (see [`S4dCache::cdt`]).
-    pub fn dmt(&self) -> &Dmt {
-        self.plane.dmt0()
-    }
-
-    /// Shard 0's space manager (see [`S4dCache::cdt`]).
-    pub fn space(&self) -> &SpaceManager {
-        self.plane.space0()
-    }
-
     /// The sharded metadata plane: per-shard DMT/CDT/space behind routed
-    /// aggregates that hold at any shard count.
+    /// aggregates that hold at any shard count — the only read view of
+    /// the mapping, so no caller can see shard 0 alone.
     pub fn plane(&self) -> &MetadataPlane {
         &self.plane
     }

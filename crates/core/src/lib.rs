@@ -67,7 +67,6 @@ mod faults;
 mod gray;
 mod health;
 mod layer;
-mod memcache;
 mod metrics;
 pub mod names;
 mod pipeline;
@@ -87,7 +86,6 @@ pub use durability::recovery::RecoveryReport;
 pub use health::{HealthMonitor, ServerHealth};
 pub use journal::{JournalError, JournalRecord, RecoveredJournal};
 pub use layer::S4dCache;
-pub use memcache::{MemCache, MemCacheMetrics};
 pub use metrics::S4dMetrics;
 pub use shard::{MetadataPlane, Segments, ShardId, ShardRouter, ShardSegment};
 pub use space::SpaceManager;

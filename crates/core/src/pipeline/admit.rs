@@ -189,20 +189,6 @@ impl S4dCache {
         if victims.is_empty() {
             return self.plane.fits(shard, len);
         }
-        if self.config.chaos_bug_skip_journal {
-            // Deliberately broken protocol (chaos-oracle self-test, see
-            // `S4dConfig::chaos_bug_skip_journal`): release the victims'
-            // space for reuse while their Remove records are still only
-            // in memory. A crash before the next group commit resurrects
-            // the stale mappings over whatever the reused space holds by
-            // then — reads through them serve foreign bytes.
-            for (_file, _d_off, ext) in &victims {
-                self.plane.release(shard, ext.c_file, ext.c_offset, ext.len);
-                self.metrics.evictions += 1;
-                self.metrics.evicted_bytes += ext.len;
-            }
-            return self.plane.fits(shard, len);
-        }
         // `evict_clean_lru_excluding` removed the victims and queued
         // their Remove records; make those durable *before* the bytes
         // go away, so recovery never maps discarded space. The handle

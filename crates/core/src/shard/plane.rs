@@ -218,29 +218,18 @@ impl MetadataPlane {
     }
 
     /// Buffered (undrained) mutation records across shards.
-    pub(crate) fn pending_records(&self) -> usize {
+    pub fn pending_records(&self) -> usize {
         self.shards().map(|s| s.dmt.pending_records()).sum()
+    }
+
+    /// Candidate-table entries across shards.
+    pub fn cdt_len(&self) -> usize {
+        self.shards().map(|s| s.cdt.len()).sum()
     }
 
     /// Total space-ledger over-releases across shards.
     pub(crate) fn over_releases(&self) -> u64 {
         self.shards().map(|s| s.space.over_releases()).sum()
-    }
-
-    /// Shard 0's mapping table — the whole table when `shard_count == 1`,
-    /// which is what the single-shard accessors on the middleware expose.
-    pub(crate) fn dmt0(&self) -> &Dmt {
-        &self.shard0.dmt
-    }
-
-    /// Shard 0's candidate table (see [`MetadataPlane::dmt0`]).
-    pub(crate) fn cdt0(&self) -> &Cdt {
-        &self.shard0.cdt
-    }
-
-    /// Shard 0's space ledger (see [`MetadataPlane::dmt0`]).
-    pub(crate) fn space0(&self) -> &SpaceManager {
-        &self.shard0.space
     }
 
     /// Drains one shard's freshly recorded journal records in place (the
@@ -261,7 +250,7 @@ impl MetadataPlane {
     /// — the admission path allocates per gap, which is exactly the
     /// shard-local split it needs. `out` is a caller-owned buffer (the
     /// middleware's scratch view), cleared first.
-    pub(crate) fn view_into(&self, file: FileId, offset: u64, len: u64, out: &mut RangeView) {
+    pub fn view_into(&self, file: FileId, offset: u64, len: u64, out: &mut RangeView) {
         out.clear();
         for seg in self.router.segments_iter(file, offset, len) {
             self.shard(seg.shard)
@@ -333,7 +322,7 @@ impl MetadataPlane {
     }
 
     /// The extent starting exactly at `d_offset`, if any.
-    pub(crate) fn get(&self, file: FileId, d_offset: u64) -> Option<&MapExtent> {
+    pub fn get(&self, file: FileId, d_offset: u64) -> Option<&MapExtent> {
         self.shard(self.router.shard_of(file, d_offset))
             .dmt
             .get(file, d_offset)
@@ -422,9 +411,15 @@ impl MetadataPlane {
         self.shard_mut(idx).cdt.clear_c_flag(file, offset, len)
     }
 
+    /// True if the exact range is a recorded candidate (routed by offset).
+    pub fn cdt_contains(&self, file: FileId, offset: u64, len: u64) -> bool {
+        let idx = self.router.shard_of(file, offset);
+        self.shard(idx).cdt.contains(file, offset, len)
+    }
+
     /// Up to `limit` flagged candidates, shard 0's oldest first, then
     /// shard 1's, and so on.
-    pub(crate) fn cdt_flagged(&self, limit: usize) -> impl Iterator<Item = CdtEntry> + '_ {
+    pub fn cdt_flagged(&self, limit: usize) -> impl Iterator<Item = CdtEntry> + '_ {
         self.shards()
             .flat_map(move |s| s.cdt.flagged(limit))
             .take(limit)

@@ -21,7 +21,7 @@ fn clean_lru_space_is_reused() {
     let plans = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
     assert_eq!(plans.len(), 1);
     mw.on_plan_complete(&mut cluster, SimTime::ZERO, plans[0].tag);
-    assert_eq!(mw.dmt().dirty_bytes(), 0);
+    assert_eq!(mw.plane().dirty_bytes(), 0);
     // A new critical write now evicts the clean extent and is admitted.
     let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, MIB, 32 * KIB));
     assert_eq!(tiers_of(&plan), vec![Tier::CServers]);
@@ -42,7 +42,7 @@ fn inflight_reads_pin_extents_against_eviction() {
     // Make it clean via a flush cycle.
     let plans = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
     mw.on_plan_complete(&mut cluster, SimTime::ZERO, plans[0].tag);
-    assert_eq!(mw.dmt().dirty_bytes(), 0);
+    assert_eq!(mw.plane().dirty_bytes(), 0);
     // A read of the cached range is now "in flight" (plan issued, not
     // yet complete).
     let read_plan = mw.plan_io(&mut cluster, SimTime::ZERO, &read_req(f, 0, 32 * KIB));
@@ -56,7 +56,7 @@ fn inflight_reads_pin_extents_against_eviction() {
     );
     assert_eq!(tiers_of(&w), vec![Tier::DServers]);
     assert_eq!(mw.metrics().evictions, 0, "pinned extent survived");
-    assert_eq!(mw.dmt().mapped_bytes(), 32 * KIB);
+    assert_eq!(mw.plane().mapped_bytes(), 32 * KIB);
     // Once the read completes, the pin lifts and eviction proceeds.
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(1), read_plan.tag);
     let w = mw.plan_io(
@@ -86,7 +86,7 @@ fn rebuilder_flush_cycle_marks_clean() {
     assert!(poll2.plans.is_empty());
     assert!(poll2.work_pending);
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(2), plan.tag);
-    assert_eq!(mw.dmt().dirty_bytes(), 0);
+    assert_eq!(mw.plane().dirty_bytes(), 0);
     assert_eq!(mw.metrics().flushes, 1);
     // The clean transition's journal record drains on the next wake...
     let poll3 = mw.poll_background(&mut cluster, SimTime::from_secs(3));
@@ -106,7 +106,7 @@ fn rebuilder_flush_cycle_marks_clean() {
 fn rebuilder_fetch_cycle_caches_flagged_reads() {
     let (mut cluster, mut mw, f) = setup(64 * MIB);
     mw.plan_io(&mut cluster, SimTime::ZERO, &read_req(f, 0, 16 * KIB));
-    assert_eq!(mw.cdt().flagged(10).len(), 1);
+    assert_eq!(mw.plane().cdt_flagged(10).count(), 1);
     let poll = mw.poll_background(&mut cluster, SimTime::ZERO);
     assert_eq!(poll.plans.len(), 1);
     let plan = &poll.plans[0];
@@ -117,9 +117,9 @@ fn rebuilder_fetch_cycle_caches_flagged_reads() {
     assert_eq!(plan.phases[1][0].kind, IoKind::Write);
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(1), plan.tag);
     // Mapped clean; the C_flag is cleared; a re-read now hits.
-    assert_eq!(mw.dmt().mapped_bytes(), 16 * KIB);
-    assert_eq!(mw.dmt().dirty_bytes(), 0);
-    assert!(mw.cdt().flagged(10).is_empty());
+    assert_eq!(mw.plane().mapped_bytes(), 16 * KIB);
+    assert_eq!(mw.plane().dirty_bytes(), 0);
+    assert!(mw.plane().cdt_flagged(10).next().is_none());
     let plan = mw.plan_io(
         &mut cluster,
         SimTime::from_secs(2),
@@ -177,7 +177,7 @@ fn failed_plan_releases_pins_and_markers() {
     let flush_tag = plans[0].tag;
     // The flush plan fails: the extent stays dirty and is retried.
     mw.on_plan_failed(&mut cluster, SimTime::ZERO, flush_tag);
-    assert_eq!(mw.dmt().dirty_bytes(), 32 * KIB);
+    assert_eq!(mw.plane().dirty_bytes(), 32 * KIB);
     let plans = poll_tagged(&mut mw, &mut cluster, SimTime::from_secs(1));
     assert_eq!(plans.len(), 1, "flush re-issued after failure");
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(1), plans[0].tag);
@@ -245,7 +245,7 @@ fn crashed_flush_in_flight_does_not_corrupt_source_file() {
     // The flush completion then arrives; it must notice the mapping is
     // gone and not copy reallocated/wiped space over the original.
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(2), tag);
-    assert_eq!(mw.dmt().mapped_bytes(), 0);
+    assert_eq!(mw.plane().mapped_bytes(), 0);
     // The stale in-flight marker must be gone too: a fresh dirty write
     // to the same range flushes again once the server recovers. (A
     // leaked marker would make the Rebuilder skip it forever.)

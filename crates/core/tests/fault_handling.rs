@@ -117,7 +117,7 @@ fn quarantine_blocks_admission_and_serves_clean_reads_from_opfs() {
     let plans = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
     mw.on_plan_complete(&mut cluster, SimTime::ZERO, plans[0].tag);
     mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, MIB, 16 * KIB));
-    assert_eq!(mw.dmt().dirty_bytes(), 16 * KIB);
+    assert_eq!(mw.plane().dirty_bytes(), 16 * KIB);
 
     let now = SimTime::from_secs(1);
     quarantine_server_zero(&mut cluster, &mut mw, now);
@@ -151,7 +151,7 @@ fn quarantine_blocks_admission_and_serves_clean_reads_from_opfs() {
 fn fetches_pause_while_quarantined() {
     let (mut cluster, mut mw, f) = setup(64 * MIB);
     mw.plan_io(&mut cluster, SimTime::ZERO, &read_req(f, 0, 16 * KIB));
-    assert_eq!(mw.cdt().flagged(10).len(), 1);
+    assert_eq!(mw.plane().cdt_flagged(10).count(), 1);
     quarantine_server_zero(&mut cluster, &mut mw, SimTime::ZERO);
     let poll = mw.poll_background(&mut cluster, SimTime::from_secs(1));
     assert!(poll.plans.is_empty(), "no fetches into a sick tier");
@@ -176,7 +176,7 @@ fn offline_error_invalidates_lost_extents_once() {
     let plans = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
     mw.on_plan_complete(&mut cluster, SimTime::ZERO, plans[0].tag);
     mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, MIB, 16 * KIB));
-    let available = mw.space().available();
+    let allocated = mw.plane().allocated();
 
     let now = SimTime::from_secs(1);
     let d = mw.on_io_error(&mut cluster, now, &offline_failure(0));
@@ -184,8 +184,8 @@ fn offline_error_invalidates_lost_extents_once() {
     assert_eq!(mw.metrics().crash_invalidated_bytes, 16 * KIB);
     assert_eq!(mw.metrics().dirty_bytes_lost, 16 * KIB);
     assert_eq!(mw.metrics().quarantines, 1);
-    assert_eq!(mw.dmt().mapped_bytes(), 0, "all lost extents removed");
-    assert_eq!(mw.space().available(), available + 32 * KIB);
+    assert_eq!(mw.plane().mapped_bytes(), 0, "all lost extents removed");
+    assert_eq!(mw.plane().allocated(), allocated - 32 * KIB);
     assert!(mw.health().is_unhealthy(0, now));
     // The same outage is never accounted twice.
     mw.on_io_error(&mut cluster, now, &offline_failure(0));

@@ -15,9 +15,9 @@ fn critical_write_is_admitted_to_cservers() {
     let (mut cluster, mut mw, f) = setup(64 * MIB);
     let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 16 * KIB));
     assert_eq!(tiers_of(&plan), vec![Tier::CServers]);
-    assert_eq!(mw.dmt().mapped_bytes(), 16 * KIB);
-    assert_eq!(mw.dmt().dirty_bytes(), 16 * KIB);
-    assert!(mw.cdt().contains(f, 0, 16 * KIB));
+    assert_eq!(mw.plane().mapped_bytes(), 16 * KIB);
+    assert_eq!(mw.plane().dirty_bytes(), 16 * KIB);
+    assert!(mw.plane().cdt_contains(f, 0, 16 * KIB));
     assert_eq!(mw.metrics().writes_to_cache, 1);
     // The plan carries a journal write for the DMT mutation.
     let journal_ops: Vec<_> = plan
@@ -36,8 +36,8 @@ fn large_write_goes_to_dservers() {
     let (mut cluster, mut mw, f) = setup(64 * MIB);
     let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 8 * MIB));
     assert_eq!(tiers_of(&plan), vec![Tier::DServers]);
-    assert_eq!(mw.dmt().mapped_bytes(), 0);
-    assert!(!mw.cdt().contains(f, 0, 8 * MIB));
+    assert_eq!(mw.plane().mapped_bytes(), 0);
+    assert!(!mw.plane().cdt_contains(f, 0, 8 * MIB));
     assert_eq!(mw.metrics().writes_to_disk, 1);
 }
 
@@ -47,7 +47,7 @@ fn write_hit_updates_cache_and_stays_dirty() {
     mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 16 * KIB));
     let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 16 * KIB));
     assert_eq!(tiers_of(&plan), vec![Tier::CServers]);
-    assert_eq!(mw.dmt().mapped_bytes(), 16 * KIB, "no double mapping");
+    assert_eq!(mw.plane().mapped_bytes(), 16 * KIB, "no double mapping");
     assert_eq!(mw.metrics().writes_to_cache, 2);
 }
 
@@ -83,7 +83,7 @@ fn critical_read_miss_is_lazily_marked() {
     assert_eq!(tiers_of(&plan), vec![Tier::DServers]);
     // ...but flagged for the Rebuilder.
     assert_eq!(mw.metrics().lazy_marks, 1);
-    assert_eq!(mw.cdt().flagged(10).len(), 1);
+    assert_eq!(mw.plane().cdt_flagged(10).count(), 1);
 }
 
 #[test]
@@ -129,7 +129,7 @@ fn never_admit_policy_behaves_like_stock() {
     let w = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 16 * KIB));
     assert_eq!(tiers_of(&w), vec![Tier::DServers]);
     assert_eq!(mw.metrics().critical, 0);
-    assert!(mw.cdt().is_empty());
+    assert_eq!(mw.plane().cdt_len(), 0);
 }
 
 #[test]
@@ -156,7 +156,7 @@ fn eager_fetch_ablation_adds_cache_fill_phase() {
     assert_eq!(plan.phases.len(), 2, "read phase + cache-fill phase");
     assert!(plan.tag != 0);
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(1), plan.tag);
-    assert_eq!(mw.dmt().mapped_bytes(), 16 * KIB);
+    assert_eq!(mw.plane().mapped_bytes(), 16 * KIB);
     let again = mw.plan_io(
         &mut cluster,
         SimTime::from_secs(2),

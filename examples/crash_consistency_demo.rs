@@ -110,9 +110,9 @@ fn recover_and_report(label: &str, cluster: &mut Cluster) -> S4dCache {
     );
     println!(
         "  recovered mapping: {} KiB cached ({} KiB dirty), space allocated {} KiB",
-        mw.dmt().mapped_bytes() / KIB,
-        mw.dmt().dirty_bytes() / KIB,
-        mw.space().allocated() / KIB
+        mw.plane().mapped_bytes() / KIB,
+        mw.plane().dirty_bytes() / KIB,
+        mw.plane().allocated() / KIB
     );
     mw
 }
@@ -157,7 +157,7 @@ fn main() {
     let (mut mw, _) =
         S4dCache::recover_from_cluster(config(), CostParams::paper_testbed_small(), &mut cluster);
     let victim = mw
-        .dmt()
+        .plane()
         .iter_extents()
         .find(|(_, _, e)| !e.dirty)
         .map(|(f, o, e)| (f, o, *e));

@@ -2,8 +2,7 @@
 //! through the one fused executor (`s4d::cache::exec_plan_fused`), reading
 //! a range back through a middleware, and the structural invariants every
 //! recovered instance must satisfy. The checks read the plane's routed
-//! aggregates, so they hold at any shard count — the shard-0 views
-//! (`mw.dmt()`, `mw.space()`) would silently skip shards 1..n.
+//! aggregates, so they hold at any shard count.
 
 #![allow(dead_code)] // each test binary uses its own subset
 

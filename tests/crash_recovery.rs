@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use s4d::bench::{testbed, Testbed};
 use s4d::cache::names::JOURNAL_NAME;
-use s4d::cache::{journal, S4dCache, S4dConfig, DMT_RECORD_BYTES};
+use s4d::cache::{journal, RangeView, S4dCache, S4dConfig, DMT_RECORD_BYTES};
 use s4d::cost::CostParams;
 use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner};
 use s4d::pfs::{FileId, NetworkConfig};
@@ -68,18 +68,19 @@ fn journal_encodes_and_replays_a_real_run() {
     assert_eq!(report.tail_records, mw.metrics().journal_records_written);
 
     // Compare the mapping tables.
-    assert_eq!(recovered.dmt().mapped_bytes(), mw.dmt().mapped_bytes());
-    assert_eq!(recovered.dmt().entry_count(), mw.dmt().entry_count());
-    assert_eq!(recovered.dmt().dirty_bytes(), mw.dmt().dirty_bytes());
-    assert_eq!(recovered.space().allocated(), mw.space().allocated());
+    assert_eq!(recovered.plane().mapped_bytes(), mw.plane().mapped_bytes());
+    assert_eq!(recovered.plane().entry_count(), mw.plane().entry_count());
+    assert_eq!(recovered.plane().dirty_bytes(), mw.plane().dirty_bytes());
+    assert_eq!(recovered.plane().allocated(), mw.plane().allocated());
     // Byte-level agreement over the whole file (opfs assigns id 0 to the
     // first created file).
+    let (mut got, mut want) = (RangeView::default(), RangeView::default());
     for off in (0..8 * MIB).step_by(1 << 20) {
-        assert_eq!(
-            recovered.dmt().view(FileId(0), off, 1 << 20),
-            mw.dmt().view(FileId(0), off, 1 << 20),
-            "coverage diverged at offset {off}"
-        );
+        recovered
+            .plane()
+            .view_into(FileId(0), off, 1 << 20, &mut got);
+        mw.plane().view_into(FileId(0), off, 1 << 20, &mut want);
+        assert_eq!(got, want, "coverage diverged at offset {off}");
     }
 }
 
@@ -125,14 +126,14 @@ fn cached_bytes_survive_a_crash() {
     let report = runner.run();
     assert!(report.tiers.c_ops > 0, "writes must have been cached");
     let (mut cluster, mw, _) = runner.into_parts();
-    assert!(mw.dmt().dirty_bytes() > 0, "crash catches dirty data");
+    assert!(mw.plane().dirty_bytes() > 0, "crash catches dirty data");
     drop(mw); // the crash
 
     // Recovery: same cluster (CServer contents are persistent SSD state),
     // fresh middleware from the journal.
     let (recovered, _) =
         S4dCache::recover_from_cluster(config, CostParams::paper_testbed_small(), &mut cluster);
-    assert!(recovered.dmt().dirty_bytes() > 0, "dirtiness survives");
+    assert!(recovered.plane().dirty_bytes() > 0, "dirtiness survives");
 
     let mut reader = script().open("crash2.dat");
     for (off, _) in &finals {
@@ -192,10 +193,14 @@ fn recovery_at_every_prefix_is_sound() {
             S4dCache::recover_from_cluster(recovery_config(MIB), tb.cost_params(), &mut cluster);
         assert_eq!(report.tail_records, cut, "prefix {cut}");
         // mapped bytes equal the sum over extents, and fit the capacity.
-        let sum: u64 = recovered.dmt().iter_extents().map(|(_, _, e)| e.len).sum();
-        assert_eq!(sum, recovered.dmt().mapped_bytes(), "prefix {cut}");
-        assert!(recovered.space().allocated() <= recovered.space().capacity());
-        assert_eq!(recovered.space().allocated(), sum);
+        let sum: u64 = recovered
+            .plane()
+            .iter_extents()
+            .map(|(_, _, e)| e.len)
+            .sum();
+        assert_eq!(sum, recovered.plane().mapped_bytes(), "prefix {cut}");
+        assert!(recovered.plane().allocated() <= recovered.plane().capacity());
+        assert_eq!(recovered.plane().allocated(), sum);
         recovered_bytes += sum;
     }
     assert!(recovered_bytes > 0, "the sweep must recover real mappings");

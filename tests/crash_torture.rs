@@ -337,7 +337,7 @@ fn flush_idempotency_after_mid_flush_crash() {
     check_invariants(&cluster, &mw);
     // The torn flush never recorded its SetClean: the extent is still
     // dirty, so the flush is simply re-done — idempotently.
-    assert!(mw.dmt().dirty_bytes() > 0, "mid-flush crash leaves dirt");
+    assert!(mw.plane().dirty_bytes() > 0, "mid-flush crash leaves dirt");
     let file = mw.open(&mut cluster, Rank(0), "torture.dat").unwrap();
     for round in 0..40u64 {
         let now = SimTime::from_secs(100 + round);
@@ -349,7 +349,7 @@ fn flush_idempotency_after_mid_flush_crash() {
             break;
         }
     }
-    assert_eq!(mw.dmt().dirty_bytes(), 0, "re-flush completes");
+    assert_eq!(mw.plane().dirty_bytes(), 0, "re-flush completes");
     // After the re-flush, OPFS holds every acknowledged byte exactly.
     let opfs = cluster
         .opfs()
@@ -432,7 +432,7 @@ fn journal_before_ack_audit() {
     for i in 0..6u64 {
         let req = write_req(file, i * REQ, write_payload(i));
         let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &req);
-        assert_eq!(mw.dmt().pending_records(), 0, "unjournaled mutation");
+        assert_eq!(mw.plane().pending_records(), 0, "unjournaled mutation");
         // Data before metadata (DESIGN.md §9): at batch size 1 every
         // admission carries its journal frame, and that write is the
         // plan's final phase with nothing beside it — a mapping record
@@ -449,12 +449,12 @@ fn journal_before_ack_audit() {
         );
         assert!(plan.phases[plan.phases.len() - 1].iter().all(is_journal));
         assert!(run_plan(&mut cluster, &mut mw, None, &plan, SimTime::ZERO));
-        assert_eq!(mw.dmt().pending_records(), 0, "completion left records");
+        assert_eq!(mw.plane().pending_records(), 0, "completion left records");
     }
     for round in 0..10u64 {
         let now = SimTime::from_secs(1 + round);
         let poll = mw.poll_background(&mut cluster, now);
-        assert_eq!(mw.dmt().pending_records(), 0, "background left records");
+        assert_eq!(mw.plane().pending_records(), 0, "background left records");
         for plan in &poll.plans {
             assert!(run_plan(&mut cluster, &mut mw, None, plan, now));
         }

@@ -204,7 +204,7 @@ fn crash_during_recovery_is_reenterable_and_idempotent() {
         &mut probe_cluster,
     );
     let probe = probe_mw
-        .dmt()
+        .plane()
         .iter_extents()
         .filter(|(_, _, e)| !e.dirty && e.len >= 2)
         .map(|(_, _, e)| (e.c_file, e.c_offset, e.len))

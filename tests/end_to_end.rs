@@ -223,11 +223,11 @@ fn capacity_invariant_holds_after_pressure() {
     runner.run();
     let (_cluster, mw, _report) = runner.into_parts();
     assert!(
-        mw.space().allocated() <= capacity,
+        mw.plane().allocated() <= capacity,
         "allocated {} exceeds capacity {capacity}",
-        mw.space().allocated()
+        mw.plane().allocated()
     );
-    assert!(mw.dmt().mapped_bytes() <= capacity);
+    assert!(mw.plane().mapped_bytes() <= capacity);
     assert!(
         mw.metrics().admission_denied_space > 0,
         "pressure must have hit"
@@ -277,8 +277,8 @@ fn background_work_drains_clean() {
     let end = runner.drain_background(report.end_time);
     assert!(end >= report.end_time);
     let (_c, mw, _r) = runner.into_parts();
-    assert_eq!(mw.dmt().dirty_bytes(), 0, "drain must flush everything");
-    assert!(mw.cdt().flagged(1 << 20).is_empty() || mw.metrics().fetches > 0);
+    assert_eq!(mw.plane().dirty_bytes(), 0, "drain must flush everything");
+    assert!(mw.plane().cdt_flagged(1 << 20).next().is_none() || mw.metrics().fetches > 0);
 }
 
 #[test]

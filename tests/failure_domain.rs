@@ -147,7 +147,7 @@ fn hard_crash_rolls_back_to_durable_state_and_recovers() {
     assert!(m.quarantines >= 1);
     assert!(report.degraded.io_errors > 0, "the crash was observed");
     assert!(
-        runner.middleware().dmt().mapped_bytes() >= 16 * KIB,
+        runner.middleware().plane().mapped_bytes() >= 16 * KIB,
         "the post-recovery write was admitted to the cache again"
     );
     assert!(report.end_time >= SimTime::from_secs(4));

@@ -84,7 +84,7 @@ fn s4d_keeps_functioning_on_degraded_substrate() {
         8 * (32 * MIB / (16 * 1024)) / 8
     );
     let (_c, mw, _r) = runner.into_parts();
-    assert!(mw.space().allocated() <= mw.space().capacity());
+    assert!(mw.plane().allocated() <= mw.plane().capacity());
     assert!(report.tiers.c_ops > 0, "critical traffic still redirects");
 }
 

@@ -63,6 +63,17 @@ const FUSED_FLUSH_COPY: &str = "                let allowed = self.dur.fused_cop
                     (Tier::DServers, item.orig, item.d_offset),
                     item.len,
                 );\n";
+const EVICT_DURABLY: &str =
+    "        // `evict_clean_lru_excluding` removed the victims and queued\n";
+const EVICT_BEFORE_DURABLE: &str = "        if !victims.is_empty() {
+            for (_file, _d_off, ext) in &victims {
+                self.plane.release(shard, ext.c_file, ext.c_offset, ext.len);
+                self.metrics.evictions += 1;
+                self.metrics.evicted_bytes += ext.len;
+            }
+            return self.plane.fits(shard, len);
+        }
+        // `evict_clean_lru_excluding` removed the victims and queued\n";
 const INTENT_APPEND: &str = "        match self
             .dur
             .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
@@ -183,6 +194,10 @@ fn rows() -> Vec<Row> {
         row("journal-frame-charged-as-data", "crates/core/src/durability/crash.rs",
             "                } else {\n                    CrashSite::JournalWrite\n                };", "                } else {\n                    CrashSite::DataWrite\n                };",
             Test("crash_torture", "crash_matrix_every_budget_recovers"), "never exercised JournalWrite"),
+        // The chaos oracle's self-test: victims' space is reused while
+        // their Remove records are still only in memory.
+        row("eviction-reuses-space-before-durable-remove", ADMIT, EVICT_DURABLY, EVICT_BEFORE_DURABLE,
+            Test("chaos_smoke", "fixed_seed_block_is_green"), "minimized to 1 event"),
     ]
 }
 

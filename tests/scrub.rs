@@ -52,7 +52,7 @@ fn drain(cluster: &mut Cluster, mw: &mut S4dCache, from_s: u64) {
 /// Flips one cached byte of the extent mapping `d_offset`, returning the
 /// extent's length. Models SSD bit rot under a valid seal.
 fn flip_cached_byte(cluster: &mut Cluster, mw: &S4dCache, file: FileId, d_offset: u64) -> u64 {
-    let e = *mw.dmt().get(file, d_offset).expect("extent mapped");
+    let e = *mw.plane().get(file, d_offset).expect("extent mapped");
     let current = cluster
         .cpfs()
         .read_bytes(e.c_file, e.c_offset + 3, 1)
@@ -88,7 +88,7 @@ fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
     // Flush everything clean (and sealed); the scrubber also runs each
     // wake but has nothing to repair yet.
     drain(&mut cluster, &mut mw, 1);
-    assert_eq!(mw.dmt().dirty_bytes(), 0);
+    assert_eq!(mw.plane().dirty_bytes(), 0);
     assert_eq!(mw.metrics().scrub_repaired_bytes, 0);
     assert!(mw.metrics().scrub_scanned_bytes > 0, "scrubber patrols");
 
@@ -102,7 +102,7 @@ fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
     // still routed to the cache — return the written content.
     let got = read_through(&mut cluster, &mut mw, file, REQ, REQ);
     assert_eq!(got, shadow[REQ as usize..2 * REQ as usize].to_vec());
-    let e = *mw.dmt().get(file, REQ).expect("extent still mapped");
+    let e = *mw.plane().get(file, REQ).expect("extent still mapped");
     let cached = cluster
         .cpfs()
         .read_bytes(e.c_file, e.c_offset, e.len)
@@ -128,9 +128,9 @@ fn corrupt_dirty_extent_is_reported_and_never_served() {
         .apply_bytes(file, 0, FILE_LEN, Some(&seed))
         .unwrap();
     app_write(&mut cluster, &mut mw, file, 0, payload(9));
-    assert_eq!(mw.dmt().dirty_bytes(), REQ);
+    assert_eq!(mw.plane().dirty_bytes(), REQ);
     assert!(
-        mw.dmt().get(file, 0).unwrap().checksum.is_some(),
+        mw.plane().get(file, 0).unwrap().checksum.is_some(),
         "dirty extents are sealed at admission completion"
     );
 
@@ -155,8 +155,8 @@ fn corrupt_dirty_extent_is_reported_and_never_served() {
     assert_eq!(mw.metrics().scrub_lost_bytes, len, "loss is reported");
     assert_eq!(mw.metrics().dirty_bytes_lost, len);
     assert_eq!(mw.metrics().scrub_repaired_bytes, 0);
-    assert!(mw.dmt().get(file, 0).is_none(), "the mapping is gone");
-    assert_eq!(mw.space().allocated(), 0, "the cache space is released");
+    assert!(mw.plane().get(file, 0).is_none(), "the mapping is gone");
+    assert_eq!(mw.plane().allocated(), 0, "the cache space is released");
 }
 
 #[test]
@@ -215,7 +215,7 @@ fn torn_overwrite_of_a_sealed_dirty_extent_survives_recovery_and_scrub() {
     let (mut mw, _) =
         S4dCache::recover_from_cluster(config, CostParams::paper_testbed_small(), &mut cluster);
     let file = mw.open(&mut cluster, Rank(0), "torn.dat").unwrap();
-    assert!(mw.dmt().get(file, 0).is_some_and(|e| e.dirty));
+    assert!(mw.plane().get(file, 0).is_some_and(|e| e.dirty));
     drain(&mut cluster, &mut mw, 1);
     assert!(mw.metrics().scrub_scanned_bytes > 0, "scrubber patrols");
     assert_eq!(mw.metrics().scrub_lost_bytes, 0, "a torn write is not rot");
