@@ -348,7 +348,7 @@ impl S4dCache {
         let mut plans = if self.config.persistent_placement {
             Vec::new()
         } else {
-            self.build_flushes(cluster, now)
+            self.build_flushes(cluster)
         };
         self.build_fetches(cluster, now, &mut plans);
         if self.config.scrub_bytes_per_wake > 0 {

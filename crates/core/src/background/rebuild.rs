@@ -23,30 +23,15 @@ use super::{FetchPiece, FlushItem, Pending};
 /// Maximum critical read ranges fetched per wake.
 const MAX_FETCH_PER_WAKE: usize = 64;
 
-/// Latency-EWMA ratio (observed / predicted `T_C`) above which a server
-/// counts as at-risk for `flush_on_risk`. Sub-request latency includes
-/// queueing, so this must sit well above 1.
-const DEGRADED_LATENCY_RATIO: f64 = 8.0;
-
 impl S4dCache {
     /// Builds the Rebuilder's flush plans (dirty cache data → DServers,
     /// §III.F step 1). Adjacent dirty extents of a file are grouped into
     /// one plan: phase 1 reads the cached bytes, phase 2 writes them to
     /// the original file as a single sequential op.
-    pub(crate) fn build_flushes(&mut self, cluster: &mut Cluster, now: SimTime) -> Vec<Plan> {
-        // With `flush_on_risk`, a CServer showing trouble (quarantine, a
-        // recent failure, or a latency EWMA above the threshold) triggers
-        // flushing *everything* dirty — shrinking the data-loss window a
-        // subsequent crash could hit.
-        let limit =
-            if self.config.flush_on_risk && self.health.any_at_risk(now, DEGRADED_LATENCY_RATIO) {
-                usize::MAX
-            } else {
-                self.config.max_flush_per_wake
-            };
+    pub(crate) fn build_flushes(&mut self, cluster: &mut Cluster) -> Vec<Plan> {
         let mut candidates: Vec<_> = self
             .plane
-            .dirty_lru(limit)
+            .dirty_lru(self.config.max_flush_per_wake)
             .filter(|(f, d, _)| !self.bg.inflight_flush.contains(&(*f, *d)))
             .collect();
         candidates.sort_by_key(|(f, d, _)| (f.0, *d));

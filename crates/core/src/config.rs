@@ -71,10 +71,6 @@ pub struct S4dConfig {
     /// How long a quarantined CServer receives no new admissions before
     /// probation re-admits it.
     pub quarantine_duration: SimDuration,
-    /// When true, the Rebuilder flushes *all* dirty data (ignoring
-    /// `max_flush_per_wake`) whenever any CServer looks at risk — trades
-    /// background traffic for a smaller data-loss window.
-    pub flush_on_risk: bool,
     /// Journal records (since the last checkpoint) that trigger a new DMT
     /// checkpoint. Compaction keeps crash recovery proportional to live
     /// extents plus the journal tail instead of all mutations ever made.
@@ -145,7 +141,6 @@ impl S4dConfig {
             retry_max_attempts: 4,
             quarantine_after: 3,
             quarantine_duration: SimDuration::from_secs(10),
-            flush_on_risk: false,
             checkpoint_after_records: 8192,
             checkpoint_after_bytes: 8 * 1024 * 1024,
             scrub_bytes_per_wake: 0,
@@ -236,13 +231,6 @@ impl S4dConfig {
         assert!(!duration.is_zero(), "quarantine duration must be positive");
         self.quarantine_after = after;
         self.quarantine_duration = duration;
-        self
-    }
-
-    /// Enables eager flushing of all dirty data while any CServer is at
-    /// risk.
-    pub fn with_flush_on_risk(mut self, on: bool) -> Self {
-        self.flush_on_risk = on;
         self
     }
 
@@ -369,14 +357,12 @@ mod tests {
     fn failure_domain_builders() {
         let c = S4dConfig::new(1)
             .with_retry_policy(SimDuration::from_millis(1), SimDuration::from_millis(8), 6)
-            .with_quarantine(2, SimDuration::from_secs(30))
-            .with_flush_on_risk(true);
+            .with_quarantine(2, SimDuration::from_secs(30));
         assert_eq!(c.retry_base_delay, SimDuration::from_millis(1));
         assert_eq!(c.retry_max_delay, SimDuration::from_millis(8));
         assert_eq!(c.retry_max_attempts, 6);
         assert_eq!(c.quarantine_after, 2);
         assert_eq!(c.quarantine_duration, SimDuration::from_secs(30));
-        assert!(c.flush_on_risk);
         // The cap never drops below the base.
         let c = S4dConfig::new(1).with_retry_policy(
             SimDuration::from_millis(10),

@@ -1,12 +1,11 @@
-//! Fault handling: retry/backoff directives, latency observation, and
-//! CServer crash invalidation.
+//! Fault handling: retry/backoff directives and CServer crash
+//! invalidation.
 //!
-//! The decision bodies behind `Middleware::on_io_error` and
-//! `on_io_complete` live here, next to [`S4dCache::handle_crash`] — the
-//! one failure path that mutates cache metadata (and therefore goes
-//! through the durability engine's journal-before-discard handle).
+//! The decision body behind `Middleware::on_io_error` lives here, next to
+//! [`S4dCache::handle_crash`] — the one failure path that mutates cache
+//! metadata (and therefore goes through the durability engine's
+//! journal-before-discard handle).
 
-use s4d_cost::{t_cservers, SmMode};
 use s4d_mpiio::{Cluster, ErrorDirective, SubIoFailure, Tier};
 use s4d_pfs::{FileId, IoFault};
 use s4d_sim::{SimDuration, SimTime};
@@ -160,31 +159,5 @@ impl S4dCache {
                 }
             }
         }
-    }
-
-    /// The `Middleware::on_io_complete` observation: feed the
-    /// observed-over-predicted latency ratio into the health EWMA.
-    pub(crate) fn record_latency(
-        &mut self,
-        tier: Tier,
-        server: usize,
-        len: u64,
-        latency: SimDuration,
-    ) {
-        if tier != Tier::CServers {
-            return;
-        }
-        self.health.ensure_servers(server + 1);
-        // Observed-over-predicted latency feeds the degradation EWMA. The
-        // prediction is the cost model's T_C for a request of this size;
-        // the observation includes queueing, so the ratio is noisy — the
-        // EWMA and a generous threshold absorb that.
-        let predicted = t_cservers(self.evaluator.params(), 0, len, SmMode::Table2);
-        let ratio = if predicted > 0.0 {
-            latency.as_secs_f64() / predicted
-        } else {
-            1.0
-        };
-        self.health.record_success(server, ratio);
     }
 }

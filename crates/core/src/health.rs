@@ -1,12 +1,11 @@
-//! Per-CServer health tracking: failure counting, latency EWMA, and the
-//! quarantine state machine.
+//! Per-CServer health tracking: failure counting and the quarantine state
+//! machine.
 //!
 //! The paper assumes a healthy SSD tier; a real deployment must notice
-//! when a CServer stops being one. The monitor ingests two signals the
-//! middleware already sees for free — I/O errors and per-sub-request
-//! latency versus the cost model's predicted `T_C` — and condenses them
-//! into a per-server answer to one question: *should new work be sent
-//! there?*
+//! when a CServer stops being one. The monitor ingests one signal the
+//! middleware already sees for free — per-sub-request I/O errors, plus
+//! the successes that clear them — and condenses it into a per-server
+//! answer to one question: *should new work be sent there?*
 //!
 //! State machine per server:
 //!
@@ -21,9 +20,6 @@
 
 use s4d_sim::SimTime;
 
-/// Exponential-moving-average weight for the latency ratio.
-const EWMA_ALPHA: f64 = 0.2;
-
 /// Cap on the quarantine-backoff exponent: repeated probation failures
 /// double the quarantine up to `2^MAX_BACKOFF_EXP ×` the configured
 /// duration, so a flapping server cannot push the window to infinity.
@@ -34,10 +30,6 @@ const MAX_BACKOFF_EXP: u32 = 6;
 pub struct ServerHealth {
     /// Consecutive failed sub-requests (reset on any success).
     pub consecutive_failures: u32,
-    /// EWMA of observed latency / predicted `T_C` (`None` until the
-    /// first observation). Values well above 1 mean the server is slower
-    /// than the cost model believes — queueing or degradation.
-    pub latency_ratio: Option<f64>,
     /// End of the current quarantine, if any. Once it passes the server
     /// is on probation: routing resumes, but the next failure
     /// re-quarantines immediately.
@@ -90,10 +82,9 @@ impl HealthMonitor {
         self.servers.get(index)
     }
 
-    /// Records a successful operation with its observed-over-predicted
-    /// latency ratio. Ends any quarantine (the server proved itself) and
-    /// clears the crash marker.
-    pub fn record_success(&mut self, index: usize, ratio: f64) {
+    /// Records a successful operation. Ends any quarantine (the server
+    /// proved itself), clears the crash marker and resets the backoff.
+    pub fn record_success(&mut self, index: usize) {
         let Some(s) = self.servers.get_mut(index) else {
             return; // unknown server: nothing to record
         };
@@ -101,12 +92,6 @@ impl HealthMonitor {
         s.quarantined_until = None;
         s.crash_handled = false;
         s.backoff_exp = 0;
-        if ratio.is_finite() && ratio >= 0.0 {
-            s.latency_ratio = Some(match s.latency_ratio {
-                Some(prev) => prev * (1.0 - EWMA_ALPHA) + ratio * EWMA_ALPHA,
-                None => ratio,
-            });
-        }
     }
 
     /// Records a failed operation. Quarantines the server until
@@ -183,17 +168,6 @@ impl HealthMonitor {
     pub fn any_unhealthy(&self, now: SimTime) -> bool {
         self.servers.iter().any(|s| s.is_quarantined(now))
     }
-
-    /// True if any server shows signs of trouble: quarantine, a recent
-    /// failure, or a latency EWMA above `ratio_threshold`. Drives the
-    /// `flush_on_risk` eager-flush policy.
-    pub fn any_at_risk(&self, now: SimTime, ratio_threshold: f64) -> bool {
-        self.servers.iter().any(|s| {
-            s.is_quarantined(now)
-                || s.consecutive_failures > 0
-                || s.latency_ratio.is_some_and(|r| r > ratio_threshold)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -232,28 +206,11 @@ mod tests {
             m.record_failure(0, t(i), 3, Q);
         }
         assert!(m.is_unhealthy(0, t(3)));
-        m.record_success(0, 1.0);
+        m.record_success(0);
         assert!(!m.is_unhealthy(0, t(3)));
         assert_eq!(m.server(0).unwrap().consecutive_failures, 0);
         // Counter restarts from scratch.
         assert!(!m.record_failure(0, t(5), 3, Q));
-    }
-
-    #[test]
-    fn ewma_tracks_latency_ratio() {
-        let mut m = HealthMonitor::new(1);
-        m.record_success(0, 1.0);
-        assert_eq!(m.server(0).unwrap().latency_ratio, Some(1.0));
-        for _ in 0..50 {
-            m.record_success(0, 20.0);
-        }
-        let r = m.server(0).unwrap().latency_ratio.unwrap();
-        assert!(r > 15.0, "EWMA converges towards sustained ratio: {r}");
-        assert!(m.any_at_risk(t(0), 8.0));
-        assert!(!m.any_at_risk(t(0), 100.0));
-        // Garbage ratios are ignored.
-        m.record_success(0, f64::NAN);
-        assert!(m.server(0).unwrap().latency_ratio.unwrap().is_finite());
     }
 
     #[test]
@@ -266,7 +223,7 @@ mod tests {
         assert!(m.claim_crash_handling(1));
         assert!(!m.claim_crash_handling(1));
         // Recovery (a success) re-arms the claim for a future crash.
-        m.record_success(1, 1.0);
+        m.record_success(1);
         assert!(m.claim_crash_handling(1));
         // Extending never shortens.
         m.quarantine(0, t(0), t(20));
@@ -275,25 +232,15 @@ mod tests {
     }
 
     #[test]
-    fn at_risk_considers_recent_failures() {
-        let mut m = HealthMonitor::new(1);
-        assert!(!m.any_at_risk(t(0), 8.0));
-        m.record_failure(0, t(0), 5, Q);
-        assert!(m.any_at_risk(t(0), 8.0), "one failure is already a risk");
-    }
-
-    #[test]
     fn ensure_servers_grows_only() {
         let mut m = HealthMonitor::default();
         m.ensure_servers(3);
         assert_eq!(m.server_count(), 3);
         m.record_failure(2, t(0), 1, Q);
-        m.record_success(1, 4.0);
         m.ensure_servers(2);
         assert_eq!(m.server_count(), 3, "never shrinks");
         m.ensure_servers(4);
         assert!(m.is_unhealthy(2, t(0)), "quarantine survives growth");
-        assert_eq!(m.server(1).unwrap().latency_ratio, Some(4.0));
         assert_eq!(m.server(3), Some(&ServerHealth::default()));
     }
 
@@ -325,7 +272,7 @@ mod tests {
         let until = m.server(0).unwrap().quarantined_until.unwrap();
         assert_eq!(until - start, Q * 64, "capped at 64×");
         // A success resets the ladder: the next quarantine is 10s again.
-        m.record_success(0, 1.0);
+        m.record_success(0);
         assert!(m.record_failure(0, t(1000), 1, Q));
         let s = m.server(0).unwrap();
         assert_eq!(s.quarantined_until, Some(t(1010)));

@@ -45,7 +45,7 @@ pub struct S4dCache {
     pub(crate) plane: MetadataPlane,
     /// Original file → its per-shard cache files in CPFS (index = shard).
     pub(crate) cache_file_of: HashMap<FileId, Vec<FileId>>,
-    /// Per-CServer health: failure counts, latency EWMA, quarantine.
+    /// Per-CServer health: failure counts, quarantine, backoff.
     pub(crate) health: HealthMonitor,
     pub(crate) metrics: S4dMetrics,
     /// Journal, checkpoint slots, crash fuse — everything durable.
@@ -270,10 +270,14 @@ impl Middleware for S4dCache {
         tier: Tier,
         server: usize,
         _kind: IoKind,
-        len: u64,
-        latency: SimDuration,
+        _len: u64,
+        _latency: SimDuration,
     ) {
-        self.record_latency(tier, server, len, latency);
+        // A completed CServer op ends probation, re-arms crash handling
+        // and resets the backoff ladder.
+        if tier == Tier::CServers {
+            self.health.record_success(server);
+        }
     }
 
     fn on_deadline(

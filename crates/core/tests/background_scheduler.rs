@@ -198,37 +198,6 @@ fn failed_plan_releases_pins_and_markers() {
 }
 
 #[test]
-fn flush_on_risk_floods_dirty_data() {
-    let mut cluster = Cluster::paper_testbed_small(9);
-    // Keep the per-wake trickle tiny so the flood is observable.
-    let mut mw = S4dCache::new(
-        S4dConfig::new(64 * MIB)
-            .with_flush_on_risk(true)
-            .with_max_flush_per_wake(1),
-        params_small(),
-    );
-    let f = mw.open(&mut cluster, Rank(0), "data").unwrap();
-    for i in 0..4u64 {
-        // Non-adjacent extents so they cannot merge into one group.
-        mw.plan_io(
-            &mut cluster,
-            SimTime::ZERO,
-            &write_req(f, i * MIB, 16 * KIB),
-        );
-    }
-    let plans = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
-    assert_eq!(plans.len(), 1, "healthy tier: trickle of one per wake");
-    // One failure marks the tier at risk: everything dirty flushes.
-    mw.on_io_error(
-        &mut cluster,
-        SimTime::ZERO,
-        &common::transient_failure(0, 1),
-    );
-    let plans = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
-    assert_eq!(plans.len(), 3, "at risk: all remaining dirty extents");
-}
-
-#[test]
 fn crashed_flush_in_flight_does_not_corrupt_source_file() {
     let (mut cluster, mut mw, f) = setup(64 * MIB);
     mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 16 * KIB));

@@ -85,8 +85,8 @@ pub trait Middleware {
     }
 
     /// Called for every successfully completed sub-request with its
-    /// submit-to-completion latency — the health monitor's signal for
-    /// detecting degraded (slow) servers. Default: ignored.
+    /// submit-to-completion latency — the success signal that lets a
+    /// middleware clear a server's failure state. Default: ignored.
     fn on_io_complete(
         &mut self,
         _tier: Tier,

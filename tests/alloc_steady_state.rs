@@ -15,7 +15,7 @@
 //! the pfs split, the runner's sub-request bookkeeping or the extent
 //! store's range removal fails here first. This test is the mutation
 //! gate's killer for `alloc-in-hot-path`
-//! (`crates/lint/tests/mutation_gate.rs`), which a `vec![…]` per
+//! (`tests/mutation_gate.rs`), which a `vec![…]` per
 //! critical request (4.84) passed under the earlier ceiling of 5.2.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -1,9 +1,12 @@
-//! Tier-1 gate: every `S4dConfig` builder has a caller.
+//! Tier-1 gate: every `S4dConfig` builder has a caller, and the field
+//! count is pinned.
 //!
 //! ROADMAP aim 2 — every knob points at a number or a caught bug. A
 //! `with_*` builder nothing in the workspace calls is an option no test,
 //! figure, example or chaos schedule has ever turned on; it goes, with
-//! the code only it reaches, rather than ship unmeasured.
+//! the code only it reaches, rather than ship unmeasured. The pinned
+//! field count makes the knob census ratchet: a new field edits the pin
+//! in its own diff.
 
 use std::path::Path;
 
@@ -46,5 +49,30 @@ fn every_config_builder_has_a_caller() {
     assert!(
         uncalled.is_empty(),
         "S4dConfig builders nothing calls: {uncalled:?}"
+    );
+}
+
+/// `S4dConfig`'s `pub` fields. Deleting a knob lowers this; adding one
+/// raises it, visibly, in the same change.
+const CONFIG_FIELDS: usize = 23;
+
+#[test]
+fn config_field_count_is_pinned() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let config = std::fs::read_to_string(root.join("crates/core/src/config.rs")).unwrap();
+    let body = config
+        .split("pub struct S4dConfig {")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}").next())
+        .expect("config.rs defines `pub struct S4dConfig { … }`");
+    let fields: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("    pub "))
+        .filter_map(|l| l.split(':').next())
+        .collect();
+    assert_eq!(
+        fields.len(),
+        CONFIG_FIELDS,
+        "S4dConfig fields changed; move the pin in the same diff: {fields:?}"
     );
 }

@@ -9,8 +9,8 @@ use std::rc::Rc;
 use s4d::bench::testbed;
 use s4d::cache::{S4dCache, S4dConfig};
 use s4d::mpiio::{
-    script, Cluster, ErrorDirective, IoObserver, Middleware, Rank, Runner, ScriptBuilder,
-    SubIoFailure, Tier,
+    script, AppRequest, Cluster, ErrorDirective, IoObserver, Middleware, Rank, Runner,
+    ScriptBuilder, SubIoFailure, Tier,
 };
 use s4d::pfs::{FaultPlan, IoFault, ServerFault};
 use s4d::sim::{SimDuration, SimTime};
@@ -86,7 +86,8 @@ fn build(
 /// the last flushed version on OPFS and the loss is surfaced — while
 /// clean extents are invalidated and re-fetched from OPFS, so every read
 /// still returns correct durable data. After the server recovers and its
-/// quarantine lapses, admission resumes.
+/// quarantine lapses, admission resumes, and the first completed CServer
+/// op re-arms crash handling so the next outage is invalidated too.
 #[test]
 fn hard_crash_rolls_back_to_durable_state_and_recovers() {
     let config = S4dConfig::new(64 * 1024 * KIB)
@@ -125,7 +126,7 @@ fn hard_crash_rolls_back_to_durable_state_and_recovers() {
     let Setup {
         mut runner,
         failures,
-    } = build(17, config, fault, b, expected);
+    } = build(17, config.clone(), fault, b, expected);
     let report = runner.run();
     assert!(
         failures.borrow().is_empty(),
@@ -151,6 +152,49 @@ fn hard_crash_rolls_back_to_durable_state_and_recovers() {
         "the post-recovery write was admitted to the cache again"
     );
     assert!(report.end_time >= SimTime::from_secs(4));
+
+    // Crash handling runs once per outage, and only a success ends the
+    // outage: a write admitted after the quarantine lapses and completed
+    // on the server must be invalidated by the server's next crash.
+    let mut cluster = Cluster::paper_testbed_small(17);
+    let mut mw = S4dCache::new(config, testbed(17).cost_params());
+    let file = mw.open(&mut cluster, Rank(0), "again.dat").expect("open");
+    let crash = SubIoFailure {
+        tier: Tier::CServers,
+        server: 0,
+        kind: IoKind::Write,
+        len: 16 * KIB,
+        error: IoFault::Offline,
+        attempts: 1,
+        overhead: false,
+    };
+    for (which, offset, secs) in [("first", 0, 10), ("second", 1024 * KIB, 20)] {
+        let now = SimTime::from_secs(secs);
+        let write = AppRequest {
+            rank: Rank(0),
+            file,
+            kind: IoKind::Write,
+            offset,
+            len: 16 * KIB,
+            data: None,
+        };
+        mw.plan_io(&mut cluster, now, &write);
+        assert_eq!(mw.plane().mapped_bytes(), 16 * KIB, "{which} write cached");
+        mw.on_io_complete(
+            Tier::CServers,
+            0,
+            IoKind::Write,
+            16 * KIB,
+            SimDuration::ZERO,
+        );
+        let directive = mw.on_io_error(&mut cluster, now, &crash);
+        assert_eq!(directive, ErrorDirective::GiveUp);
+        assert_eq!(
+            mw.plane().mapped_bytes(),
+            0,
+            "the {which} crash must invalidate the extent cached before it"
+        );
+    }
 }
 
 /// A window of transient CServer errors: every failure is retried with

@@ -183,6 +183,9 @@ fn rows() -> Vec<Row> {
         row("journal-before-data", ADMIT,
             "            plan.phases.push(vec![op]);", "            plan.phases.insert(0, vec![op]);",
             Test("crash_torture", "journal_before_ack_audit"), "journal write must be the last phase only"),
+        row("completion-no-longer-signals-success", "crates/core/src/layer.rs",
+            "self.health.record_success(server);", "let _ = server;",
+            Test("failure_domain", "hard_crash_rolls_back_to_durable_state_and_recovers"), "the second crash must invalidate"),
         row("retry-cap-removed", FAULTS,
             "IoFault::Transient if failure.attempts < self.config.retry_max_attempts => {", "IoFault::Transient => {",
             Test("failure_domain", "transient_errors_are_retried_without_degradation"), "at the cap"),
