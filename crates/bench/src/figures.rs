@@ -371,9 +371,9 @@ fn fig10_tileio(scale: Scale) -> Vec<Table> {
 }
 
 /// Figure 11: runtime overhead when S4D-Cache cannot help. 32 processes
-/// write a shared 10 GB file randomly with every request forced to miss,
-/// so only the bookkeeping (cost evaluation, CDT/DMT lookups) remains; the
-/// paper calls the overhead "almost unobservable".
+/// write a shared 10 GB file randomly under `NeverAdmit`, so every
+/// request misses and only the bookkeeping (cost evaluation, CDT/DMT
+/// lookups) remains; the paper calls the overhead "almost unobservable".
 fn fig11_overhead(scale: Scale) -> Vec<Table> {
     let tb = testbed(SEED);
     let mut rows = Vec::new();
@@ -392,14 +392,15 @@ fn fig11_overhead(scale: Scale) -> Vec<Table> {
             .scripts()
         };
         let stock = run_stock(&tb, mk(), Vec::new());
-        // force_miss: all the decision work, none of the redirection.
-        let config = S4dConfig::new(1 << 30).with_force_miss(true);
+        // NeverAdmit is the Fig. 11 probe: all the decision work, none of
+        // the redirection.
+        let config = S4dConfig::new(1 << 30).with_admission(AdmissionPolicy::NeverAdmit);
         let s4d = run_s4d(&tb, config, mk(), Vec::new());
         rows.push(row(format!("{req_kib} KiB"), [writes(&stock, &s4d)]));
     }
     vec![Table {
         title: "Fig. 11 — all-miss overhead probe (random writes, no redirection)",
-        header: &["req size", "stock MiB/s", "s4d(force-miss) MiB/s", "delta"],
+        header: &["req size", "stock MiB/s", "s4d(never-admit) MiB/s", "delta"],
         rows,
         note: "paper shape: deltas within noise — the middleware's overhead is negligible",
     }]
@@ -548,7 +549,7 @@ fn ablation_policies(scale: Scale) -> Vec<Table> {
         ("never-admit", benefit().with_admission(NeverAdmit)),
         ("size<64KiB", benefit().with_admission(SizeBelow(64 << 10))),
         ("benefit+eager-fetch", benefit().with_eager_read_fetch(true)),
-        ("carl-placement", benefit().with_persistent_placement(true)),
+        ("carl-placement", benefit().with_max_flush_per_wake(0)),
     ] {
         let s4d = run_s4d(&tb, config, mixed_scripts(&instances), Vec::new());
         rows.push(policy_row(name, &s4d.report));

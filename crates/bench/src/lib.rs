@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod experiments;
 pub mod figures;

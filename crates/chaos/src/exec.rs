@@ -149,7 +149,7 @@ fn config(schedule: &Schedule) -> S4dConfig {
     if wl.ckpt_records == u64::MAX {
         base
     } else {
-        base.with_checkpoint_thresholds(wl.ckpt_records, u64::MAX)
+        base.with_checkpoint_after(wl.ckpt_records)
     }
 }
 

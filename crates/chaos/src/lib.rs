@@ -22,6 +22,7 @@
 #![deny(clippy::iter_over_hash_type)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod exec;
 pub mod minimize;

@@ -317,13 +317,6 @@ impl S4dCache {
         cluster: &mut Cluster,
         now: SimTime,
     ) -> BackgroundPoll {
-        if self.config.force_miss {
-            return BackgroundPoll {
-                plans: Vec::new(),
-                next_wake: Some(now + self.config.rebuild_period),
-                work_pending: false,
-            };
-        }
         // A stalled journal (ENOSPC / media error under the append) blocks
         // every durable effect; retry it first so the rest of the wake can
         // make progress, then finish any discard/release work that was
@@ -343,13 +336,7 @@ impl S4dCache {
                 }
             }
         }
-        // CARL-style placement keeps data on the CServers for good:
-        // nothing is ever written back, so there is nothing to flush.
-        let mut plans = if self.config.persistent_placement {
-            Vec::new()
-        } else {
-            self.build_flushes(cluster)
-        };
+        let mut plans = self.build_flushes(cluster);
         self.build_fetches(cluster, now, &mut plans);
         if self.config.scrub_bytes_per_wake > 0 {
             self.run_scrub(cluster);
@@ -382,7 +369,7 @@ impl S4dCache {
             || self.bg.any_blocking()
             || self.dur.is_stalled()
             || !self.stalled_discards.is_empty()
-            || (!self.config.persistent_placement && self.plane.dirty_bytes() > 0);
+            || (self.config.max_flush_per_wake > 0 && self.plane.dirty_bytes() > 0);
         BackgroundPoll {
             plans,
             next_wake: Some(now + self.config.rebuild_period),

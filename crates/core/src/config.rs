@@ -14,7 +14,9 @@ pub enum AdmissionPolicy {
     Benefit,
     /// Admit everything (a conventional non-selective cache).
     AlwaysAdmit,
-    /// Admit nothing (stock behaviour with S4D bookkeeping overhead).
+    /// Admit nothing: every lookup and cost evaluation runs but nothing
+    /// is redirected, so stock behaviour plus S4D's bookkeeping overhead
+    /// (the Fig. 11 probe).
     NeverAdmit,
     /// Admit requests strictly smaller than the threshold, ignoring
     /// randomness (a naive size-based heuristic).
@@ -29,30 +31,22 @@ pub struct S4dConfig {
     pub cache_capacity: u64,
     /// Rebuilder wake period (§III.F "triggered periodically").
     pub rebuild_period: SimDuration,
-    /// Maximum dirty extents flushed per wake (`0`: the Rebuilder
-    /// flushes nothing).
+    /// Maximum dirty extents flushed per wake. `0` is CARL-style
+    /// persistent placement (the paper's predecessor system, §II.C):
+    /// the Rebuilder never flushes, so dirty CServer space is never
+    /// reclaimed and, once full, further critical data stays on the
+    /// DServers.
     pub max_flush_per_wake: usize,
     /// Maximum entries the Critical Data Table retains (oldest evicted).
     pub cdt_max_entries: usize,
     /// Admission policy (the paper's is the default).
     pub admission: AdmissionPolicy,
-    /// Fig. 11 mode: perform every lookup and cost evaluation but never
-    /// redirect, so the middleware's bookkeeping overhead can be measured
-    /// in isolation.
-    pub force_miss: bool,
     /// DMT journal group-commit size: mutation records accumulate and are
     /// written to the CServer journal file once this many are pending (the
     /// paper's Berkeley DB layer provides the same effect through its
     /// write-ahead log's group commit). `1` journals synchronously with
     /// every mutating request.
     pub journal_batch_records: u64,
-    /// CARL-style persistent placement (the paper's predecessor system,
-    /// §II.C): critical data is *placed* on the CServers permanently
-    /// instead of cached — the Rebuilder never flushes, so CServer space
-    /// is never reclaimed and, once full, further critical data stays on
-    /// the DServers. Isolates what the paper's cache semantics (write-back
-    /// + eviction) add over static placement.
-    pub persistent_placement: bool,
     /// When true, critical read misses are fetched *eagerly* as part of the
     /// request (ablation); the paper's design is lazy (`false`): the miss is
     /// only marked in the CDT and the Rebuilder fetches later, keeping read
@@ -74,10 +68,9 @@ pub struct S4dConfig {
     /// Journal records (since the last checkpoint) that trigger a new DMT
     /// checkpoint. Compaction keeps crash recovery proportional to live
     /// extents plus the journal tail instead of all mutations ever made.
+    /// Records are fixed [`crate::DMT_RECORD_BYTES`]-byte frames, so this
+    /// count also bounds the journal bytes since the last checkpoint.
     pub checkpoint_after_records: u64,
-    /// Journal bytes (since the last checkpoint) that trigger a new DMT
-    /// checkpoint; whichever of the two thresholds trips first wins.
-    pub checkpoint_after_bytes: u64,
     /// Cached bytes the background scrubber verifies per Rebuilder wake.
     /// `0` disables scrubbing. The scrubber recomputes each sealed
     /// extent's checksum, repairs corrupted *clean* extents from the
@@ -132,9 +125,7 @@ impl S4dConfig {
             max_flush_per_wake: 16384,
             cdt_max_entries: 1 << 20,
             admission: AdmissionPolicy::Benefit,
-            force_miss: false,
             journal_batch_records: 64,
-            persistent_placement: false,
             eager_read_fetch: false,
             retry_base_delay: SimDuration::from_micros(500),
             retry_max_delay: SimDuration::from_millis(50),
@@ -142,7 +133,6 @@ impl S4dConfig {
             quarantine_after: 3,
             quarantine_duration: SimDuration::from_secs(10),
             checkpoint_after_records: 8192,
-            checkpoint_after_bytes: 8 * 1024 * 1024,
             scrub_bytes_per_wake: 0,
             verify_on_read: false,
             deadline_factor: 0.0,
@@ -175,18 +165,15 @@ impl S4dConfig {
         self
     }
 
-    /// Sets the checkpoint thresholds: a new DMT snapshot is installed
-    /// once `records` journal records *or* `bytes` journal bytes have
-    /// accumulated since the previous one.
+    /// Sets the checkpoint trigger: a new DMT snapshot is installed once
+    /// `records` journal records have accumulated since the previous one.
     ///
     /// # Panics
     ///
-    /// Panics if either threshold is zero.
-    pub fn with_checkpoint_thresholds(mut self, records: u64, bytes: u64) -> Self {
+    /// Panics if `records == 0`.
+    pub fn with_checkpoint_after(mut self, records: u64) -> Self {
         assert!(records > 0, "checkpoint record threshold must be positive");
-        assert!(bytes > 0, "checkpoint byte threshold must be positive");
         self.checkpoint_after_records = records;
-        self.checkpoint_after_bytes = bytes;
         self
     }
 
@@ -234,12 +221,6 @@ impl S4dConfig {
         self
     }
 
-    /// Enables CARL-style persistent placement (no flushing/eviction).
-    pub fn with_persistent_placement(mut self, on: bool) -> Self {
-        self.persistent_placement = on;
-        self
-    }
-
     /// Sets the journal group-commit size.
     ///
     /// # Panics
@@ -257,21 +238,16 @@ impl S4dConfig {
         self
     }
 
-    /// Enables Fig.-11 force-miss mode.
-    pub fn with_force_miss(mut self, on: bool) -> Self {
-        self.force_miss = on;
-        self
-    }
-
     /// Sets the Rebuilder period.
     pub fn with_rebuild_period(mut self, period: SimDuration) -> Self {
         self.rebuild_period = period;
         self
     }
 
-    /// Caps how many dirty extents one Rebuilder wake may flush. `0`
-    /// means the Rebuilder flushes nothing: dirty data stays in the
-    /// cache until evicted or lost (crash and scrub tests rely on it).
+    /// Caps how many dirty extents one Rebuilder wake may flush. `0` is
+    /// CARL placement: the Rebuilder flushes nothing, so dirty data stays
+    /// in the cache until evicted or lost (crash and scrub tests rely on
+    /// it).
     pub fn with_max_flush_per_wake(mut self, extents: usize) -> Self {
         self.max_flush_per_wake = extents;
         self
@@ -315,7 +291,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = S4dConfig::new(1 << 30);
         assert_eq!(c.admission, AdmissionPolicy::Benefit);
-        assert!(!c.force_miss);
         assert!(!c.eager_read_fetch);
         assert_eq!(c.rebuild_period, SimDuration::from_secs(1));
         assert_eq!(c.cache_capacity, 1 << 30);
@@ -338,11 +313,9 @@ mod tests {
     fn builders() {
         let c = S4dConfig::new(1)
             .with_admission(AdmissionPolicy::AlwaysAdmit)
-            .with_force_miss(true)
             .with_rebuild_period(SimDuration::from_millis(100))
             .with_eager_read_fetch(true);
         assert_eq!(c.admission, AdmissionPolicy::AlwaysAdmit);
-        assert!(c.force_miss);
         assert!(c.eager_read_fetch);
         assert_eq!(c.rebuild_period, SimDuration::from_millis(100));
     }
@@ -387,16 +360,14 @@ mod tests {
     #[test]
     fn durability_builders() {
         let c = S4dConfig::new(1)
-            .with_checkpoint_thresholds(100, 4096)
+            .with_checkpoint_after(100)
             .with_scrub(64 * 1024)
             .with_verify_on_read(true);
         assert_eq!(c.checkpoint_after_records, 100);
-        assert_eq!(c.checkpoint_after_bytes, 4096);
         assert_eq!(c.scrub_bytes_per_wake, 64 * 1024);
         assert!(c.verify_on_read);
         let d = S4dConfig::new(1);
         assert_eq!(d.checkpoint_after_records, 8192);
-        assert_eq!(d.checkpoint_after_bytes, 8 * 1024 * 1024);
         assert_eq!(d.scrub_bytes_per_wake, 0, "scrubbing is opt-in");
         assert!(!d.verify_on_read);
     }
@@ -404,7 +375,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "checkpoint record threshold")]
     fn rejects_zero_checkpoint_records() {
-        S4dConfig::new(1).with_checkpoint_thresholds(0, 1);
+        S4dConfig::new(1).with_checkpoint_after(0);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! fuse and applies the affordable prefix — the raw CPFS effects appear
 //! nowhere else in the crate (`crates/core/clippy.toml`; DESIGN.md §9, §12).
 
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub mod crash;
-pub mod group;
+pub(crate) mod group;
 pub mod journal;
 pub(crate) mod recovery;
 mod replay;
@@ -101,8 +101,6 @@ pub(crate) struct DurabilityEngine {
     crash_fuse: Option<Rc<RefCell<CrashFuse>>>,
     /// Sequence number of the last installed checkpoint (0 = none yet).
     checkpoint_seq: u64,
-    /// Journal offset the last checkpoint covers.
-    last_ckpt_tail: u64,
     /// `journal_records_total` at the last checkpoint (threshold base).
     records_at_last_ckpt: u64,
     /// Start of the live (uncompacted) journal region.
@@ -129,7 +127,6 @@ impl DurabilityEngine {
             router,
             crash_fuse: None,
             checkpoint_seq: 0,
-            last_ckpt_tail: 0,
             records_at_last_ckpt: 0,
             journal_base: 0,
             stalled: false,
@@ -441,7 +438,8 @@ impl DurabilityEngine {
         self.fused_discard(cluster, CrashSite::EvictDiscard, c_file, c_offset, len);
     }
 
-    /// Installs a DMT checkpoint snapshot once enough journal growth has
+    /// Installs a DMT checkpoint snapshot once
+    /// [`S4dConfig::checkpoint_after_records`] journal records have
     /// accumulated, then compacts (discards) the journal region the
     /// snapshot covers. Double-buffered slots plus a CRC over the whole
     /// snapshot make the install atomic: a torn write fails the CRC and
@@ -456,10 +454,7 @@ impl DurabilityEngine {
         let records_since = plane
             .journal_records_total()
             .saturating_sub(self.records_at_last_ckpt);
-        let bytes_since = self.journal_offset.saturating_sub(self.last_ckpt_tail);
-        if records_since < config.checkpoint_after_records
-            && bytes_since < config.checkpoint_after_bytes
-        {
+        if records_since < config.checkpoint_after_records {
             return;
         }
         // Force-drain so the snapshot covers every journaled mutation and
@@ -539,7 +534,6 @@ impl DurabilityEngine {
             );
         }
         self.checkpoint_seq = seq;
-        self.last_ckpt_tail = tail_offset;
         self.records_at_last_ckpt = plane.journal_records_total();
         self.journal_base = tail_offset;
         metrics.checkpoints += 1;

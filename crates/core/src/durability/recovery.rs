@@ -259,7 +259,6 @@ impl S4dCache {
         s.dur.journal_file = Some(journal_file);
         s.dur.journal_offset = journal_offset;
         s.dur.journal_base = tail_start;
-        s.dur.last_ckpt_tail = tail_start;
         s.dur.checkpoint_seq = report.used_checkpoint.unwrap_or(0);
         s.dur.records_at_last_ckpt = s.plane.journal_records_total();
         s.dur.last_recovery = Some(report);

@@ -201,11 +201,8 @@ impl Middleware for S4dCache {
         let ctx = self.identify(req);
         // Stages 2–3: route (Redirector), then claim space and close the
         // decision (admission). Reads claim no space — outside the
-        // eager-fetch ablation — and are fully decided by the redirect
-        // stage. (`force_miss` is Fig. 11 mode: full bookkeeping, no
-        // redirection.)
+        // eager-fetch ablation — and are fully decided by the redirect stage.
         let mut plan = match (req.kind, ctx.cache) {
-            _ if self.config.force_miss => self.direct_plan(req),
             (_, None) => self.direct_plan(req),
             (IoKind::Write, Some(cache)) => {
                 let mut view = std::mem::take(&mut self.view_scratch);

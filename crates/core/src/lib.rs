@@ -53,6 +53,7 @@
 #![deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 // `Pending` obligations and durability handles are `#[must_use]`: one
 // dropped on the floor — as a discarded expression, or bound to a name
 // that is never attached — is a protocol violation, not a style nit.

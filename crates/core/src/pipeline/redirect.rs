@@ -246,7 +246,7 @@ impl S4dCache {
 
     /// A pass-through plan routing the request straight to DServers —
     /// the fallback when the file has no cache mapping (never opened
-    /// through the middleware) and for `force_miss` mode.
+    /// through the middleware).
     pub(crate) fn direct_plan(&mut self, req: &AppRequest) -> Plan {
         let mut op = PlannedIo::data_op(
             Tier::DServers,

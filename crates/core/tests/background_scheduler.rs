@@ -130,17 +130,17 @@ fn rebuilder_fetch_cycle_caches_flagged_reads() {
 }
 
 #[test]
-fn persistent_placement_never_flushes_and_fills_up() {
+fn carl_placement_never_flushes_and_fills_up() {
     let mut cluster = Cluster::paper_testbed_small(9);
     let mut mw = S4dCache::new(
-        S4dConfig::new(32 * KIB).with_persistent_placement(true),
+        S4dConfig::new(32 * KIB).with_max_flush_per_wake(0),
         params_small(),
     );
     let f = mw.open(&mut cluster, Rank(0), "data").unwrap();
     // Fill the placement space.
     let p = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 32 * KIB));
     assert_eq!(tiers_of(&p), vec![Tier::CServers]);
-    // The Rebuilder never flushes in placement mode; its only activity
+    // At flush limit 0 the Rebuilder never flushes; its only activity
     // is draining the pending journal records of the placement itself.
     let poll = mw.poll_background(&mut cluster, SimTime::ZERO);
     assert!(poll

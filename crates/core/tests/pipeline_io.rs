@@ -99,25 +99,8 @@ fn capacity_exhaustion_spills_to_dservers() {
     assert_eq!(mw.metrics().writes_to_disk, 1);
 }
 
-#[test]
-fn force_miss_mode_never_redirects() {
-    let mut cluster = Cluster::paper_testbed_small(9);
-    let mut mw = S4dCache::new(
-        S4dConfig::new(64 * MIB).with_force_miss(true),
-        params_small(),
-    );
-    let f = mw.open(&mut cluster, Rank(0), "data").unwrap();
-    let w = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 16 * KIB));
-    assert_eq!(tiers_of(&w), vec![Tier::DServers]);
-    let r = mw.plan_io(&mut cluster, SimTime::ZERO, &read_req(f, 0, 16 * KIB));
-    assert_eq!(tiers_of(&r), vec![Tier::DServers]);
-    // Bookkeeping still ran (the overhead the paper measures).
-    assert_eq!(mw.metrics().evaluated, 2);
-    assert!(!w.lead_in.is_zero());
-    let poll = mw.poll_background(&mut cluster, SimTime::ZERO);
-    assert!(poll.plans.is_empty());
-}
-
+/// `NeverAdmit` is the Fig. 11 probe: every lookup and cost evaluation
+/// runs, nothing is redirected, and the Rebuilder has nothing to do.
 #[test]
 fn never_admit_policy_behaves_like_stock() {
     let mut cluster = Cluster::paper_testbed_small(9);
@@ -128,8 +111,15 @@ fn never_admit_policy_behaves_like_stock() {
     let f = mw.open(&mut cluster, Rank(0), "data").unwrap();
     let w = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, 16 * KIB));
     assert_eq!(tiers_of(&w), vec![Tier::DServers]);
+    let r = mw.plan_io(&mut cluster, SimTime::ZERO, &read_req(f, 0, 16 * KIB));
+    assert_eq!(tiers_of(&r), vec![Tier::DServers]);
     assert_eq!(mw.metrics().critical, 0);
     assert_eq!(mw.plane().cdt_len(), 0);
+    // Bookkeeping still ran (the overhead the paper measures).
+    assert_eq!(mw.metrics().evaluated, 2);
+    assert!(!w.lead_in.is_zero());
+    let poll = mw.poll_background(&mut cluster, SimTime::ZERO);
+    assert!(poll.plans.is_empty());
 }
 
 #[test]

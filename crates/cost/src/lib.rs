@@ -43,6 +43,7 @@
 #![deny(clippy::indexing_slicing)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod benefit;
 mod model;

@@ -44,6 +44,7 @@
 #![deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod cluster;
 mod middleware;

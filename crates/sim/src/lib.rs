@@ -39,6 +39,7 @@
 #![deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod engine;
 mod event;

@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod analysis;
 mod collector;

@@ -23,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod campaign;
 mod chain;

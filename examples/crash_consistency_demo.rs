@@ -26,7 +26,7 @@ const REQ: u64 = 16 * KIB;
 fn config() -> S4dConfig {
     S4dConfig::new(MIB)
         .with_journal_batch(1)
-        .with_checkpoint_thresholds(24, u64::MAX)
+        .with_checkpoint_after(24)
         .with_scrub(MIB)
 }
 

@@ -45,7 +45,7 @@ fn torture_config() -> S4dConfig {
     // mid-workload.
     S4dConfig::new(CAPACITY)
         .with_journal_batch(1)
-        .with_checkpoint_thresholds(32, u64::MAX)
+        .with_checkpoint_after(32)
 }
 
 /// The original-file content that "already existed" before the middleware

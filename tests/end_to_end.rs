@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use s4d::bench::{run_s4d, run_s4d_second_read, run_stock, testbed};
-use s4d::cache::{S4dCache, S4dConfig};
+use s4d::cache::{AdmissionPolicy, S4dCache, S4dConfig};
 use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner};
 use s4d::sim::SimTime;
 use s4d::storage::IoKind;
@@ -244,22 +244,25 @@ fn stock_never_touches_cservers() {
 }
 
 #[test]
-fn force_miss_matches_stock_within_overhead() {
+fn never_admit_matches_stock_within_overhead() {
     let tb = testbed(8);
     let stock = run_stock(&tb, small_ior(AccessPattern::Random).scripts(), Vec::new());
-    let fm = run_s4d(
+    let na = run_s4d(
         &tb,
-        S4dConfig::new(MIB).with_force_miss(true),
+        S4dConfig::new(MIB).with_admission(AdmissionPolicy::NeverAdmit),
         small_ior(AccessPattern::Random).scripts(),
         Vec::new(),
     );
-    assert_eq!(fm.report.tiers.c_ops, 0);
+    assert_eq!(
+        na.report.tiers.c_ops, 0,
+        "never-admit must redirect nothing"
+    );
     // Decision overhead is microseconds against millisecond I/Os; the
     // residual difference is rotation-phase noise from shifted timing.
-    let ratio = fm.write_mibs() / stock.write_mibs();
+    let ratio = na.write_mibs() / stock.write_mibs();
     assert!(
         (0.95..=1.05).contains(&ratio),
-        "force-miss overhead should be negligible, ratio {ratio}"
+        "never-admit overhead should be negligible, ratio {ratio}"
     );
 }
 
@@ -279,6 +282,30 @@ fn background_work_drains_clean() {
     let (_c, mw, _r) = runner.into_parts();
     assert_eq!(mw.plane().dirty_bytes(), 0, "drain must flush everything");
     assert!(mw.plane().cdt_flagged(1 << 20).next().is_none() || mw.metrics().fetches > 0);
+}
+
+/// Flush limit 0 is CARL placement (§II.C): the Rebuilder never writes
+/// back, the drain still terminates, and dirty data stays on the CServers.
+#[test]
+fn flush_limit_zero_is_carl_placement() {
+    let tb = testbed(9);
+    let middleware = S4dCache::new(
+        S4dConfig::new(16 * MIB).with_max_flush_per_wake(0),
+        tb.cost_params(),
+    );
+    let mut runner = Runner::new(
+        tb.cluster(),
+        middleware,
+        small_ior(AccessPattern::Random).scripts(),
+        9,
+    );
+    let report = runner.run();
+    let dirty = runner.middleware().plane().dirty_bytes();
+    assert!(dirty > 0, "random 16 KiB writes must leave dirty extents");
+    runner.drain_background(report.end_time);
+    let (_c, mw, _r) = runner.into_parts();
+    assert_eq!(mw.metrics().flushes, 0, "flush limit 0 must never flush");
+    assert_eq!(mw.plane().dirty_bytes(), dirty, "dirty data stays resident");
 }
 
 #[test]

@@ -186,6 +186,12 @@ fn rows() -> Vec<Row> {
         row("completion-no-longer-signals-success", "crates/core/src/layer.rs",
             "self.health.record_success(server);", "let _ = server;",
             Test("failure_domain", "hard_crash_rolls_back_to_durable_state_and_recovers"), "the second crash must invalidate"),
+        row("never-admit-caches", IDENTIFY,
+            "AdmissionPolicy::NeverAdmit => false,", "AdmissionPolicy::NeverAdmit => benefit.is_critical(),",
+            Test("end_to_end", "never_admit_matches_stock_within_overhead"), "never-admit must redirect nothing"),
+        row("flush-limit-zero-still-flushes", REBUILD,
+            ".dirty_lru(self.config.max_flush_per_wake)", ".dirty_lru(self.config.max_flush_per_wake.max(1))",
+            Test("end_to_end", "flush_limit_zero_is_carl_placement"), "flush limit 0 must never flush"),
         row("retry-cap-removed", FAULTS,
             "IoFault::Transient if failure.attempts < self.config.retry_max_attempts => {", "IoFault::Transient => {",
             Test("failure_domain", "transient_errors_are_retried_without_degradation"), "at the cap"),
