@@ -21,7 +21,7 @@ use s4d_pfs::{FileId, Priority};
 use s4d_sim::SimTime;
 
 use crate::layer::S4dCache;
-use crate::shard::{MetadataPlane, ShardId};
+use crate::shard::MetadataPlane;
 
 /// One dirty extent inside a flush group.
 #[derive(Debug, Clone, Copy)]
@@ -236,11 +236,12 @@ impl S4dCache {
     /// two failure-critical actions need wider access:
     ///
     /// * [`Pending::Admitted`] — fresh dirty mappings whose data writes
-    ///   may never have landed are removed and their cache space
-    ///   released. Leaving them would let the Rebuilder flush unwritten
-    ///   (zero) cache space over good DServer data. The removals emit
-    ///   normal `Remove` journal records, so recovery replays
-    ///   insert-then-remove and converges to the same table.
+    ///   may never have landed are removed and their cache space handed
+    ///   to [`crate::durability::DurabilityEngine::free_removed`].
+    ///   Leaving them would let the Rebuilder flush unwritten (zero)
+    ///   cache space over good DServer data. The removals emit normal
+    ///   `Remove` journal records, so recovery replays insert-then-remove
+    ///   and converges to the same table.
     /// * [`Pending::Journal`] — the frame's append reservation rolls
     ///   back and its records requeue, keeping the journal hole-free.
     pub(crate) fn unwind_failed(&mut self, cluster: &mut Cluster, action: Option<Pending>) {
@@ -260,7 +261,7 @@ impl S4dCache {
                 }
             }
             Some(Pending::Admitted { orig, ranges }) => {
-                let mut freed: Vec<(ShardId, FileId, u64, u64)> = Vec::new();
+                let mut freed = Vec::new();
                 for (d_offset, len) in ranges {
                     // Only the extent this plan inserted: same start, same
                     // length, still dirty (nothing acked it since).
@@ -277,30 +278,8 @@ impl S4dCache {
                         self.metrics.admission_unwinds += 1;
                     }
                 }
-                if freed.is_empty() {
-                    return;
-                }
-                // Journal-before-reuse: the Remove records `dmt.remove`
-                // queued must be durable before the freed space can be
-                // handed out again — a crash after reuse but before the
-                // Remove lands would resurrect the stale mapping over
-                // foreign bytes. Same discipline as eviction's
-                // journal-before-discard, through the same proof type.
-                match self
-                    .dur
-                    .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
-                {
-                    Some(proof) => {
-                        for (shard, c_file, c_off, len) in freed {
-                            self.plane.release(shard, c_file, c_off, len);
-                            self.dur.discard_cache(cluster, &proof, c_file, c_off, len);
-                        }
-                    }
-                    // Journal stalled (ENOSPC/media under it): park the
-                    // ranges; background_poll releases and discards them
-                    // once a retried append furnishes the proof.
-                    None => self.stalled_discards.extend(freed),
-                }
+                self.dur
+                    .free_removed(cluster, &mut self.plane, &mut self.metrics, freed);
             }
             Some(Pending::Journal { offset, records }) => {
                 self.dur.unplan_journal(offset, records, &mut self.metrics);
@@ -319,23 +298,11 @@ impl S4dCache {
     ) -> BackgroundPoll {
         // A stalled journal (ENOSPC / media error under the append) blocks
         // every durable effect; retry it first so the rest of the wake can
-        // make progress, then finish any discard/release work that was
-        // parked behind the stall.
-        if self.dur.is_stalled() {
-            self.dur
-                .retry_stall(cluster, &mut self.plane, &mut self.metrics);
-        }
-        if !self.dur.is_stalled() && !self.stalled_discards.is_empty() {
-            if let Some(proof) =
-                self.dur
-                    .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
-            {
-                for (shard, c_file, c_off, len) in std::mem::take(&mut self.stalled_discards) {
-                    self.plane.release(shard, c_file, c_off, len);
-                    self.dur.discard_cache(cluster, &proof, c_file, c_off, len);
-                }
-            }
-        }
+        // make progress, then free the space parked behind the stall.
+        self.dur
+            .retry_stall(cluster, &mut self.plane, &mut self.metrics);
+        self.dur
+            .free_parked(cluster, &mut self.plane, &mut self.metrics);
         let mut plans = self.build_flushes(cluster);
         self.build_fetches(cluster, now, &mut plans);
         if self.config.scrub_bytes_per_wake > 0 {
@@ -368,7 +335,7 @@ impl S4dCache {
         let work_pending = !plans.is_empty()
             || self.bg.any_blocking()
             || self.dur.is_stalled()
-            || !self.stalled_discards.is_empty()
+            || self.dur.has_parked()
             || (self.config.max_flush_per_wake > 0 && self.plane.dirty_bytes() > 0);
         BackgroundPoll {
             plans,

@@ -51,22 +51,12 @@ impl S4dCache {
                 // Unrecoverable: the only up-to-date copy is corrupt.
                 let shard = self.plane.router().shard_of(orig, d_offset);
                 self.plane.remove(orig, d_offset);
-                match self
-                    .dur
-                    .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
-                {
-                    Some(proof) => {
-                        self.dur
-                            .discard_cache(cluster, &proof, e.c_file, e.c_offset, e.len);
-                        self.plane.release(shard, e.c_file, e.c_offset, e.len);
-                    }
-                    None => {
-                        // Journal stalled: park the discard/release until
-                        // the Remove is durable (see `stalled_discards`).
-                        self.stalled_discards
-                            .push((shard, e.c_file, e.c_offset, e.len));
-                    }
-                }
+                self.dur.free_removed(
+                    cluster,
+                    &mut self.plane,
+                    &mut self.metrics,
+                    [(shard, e.c_file, e.c_offset, e.len)],
+                );
                 self.metrics.scrub_lost_bytes += e.len;
                 self.metrics.dirty_bytes_lost += e.len;
             }

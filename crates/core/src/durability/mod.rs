@@ -9,16 +9,19 @@
 //! persisted cluster state alone; [`journal`] is the pure record codec;
 //! [`crash`] is the fuse itself.
 //!
-//! Ordering is enforced by API shape, not convention: the only way to
-//! discard cache bytes whose removal must first be journaled is
-//! [`DurabilityEngine::discard_cache`], which demands a
-//! [`DurabilityHandle`] — and the only source of handles is
-//! [`DurabilityEngine::append_journal_sync`]. A caller cannot reach the
-//! destructive effect without having made the metadata durable first.
-//! Flush plans are held to the same contract ([`StagedFlushes`]), and
-//! every durable effect is one `fused_*` call that charges the crash
-//! fuse and applies the affordable prefix — the raw CPFS effects appear
-//! nowhere else in the crate (`crates/core/clippy.toml`; DESIGN.md §9, §12).
+//! Ordering is enforced by API shape, not convention. Freed cache space
+//! has one owner: a caller that removed extents hands their ranges to
+//! [`DurabilityEngine::try_free_removed`], which journals the Removes and
+//! only then releases and discards the ranges. While the journal is
+//! stalled eviction undoes itself, and every other caller parks the
+//! ranges here ([`DurabilityEngine::free_removed`]). The discard itself
+//! is private to this module, so
+//! no caller can reach the destructive effect ahead of the metadata.
+//! Flush plans are held to the same contract through a
+//! [`DurabilityHandle`] ([`StagedFlushes`]), and every durable effect is
+//! one `fused_*` call that charges the crash fuse and applies the
+//! affordable prefix — the raw CPFS effects appear nowhere else in the
+//! crate (`crates/core/clippy.toml`; DESIGN.md §9, §12).
 
 pub(crate) mod checkpoint;
 pub mod crash;
@@ -37,21 +40,25 @@ use s4d_storage::IoKind;
 use crate::config::S4dConfig;
 use crate::metrics::S4dMetrics;
 use crate::names::{CKPT_SLOT_A, CKPT_SLOT_B, JOURNAL_NAME};
-use crate::shard::{MetadataPlane, ShardRouter};
+use crate::shard::{MetadataPlane, ShardId, ShardRouter};
 
 use crash::{CrashFuse, CrashSite};
 use group::GroupCommitQueue;
 use journal::JournalRecord;
 use recovery::RecoveryReport;
 
-/// Proof that every pending removal record is durably journaled.
+/// Proof that every pending record is durably journaled.
 ///
 /// Issued only by [`DurabilityEngine::append_journal_sync`] and demanded
-/// by [`DurabilityEngine::discard_cache`], so the
-/// journal-before-destruction ordering of DESIGN.md §9 is a type-system
-/// fact rather than a reviewable convention.
+/// by [`StagedFlushes::release`], so the intent-before-flush ordering of
+/// DESIGN.md §9 is a type-system fact rather than a reviewable convention.
 #[derive(Debug)]
 pub(crate) struct DurabilityHandle(());
+
+/// Cache space whose extent was just removed from the DMT:
+/// `(shard, c_file, c_offset, len)`, returned to `shard`'s ledger once
+/// the Remove is durable.
+pub(crate) type FreedRange = (ShardId, FileId, u64, u64);
 
 /// One end of a simulated copy: `(tier, file, offset)`.
 pub(crate) type CopyEnd = (Tier, FileId, u64);
@@ -112,6 +119,13 @@ pub(crate) struct DurabilityEngine {
     /// a hole in the journal would truncate every later acked record at
     /// recovery.
     stalled: bool,
+    /// Freed ranges whose Remove records were not durable when they were
+    /// freed, because the journal was stalled. They may be neither
+    /// discarded (recovery would map discarded space) nor reused
+    /// (recovery would resurrect the old mapping over fresh bytes); the
+    /// first background wake after the stall clears frees them
+    /// ([`DurabilityEngine::free_parked`]).
+    parked: Vec<FreedRange>,
     /// What the last `recover_from_cluster` found, if this instance was
     /// built by one.
     last_recovery: Option<RecoveryReport>,
@@ -130,6 +144,7 @@ impl DurabilityEngine {
             records_at_last_ckpt: 0,
             journal_base: 0,
             stalled: false,
+            parked: Vec::new(),
             last_recovery: None,
         }
     }
@@ -343,13 +358,12 @@ impl DurabilityEngine {
     /// through the crash fuse: a torture crash leaves a torn suffix that
     /// recovery truncates.
     ///
-    /// Returns the [`DurabilityHandle`] that unlocks
-    /// [`DurabilityEngine::discard_cache`] for the effects the append
-    /// covers, or `None` when the append failed (space exhaustion or a
-    /// media error under the journal region): the records stay pending at
-    /// the *same* offset, the engine is stalled (see
-    /// [`DurabilityEngine::is_stalled`]), and the caller must not perform
-    /// the destructive effect it wanted the proof for.
+    /// Returns the [`DurabilityHandle`] that releases
+    /// [`StagedFlushes`] for the effects the append covers, or `None` when
+    /// the append failed (space exhaustion or a media error under the
+    /// journal region): the records stay pending at the *same* offset, the
+    /// engine is stalled (see [`DurabilityEngine::is_stalled`]), and the
+    /// caller must not perform the effect it wanted the proof for.
     #[must_use = "the handle (or its absence) decides whether the effect may proceed"]
     pub(crate) fn append_journal_sync(
         &mut self,
@@ -408,33 +422,95 @@ impl DurabilityEngine {
         self.stalled
     }
 
-    /// Retries a stalled synchronous append, if any. Returns `true` when
-    /// the engine is unstalled afterwards (including when it never was).
+    /// Retries a stalled synchronous append, if any.
     pub(crate) fn retry_stall(
         &mut self,
         cluster: &mut Cluster,
         plane: &mut MetadataPlane,
         metrics: &mut S4dMetrics,
-    ) -> bool {
-        if !self.stalled {
-            return true;
+    ) {
+        if self.stalled {
+            let _ = self.append_journal_sync(cluster, plane, metrics, &[]);
         }
-        self.append_journal_sync(cluster, plane, metrics, &[])
-            .is_some()
     }
 
-    /// Discards cache bytes whose removal records the presented handle
-    /// proves durable, charging the eviction crash site. This is the
-    /// *only* path to `discard` for mapped cache data — see the module
-    /// docs for why the handle parameter exists.
-    pub(crate) fn discard_cache(
+    /// Frees the cache space of extents the caller just removed from the
+    /// DMT (crash invalidation, a failed admission's unwind, an
+    /// unrecoverable scrub finding) through
+    /// [`DurabilityEngine::try_free_removed`]; while the journal is
+    /// stalled the ranges park here, still allocated, until
+    /// [`DurabilityEngine::free_parked`] frees them. No ranges, no append.
+    pub(crate) fn free_removed(
         &mut self,
         cluster: &mut Cluster,
-        _proof: &DurabilityHandle,
-        c_file: FileId,
-        c_offset: u64,
-        len: u64,
+        plane: &mut MetadataPlane,
+        metrics: &mut S4dMetrics,
+        ranges: impl IntoIterator<Item = FreedRange>,
     ) {
+        let mut ranges = ranges.into_iter().peekable();
+        if ranges.peek().is_some() && !self.try_free_removed(cluster, plane, metrics, &mut ranges) {
+            self.parked.extend(ranges);
+        }
+    }
+
+    /// Journals the pending Removes synchronously, and only then returns
+    /// each range to its shard's ledger and discards its bytes, so
+    /// recovery never maps discarded space and never resurrects a mapping
+    /// over reused bytes. Returns false, with `ranges` untouched, while
+    /// the journal is stalled: eviction then undoes itself
+    /// (`S4dCache::make_room`), every other caller parks the ranges
+    /// ([`DurabilityEngine::free_removed`]).
+    pub(crate) fn try_free_removed(
+        &mut self,
+        cluster: &mut Cluster,
+        plane: &mut MetadataPlane,
+        metrics: &mut S4dMetrics,
+        ranges: impl IntoIterator<Item = FreedRange>,
+    ) -> bool {
+        if self
+            .append_journal_sync(cluster, plane, metrics, &[])
+            .is_none()
+        {
+            return false;
+        }
+        for range in ranges {
+            self.free_range(cluster, plane, range);
+        }
+        true
+    }
+
+    /// Frees the parked ranges once the journal takes appends again; the
+    /// append makes their Removes durable first. Runs once per background
+    /// wake, after [`DurabilityEngine::retry_stall`].
+    pub(crate) fn free_parked(
+        &mut self,
+        cluster: &mut Cluster,
+        plane: &mut MetadataPlane,
+        metrics: &mut S4dMetrics,
+    ) {
+        if self.stalled || self.parked.is_empty() {
+            return;
+        }
+        if self
+            .append_journal_sync(cluster, plane, metrics, &[])
+            .is_some()
+        {
+            for range in std::mem::take(&mut self.parked) {
+                self.free_range(cluster, plane, range);
+            }
+        }
+    }
+
+    /// True while freed ranges wait in the engine for a background wake.
+    pub(crate) fn has_parked(&self) -> bool {
+        !self.parked.is_empty()
+    }
+
+    /// Returns a range whose Remove is durable to its shard's ledger and
+    /// discards its bytes, charging the eviction crash site.
+    fn free_range(&mut self, cluster: &mut Cluster, plane: &mut MetadataPlane, range: FreedRange) {
+        let (shard, c_file, c_offset, len) = range;
+        plane.release(shard, c_file, c_offset, len);
         self.fused_discard(cluster, CrashSite::EvictDiscard, c_file, c_offset, len);
     }
 

@@ -3,8 +3,8 @@
 //!
 //! The decision body behind `Middleware::on_io_error` lives here, next to
 //! [`S4dCache::handle_crash`] — the one failure path that mutates cache
-//! metadata (and therefore goes through the durability engine's
-//! journal-before-discard handle).
+//! metadata (and therefore hands the freed space to the durability
+//! engine, which journals the Removes before releasing it).
 
 use s4d_mpiio::{Cluster, ErrorDirective, SubIoFailure, Tier};
 use s4d_pfs::{FileId, IoFault};
@@ -43,44 +43,21 @@ impl S4dCache {
             .map(|(f, o, e)| (f, o, e.len, e.c_file, e.c_offset, e.dirty))
             .collect();
         doomed.sort_unstable_by_key(|&(f, o, ..)| (f.0, o));
-        if doomed.is_empty() {
-            return;
-        }
         for &(file, d_off, len, _, _, dirty) in &doomed {
             if dirty {
                 self.metrics.dirty_bytes_lost += len;
             } else {
                 self.metrics.crash_invalidated_bytes += len;
             }
-            // `remove` journals a Remove record, so recovery agrees.
+            // `remove` queues a Remove record, so recovery agrees.
             self.plane.remove(file, d_off);
         }
-        // The Removes must be durable before the bytes go away: recovering
-        // a mapping to discarded space would serve garbage. (Orphaned bytes
-        // from the reverse order are merely swept and discarded.)
-        let Some(proof) =
-            self.dur
-                .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
-        else {
-            // Journal stalled (ENOSPC / media error): the extents are
-            // already invalidated in memory, but until their Removes are
-            // durable the cache ranges may be neither discarded nor
-            // released for reuse (a crash would recover the old mapping
-            // over fresh bytes). Park the cleanup; `poll_background`
-            // finishes it once the stall clears.
-            let router = self.plane.router();
-            self.stalled_discards.extend(doomed.iter().map(
-                |&(file, d_off, len, c_file, c_off, _)| {
-                    (router.shard_of(file, d_off), c_file, c_off, len)
-                },
-            ));
-            return;
-        };
-        for &(file, d_off, len, c_file, c_off, _) in &doomed {
-            let shard = self.plane.router().shard_of(file, d_off);
-            self.plane.release(shard, c_file, c_off, len);
-            self.dur.discard_cache(cluster, &proof, c_file, c_off, len);
-        }
+        let router = self.plane.router();
+        let freed = doomed.iter().map(|&(file, d_off, len, c_file, c_off, _)| {
+            (router.shard_of(file, d_off), c_file, c_off, len)
+        });
+        self.dur
+            .free_removed(cluster, &mut self.plane, &mut self.metrics, freed);
     }
 
     /// The `Middleware::on_io_error` decision: retry with backoff, give

@@ -52,14 +52,6 @@ pub struct S4dCache {
     pub(crate) dur: DurabilityEngine,
     /// Pending state machine, in-flight markers, pins, scrub cursors.
     pub(crate) bg: BackgroundScheduler,
-    /// Cache ranges `(shard, c_file, c_offset, len)` whose extents are
-    /// already invalidated in memory but whose Remove records could not
-    /// be made durable because the journal is stalled (ENOSPC / media
-    /// error). They are neither discarded nor released for reuse until
-    /// `background_poll` clears the stall — discarding first would break
-    /// journal-before-discard, reusing first could resurrect the old
-    /// mapping over fresh bytes at recovery.
-    pub(crate) stalled_discards: Vec<(ShardId, FileId, u64, u64)>,
     /// Scratch coverage view for the request path (DESIGN.md §12): a
     /// stage `mem::take`s it, fills it with `MetadataPlane::view_into`
     /// (which clears it first), and stores it back when done, so its
@@ -86,7 +78,6 @@ impl S4dCache {
             metrics: S4dMetrics::default(),
             dur: DurabilityEngine::new(router),
             bg,
-            stalled_discards: Vec::new(),
             view_scratch: RangeView::default(),
         }
     }
@@ -132,13 +123,6 @@ impl S4dCache {
     /// The CServer health monitor (read-only view).
     pub fn health(&self) -> &HealthMonitor {
         &self.health
-    }
-
-    /// Cache ranges whose discard/release is parked behind a journal
-    /// stall (see the field docs). Empty in a healthy run; the chaos
-    /// oracle adds these bytes to the space-accounting identity.
-    pub fn stalled_discards(&self) -> &[(ShardId, FileId, u64, u64)] {
-        &self.stalled_discards
     }
 
     pub(crate) fn ensure_health(&mut self, cluster: &Cluster) {
@@ -188,15 +172,13 @@ impl Middleware for S4dCache {
 
     fn plan_io(&mut self, cluster: &mut Cluster, now: SimTime, req: &AppRequest) -> Plan {
         self.ensure_health(cluster);
-        if self.dur.is_stalled() {
-            // One synchronous retry before planning: a stall often
-            // outlives its fault window (the background retry only runs
-            // so often), and while stalled every write plans in degraded
-            // mode (see `route_write`) because no new record can be made
-            // durable before the ack.
-            self.dur
-                .retry_stall(cluster, &mut self.plane, &mut self.metrics);
-        }
+        // One synchronous retry of a stalled journal before planning: a
+        // stall often outlives its fault window (the background retry only
+        // runs so often), and while stalled every write plans in degraded
+        // mode (see `route_write`) because no new record can be made
+        // durable before the ack.
+        self.dur
+            .retry_stall(cluster, &mut self.plane, &mut self.metrics);
         // Stage 1: classify (Data Identifier).
         let ctx = self.identify(req);
         // Stages 2–3: route (Redirector), then claim space and close the

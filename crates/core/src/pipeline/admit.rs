@@ -1,9 +1,9 @@
 //! Stage 3 — space claim and the atomic admission protocol.
 //!
 //! Consumes the redirect stage's [`WriteRoute`] and turns the admission
-//! ask into effects: clean-LRU eviction (`make_room`, with the
-//! journal-before-discard ordering the durability engine's handle
-//! enforces), extent insertion, and the data-before-metadata journal
+//! ask into effects: clean-LRU eviction (`make_room`, whose freed space
+//! the durability engine releases only once the Removes are journaled),
+//! extent insertion, and the data-before-metadata journal
 //! phase that makes admission atomic (DESIGN.md §9). The eager-fetch
 //! ablation claims space through the same path.
 
@@ -190,33 +190,31 @@ impl S4dCache {
             return self.plane.fits(shard, len);
         }
         // `evict_clean_lru_excluding` removed the victims and queued
-        // their Remove records; make those durable *before* the bytes
-        // go away, so recovery never maps discarded space. The handle
-        // is the proof `discard_cache` demands.
-        let Some(proof) =
-            self.dur
-                .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &[])
-        else {
-            // The journal is stalled (ENOSPC / media error): without a
-            // durable Remove the victims' bytes may be neither discarded
-            // nor reused, so undo the eviction — re-insert each victim
-            // (the queued Remove plus this Insert replay to a no-op) and
-            // deny the admission; the write degrades to OPFS.
+        // their Remove records; the engine makes those durable before the
+        // space is reused or the bytes go away. Dropping the bytes loses
+        // nothing: the victims were clean, so DServers hold the data.
+        let freed = victims
+            .iter()
+            .map(|(_, _, ext)| (shard, ext.c_file, ext.c_offset, ext.len));
+        if !self
+            .dur
+            .try_free_removed(cluster, &mut self.plane, &mut self.metrics, freed)
+        {
+            // The journal is stalled (ENOSPC / media error): undo the
+            // eviction — re-insert each victim (the queued Remove plus
+            // this Insert replay to a no-op) and deny the admission; the
+            // write degrades to OPFS. A victim that stays mapped is
+            // written through while the stall lasts (`route_write`), so
+            // its cached bytes never go stale behind a Remove that is not
+            // durable.
             for (file, d_off, ext) in &victims {
                 self.plane
                     .insert(*file, *d_off, ext.len, ext.c_file, ext.c_offset, ext.dirty);
             }
             return false;
-        };
-        for (_file, _d_off, ext) in &victims {
-            self.plane.release(shard, ext.c_file, ext.c_offset, ext.len);
-            // Dropping the cached bytes is a metadata operation; the data
-            // still lives on DServers because the extent was clean.
-            self.dur
-                .discard_cache(cluster, &proof, ext.c_file, ext.c_offset, ext.len);
-            self.metrics.evictions += 1;
-            self.metrics.evicted_bytes += ext.len;
         }
+        self.metrics.evictions += victims.len() as u64;
+        self.metrics.evicted_bytes += victims.iter().map(|(_, _, ext)| ext.len).sum::<u64>();
         self.plane.fits(shard, len)
     }
 

@@ -1,18 +1,21 @@
 //! CServer failure-domain integration tests: hard crashes with data loss,
-//! transient error storms, and quarantine-driven degradation to OPFS —
-//! each driven end to end through the runner with every read verified.
+//! transient error storms, quarantine-driven degradation to OPFS, and a
+//! full CServer tier stalling the journal under an eviction.
+
+mod common;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use common::{check_invariants, extents_of, read_through, run_plan, write_req};
 use s4d::bench::testbed;
 use s4d::cache::{S4dCache, S4dConfig};
 use s4d::mpiio::{
     script, AppRequest, Cluster, ErrorDirective, IoObserver, Middleware, Rank, Runner,
     ScriptBuilder, SubIoFailure, Tier,
 };
-use s4d::pfs::{FaultPlan, IoFault, ServerFault};
+use s4d::pfs::{FaultPlan, FileId, IoFault, ServerFault};
 use s4d::sim::{SimDuration, SimTime};
 use s4d::storage::IoKind;
 
@@ -336,4 +339,244 @@ fn quarantine_degrades_clean_reads_to_opfs() {
     );
     assert!(m.admission_denied_health > 0);
     assert!(report.degraded.io_errors > 0);
+}
+
+/// Runs background wakes from `now`, executing every plan they return,
+/// until no work is pending; returns the time of the last wake.
+fn drain_background(cluster: &mut Cluster, mw: &mut S4dCache, mut now: SimTime) -> SimTime {
+    for _ in 0..64 {
+        let poll = mw.poll_background(cluster, now);
+        for plan in &poll.plans {
+            run_plan(cluster, mw, None, plan, now);
+        }
+        if !poll.work_pending {
+            return now;
+        }
+        now += SimDuration::from_millis(100);
+    }
+    panic!("background work never drained");
+}
+
+const MIB: u64 = 1024 * KIB;
+
+/// A 64 KiB cache holding four clean 16 KiB extents (one per MiB of the
+/// file), with every CServer full (ENOSPC, journal appends included) from
+/// `from` until `until`; the fault cursor stands at `from`.
+struct FullCache {
+    config: S4dConfig,
+    cluster: Cluster,
+    mw: S4dCache,
+    file: FileId,
+    before: Vec<(u64, u64, u64, u64, u64, bool)>,
+    from: SimTime,
+    until: SimTime,
+}
+
+fn full_clean_cache(seed: u64) -> FullCache {
+    let config = S4dConfig::new(64 * KIB).with_journal_batch(1);
+    let mut cluster = Cluster::paper_testbed_small(seed);
+    let mut mw = S4dCache::new(config.clone(), testbed(seed).cost_params());
+    let file = mw.open(&mut cluster, Rank(0), "full.dat").expect("open");
+    let mut now = SimTime::from_secs(1);
+    for i in 0..4u64 {
+        let off = i * MIB;
+        let write = write_req(file, off, pattern(off, 16 * KIB, 1));
+        let plan = mw.plan_io(&mut cluster, now, &write);
+        assert!(run_plan(&mut cluster, &mut mw, None, &plan, now));
+    }
+    now = drain_background(&mut cluster, &mut mw, now);
+    let before = extents_of(&mw);
+    assert_eq!(before.len(), 4);
+    assert!(
+        before.iter().all(|e| !e.5),
+        "the Rebuilder flushed every extent clean"
+    );
+    let from = now + SimDuration::from_secs(1);
+    let until = from + SimDuration::from_secs(10);
+    for server in 0..cluster.cpfs().server_count() {
+        let fault = FaultPlan::new().with(ServerFault::SpaceExhausted { from, until });
+        cluster
+            .cpfs_mut()
+            .set_fault_plan(server, fault)
+            .expect("CServer exists");
+    }
+    cluster.advance_faults(from);
+    FullCache {
+        config,
+        cluster,
+        mw,
+        file,
+        before,
+        from,
+        until,
+    }
+}
+
+/// A full CServer tier (ENOSPC under the journal) stalls the Remove an
+/// eviction needs, so the eviction is undone: every victim stays mapped
+/// and the write that asked for room degrades to OPFS. Background wakes
+/// during the stall, with a flagged fetch candidate asking for room on
+/// each, evict nothing either. A stalled overwrite of a cached range is
+/// written through both copies, so a crash before the stall clears
+/// recovers mappings that serve the new bytes, never stale ones.
+#[test]
+fn journal_stall_undoes_eviction_so_recovery_serves_no_stale_bytes() {
+    let FullCache {
+        config,
+        mut cluster,
+        mut mw,
+        file,
+        before,
+        from,
+        until,
+    } = full_clean_cache(41);
+
+    // An admission at a fresh offset must evict; the Remove append fails.
+    let off = 4 * MIB;
+    let write = write_req(file, off, pattern(off, 16 * KIB, 1));
+    let plan = mw.plan_io(&mut cluster, from, &write);
+    assert!(
+        plan.phases
+            .iter()
+            .flatten()
+            .all(|op| op.tier == Tier::DServers),
+        "the write that asked for room degrades to OPFS"
+    );
+    assert!(run_plan(&mut cluster, &mut mw, None, &plan, from));
+    let m = mw.metrics();
+    assert!(m.durability_stalls >= 1, "the Remove append must stall");
+    assert_eq!(m.admission_denied_space, 1);
+    assert_eq!(m.evictions, 0, "a stalled eviction is undone");
+    assert_eq!(extents_of(&mw), before, "every victim stays mapped");
+
+    // A critical read miss flags a fetch candidate: every wake's fetch
+    // planning asks for room again, and every such eviction is undone.
+    let read = AppRequest {
+        rank: Rank(0),
+        file,
+        kind: IoKind::Read,
+        offset: off,
+        len: 16 * KIB,
+        data: None,
+    };
+    let plan = mw.plan_io(&mut cluster, from, &read);
+    assert!(run_plan(&mut cluster, &mut mw, None, &plan, from));
+    assert_eq!(mw.plane().cdt_flagged(8).count(), 1, "a fetch candidate");
+    let mut now = from;
+    for _ in 0..5 {
+        now += SimDuration::from_millis(100);
+        let poll = mw.poll_background(&mut cluster, now);
+        assert!(poll.plans.is_empty(), "nothing is fetched while stalled");
+        assert!(poll.work_pending, "the stall keeps the loop waking");
+    }
+    assert_eq!(mw.metrics().evictions, 0, "stalled wakes evict nothing");
+    assert_eq!(extents_of(&mw), before, "stalled wakes keep every extent");
+
+    // Overwrite every cached range while stalled: each is written through
+    // both copies. The window closes while the plans are in flight, and
+    // the middleware crashes before anything retries the journal.
+    let plans: Vec<_> = (0..4u64)
+        .map(|i| {
+            let off = i * MIB;
+            let write = write_req(file, off, pattern(off, 16 * KIB, 2));
+            mw.plan_io(&mut cluster, now, &write)
+        })
+        .collect();
+    for plan in &plans {
+        assert!(
+            plan.phases
+                .iter()
+                .flatten()
+                .any(|op| op.tier == Tier::CServers),
+            "a cached range is written through"
+        );
+    }
+    cluster.advance_faults(until);
+    for plan in &plans {
+        assert!(run_plan(&mut cluster, &mut mw, None, plan, until));
+    }
+    assert_eq!(mw.metrics().stall_writethroughs, 4);
+    let (mut recovered, _) =
+        S4dCache::recover_from_cluster(config, testbed(41).cost_params(), &mut cluster);
+    check_invariants(&cluster, &recovered);
+    for i in 0..4u64 {
+        let off = i * MIB;
+        assert_eq!(
+            read_through(&mut cluster, &mut recovered, file, off, 16 * KIB),
+            pattern(off, 16 * KIB, 2),
+            "recovery served stale bytes at offset {off}"
+        );
+    }
+}
+
+/// Space freed while the journal is stalled parks in the durability
+/// engine: a CServer crash during the ENOSPC window invalidates the
+/// extents on it, but their ranges stay allocated and their bytes stay on
+/// CPFS until the Removes are durable. The first background wake after
+/// the window releases and discards them, and a recovery from the cluster
+/// sees exactly the live mapping.
+#[test]
+fn crash_invalidation_under_a_journal_stall_parks_the_space() {
+    let FullCache {
+        config,
+        mut cluster,
+        mut mw,
+        before,
+        from,
+        until,
+        ..
+    } = full_clean_cache(43);
+    let crash = SubIoFailure {
+        tier: Tier::CServers,
+        server: 0,
+        kind: IoKind::Write,
+        len: 16 * KIB,
+        error: IoFault::Offline,
+        attempts: 1,
+        overhead: false,
+    };
+    let directive = mw.on_io_error(&mut cluster, from, &crash);
+    assert_eq!(directive, ErrorDirective::GiveUp);
+    assert!(
+        mw.metrics().durability_stalls >= 1,
+        "the Removes must stall"
+    );
+    let live = extents_of(&mw);
+    let doomed: Vec<_> = before.iter().filter(|e| !live.contains(e)).collect();
+    assert!(!doomed.is_empty(), "the crash invalidated cached extents");
+    assert_eq!(
+        mw.plane().allocated(),
+        64 * KIB,
+        "parked space must not be reused while its Remove is not durable"
+    );
+    for e in &doomed {
+        assert_eq!(
+            cluster.cpfs().covered_bytes(FileId(e.3), e.4, e.2).unwrap(),
+            e.2,
+            "parked bytes must not be discarded while their Remove is not durable"
+        );
+    }
+
+    // The window closes: the next wake's append makes the Removes durable
+    // and frees the parked ranges.
+    cluster.advance_faults(until);
+    drain_background(&mut cluster, &mut mw, until);
+    let freed: u64 = doomed.iter().map(|e| e.2).sum();
+    assert_eq!(mw.plane().allocated(), 64 * KIB - freed, "released");
+    for e in &doomed {
+        assert_eq!(
+            cluster.cpfs().covered_bytes(FileId(e.3), e.4, e.2).unwrap(),
+            0,
+            "a parked range is discarded once its Remove is durable"
+        );
+    }
+    let live = extents_of(&mw);
+    let (recovered, _) =
+        S4dCache::recover_from_cluster(config, testbed(43).cost_params(), &mut cluster);
+    check_invariants(&cluster, &recovered);
+    assert_eq!(
+        extents_of(&recovered),
+        live,
+        "recovery sees the live mapping"
+    );
 }

@@ -87,10 +87,14 @@ fn rows() -> Vec<Row> {
     vec![
         // -- carried by types: the compiler is the killer ----------------
         row("discard-without-append", ADMIT,
-            ".discard_cache(cluster, &proof, ext.c_file,", ".discard_cache(cluster, &crate::durability::DurabilityHandle(()), ext.c_file,",
-            Build, "E0603"),
+            ".try_free_removed(cluster, &mut self.plane, &mut self.metrics, freed)",
+            ".fused_discard(cluster, crate::durability::crash::CrashSite::EvictDiscard, FileId(0), 0, 0)",
+            Build, "E0624"),
         row("flush-intent-not-durable", REBUILD, INTENT_APPEND, "        match Some(intents.len()) {\n",
             Build, "E0308"),
+        row("flush-released-by-a-forged-handle", REBUILD,
+            "Some(proof) => staged.release(&proof),", "Some(_) => staged.release(&crate::durability::DurabilityHandle(())),",
+            Build, "E0603"),
         row("pending-leak", ADMIT, ATTACH_FETCH, "",
             Build, "unused variable: `fetch`"),
         row("pending-dropped", REDIRECT,
@@ -177,6 +181,13 @@ fn rows() -> Vec<Row> {
         row("alloc-in-hot-path", IDENTIFY, CDT_INSERT,
             "let key = vec![req.offset];\n            self.plane.cdt_insert(req.file, key[0], req.len);",
             Test("alloc_steady_state", "request_path_allocations_stay_under_their_ceilings"), "allocations each"),
+        row("free-before-durable-remove", ENGINE,
+            "        if self\n            .append_journal_sync(cluster, plane, metrics, &[])\n            .is_none()\n        {\n            return false;\n        }\n",
+            "        if metrics.journal_writes == u64::MAX {\n            return false;\n        }\n",
+            Test("crash_torture", "crash_matrix_every_budget_recovers"), "diverged after recovery"),
+        row("stalled-removes-freed-anyway", ENGINE,
+            "            self.parked.extend(ranges);\n", "            ranges.for_each(|range| self.free_range(cluster, plane, range));\n",
+            Test("failure_domain", "crash_invalidation_under_a_journal_stall_parks_the_space"), "parked space must not be reused"),
         row("fuse-charge-dropped-quietly", ENGINE, FUSED_DISCARD,
             "        let allowed = { let _ = site; len };\n        if allowed > 0 {\n            let _ = cluster.cpfs_mut().discard(",
             Test("crash_torture", "crash_matrix_every_budget_recovers"), "EvictDiscard"),
