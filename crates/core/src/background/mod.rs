@@ -14,11 +14,9 @@
 pub(crate) mod rebuild;
 pub(crate) mod scrub;
 
-use std::collections::{HashMap, HashSet};
-
 use s4d_mpiio::{BackgroundPoll, Cluster, Plan};
 use s4d_pfs::{FileId, Priority};
-use s4d_sim::SimTime;
+use s4d_sim::{IdMap, IdSet, SimTime};
 
 use crate::layer::S4dCache;
 use crate::shard::MetadataPlane;
@@ -105,13 +103,13 @@ fn blocks_idle(p: &Pending) -> bool {
 #[derive(Debug)]
 pub(crate) struct BackgroundScheduler {
     /// Actions to apply when the tagged plan completes.
-    pending: HashMap<u64, Pending>,
+    pending: IdMap<u64, Pending>,
     /// Next plan tag to hand out (0 is reserved for "no callback").
     next_tag: u64,
     /// `(file, d_offset)` of dirty extents a flush plan is moving.
-    inflight_flush: HashSet<(FileId, u64)>,
+    inflight_flush: IdSet<(FileId, u64)>,
     /// `(file, offset, len)` CDT keys a fetch plan is filling.
-    inflight_fetch: HashSet<(FileId, u64, u64)>,
+    inflight_fetch: IdSet<(FileId, u64, u64)>,
     /// Ranges referenced by in-flight foreground reads; eviction must not
     /// discard them (a queued sub-request would read freed space).
     pins: Vec<(FileId, u64, u64)>,
@@ -127,10 +125,10 @@ impl BackgroundScheduler {
     /// metadata shard.
     pub(crate) fn new(shards: usize) -> Self {
         BackgroundScheduler {
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             next_tag: 1,
-            inflight_flush: HashSet::new(),
-            inflight_fetch: HashSet::new(),
+            inflight_flush: IdSet::default(),
+            inflight_fetch: IdSet::default(),
             pins: Vec::new(),
             scrub_cursors: vec![None; shards.max(1)],
         }

@@ -28,11 +28,16 @@ impl S4dCache {
     /// §III.F step 1). Adjacent dirty extents of a file are grouped into
     /// one plan: phase 1 reads the cached bytes, phase 2 writes them to
     /// the original file as a single sequential op.
+    ///
+    /// The wake's budget is the `max_flush_per_wake` oldest dirty
+    /// extents, in-flight ones included; those are skipped by key before
+    /// any extent is looked up.
     pub(crate) fn build_flushes(&mut self, cluster: &mut Cluster) -> Vec<Plan> {
         let mut candidates: Vec<_> = self
             .plane
-            .dirty_lru(self.config.max_flush_per_wake)
-            .filter(|(f, d, _)| !self.bg.inflight_flush.contains(&(*f, *d)))
+            .dirty_keys(self.config.max_flush_per_wake)
+            .filter(|key| !self.bg.inflight_flush.contains(key))
+            .filter_map(|(f, d)| Some((f, d, *self.plane.get(f, d)?)))
             .collect();
         candidates.sort_by_key(|(f, d, _)| (f.0, *d));
         let mut staged = StagedFlushes::default();

@@ -6,9 +6,10 @@
 //! — the granularity at which applications re-issue requests, which is what
 //! makes first-run identification useful on the second run (§V.A).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use s4d_pfs::FileId;
+use s4d_sim::IdMap;
 use serde::{Deserialize, Serialize};
 
 /// One CDT entry.
@@ -31,7 +32,7 @@ pub struct CdtEntry {
 #[derive(Debug, Clone)]
 pub struct Cdt {
     /// Entry -> (C_flag, insertion sequence).
-    entries: HashMap<(FileId, u64, u64), (bool, u64)>,
+    entries: IdMap<(FileId, u64, u64), (bool, u64)>,
     order: VecDeque<(FileId, u64, u64)>,
     /// Index of flagged entries by insertion sequence, so the Rebuilder's
     /// scan costs O(flagged), not O(table).
@@ -51,7 +52,7 @@ impl Cdt {
     pub fn new(max_entries: usize) -> Self {
         assert!(max_entries > 0, "CDT must hold at least one entry");
         Cdt {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             order: VecDeque::new(),
             flagged: BTreeMap::new(),
             next_seq: 0,

@@ -19,9 +19,10 @@
 
 mod view;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use s4d_pfs::FileId;
+use s4d_sim::IdMap;
 use serde::{Deserialize, Serialize};
 
 use crate::journal::JournalRecord;
@@ -51,7 +52,7 @@ pub struct MapExtent {
 /// The Data Mapping Table.
 #[derive(Debug, Clone, Default)]
 pub struct Dmt {
-    files: HashMap<FileId, BTreeMap<u64, MapExtent>>,
+    files: IdMap<FileId, BTreeMap<u64, MapExtent>>,
     /// Recency index of clean extents: touch → (file, d_offset).
     lru_clean: BTreeMap<u64, (FileId, u64)>,
     /// Recency index of dirty extents.
@@ -432,17 +433,12 @@ impl Dmt {
         victims
     }
 
-    /// Up to `limit` dirty extents, least recently used first, as
-    /// `(file, d_offset, extent)` snapshots. Cost is `O(limit)`.
-    pub fn dirty_lru(&self, limit: usize) -> impl Iterator<Item = (FileId, u64, MapExtent)> + '_ {
-        self.lru_dirty
-            .values()
-            .take(limit)
-            .filter_map(|&(file, d_off)| {
-                let e = self.get(file, d_off)?;
-                debug_assert!(e.dirty);
-                Some((file, d_off, *e))
-            })
+    /// The dirty extents' `(file, d_offset)` keys, least recently used
+    /// first, straight from the recency index: no extent is looked up, so
+    /// a caller that discards most keys (the Rebuilder skips extents
+    /// already being flushed) pays only for the ones it keeps.
+    pub fn dirty_keys(&self) -> impl Iterator<Item = (FileId, u64)> + '_ {
+        self.lru_dirty.values().copied()
     }
 }
 
@@ -597,16 +593,13 @@ mod tests {
     }
 
     #[test]
-    fn dirty_lru_lists_oldest_first() {
+    fn dirty_keys_list_oldest_first() {
         let mut d = Dmt::new();
         d.insert(F, 0, 10, CF, 0, true);
         d.insert(F, 100, 10, CF, 10, true);
         d.insert(F, 200, 10, CF, 20, false);
-        let dirty: Vec<_> = d.dirty_lru(10).collect();
-        assert_eq!(dirty.len(), 2);
-        assert_eq!(dirty[0].1, 0);
-        assert_eq!(dirty[1].1, 100);
-        assert_eq!(d.dirty_lru(1).count(), 1);
+        let dirty: Vec<_> = d.dirty_keys().collect();
+        assert_eq!(dirty, vec![(F, 0), (F, 100)]);
     }
 
     #[test]
@@ -758,7 +751,10 @@ mod tests {
                 d.iter_extents().count()
             );
             let dirty_entries = d.iter_extents().filter(|(_, _, e)| e.dirty).count();
-            prop_assert_eq!(d.dirty_lru(usize::MAX).count(), dirty_entries);
+            prop_assert_eq!(d.dirty_keys().count(), dirty_entries);
+            for (f, off) in d.dirty_keys() {
+                prop_assert!(d.get(f, off).is_some_and(|e| e.dirty));
+            }
         }
 
         /// `view_into` on a scratch still holding an earlier query's

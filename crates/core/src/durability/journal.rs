@@ -31,42 +31,8 @@ pub use super::checkpoint::{
     decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointError, CHECKPOINT_HEADER_BYTES,
     CHECKPOINT_MAGIC,
 };
+pub use super::crc::crc32;
 pub use super::replay::replay_tolerant;
-
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-#[expect(clippy::indexing_slicing, reason = "const-evaluated at build time")]
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `bytes`, as used for journal record framing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let e = CRC32_TABLE
-            .get(((crc ^ u32::from(b)) & 0xFF) as usize)
-            .copied()
-            .unwrap_or(0); // masked to 0xFF, always < the 256-entry table
-        crc = (crc >> 8) ^ e;
-    }
-    !crc
-}
 
 /// One persisted DMT mutation.
 ///

@@ -25,6 +25,7 @@
 
 pub(crate) mod checkpoint;
 pub mod crash;
+mod crc;
 pub(crate) mod group;
 pub mod journal;
 pub(crate) mod recovery;

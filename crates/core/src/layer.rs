@@ -9,7 +9,6 @@
 //! §12 for the component map.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use s4d_cost::{BenefitEvaluator, CostParams};
@@ -18,7 +17,7 @@ use s4d_mpiio::{
     MiddlewareError, Plan, Rank, SubIoFailure, Tier,
 };
 use s4d_pfs::FileId;
-use s4d_sim::{SimDuration, SimTime};
+use s4d_sim::{IdMap, SimDuration, SimTime};
 use s4d_storage::IoKind;
 
 use crate::background::BackgroundScheduler;
@@ -44,7 +43,7 @@ pub struct S4dCache {
     /// partitioned into `config.shard_count` deterministic shards.
     pub(crate) plane: MetadataPlane,
     /// Original file → its per-shard cache files in CPFS (index = shard).
-    pub(crate) cache_file_of: HashMap<FileId, Vec<FileId>>,
+    pub(crate) cache_file_of: IdMap<FileId, Vec<FileId>>,
     /// Per-CServer health: failure counts, quarantine, backoff.
     pub(crate) health: HealthMonitor,
     pub(crate) metrics: S4dMetrics,
@@ -73,7 +72,7 @@ impl S4dCache {
             config,
             evaluator: BenefitEvaluator::new(params),
             plane,
-            cache_file_of: HashMap::new(),
+            cache_file_of: IdMap::default(),
             health: HealthMonitor::default(),
             metrics: S4dMetrics::default(),
             dur: DurabilityEngine::new(router),

@@ -365,17 +365,12 @@ impl MetadataPlane {
             .seal_if(file, d_offset, version, checksum)
     }
 
-    /// Up to `limit` dirty extents across shards: each shard contributes
-    /// its own LRU run (oldest first), shard 0 first. Callers that need a
-    /// global age order sort the result, exactly as they already sort the
-    /// single-shard LRU output.
-    pub(crate) fn dirty_lru(
-        &self,
-        limit: usize,
-    ) -> impl Iterator<Item = (FileId, u64, MapExtent)> + '_ {
-        self.shards()
-            .flat_map(move |s| s.dmt.dirty_lru(limit))
-            .take(limit)
+    /// The `(file, d_offset)` keys of up to `limit` dirty extents across
+    /// shards: each shard contributes its own LRU run (oldest first),
+    /// shard 0 first. Callers that need a global age order sort the
+    /// result, exactly as they already sort the single-shard LRU output.
+    pub(crate) fn dirty_keys(&self, limit: usize) -> impl Iterator<Item = (FileId, u64)> + '_ {
+        self.shards().flat_map(|s| s.dmt.dirty_keys()).take(limit)
     }
 
     /// LRU clean eviction within one shard (the shard whose space the

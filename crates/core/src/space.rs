@@ -6,9 +6,8 @@
 //! satisfied by several non-contiguous pieces (each becomes its own DMT
 //! extent), so the only failure mode is genuine lack of capacity.
 
-use std::collections::HashMap;
-
 use s4d_pfs::FileId;
+use s4d_sim::IdMap;
 
 /// One allocated piece within a cache file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,9 +24,9 @@ pub struct SpaceManager {
     capacity: u64,
     allocated: u64,
     /// Per cache file: next fresh (never-used) offset.
-    bump: HashMap<FileId, u64>,
+    bump: IdMap<FileId, u64>,
     /// Per cache file: freed extents available for reuse.
-    free: HashMap<FileId, Vec<(u64, u64)>>,
+    free: IdMap<FileId, Vec<(u64, u64)>>,
     alloc_ops: u64,
     free_ops: u64,
     over_releases: u64,
@@ -44,8 +43,8 @@ impl SpaceManager {
         SpaceManager {
             capacity,
             allocated: 0,
-            bump: HashMap::new(),
-            free: HashMap::new(),
+            bump: IdMap::default(),
+            free: IdMap::default(),
             alloc_ops: 0,
             free_ops: 0,
             over_releases: 0,

@@ -81,9 +81,11 @@ fn rebuilder_flush_cycle_marks_clean() {
     assert_eq!(plan.phases[0][0].tier, Tier::CServers);
     assert_eq!(plan.phases[0][0].priority, Priority::Background);
     assert_eq!(plan.phases[1][0].tier, Tier::DServers);
-    // A second poll must not re-issue the in-flight flush.
     let poll2 = mw.poll_background(&mut cluster, SimTime::from_secs(1));
-    assert!(poll2.plans.is_empty());
+    assert!(
+        poll2.plans.is_empty(),
+        "a second poll must not re-issue the in-flight flush"
+    );
     assert!(poll2.work_pending);
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(2), plan.tag);
     assert_eq!(mw.plane().dirty_bytes(), 0);
@@ -100,6 +102,40 @@ fn rebuilder_flush_cycle_marks_clean() {
     let poll4 = mw.poll_background(&mut cluster, SimTime::from_secs(4));
     assert!(poll4.plans.is_empty());
     assert!(!poll4.work_pending, "everything clean and settled");
+}
+
+#[test]
+fn inflight_flushes_count_against_the_wake_budget() {
+    let mut cluster = Cluster::paper_testbed_small(9);
+    let config = S4dConfig::new(64 * MIB)
+        .with_journal_batch(1)
+        .with_max_flush_per_wake(2);
+    let mut mw = S4dCache::new(config, params_small());
+    let f = mw.open(&mut cluster, Rank(0), "data").unwrap();
+    // Three dirty extents, oldest first, far enough apart that each
+    // flushes as its own plan.
+    for offset in [0, MIB, 2 * MIB] {
+        mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, offset, 16 * KIB));
+    }
+    let flushed = |plans: &[s4d_mpiio::Plan]| -> Vec<u64> {
+        let mut offsets: Vec<u64> = plans.iter().map(|p| p.phases[1][0].offset).collect();
+        offsets.sort_unstable();
+        offsets
+    };
+    let wake1 = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
+    assert_eq!(flushed(&wake1), vec![0, MIB], "the two oldest flush first");
+    // Both still in flight: they fill the budget of two, so the third
+    // extent waits even though it is dirty and not in flight.
+    let wake2 = poll_tagged(&mut mw, &mut cluster, SimTime::from_secs(1));
+    assert!(
+        wake2.is_empty(),
+        "in-flight extents must count against the budget"
+    );
+    for plan in &wake1 {
+        mw.on_plan_complete(&mut cluster, SimTime::from_secs(2), plan.tag);
+    }
+    let wake3 = poll_tagged(&mut mw, &mut cluster, SimTime::from_secs(3));
+    assert_eq!(flushed(&wake3), vec![2 * MIB]);
 }
 
 #[test]

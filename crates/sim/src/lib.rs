@@ -50,6 +50,6 @@ mod time;
 
 pub use engine::{Engine, World};
 pub use event::EventQueue;
-pub use idmap::{IdHasher, IdMap};
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use rng::{splitmix64, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,7 @@
 //! The mutation gate: seeded protocol violations applied to the *real*
 //! modules, each of which must die by its declared killer — the compiler
-//! first, a clippy lint second, a named tier-1 test last.
+//! first, a clippy lint second, a named test last (a tier-1 test, or one
+//! of `s4d-cache`'s own suites).
 //!
 //! This is the arbiter of what the static gate denies: a lint stays in a
 //! crate-root `#![deny(clippy::…)]` list or a `clippy.toml` only while
@@ -28,6 +29,8 @@ enum Killer {
     Clippy(&'static str),
     /// The root package's `--test <target> <name>` fails.
     Test(&'static str, &'static str),
+    /// `s4d-cache`'s `--test <target> <name>` fails.
+    CacheTest(&'static str, &'static str),
 }
 
 struct Row {
@@ -81,7 +84,7 @@ const INTENT_APPEND: &str = "        match self
 
 #[rustfmt::skip]
 fn rows() -> Vec<Row> {
-    use Killer::{Build, Clippy, Test};
+    use Killer::{Build, CacheTest, Clippy, Test};
     let row = |id, file, anchor, replacement, killer, evidence| Row { id, file, anchor, replacement, killer, evidence };
     let grown: &'static str = Box::leak(format!("{LAST_NAME}{}", "const _: u8 = 0;\n".repeat(800)).into_boxed_str());
     vec![
@@ -201,8 +204,11 @@ fn rows() -> Vec<Row> {
             "AdmissionPolicy::NeverAdmit => false,", "AdmissionPolicy::NeverAdmit => benefit.is_critical(),",
             Test("end_to_end", "never_admit_matches_stock_within_overhead"), "never-admit must redirect nothing"),
         row("flush-limit-zero-still-flushes", REBUILD,
-            ".dirty_lru(self.config.max_flush_per_wake)", ".dirty_lru(self.config.max_flush_per_wake.max(1))",
+            ".dirty_keys(self.config.max_flush_per_wake)", ".dirty_keys(self.config.max_flush_per_wake.max(1))",
             Test("end_to_end", "flush_limit_zero_is_carl_placement"), "flush limit 0 must never flush"),
+        row("flush-scan-ignores-inflight", REBUILD,
+            "            .filter(|key| !self.bg.inflight_flush.contains(key))\n", "",
+            CacheTest("background_scheduler", "rebuilder_flush_cycle_marks_clean"), "must not re-issue"),
         row("retry-cap-removed", FAULTS,
             "IoFault::Transient if failure.attempts < self.config.retry_max_attempts => {", "IoFault::Transient => {",
             Test("failure_domain", "transient_errors_are_retried_without_degradation"), "at the cap"),
@@ -329,6 +335,9 @@ fn every_row_dies_in_a_scratch_copy() {
             Killer::Build => "check --offline -p s4d-cache".to_owned(),
             Killer::Clippy(_) => cargo::CLIPPY.to_owned(),
             Killer::Test(target, name) => format!("test --offline --test {target} {name}"),
+            Killer::CacheTest(target, name) => {
+                format!("test --offline -p s4d-cache --test {target} {name}")
+            }
         };
         let path = ws.join(row.file);
         let original = std::fs::read_to_string(&path).expect(row.file);
@@ -339,7 +348,7 @@ fn every_row_dies_in_a_scratch_copy() {
             Killer::Build => true,
             // `-D unfulfilled-lint-expectations`, `…/index.html#unwrap_used`.
             Killer::Clippy(lint) => out.replace('-', "_").contains(lint),
-            Killer::Test(..) => out.contains("test result: FAILED"),
+            Killer::Test(..) | Killer::CacheTest(..) => out.contains("test result: FAILED"),
         };
         if ok {
             survivors.push(format!("{}: survived `cargo {args}`", row.id));
