@@ -1,7 +1,7 @@
 //! Gray-failure straggler benchmark: read throughput and completion
 //! percentiles under a tail-latency fault plan, with and without the
 //! deadline/hedging machinery — the perf-trajectory baseline for the
-//! gray-failure work (ROADMAP item 2).
+//! gray-failure work (ROADMAP item 1(c)).
 //!
 //! Emits `BENCH_straggler.json` (machine-readable, hand-formatted: the
 //! workspace has no JSON serializer dependency) into the current
@@ -92,9 +92,10 @@ fn run_variant(name: &'static str, hedged: bool) -> Variant {
         .cpfs_mut()
         .set_fault_plan(
             0,
-            FaultPlan::new().with(ServerFault::TailLatency {
+            FaultPlan::new().with(ServerFault::Slow {
                 from: SimTime::from_secs(READ_PHASE_SECS),
                 until: SimTime::from_secs(10_000),
+                class: None,
                 probability: TAIL_PROBABILITY,
                 factor: TAIL_FACTOR,
             }),
@@ -105,9 +106,7 @@ fn run_variant(name: &'static str, hedged: bool) -> Variant {
         .with_journal_batch(1)
         .with_rebuild_period(SimDuration::from_millis(100));
     if hedged {
-        config = config
-            .with_deadlines(4.0, SimDuration::from_millis(2))
-            .with_hedged_reads(true);
+        config = config.with_deadlines(4.0);
     }
 
     let scripts: Vec<_> = (0..RANKS)

@@ -52,13 +52,9 @@ pub struct S4dConfig {
     /// only marked in the CDT and the Rebuilder fetches later, keeping read
     /// response time low (§III.E).
     pub eager_read_fetch: bool,
-    /// First retry backoff after a transient CServer error; doubles per
-    /// attempt up to [`S4dConfig::retry_max_delay`].
-    pub retry_base_delay: SimDuration,
-    /// Backoff cap for transient-error retries.
-    pub retry_max_delay: SimDuration,
     /// Total attempts per sub-request (first try included) before the
-    /// middleware gives up and the request is re-planned.
+    /// middleware gives up and the request is re-planned. Retries back
+    /// off exponentially from 500 µs, capped at 50 ms.
     pub retry_max_attempts: u32,
     /// Consecutive failures that quarantine a CServer.
     pub quarantine_after: u32,
@@ -84,18 +80,16 @@ pub struct S4dConfig {
     /// access time (`max(T_D, T_C)` of the request, Eqs. 1/7): a
     /// dispatched sub-request still outstanding after
     /// `factor × predicted` is reported to the middleware as a
-    /// straggler. Must sit well above 1 — the prediction excludes
+    /// straggler. The budget is floored at 2 ms, so tiny requests (whose
+    /// predicted time is microseconds) are not declared stragglers by
+    /// scheduling noise. Must sit well above 1 — the prediction excludes
     /// queueing. `0.0` (the default) disables deadlines entirely.
+    ///
+    /// Arming deadlines also arms hedging: a straggling *clean* cached
+    /// read is abandoned and re-read from the DServers (OPFS holds the
+    /// same bytes), first responder wins. Dirty reads always wait — the
+    /// cache holds the only copy.
     pub deadline_factor: f64,
-    /// Floor on the deadline budget, so tiny requests (whose predicted
-    /// time is microseconds) are not declared stragglers by scheduling
-    /// noise.
-    pub deadline_min: SimDuration,
-    /// Answer straggling *clean* cached reads with a hedged read against
-    /// the DServers (OPFS holds the same bytes): the straggler is
-    /// abandoned and the first responder wins. Dirty reads always wait —
-    /// the cache holds the only copy. Off by default.
-    pub hedge_reads: bool,
     /// Number of deterministic metadata-plane shards. Each shard owns a
     /// disjoint slice of the DMT interval map, the CDT, and the space
     /// accounting, keyed by `(file, offset / shard_stripe) % shard_count`
@@ -127,8 +121,6 @@ impl S4dConfig {
             admission: AdmissionPolicy::Benefit,
             journal_batch_records: 64,
             eager_read_fetch: false,
-            retry_base_delay: SimDuration::from_micros(500),
-            retry_max_delay: SimDuration::from_millis(50),
             retry_max_attempts: 4,
             quarantine_after: 3,
             quarantine_duration: SimDuration::from_secs(10),
@@ -136,32 +128,24 @@ impl S4dConfig {
             scrub_bytes_per_wake: 0,
             verify_on_read: false,
             deadline_factor: 0.0,
-            deadline_min: SimDuration::from_millis(2),
-            hedge_reads: false,
             shard_count: 1,
             shard_stripe: 64 * 1024,
         }
     }
 
-    /// Enables deadline budgets: `factor × predicted` access time per
-    /// request, floored at `min`.
+    /// Enables deadline budgets, `factor × predicted` access time per
+    /// request, and with them hedged reads for straggling clean cached
+    /// reads (see [`S4dConfig::deadline_factor`]).
     ///
     /// # Panics
     ///
     /// Panics if `factor` is not finite and positive.
-    pub fn with_deadlines(mut self, factor: f64, min: SimDuration) -> Self {
+    pub fn with_deadlines(mut self, factor: f64) -> Self {
         assert!(
             factor.is_finite() && factor > 0.0,
             "deadline factor must be positive"
         );
         self.deadline_factor = factor;
-        self.deadline_min = min;
-        self
-    }
-
-    /// Enables hedged reads for straggling clean cached reads.
-    pub fn with_hedged_reads(mut self, on: bool) -> Self {
-        self.hedge_reads = on;
         self
     }
 
@@ -189,21 +173,15 @@ impl S4dConfig {
         self
     }
 
-    /// Sets the transient-error retry policy.
+    /// Sets the total attempts per sub-request before a transient error
+    /// gives up and re-plans.
     ///
     /// # Panics
     ///
-    /// Panics if `max_attempts == 0`.
-    pub fn with_retry_policy(
-        mut self,
-        base_delay: SimDuration,
-        max_delay: SimDuration,
-        max_attempts: u32,
-    ) -> Self {
-        assert!(max_attempts > 0, "retry attempts must be positive");
-        self.retry_base_delay = base_delay;
-        self.retry_max_delay = max_delay.max(base_delay);
-        self.retry_max_attempts = max_attempts;
+    /// Panics if `attempts == 0`.
+    pub fn with_retry_attempts(mut self, attempts: u32) -> Self {
+        assert!(attempts > 0, "retry attempts must be positive");
+        self.retry_max_attempts = attempts;
         self
     }
 
@@ -329,26 +307,17 @@ mod tests {
     #[test]
     fn failure_domain_builders() {
         let c = S4dConfig::new(1)
-            .with_retry_policy(SimDuration::from_millis(1), SimDuration::from_millis(8), 6)
+            .with_retry_attempts(6)
             .with_quarantine(2, SimDuration::from_secs(30));
-        assert_eq!(c.retry_base_delay, SimDuration::from_millis(1));
-        assert_eq!(c.retry_max_delay, SimDuration::from_millis(8));
         assert_eq!(c.retry_max_attempts, 6);
         assert_eq!(c.quarantine_after, 2);
         assert_eq!(c.quarantine_duration, SimDuration::from_secs(30));
-        // The cap never drops below the base.
-        let c = S4dConfig::new(1).with_retry_policy(
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(1),
-            2,
-        );
-        assert_eq!(c.retry_max_delay, SimDuration::from_millis(10));
     }
 
     #[test]
     #[should_panic(expected = "retry attempts")]
     fn rejects_zero_attempts() {
-        S4dConfig::new(1).with_retry_policy(SimDuration::ZERO, SimDuration::ZERO, 0);
+        S4dConfig::new(1).with_retry_attempts(0);
     }
 
     #[test]
@@ -382,19 +351,13 @@ mod tests {
     fn gray_failure_knobs_default_off() {
         let c = S4dConfig::new(1);
         assert_eq!(c.deadline_factor, 0.0, "deadlines are opt-in");
-        assert!(!c.hedge_reads);
-        let c = c
-            .with_deadlines(8.0, SimDuration::from_millis(5))
-            .with_hedged_reads(true);
-        assert_eq!(c.deadline_factor, 8.0);
-        assert_eq!(c.deadline_min, SimDuration::from_millis(5));
-        assert!(c.hedge_reads);
+        assert_eq!(c.with_deadlines(8.0).deadline_factor, 8.0);
     }
 
     #[test]
     #[should_panic(expected = "deadline factor")]
     fn rejects_non_positive_deadline_factor() {
-        S4dConfig::new(1).with_deadlines(0.0, SimDuration::ZERO);
+        S4dConfig::new(1).with_deadlines(0.0);
     }
 
     #[test]

@@ -12,13 +12,18 @@ use s4d_sim::{SimDuration, SimTime};
 
 use crate::layer::S4dCache;
 
+/// First retry backoff after a transient CServer error; doubles per
+/// attempt up to [`RETRY_MAX_DELAY`].
+const RETRY_BASE_DELAY: SimDuration = SimDuration::from_micros(500);
+/// Backoff cap for transient-error retries.
+const RETRY_MAX_DELAY: SimDuration = SimDuration::from_millis(50);
+
 impl S4dCache {
     /// Capped exponential backoff for attempt number `attempts` (≥ 1).
     pub(crate) fn retry_backoff(&self, attempts: u32) -> SimDuration {
         let exp = attempts.saturating_sub(1).min(20);
-        let base = self.config.retry_base_delay.as_secs_f64();
-        let delay = base * (1u64 << exp) as f64;
-        SimDuration::from_secs_f64(delay.min(self.config.retry_max_delay.as_secs_f64()))
+        let delay = RETRY_BASE_DELAY.as_secs_f64() * (1u64 << exp) as f64;
+        SimDuration::from_secs_f64(delay.min(RETRY_MAX_DELAY.as_secs_f64()))
     }
 
     /// Applies a CServer hard crash to the cache metadata: every extent

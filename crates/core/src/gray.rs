@@ -28,20 +28,24 @@ use s4d_storage::IoKind;
 use crate::layer::S4dCache;
 use crate::pipeline::RequestCtx;
 
+/// Floor on the deadline budget, so tiny requests (whose predicted time
+/// is microseconds) are not declared stragglers by scheduling noise.
+const DEADLINE_FLOOR: SimDuration = SimDuration::from_millis(2);
+
 impl S4dCache {
     /// Prices the plan's deadline budget from the cost model's predicted
-    /// access time: `factor × max(T_D, T_C)`, floored at the configured
-    /// minimum. No-op while deadlines are disabled (the default), so
-    /// deadline-blind runs execute exactly as before.
+    /// access time: `factor × max(T_D, T_C)`, floored at
+    /// [`DEADLINE_FLOOR`]. No-op while deadlines are disabled (the
+    /// default), so deadline-blind runs execute exactly as before.
     pub(crate) fn apply_deadline(&self, plan: &mut Plan, ctx: &RequestCtx) {
         if self.config.deadline_factor <= 0.0 {
             return;
         }
         let priced = ctx.predicted_secs * self.config.deadline_factor;
         let budget = if priced.is_finite() && priced > 0.0 {
-            SimDuration::from_secs_f64(priced).max(self.config.deadline_min)
+            SimDuration::from_secs_f64(priced).max(DEADLINE_FLOOR)
         } else {
-            self.config.deadline_min
+            DEADLINE_FLOOR
         };
         plan.deadline = Some(budget);
     }
@@ -53,8 +57,8 @@ impl S4dCache {
     /// fail-slow server is eventually routed around even if no request
     /// ever errors. Then, by traffic class:
     ///
-    /// * clean cached **reads** (hedging enabled): abandon the straggler
-    ///   and read the same bytes from OPFS — first responder wins;
+    /// * clean cached **reads**: abandon the straggler and read the same
+    ///   bytes from OPFS — first responder wins;
     /// * **writes**: abandon and re-plan; with the server now demerited,
     ///   fresh admissions divert to OPFS while re-dirty writes ride the
     ///   replan backoff until the server answers or is quarantined;
@@ -107,7 +111,7 @@ impl S4dCache {
             self.metrics.straggler_waits += 1;
             return HedgeDirective::Wait;
         };
-        if !self.config.hedge_reads || ctx.app_segments.is_empty() {
+        if ctx.app_segments.is_empty() {
             self.metrics.straggler_waits += 1;
             return HedgeDirective::Wait;
         }

@@ -16,7 +16,7 @@ use s4d_storage::IoKind;
 #[test]
 fn transient_errors_retry_with_growing_backoff_then_quarantine() {
     let (mut cluster, mut mw, _f) = setup(64 * MIB);
-    let base = mw.config().retry_base_delay;
+    let base = SimDuration::from_micros(500);
     let d1 = mw.on_io_error(&mut cluster, SimTime::ZERO, &transient_failure(0, 1));
     assert_eq!(d1, ErrorDirective::Retry { delay: base });
     let d2 = mw.on_io_error(&mut cluster, SimTime::ZERO, &transient_failure(0, 2));
@@ -43,11 +43,7 @@ fn backoff_is_capped() {
     // A wide retry budget so attempt 40 is judged on backoff alone.
     let mut cluster = Cluster::paper_testbed_small(9);
     let mut mw = S4dCache::new(
-        S4dConfig::new(64 * MIB).with_retry_policy(
-            SimDuration::from_millis(10),
-            SimDuration::from_secs(1),
-            64,
-        ),
+        S4dConfig::new(64 * MIB).with_retry_attempts(64),
         common::params_small(),
     );
     mw.open(&mut cluster, Rank(0), "data").unwrap();
@@ -55,7 +51,7 @@ fn backoff_is_capped() {
     assert_eq!(
         d1,
         ErrorDirective::Retry {
-            delay: SimDuration::from_millis(10)
+            delay: SimDuration::from_micros(500)
         }
     );
     // Clear the consecutive-failure count so the next directive is not
@@ -67,12 +63,12 @@ fn backoff_is_capped() {
         16 * KIB,
         SimDuration::from_micros(200),
     );
-    // 10 ms × 2³⁹ is astronomical; the directive caps at the maximum.
+    // 500 µs × 2³⁹ is astronomical; the directive caps at 50 ms.
     let d40 = mw.on_io_error(&mut cluster, SimTime::ZERO, &transient_failure(0, 40));
     assert_eq!(
         d40,
         ErrorDirective::Retry {
-            delay: SimDuration::from_secs(1)
+            delay: SimDuration::from_millis(50)
         }
     );
 }

@@ -409,9 +409,11 @@ fn run_one_write_with_deadline(
 /// Ops started in `[from, 100 ms)` are serviced a thousand times too
 /// slowly — far beyond the deadline budget.
 fn limping(from: SimTime) -> s4d_pfs::ServerFault {
-    s4d_pfs::ServerFault::Degraded {
+    s4d_pfs::ServerFault::Slow {
         from,
         until: at_millis(100),
+        class: None,
+        probability: 1.0,
         factor: 1000.0,
     }
 }

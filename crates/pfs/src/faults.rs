@@ -3,7 +3,7 @@
 //! The workspace's one fault vocabulary: every injected failure is a
 //! [`ServerFault`] scripted on the simulation clock — a hard crash that
 //! loses all stored data, a window of transient (retryable) errors,
-//! slowdown windows (whole-server, per-op-class, and probabilistic heavy
+//! slowdown windows (whole-server or per-op-class, steady or heavy
 //! tails), space exhaustion, a seeded bad-sector map, or a stall that
 //! parks operations in the service slot without completing *or* erring.
 //! A [`FaultPlan`] is installed on a [`FileServer`](crate::FileServer)
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// Ceiling on any composed service-time multiplier. Overlapping slowdown
 /// windows compose multiplicatively and then clamp into
-/// `[1, MAX_SLOWDOWN]`, so a stack of degraded windows can never
+/// `[1, MAX_SLOWDOWN]`, so a stack of slow windows can never
 /// overflow a service time into nonsense; a genuinely unbounded delay is
 /// modeled by [`ServerFault::Stall`] instead.
 pub(crate) const MAX_SLOWDOWN: f64 = 1e6;
@@ -78,44 +78,25 @@ pub enum ServerFault {
         /// Per-operation failure probability in `(0, 1]`.
         error_rate: f64,
     },
-    /// In `[from, until)` device service times are multiplied by `factor`
-    /// (a degrading server).
-    Degraded {
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Service-time multiplier (must be ≥ 1).
-        factor: f64,
-    },
-    /// In `[from, until)` service times of one operation class are
-    /// multiplied by `factor` — a server whose writes limp while reads
-    /// stay healthy (firmware GC stalls, write-cache exhaustion), or the
-    /// reverse. Composes with [`ServerFault::Degraded`] windows under the
-    /// same multiply-then-clamp rule.
-    ClassDegraded {
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Which operation class limps.
-        class: OpClass,
-        /// Service-time multiplier (must be ≥ 1).
-        factor: f64,
-    },
-    /// In `[from, until)` each operation independently draws a heavy
-    /// latency tail with `probability`; a hit multiplies its service time
-    /// by `factor`. Draws come from the server's own forked
+    /// In `[from, until)` the server is slower: each operation of `class`
+    /// (every operation when `None`) has its service time multiplied by
+    /// `factor` with `probability`. At `probability == 1.0` this is a
+    /// steady slowdown — a degrading server, or one whose writes limp
+    /// while reads stay healthy (firmware GC stalls, write-cache
+    /// exhaustion). Below 1 it is a heavy latency tail: each operation
+    /// makes one Bernoulli draw from the server's own forked
     /// [`SimRng`](s4d_sim::SimRng) stream, so a given seed always tails
-    /// the same ops.
-    TailLatency {
+    /// the same ops. Overlapping windows compose multiply-then-clamp.
+    Slow {
         /// Window start.
         from: SimTime,
         /// Window end (exclusive).
         until: SimTime,
-        /// Per-operation tail probability in `(0, 1]`.
+        /// The operation class that slows, or `None` for every class.
+        class: Option<OpClass>,
+        /// Per-operation probability in `(0, 1]`; `1.0` slows every op.
         probability: f64,
-        /// Service-time multiplier on a tail hit (must be ≥ 1).
+        /// Service-time multiplier (must be ≥ 1).
         factor: f64,
     },
     /// In `[from, until)` the server's store is full: every write
@@ -161,7 +142,7 @@ pub enum ServerFault {
     },
 }
 
-/// The operation class a [`ServerFault::ClassDegraded`] window applies to.
+/// The operation class a [`ServerFault::Slow`] window applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OpClass {
     /// Read sub-requests.
@@ -226,37 +207,21 @@ impl FaultPlan {
                     "error rate must be in (0, 1]"
                 );
             }
-            ServerFault::Degraded {
-                from,
-                until,
-                factor,
-            }
-            | ServerFault::ClassDegraded {
-                from,
-                until,
-                factor,
-                ..
-            } => {
-                assert!(until > from, "degraded window must be non-empty");
-                assert!(
-                    factor.is_finite() && factor >= 1.0,
-                    "slowdown factor must be >= 1"
-                );
-            }
-            ServerFault::TailLatency {
+            ServerFault::Slow {
                 from,
                 until,
                 probability,
                 factor,
+                ..
             } => {
-                assert!(until > from, "tail window must be non-empty");
+                assert!(until > from, "slow window must be non-empty");
                 assert!(
                     probability > 0.0 && probability <= 1.0,
-                    "tail probability must be in (0, 1]"
+                    "slowdown probability must be in (0, 1]"
                 );
                 assert!(
                     factor.is_finite() && factor >= 1.0,
-                    "tail factor must be >= 1"
+                    "slowdown factor must be >= 1"
                 );
             }
             ServerFault::SpaceExhausted { from, until } => {
@@ -312,51 +277,32 @@ impl FaultPlan {
             .fold(0.0, f64::max)
     }
 
-    /// Service-time multiplier at `now` for an operation of `kind` (1
-    /// when healthy): [`ServerFault::Degraded`] windows plus the
-    /// [`ServerFault::ClassDegraded`] windows whose class matches.
-    /// Overlapping windows compose by **multiply-then-clamp**: the active
-    /// factors are sorted into a canonical order, multiplied, and the
-    /// product clamped into `[1, MAX_SLOWDOWN]` — so the result is a pure
-    /// function of the set of active windows, independent of the order
-    /// faults were inserted into the plan (floating-point products are
-    /// not associative, so an unsorted product would differ in the last
-    /// ulp between insertion orders).
-    pub(crate) fn slowdown_for(&self, now: SimTime, kind: IoKind) -> f64 {
-        let factors = self.faults.iter().filter_map(|f| match f {
-            ServerFault::Degraded {
-                from,
-                until,
-                factor,
-            } if *from <= now && now < *until => Some(*factor),
-            ServerFault::ClassDegraded {
-                from,
-                until,
-                class,
-                factor,
-            } if *from <= now && now < *until && class.matches(kind) => Some(*factor),
-            _ => None,
-        });
-        compose_slowdown(factors)
-    }
-
-    /// Draws the heavy-tail multiplier for one operation starting at
-    /// `now`: each active [`ServerFault::TailLatency`] window contributes
-    /// its factor with its probability (one Bernoulli draw per active
-    /// window, in a canonical window order so the stream is insertion-
-    /// order independent); hits compose multiply-then-clamp. Returns 1
-    /// when no window is active or no draw hits.
-    pub(crate) fn tail_draw(&self, now: SimTime, rng: &mut SimRng) -> f64 {
+    /// Service-time multiplier for one operation of `kind` starting at
+    /// `now` (1 when healthy). Every active [`ServerFault::Slow`] window
+    /// whose class matches contributes its factor: outright at
+    /// `probability == 1.0`, else on one Bernoulli draw from `rng` — so
+    /// only probabilistic windows consume draws, taken in a canonical
+    /// window order. The hits compose by **multiply-then-clamp**: sorted
+    /// into a canonical order, multiplied, and the product clamped into
+    /// `[1, MAX_SLOWDOWN]`. Both sorts make the result (and the draws) a
+    /// pure function of the set of active windows, independent of the
+    /// order faults were inserted into the plan (floating-point products
+    /// are not associative, so an unsorted product would differ in the
+    /// last ulp between insertion orders).
+    pub(crate) fn slowdown(&self, now: SimTime, kind: IoKind, rng: &mut SimRng) -> f64 {
         let mut active: Vec<(SimTime, SimTime, f64, f64)> = self
             .faults
             .iter()
             .filter_map(|f| match f {
-                ServerFault::TailLatency {
+                ServerFault::Slow {
                     from,
                     until,
+                    class,
                     probability,
                     factor,
-                } if *from <= now && now < *until => Some((*from, *until, *probability, *factor)),
+                } if *from <= now && now < *until && class.is_none_or(|c| c.matches(kind)) => {
+                    Some((*from, *until, *probability, *factor))
+                }
                 _ => None,
             })
             .collect();
@@ -366,12 +312,13 @@ impl FaultPlan {
                 .then(a.2.total_cmp(&b.2))
                 .then(a.3.total_cmp(&b.3))
         });
-        compose_slowdown(
-            active
-                .into_iter()
-                .filter(|&(_, _, p, _)| rng.chance(p))
-                .map(|(_, _, _, factor)| factor),
-        )
+        active.retain(|&(_, _, p, _)| p >= 1.0 || rng.chance(p));
+        active.sort_by(|a, b| a.3.total_cmp(&b.3));
+        active
+            .iter()
+            .map(|&(.., factor)| factor)
+            .product::<f64>()
+            .clamp(1.0, MAX_SLOWDOWN)
     }
 
     /// Stall status for an operation starting at `now`. Overlapping stall
@@ -433,22 +380,6 @@ impl FaultPlan {
     }
 }
 
-/// Multiply-then-clamp composition of slowdown factors: sort into a
-/// canonical (total) order, take the product, clamp into
-/// `[1, MAX_SLOWDOWN]`. Sorting first makes the floating-point product a
-/// pure function of the factor *multiset*, not of fault insertion order.
-fn compose_slowdown(factors: impl Iterator<Item = f64>) -> f64 {
-    let mut factors: Vec<f64> = factors.collect();
-    if factors.is_empty() {
-        return 1.0;
-    }
-    factors.sort_by(f64::total_cmp);
-    factors
-        .into_iter()
-        .product::<f64>()
-        .clamp(1.0, MAX_SLOWDOWN)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,13 +388,34 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    fn slow(
+        from: u64,
+        until: u64,
+        class: Option<OpClass>,
+        probability: f64,
+        factor: f64,
+    ) -> ServerFault {
+        ServerFault::Slow {
+            from: t(from),
+            until: t(until),
+            class,
+            probability,
+            factor,
+        }
+    }
+
+    /// The next value `rng` would produce, without advancing it.
+    fn peek(rng: &SimRng) -> u64 {
+        rng.clone().next_u64()
+    }
+
     #[test]
     fn empty_plan_is_healthy() {
         let p = FaultPlan::new();
         assert!(p.is_empty());
         assert!(!p.offline_at(t(5)));
         assert_eq!(p.error_rate_at(t(5)), 0.0);
-        assert_eq!(p.slowdown_for(t(5), IoKind::Read), 1.0);
+        assert_eq!(p.slowdown(t(5), IoKind::Read, &mut SimRng::seed(1)), 1.0);
         assert!(!p.crash_due(SimTime::ZERO, t(100)));
     }
 
@@ -503,24 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_windows_stack() {
-        let p = FaultPlan::new()
-            .with(ServerFault::Degraded {
-                from: t(0),
-                until: t(10),
-                factor: 2.0,
-            })
-            .with(ServerFault::Degraded {
-                from: t(5),
-                until: t(10),
-                factor: 3.0,
-            });
-        assert_eq!(p.slowdown_for(t(1), IoKind::Read), 2.0);
-        assert_eq!(p.slowdown_for(t(6), IoKind::Read), 6.0);
-        assert_eq!(p.slowdown_for(t(11), IoKind::Read), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "recover after")]
     fn rejects_inverted_crash() {
         FaultPlan::new().with(ServerFault::Crash {
@@ -542,95 +476,92 @@ mod tests {
     #[test]
     #[should_panic(expected = "slowdown factor")]
     fn rejects_speedup() {
-        FaultPlan::new().with(ServerFault::Degraded {
-            from: t(0),
-            until: t(1),
-            factor: 0.5,
-        });
+        FaultPlan::new().with(slow(0, 1, None, 1.0, 0.5));
     }
 
     #[test]
-    fn slowdown_composition_is_insertion_order_independent() {
-        // Factors chosen so the unsorted product differs in the last ulp
-        // between orders; the canonical sort makes both plans identical.
-        let windows = [1.1, 3.7, 2.3, 1.9, 5.3];
-        let forward = windows.iter().fold(FaultPlan::new(), |p, &factor| {
-            p.with(ServerFault::Degraded {
-                from: t(0),
-                until: t(10),
-                factor,
-            })
-        });
-        let reverse = windows.iter().rev().fold(FaultPlan::new(), |p, &factor| {
-            p.with(ServerFault::Degraded {
-                from: t(0),
-                until: t(10),
-                factor,
-            })
-        });
-        assert_eq!(
-            forward.slowdown_for(t(5), IoKind::Read).to_bits(),
-            reverse.slowdown_for(t(5), IoKind::Read).to_bits(),
-            "multiply-then-clamp must be a pure function of the window set"
-        );
-    }
-
-    #[test]
-    fn slowdown_clamps_at_max() {
-        let mut p = FaultPlan::new();
-        for _ in 0..8 {
-            p = p.with(ServerFault::Degraded {
-                from: t(0),
-                until: t(10),
-                factor: 100.0,
-            });
-        }
-        assert_eq!(p.slowdown_for(t(5), IoKind::Read), MAX_SLOWDOWN);
-    }
-
-    #[test]
-    fn class_degraded_applies_to_its_class_only() {
+    fn steady_windows_stack_per_class_without_drawing() {
         let p = FaultPlan::new()
-            .with(ServerFault::ClassDegraded {
-                from: t(0),
-                until: t(10),
-                class: OpClass::Write,
-                factor: 4.0,
-            })
-            .with(ServerFault::Degraded {
-                from: t(0),
-                until: t(10),
-                factor: 2.0,
-            });
-        assert_eq!(p.slowdown_for(t(5), IoKind::Write), 8.0);
-        assert_eq!(p.slowdown_for(t(5), IoKind::Read), 2.0);
-        assert_eq!(p.slowdown_for(t(11), IoKind::Write), 1.0);
+            .with(slow(0, 10, None, 1.0, 2.0))
+            .with(slow(5, 10, None, 1.0, 3.0))
+            .with(slow(0, 10, Some(OpClass::Write), 1.0, 4.0));
+        let mut rng = SimRng::seed(7);
+        let before = peek(&rng);
+        assert_eq!(p.slowdown(t(1), IoKind::Read, &mut rng), 2.0);
+        assert_eq!(p.slowdown(t(6), IoKind::Read, &mut rng), 6.0);
+        assert_eq!(p.slowdown(t(6), IoKind::Write, &mut rng), 24.0);
+        assert_eq!(p.slowdown(t(11), IoKind::Write, &mut rng), 1.0);
+        assert_eq!(peek(&rng), before, "probability-1 windows never draw");
     }
 
     #[test]
-    fn tail_draws_are_deterministic_and_windowed() {
-        let p = FaultPlan::new().with(ServerFault::TailLatency {
-            from: t(1),
-            until: t(10),
-            probability: 0.5,
-            factor: 50.0,
-        });
-        // Outside the window: no draw is consumed and the factor is 1.
+    fn probabilistic_windows_draw_once_per_op_of_their_class() {
+        let p = FaultPlan::new().with(slow(1, 10, Some(OpClass::Write), 0.5, 50.0));
         let mut rng = SimRng::seed(7);
-        let before = rng.clone().next_u64();
-        assert_eq!(p.tail_draw(t(0), &mut rng), 1.0);
-        assert_eq!(rng.clone().next_u64(), before, "no draw outside windows");
-        // Inside: same seed, same hit pattern.
+        let before = peek(&rng);
+        assert_eq!(p.slowdown(t(0), IoKind::Write, &mut rng), 1.0);
+        assert_eq!(p.slowdown(t(5), IoKind::Read, &mut rng), 1.0);
+        assert_eq!(peek(&rng), before, "no draw outside the window or class");
+        let mut drawn = rng.clone();
+        drawn.f64();
+        p.slowdown(t(5), IoKind::Write, &mut rng);
+        assert_eq!(peek(&rng), peek(&drawn), "one draw per write in the window");
+        // Same seed, same hit pattern.
         let draws = |seed| {
             let mut rng = SimRng::seed(seed);
             (0..64)
-                .map(|_| p.tail_draw(t(5), &mut rng))
+                .map(|_| p.slowdown(t(5), IoKind::Write, &mut rng))
                 .collect::<Vec<_>>()
         };
         let a = draws(11);
         assert_eq!(a, draws(11));
         assert!(a.contains(&50.0), "some ops draw the tail");
         assert!(a.contains(&1.0), "some ops stay fast");
+    }
+
+    #[test]
+    fn slowdown_is_insertion_order_independent() {
+        // Steady factors chosen so the unsorted product differs in the
+        // last ulp between orders, mixed with probabilistic windows whose
+        // draws must also happen in one canonical order.
+        let windows = [
+            (1.0, 1.1),
+            (0.5, 7.0),
+            (1.0, 3.7),
+            (1.0, 2.3),
+            (0.3, 1.7),
+            (1.0, 1.9),
+            (0.7, 2.9),
+            (1.0, 5.3),
+        ];
+        let plan = |order: &mut dyn Iterator<Item = &(f64, f64)>| {
+            order.fold(FaultPlan::new(), |p, &(probability, factor)| {
+                p.with(slow(0, 10, None, probability, factor))
+            })
+        };
+        let forward = plan(&mut windows.iter());
+        let reverse = plan(&mut windows.iter().rev());
+        let run = |p: &FaultPlan| {
+            let mut rng = SimRng::seed(3);
+            let bits: Vec<u64> = (0..64)
+                .map(|_| p.slowdown(t(5), IoKind::Read, &mut rng).to_bits())
+                .collect();
+            (bits, peek(&rng))
+        };
+        assert_eq!(
+            run(&forward),
+            run(&reverse),
+            "multiply-then-clamp and the draws must be a pure function of the window set"
+        );
+    }
+
+    #[test]
+    fn slowdown_clamps_at_max() {
+        let p = (0..8).fold(FaultPlan::new(), |p, _| {
+            p.with(slow(0, 10, None, 1.0, 100.0))
+        });
+        let mut rng = SimRng::seed(1);
+        assert_eq!(p.slowdown(t(5), IoKind::Read, &mut rng), MAX_SLOWDOWN);
     }
 
     #[test]
@@ -718,13 +649,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tail probability")]
-    fn rejects_bad_tail_probability() {
-        FaultPlan::new().with(ServerFault::TailLatency {
-            from: t(0),
-            until: t(1),
-            probability: 0.0,
-            factor: 2.0,
-        });
+    #[should_panic(expected = "slowdown probability")]
+    fn rejects_bad_slow_probability() {
+        FaultPlan::new().with(slow(0, 1, None, 0.0, 2.0));
     }
 }

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use s4d_sim::{IdMap, SimDuration, SimRng, SimTime};
 use s4d_storage::{DeviceModel, ExtentStore, IoKind, StoreMode};
 
-use crate::faults::{FaultPlan, IoFault, StallState, MAX_SLOWDOWN};
+use crate::faults::{FaultPlan, IoFault, StallState};
 use crate::network::NetworkConfig;
 use crate::types::{FileId, Priority, SubReqId};
 
@@ -448,9 +448,7 @@ impl FileServer {
             let device_time = self
                 .device
                 .service_time(req.kind, lba, req.len, &mut self.rng);
-            let slowdown = self.faults.slowdown_for(now, req.kind);
-            let tail = self.faults.tail_draw(now, &mut self.rng);
-            let factor = (slowdown * tail).clamp(1.0, MAX_SLOWDOWN);
+            let factor = self.faults.slowdown(now, req.kind, &mut self.rng);
             let device_time = if factor > 1.0 {
                 SimDuration::from_secs_f64(device_time.as_secs_f64() * factor)
             } else {
@@ -976,65 +974,44 @@ mod tests {
     }
 
     #[test]
-    fn class_degraded_slows_only_that_class() {
+    fn steady_slow_windows_slow_only_their_class() {
         use crate::faults::{FaultPlan, OpClass, ServerFault};
-        let mut plain = hdd_server(StoreMode::Timing);
-        let mut slow_writes = hdd_server(StoreMode::Timing);
-        slow_writes.set_fault_plan(FaultPlan::new().with(ServerFault::ClassDegraded {
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(1000),
-            class: OpClass::Write,
-            factor: 20.0,
-        }));
-        let w_plain = plain
-            .submit(
-                SimTime::ZERO,
-                req(1, IoKind::Write, 0, 256 * KIB, Priority::Normal),
-            )
-            .unwrap();
-        let w_slow = slow_writes
-            .submit(
-                SimTime::ZERO,
-                req(1, IoKind::Write, 0, 256 * KIB, Priority::Normal),
-            )
-            .unwrap();
-        let plain_secs = w_plain
-            .completes_at
-            .duration_since(SimTime::ZERO)
-            .as_secs_f64();
-        let slow_secs = w_slow
-            .completes_at
-            .duration_since(SimTime::ZERO)
-            .as_secs_f64();
+        // Service time of one 256 KiB op on a fresh server slowed by
+        // `factor` for `class` (factor 1 is the healthy baseline).
+        let secs = |class: Option<OpClass>, factor: f64, kind: IoKind| {
+            let mut s = hdd_server(StoreMode::Timing);
+            s.set_fault_plan(FaultPlan::new().with(ServerFault::Slow {
+                from: SimTime::ZERO,
+                until: SimTime::from_secs(1000),
+                class,
+                probability: 1.0,
+                factor,
+            }));
+            s.submit(SimTime::ZERO, req(1, kind, 0, 256 * KIB, Priority::Normal))
+                .unwrap()
+                .completes_at
+                .duration_since(SimTime::ZERO)
+                .as_secs_f64()
+        };
+        let read = secs(None, 1.0, IoKind::Read);
+        let write = secs(None, 1.0, IoKind::Write);
         assert!(
-            slow_secs > plain_secs * 5.0,
-            "writes limp: {slow_secs} vs {plain_secs}"
+            secs(None, 10.0, IoKind::Read) > read * 5.0,
+            "a 10x slow server must be much slower"
         );
-        // Reads on the write-degraded server are not inflated 20x.
-        let (_, _) = plain.on_complete(w_plain.completes_at);
-        let (_, _) = slow_writes.on_complete(w_slow.completes_at);
-        let r_plain = plain
-            .submit(
-                w_plain.completes_at,
-                req(2, IoKind::Read, 0, 256 * KIB, Priority::Normal),
-            )
-            .unwrap();
-        let r_slow = slow_writes
-            .submit(
-                w_slow.completes_at,
-                req(2, IoKind::Read, 0, 256 * KIB, Priority::Normal),
-            )
-            .unwrap();
-        let rp = r_plain.completes_at.duration_since(w_plain.completes_at);
-        let rs = r_slow.completes_at.duration_since(w_slow.completes_at);
         assert!(
-            rs.as_secs_f64() < rp.as_secs_f64() * 5.0,
-            "reads stay near healthy: {rs} vs {rp}"
+            secs(Some(OpClass::Write), 20.0, IoKind::Write) > write * 5.0,
+            "writes limp"
+        );
+        assert_eq!(
+            secs(Some(OpClass::Write), 20.0, IoKind::Read),
+            read,
+            "reads on a write-slowed server stay healthy"
         );
     }
 
     #[test]
-    fn tail_latency_inflates_some_ops_deterministically() {
+    fn probabilistic_slow_window_inflates_some_ops_deterministically() {
         use crate::faults::{FaultPlan, ServerFault};
         let run = |seed: u64| {
             let cfg = presets::hdd_seagate_st3250();
@@ -1048,9 +1025,10 @@ mod tests {
                 None,
                 SimRng::seed(seed),
             );
-            s.set_fault_plan(FaultPlan::new().with(ServerFault::TailLatency {
+            s.set_fault_plan(FaultPlan::new().with(ServerFault::Slow {
                 from: SimTime::ZERO,
                 until: SimTime::from_secs(1_000_000),
+                class: None,
                 probability: 0.2,
                 factor: 100.0,
             }));
@@ -1074,32 +1052,5 @@ mod tests {
             max.as_secs_f64() > min.as_secs_f64() * 20.0,
             "tail hits dwarf the healthy ops: {max} vs {min}"
         );
-    }
-
-    #[test]
-    fn degraded_window_slows_service() {
-        use crate::faults::{FaultPlan, ServerFault};
-        let mut healthy = hdd_server(StoreMode::Timing);
-        let mut slow = hdd_server(StoreMode::Timing);
-        slow.set_fault_plan(FaultPlan::new().with(ServerFault::Degraded {
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(1000),
-            factor: 10.0,
-        }));
-        let a = healthy
-            .submit(
-                SimTime::ZERO,
-                req(1, IoKind::Read, 0, 64 * KIB, Priority::Normal),
-            )
-            .unwrap();
-        let b = slow
-            .submit(
-                SimTime::ZERO,
-                req(1, IoKind::Read, 0, 64 * KIB, Priority::Normal),
-            )
-            .unwrap();
-        let ha = a.completes_at.duration_since(SimTime::ZERO).as_secs_f64();
-        let hb = b.completes_at.duration_since(SimTime::ZERO).as_secs_f64();
-        assert!(hb > ha * 5.0, "10x degraded server must be much slower");
     }
 }

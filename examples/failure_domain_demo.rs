@@ -61,11 +61,7 @@ fn run(label: &str, fault: FaultPlan) -> (RunReport, S4dMetrics) {
 
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_rebuild_period(SimDuration::from_millis(200))
-        .with_retry_policy(
-            SimDuration::from_micros(500),
-            SimDuration::from_millis(20),
-            4,
-        )
+        .with_retry_attempts(4)
         .with_quarantine(5, SimDuration::from_secs(2));
     let mut runner = Runner::new(
         cluster,

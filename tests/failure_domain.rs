@@ -207,11 +207,7 @@ fn hard_crash_rolls_back_to_durable_state_and_recovers() {
 fn transient_errors_are_retried_without_degradation() {
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_journal_batch(1)
-        .with_retry_policy(
-            SimDuration::from_micros(500),
-            SimDuration::from_millis(20),
-            8,
-        )
+        .with_retry_attempts(8)
         // A huge threshold: this scenario must never quarantine.
         .with_quarantine(1000, SimDuration::from_secs(1));
     let fault = FaultPlan::new().with(ServerFault::TransientErrors {
@@ -288,11 +284,7 @@ fn quarantine_degrades_clean_reads_to_opfs() {
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_journal_batch(1)
         .with_rebuild_period(SimDuration::from_millis(200))
-        .with_retry_policy(
-            SimDuration::from_micros(500),
-            SimDuration::from_millis(5),
-            2,
-        )
+        .with_retry_attempts(2)
         .with_quarantine(2, SimDuration::from_secs(30));
     // Every CServer op in the window fails.
     let fault = FaultPlan::new().with(ServerFault::TransientErrors {

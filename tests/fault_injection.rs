@@ -15,9 +15,11 @@ const MIB: u64 = 1 << 20;
 /// `tb`'s cluster with DServer 0 degraded by `factor` for the whole run.
 fn cluster_with_degraded_dserver(tb: &Testbed, factor: f64) -> Cluster {
     let mut cluster = tb.cluster();
-    let limp = FaultPlan::new().with(ServerFault::Degraded {
+    let limp = FaultPlan::new().with(ServerFault::Slow {
         from: SimTime::ZERO,
         until: SimTime::MAX,
+        class: None,
+        probability: 1.0,
         factor,
     });
     cluster.opfs_mut().set_fault_plan(0, limp).unwrap();

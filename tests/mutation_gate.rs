@@ -209,6 +209,9 @@ fn rows() -> Vec<Row> {
         row("flush-scan-ignores-inflight", REBUILD,
             "            .filter(|key| !self.bg.inflight_flush.contains(key))\n", "",
             CacheTest("background_scheduler", "rebuilder_flush_cycle_marks_clean"), "must not re-issue"),
+        row("hedge-serves-dirty-bytes", "crates/core/src/gray.rs",
+            ".any(|(_, e)| e.dirty)", ".any(|(_, _e)| false)",
+            Test("straggler_matrix", "dirty_reads_wait_out_the_stall"), "returned wrong bytes"),
         row("retry-cap-removed", FAULTS,
             "IoFault::Transient if failure.attempts < self.config.retry_max_attempts => {", "IoFault::Transient => {",
             Test("failure_domain", "transient_errors_are_retried_without_degradation"), "at the cap"),

@@ -1,4 +1,4 @@
-//! Gray-failure (fail-slow) integration tests: stall and tail-latency
+//! Gray-failure (fail-slow) integration tests: stall and slow-server
 //! fault plans driven end to end through the runner with deadline
 //! budgets, hedged reads, and straggler abandonment — every read
 //! verified byte-exact against the durable image.
@@ -148,15 +148,15 @@ fn tail_latency_hedges_past_deadline_misses() {
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_journal_batch(1)
         .with_rebuild_period(SimDuration::from_millis(200))
-        .with_deadlines(4.0, SimDuration::from_millis(2))
-        .with_hedged_reads(true)
+        .with_deadlines(4.0)
         // This scenario exercises hedging, not quarantine: keep the
         // demerit ladder from tripping so every read takes the cache
         // route and must be rescued individually.
         .with_quarantine(1000, SimDuration::from_secs(1));
-    let fault = FaultPlan::new().with(ServerFault::TailLatency {
+    let fault = FaultPlan::new().with(ServerFault::Slow {
         from: SimTime::from_secs(2),
         until: SimTime::from_secs(100),
+        class: None,
         probability: 1.0,
         factor: 1000.0,
     });
@@ -198,8 +198,7 @@ fn forever_stall_clean_reads_rescued_by_hedged_opfs_reads() {
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_journal_batch(1)
         .with_rebuild_period(SimDuration::from_millis(200))
-        .with_deadlines(4.0, SimDuration::from_millis(2))
-        .with_hedged_reads(true);
+        .with_deadlines(4.0);
     let fault = FaultPlan::new().with(ServerFault::Stall {
         since: SimTime::from_secs(2),
         release: None,
@@ -250,12 +249,12 @@ fn forever_stall_clean_reads_rescued_by_hedged_opfs_reads() {
 fn class_degraded_writes_stay_within_generous_budgets() {
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_journal_batch(1)
-        .with_deadlines(50.0, SimDuration::from_millis(10))
-        .with_hedged_reads(true);
-    let fault = FaultPlan::new().with(ServerFault::ClassDegraded {
+        .with_deadlines(50.0);
+    let fault = FaultPlan::new().with(ServerFault::Slow {
         from: SimTime::ZERO,
         until: SimTime::from_secs(100),
-        class: OpClass::Write,
+        class: Some(OpClass::Write),
+        probability: 1.0,
         factor: 3.0,
     });
 
@@ -292,7 +291,7 @@ fn class_degraded_writes_stay_within_generous_budgets() {
 fn stalled_write_is_abandoned_and_replanned_without_partial_visibility() {
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_journal_batch(1)
-        .with_deadlines(4.0, SimDuration::from_millis(2))
+        .with_deadlines(4.0)
         // Abandon demerits must not quarantine here: the extent is
         // already mapped dirty, so the replanned write has to keep
         // taking the cache route until the release.
@@ -336,17 +335,18 @@ fn stalled_write_is_abandoned_and_replanned_without_partial_visibility() {
     assert!(report.end_time >= SimTime::from_secs(1) + SimDuration::from_millis(400));
 }
 
-/// Control: deadlines armed but hedging disabled. Reads parked by a
-/// released stall miss their deadlines and the policy records the miss
-/// but elects to wait (there is nowhere safe to go without hedging), so
-/// the run completes at the release with zero hedges.
+/// Control: deadlines armed, but every cached byte is dirty (the
+/// Rebuilder never flushes), so OPFS holds no copy a hedge could serve.
+/// Reads parked by a released stall miss their deadlines and the policy
+/// records the miss but elects to wait, so the run completes at the
+/// release with zero hedges and the reads return the dirty bytes.
 #[test]
-fn deadline_misses_without_hedging_wait_out_the_stall() {
+fn dirty_reads_wait_out_the_stall() {
     let config = S4dConfig::new(64 * 1024 * KIB)
         .with_journal_batch(1)
         .with_rebuild_period(SimDuration::from_millis(200))
-        .with_deadlines(4.0, SimDuration::from_millis(2))
-        .with_hedged_reads(false)
+        .with_max_flush_per_wake(0)
+        .with_deadlines(4.0)
         // Keep quarantine out of the picture so every read parks on the
         // stalled server and must wait for the release.
         .with_quarantine(1000, SimDuration::from_secs(1));
@@ -357,7 +357,7 @@ fn deadline_misses_without_hedging_wait_out_the_stall() {
     });
 
     let mut expected = HashMap::new();
-    let mut b = write_phase(script().open("stall-nohedge.dat"), &mut expected);
+    let mut b = write_phase(script().open("stall-dirty.dat"), &mut expected);
     b = b.think(SimDuration::from_millis(2100));
     for i in 0..8u64 {
         b = b.read(0, i * 16 * KIB, 16 * KIB);
@@ -375,9 +375,11 @@ fn deadline_misses_without_hedging_wait_out_the_stall() {
     );
     assert_eq!(report.app_ops(IoKind::Read), 8);
     assert!(report.gray.deadline_misses > 0, "misses are still counted");
-    assert_eq!(report.gray.hedges_issued, 0, "hedging is disabled");
+    assert_eq!(report.gray.hedges_issued, 0, "dirty reads never hedge");
     assert_eq!(report.gray.stall_abandons, 0, "waiting abandons nothing");
     let m = runner.middleware().metrics();
+    assert_eq!(m.hedged_reads, 0);
+    assert_eq!(m.straggler_abandons, 0);
     assert!(m.straggler_waits > 0, "the wait decision is recorded");
     assert!(
         report.end_time >= release,
