@@ -166,6 +166,54 @@ fn rebuilder_fetch_cycle_caches_flagged_reads() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "seeds OPFS ground truth, no cache state"
+)]
+fn fetch_over_a_server_without_the_file_caches_its_bytes() {
+    let (mut cluster, mut mw, f) = setup(64 * MIB);
+    // OPFS holds [0, 64 KiB) on DServer 0; DServer 1 never stored the file.
+    let payload: Vec<u8> = (0..64 * KIB).map(|i| (i % 251) as u8).collect();
+    cluster
+        .opfs_mut()
+        .apply_bytes(f, 0, 64 * KIB, Some(&payload))
+        .unwrap();
+    // A critical read spanning both DServers misses and is flagged.
+    let (offset, len) = (56 * KIB, 16 * KIB);
+    let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &read_req(f, offset, len));
+    assert_eq!(tiers_of(&plan), vec![Tier::DServers]);
+    assert_eq!(mw.plane().cdt_flagged(10).count(), 1);
+    let fetch = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO);
+    assert_eq!(fetch.len(), 1);
+    mw.on_plan_complete(&mut cluster, SimTime::from_secs(1), fetch[0].tag);
+    // The re-read is served by the CServers: gather what it returns.
+    let plan = mw.plan_io(
+        &mut cluster,
+        SimTime::from_secs(2),
+        &read_req(f, offset, len),
+    );
+    assert_eq!(tiers_of(&plan), vec![Tier::CServers]);
+    let mut cached = vec![0u8; len as usize];
+    for op in plan.phases.iter().flatten() {
+        let Some(app) = op.app_offset else { continue };
+        let bytes = cluster.cpfs().read_bytes(op.file, op.offset, op.len);
+        let bytes = bytes.unwrap().expect("functional stores hold bytes");
+        let at = (app - offset) as usize;
+        cached[at..at + bytes.len()].copy_from_slice(&bytes);
+    }
+    let opfs = cluster.opfs().read_bytes(f, offset, len).unwrap();
+    assert!(
+        opfs.as_ref() == Some(&cached),
+        "the re-read must return the OPFS bytes: got {:?}…, OPFS holds {:?}…",
+        &cached[..4],
+        opfs.as_deref().map(|b| &b[..4]),
+    );
+    let mut expected = payload[offset as usize..].to_vec();
+    expected.resize(len as usize, 0);
+    assert!(cached == expected, "the DServer-1 half reads as a hole");
+}
+
+#[test]
 fn carl_placement_never_flushes_and_fills_up() {
     let mut cluster = Cluster::paper_testbed_small(9);
     let mut mw = S4dCache::new(

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::model::{t_cservers, t_dservers, SmMode};
+use crate::model::{t_cservers, t_dservers};
 use crate::params::CostParams;
 
 /// The outcome of evaluating one request against the cost model.
@@ -74,8 +74,8 @@ impl<K: Eq + Hash + Clone> BenefitEvaluator<K> {
     /// Evaluates without touching stream state (used by tests and the
     /// overhead probe).
     pub fn evaluate_at_distance(&self, distance: u64, offset: u64, len: u64) -> Benefit {
-        let t_d = t_dservers(&self.params, distance, offset, len, SmMode::Table2);
-        let t_c = t_cservers(&self.params, offset, len, SmMode::Table2);
+        let t_d = t_dservers(&self.params, distance, offset, len);
+        let t_c = t_cservers(&self.params, offset, len);
         Benefit {
             t_d_secs: t_d,
             t_c_secs: t_c,

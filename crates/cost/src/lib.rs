@@ -52,6 +52,6 @@ mod params;
 pub use benefit::{Benefit, BenefitEvaluator};
 pub use model::{
     involved_servers, max_startup_expectation, max_subrequest_exact, max_subrequest_table2,
-    t_cservers, t_dservers, SmMode,
+    t_cservers, t_dservers,
 };
 pub use params::CostParams;

@@ -1,20 +1,6 @@
 //! Equations 1–8 and Table II of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::CostParams;
-
-/// Which `s_m` (maximum sub-request size) computation to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SmMode {
-    /// The closed form of the paper's Table II, taken literally. Slightly
-    /// conservative at stripe-aligned request ends (where the paper's
-    /// `E = ⌊(f+r)/str⌋` counts one extra stripe).
-    #[default]
-    Table2,
-    /// Exact enumeration of the round-robin decomposition.
-    Exact,
-}
 
 /// The paper's Equation 6: number of file servers a request involves.
 ///
@@ -113,8 +99,9 @@ pub fn max_startup_expectation(m: usize, a: f64, b: f64) -> f64 {
 /// The paper's Equations 1–6: predicted access time on the DServers.
 ///
 /// Startup is the expected maximum over the `m` involved servers of a
-/// uniform draw from `[F(d) + R, S + R]`; transfer is `s_m · β_D`.
-pub fn t_dservers(params: &CostParams, distance: u64, offset: u64, len: u64, sm: SmMode) -> f64 {
+/// uniform draw from `[F(d) + R, S + R]`; transfer is `s_m · β_D`, with
+/// `s_m` from Table II ([`max_subrequest_table2`]).
+pub fn t_dservers(params: &CostParams, distance: u64, offset: u64, len: u64) -> f64 {
     if len == 0 {
         return 0.0;
     }
@@ -123,10 +110,7 @@ pub fn t_dservers(params: &CostParams, distance: u64, offset: u64, len: u64, sm:
     let b = params.max_seek + params.rotation;
     // F is capped at S, so a ≤ b always holds; clamp defensively anyway.
     let t_s = max_startup_expectation(m, a.min(b), b);
-    let s_m = match sm {
-        SmMode::Table2 => max_subrequest_table2(offset, len, params.stripe, params.m),
-        SmMode::Exact => max_subrequest_exact(offset, len, params.stripe, params.m),
-    };
+    let s_m = max_subrequest_table2(offset, len, params.stripe, params.m);
     t_s + s_m as f64 * params.beta_d
 }
 
@@ -134,15 +118,12 @@ pub fn t_dservers(params: &CostParams, distance: u64, offset: u64, len: u64, sm:
 ///
 /// SSDs are insensitive to spatial locality, so there is no startup term:
 /// `T_C = S_n · β_C` where `S_n` is the maximum sub-request size when the
-/// request is striped over the `N` CServers.
-pub fn t_cservers(params: &CostParams, offset: u64, len: u64, sm: SmMode) -> f64 {
+/// request is striped over the `N` CServers (Table II again).
+pub fn t_cservers(params: &CostParams, offset: u64, len: u64) -> f64 {
     if len == 0 {
         return 0.0;
     }
-    let s_n = match sm {
-        SmMode::Table2 => max_subrequest_table2(offset, len, params.stripe, params.n),
-        SmMode::Exact => max_subrequest_exact(offset, len, params.stripe, params.n),
-    };
+    let s_n = max_subrequest_table2(offset, len, params.stripe, params.n);
     s_n as f64 * params.beta_c
 }
 
@@ -245,8 +226,8 @@ mod tests {
         let p = params();
         let far = 512 * MIB;
         for r in [4 * KIB, 8 * KIB, 16 * KIB, 32 * KIB, 64 * KIB] {
-            let td = t_dservers(&p, far, 0, r, SmMode::Table2);
-            let tc = t_cservers(&p, 0, r, SmMode::Table2);
+            let td = t_dservers(&p, far, 0, r);
+            let tc = t_cservers(&p, 0, r);
             assert!(td > tc, "request {r}: T_D {td} should exceed T_C {tc}");
         }
     }
@@ -257,8 +238,8 @@ mod tests {
         // 4 MiB requests (the paper's Fig. 6 crossover) must not benefit,
         // regardless of distance.
         for d in [0u64, 512 * MIB] {
-            let td = t_dservers(&p, d, 0, 4 * MIB, SmMode::Table2);
-            let tc = t_cservers(&p, 0, 4 * MIB, SmMode::Table2);
+            let td = t_dservers(&p, d, 0, 4 * MIB);
+            let tc = t_cservers(&p, 0, 4 * MIB);
             assert!(
                 tc >= td,
                 "4 MiB @ d={d}: T_C {tc} should be at least T_D {td}"
@@ -270,8 +251,7 @@ mod tests {
     fn crossover_lies_between_64kib_and_4mib() {
         let p = params();
         let d = 512 * MIB;
-        let benefit =
-            |r: u64| t_dservers(&p, d, 0, r, SmMode::Table2) - t_cservers(&p, 0, r, SmMode::Table2);
+        let benefit = |r: u64| t_dservers(&p, d, 0, r) - t_cservers(&p, 0, r);
         assert!(benefit(64 * KIB) > 0.0);
         assert!(benefit(4 * MIB) <= 0.0);
         // Find the sign change; it must be monotone through the range.
@@ -295,16 +275,16 @@ mod tests {
         // T_C for small requests — the effect behind Table III where most
         // 16 KiB requests (sequential instances included) are redirected.
         let p = params();
-        let td = t_dservers(&p, 0, 0, 16 * KIB, SmMode::Table2);
-        let tc = t_cservers(&p, 0, 16 * KIB, SmMode::Table2);
+        let td = t_dservers(&p, 0, 0, 16 * KIB);
+        let tc = t_cservers(&p, 0, 16 * KIB);
         assert!(td > tc);
     }
 
     #[test]
     fn zero_length_costs_nothing() {
         let p = params();
-        assert_eq!(t_dservers(&p, 0, 0, 0, SmMode::Table2), 0.0);
-        assert_eq!(t_cservers(&p, 0, 0, SmMode::Exact), 0.0);
+        assert_eq!(t_dservers(&p, 0, 0, 0), 0.0);
+        assert_eq!(t_cservers(&p, 0, 0), 0.0);
         assert_eq!(max_subrequest_table2(0, 0, STR, 8), 0);
         assert_eq!(max_subrequest_exact(5, 0, STR, 8), 0);
     }
@@ -334,8 +314,8 @@ mod tests {
         ) {
             let p = params();
             let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-            let a = t_dservers(&p, lo, 0, len, SmMode::Table2);
-            let b = t_dservers(&p, hi, 0, len, SmMode::Table2);
+            let a = t_dservers(&p, lo, 0, len);
+            let b = t_dservers(&p, hi, 0, len);
             prop_assert!(a <= b + 1e-12);
         }
 

@@ -128,10 +128,12 @@ impl Cluster {
         self.cpfs.advance_faults(now);
     }
 
-    /// Copies `len` bytes between tiers at store level (used at Rebuilder
-    /// plan completion: the timed I/O has already been simulated; this
-    /// applies the data effect). In timing mode this only transfers extent
-    /// coverage. The source and destination ranges must not overlap.
+    /// Copies `len` bytes from one tier to the other at store level (the
+    /// data effect of a Rebuilder flush, fetch or scrub repair, whose
+    /// timed I/O has already been simulated): see [`Pfs::copy_into`] for
+    /// the copy rule. The destination is always the other tier (flushes
+    /// copy C→D; fetches and scrub repairs D→C), so the source and
+    /// destination ranges never overlap.
     ///
     /// # Errors
     ///
@@ -142,100 +144,14 @@ impl Cluster {
         to: (Tier, FileId, u64),
         len: u64,
     ) -> Result<(), s4d_pfs::PfsError> {
-        if len == 0 {
-            return Ok(());
-        }
         let (src_tier, src_file, src_off) = from;
-        let (dst_tier, dst_file, dst_off) = to;
-        let src_plan =
-            self.pfs_mut(src_tier)
-                .plan(src_file, s4d_storage::IoKind::Read, src_off, len)?;
-        let src = self.pfs(src_tier);
-        let src_layout = src.layout();
-        // Gather the source bytes stripe piece by stripe piece — but only
-        // while every piece carries some: one metadata-only piece (timing
-        // mode) makes the whole copy coverage-only, with nothing to hold.
-        let mut gathered: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-        let mut has_bytes = true;
-        'gather: for sub in src_plan {
-            let server = src.server(sub.server)?;
-            let mut local = sub.local_offset;
-            for (file_off, seg_len) in src_layout.file_segments(&sub) {
-                let Some(data) = server.peek_store(src_file, local, seg_len) else {
-                    has_bytes = false;
-                    break 'gather;
-                };
-                gathered.push((file_off, seg_len, data));
-                local += seg_len;
-            }
-        }
-        // Write into the destination.
-        let dst_plan =
-            self.pfs_mut(dst_tier)
-                .plan(dst_file, s4d_storage::IoKind::Write, dst_off, len)?;
-        let dst_layout = self.pfs(dst_tier).layout();
-        for sub in dst_plan {
-            let mut local = sub.local_offset;
-            for (file_off, seg_len) in dst_layout.file_segments(&sub) {
-                // Map this destination segment back to source bytes. If
-                // the source holds nothing there (never written, or wiped
-                // by a server crash), don't fabricate zero coverage in the
-                // destination.
-                let at = src_off + (file_off - dst_off);
-                if source_covered(self.pfs(src_tier), src_file, (src_off, len), at, seg_len) {
-                    let data = has_bytes.then(|| assemble(&gathered, at, seg_len));
-                    let server = self.pfs_mut(dst_tier).server_mut(sub.server)?;
-                    server.poke_store(dst_file, local, seg_len, data.as_deref());
-                }
-                local += seg_len;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// True if any stripe piece of the copy's source range `(offset, len)`
-/// that overlaps `[at, at + len)` holds stored bytes. Pieces are the
-/// source layout's stripes clipped to the copied range, so the query
-/// widens to whole stripes before clipping.
-fn source_covered(src: &Pfs, file: FileId, range: (u64, u64), at: u64, len: u64) -> bool {
-    let layout = src.layout();
-    let stripe = layout.stripe_size();
-    let lo = (at / stripe * stripe).max(range.0);
-    let hi = (at + len)
-        .div_ceil(stripe)
-        .saturating_mul(stripe)
-        .min(range.0 + range.1);
-    layout.split_iter(lo, hi - lo).any(|sub| {
-        let Ok(server) = src.server(sub.server) else {
-            return false; // layout splits stay within the server count
+        let (_, dst_file, dst_off) = to;
+        let (src, dst) = match src_tier {
+            Tier::DServers => (&self.opfs, &mut self.cpfs),
+            Tier::CServers => (&self.cpfs, &mut self.opfs),
         };
-        let mut local = sub.local_offset;
-        layout.file_segments(&sub).any(|(_, seg_len)| {
-            let covered = server.peek_coverage(file, local, seg_len);
-            local += seg_len;
-            covered > 0
-        })
-    })
-}
-
-/// Assembles `len` bytes starting at absolute source offset `at` from
-/// gathered `(file_off, len, data)` pieces, zero-filled where none reach.
-fn assemble(pieces: &[(u64, u64, Vec<u8>)], at: u64, len: u64) -> Vec<u8> {
-    let mut out = vec![0u8; len as usize];
-    for (p_off, p_len, data) in pieces {
-        let lo = at.max(*p_off);
-        let hi = (at + len).min(p_off + p_len);
-        if lo < hi {
-            let dst = (lo - at) as usize;
-            let src = (lo - p_off) as usize;
-            let n = (hi - lo) as usize;
-            if let (Some(to), Some(from)) = (out.get_mut(dst..dst + n), data.get(src..src + n)) {
-                to.copy_from_slice(from);
-            }
-        }
+        src.copy_into(src_file, src_off, len, dst, dst_file, dst_off)
     }
-    out
 }
 
 #[cfg(test)]
@@ -264,66 +180,53 @@ mod tests {
         let mut c = Cluster::paper_testbed_small(7);
         let orig = c.opfs_mut().create("o").unwrap();
         let cache = c.cpfs_mut().create("c").unwrap();
-        // Seed the original file directly through the stores.
         let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
-        let plan = c
-            .pfs_mut(Tier::DServers)
-            .plan(
-                orig,
-                s4d_storage::IoKind::Write,
-                64 * 1024,
-                payload.len() as u64,
-            )
+        let len = payload.len() as u64;
+        c.opfs_mut()
+            .apply_bytes(orig, 64 * 1024, len, Some(&payload))
             .unwrap();
-        let layout = c.pfs(Tier::DServers).layout();
-        for sub in plan {
-            let mut local = sub.local_offset;
-            let mut cursor = 0usize;
-            for (file_off, seg_len) in layout.file_segments(&sub) {
-                let at = (file_off - 64 * 1024) as usize;
-                let server = c.pfs_mut(Tier::DServers).server_mut(sub.server).unwrap();
-                server.poke_store(
-                    orig,
-                    local,
-                    seg_len,
-                    Some(&payload[at..at + seg_len as usize]),
-                );
-                local += seg_len;
-                cursor += seg_len as usize;
-            }
-            let _ = cursor;
-        }
         // Copy into the cache file at a different offset, then read back.
         c.copy_range(
             (Tier::DServers, orig, 64 * 1024),
             (Tier::CServers, cache, 12_345),
-            payload.len() as u64,
+            len,
         )
         .unwrap();
-        let plan = c
-            .pfs_mut(Tier::CServers)
-            .plan(
-                cache,
-                s4d_storage::IoKind::Read,
-                12_345,
-                payload.len() as u64,
-            )
+        let got = c.cpfs().read_bytes(cache, 12_345, len).unwrap();
+        assert_eq!(got, Some(payload), "bytes survive the cross-tier copy");
+        assert_eq!(c.cpfs().meta(cache).unwrap().size, 12_345 + len);
+    }
+
+    #[test]
+    fn copy_range_reads_a_server_without_the_file_as_a_hole() {
+        let mut c = Cluster::paper_testbed_small(7);
+        let orig = c.opfs_mut().create("o").unwrap();
+        let cache = c.cpfs_mut().create("c").unwrap();
+        // 16 KiB on DServer 0; DServer 1 never stored the file.
+        let payload: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 251) as u8).collect();
+        c.opfs_mut()
+            .apply_bytes(orig, 0, payload.len() as u64, Some(&payload))
             .unwrap();
-        let layout = c.pfs(Tier::CServers).layout();
-        let mut got = vec![0u8; payload.len()];
-        for sub in plan {
-            let mut local = sub.local_offset;
-            for (file_off, seg_len) in layout.file_segments(&sub) {
-                let server = c.pfs(Tier::CServers).server(sub.server).unwrap();
-                let data = server
-                    .peek_store(cache, local, seg_len)
-                    .expect("functional");
-                let at = (file_off - 12_345) as usize;
-                got[at..at + seg_len as usize].copy_from_slice(&data);
-                local += seg_len;
-            }
-        }
-        assert_eq!(got, payload, "bytes survive the cross-tier copy");
+        c.copy_range(
+            (Tier::DServers, orig, 0),
+            (Tier::CServers, cache, 0),
+            128 * 1024,
+        )
+        .unwrap();
+        let got = c.cpfs().read_bytes(cache, 0, 16 * 1024).unwrap();
+        assert_eq!(got, Some(payload), "the stored bytes are copied");
+        // DServer 0's stripe is copied whole, its hole as zeroes; the
+        // DServer-1 half gains no coverage.
+        assert_eq!(
+            c.cpfs().covered_bytes(cache, 0, 64 * 1024).unwrap(),
+            64 * 1024
+        );
+        let hole = c.cpfs().read_bytes(cache, 16 * 1024, 48 * 1024).unwrap();
+        assert_eq!(hole, Some(vec![0u8; 48 * 1024]));
+        assert_eq!(
+            c.cpfs().covered_bytes(cache, 64 * 1024, 64 * 1024).unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -331,15 +234,7 @@ mod tests {
         let mut c = Cluster::paper_testbed(8); // timing mode
         let orig = c.opfs_mut().create("o").unwrap();
         let cache = c.cpfs_mut().create("c").unwrap();
-        // Mark coverage on the original.
-        let plan = c
-            .pfs_mut(Tier::DServers)
-            .plan(orig, s4d_storage::IoKind::Write, 0, 256 * 1024)
-            .unwrap();
-        for sub in plan {
-            let server = c.pfs_mut(Tier::DServers).server_mut(sub.server).unwrap();
-            server.poke_store(orig, sub.local_offset, sub.len, None);
-        }
+        c.opfs_mut().apply_bytes(orig, 0, 256 * 1024, None).unwrap();
         c.copy_range(
             (Tier::DServers, orig, 0),
             (Tier::CServers, cache, 0),
@@ -347,6 +242,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.cpfs().stored_bytes(), 256 * 1024);
+        assert_eq!(c.cpfs().read_bytes(cache, 0, 256 * 1024).unwrap(), None);
         // Zero-length copies are no-ops.
         c.copy_range((Tier::DServers, orig, 0), (Tier::CServers, cache, 0), 0)
             .unwrap();
@@ -358,15 +254,5 @@ mod tests {
                 10
             )
             .is_err());
-    }
-
-    #[test]
-    fn assemble_merges_pieces() {
-        let pieces = vec![
-            (0u64, 4u64, b"abcd".to_vec()),
-            (4u64, 4u64, b"efgh".to_vec()),
-        ];
-        assert_eq!(assemble(&pieces, 2, 4), b"cdef");
-        assert_eq!(assemble(&pieces, 0, 8), b"abcdefgh");
     }
 }

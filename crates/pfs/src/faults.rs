@@ -153,7 +153,7 @@ pub enum OpClass {
 
 impl OpClass {
     /// True if `kind` belongs to this class.
-    pub fn matches(self, kind: IoKind) -> bool {
+    pub(crate) fn matches(self, kind: IoKind) -> bool {
         match self {
             OpClass::Read => kind == IoKind::Read,
             OpClass::Write => kind.is_write(),
@@ -241,16 +241,6 @@ impl FaultPlan {
         }
         self.faults.push(fault);
         self
-    }
-
-    /// True if no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The scheduled faults.
-    pub fn faults(&self) -> &[ServerFault] {
-        &self.faults
     }
 
     /// True if a crash window covers `now`.
@@ -412,7 +402,6 @@ mod tests {
     #[test]
     fn empty_plan_is_healthy() {
         let p = FaultPlan::new();
-        assert!(p.is_empty());
         assert!(!p.offline_at(t(5)));
         assert_eq!(p.error_rate_at(t(5)), 0.0);
         assert_eq!(p.slowdown(t(5), IoKind::Read, &mut SimRng::seed(1)), 1.0);

@@ -62,7 +62,11 @@ impl Pfs {
     /// # Panics
     ///
     /// Panics if `servers.len()` differs from the layout's server count.
-    pub fn new(name: impl Into<String>, layout: StripeLayout, servers: Vec<FileServer>) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        layout: StripeLayout,
+        servers: Vec<FileServer>,
+    ) -> Self {
         assert_eq!(
             servers.len(),
             layout.server_count(),
@@ -91,12 +95,10 @@ impl Pfs {
         let servers = (0..layout.server_count())
             .map(|i| {
                 FileServer::new(
-                    i,
                     Box::new(config.clone().build()),
                     config.capacity(),
                     net,
                     mode,
-                    None,
                     rng.fork(i as u64),
                 )
             })
@@ -117,12 +119,10 @@ impl Pfs {
         let servers = (0..layout.server_count())
             .map(|i| {
                 FileServer::new(
-                    i,
                     Box::new(config.clone().build()),
                     config.capacity(),
                     net,
                     mode,
-                    None,
                     rng.fork(i as u64),
                 )
             })
@@ -189,8 +189,8 @@ impl Pfs {
     }
 
     /// Applies crash effects due by `now` on every server, so direct
-    /// store reads ([`FileServer::peek_store`]) never observe data a
-    /// scripted crash should already have destroyed.
+    /// store reads ([`Pfs::read_bytes`], [`Pfs::copy_into`]) never observe
+    /// data a scripted crash should already have destroyed.
     pub fn advance_faults(&mut self, now: s4d_sim::SimTime) {
         for s in &mut self.servers {
             s.advance_faults(now);
@@ -360,6 +360,56 @@ impl Pfs {
                 }
             }
         }
+        self.store(file, offset, len, data);
+        Ok(())
+    }
+
+    /// Copies `len` bytes of `file` at `offset` into `dst_file` at
+    /// `dst_offset` of `dst`, store to store, bypassing both service
+    /// queues — the data effect of a Rebuilder fetch, flush or scrub
+    /// repair whose timing and faults were already simulated, so no fault
+    /// gate applies. One walk over the source's stripe pieces: a piece
+    /// with any coverage is copied whole, holes inside it as zeroes (in
+    /// timing mode only the coverage moves, and no byte buffer is
+    /// allocated); a piece with none is skipped, so the destination gains
+    /// no coverage the source lacks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PfsError::UnknownFile`] if either file is not known;
+    /// nothing is copied then.
+    pub fn copy_into(
+        &self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        dst: &mut Pfs,
+        dst_file: FileId,
+        dst_offset: u64,
+    ) -> Result<(), PfsError> {
+        self.meta(file)?;
+        dst.meta(dst_file)?;
+        for sub in self.layout.split_iter(offset, len) {
+            let Some(server) = self.servers.get(sub.server) else {
+                continue; // layout splits stay within the server count
+            };
+            let mut local = sub.local_offset;
+            for (file_off, seg_len) in self.layout.file_segments(&sub) {
+                if server.peek_coverage(file, local, seg_len) > 0 {
+                    let data = server.peek_store(file, local, seg_len);
+                    let at = dst_offset + (file_off - offset);
+                    dst.store(dst_file, at, seg_len, data.as_deref());
+                }
+                local += seg_len;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes `[offset, offset+len)` of `file` into the server stores,
+    /// stripe piece by stripe piece, and grows the file size: the ungated
+    /// effect behind [`Pfs::apply_bytes`] and [`Pfs::copy_into`].
+    fn store(&mut self, file: FileId, offset: u64, len: u64, data: Option<&[u8]>) {
         if let Some(meta) = self.files.get_mut(&file) {
             meta.size = meta.size.max(offset + len);
         }
@@ -376,12 +426,11 @@ impl Pfs {
                 local += seg_len;
             }
         }
-        Ok(())
     }
 
     /// Reads `len` bytes at `offset` directly from the server stores,
-    /// zero-filled over unwritten holes. Returns `Ok(None)` when any
-    /// involved server keeps only timing metadata (no bytes to read).
+    /// zero-filled over unwritten holes. Returns `Ok(None)` when the
+    /// servers keep only timing metadata (no bytes to read).
     ///
     /// # Errors
     ///
@@ -394,11 +443,10 @@ impl Pfs {
         offset: u64,
         len: u64,
     ) -> Result<Option<Vec<u8>>, PfsError> {
-        if !self.files.contains_key(&file) {
-            return Err(PfsError::UnknownFile(file));
-        }
-        // Decide before allocating: a media fault or a timing-mode server
-        // ends the read with no buffer to fill.
+        self.meta(file)?;
+        // A media fault or a timing-mode server (`peek_store` holds no
+        // bytes) ends the read; the buffer waits for the first stored piece.
+        let mut out: Option<Vec<u8>> = None;
         for sub in self.layout.split_iter(offset, len) {
             let Some(server) = self.servers.get(sub.server) else {
                 continue; // layout splits stay within the server count
@@ -409,27 +457,20 @@ impl Pfs {
             {
                 return Err(PfsError::MediaError { server: sub.server });
             }
-            if server.store_mode() == s4d_storage::StoreMode::Timing {
-                return Ok(None);
-            }
-        }
-        let mut out = vec![0u8; len as usize];
-        for sub in self.layout.split_iter(offset, len) {
-            let Some(server) = self.servers.get(sub.server) else {
-                continue;
-            };
             let mut local = sub.local_offset;
             for (file_off, seg_len) in self.layout.file_segments(&sub) {
-                if let Some(data) = server.peek_store(file, local, seg_len) {
-                    let at = (file_off - offset) as usize;
-                    if let Some(dst) = out.get_mut(at..at + seg_len as usize) {
-                        dst.copy_from_slice(&data);
-                    }
+                let Some(data) = server.peek_store(file, local, seg_len) else {
+                    return Ok(None);
+                };
+                let buf = out.get_or_insert_with(|| vec![0u8; len as usize]);
+                let at = (file_off - offset) as usize;
+                if let Some(dst) = buf.get_mut(at..at + seg_len as usize) {
+                    dst.copy_from_slice(&data);
                 }
                 local += seg_len;
             }
         }
-        Ok(Some(out))
+        Ok(Some(out.unwrap_or_default()))
     }
 
     /// How many bytes of `[offset, offset+len)` are covered by previous

@@ -50,11 +50,6 @@ impl StripeLayout {
         StripeLayout { stripe, servers }
     }
 
-    /// Stripe size in bytes (the paper's `str`).
-    pub fn stripe_size(&self) -> u64 {
-        self.stripe
-    }
-
     /// Number of servers (the paper's `M` or `N`).
     pub fn server_count(&self) -> usize {
         self.servers

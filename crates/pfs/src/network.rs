@@ -24,7 +24,7 @@ impl NetworkConfig {
     ///
     /// Panics if `rpc_latency` is negative/non-finite or `bandwidth` is not
     /// positive and finite.
-    pub fn new(rpc_latency: f64, bandwidth: f64) -> Self {
+    pub(crate) fn new(rpc_latency: f64, bandwidth: f64) -> Self {
         assert!(
             rpc_latency.is_finite() && rpc_latency >= 0.0,
             "rpc_latency must be non-negative"
@@ -51,8 +51,9 @@ impl NetworkConfig {
     }
 
     /// An effectively free interconnect (for isolating device behaviour in
-    /// tests and ablations).
-    pub fn ideal() -> Self {
+    /// tests).
+    #[cfg(test)]
+    pub(crate) fn ideal() -> Self {
         NetworkConfig::new(0.0, f64::MAX / 4.0)
     }
 
@@ -68,7 +69,7 @@ impl NetworkConfig {
 
     /// Extra service seconds the network adds on top of a device transfer
     /// of `len` bytes at `device_rate` bytes/s.
-    pub fn overhead_secs(&self, len: u64, device_rate: f64) -> f64 {
+    pub(crate) fn overhead_secs(&self, len: u64, device_rate: f64) -> f64 {
         let beta_net = 1.0 / self.bandwidth;
         let beta_dev = 1.0 / device_rate;
         self.rpc_latency + len as f64 * (beta_net - beta_dev).max(0.0)

@@ -100,7 +100,6 @@ pub struct ServerStats {
 /// [`on_complete`]: FileServer::on_complete
 #[derive(Debug)]
 pub struct FileServer {
-    index: usize,
     device: Box<dyn DeviceModel>,
     net: NetworkConfig,
     store_mode: StoreMode,
@@ -124,24 +123,18 @@ pub struct FileServer {
 }
 
 impl FileServer {
-    /// Creates a server around a device model.
-    ///
-    /// `file_region` is the spacing between the base addresses assigned to
-    /// distinct files in the device's address space (so different files are
-    /// mechanically distant, as on a real disk); it defaults to 1/64 of the
-    /// device capacity when `None`.
-    pub fn new(
-        index: usize,
+    /// Creates a server around a device model. Distinct files get base
+    /// addresses 1/64 of the device capacity apart, so they are
+    /// mechanically distant, as on a real disk.
+    pub(crate) fn new(
         device: Box<dyn DeviceModel>,
         capacity: u64,
         net: NetworkConfig,
         store_mode: StoreMode,
-        file_region: Option<u64>,
         rng: SimRng,
     ) -> Self {
-        let file_region = file_region.unwrap_or_else(|| (capacity / 64).max(1));
+        let file_region = (capacity / 64).max(1);
         FileServer {
-            index,
             device,
             net,
             store_mode,
@@ -163,39 +156,32 @@ impl FileServer {
     }
 
     /// Installs a scripted fault plan (replacing any previous plan).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
 
     /// Applies any crash effects that became due by `now`: a hard crash
     /// wipes every stored byte. Idempotent; called internally from
     /// [`FileServer::submit`] and [`FileServer::on_complete`], and by the
-    /// runner before direct store access ([`FileServer::peek_store`]) so
-    /// post-crash reads never observe stale data.
-    pub fn advance_faults(&mut self, now: SimTime) {
+    /// runner before direct store access ([`Pfs::read_bytes`],
+    /// [`Pfs::copy_into`]) so post-crash reads never observe stale data.
+    ///
+    /// [`Pfs::read_bytes`]: crate::Pfs::read_bytes
+    /// [`Pfs::copy_into`]: crate::Pfs::copy_into
+    pub(crate) fn advance_faults(&mut self, now: SimTime) {
         if self.faults.crash_due(self.fault_cursor, now) {
             self.stores.clear();
         }
         self.fault_cursor = self.fault_cursor.max(now);
     }
 
-    /// This server's index within its file system.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Whether this server's stores hold bytes or only extent metadata.
-    pub fn store_mode(&self) -> StoreMode {
-        self.store_mode
-    }
-
     /// True if a sub-request is in service.
-    pub fn is_busy(&self) -> bool {
+    pub(crate) fn is_busy(&self) -> bool {
         self.current.is_some()
     }
 
     /// Queued (not yet started) sub-requests, both priorities.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.normal.len() + self.background.len()
     }
 
@@ -205,7 +191,7 @@ impl FileServer {
     }
 
     /// Total bytes currently stored across all files.
-    pub fn stored_bytes(&self) -> u64 {
+    pub(crate) fn stored_bytes(&self) -> u64 {
         self.stores.values().map(|s| s.written_bytes()).sum()
     }
 
@@ -283,15 +269,7 @@ impl FileServer {
         let completed = match req.kind {
             IoKind::Write => {
                 self.stats.bytes_written += req.len;
-                match (self.store_mode, req.data.as_deref()) {
-                    (StoreMode::Functional, None) => {
-                        // Timing-style script on a functional store: record
-                        // the write as zeroes so coverage stays accurate.
-                        let zeroes = vec![0u8; req.len as usize];
-                        store.write(req.local_offset, req.len, Some(&zeroes));
-                    }
-                    (_, data) => store.write(req.local_offset, req.len, data),
-                }
+                write_store(store, req.local_offset, req.len, req.data.as_deref());
                 CompletedSubRequest {
                     id: req.id,
                     file: req.file,
@@ -358,48 +336,48 @@ impl FileServer {
 
     /// Reads stored bytes directly, bypassing the service queue — used for
     /// instantaneous data-plane effects whose *timing* was already simulated
-    /// as separate I/O (Rebuilder copies). Returns `None` in timing mode.
-    pub fn peek_store(&self, file: FileId, local_offset: u64, len: u64) -> Option<Vec<u8>> {
-        self.stores
-            .get(&file)
-            .and_then(|s| s.read(local_offset, len).data)
+    /// as separate I/O. A file this server never stored reads as a hole,
+    /// as in [`FileServer::on_complete`]: zero-filled in functional mode.
+    /// Returns `None` in timing mode.
+    pub(crate) fn peek_store(&self, file: FileId, local_offset: u64, len: u64) -> Option<Vec<u8>> {
+        match self.stores.get(&file) {
+            Some(store) => store.read(local_offset, len).data,
+            None => {
+                ExtentStore::new(self.store_mode)
+                    .read(local_offset, len)
+                    .data
+            }
+        }
     }
 
     /// How many bytes of `[local_offset, local_offset+len)` are covered by
     /// previous writes (0 after a crash wiped the store). Works in both
     /// store modes.
-    pub fn peek_coverage(&self, file: FileId, local_offset: u64, len: u64) -> u64 {
+    pub(crate) fn peek_coverage(&self, file: FileId, local_offset: u64, len: u64) -> u64 {
         self.stores
             .get(&file)
-            .map_or(0, |s| s.read(local_offset, len).covered_bytes)
+            .map_or(0, |s| s.read_covered(local_offset, len))
     }
 
     /// Writes stored bytes directly, bypassing the service queue (see
     /// [`FileServer::peek_store`]). In timing mode only extent coverage is
     /// recorded and `data` is ignored.
-    pub fn poke_store(&mut self, file: FileId, local_offset: u64, len: u64, data: Option<&[u8]>) {
+    pub(crate) fn poke_store(
+        &mut self,
+        file: FileId,
+        local_offset: u64,
+        len: u64,
+        data: Option<&[u8]>,
+    ) {
         let store = self
             .stores
             .entry(file)
             .or_insert_with(|| ExtentStore::new(self.store_mode));
-        match self.store_mode {
-            StoreMode::Functional => {
-                let owned;
-                let bytes = match data {
-                    Some(d) => d,
-                    None => {
-                        owned = vec![0u8; len as usize];
-                        &owned
-                    }
-                };
-                store.write(local_offset, len, Some(bytes));
-            }
-            StoreMode::Timing => store.write(local_offset, len, None),
-        }
+        write_store(store, local_offset, len, data);
     }
 
     /// Discards a stored range of `file` (cache eviction).
-    pub fn discard_range(&mut self, file: FileId, local_offset: u64, len: u64) {
+    pub(crate) fn discard_range(&mut self, file: FileId, local_offset: u64, len: u64) {
         if let Some(store) = self.stores.get_mut(&file) {
             store.discard(local_offset, len);
         }
@@ -505,7 +483,12 @@ impl FileServer {
     /// [`IoFault::Media`] on a bad sector. Offline is not reported here —
     /// bypass effects model already-simulated I/O, and a crash already
     /// wipes stores via [`FileServer::advance_faults`].
-    pub fn bypass_write_fault(&self, file: FileId, local_offset: u64, len: u64) -> Option<IoFault> {
+    pub(crate) fn bypass_write_fault(
+        &self,
+        file: FileId,
+        local_offset: u64,
+        len: u64,
+    ) -> Option<IoFault> {
         let now = self.fault_cursor;
         if self.faults.no_space_at(now) {
             return Some(IoFault::NoSpace);
@@ -519,7 +502,12 @@ impl FileServer {
     /// Fault a bypass store read of this range would hit at the server's
     /// current fault cursor ([`IoFault::Media`] only — space exhaustion
     /// never fails reads).
-    pub fn bypass_read_fault(&self, file: FileId, local_offset: u64, len: u64) -> Option<IoFault> {
+    pub(crate) fn bypass_read_fault(
+        &self,
+        file: FileId,
+        local_offset: u64,
+        len: u64,
+    ) -> Option<IoFault> {
         if self.media_hit(self.fault_cursor, file, local_offset, len) {
             Some(IoFault::Media)
         } else {
@@ -538,6 +526,18 @@ impl FileServer {
     }
 }
 
+/// Writes `[local_offset, local_offset+len)` into `store`. A functional
+/// write without a payload (a timing-style script) stores zeroes, so
+/// coverage stays accurate.
+fn write_store(store: &mut ExtentStore, local_offset: u64, len: u64, data: Option<&[u8]>) {
+    match (store.mode(), data) {
+        (StoreMode::Functional, None) => {
+            store.write(local_offset, len, Some(&vec![0u8; len as usize]));
+        }
+        (_, data) => store.write(local_offset, len, data),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,12 +550,10 @@ mod tests {
         let cfg = presets::hdd_seagate_st3250();
         let cap = cfg.capacity();
         FileServer::new(
-            0,
             Box::new(cfg.build()),
             cap,
             NetworkConfig::ideal(),
             mode,
-            None,
             SimRng::seed(1),
         )
     }
@@ -1017,12 +1015,10 @@ mod tests {
             let cfg = presets::hdd_seagate_st3250();
             let cap = cfg.capacity();
             let mut s = FileServer::new(
-                0,
                 Box::new(cfg.build()),
                 cap,
                 NetworkConfig::ideal(),
                 StoreMode::Timing,
-                None,
                 SimRng::seed(seed),
             );
             s.set_fault_plan(FaultPlan::new().with(ServerFault::Slow {

@@ -209,6 +209,11 @@ fn rows() -> Vec<Row> {
         row("flush-scan-ignores-inflight", REBUILD,
             "            .filter(|key| !self.bg.inflight_flush.contains(key))\n", "",
             CacheTest("background_scheduler", "rebuilder_flush_cycle_marks_clean"), "must not re-issue"),
+        row("missing-store-reads-as-timing", "crates/pfs/src/server.rs",
+            "            None => {\n                ExtentStore::new(self.store_mode)\n                    .read(local_offset, len)\n                    .data\n            }\n",
+            "            None => None,\n",
+            CacheTest("background_scheduler", "fetch_over_a_server_without_the_file_caches_its_bytes"),
+            "the re-read must return the OPFS bytes"),
         row("hedge-serves-dirty-bytes", "crates/core/src/gray.rs",
             ".any(|(_, e)| e.dirty)", ".any(|(_, _e)| false)",
             Test("straggler_matrix", "dirty_reads_wait_out_the_stall"), "returned wrong bytes"),
