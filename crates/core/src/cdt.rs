@@ -10,10 +10,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use s4d_pfs::FileId;
 use s4d_sim::IdMap;
-use serde::{Deserialize, Serialize};
 
 /// One CDT entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CdtEntry {
     /// Original file.
     pub file: FileId,

@@ -1,13 +1,12 @@
 //! S4D-Cache configuration.
 
 use s4d_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How the Data Identifier classifies requests as performance-critical.
 ///
 /// The paper's policy is [`AdmissionPolicy::Benefit`]; the others exist for
 /// the ablation study (what do you lose without the cost model?).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AdmissionPolicy {
     /// The paper's policy: critical iff the cost-model benefit `B > 0`.
     #[default]
@@ -24,7 +23,7 @@ pub enum AdmissionPolicy {
 }
 
 /// Tunables of the S4D-Cache middleware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct S4dConfig {
     /// Total CServer space the cache may occupy, bytes (the paper sets it
     /// to 20 % of the application's data size in §V.A).

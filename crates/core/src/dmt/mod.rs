@@ -23,14 +23,13 @@ use std::collections::BTreeMap;
 
 use s4d_pfs::FileId;
 use s4d_sim::IdMap;
-use serde::{Deserialize, Serialize};
 
 use crate::journal::JournalRecord;
 
 pub use view::{CoveredPiece, RangeView};
 
 /// One mapped extent of an original file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapExtent {
     /// Length in bytes.
     pub len: u64,

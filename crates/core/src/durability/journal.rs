@@ -23,7 +23,6 @@
 //! consistent mapping by construction.
 
 use s4d_pfs::FileId;
-use serde::{Deserialize, Serialize};
 
 use crate::{DMT_PAYLOAD_BYTES, DMT_RECORD_BYTES};
 
@@ -41,7 +40,7 @@ pub use super::replay::replay_tolerant;
 /// followed by a CRC32 trailer over the payload. Field widths: file ids 24
 /// bits, offsets 48 bits (256 TiB), lengths 32 bits (4 GiB per extent),
 /// which comfortably cover the simulated deployments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A new extent mapping was created.
     Insert {

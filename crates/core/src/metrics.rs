@@ -1,9 +1,7 @@
 //! Middleware-level counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters the S4D-Cache middleware accumulates across a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct S4dMetrics {
     /// Requests priced by the cost model.
     pub evaluated: u64,

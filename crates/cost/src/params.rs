@@ -1,7 +1,6 @@
 //! Cost-model parameters (the paper's Table I).
 
 use s4d_storage::{presets, HddConfig, IoKind, SeekProfile, SsdConfig};
-use serde::{Deserialize, Serialize};
 
 /// The parameters of the data-access cost model.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// the same device configurations the simulator runs — the analogue of the
 /// paper profiling its own testbed — then optionally adjust with the
 /// `with_*` setters (used by the ablation benches).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// `M`: number of HDD file servers.
     pub m: usize,

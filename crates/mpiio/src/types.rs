@@ -3,10 +3,9 @@
 use s4d_pfs::{FileId, Priority};
 use s4d_sim::SimDuration;
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 /// An MPI process rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u32);
 
 impl std::fmt::Display for Rank {
@@ -17,11 +16,11 @@ impl std::fmt::Display for Rank {
 
 /// A per-process handle to an opened file (index into the process's open
 /// table, in open order — handle 0 is the first file the process opened).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FileHandle(pub usize);
 
 /// Which parallel file system an I/O targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// The original PFS over HDD file servers (the paper's DServers/OPFS).
     DServers,

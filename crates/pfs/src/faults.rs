@@ -15,7 +15,6 @@
 
 use s4d_sim::{SimRng, SimTime};
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 /// Ceiling on any composed service-time multiplier. Overlapping slowdown
 /// windows compose multiplicatively and then clamp into
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const MAX_SLOWDOWN: f64 = 1e6;
 
 /// The error a faulted server attaches to a completed sub-request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoFault {
     /// The server is offline (crashed); its stored data is lost. Not
     /// retryable against the same server until it recovers.
@@ -56,7 +55,7 @@ impl std::fmt::Display for IoFault {
 }
 
 /// One scripted server fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServerFault {
     /// The server hard-crashes at `at`, losing every stored byte, and
     /// comes back (empty) at `recover_at`. While down, every sub-request
@@ -143,7 +142,7 @@ pub enum ServerFault {
 }
 
 /// The operation class a [`ServerFault::Slow`] window applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// Read sub-requests.
     Read,
@@ -174,7 +173,7 @@ pub(crate) enum StallState {
 }
 
 /// A schedule of [`ServerFault`]s for one server, driven by the sim clock.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     faults: Vec<ServerFault>,
 }

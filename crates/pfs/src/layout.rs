@@ -7,10 +7,8 @@
 //! (plus a second range in the rare wrap cases) — the sub-requests of the
 //! paper's Figure 4.
 
-use serde::{Deserialize, Serialize};
-
 /// One per-server piece of a decomposed file request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubRange {
     /// Index of the server holding this piece.
     pub server: usize,
@@ -32,7 +30,7 @@ pub struct SubRange {
 /// // A 4 MiB aligned request touches all 8 servers.
 /// assert_eq!(l.split(0, 4 * 1024 * 1024).len(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeLayout {
     stripe: u64,
     servers: usize,

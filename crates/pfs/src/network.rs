@@ -1,7 +1,5 @@
 //! Interconnect cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-server network costs applied to each sub-request.
 ///
 /// The paper's cluster uses Gigabit Ethernet. We model the interconnect as
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// a fixed RPC latency, and its transfer proceeds at the *slower* of the
 /// device rate and the link rate (classic pipelined bottleneck), so the
 /// added transfer cost is `len × max(0, β_net − β_dev)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Fixed per-sub-request round-trip software/RPC latency, seconds.
     rpc_latency: f64,

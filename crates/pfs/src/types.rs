@@ -1,9 +1,7 @@
 //! Identifier newtypes and request priorities.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a file within one parallel file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u64);
 
 impl std::fmt::Display for FileId {
@@ -14,7 +12,7 @@ impl std::fmt::Display for FileId {
 
 /// Identifies one sub-request in flight. Allocated by the layer that drives
 /// the servers; servers treat it as opaque.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubReqId(pub u64);
 
 impl std::fmt::Display for SubReqId {
@@ -29,7 +27,7 @@ impl std::fmt::Display for SubReqId {
 /// I/O "to reduce the interference" with foreground requests (§III.F); a
 /// server only starts a background sub-request when no normal one is
 /// queued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Foreground application I/O.
     Normal,

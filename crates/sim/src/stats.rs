@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// One mebibyte, the unit the paper's throughput figures use.
@@ -35,7 +33,7 @@ pub const MIB: f64 = 1024.0 * 1024.0;
 /// assert!(h.quantile(0.5).unwrap() >= SimDuration::from_micros(16));
 /// assert!(h.max().unwrap() >= SimDuration::from_micros(1000));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -173,7 +171,7 @@ impl fmt::Display for LatencyHistogram {
 /// let end = start + SimDuration::from_secs(2);
 /// assert!((m.mib_per_sec(end - start) - 32.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BandwidthMeter {
     bytes: u64,
     ops: u64,
@@ -223,7 +221,7 @@ impl BandwidthMeter {
 ///
 /// Windows are fixed-width, starting at `t = 0`. Recording at time `t`
 /// attributes the bytes to window `t / width`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     width: SimDuration,
     windows: Vec<u64>,

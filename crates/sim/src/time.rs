@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, in nanoseconds since simulation start.
 ///
 /// `SimTime` is a newtype over `u64`; arithmetic with [`SimDuration`] is
@@ -17,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_millis(5);
 /// assert_eq!(t.as_nanos(), 5_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -28,9 +24,7 @@ pub struct SimTime(u64);
 /// use s4d_sim::SimDuration;
 /// assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -1,10 +1,9 @@
 //! The device abstraction shared by HDD and SSD models.
 
 use s4d_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Direction of an I/O operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoKind {
     /// Data flows from the device to the host.
     Read,
@@ -30,7 +29,7 @@ impl std::fmt::Display for IoKind {
 
 /// The broad class of a storage device: the distinction S4D-Cache is built
 /// around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Mechanical hard disk drive: position-sensitive.
     Hdd,

@@ -1,7 +1,6 @@
 //! Mechanical hard-drive service-time model.
 
 use s4d_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::device::{DeviceKind, DeviceModel, IoKind};
 use crate::seek::SeekProfile;
@@ -10,7 +9,7 @@ use crate::seek::SeekProfile;
 ///
 /// Build one with [`HddConfig::new`] and the `with_*` setters, or start from
 /// a preset in [`crate::presets`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HddConfig {
     /// Spindle speed, revolutions per minute.
     rpm: u32,

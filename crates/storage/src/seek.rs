@@ -8,8 +8,6 @@
 //! coast-distance threshold the motion is speed-limited and `t ≈ c + e·d`,
 //! capped at the full-stroke seek time.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted piecewise seek curve over byte distances.
 ///
 /// Distances are expressed in bytes of the (logical-block) address space; the
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p.seek_secs(4096) > 0.0);
 /// assert!(p.seek_secs(u64::MAX) <= 9.0e-3 + 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeekProfile {
     /// Constant term of the short-seek (√d) regime, seconds.
     short_a: f64,

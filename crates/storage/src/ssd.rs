@@ -1,7 +1,6 @@
 //! Solid-state-drive service-time model.
 
 use s4d_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::device::{DeviceKind, DeviceModel, IoKind};
 
@@ -11,7 +10,7 @@ use crate::device::{DeviceKind, DeviceModel, IoKind};
 /// cost is insensitive to position, and reads are faster than writes. Each
 /// operation costs a fixed per-op latency plus bytes at the direction's
 /// transfer rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdConfig {
     /// Sustained read rate, bytes per second.
     read_rate: f64,

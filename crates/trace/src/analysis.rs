@@ -6,12 +6,11 @@ use s4d_mpiio::Tier;
 use s4d_sim::stats::TimeSeries;
 use s4d_sim::{SimDuration, SimTime};
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 use crate::collector::TraceRecord;
 
 /// The paper's Table III: how requests split between the two tiers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TierDistribution {
     /// Requests dispatched to DServers.
     pub d_ops: u64,

@@ -1,15 +1,14 @@
 //! The trace collector.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use s4d_mpiio::{IoObserver, Rank, Tier};
 use s4d_sim::SimTime;
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 /// One dispatched application data op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Dispatch time.
     pub at: SimTime,
@@ -26,37 +25,22 @@ pub struct TraceRecord {
 }
 
 /// Shared handle to collected records (alive after the runner consumed the
-/// observer).
+/// observer). Not `Send`: the runner and its observers are single-threaded.
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
-    records: Arc<Mutex<Vec<TraceRecord>>>,
+    records: Rc<RefCell<Vec<TraceRecord>>>,
 }
 
 impl TraceHandle {
     /// Snapshot of all records so far.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.records.lock().clone()
-    }
-
-    /// Number of records so far.
-    pub fn len(&self) -> usize {
-        self.records.lock().len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
-    }
-
-    /// Drops all records (e.g. between measurement phases).
-    pub fn clear(&self) {
-        self.records.lock().clear();
+        self.records.borrow().clone()
     }
 
     /// Serialises the records as CSV with a header row.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time_s,rank,tier,kind,offset,len\n");
-        for r in self.records.lock().iter() {
+        for r in self.records.borrow().iter() {
             out.push_str(&format!(
                 "{:.9},{},{},{},{},{}\n",
                 r.at.as_secs_f64(),
@@ -71,64 +55,6 @@ impl TraceHandle {
     }
 }
 
-/// Parses a CSV trace (as produced by [`TraceHandle::to_csv`]) back into
-/// records — the IOSIG-style offline-analysis path: trace one run, analyse
-/// later.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line.
-pub fn from_csv(csv: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in csv.lines().enumerate() {
-        if i == 0 {
-            if !line.starts_with("time_s,") {
-                return Err(format!("line 1: missing header, got {line:?}"));
-            }
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 6 {
-            return Err(format!(
-                "line {}: expected 6 fields, got {}",
-                i + 1,
-                fields.len()
-            ));
-        }
-        let secs: f64 = fields[0]
-            .parse()
-            .map_err(|e| format!("line {}: bad time: {e}", i + 1))?;
-        let rank: u32 = fields[1]
-            .parse()
-            .map_err(|e| format!("line {}: bad rank: {e}", i + 1))?;
-        let tier = match fields[2] {
-            "DServers" => Tier::DServers,
-            "CServers" => Tier::CServers,
-            other => return Err(format!("line {}: bad tier {other:?}", i + 1)),
-        };
-        let kind = match fields[3] {
-            "read" => IoKind::Read,
-            "write" => IoKind::Write,
-            other => return Err(format!("line {}: bad kind {other:?}", i + 1)),
-        };
-        let offset: u64 = fields[4]
-            .parse()
-            .map_err(|e| format!("line {}: bad offset: {e}", i + 1))?;
-        let len: u64 = fields[5]
-            .parse()
-            .map_err(|e| format!("line {}: bad len: {e}", i + 1))?;
-        out.push(TraceRecord {
-            at: SimTime::from_nanos((secs * 1e9).round() as u64),
-            rank: Rank(rank),
-            tier,
-            kind,
-            offset,
-            len,
-        });
-    }
-    Ok(out)
-}
-
 /// The observer to register with [`s4d_mpiio::Runner::add_observer`]. Keep
 /// the [`TraceHandle`] to read results after the run.
 ///
@@ -137,7 +63,7 @@ pub fn from_csv(csv: &str) -> Result<Vec<TraceRecord>, String> {
 /// let (collector, handle) = TraceCollector::new();
 /// // runner.add_observer(Box::new(collector));
 /// # drop(collector);
-/// assert!(handle.is_empty());
+/// assert!(handle.snapshot().is_empty());
 /// ```
 #[derive(Debug)]
 pub struct TraceCollector {
@@ -167,7 +93,7 @@ impl IoObserver for TraceCollector {
         app_offset: u64,
         len: u64,
     ) {
-        self.handle.records.lock().push(TraceRecord {
+        self.handle.records.borrow_mut().push(TraceRecord {
             at: now,
             rank,
             tier,
@@ -196,15 +122,13 @@ mod tests {
     #[test]
     fn collects_and_snapshots() {
         let (mut c, h) = TraceCollector::new();
-        assert!(h.is_empty());
+        assert!(h.snapshot().is_empty());
         record(&mut c, 1, Tier::DServers);
         record(&mut c, 2, Tier::CServers);
-        assert_eq!(h.len(), 2);
         let snap = h.snapshot();
+        assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].tier, Tier::DServers);
         assert_eq!(snap[1].tier, Tier::CServers);
-        h.clear();
-        assert!(h.is_empty());
     }
 
     #[test]
@@ -217,53 +141,5 @@ mod tests {
         assert!(lines[0].starts_with("time_s,rank,tier"));
         assert!(lines[1].contains("CServers"));
         assert!(lines[1].contains("write"));
-    }
-
-    #[test]
-    fn csv_roundtrips() {
-        let (mut c, h) = TraceCollector::new();
-        record(&mut c, 1, Tier::CServers);
-        record(&mut c, 2, Tier::DServers);
-        c.on_dispatch(
-            SimTime::from_nanos(123_456_789),
-            Rank(7),
-            Tier::DServers,
-            IoKind::Read,
-            42,
-            4096,
-        );
-        let parsed = from_csv(&h.to_csv()).expect("roundtrip parses");
-        assert_eq!(parsed, h.snapshot());
-    }
-
-    #[test]
-    fn csv_import_rejects_garbage() {
-        assert!(from_csv("nope").is_err());
-        assert!(from_csv(
-            "time_s,rank,tier,kind,offset,len
-1,2,3"
-        )
-        .is_err());
-        assert!(from_csv(
-            "time_s,rank,tier,kind,offset,len
-1.0,0,Mars,write,0,1"
-        )
-        .is_err());
-        assert!(from_csv(
-            "time_s,rank,tier,kind,offset,len
-1.0,0,DServers,poke,0,1"
-        )
-        .is_err());
-        assert!(from_csv(
-            "time_s,rank,tier,kind,offset,len
-1.0,0,DServers,read,x,1"
-        )
-        .is_err());
-        assert!(from_csv(
-            "time_s,rank,tier,kind,offset,len
-"
-        )
-        .unwrap()
-        .is_empty());
     }
 }

@@ -15,4 +15,4 @@
 pub mod analysis;
 mod collector;
 
-pub use collector::{from_csv, TraceCollector, TraceHandle, TraceRecord};
+pub use collector::{TraceCollector, TraceHandle, TraceRecord};

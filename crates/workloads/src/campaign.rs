@@ -7,7 +7,6 @@
 //! write and read operations to a shared 2 GB file."
 
 use s4d_mpiio::ProcessScript;
-use serde::{Deserialize, Serialize};
 
 use crate::chain::ChainScript;
 use crate::ior::{AccessPattern, IorConfig, IorScript};
@@ -15,7 +14,7 @@ use crate::ior::{AccessPattern, IorConfig, IorScript};
 /// Parameters of the campaign; instance patterns default to the paper's
 /// six-sequential + four-random mix, interleaved so the access behaviour
 /// changes over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Number of MPI processes (the paper uses 32).
     pub processes: u32,

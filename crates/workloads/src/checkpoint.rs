@@ -12,12 +12,11 @@
 use s4d_mpiio::{AppOp, FileHandle, ProcessScript};
 use s4d_sim::SimDuration;
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 use crate::perm::Permutation;
 
 /// Configuration of the checkpoint workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointConfig {
     /// Bulk checkpoint file name.
     pub dump_file: String,

@@ -8,10 +8,9 @@
 
 use s4d_mpiio::{AppOp, FileHandle, ProcessScript};
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one HPIO run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HpioConfig {
     /// Shared file name.
     pub file_name: String,

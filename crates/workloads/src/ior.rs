@@ -7,12 +7,11 @@
 
 use s4d_mpiio::{AppOp, FileHandle, ProcessScript};
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 use crate::perm::Permutation;
 
 /// Offset ordering within a process's region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Ascending offsets.
     Sequential,
@@ -30,7 +29,7 @@ impl std::fmt::Display for AccessPattern {
 }
 
 /// Configuration of one IOR instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IorConfig {
     /// Shared file name.
     pub file_name: String,

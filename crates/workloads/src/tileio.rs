@@ -9,7 +9,6 @@
 
 use s4d_mpiio::{AppOp, FileHandle, ProcessScript};
 use s4d_storage::IoKind;
-use serde::{Deserialize, Serialize};
 
 /// Chooses a near-square process grid for `n` processes: the factor pair
 /// `(x, y)`, `x ≥ y`, with the smallest difference.
@@ -34,7 +33,7 @@ pub fn grid_for(n: u32) -> (u32, u32) {
 }
 
 /// Configuration of one MPI-Tile-IO run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileIoConfig {
     /// Shared dataset file name.
     pub file_name: String,

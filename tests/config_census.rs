@@ -1,12 +1,14 @@
-//! Tier-1 gate: every `S4dConfig` builder has a caller, and the field
-//! count is pinned.
+//! Tier-1 gate: every `S4dConfig` builder has a caller, the field count
+//! is pinned, and so is the dependency census.
 //!
 //! ROADMAP aim 2 — every knob points at a number or a caught bug. A
 //! `with_*` builder nothing in the workspace calls is an option no test,
 //! figure, example or chaos schedule has ever turned on; it goes, with
 //! the code only it reaches, rather than ship unmeasured. The pinned
 //! field count makes the knob census ratchet: a new field edits the pin
-//! in its own diff.
+//! in its own diff. The same holds for dependencies: every package a
+//! binary links is a workspace member, and `vendor/` holds only the
+//! dev-only `proptest` shim.
 
 use std::path::Path;
 
@@ -74,5 +76,73 @@ fn config_field_count_is_pinned() {
         fields.len(),
         CONFIG_FIELDS,
         "S4dConfig fields changed; move the pin in the same diff: {fields:?}"
+    );
+}
+
+/// What `vendor/` holds: the dev-only `proptest` shim and its README.
+/// A new shim edits this pin in its own diff.
+const VENDORED: [&str; 2] = ["README.md", "proptest"];
+
+/// The `name = "…"` of a manifest's `[package]` section.
+fn package_name(manifest: &str) -> Option<&str> {
+    manifest
+        .split("[package]")
+        .nth(1)?
+        .lines()
+        .find_map(|l| l.strip_prefix("name = "))
+        .map(|v| v.trim_matches('"'))
+}
+
+#[test]
+fn dependencies_are_workspace_members_and_vendor_is_pinned() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut vendored: Vec<String> = std::fs::read_dir(root.join("vendor"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    vendored.sort();
+    assert_eq!(
+        vendored, VENDORED,
+        "vendor/ changed; move the pin in the same diff"
+    );
+
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for krate in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
+        manifests.push(krate.path().join("Cargo.toml"));
+    }
+    let texts: Vec<(String, String)> = manifests
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).unwrap_or(p).display().to_string();
+            (rel, std::fs::read_to_string(p).unwrap())
+        })
+        .collect();
+    let members: Vec<&str> = texts.iter().filter_map(|(_, t)| package_name(t)).collect();
+    assert!(members.len() > 10, "found only {members:?}");
+    let mut foreign = Vec::new();
+    for (path, text) in &texts {
+        let mut section = "";
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line.trim_matches(['[', ']']);
+                continue;
+            }
+            // `[dependencies]`, `[build-dependencies]` and
+            // `[target.….dependencies]`; the workspace table only says
+            // where packages live, and dev-only packages never reach a
+            // binary.
+            let ships = section.ends_with("dependencies")
+                && !section.ends_with("dev-dependencies")
+                && section != "workspace.dependencies";
+            let name = line.split(['.', ' ', '=']).next().unwrap_or("");
+            if ships && !name.is_empty() && !line.starts_with('#') && !members.contains(&name) {
+                foreign.push(format!("{path}: [{section}] {name}"));
+            }
+        }
+    }
+    assert!(
+        foreign.is_empty(),
+        "non-workspace packages outside [dev-dependencies]: {foreign:?}"
     );
 }
