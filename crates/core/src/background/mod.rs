@@ -18,6 +18,7 @@ use s4d_mpiio::{BackgroundPoll, Cluster, Plan};
 use s4d_pfs::{FileId, Priority};
 use s4d_sim::{IdMap, IdSet, SimTime};
 
+use crate::durability::Frame;
 use crate::layer::S4dCache;
 use crate::shard::MetadataPlane;
 
@@ -35,66 +36,70 @@ pub(crate) struct FlushItem {
 /// One reserved piece of a fetch: `(d_offset, len, c_file, c_offset)`.
 pub(crate) type FetchPiece = (u64, u64, FileId, u64);
 
-/// A background action awaiting plan completion. Not `Clone`, and consumed
-/// by value everywhere: an obligation is attached to exactly one plan tag
-/// ([`BackgroundScheduler::attach`]) and claimed exactly once.
+/// Fetch of the gaps of a run of adjacent flagged CDT entries, or of a
+/// read's missed gaps under the eager-fetch ablation.
+#[derive(Debug)]
+pub(crate) struct Fetch {
+    pub(crate) orig: FileId,
+    /// The `(offset, len)` CDT keys whose `C_flag` this fetch clears.
+    pub(crate) cdt_keys: Vec<(u64, u64)>,
+    /// The cache pieces reserved for the data.
+    pub(crate) pieces: Vec<FetchPiece>,
+}
+
+/// One extent overlapping a foreground write's range once the write was
+/// admitted, captured at plan time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Written {
+    pub(crate) d_offset: u64,
+    pub(crate) len: u64,
+    /// The version to seal: a later write bumps it, and the seal skips.
+    pub(crate) version: u64,
+    /// The extent lies inside one of the request's gaps. The gaps were
+    /// unmapped when the request was routed, so this write's admission
+    /// inserted it.
+    pub(crate) fresh: bool,
+}
+
+/// The one completion obligation a plan registers. Not `Clone`, and
+/// consumed by value everywhere: an obligation is attached to exactly one
+/// plan tag ([`BackgroundScheduler::attach`]) and claimed exactly once.
 #[derive(Debug)]
 #[must_use = "a Pending that is not attached to a plan tag is a leaked obligation"]
 pub(crate) enum Pending {
-    /// A foreground read finished: release its eviction pins.
-    Unpin(Vec<(FileId, u64, u64)>),
-    /// Several actions share one plan (e.g. unpin + eager fetch).
-    Multi(Vec<Pending>),
+    /// A foreground read: release its eviction pins, and complete the
+    /// eager fetch whose cache writes ride the plan's `then`, if any.
+    /// The fetch is boxed: only the eager-fetch ablation plans one, and
+    /// every in-flight obligation is as large as the largest variant.
+    Read {
+        pins: Vec<(FileId, u64, u64)>,
+        fetch: Option<Box<Fetch>>,
+    },
+    /// A foreground write. On completion every extent in `written` is
+    /// sealed (version-gated). On failure the journal frame rolls back
+    /// first, then the fresh extents unwind: their data writes may never
+    /// have landed, and the Rebuilder must not flush unwritten cache
+    /// space over good DServer data.
+    Write {
+        orig: FileId,
+        /// The extents overlapping the request, in `d_offset` order.
+        written: Vec<Written>,
+        /// The journal frame riding the plan's `then`, if a group-commit
+        /// batch came due.
+        journal: Option<Frame>,
+    },
     /// Flush of a run of file-contiguous dirty extents back to DServers.
     /// Grouping adjacent extents turns many small cache writes into one
     /// large sequential DServer write — the data *reorganisation* of
     /// §III.F, and a large part of why buffering random writes pays off.
     Flush(Vec<FlushItem>),
-    /// Fetch of the gaps of a run of adjacent flagged CDT entries.
-    Fetch {
-        orig: FileId,
-        /// The `(offset, len)` CDT keys whose `C_flag` this fetch clears.
-        cdt_keys: Vec<(u64, u64)>,
-        /// The cache pieces reserved for the data.
-        pieces: Vec<FetchPiece>,
-    },
-    /// A foreground write finished: seal the extents it filled, as
-    /// `(file, d_offset, version)` captured at plan time. The version gate
-    /// skips any extent a later write touched in the meantime.
-    Seal(Vec<(FileId, u64, u64)>),
-    /// Fresh extents a write plan's admission inserted, as
-    /// `(d_offset, len)` ranges of `orig`. Completion is a no-op (the
-    /// data landed); on failure the mappings point at cache space whose
-    /// bytes may never have been written and must be unwound before the
-    /// Rebuilder can flush unwritten space over good DServer data.
-    Admitted {
-        /// Original file the extents map.
-        orig: FileId,
-        /// `(d_offset, len)` of each freshly inserted extent.
-        ranges: Vec<(u64, u64)>,
-    },
-    /// A journal frame riding the plan: `offset` was reserved for these
-    /// records at plan time. Completion is a no-op (the frame landed); on
-    /// failure the reservation must be rolled back and the records
-    /// requeued, or the journal gets a hole that truncates every later
-    /// acked record at recovery.
-    Journal {
-        /// Reserved journal append offset.
-        offset: u64,
-        /// The records the frame encodes.
-        records: Vec<crate::durability::journal::JournalRecord>,
-    },
-}
-
-/// True for actions that represent real outstanding work (a pending Seal
-/// is advisory bookkeeping — checksums attach on completion — and must
-/// not keep the drain loop spinning).
-fn blocks_idle(p: &Pending) -> bool {
-    match p {
-        Pending::Seal(_) | Pending::Admitted { .. } | Pending::Journal { .. } => false,
-        Pending::Multi(actions) => actions.iter().any(blocks_idle),
-        _ => true,
-    }
+    /// A Rebuilder fetch.
+    Fetch(Fetch),
+    /// The background straggler drain's journal frame. Completion is a
+    /// no-op (the frame landed); on failure the reservation rolls back
+    /// and the records requeue, or the journal gets a hole that
+    /// truncates every later acked record at recovery.
+    Journal(Frame),
 }
 
 /// Owns every deferred-work obligation of the middleware: the pending
@@ -134,23 +139,13 @@ impl BackgroundScheduler {
         }
     }
 
-    /// Attaches a completion action to a plan and returns the plan's tag.
-    /// `tag == 0` ("no callback yet") mints a fresh tag; a live tag keeps
-    /// its value and gains `action` after whatever it already carries
-    /// (both apply when the plan completes).
+    /// Registers a plan's completion obligation under a fresh tag (never
+    /// 0, which means "no callback") and returns the tag.
     #[must_use = "the tag must ride the plan, or the action never runs"]
-    pub(crate) fn attach(&mut self, tag: u64, action: Pending) -> u64 {
-        if tag == 0 {
-            let fresh = self.next_tag;
-            self.next_tag += 1;
-            self.pending.insert(fresh, action);
-            return fresh;
-        }
-        let chained = match self.pending.remove(&tag) {
-            Some(existing) => Pending::Multi(vec![existing, action]),
-            None => action,
-        };
-        self.pending.insert(tag, chained);
+    pub(crate) fn attach(&mut self, action: Pending) -> u64 {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.pending.insert(tag, action);
         tag
     }
 
@@ -185,105 +180,102 @@ impl BackgroundScheduler {
     /// dirty and flagged reads stay flagged, so the Rebuilder retries.
     pub(crate) fn abandon(&mut self, plane: &mut MetadataPlane, action: Option<Pending>) {
         match action {
-            Some(Pending::Multi(actions)) => {
-                for a in actions {
-                    self.abandon(plane, Some(a));
+            Some(Pending::Read { pins, fetch }) => {
+                self.release_pins(pins);
+                if let Some(fetch) = fetch {
+                    self.abandon_fetch(plane, *fetch);
                 }
             }
-            Some(Pending::Unpin(ranges)) => self.release_pins(ranges),
             Some(Pending::Flush(items)) => {
                 for item in items {
                     self.inflight_flush.remove(&(item.orig, item.d_offset));
                 }
             }
-            Some(Pending::Fetch {
-                orig,
-                cdt_keys,
-                pieces,
-            }) => {
-                for (d_off, len, c_file, c_off) in pieces {
-                    // The reservation came from the shard owning the
-                    // piece's original-file offset; return it there.
-                    let shard = plane.router().shard_of(orig, d_off);
-                    plane.release(shard, c_file, c_off, len);
-                }
-                for (o, l) in cdt_keys {
-                    self.inflight_fetch.remove(&(orig, o, l));
-                }
-            }
-            // Sealing is best-effort: an unsealed extent just stays
-            // unverified until the scrubber byte-compares it.
-            Some(Pending::Seal(_)) => {}
-            // These two need DMT/durability access and are handled by
+            Some(Pending::Fetch(fetch)) => self.abandon_fetch(plane, fetch),
+            // These need DMT/durability access and are handled by
             // `S4dCache::unwind_failed` before it delegates here.
-            Some(Pending::Admitted { .. }) | Some(Pending::Journal { .. }) => {}
-            None => {}
+            Some(Pending::Write { .. }) | Some(Pending::Journal(_)) | None => {}
         }
     }
 
-    /// True while any registered action represents outstanding work.
+    fn abandon_fetch(&mut self, plane: &mut MetadataPlane, fetch: Fetch) {
+        let Fetch {
+            orig,
+            cdt_keys,
+            pieces,
+        } = fetch;
+        for (d_off, len, c_file, c_off) in pieces {
+            // The reservation came from the shard owning the piece's
+            // original-file offset; return it there.
+            let shard = plane.router().shard_of(orig, d_off);
+            plane.release(shard, c_file, c_off, len);
+        }
+        for (o, l) in cdt_keys {
+            self.inflight_fetch.remove(&(orig, o, l));
+        }
+    }
+
+    /// True while any registered action represents outstanding work. A
+    /// write's seals are advisory bookkeeping (checksums attach on
+    /// completion) and its frame, like the drain's, matters only on
+    /// failure: neither may keep the drain loop spinning.
     fn any_blocking(&self) -> bool {
-        self.pending.values().any(blocks_idle)
+        let idle = |p: &Pending| matches!(p, Pending::Write { .. } | Pending::Journal(_));
+        self.pending.values().any(|p| !idle(p))
     }
 }
 
 impl S4dCache {
     /// Unwinds the side effects of a failed plan. The simple
     /// runner-visible state (pins, in-flight markers, fetch
-    /// reservations) delegates to [`BackgroundScheduler::abandon`]; the
-    /// two failure-critical actions need wider access:
-    ///
-    /// * [`Pending::Admitted`] — fresh dirty mappings whose data writes
-    ///   may never have landed are removed and their cache space handed
-    ///   to [`crate::durability::DurabilityEngine::free_removed`].
-    ///   Leaving them would let the Rebuilder flush unwritten (zero)
-    ///   cache space over good DServer data. The removals emit normal
-    ///   `Remove` journal records, so recovery replays insert-then-remove
-    ///   and converges to the same table.
-    /// * [`Pending::Journal`] — the frame's append reservation rolls
-    ///   back and its records requeue, keeping the journal hole-free.
+    /// reservations) delegates to [`BackgroundScheduler::abandon`]. A
+    /// journal frame's append reservation rewinds and its records
+    /// requeue, keeping the journal hole-free. A [`Pending::Write`] rolls
+    /// its frame back *first*: unwinding its fresh extents appends their
+    /// `Remove` records synchronously, and those must land at the
+    /// rolled-back offset, not past the failed frame's hole.
     pub(crate) fn unwind_failed(&mut self, cluster: &mut Cluster, action: Option<Pending>) {
         match action {
-            Some(Pending::Multi(actions)) => {
-                // Journal rollbacks first: an admission unwind appends its
-                // Remove records synchronously, which must land *at* the
-                // rolled-back offset — not past the failed frame's hole.
-                let (journals, rest): (Vec<_>, Vec<_>) = actions
-                    .into_iter()
-                    .partition(|a| matches!(a, Pending::Journal { .. }));
-                for a in journals {
-                    self.unwind_failed(cluster, Some(a));
+            Some(Pending::Write {
+                orig,
+                written,
+                journal,
+            }) => {
+                if let Some(frame) = journal {
+                    self.dur.unplan_journal(frame, &mut self.metrics);
                 }
-                for a in rest {
-                    self.unwind_failed(cluster, Some(a));
-                }
+                self.unwind_fresh(cluster, orig, written);
             }
-            Some(Pending::Admitted { orig, ranges }) => {
-                let mut freed = Vec::new();
-                for (d_offset, len) in ranges {
-                    // Only the extent this plan inserted: same start, same
-                    // length, still dirty (nothing acked it since).
-                    let matches = self
-                        .plane
-                        .get(orig, d_offset)
-                        .is_some_and(|e| e.len == len && e.dirty);
-                    if !matches {
-                        continue;
-                    }
-                    let shard = self.plane.router().shard_of(orig, d_offset);
-                    if let Some(e) = self.plane.remove(orig, d_offset) {
-                        freed.push((shard, e.c_file, e.c_offset, e.len));
-                        self.metrics.admission_unwinds += 1;
-                    }
-                }
-                self.dur
-                    .free_removed(cluster, &mut self.plane, &mut self.metrics, freed);
-            }
-            Some(Pending::Journal { offset, records }) => {
-                self.dur.unplan_journal(offset, records, &mut self.metrics);
-            }
+            Some(Pending::Journal(frame)) => self.dur.unplan_journal(frame, &mut self.metrics),
             other => self.bg.abandon(&mut self.plane, other),
         }
+    }
+
+    /// Removes the fresh extents of a failed write, whose data writes may
+    /// never have landed: left mapped, the Rebuilder would flush unwritten
+    /// cache space over good DServer data. The space goes to
+    /// [`crate::durability::DurabilityEngine::free_removed`], and recovery
+    /// replays insert-then-remove to the same table.
+    fn unwind_fresh(&mut self, cluster: &mut Cluster, orig: FileId, written: Vec<Written>) {
+        let mut freed = Vec::new();
+        for w in written.into_iter().filter(|w| w.fresh) {
+            // Only the extent this plan inserted: same start, same
+            // length, still dirty (nothing acked it since).
+            let matches = self
+                .plane
+                .get(orig, w.d_offset)
+                .is_some_and(|e| e.len == w.len && e.dirty);
+            if !matches {
+                continue;
+            }
+            let shard = self.plane.router().shard_of(orig, w.d_offset);
+            if let Some(e) = self.plane.remove(orig, w.d_offset) {
+                freed.push((shard, e.c_file, e.c_offset, e.len));
+                self.metrics.admission_unwinds += 1;
+            }
+        }
+        self.dur
+            .free_removed(cluster, &mut self.plane, &mut self.metrics, freed);
     }
 
     /// One background wake: flushes, fetches, scrubbing, checkpointing,
@@ -309,17 +301,16 @@ impl S4dCache {
         self.dur
             .maybe_checkpoint(cluster, &mut self.plane, &self.config, &mut self.metrics);
         // Persist any straggling journal records with background priority.
-        if let Some((op, records)) = self.dur.drain_journal(
+        if let Some((op, frame)) = self.dur.drain_journal(
             cluster,
             &mut self.plane,
             &mut self.metrics,
             Priority::Background,
         ) {
-            let offset = op.offset;
             let mut plan = Plan::single_phase(vec![op]);
             // Tag the frame so a failed drain rolls its reservation back
             // instead of leaving a hole in the journal.
-            plan.tag = self.bg.attach(0, Pending::Journal { offset, records });
+            plan.tag = self.bg.attach(Pending::Journal(frame));
             plans.push(plan);
         }
         debug_assert_eq!(
@@ -348,28 +339,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn attach_mints_on_zero_and_chains_on_a_live_tag() {
+    fn attach_mints_a_fresh_tag_and_take_claims_it_once() {
         let mut bg = BackgroundScheduler::new(1);
-        // Tag 0 = "no callback yet": a fresh tag, the action stored as is.
-        let tag = bg.attach(0, Pending::Unpin(vec![(FileId(1), 0, 8)]));
+        let read = Pending::Read {
+            pins: vec![(FileId(1), 0, 8)],
+            fetch: None,
+        };
+        // Tag 0 means "no callback": the first tag is 1, and tags count up.
+        let tag = bg.attach(read);
         assert_eq!(tag, 1);
-        assert_eq!(bg.attach(0, Pending::Seal(Vec::new())), 2, "tags count up");
-        // A live tag keeps its value and gains the action after the one it
-        // already carries: existing first.
-        assert_eq!(bg.attach(tag, Pending::Flush(Vec::new())), tag);
+        assert_eq!(bg.attach(Pending::Flush(Vec::new())), 2);
         match bg.take(tag) {
-            Some(Pending::Multi(actions)) => {
-                assert!(matches!(
-                    actions.as_slice(),
-                    [Pending::Unpin(_), Pending::Flush(_)]
-                ));
+            Some(Pending::Read { pins, fetch: None }) => {
+                assert_eq!(pins, vec![(FileId(1), 0, 8)]);
             }
-            other => panic!("expected Multi[Unpin, Flush], got {other:?}"),
+            other => panic!("expected the Read obligation, got {other:?}"),
         }
-        // A tag nothing is attached to (already claimed) just takes the
-        // action.
-        assert_eq!(bg.attach(tag, Pending::Seal(Vec::new())), tag);
-        assert!(matches!(bg.take(tag), Some(Pending::Seal(_))));
         assert!(bg.take(tag).is_none(), "claimed exactly once");
+        assert!(matches!(bg.take(2), Some(Pending::Flush(_))));
+        assert!(bg.take(0).is_none(), "tag 0 carries nothing");
     }
 }

@@ -8,7 +8,7 @@
 
 use s4d_mpiio::{Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, Priority};
-use s4d_sim::{SimDuration, SimTime};
+use s4d_sim::SimTime;
 use s4d_storage::IoKind;
 
 use crate::durability::crash::CrashSite;
@@ -18,7 +18,7 @@ use crate::layer::S4dCache;
 use crate::names::MAX_GROUP_BYTES;
 use crate::shard::ShardSegment;
 
-use super::{FetchPiece, FlushItem, Pending};
+use super::{Fetch, FetchPiece, FlushItem, Pending};
 
 /// Maximum critical read ranges fetched per wake.
 const MAX_FETCH_PER_WAKE: usize = 64;
@@ -26,8 +26,8 @@ const MAX_FETCH_PER_WAKE: usize = 64;
 impl S4dCache {
     /// Builds the Rebuilder's flush plans (dirty cache data → DServers,
     /// §III.F step 1). Adjacent dirty extents of a file are grouped into
-    /// one plan: phase 1 reads the cached bytes, phase 2 writes them to
-    /// the original file as a single sequential op.
+    /// one plan: its `ops` read the cached bytes, and its `then` writes
+    /// them to the original file as a single sequential op.
     ///
     /// The wake's budget is the `max_flush_per_wake` oldest dirty
     /// extents, in-flight ones included; those are skipped by key before
@@ -113,12 +113,10 @@ impl S4dCache {
                 d_file: file,
                 d_offset: start,
             });
-            let tag = self.bg.attach(0, Pending::Flush(items));
+            let tag = self.bg.attach(Pending::Flush(items));
             staged.push(Plan {
                 tag,
-                lead_in: SimDuration::ZERO,
-                phases: vec![reads, vec![write]],
-                deadline: None,
+                ..Plan::two_phase(reads, vec![write])
             });
         }
         if intents.is_empty() {
@@ -225,21 +223,16 @@ impl S4dCache {
             for &(o, l) in &keys {
                 self.bg.inflight_fetch.insert((file, o, l));
             }
-            let tag = self.bg.attach(
-                0,
-                Pending::Fetch {
-                    orig: file,
-                    cdt_keys: keys,
-                    pieces,
-                },
-            );
+            let tag = self.bg.attach(Pending::Fetch(Fetch {
+                orig: file,
+                cdt_keys: keys,
+                pieces,
+            }));
             self.metrics.fetches += 1;
             self.metrics.fetched_bytes += total;
             plans.push(Plan {
                 tag,
-                lead_in: SimDuration::ZERO,
-                phases: vec![reads, writes],
-                deadline: None,
+                ..Plan::two_phase(reads, writes)
             });
         }
         self.view_scratch = view;
@@ -249,7 +242,7 @@ impl S4dCache {
     /// by shard segment. [`S4dCache::make_room_for`] has guaranteed the
     /// capacity; a segment that still cannot allocate is skipped. Returns
     /// the CServer writes that fill the reservation and the pieces for the
-    /// [`Pending::Fetch`]; `on_segment` sees every segment that got space.
+    /// [`Fetch`]; `on_segment` sees every segment that got space.
     pub(crate) fn reserve_fetch(
         &mut self,
         file: FileId,
@@ -291,30 +284,32 @@ impl S4dCache {
     /// Applies the completion action a finished plan registered.
     pub(crate) fn apply_pending(&mut self, cluster: &mut Cluster, action: Option<Pending>) {
         match action {
-            Some(Pending::Multi(actions)) => {
-                for a in actions {
-                    self.apply_pending(cluster, Some(a));
+            Some(Pending::Read { pins, fetch }) => {
+                self.bg.release_pins(pins);
+                if let Some(fetch) = fetch {
+                    self.finish_fetch(cluster, *fetch);
                 }
             }
-            Some(Pending::Unpin(ranges)) => self.bg.release_pins(ranges),
+            Some(Pending::Write { orig, written, .. }) => {
+                let targets = written.iter().map(|w| (orig, w.d_offset, w.version));
+                self.finish_seals(cluster, targets);
+            }
             Some(Pending::Flush(items)) => self.finish_flush_group(cluster, items),
-            Some(Pending::Fetch {
-                orig,
-                cdt_keys,
-                pieces,
-            }) => self.finish_fetch(cluster, orig, cdt_keys, pieces),
-            Some(Pending::Seal(targets)) => self.finish_seals(cluster, targets),
-            // Completion no-ops: the admission's data and the journal
-            // frame landed; these actions only matter on plan failure.
-            Some(Pending::Admitted { .. }) | Some(Pending::Journal { .. }) => {}
-            None => {}
+            Some(Pending::Fetch(fetch)) => self.finish_fetch(cluster, fetch),
+            // Completion no-op: the frame landed; it only matters on
+            // plan failure.
+            Some(Pending::Journal(_)) | None => {}
         }
     }
 
     /// Seals extents whose plan completed: reads the cached bytes back,
     /// checksums them, and attaches the seal if no write raced (version
     /// gate). Timing-mode stores hold no bytes; sealing is skipped there.
-    pub(crate) fn finish_seals(&mut self, cluster: &mut Cluster, targets: Vec<(FileId, u64, u64)>) {
+    pub(crate) fn finish_seals(
+        &mut self,
+        cluster: &mut Cluster,
+        targets: impl IntoIterator<Item = (FileId, u64, u64)>,
+    ) {
         for (orig, d_offset, version) in targets {
             let Some(e) = self.plane.get(orig, d_offset) else {
                 continue;
@@ -331,9 +326,9 @@ impl S4dCache {
         }
     }
 
-    fn finish_flush_group(&mut self, cluster: &mut Cluster, items: Vec<FlushItem>) {
-        let mut seals: Vec<(FileId, u64, u64)> = Vec::new();
-        for item in items {
+    fn finish_flush_group(&mut self, cluster: &mut Cluster, mut items: Vec<FlushItem>) {
+        // Keep the items to seal: flushed, and still unverified.
+        items.retain(|item| {
             // The extent may have vanished while the flush was in flight —
             // a crash invalidated it, or eviction raced — and its cache
             // space may already hold *other* data. Copying then would
@@ -342,6 +337,7 @@ impl S4dCache {
             let still_there = self.plane.get(item.orig, item.d_offset).is_some_and(|e| {
                 e.c_file == item.c_file && e.c_offset == item.c_offset && e.len >= item.len
             });
+            let mut seal = false;
             if still_there {
                 // Apply the data effect of the simulated copy (current
                 // bytes — if a write raced the flush, DServers receive the
@@ -357,30 +353,30 @@ impl S4dCache {
                 // The commit (SetClean) only follows a complete copy; a
                 // torn copy leaves the extent dirty, so recovery re-flushes
                 // the whole range — idempotent because the same bytes land
-                // on the same DServer offsets.
-                if allowed == item.len
+                // on the same DServer offsets. Flushing does not change the
+                // cached bytes: a flushed extent still unverified is sealed.
+                seal = allowed == item.len
                     && self
                         .plane
                         .mark_clean_if(item.orig, item.d_offset, item.version)
-                {
-                    seals.push((item.orig, item.d_offset, item.version));
-                }
+                    && self
+                        .plane
+                        .get(item.orig, item.d_offset)
+                        .is_some_and(|e| e.checksum.is_none());
             }
             self.bg.inflight_flush.remove(&(item.orig, item.d_offset));
-        }
-        // Flushing does not change the cached bytes: seal any flushed
-        // extent that was still unverified.
-        seals.retain(|&(f, o, _)| self.plane.get(f, o).is_some_and(|e| e.checksum.is_none()));
-        self.finish_seals(cluster, seals);
+            seal
+        });
+        let targets = items.iter().map(|i| (i.orig, i.d_offset, i.version));
+        self.finish_seals(cluster, targets);
     }
 
-    fn finish_fetch(
-        &mut self,
-        cluster: &mut Cluster,
-        orig: FileId,
-        cdt_keys: Vec<(u64, u64)>,
-        pieces: Vec<FetchPiece>,
-    ) {
+    fn finish_fetch(&mut self, cluster: &mut Cluster, fetch: Fetch) {
+        let Fetch {
+            orig,
+            cdt_keys,
+            pieces,
+        } = fetch;
         let mut seals: Vec<(FileId, u64, u64)> = Vec::new();
         let mut view = std::mem::take(&mut self.view_scratch);
         for (d_off, len, c_file, c_off) in pieces {

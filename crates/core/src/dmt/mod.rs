@@ -404,14 +404,17 @@ impl Dmt {
     /// skipping extents for which `is_pinned(file, d_offset, len)`
     /// returns true — the Redirector pins ranges referenced by in-flight
     /// reads so eviction cannot discard bytes a queued sub-request is
-    /// about to return. Returns the victims as `(file, d_offset, extent)`.
-    /// Cost is proportional to the number of victims, not the table size.
+    /// about to return. The victims, as `(file, d_offset, extent)`,
+    /// replace the contents of `victims` (cleared on entry, so a caller
+    /// can keep one buffer across calls). Cost is proportional to the
+    /// number of victims, not the table size.
     pub fn evict_clean_lru_excluding(
         &mut self,
         bytes: u64,
+        victims: &mut Vec<(FileId, u64, MapExtent)>,
         is_pinned: impl Fn(FileId, u64, u64) -> bool,
-    ) -> Vec<(FileId, u64, MapExtent)> {
-        let mut victims = Vec::new();
+    ) {
+        victims.clear();
         let mut reclaimed = 0u64;
         for &(file, d_off) in self.lru_clean.values() {
             if reclaimed >= bytes {
@@ -426,10 +429,9 @@ impl Dmt {
             reclaimed += e.len;
             victims.push((file, d_off, *e));
         }
-        for &(file, d_off, _) in &victims {
+        for &(file, d_off, _) in victims.iter() {
             self.remove(file, d_off);
         }
-        victims
     }
 
     /// The dirty extents' `(file, d_offset)` keys, least recently used
@@ -448,6 +450,16 @@ mod tests {
 
     const F: FileId = FileId(1);
     const CF: FileId = FileId(100);
+
+    fn evict(
+        d: &mut Dmt,
+        bytes: u64,
+        is_pinned: impl Fn(FileId, u64, u64) -> bool,
+    ) -> Vec<(FileId, u64, MapExtent)> {
+        let mut victims = Vec::new();
+        d.evict_clean_lru_excluding(bytes, &mut victims, is_pinned);
+        victims
+    }
 
     #[test]
     fn empty_view_is_one_gap() {
@@ -563,16 +575,16 @@ mod tests {
         d.insert(F, 200, 10, CF, 20, true); // dirty: not evictable
                                             // Touch the oldest so the middle becomes LRU.
         d.touch_range(F, 0, 10);
-        let victims = d.evict_clean_lru_excluding(10, |_, _, _| false);
+        let victims = evict(&mut d, 10, |_, _, _| false);
         assert_eq!(victims.len(), 1);
         assert_eq!(victims[0].1, 100, "middle extent was least recently used");
         assert_eq!(d.entry_count(), 2);
         // Asking for more than clean space yields what exists.
-        let victims = d.evict_clean_lru_excluding(1000, |_, _, _| false);
+        let victims = evict(&mut d, 1000, |_, _, _| false);
         assert_eq!(victims.len(), 1);
         assert_eq!(victims[0].1, 0);
         assert!(
-            d.evict_clean_lru_excluding(1, |_, _, _| false).is_empty(),
+            evict(&mut d, 1, |_, _, _| false).is_empty(),
             "only dirty data remains"
         );
         assert_eq!(d.dirty_bytes(), 10);
@@ -584,11 +596,15 @@ mod tests {
         d.insert(F, 0, 10, CF, 0, false);
         d.insert(F, 100, 10, CF, 10, false);
         // Pin the older extent: the newer one must be evicted instead.
-        let victims = d.evict_clean_lru_excluding(5, |_, off, len| off < 10 && off + len > 0);
+        let victims = evict(&mut d, 5, |_, off, len| off < 10 && off + len > 0);
         assert_eq!(victims.len(), 1);
         assert_eq!(victims[0].1, 100);
-        // With everything pinned, nothing is evicted.
-        assert!(d.evict_clean_lru_excluding(1000, |_, _, _| true).is_empty());
+        // With everything pinned, nothing is evicted, and a stale entry in
+        // the buffer is cleared on entry.
+        let mut victims = vec![(F, 7, *d.get(F, 0).unwrap())];
+        d.evict_clean_lru_excluding(1000, &mut victims, |_, _, _| true);
+        assert!(victims.is_empty());
+        assert_eq!(d.entry_count(), 1, "the pinned extent stays mapped");
     }
 
     #[test]
@@ -610,7 +626,7 @@ mod tests {
         // original (older) recency: it becomes the eviction candidate.
         let v = d.get(F, 0).unwrap().version;
         d.mark_clean_if(F, 0, v);
-        let victims = d.evict_clean_lru_excluding(5, |_, _, _| false);
+        let victims = evict(&mut d, 5, |_, _, _| false);
         assert_eq!(victims[0].1, 0);
     }
 
@@ -722,7 +738,7 @@ mod tests {
                     }
                     _ => {
                         // Evict up to `len` clean bytes.
-                        for (_, v_off, e) in d.evict_clean_lru_excluding(len, |_, _, _| false) {
+                        for (_, v_off, e) in evict(&mut d, len, |_, _, _| false) {
                             for b in v_off..v_off + e.len {
                                 model[b as usize] = None;
                             }

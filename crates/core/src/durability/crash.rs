@@ -161,8 +161,8 @@ impl CrashFuse {
 /// completions would, routing the plan-carried durable effects through
 /// `fuse` (`None`: every op lands in full).
 ///
-/// Ops run in phase order. A write carrying a payload charges
-/// [`CrashSite::DataWrite`] when it has an `app_offset` and
+/// Ops run in phase order, `ops` then `then`. A write carrying a payload
+/// charges [`CrashSite::DataWrite`] when it has an `app_offset` and
 /// [`CrashSite::JournalWrite`] when it does not (a journal frame), and
 /// only the prefix the fuse affords is applied; `applied(op, prefix)`
 /// reports each write that reached the stores. Payload-less writes are
@@ -186,7 +186,7 @@ pub fn exec_plan_fused<'p>(
     mut read_into: Option<(&mut [u8], u64)>,
     mut applied: impl FnMut(&PlannedIo, u64),
 ) -> Result<bool, (&'p PlannedIo, PfsError)> {
-    for op in plan.phases.iter().flatten() {
+    for op in plan.ops.iter().chain(&plan.then) {
         if fuse.is_some_and(|f| f.borrow().is_dead()) {
             return Ok(false);
         }

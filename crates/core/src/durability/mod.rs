@@ -61,6 +61,15 @@ pub(crate) struct DurabilityHandle(());
 /// the Remove is durable.
 pub(crate) type FreedRange = (ShardId, FileId, u64, u64);
 
+/// A journal frame a plan carries: the append offset reserved for it and
+/// the records it encodes. The bytes land when the plan runs; if the plan
+/// fails, [`DurabilityEngine::unplan_journal`] takes the frame back.
+#[derive(Debug)]
+pub(crate) struct Frame {
+    pub(crate) offset: u64,
+    pub(crate) records: Vec<JournalRecord>,
+}
+
 /// One end of a simulated copy: `(tier, file, offset)`.
 pub(crate) type CopyEnd = (Tier, FileId, u64);
 
@@ -261,20 +270,19 @@ impl DurabilityEngine {
     }
 
     /// Accumulates pending DMT mutations and, once a group-commit batch
-    /// is full, returns the journal write and the records its frame
-    /// carries. The caller owns placing the op — as the plan's *final*
-    /// phase, data before metadata — and attaching a
-    /// [`crate::background::Pending::Journal`] unwind: if the plan
-    /// carrying the op fails, the reservation must be rolled back
-    /// ([`DurabilityEngine::unplan_journal`]) or the journal gets a hole
-    /// that truncates every later acked record at recovery.
+    /// is full, returns the journal write and the [`Frame`] it carries.
+    /// The caller owns placing the op — in the plan's `then`, data before
+    /// metadata — and registering the frame with the plan's obligation:
+    /// if the plan carrying the op fails, the reservation must be rolled
+    /// back ([`DurabilityEngine::unplan_journal`]) or the journal gets a
+    /// hole that truncates every later acked record at recovery.
     pub(crate) fn journal_op(
         &mut self,
         cluster: &mut Cluster,
         plane: &mut MetadataPlane,
         config: &S4dConfig,
         metrics: &mut S4dMetrics,
-    ) -> Option<(PlannedIo, Vec<JournalRecord>)> {
+    ) -> Option<(PlannedIo, Frame)> {
         self.collect_pending_records(plane);
         if !self.group.any_due(config.journal_batch_records) {
             return None;
@@ -294,7 +302,7 @@ impl DurabilityEngine {
         plane: &mut MetadataPlane,
         metrics: &mut S4dMetrics,
         priority: Priority,
-    ) -> Option<(PlannedIo, Vec<JournalRecord>)> {
+    ) -> Option<(PlannedIo, Frame)> {
         self.collect_pending_records(plane);
         if self.stalled {
             // A failed sync append owns the current offset; planning a
@@ -310,11 +318,12 @@ impl DurabilityEngine {
         let records = self.group.drain_all();
         let data = journal::encode_batch(&records);
         let len = data.len() as u64;
+        let offset = self.journal_offset;
         let op = PlannedIo {
             tier: Tier::CServers,
             file: journal,
             kind: IoKind::Write,
-            offset: self.journal_offset,
+            offset,
             len,
             priority,
             data: Some(data),
@@ -324,7 +333,7 @@ impl DurabilityEngine {
         metrics.journal_writes += 1;
         metrics.journal_bytes += len;
         metrics.journal_records_written += records.len() as u64;
-        Some((op, records))
+        Some((op, Frame { offset, records }))
     }
 
     /// Rolls back a planned journal frame whose carrying plan failed
@@ -333,12 +342,8 @@ impl DurabilityEngine {
     /// newest reservation the append offset rewinds so the retry lands
     /// at the same place — no hole, so no later acked record is
     /// truncated at recovery.
-    pub(crate) fn unplan_journal(
-        &mut self,
-        offset: u64,
-        records: Vec<JournalRecord>,
-        metrics: &mut S4dMetrics,
-    ) {
+    pub(crate) fn unplan_journal(&mut self, frame: Frame, metrics: &mut S4dMetrics) {
+        let Frame { offset, records } = frame;
         let len = records.len() as u64 * crate::DMT_RECORD_BYTES;
         if self.journal_offset == offset + len {
             self.journal_offset = offset;

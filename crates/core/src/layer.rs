@@ -22,7 +22,7 @@ use s4d_storage::IoKind;
 
 use crate::background::BackgroundScheduler;
 use crate::config::S4dConfig;
-use crate::dmt::RangeView;
+use crate::dmt::{MapExtent, RangeView};
 use crate::durability::crash::CrashFuse;
 use crate::durability::recovery::RecoveryReport;
 use crate::durability::DurabilityEngine;
@@ -58,6 +58,10 @@ pub struct S4dCache {
     /// state between uses and is never borrowed across a `Middleware`
     /// call.
     pub(crate) view_scratch: RangeView,
+    /// Scratch eviction victims for `make_room`, kept the same way: taken,
+    /// filled by `MetadataPlane::evict_clean_lru_excluding` (which clears
+    /// it first), and stored back.
+    pub(crate) victims_scratch: Vec<(FileId, u64, MapExtent)>,
 }
 
 impl S4dCache {
@@ -78,6 +82,7 @@ impl S4dCache {
             dur: DurabilityEngine::new(router),
             bg,
             view_scratch: RangeView::default(),
+            victims_scratch: Vec::new(),
         }
     }
 

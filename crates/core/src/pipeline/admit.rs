@@ -3,15 +3,15 @@
 //! Consumes the redirect stage's [`WriteRoute`] and turns the admission
 //! ask into effects: clean-LRU eviction (`make_room`, whose freed space
 //! the durability engine releases only once the Removes are journaled),
-//! extent insertion, and the data-before-metadata journal
-//! phase that makes admission atomic (DESIGN.md §9). The eager-fetch
-//! ablation claims space through the same path.
+//! extent insertion, and the data-before-metadata journal write (the
+//! plan's `then`) that makes admission atomic (DESIGN.md §9). The
+//! eager-fetch ablation claims space through the same path.
 
 use s4d_mpiio::{AppRequest, Cluster, Plan, Tier};
 use s4d_pfs::{FileId, Priority};
 use s4d_storage::IoKind;
 
-use crate::background::Pending;
+use crate::background::{Fetch, Pending, Written};
 use crate::layer::S4dCache;
 use crate::pipeline::{RequestCtx, WriteRoute, DECISION_OVERHEAD};
 use crate::shard::ShardId;
@@ -19,8 +19,8 @@ use crate::shard::ShardId;
 impl S4dCache {
     /// Algorithm 1, write side, admission half (lines 3–14): claim space
     /// for the gaps of an admitted write, degrade to disk writes
-    /// otherwise, and close the plan with the journal phase and seal
-    /// registration.
+    /// otherwise, and close the plan with the journal write and its one
+    /// obligation.
     pub(crate) fn admit_write(
         &mut self,
         cluster: &mut Cluster,
@@ -43,7 +43,6 @@ impl S4dCache {
             }
             ok
         };
-        let mut fresh: Vec<(u64, u64)> = Vec::new();
         for &(g_off, g_len) in gaps {
             if !admit {
                 ops.push(self.data_op(
@@ -67,7 +66,6 @@ impl S4dCache {
                     for p in pieces {
                         self.plane
                             .insert(req.file, cursor, p.len, c_file, p.c_offset, true);
-                        fresh.push((cursor, p.len));
                         ops.push(self.data_op(
                             Tier::CServers,
                             c_file,
@@ -99,7 +97,7 @@ impl S4dCache {
             self.metrics.writes_to_disk += 1;
         }
         // Atomic admission: the journal write describing new mappings runs
-        // in a phase *after* the data writes (data-before-metadata). A
+        // in `then`, *after* the data writes (data-before-metadata). A
         // crash between the two leaves orphaned cache bytes — swept on
         // recovery — never a mapping to unwritten space.
         let frame = self
@@ -112,34 +110,30 @@ impl S4dCache {
         // Once the plan completes, seal the cache extents this write
         // filled: the checksum is computed from the bytes then on CPFS,
         // version-gated against racing overwrites. If the plan *fails*,
-        // the fresh admissions and the journal reservation unwind
-        // instead (`S4dCache::unwind_failed`).
-        let seals: Vec<(FileId, u64, u64)> = self
+        // the journal reservation and the fresh admissions unwind instead
+        // (`S4dCache::unwind_failed`).
+        let written: Vec<Written> = self
             .plane
             .overlapping(req.file, req.offset, req.len)
-            .map(|(d_off, e)| (req.file, d_off, e.version))
+            .map(|(d_offset, e)| Written {
+                d_offset,
+                len: e.len,
+                version: e.version,
+                fresh: gaps
+                    .iter()
+                    .any(|&(g_off, g_len)| g_off <= d_offset && d_offset + e.len <= g_off + g_len),
+            })
             .collect();
-        let mut actions: Vec<Pending> = Vec::new();
-        if !fresh.is_empty() {
-            actions.push(Pending::Admitted {
+        let journal = frame.map(|(op, frame)| {
+            plan.then = vec![op];
+            frame
+        });
+        if !written.is_empty() || journal.is_some() {
+            plan.tag = self.bg.attach(Pending::Write {
                 orig: req.file,
-                ranges: fresh,
+                written,
+                journal,
             });
-        }
-        if let Some((op, records)) = frame {
-            let offset = op.offset;
-            actions.push(Pending::Journal { offset, records });
-            plan.phases.push(vec![op]);
-        }
-        if !seals.is_empty() {
-            actions.push(Pending::Seal(seals));
-        }
-        // A lone obligation attaches as itself; only several share a
-        // `Multi` (and its vector).
-        if actions.len() > 1 {
-            plan.tag = self.bg.attach(0, Pending::Multi(actions));
-        } else if let Some(only) = actions.pop() {
-            plan.tag = self.bg.attach(0, only);
         }
         plan
     }
@@ -181,12 +175,13 @@ impl S4dCache {
         }
         let needed = len - self.plane.shard_available(shard);
         let bg = &self.bg;
-        let victims = self
-            .plane
-            .evict_clean_lru_excluding(shard, needed, |file, off, elen| {
+        let mut victims = std::mem::take(&mut self.victims_scratch);
+        self.plane
+            .evict_clean_lru_excluding(shard, needed, &mut victims, |file, off, elen| {
                 bg.overlaps_pin(file, off, elen)
             });
         if victims.is_empty() {
+            self.victims_scratch = victims;
             return self.plane.fits(shard, len);
         }
         // `evict_clean_lru_excluding` removed the victims and queued
@@ -196,10 +191,13 @@ impl S4dCache {
         let freed = victims
             .iter()
             .map(|(_, _, ext)| (shard, ext.c_file, ext.c_offset, ext.len));
-        if !self
+        let durable = self
             .dur
-            .try_free_removed(cluster, &mut self.plane, &mut self.metrics, freed)
-        {
+            .try_free_removed(cluster, &mut self.plane, &mut self.metrics, freed);
+        if durable {
+            self.metrics.evictions += victims.len() as u64;
+            self.metrics.evicted_bytes += victims.iter().map(|(_, _, ext)| ext.len).sum::<u64>();
+        } else {
             // The journal is stalled (ENOSPC / media error): undo the
             // eviction — re-insert each victim (the queued Remove plus
             // this Insert replay to a no-op) and deny the admission; the
@@ -211,37 +209,34 @@ impl S4dCache {
                 self.plane
                     .insert(*file, *d_off, ext.len, ext.c_file, ext.c_offset, ext.dirty);
             }
-            return false;
         }
-        self.metrics.evictions += victims.len() as u64;
-        self.metrics.evicted_bytes += victims.iter().map(|(_, _, ext)| ext.len).sum::<u64>();
-        self.plane.fits(shard, len)
+        self.victims_scratch = victims;
+        durable && self.plane.fits(shard, len)
     }
 
-    /// Eager-fetch ablation: append a second phase writing the missed gaps
-    /// into the cache as part of the request itself.
+    /// Eager-fetch ablation: reserve cache space for the read's missed
+    /// gaps and fill it in the plan's `then`, as part of the request
+    /// itself. Returns the fetch the read's obligation completes.
     pub(crate) fn plan_eager_fetch(
         &mut self,
         cluster: &mut Cluster,
         req: &AppRequest,
         gaps: &[(u64, u64)],
         plan: &mut Plan,
-    ) {
+    ) -> Option<Box<Fetch>> {
         let total: u64 = gaps.iter().map(|&(_, l)| l).sum();
         if total == 0 || !self.make_room_for(cluster, req.file, gaps) {
             self.metrics.admission_denied_space += 1;
-            return;
+            return None;
         }
-        let (phase, pieces) = self.reserve_fetch(req.file, gaps, Priority::Normal, |_| {});
-        let fetch = Pending::Fetch {
+        let (writes, pieces) = self.reserve_fetch(req.file, gaps, Priority::Normal, |_| {});
+        self.metrics.fetches += 1;
+        self.metrics.fetched_bytes += total;
+        plan.then = writes;
+        Some(Box::new(Fetch {
             orig: req.file,
             cdt_keys: vec![(req.offset, req.len)],
             pieces,
-        };
-        // Joins the read's Unpin action when it attached one.
-        plan.tag = self.bg.attach(plan.tag, fetch);
-        self.metrics.fetches += 1;
-        self.metrics.fetched_bytes += total;
-        plan.phases.push(phase);
+        }))
     }
 }

@@ -174,15 +174,14 @@ impl S4dCache {
             lead_in: DECISION_OVERHEAD,
             ..Plan::single_phase(ops)
         };
-        if !pins.is_empty() {
-            // Pin the cached pieces this read references until the plan
-            // completes, so eviction cannot free space under a queued
-            // sub-request. (Fallback pieces read OPFS and need no pin.)
-            self.bg.pin_all(&pins);
-            plan.tag = self.bg.attach(0, Pending::Unpin(pins));
-        }
-        if view.fully_covered() {
+        // Pin the cached pieces this read references until the plan
+        // completes, so eviction — the eager fetch's below included —
+        // cannot free space under a queued sub-request. (Fallback pieces
+        // read OPFS and need no pin.)
+        self.bg.pin_all(&pins);
+        let fetch = if view.fully_covered() {
             self.metrics.read_full_hits += 1;
+            None
         } else {
             if view.fully_missed() {
                 self.metrics.read_misses += 1;
@@ -192,14 +191,20 @@ impl S4dCache {
             // No new cache fills while any CServer is quarantined: fetches
             // stripe over the whole tier, so they would land on the sick
             // server too.
-            if ctx.critical && !self.health.any_unhealthy(now) {
-                if self.config.eager_read_fetch {
-                    self.plan_eager_fetch(cluster, req, &view.gaps, &mut plan);
-                } else if self.plane.cdt_set_c_flag(req.file, req.offset, req.len) {
-                    // Lazy caching: mark for the Rebuilder (line 18).
+            if !ctx.critical || self.health.any_unhealthy(now) {
+                None
+            } else if self.config.eager_read_fetch {
+                self.plan_eager_fetch(cluster, req, &view.gaps, &mut plan)
+            } else {
+                // Lazy caching: mark for the Rebuilder (line 18).
+                if self.plane.cdt_set_c_flag(req.file, req.offset, req.len) {
                     self.metrics.lazy_marks += 1;
                 }
+                None
             }
+        };
+        if !pins.is_empty() || fetch.is_some() {
+            plan.tag = self.bg.attach(Pending::Read { pins, fetch });
         }
         // Reads plan no durable effects: a journal frame riding a read
         // plan would make the read's success hinge on a metadata write

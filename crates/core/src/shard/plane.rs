@@ -374,16 +374,18 @@ impl MetadataPlane {
     }
 
     /// LRU clean eviction within one shard (the shard whose space the
-    /// caller is trying to free), skipping pinned ranges.
+    /// caller is trying to free), skipping pinned ranges; the victims
+    /// replace the contents of `victims`.
     pub(crate) fn evict_clean_lru_excluding(
         &mut self,
         shard: ShardId,
         bytes: u64,
+        victims: &mut Vec<(FileId, u64, MapExtent)>,
         is_pinned: impl Fn(FileId, u64, u64) -> bool,
-    ) -> Vec<(FileId, u64, MapExtent)> {
+    ) {
         self.shard_mut(shard)
             .dmt
-            .evict_clean_lru_excluding(bytes, is_pinned)
+            .evict_clean_lru_excluding(bytes, victims, is_pinned);
     }
 
     // ---- routed CDT operations -------------------------------------

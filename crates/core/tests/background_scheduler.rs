@@ -77,10 +77,10 @@ fn rebuilder_flush_cycle_marks_clean() {
     assert!(poll.work_pending);
     let plan = &poll.plans[0];
     // Flush = background read from CServers, then background write to D.
-    assert_eq!(plan.phases.len(), 2);
-    assert_eq!(plan.phases[0][0].tier, Tier::CServers);
-    assert_eq!(plan.phases[0][0].priority, Priority::Background);
-    assert_eq!(plan.phases[1][0].tier, Tier::DServers);
+    assert_eq!((plan.ops.len(), plan.then.len()), (1, 1));
+    assert_eq!(plan.ops[0].tier, Tier::CServers);
+    assert_eq!(plan.ops[0].priority, Priority::Background);
+    assert_eq!(plan.then[0].tier, Tier::DServers);
     let poll2 = mw.poll_background(&mut cluster, SimTime::from_secs(1));
     assert!(
         poll2.plans.is_empty(),
@@ -93,11 +93,9 @@ fn rebuilder_flush_cycle_marks_clean() {
     // The clean transition's journal record drains on the next wake...
     let poll3 = mw.poll_background(&mut cluster, SimTime::from_secs(3));
     assert_eq!(poll3.plans.len(), 1, "journal drain only");
-    assert!(poll3.plans[0]
-        .phases
-        .iter()
-        .flatten()
-        .all(|op| op.app_offset.is_none()));
+    let drain = &poll3.plans[0];
+    assert!(drain.then.is_empty());
+    assert!(drain.ops.iter().all(|op| op.app_offset.is_none()));
     // ...after which the Rebuilder is fully idle.
     let poll4 = mw.poll_background(&mut cluster, SimTime::from_secs(4));
     assert!(poll4.plans.is_empty());
@@ -118,7 +116,7 @@ fn inflight_flushes_count_against_the_wake_budget() {
         mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, offset, 16 * KIB));
     }
     let flushed = |plans: &[s4d_mpiio::Plan]| -> Vec<u64> {
-        let mut offsets: Vec<u64> = plans.iter().map(|p| p.phases[1][0].offset).collect();
+        let mut offsets: Vec<u64> = plans.iter().map(|p| p.then[0].offset).collect();
         offsets.sort_unstable();
         offsets
     };
@@ -146,11 +144,11 @@ fn rebuilder_fetch_cycle_caches_flagged_reads() {
     let poll = mw.poll_background(&mut cluster, SimTime::ZERO);
     assert_eq!(poll.plans.len(), 1);
     let plan = &poll.plans[0];
-    assert_eq!(plan.phases.len(), 2);
-    assert_eq!(plan.phases[0][0].tier, Tier::DServers);
-    assert_eq!(plan.phases[0][0].kind, IoKind::Read);
-    assert_eq!(plan.phases[1][0].tier, Tier::CServers);
-    assert_eq!(plan.phases[1][0].kind, IoKind::Write);
+    assert_eq!((plan.ops.len(), plan.then.len()), (1, 1));
+    assert_eq!(plan.ops[0].tier, Tier::DServers);
+    assert_eq!(plan.ops[0].kind, IoKind::Read);
+    assert_eq!(plan.then[0].tier, Tier::CServers);
+    assert_eq!(plan.then[0].kind, IoKind::Write);
     mw.on_plan_complete(&mut cluster, SimTime::from_secs(1), plan.tag);
     // Mapped clean; the C_flag is cleared; a re-read now hits.
     assert_eq!(mw.plane().mapped_bytes(), 16 * KIB);
@@ -194,7 +192,7 @@ fn fetch_over_a_server_without_the_file_caches_its_bytes() {
     );
     assert_eq!(tiers_of(&plan), vec![Tier::CServers]);
     let mut cached = vec![0u8; len as usize];
-    for op in plan.phases.iter().flatten() {
+    for op in plan.ops.iter().chain(&plan.then) {
         let Some(app) = op.app_offset else { continue };
         let bytes = cluster.cpfs().read_bytes(op.file, op.offset, op.len);
         let bytes = bytes.unwrap().expect("functional stores hold bytes");
@@ -230,7 +228,7 @@ fn carl_placement_never_flushes_and_fills_up() {
     assert!(poll
         .plans
         .iter()
-        .flat_map(|p| p.phases.iter().flatten())
+        .flat_map(|p| p.ops.iter().chain(&p.then))
         .all(|op| op.app_offset.is_none() && op.kind == IoKind::Write));
     let poll = mw.poll_background(&mut cluster, SimTime::from_secs(1));
     assert!(poll.plans.is_empty());

@@ -60,9 +60,9 @@ pub fn read_req(file: FileId, offset: u64, len: u64) -> AppRequest {
 
 /// The tier of every data op in the plan, in phase order.
 pub fn tiers_of(plan: &Plan) -> Vec<Tier> {
-    plan.phases
+    plan.ops
         .iter()
-        .flatten()
+        .chain(&plan.then)
         .filter(|op| op.app_offset.is_some())
         .map(|op| op.tier)
         .collect()

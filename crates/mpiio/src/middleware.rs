@@ -232,9 +232,9 @@ mod tests {
             data: None,
         };
         let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &req);
-        assert_eq!(plan.phases.len(), 1);
-        assert_eq!(plan.phases[0].len(), 1);
-        let op = &plan.phases[0][0];
+        assert!(plan.then.is_empty());
+        assert_eq!(plan.ops.len(), 1);
+        let op = &plan.ops[0];
         assert_eq!(op.tier, Tier::DServers);
         assert_eq!(op.offset, 4096);
         assert_eq!(op.len, 8192);

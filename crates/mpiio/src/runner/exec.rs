@@ -66,10 +66,12 @@ impl PlanOwner {
 
 pub(super) struct PlanExec {
     pub(super) plan: Plan,
+    /// The phase being submitted or drained: 0 for `plan.ops`, 1 for
+    /// `plan.then`; 2 once both are done.
     pub(super) phase: usize,
     pub(super) outstanding: usize,
     pub(super) owner: PlanOwner,
-    /// Set when a sub-request gave up: remaining phases are skipped and
+    /// Set when a sub-request gave up: a remaining phase is skipped and
     /// the plan fails instead of completing.
     pub(super) failed: bool,
 }
@@ -277,18 +279,20 @@ impl<M: Middleware> State<M> {
         }
     }
 
-    /// Submits the plan's current phase, skipping phases that create no
-    /// sub-request, and completes the plan when no phase is left (an
-    /// empty plan completes instantly). The plan is updated where it
-    /// sits in the table; a phase's ops are moved out while they are
-    /// submitted, since nothing reads them afterwards.
+    /// Submits the plan's current phase — `ops`, then `then` — skipping a
+    /// phase that creates no sub-request, and completes the plan when no
+    /// phase is left (an empty plan completes instantly). The plan is
+    /// updated where it sits in the table; a phase's ops are moved out
+    /// while they are submitted, since nothing reads them afterwards.
     pub(super) fn advance_plan(&mut self, now: SimTime, plan_id: u64, q: &mut EventQueue<Event>) {
         loop {
             let Some(exec) = self.plans.get_mut(&plan_id) else {
                 return; // a PlanStart or drain names a plan still in the table
             };
-            let Some(ops) = exec.plan.phases.get_mut(exec.phase).map(std::mem::take) else {
-                break;
+            let ops = match exec.phase {
+                0 => std::mem::take(&mut exec.plan.ops),
+                1 => std::mem::take(&mut exec.plan.then),
+                _ => break,
             };
             let deadline = exec.plan.deadline;
             let owner = exec.owner.process();
@@ -507,7 +511,7 @@ impl<M: Middleware> State<M> {
     }
 
     /// A plan's current phase has fully drained: fail it, or advance to
-    /// the next phase (completing it when there is none).
+    /// `then` (completing the plan when `then` is the phase that drained).
     pub(super) fn settle_drained_plan(
         &mut self,
         now: SimTime,

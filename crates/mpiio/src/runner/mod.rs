@@ -6,8 +6,9 @@
 //!
 //! * a process executes its script; opens/closes are instantaneous control
 //!   operations, reads/writes become middleware [`Plan`]s;
-//! * a plan's phases run sequentially; the ops of a phase are decomposed
-//!   into per-server sub-requests and submitted concurrently;
+//! * a plan's `ops` run first and its `then` ops once they all completed;
+//!   the ops of a phase are decomposed into per-server sub-requests and
+//!   submitted concurrently;
 //! * file servers service one sub-request at a time (foreground before
 //!   background) — each completion is an event;
 //! * the middleware's background hook (the Rebuilder) is polled on the
@@ -228,7 +229,7 @@ impl<M: Middleware> State<M> {
             .expect("event names a constructed process")
     }
 
-    /// Launches a plan: charges its decision lead-in, then starts phase 0.
+    /// Launches a plan: charges its decision lead-in, then starts `ops`.
     fn launch_plan(
         &mut self,
         now: SimTime,

@@ -159,18 +159,21 @@ impl PlannedIo {
     }
 }
 
-/// An execution plan: phases run sequentially, ops within a phase run
-/// concurrently. `tag` (when non-zero) is echoed to
-/// [`crate::Middleware::on_plan_complete`].
+/// An execution plan: the ops in `ops` run concurrently, and the ops in
+/// `then` start once every op in `ops` has completed. `tag` (when
+/// non-zero) is echoed to [`crate::Middleware::on_plan_complete`]. An
+/// empty `then` allocates nothing.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Plan {
     /// Middleware-private identifier; 0 means "no completion callback".
     pub tag: u64,
-    /// CPU time the middleware spent deciding (charged before phase 0;
+    /// CPU time the middleware spent deciding (charged before `ops`;
     /// S4D-Cache uses this for its cost-model/lookup overhead, §V.E.2).
     pub lead_in: s4d_sim::SimDuration,
-    /// The phases, outermost sequential, innermost concurrent.
-    pub phases: Vec<Vec<PlannedIo>>,
+    /// The first phase: ops that run concurrently.
+    pub ops: Vec<PlannedIo>,
+    /// The second phase: ops that start once all of `ops` completed.
+    pub then: Vec<PlannedIo>,
     /// Per-sub-request deadline budget. When set, the runner arms a timer
     /// for every dispatched sub-request; one still outstanding when its
     /// budget lapses is reported to
@@ -183,16 +186,19 @@ impl Plan {
     /// A single-phase plan with no callback.
     pub fn single_phase(ops: Vec<PlannedIo>) -> Self {
         Plan {
-            tag: 0,
-            lead_in: s4d_sim::SimDuration::ZERO,
-            phases: vec![ops],
-            deadline: None,
+            ops,
+            ..Plan::default()
         }
     }
 
-    /// True if the plan contains no ops at all.
-    pub fn is_empty(&self) -> bool {
-        self.phases.iter().all(|p| p.is_empty())
+    /// A plan whose `then` ops start once all of `ops` completed, with no
+    /// callback.
+    pub fn two_phase(ops: Vec<PlannedIo>, then: Vec<PlannedIo>) -> Self {
+        Plan {
+            ops,
+            then,
+            ..Plan::default()
+        }
     }
 }
 
@@ -334,9 +340,11 @@ mod tests {
     #[test]
     fn plan_helpers() {
         let op = PlannedIo::data_op(Tier::DServers, FileId(1), IoKind::Write, 0, 100, 0);
-        let plan = Plan::single_phase(vec![op.clone(), op]);
-        assert!(!plan.is_empty());
+        let plan = Plan::single_phase(vec![op.clone(), op.clone()]);
+        assert_eq!(plan.ops.len(), 2);
+        assert!(plan.then.is_empty());
         assert_eq!(plan.tag, 0);
-        assert!(Plan::default().is_empty());
+        let plan = Plan::two_phase(vec![op.clone()], vec![op]);
+        assert_eq!((plan.ops.len(), plan.then.len()), (1, 1));
     }
 }

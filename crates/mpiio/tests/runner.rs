@@ -1,13 +1,15 @@
 //! Integration tests for the discrete-event runner: script execution,
-//! barriers, functional data round-trips, determinism, and the retry /
-//! re-plan machinery — all through the public crate surface.
+//! barriers, functional data round-trips, determinism, the two-phase plan
+//! contract, and the retry / re-plan machinery — all through the public
+//! crate surface.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use s4d_mpiio::{
     script, AppRequest, Cluster, ErrorDirective, HedgeDirective, IoObserver, Middleware,
-    MiddlewareError, Plan, Rank, Runner, StockMiddleware, StragglerCtx, SubIoFailure,
+    MiddlewareError, Plan, PlannedIo, Rank, Runner, StockMiddleware, StragglerCtx, SubIoFailure,
+    Tier,
 };
 use s4d_pfs::FileId;
 use s4d_sim::stats::MIB;
@@ -471,4 +473,129 @@ fn a_retried_sub_request_gets_a_fresh_deadline_under_its_new_key() {
     // must miss (its key is retired); the retry's own timer fires once.
     assert_eq!(rep.gray.deadline_misses, 1);
     assert!(rep.end_time > at_millis(100));
+}
+
+/// What a [`Phased`] middleware saw, in call order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Planned(u64),
+    Dispatched(Tier),
+    Completed(Tier),
+    PlanComplete(u64),
+}
+
+/// Plans every write as DServer `ops` followed by one CServer write in
+/// `then`, and every read as a plan with empty `ops` and one CServer read
+/// in `then`; records the runner's callbacks in order.
+struct Phased {
+    log: Rc<RefCell<Vec<Seen>>>,
+    side: FileId,
+    next_tag: u64,
+}
+
+impl Middleware for Phased {
+    fn open(
+        &mut self,
+        cluster: &mut Cluster,
+        _rank: Rank,
+        name: &str,
+    ) -> Result<FileId, MiddlewareError> {
+        self.side = cluster.cpfs_mut().create_or_open("side");
+        Ok(cluster.opfs_mut().create_or_open(name))
+    }
+
+    fn plan_io(&mut self, _cluster: &mut Cluster, _now: SimTime, req: &AppRequest) -> Plan {
+        let op = |tier, file, offset, len| PlannedIo::data_op(tier, file, req.kind, offset, len, 0);
+        let side = op(Tier::CServers, self.side, 0, 4096);
+        let mut plan = match req.kind {
+            IoKind::Write => Plan::two_phase(
+                vec![op(Tier::DServers, req.file, req.offset, req.len)],
+                vec![side],
+            ),
+            IoKind::Read => Plan::two_phase(Vec::new(), vec![side]),
+        };
+        self.next_tag += 1;
+        plan.tag = self.next_tag;
+        self.log.borrow_mut().push(Seen::Planned(plan.tag));
+        plan
+    }
+
+    fn close(&mut self, _: &mut Cluster, _: Rank, _: FileId) -> Result<(), MiddlewareError> {
+        Ok(())
+    }
+
+    fn on_plan_complete(&mut self, _cluster: &mut Cluster, _now: SimTime, tag: u64) {
+        self.log.borrow_mut().push(Seen::PlanComplete(tag));
+    }
+
+    fn on_io_dispatched(&mut self, tier: Tier, _server: usize, _kind: IoKind, _len: u64) {
+        self.log.borrow_mut().push(Seen::Dispatched(tier));
+    }
+
+    fn on_io_complete(&mut self, tier: Tier, _: usize, _: IoKind, _: u64, _: SimDuration) {
+        self.log.borrow_mut().push(Seen::Completed(tier));
+    }
+
+    fn name(&self) -> &str {
+        "phased"
+    }
+}
+
+#[test]
+fn then_starts_only_after_every_ops_sub_request_completed() {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mw = Phased {
+        log: log.clone(),
+        side: FileId(0),
+        next_tag: 0,
+    };
+    // 256 KiB over two DServers: `ops` is several concurrent sub-requests.
+    let scripts = vec![script()
+        .open("f")
+        .write(0, 0, 256 * 1024)
+        .read(0, 0, 4096)
+        .close(0)
+        .build()];
+    Runner::new(small_cluster(), mw, scripts, 3).run();
+    let log = log.borrow();
+    let at = |e: Seen| log.iter().position(|&s| s == e).expect("event seen");
+    for tag in [1, 2] {
+        let done = log
+            .iter()
+            .filter(|&&s| s == Seen::PlanComplete(tag))
+            .count();
+        assert_eq!(done, 1, "plan {tag} completes exactly once: {log:?}");
+    }
+    let (write_start, write_done) = (at(Seen::Planned(1)), at(Seen::PlanComplete(1)));
+    let write = &log[write_start..write_done];
+    let first_then = write
+        .iter()
+        .position(|&s| s == Seen::Dispatched(Tier::CServers))
+        .expect("the write's `then` ran");
+    let ops = &write[..first_then];
+    let dispatched = ops
+        .iter()
+        .filter(|&&s| s == Seen::Dispatched(Tier::DServers));
+    let completed = ops
+        .iter()
+        .filter(|&&s| s == Seen::Completed(Tier::DServers));
+    assert!(dispatched.clone().count() > 1, "`ops` fans out: {log:?}");
+    assert_eq!(
+        dispatched.count(),
+        completed.count(),
+        "no `then` op may start before every `ops` sub-request completed: {log:?}"
+    );
+    assert!(!write[first_then..].contains(&Seen::Dispatched(Tier::DServers)));
+    // The read's `ops` is empty: its `then` is dispatched at once.
+    let read_start = at(Seen::Planned(2));
+    assert_eq!(
+        log.get(read_start + 1),
+        Some(&Seen::Dispatched(Tier::CServers)),
+        "an empty `ops` starts `then` at once: {log:?}"
+    );
+    // Each plan completes right after its `then` drained.
+    for tag in [1, 2] {
+        let done = at(Seen::PlanComplete(tag));
+        assert_eq!(log.get(done - 1), Some(&Seen::Completed(Tier::CServers)));
+    }
 }

@@ -4,26 +4,28 @@
 //! own workspace and root `cargo test` never builds it. This file keeps a
 //! cheap version of the same count in tier-1: a counting global allocator
 //! (this test binary only) around `Runner::run()` on a Timing-mode
-//! cluster, for the two shapes the request path has — small requests the
-//! cache core serves (overwrites of mapped extents, full-hit reads) and a
-//! large request that bypasses it.
+//! cluster, for the three shapes the request path has — small requests
+//! the cache core serves from mapped extents (overwrites, full-hit
+//! reads), a large request that bypasses the cache, and small requests
+//! on an over-subscribed cache, where writes are admitted, evict clean
+//! extents and carry their journal frames.
 //!
-//! The counts are exact and repeat run for run (15,735 over the 4,096
-//! warm 16 KiB requests, 3.84 each; 45 for the one-request run), so the
-//! ceilings sit less than one allocation per request above them: one
-//! new per-request `Vec` in `identify`, `plan_io`, `on_plan_complete`,
-//! the pfs split, the runner's sub-request bookkeeping or the extent
-//! store's range removal fails here first. This test is the mutation
-//! gate's killer for `alloc-in-hot-path`
-//! (`tests/mutation_gate.rs`), which a `vec![…]` per
-//! critical request (4.84) passed under the earlier ceiling of 5.2.
+//! The counts are exact and repeat run for run (9,495 over the 4,096
+//! warm 16 KiB requests, 2.32 each; 42 for the one-request run; 15,780
+//! over the 4,096 over-subscribed requests, 3.85 each), so the ceilings
+//! sit less than one allocation per request above them: one new
+//! per-request `Vec` in `identify`, `plan_io`, `on_plan_complete`, the
+//! pfs split, the runner's sub-request bookkeeping or the extent store's
+//! range removal fails here first. This test is the mutation gate's
+//! killer for `alloc-in-hot-path` (`tests/mutation_gate.rs`), which adds
+//! a `vec![…]` per critical request.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use s4d::bench::testbed;
-use s4d::cache::{S4dCache, S4dConfig};
-use s4d::mpiio::{script, Runner};
+use s4d::cache::{S4dCache, S4dConfig, S4dMetrics};
+use s4d::mpiio::{script, Cluster, Runner};
 use s4d::workloads::{AccessPattern, IorConfig};
 
 const KIB: u64 = 1024;
@@ -93,13 +95,30 @@ fn ior(seed: u64) -> IorConfig {
     }
 }
 
-#[test]
-fn request_path_allocations_stay_under_their_ceilings() {
+/// One counted IOR run over a prefilled cache.
+struct Rerun {
+    /// Allocation calls during the run.
+    allocs: u64,
+    /// Requests the run issued.
+    requests: u64,
+    /// The middleware's counters before and after the run.
+    before: S4dMetrics,
+    after: S4dMetrics,
+    cluster: Cluster,
+    mw: S4dCache,
+}
+
+impl Rerun {
+    fn per_req(&self) -> f64 {
+        self.allocs as f64 / self.requests as f64
+    }
+}
+
+/// Prefills a cache configured by `config` with one IOR run, then counts
+/// the allocations of a second run over the same file.
+fn counted_rerun(config: S4dConfig) -> Rerun {
     let tb = testbed(3);
-    // The cache holds the whole file twice over: nothing is evicted, so
-    // after the prefill every write overwrites a mapped extent and every
-    // read is a full hit.
-    let mw = S4dCache::new(S4dConfig::new(64 * MIB), tb.cost_params());
+    let mw = S4dCache::new(config, tb.cost_params());
     let mut prefill = Runner::new(tb.cluster(), mw, ior(5).scripts(), tb.seed);
     let end = prefill.run().end_time;
     prefill.drain_background(end);
@@ -108,36 +127,76 @@ fn request_path_allocations_stay_under_their_ceilings() {
 
     let cfg = ior(6);
     let requests = 2 * cfg.processes as u64 * cfg.requests_per_process();
-    let mut warm = Runner::new(cluster, mw, cfg.scripts(), tb.seed ^ 1);
-    let (report, allocs) = counted(|| warm.run());
-    let (cluster, mw, _) = warm.into_parts();
-    let after = *mw.metrics();
+    let mut rerun = Runner::new(cluster, mw, cfg.scripts(), tb.seed ^ 1);
+    let (report, allocs) = counted(|| rerun.run());
+    let (cluster, mw, _) = rerun.into_parts();
     assert_eq!(
         report.writes.meter.ops() + report.reads.meter.ops(),
         requests
     );
-    assert_eq!(after.read_full_hits - before.read_full_hits, requests / 2);
+    let after = *mw.metrics();
+    Rerun {
+        allocs,
+        requests,
+        before,
+        after,
+        cluster,
+        mw,
+    }
+}
+
+#[test]
+fn request_path_allocations_stay_under_their_ceilings() {
+    // The cache holds the whole file twice over: nothing is evicted, so
+    // after the prefill every write overwrites a mapped extent and every
+    // read is a full hit.
+    let warm = counted_rerun(S4dConfig::new(64 * MIB));
+    let (before, after) = (warm.before, warm.after);
+    assert_eq!(
+        after.read_full_hits - before.read_full_hits,
+        warm.requests / 2
+    );
     assert_eq!(after.read_misses, before.read_misses);
     assert_eq!(after.evictions, 0);
-    let per_req = allocs as f64 / requests as f64;
     assert!(
-        per_req <= 4.5,
-        "warm 16 KiB requests cost {per_req:.2} allocations each \
-         ({allocs} over {requests} requests); ceiling 4.5"
+        warm.per_req() <= 3.0,
+        "warm 16 KiB requests cost {:.2} allocations each \
+         ({} over {} requests); ceiling 3.0",
+        warm.per_req(),
+        warm.allocs,
+        warm.requests
     );
 
     // One 4 MiB write: never critical, so it goes straight to all eight
     // DServers as eight 8-stripe sub-requests. The count covers the whole
     // one-request run — open, close and first-use growth included, which
-    // is most of what is left (the 34 the rework removed were all the
-    // request's own).
+    // is most of what is left.
+    let tb = testbed(3);
     let bypass = script().open("bypass.dat").write(0, 0, 4 * MIB).close(0);
-    let mut large = Runner::new(cluster, mw, vec![bypass.build()], tb.seed ^ 2);
+    let mut large = Runner::new(warm.cluster, warm.mw, vec![bypass.build()], tb.seed ^ 2);
     let (report, allocs) = counted(|| large.run());
     assert_eq!(report.writes.meter.ops(), 1);
     assert_eq!(report.tiers.c_ops, 0, "a 4 MiB request bypasses the cache");
     assert!(
-        allocs <= 45,
-        "one 4 MiB bypass request cost {allocs} allocations; ceiling 45"
+        allocs <= 42,
+        "one 4 MiB bypass request cost {allocs} allocations; ceiling 42"
+    );
+
+    // A cache half the file's size, committing every journal record on
+    // its own: half the writes are admitted, they evict clean extents,
+    // and each admitted write's plan carries its journal frame in `then`
+    // and registers the write obligation.
+    let full = counted_rerun(S4dConfig::new(16 * MIB).with_journal_batch(1));
+    let (before, after) = (full.before, full.after);
+    assert!(after.writes_to_cache > before.writes_to_cache);
+    assert!(after.evictions > before.evictions);
+    assert!(after.journal_writes > before.journal_writes);
+    assert!(
+        full.per_req() <= 4.5,
+        "over-subscribed 16 KiB requests cost {:.2} allocations each \
+         ({} over {} requests); ceiling 4.5",
+        full.per_req(),
+        full.allocs,
+        full.requests
     );
 }

@@ -434,20 +434,18 @@ fn journal_before_ack_audit() {
         let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &req);
         assert_eq!(mw.plane().pending_records(), 0, "unjournaled mutation");
         // Data before metadata (DESIGN.md §9): at batch size 1 every
-        // admission carries its journal frame, and that write is the
-        // plan's final phase with nothing beside it — a mapping record
-        // can never become durable ahead of the bytes it maps.
+        // admission carries its journal frame, and that write runs in the
+        // plan's `then` with nothing beside it — a mapping record can
+        // never become durable ahead of the bytes it maps.
         let is_journal = |op: &PlannedIo| op.tier == Tier::CServers && op.file == journal;
-        let journal_phases: Vec<usize> = (0..plan.phases.len())
-            .filter(|&k| plan.phases[k].iter().any(is_journal))
-            .collect();
-        assert_eq!(
-            journal_phases,
-            vec![plan.phases.len() - 1],
-            "journal write must be the last phase only: {:?}",
-            plan.phases
+        assert!(
+            !plan.ops.iter().any(is_journal) && !plan.then.is_empty(),
+            "journal write must run in `then` only: {plan:?}"
         );
-        assert!(plan.phases[plan.phases.len() - 1].iter().all(is_journal));
+        assert!(
+            plan.then.iter().all(is_journal),
+            "`then` must hold only the journal write: {plan:?}"
+        );
         assert!(run_plan(&mut cluster, &mut mw, None, &plan, SimTime::ZERO));
         assert_eq!(mw.plane().pending_records(), 0, "completion left records");
     }

@@ -428,9 +428,9 @@ fn journal_stall_undoes_eviction_so_recovery_serves_no_stale_bytes() {
     let write = write_req(file, off, pattern(off, 16 * KIB, 1));
     let plan = mw.plan_io(&mut cluster, from, &write);
     assert!(
-        plan.phases
+        plan.ops
             .iter()
-            .flatten()
+            .chain(&plan.then)
             .all(|op| op.tier == Tier::DServers),
         "the write that asked for room degrades to OPFS"
     );
@@ -476,9 +476,9 @@ fn journal_stall_undoes_eviction_so_recovery_serves_no_stale_bytes() {
         .collect();
     for plan in &plans {
         assert!(
-            plan.phases
+            plan.ops
                 .iter()
-                .flatten()
+                .chain(&plan.then)
                 .any(|op| op.tier == Tier::CServers),
             "a cached range is written through"
         );

@@ -97,9 +97,9 @@ fn run(budget: Option<u64>) -> Outcome {
         let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &req);
         offsets.push(offset);
         batched = plan
-            .phases
+            .ops
             .iter()
-            .flatten()
+            .chain(&plan.then)
             .any(|op| op.kind == IoKind::Write && op.app_offset.is_none());
         run_plan(&mut cluster, &mut mw, Some(&fuse), &plan, SimTime::ZERO);
         if fuse.borrow().is_dead() || batched {

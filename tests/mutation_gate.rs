@@ -53,7 +53,14 @@ const FAULTS: &str = "crates/core/src/faults.rs";
 const IDENTIFY: &str = "crates/core/src/pipeline/identify.rs";
 const RECOVERY: &str = "crates/core/src/durability/recovery.rs";
 const LAST_NAME: &str = "pub const MAX_GROUP_BYTES: u64 = 4 * 1024 * 1024;\n";
-const ATTACH_FETCH: &str = "        plan.tag = self.bg.attach(plan.tag, fetch);\n";
+const BACKGROUND: &str = "crates/core/src/background/mod.rs";
+const ATTACH_READ: &str = "        if !pins.is_empty() || fetch.is_some() {
+            plan.tag = self.bg.attach(Pending::Read { pins, fetch });
+        }\n";
+const UNWIND_WRITE: &str = "                if let Some(frame) = journal {
+                    self.dur.unplan_journal(frame, &mut self.metrics);
+                }
+                self.unwind_fresh(cluster, orig, written);\n";
 const CDT_INSERT: &str = "self.plane.cdt_insert(req.file, req.offset, req.len);";
 const RETRY_BACKOFF: &str = "    pub(crate) fn retry_backoff(";
 const ROUTED: &str = "let shard = self.plane.router().shard_of(orig, d_off);";
@@ -98,15 +105,15 @@ fn rows() -> Vec<Row> {
         row("flush-released-by-a-forged-handle", REBUILD,
             "Some(proof) => staged.release(&proof),", "Some(_) => staged.release(&crate::durability::DurabilityHandle(())),",
             Build, "E0603"),
-        row("pending-leak", ADMIT, ATTACH_FETCH, "",
+        row("pending-leak", REDIRECT, ATTACH_READ, "",
             Build, "unused variable: `fetch`"),
-        row("pending-dropped", REDIRECT,
-            "plan.tag = self.bg.attach(0, Pending::Unpin(pins));", "Pending::Unpin(pins);",
+        row("pending-dropped", REDIRECT, ATTACH_READ, "        Pending::Read { pins, fetch };\n",
             Build, "Pending` that must be used"),
-        row("pending-tag-dropped", ADMIT, ATTACH_FETCH, "        self.bg.attach(plan.tag, fetch);\n",
+        row("pending-tag-dropped", REDIRECT, ATTACH_READ,
+            "        if !pins.is_empty() || fetch.is_some() {\n            self.bg.attach(Pending::Read { pins, fetch });\n        }\n",
             Build, "unused return value of `BackgroundScheduler::attach`"),
-        row("pending-reuse", ADMIT, ATTACH_FETCH,
-            "        let first = self.bg.attach(0, fetch.clone());\n        plan.tag = self.bg.attach(first, fetch);\n",
+        row("pending-reuse", REDIRECT, ATTACH_READ,
+            "        let read = Pending::Read { pins, fetch };\n        let _ = self.bg.attach(read.clone());\n        plan.tag = self.bg.attach(read);\n",
             Build, "E0599"),
         row("unrouted-shard-literal", REBUILD, ROUTED, "let shard = 0;", Build, "E0308"),
         row("unrouted-shard-arith", REBUILD, ROUTED, "let shard = (d_off % 4) as usize;", Build, "E0308"),
@@ -195,8 +202,8 @@ fn rows() -> Vec<Row> {
             "        let allowed = { let _ = site; len };\n        if allowed > 0 {\n            let _ = cluster.cpfs_mut().discard(",
             Test("crash_torture", "crash_matrix_every_budget_recovers"), "EvictDiscard"),
         row("journal-before-data", ADMIT,
-            "            plan.phases.push(vec![op]);", "            plan.phases.insert(0, vec![op]);",
-            Test("crash_torture", "journal_before_ack_audit"), "journal write must be the last phase only"),
+            "            plan.then = vec![op];", "            plan.ops.push(op);",
+            Test("crash_torture", "journal_before_ack_audit"), "journal write must run in `then` only"),
         row("completion-no-longer-signals-success", "crates/core/src/layer.rs",
             "self.health.record_success(server);", "let _ = server;",
             Test("failure_domain", "hard_crash_rolls_back_to_durable_state_and_recovers"), "the second crash must invalidate"),
@@ -206,6 +213,13 @@ fn rows() -> Vec<Row> {
         row("flush-limit-zero-still-flushes", REBUILD,
             ".dirty_keys(self.config.max_flush_per_wake)", ".dirty_keys(self.config.max_flush_per_wake.max(1))",
             Test("end_to_end", "flush_limit_zero_is_carl_placement"), "flush limit 0 must never flush"),
+        row("unwind-before-frame-rollback", BACKGROUND, UNWIND_WRITE,
+            "                self.unwind_fresh(cluster, orig, written);
+                if let Some(frame) = journal {
+                    self.dur.unplan_journal(frame, &mut self.metrics);
+                }\n",
+            CacheTest("durability_engine", "failed_admission_rolls_back_the_frame_before_unwinding"),
+            "must land at the rolled-back frame offset"),
         row("flush-scan-ignores-inflight", REBUILD,
             "            .filter(|key| !self.bg.inflight_flush.contains(key))\n", "",
             CacheTest("background_scheduler", "rebuilder_flush_cycle_marks_clean"), "must not re-issue"),
