@@ -13,16 +13,17 @@
 //! on a LRU policy", §III.E) and the Rebuilder's oldest-first flushing, each
 //! in time proportional to the work done rather than to the table size.
 //!
-//! Range queries (coverage views, overlap enumeration, boundary splits)
-//! live in the [`view`] submodule; sharded deployments hold one `Dmt` per
-//! shard behind [`crate::MetadataPlane`].
+//! Coverage views and overlap enumeration live in the [`view`] submodule;
+//! the overlap search and the boundary split under them are
+//! [`s4d_sim::RangeMap`]'s. Sharded deployments hold one `Dmt` per shard
+//! behind [`crate::MetadataPlane`].
 
 mod view;
 
 use std::collections::BTreeMap;
 
 use s4d_pfs::FileId;
-use s4d_sim::IdMap;
+use s4d_sim::{IdMap, RangeMap, Span};
 
 use crate::journal::JournalRecord;
 
@@ -48,15 +49,64 @@ pub struct MapExtent {
     touch: u64,
 }
 
+impl Span for MapExtent {
+    fn span_len(&self) -> u64 {
+        self.len
+    }
+
+    fn split_off(&mut self, at: u64) -> Self {
+        // A whole-extent checksum does not survive a split.
+        self.checksum = None;
+        let right = MapExtent {
+            len: self.len - at,
+            c_offset: self.c_offset + at,
+            ..*self
+        };
+        self.len = at;
+        right
+    }
+}
+
+/// The recency indices, touch → `(file, d_offset)`, one per `dirty` state.
+/// Only these methods keep an extent's touch in the index matching it.
+#[derive(Debug, Clone, Default)]
+struct Recency {
+    clean: BTreeMap<u64, (FileId, u64)>,
+    dirty: BTreeMap<u64, (FileId, u64)>,
+    next: u64,
+}
+
+impl Recency {
+    fn index(&mut self, dirty: bool) -> &mut BTreeMap<u64, (FileId, u64)> {
+        if dirty {
+            &mut self.dirty
+        } else {
+            &mut self.clean
+        }
+    }
+
+    /// Gives `e`, mapped at `key`, the most recent touch.
+    fn add(&mut self, file: FileId, key: u64, e: &mut MapExtent) {
+        e.touch = self.next;
+        self.next += 1;
+        self.file(file, key, e);
+    }
+
+    /// Files `e` under its current touch, keeping its place in the order.
+    fn file(&mut self, file: FileId, key: u64, e: &MapExtent) {
+        self.index(e.dirty).insert(e.touch, (file, key));
+    }
+
+    fn forget(&mut self, e: &MapExtent) {
+        self.index(e.dirty).remove(&e.touch);
+    }
+}
+
 /// The Data Mapping Table.
 #[derive(Debug, Clone, Default)]
 pub struct Dmt {
     files: IdMap<FileId, BTreeMap<u64, MapExtent>>,
-    /// Recency index of clean extents: touch → (file, d_offset).
-    lru_clean: BTreeMap<u64, (FileId, u64)>,
-    /// Recency index of dirty extents.
-    lru_dirty: BTreeMap<u64, (FileId, u64)>,
-    next_touch: u64,
+    recency: Recency,
     mapped: u64,
     dirty_total: u64,
     entry_count: usize,
@@ -118,20 +168,6 @@ impl Dmt {
         self.journal_total += 1;
     }
 
-    fn bump(&mut self) -> u64 {
-        let t = self.next_touch;
-        self.next_touch += 1;
-        t
-    }
-
-    fn index(&mut self, dirty: bool) -> &mut BTreeMap<u64, (FileId, u64)> {
-        if dirty {
-            &mut self.lru_dirty
-        } else {
-            &mut self.lru_clean
-        }
-    }
-
     /// Inserts a new extent mapping `[d_offset, d_offset+len)` →
     /// `(c_file, c_offset)`.
     ///
@@ -148,24 +184,20 @@ impl Dmt {
         c_offset: u64,
         dirty: bool,
     ) {
-        assert!(len > 0, "cannot map an empty extent");
+        let mut e = MapExtent {
+            len,
+            c_file,
+            c_offset,
+            dirty,
+            version: 0,
+            checksum: None,
+            touch: 0,
+        };
+        self.recency.add(file, d_offset, &mut e);
+        let map = self.files.entry(file).or_default();
         assert!(
-            self.overlapping(file, d_offset, len).next().is_none(),
-            "DMT insert overlaps an existing extent at {file}:{d_offset}+{len}"
-        );
-        let touch = self.bump();
-        self.index(dirty).insert(touch, (file, d_offset));
-        self.files.entry(file).or_default().insert(
-            d_offset,
-            MapExtent {
-                len,
-                c_file,
-                c_offset,
-                dirty,
-                version: 0,
-                checksum: None,
-                touch,
-            },
+            map.insert_disjoint(d_offset, e).is_ok(),
+            "DMT insert at {file}:{d_offset}+{len} is empty or overlaps an existing extent"
         );
         self.mapped += len;
         if dirty {
@@ -187,38 +219,34 @@ impl Dmt {
         let Some(map) = self.files.get_mut(&file) else {
             return;
         };
-        let span = view::overlap_span(map, offset, len);
-        for (&key, e) in map.range_mut(span) {
-            let touch = self.next_touch;
-            self.next_touch += 1;
-            let idx = if e.dirty {
-                &mut self.lru_dirty
-            } else {
-                &mut self.lru_clean
-            };
-            idx.remove(&e.touch);
-            idx.insert(touch, (file, key));
-            e.touch = touch;
+        for (&key, e) in map.overlapping_mut(offset, offset + len) {
+            self.recency.forget(e);
+            self.recency.add(file, key, e);
         }
     }
 
-    /// Splits the extents straddling either end of `[offset, offset+len)`
-    /// so that every extent overlapping the range lies fully inside it.
-    /// Only the first and last overlapping extents can straddle.
+    /// Splits the extents straddling either end of `[offset, offset+len)`;
+    /// both halves take fresh touches, left first. No journal record:
+    /// replaying the mutation that triggered a split reproduces it.
     fn split_at_bounds(&mut self, file: FileId, offset: u64, len: u64) {
-        let Some(map) = self.files.get(&file) else {
+        if len == 0 {
+            return;
+        }
+        let Some(map) = self.files.get_mut(&file) else {
             return;
         };
-        let mut keys = map
-            .range(view::overlap_span(map, offset, len))
-            .map(|(&s, _)| s);
-        let Some(first) = keys.next() else {
-            return;
-        };
-        let last = keys.next_back();
-        self.split_off(file, first, offset, offset + len);
-        if let Some(last) = last {
-            self.split_off(file, last, offset, offset + len);
+        for at in [offset, offset + len] {
+            let Some(left) = map.split_at(at) else {
+                continue;
+            };
+            self.entry_count += 1;
+            if let Some(e) = map.get_mut(&left) {
+                self.recency.forget(e);
+                self.recency.add(file, left, e);
+            }
+            if let Some(e) = map.get_mut(&at) {
+                self.recency.add(file, at, e);
+            }
         }
     }
 
@@ -231,22 +259,16 @@ impl Dmt {
         let Some(map) = self.files.get_mut(&file) else {
             return;
         };
-        let span = view::overlap_span(map, offset, len);
-        for (&key, e) in map.range_mut(span) {
+        for (&key, e) in map.overlapping_mut(offset, offset + len) {
             debug_assert!(key >= offset && key + e.len <= offset + len);
-            let touch = self.next_touch;
-            self.next_touch += 1;
-            if e.dirty {
-                self.lru_dirty.remove(&e.touch);
-            } else {
-                self.lru_clean.remove(&e.touch);
+            self.recency.forget(e);
+            if !e.dirty {
                 self.dirty_total += e.len;
             }
-            self.lru_dirty.insert(touch, (file, key));
             e.dirty = true;
             e.version += 1;
             e.checksum = None; // the bytes are about to change
-            e.touch = touch;
+            self.recency.add(file, key, e);
             self.pending_journal.push(JournalRecord::SetDirty {
                 d_file: file,
                 d_offset: key,
@@ -267,8 +289,7 @@ impl Dmt {
         let Some(map) = self.files.get_mut(&file) else {
             return;
         };
-        let span = view::overlap_span(map, offset, len);
-        for e in map.range_mut(span).map(|(_, e)| e) {
+        for e in map.overlapping_mut(offset, offset + len).map(|(_, e)| e) {
             e.version += 1;
             e.checksum = None;
         }
@@ -283,16 +304,7 @@ impl Dmt {
         if e.version != version || !e.dirty {
             return false;
         }
-        e.dirty = false;
-        let (touch, len) = (e.touch, e.len);
-        self.lru_dirty.remove(&touch);
-        self.lru_clean.insert(touch, (file, d_offset));
-        self.dirty_total -= len;
-        self.record(JournalRecord::SetClean {
-            d_file: file,
-            d_offset,
-        });
-        true
+        self.force_clean(file, d_offset)
     }
 
     /// Marks the extent at exactly `d_offset` clean unconditionally —
@@ -303,11 +315,10 @@ impl Dmt {
             return false;
         };
         if e.dirty {
+            self.recency.forget(e);
             e.dirty = false;
-            let (touch, len) = (e.touch, e.len);
-            self.lru_dirty.remove(&touch);
-            self.lru_clean.insert(touch, (file, d_offset));
-            self.dirty_total -= len;
+            self.recency.file(file, d_offset, e);
+            self.dirty_total -= e.len;
             self.record(JournalRecord::SetClean {
                 d_file: file,
                 d_offset,
@@ -384,11 +395,9 @@ impl Dmt {
     /// Removes the extent starting exactly at `d_offset`.
     pub fn remove(&mut self, file: FileId, d_offset: u64) -> Option<MapExtent> {
         let e = self.files.get_mut(&file)?.remove(&d_offset)?;
+        self.recency.forget(&e);
         if e.dirty {
-            self.lru_dirty.remove(&e.touch);
             self.dirty_total -= e.len;
-        } else {
-            self.lru_clean.remove(&e.touch);
         }
         self.mapped -= e.len;
         self.entry_count -= 1;
@@ -416,7 +425,7 @@ impl Dmt {
     ) {
         victims.clear();
         let mut reclaimed = 0u64;
-        for &(file, d_off) in self.lru_clean.values() {
+        for &(file, d_off) in self.recency.clean.values() {
             if reclaimed >= bytes {
                 break;
             }
@@ -439,7 +448,7 @@ impl Dmt {
     /// a caller that discards most keys (the Rebuilder skips extents
     /// already being flushed) pays only for the ones it keeps.
     pub fn dirty_keys(&self) -> impl Iterator<Item = (FileId, u64)> + '_ {
-        self.lru_dirty.values().copied()
+        self.recency.dirty.values().copied()
     }
 }
 
@@ -605,6 +614,20 @@ mod tests {
         d.evict_clean_lru_excluding(1000, &mut victims, |_, _, _| true);
         assert!(victims.is_empty());
         assert_eq!(d.entry_count(), 1, "the pinned extent stays mapped");
+    }
+
+    #[test]
+    fn split_pieces_take_fresh_recency_left_first() {
+        let mut d = Dmt::new();
+        d.insert(F, 0, 100, CF, 0, false); // A, older
+        d.insert(F, 200, 100, CF, 100, false); // B
+        d.unseal(F, 30, 40);
+        // A's pieces are all newer than B, oldest on the left.
+        let order: Vec<u64> = evict(&mut d, 1000, |_, _, _| false)
+            .iter()
+            .map(|&(_, off, _)| off)
+            .collect();
+        assert_eq!(order, vec![200, 0, 30, 70]);
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! Range queries over the DMT interval map: coverage views, overlap
-//! enumeration, and the boundary-split primitive shared by the mutation
-//! paths in the parent module.
-
-use std::collections::BTreeMap;
-use std::ops::Range;
+//! Range queries over the DMT interval map: coverage views and overlap
+//! enumeration.
 
 use s4d_pfs::FileId;
+use s4d_sim::RangeMap;
 
 use super::{Dmt, MapExtent};
 
@@ -58,22 +55,6 @@ impl RangeView {
     }
 }
 
-/// The key range of `map` holding every extent that overlaps
-/// `[offset, offset+len)`: from the extent straddling `offset` (if any)
-/// up to the range's end. Extents are non-empty and disjoint, so every
-/// key in the span overlaps.
-pub(super) fn overlap_span(map: &BTreeMap<u64, MapExtent>, offset: u64, len: u64) -> Range<u64> {
-    if len == 0 {
-        return offset..offset;
-    }
-    let start = map
-        .range(..=offset)
-        .next_back()
-        .filter(|(&s, e)| s + e.len > offset)
-        .map_or(offset, |(&s, _)| s);
-    start..offset + len
-}
-
 impl Dmt {
     /// Queries coverage of `[offset, offset+len)`.
     pub fn view(&self, file: FileId, offset: u64, len: u64) -> RangeView {
@@ -92,9 +73,6 @@ impl Dmt {
     /// Appends the coverage of `[offset, offset+len)` to `out` — the
     /// sharded plane concatenates per-segment views this way.
     pub(crate) fn append_view(&self, file: FileId, offset: u64, len: u64, out: &mut RangeView) {
-        if len == 0 {
-            return;
-        }
         let end = offset + len;
         let mut cursor = offset;
         for (s, e) in self.overlapping(file, offset, len) {
@@ -128,63 +106,7 @@ impl Dmt {
         self.files
             .get(&file)
             .into_iter()
-            .flat_map(move |map| map.range(overlap_span(map, offset, len)))
+            .flat_map(move |map| map.overlapping(offset, offset + len))
             .map(|(&s, e)| (s, e))
-    }
-
-    /// Splits the extent at `key` so that no extent straddles `lo` or `hi`.
-    pub(super) fn split_off(&mut self, file: FileId, key: u64, lo: u64, hi: u64) {
-        let Some(map) = self.files.get_mut(&file) else {
-            return; // nothing to split
-        };
-        let Some(e) = map.get(&key).copied() else {
-            return; // nothing to split
-        };
-        let e_end = key + e.len;
-        let cut_lo = lo.max(key);
-        let cut_hi = hi.min(e_end);
-        if cut_lo == key && cut_hi == e_end {
-            return; // fully inside, no split needed
-        }
-        // Remove and re-insert up to three pieces.
-        map.remove(&key);
-        self.index(e.dirty).remove(&e.touch);
-        self.entry_count -= 1;
-        self.mapped -= e.len;
-        if e.dirty {
-            self.dirty_total -= e.len;
-        }
-        let pieces = [
-            (key, cut_lo - key),
-            (cut_lo, cut_hi - cut_lo),
-            (cut_hi, e_end - cut_hi),
-        ];
-        for (p_off, p_len) in pieces {
-            if p_len == 0 {
-                continue; // the cut sits on the extent's own boundary
-            }
-            let touch = self.bump();
-            self.index(e.dirty).insert(touch, (file, p_off));
-            self.files.entry(file).or_default().insert(
-                p_off,
-                MapExtent {
-                    len: p_len,
-                    c_file: e.c_file,
-                    c_offset: e.c_offset + (p_off - key),
-                    dirty: e.dirty,
-                    version: e.version,
-                    // A whole-extent checksum does not survive a split.
-                    checksum: None,
-                    touch,
-                },
-            );
-            self.entry_count += 1;
-            self.mapped += p_len;
-            if e.dirty {
-                self.dirty_total += p_len;
-            }
-        }
-        // No journal record: replaying the SetDirty that triggered the
-        // split reproduces it exactly.
     }
 }

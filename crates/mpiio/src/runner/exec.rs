@@ -112,9 +112,9 @@ impl<M: Middleware> State<M> {
     ///
     /// # Panics
     ///
-    /// A malformed workload script (an unopened handle) or a middleware
-    /// that fails an open or close stops the run with rank context rather
-    /// than simulate nonsense.
+    /// A malformed workload script (an unopened handle, a range ending
+    /// past `u64::MAX`) or a middleware that fails an open or close stops
+    /// the run with rank context rather than simulate nonsense.
     pub(super) fn advance_process(&mut self, now: SimTime, i: usize, q: &mut EventQueue<Event>) {
         let mut now = now;
         loop {
@@ -188,6 +188,7 @@ impl<M: Middleware> State<M> {
                         _ => panic!("{rank} seeked unopened handle {}", handle.0),
                     }
                 }
+                #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
                 AppOp::IoAtCursor {
                     handle,
                     kind,
@@ -196,12 +197,14 @@ impl<M: Middleware> State<M> {
                 } => {
                     let proc = self.proc_mut(i);
                     let rank = proc.rank;
-                    #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
                     let Some(cursor) = proc.cursors.get_mut(handle.0) else {
                         panic!("{rank} used unopened handle {}", handle.0)
                     };
                     let offset = *cursor;
-                    *cursor = offset + len;
+                    let Some(end) = offset.checked_add(len) else {
+                        panic!("{rank} requested {len} bytes at {offset}: the range ends past u64::MAX")
+                    };
+                    *cursor = end;
                     self.dispatch_io(now, i, handle, kind, offset, len, data, q);
                     return;
                 }
@@ -221,6 +224,7 @@ impl<M: Middleware> State<M> {
 
     /// Resolves a handle and launches the middleware plan for one I/O.
     #[expect(clippy::too_many_arguments, reason = "one I/O op's fields, unpacked")]
+    #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
     fn dispatch_io(
         &mut self,
         now: SimTime,
@@ -233,7 +237,6 @@ impl<M: Middleware> State<M> {
         q: &mut EventQueue<Event>,
     ) {
         let rank = self.proc(i).rank;
-        #[expect(clippy::panic, reason = "malformed workload script: fail fast")]
         let file = self
             .proc(i)
             .handles
@@ -241,6 +244,9 @@ impl<M: Middleware> State<M> {
             .copied()
             .flatten()
             .unwrap_or_else(|| panic!("{rank} used unopened handle {}", handle.0));
+        if offset.checked_add(len).is_none() {
+            panic!("{rank} requested {len} bytes at {offset}: the range ends past u64::MAX");
+        }
         let req = AppRequest {
             rank,
             file,

@@ -221,6 +221,24 @@ fn bad_handle_panics() {
     Runner::new(small_cluster(), StockMiddleware::new(), scripts, 7).run();
 }
 
+#[test]
+#[should_panic(expected = "the range ends past u64::MAX")]
+fn a_request_ending_past_u64_max_stops_the_run() {
+    let scripts = vec![script().open("f").write(0, u64::MAX - 100, 4096).build()];
+    Runner::new(small_cluster(), StockMiddleware::new(), scripts, 7).run();
+}
+
+#[test]
+#[should_panic(expected = "the range ends past u64::MAX")]
+fn a_cursor_request_ending_past_u64_max_stops_the_run() {
+    let scripts = vec![script()
+        .open("f")
+        .seek(0, u64::MAX - 100)
+        .write_cur(0, 4096)
+        .build()];
+    Runner::new(small_cluster(), StockMiddleware::new(), scripts, 7).run();
+}
+
 /// Stock middleware plus a fixed retry policy and, optionally, a
 /// deadline budget — exercises the runner's retry, re-plan and deadline
 /// machinery without the cache layer.

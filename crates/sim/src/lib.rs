@@ -4,7 +4,8 @@
 //! reproduction: a nanosecond-resolution simulated clock ([`SimTime`],
 //! [`SimDuration`]), a deterministic event queue ([`EventQueue`]), a generic
 //! event-loop driver ([`Engine`]), a seeded random-number source ([`SimRng`]),
-//! a hash table for simulation-minted ids ([`IdMap`]) and lightweight
+//! a hash table for simulation-minted ids ([`IdMap`]), the interval
+//! operations of a map of disjoint ranges ([`RangeMap`]) and lightweight
 //! statistics collectors ([`stats`]).
 //!
 //! Determinism is a design requirement: two runs with the same configuration
@@ -44,6 +45,7 @@
 mod engine;
 mod event;
 mod idmap;
+mod range_map;
 mod rng;
 pub mod stats;
 mod time;
@@ -51,5 +53,6 @@ mod time;
 pub use engine::{Engine, World};
 pub use event::EventQueue;
 pub use idmap::{IdHasher, IdMap, IdSet};
+pub use range_map::{RangeMap, Span};
 pub use rng::{splitmix64, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -13,6 +13,8 @@
 
 use std::collections::BTreeMap;
 
+use s4d_sim::{RangeMap, Span};
+
 /// Whether a store retains data bytes or only extent metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreMode {
@@ -36,6 +38,25 @@ impl Extent {
             ld.extend_from_slice(rd);
         }
         self.len += right.len;
+    }
+}
+
+impl Span for Extent {
+    fn span_len(&self) -> u64 {
+        self.len
+    }
+
+    fn split_off(&mut self, at: u64) -> Self {
+        let data = self
+            .data
+            .as_mut()
+            .map(|d| d.split_off((at as usize).min(d.len())));
+        let right = Extent {
+            len: self.len - at,
+            data,
+        };
+        self.len = at;
+        right
     }
 }
 
@@ -150,14 +171,8 @@ impl ExtentStore {
             StoreMode::Functional => Some(vec![0u8; len as usize]),
             StoreMode::Timing => None,
         };
-        if len == 0 {
-            return ReadOutcome {
-                data,
-                covered_bytes: 0,
-            };
-        }
         let end = offset.saturating_add(len);
-        for (&start, ext) in self.overlapping(offset, end) {
+        for (&start, ext) in self.extents.overlapping(offset, end) {
             let ext_end = start + ext.len;
             let lo = start.max(offset);
             let hi = ext_end.min(end);
@@ -186,11 +201,9 @@ impl ExtentStore {
 
     /// Number of bytes of `[offset, offset+len)` inside written extents.
     pub fn read_covered(&self, offset: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
         let end = offset.saturating_add(len);
-        self.overlapping(offset, end)
+        self.extents
+            .overlapping(offset, end)
             .map(|(&start, ext)| {
                 let ext_end = start + ext.len;
                 ext_end.min(end) - start.max(offset)
@@ -200,9 +213,6 @@ impl ExtentStore {
 
     /// Removes all extents (or parts of extents) in `[offset, offset+len)`.
     pub fn discard(&mut self, offset: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
         self.remove_range(offset, offset.saturating_add(len));
     }
 
@@ -210,21 +220,6 @@ impl ExtentStore {
     pub fn clear(&mut self) {
         self.extents.clear();
         self.written = 0;
-    }
-
-    /// Iterator over extents intersecting `[lo, hi)`.
-    fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = (&u64, &Extent)> {
-        // The first candidate may start before `lo` and still overlap.
-        let first = self
-            .extents
-            .range(..=lo)
-            .next_back()
-            .filter(|(&s, e)| s + e.len > lo)
-            .map(|(s, _)| *s);
-        let lower = first.unwrap_or(lo);
-        self.extents
-            .range(lower..hi)
-            .filter(move |(&s, e)| s < hi && s + e.len > lo)
     }
 
     /// Records a data-less write of `[offset, end)` when that changes at
@@ -251,43 +246,8 @@ impl ExtentStore {
 
     /// Cuts `[lo, hi)` out of the extent map, splitting boundary extents.
     fn remove_range(&mut self, lo: u64, hi: u64) {
-        // Each pass removes the first overlapping extent; what survives of
-        // it lies outside `[lo, hi)`, so the next pass finds the next one.
-        // Extents are disjoint: one that reaches `hi` is the last.
-        loop {
-            let first = self.overlapping(lo, hi).next().map(|(&s, _)| s);
-            let Some(start) = first else { return };
-            let Some(ext) = self.extents.remove(&start) else {
-                return;
-            };
-            let end = start + ext.len;
-            self.written -= ext.len;
-            if start < lo {
-                // Left remainder survives.
-                let keep = lo - start;
-                let data = ext
-                    .data
-                    .as_ref()
-                    .and_then(|d| d.get(..keep as usize))
-                    .map(<[u8]>::to_vec);
-                self.written += keep;
-                self.extents.insert(start, Extent { len: keep, data });
-            }
-            if end > hi {
-                // Right remainder survives.
-                let keep = end - hi;
-                let data = ext
-                    .data
-                    .as_ref()
-                    .and_then(|d| d.get((hi - start) as usize..))
-                    .map(<[u8]>::to_vec);
-                self.written += keep;
-                self.extents.insert(hi, Extent { len: keep, data });
-            }
-            if end >= hi {
-                return;
-            }
-        }
+        self.extents
+            .remove_range(lo, hi, |_, ext| self.written -= ext.len);
     }
 
     /// Inserts a fresh extent, merging with direct neighbours when adjacent.

@@ -174,7 +174,7 @@ fn rows() -> Vec<Row> {
             "4 => ChaosEvent::FailStop { server, at_op },", "4 => unimplemented!(),",
             Clippy("unimplemented"), "`unimplemented` should not be present in production code"),
         row("slice-in-store", "crates/storage/src/store.rs",
-            ".and_then(|d| d.get(..keep as usize))", ".map(|d| &d[..keep as usize])",
+            "src.get(src_at..src_at + n)", "Some(&src[src_at..src_at + n])",
             Clippy("indexing_slicing"), "slicing may panic"),
         row("unfulfilled-expect", FAULTS, RETRY_BACKOFF,
             "    #[expect(clippy::unwrap_used, reason = \"nothing here unwraps\")]\n    pub(crate) fn retry_backoff(",
@@ -237,6 +237,9 @@ fn rows() -> Vec<Row> {
         row("recovery-appends-past-torn-suffix", RECOVERY,
             "journal_offset = tail_start + (bytes.len() as u64 - tail.dropped_bytes);", "journal_offset = tail_start + bytes.len() as u64;",
             Test("double_crash", "writes_acked_after_a_torn_journal_recovery_survive_the_next_crash"), "did not survive the second crash"),
+        row("split-keeps-seal", "crates/core/src/dmt/mod.rs",
+            "        // A whole-extent checksum does not survive a split.\n        self.checksum = None;\n", "",
+            Test("scrub", "partial_overwrite_of_a_sealed_dirty_extent_is_not_rot"), "kept the whole-extent seal"),
         row("recovery-trusts-dirty-seals", RECOVERY, "        dmt.clear_dirty_checksums();\n", "",
             Test("scrub", "torn_overwrite_of_a_sealed_dirty_extent_survives_recovery_and_scrub"), "a torn write is not rot"),
         row("journal-frame-charged-as-data", "crates/core/src/durability/crash.rs",

@@ -235,3 +235,42 @@ fn torn_overwrite_of_a_sealed_dirty_extent_survives_recovery_and_scrub() {
         payload(2)
     );
 }
+
+#[test]
+fn partial_overwrite_of_a_sealed_dirty_extent_is_not_rot() {
+    // No flushing: the cache holds the only copy, and the scrubber
+    // patrols it.
+    let config = S4dConfig::new(64 * MIB)
+        .with_journal_batch(1)
+        .with_scrub(MIB)
+        .with_max_flush_per_wake(0);
+    let mut cluster = Cluster::paper_testbed_small(34);
+    let mut mw = S4dCache::new(config, CostParams::paper_testbed_small());
+    let file = mw.open(&mut cluster, Rank(0), "split.dat").unwrap();
+    cluster
+        .opfs_mut()
+        .apply_bytes(file, 0, FILE_LEN, Some(&seed_bytes()))
+        .unwrap();
+    let mut acked = payload(4);
+    app_write(&mut cluster, &mut mw, file, 0, acked.clone());
+    assert!(
+        mw.plane().get(file, 0).unwrap().checksum.is_some(),
+        "completion seals the dirty extent"
+    );
+
+    // Overwriting the middle splits the sealed extent in three; the outer
+    // pieces hold unchanged bytes, but only a part of what the seal covered.
+    let patch = payload(5)[..(4 * KIB) as usize].to_vec();
+    acked[(4 * KIB) as usize..(8 * KIB) as usize].copy_from_slice(&patch);
+    app_write(&mut cluster, &mut mw, file, 4 * KIB, patch);
+    drain(&mut cluster, &mut mw, 1);
+    assert!(mw.metrics().scrub_scanned_bytes > 0, "scrubber patrols");
+    assert_eq!(
+        mw.metrics().scrub_lost_bytes,
+        0,
+        "the pieces of a split kept the whole-extent seal"
+    );
+    assert_eq!(mw.metrics().scrub_repaired_bytes, 0);
+    assert_eq!(mw.plane().dirty_bytes(), REQ);
+    assert_eq!(read_through(&mut cluster, &mut mw, file, 0, REQ), acked);
+}
