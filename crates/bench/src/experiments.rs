@@ -284,7 +284,7 @@ mod tests {
     use super::*;
     use s4d_workloads::{AccessPattern, IorConfig};
 
-    fn tiny_ior(pattern: AccessPattern, processes: u32) -> Vec<s4d_workloads::IorScript> {
+    fn tiny_ior(pattern: AccessPattern, processes: u32) -> Vec<s4d_workloads::PhasedScript> {
         IorConfig {
             file_name: "tiny".into(),
             file_size: 8 * 1024 * 1024,

@@ -10,12 +10,12 @@
 //! are deterministic: the same scale gives the same cells.
 
 use s4d_cache::{AdmissionPolicy, S4dCache, S4dConfig, DMT_PAYLOAD_BYTES, DMT_RECORD_BYTES};
-use s4d_mpiio::{ProcessScript, RunReport, Runner};
+use s4d_mpiio::{RunReport, Runner};
 use s4d_sim::SimTime;
 use s4d_storage::IoKind;
 use s4d_trace::{analysis, TraceCollector};
-use s4d_workloads::campaign::CampaignConfig;
-use s4d_workloads::{AccessPattern, ChainScript, HpioConfig, IorConfig, IorScript, TileIoConfig};
+use s4d_workloads::campaign::{chain_instances, CampaignConfig};
+use s4d_workloads::{AccessPattern, HpioConfig, IorConfig, TileIoConfig};
 
 use crate::experiments::{
     campaign_scripts, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read, testbed,
@@ -500,18 +500,6 @@ fn mixed_instances(scale: Scale) -> Vec<IorConfig> {
         .collect()
 }
 
-fn mixed_scripts(instances: &[IorConfig]) -> Vec<ChainScript> {
-    (0..32u32)
-        .map(|rank| {
-            let parts = instances
-                .iter()
-                .map(|cfg| Box::new(IorScript::new(cfg.clone(), rank)) as Box<dyn ProcessScript>)
-                .collect();
-            ChainScript::new(parts)
-        })
-        .collect()
-}
-
 /// Ablation: what the cost-model-driven selectivity buys. The paper's
 /// central design choice is admission by predicted *benefit* (size **and**
 /// randomness aware), not by locality or size alone. Policies compared:
@@ -532,7 +520,7 @@ fn ablation_policies(scale: Scale) -> Vec<Table> {
     let tb = testbed(SEED);
     let instances = mixed_instances(scale);
     let capacity = instances.iter().map(|c| c.file_size).sum::<u64>() / 5;
-    let stock = run_stock(&tb, mixed_scripts(&instances), Vec::new());
+    let stock = run_stock(&tb, chain_instances(&instances, 32), Vec::new());
     let policy_row = |name: &str, report: &RunReport| {
         let write = gain(stock.write_mibs(), report.writes.throughput_mibs());
         let c_share = format!("{:.1}", report.tiers.cserver_op_share());
@@ -551,7 +539,7 @@ fn ablation_policies(scale: Scale) -> Vec<Table> {
         ("benefit+eager-fetch", benefit().with_eager_read_fetch(true)),
         ("carl-placement", benefit().with_max_flush_per_wake(0)),
     ] {
-        let s4d = run_s4d(&tb, config, mixed_scripts(&instances), Vec::new());
+        let s4d = run_s4d(&tb, config, chain_instances(&instances, 32), Vec::new());
         rows.push(policy_row(name, &s4d.report));
     }
     vec![Table {

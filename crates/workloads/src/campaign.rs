@@ -9,7 +9,7 @@
 use s4d_mpiio::ProcessScript;
 
 use crate::chain::ChainScript;
-use crate::ior::{AccessPattern, IorConfig, IorScript};
+use crate::ior::{AccessPattern, IorConfig};
 
 /// Parameters of the campaign; instance patterns default to the paper's
 /// six-sequential + four-random mix, interleaved so the access behaviour
@@ -77,19 +77,22 @@ impl CampaignConfig {
 
     /// Builds one chained script per process covering every instance.
     pub fn scripts(&self) -> Vec<ChainScript> {
-        let instances = self.instances();
-        (0..self.processes)
-            .map(|rank| {
-                let parts: Vec<Box<dyn ProcessScript>> = instances
-                    .iter()
-                    .map(|cfg| {
-                        Box::new(IorScript::new(cfg.clone(), rank)) as Box<dyn ProcessScript>
-                    })
-                    .collect();
-                ChainScript::new(parts)
-            })
-            .collect()
+        chain_instances(&self.instances(), self.processes)
     }
+}
+
+/// One script per rank `0..processes` that runs each instance's stream for
+/// that rank in turn, a barrier between consecutive instances.
+pub fn chain_instances(instances: &[IorConfig], processes: u32) -> Vec<ChainScript> {
+    (0..processes)
+        .map(|rank| {
+            let parts = instances
+                .iter()
+                .map(|cfg| Box::new(cfg.script(rank)) as Box<dyn ProcessScript>)
+                .collect();
+            ChainScript::new(parts)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@
 //! degenerates to a contiguous (sequential) pattern, exactly the knob the
 //! paper turns in Fig. 9.
 
-use s4d_mpiio::{AppOp, FileHandle, ProcessScript};
-use s4d_storage::IoKind;
+use crate::phased::{PhasedScript, Requests};
 
 /// Configuration of one HPIO run.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,131 +57,40 @@ impl HpioConfig {
     ///
     /// Panics on degenerate geometry (zero processes, regions, or region
     /// size).
-    pub fn scripts(&self) -> Vec<HpioScript> {
+    pub fn scripts(&self) -> Vec<PhasedScript> {
         assert!(self.processes > 0, "HPIO needs at least one process");
         assert!(self.region_count > 0, "region count must be positive");
         assert!(self.region_size > 0, "region size must be positive");
-        (0..self.processes)
-            .map(|rank| HpioScript::new(self.clone(), rank))
-            .collect()
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Open,
-    OpenBarrier,
-    Write(u64),
-    WriteBarrier,
-    Read(u64),
-    Close,
-    Done,
-}
-
-/// The lazy per-process HPIO operation stream.
-#[derive(Debug, Clone)]
-pub struct HpioScript {
-    cfg: HpioConfig,
-    rank: u32,
-    phase: Phase,
-}
-
-impl HpioScript {
-    /// Creates the script for one rank.
-    pub fn new(cfg: HpioConfig, rank: u32) -> Self {
-        HpioScript {
-            cfg,
-            rank,
-            phase: Phase::Open,
-        }
+        (0..self.processes).map(|r| self.script(r)).collect()
     }
 
-    fn offset_for(&self, i: u64) -> u64 {
-        self.rank as u64 * self.cfg.process_span()
-            + i * (self.cfg.region_size + self.cfg.region_spacing)
-    }
-
-    fn io(&self, kind: IoKind, i: u64) -> AppOp {
-        AppOp::Io {
-            handle: FileHandle(0),
-            kind,
-            offset: self.offset_for(i),
-            len: self.cfg.region_size,
-            data: None,
-        }
-    }
-}
-
-impl ProcessScript for HpioScript {
-    fn next_op(&mut self) -> Option<AppOp> {
-        loop {
-            match self.phase {
-                Phase::Open => {
-                    self.phase = Phase::OpenBarrier;
-                    return Some(AppOp::Open {
-                        name: self.cfg.file_name.clone(),
-                    });
-                }
-                Phase::OpenBarrier => {
-                    self.phase = if self.cfg.do_write {
-                        Phase::Write(0)
-                    } else {
-                        Phase::WriteBarrier
-                    };
-                    return Some(AppOp::Barrier);
-                }
-                Phase::Write(i) => {
-                    if i < self.cfg.region_count {
-                        self.phase = Phase::Write(i + 1);
-                        return Some(self.io(IoKind::Write, i));
-                    }
-                    self.phase = Phase::WriteBarrier;
-                }
-                Phase::WriteBarrier => {
-                    self.phase = if self.cfg.do_read {
-                        Phase::Read(0)
-                    } else {
-                        Phase::Close
-                    };
-                    return Some(AppOp::Barrier);
-                }
-                Phase::Read(i) => {
-                    if i < self.cfg.region_count {
-                        self.phase = Phase::Read(i + 1);
-                        return Some(self.io(IoKind::Read, i));
-                    }
-                    self.phase = Phase::Close;
-                }
-                Phase::Close => {
-                    self.phase = Phase::Done;
-                    return Some(AppOp::Close {
-                        handle: FileHandle(0),
-                    });
-                }
-                Phase::Done => return None,
-            }
-        }
+    /// The stream of one rank: its `region_count` regions, ascending, in
+    /// its own `process_span` of the file.
+    pub fn script(&self, rank: u32) -> PhasedScript {
+        let requests = Requests {
+            count: self.region_count,
+            start: rank as u64 * self.process_span(),
+            stride: self.region_size + self.region_spacing,
+            len: self.region_size,
+            perm: None,
+        };
+        PhasedScript::new(&self.file_name, requests, self.do_write, self.do_read)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn drain(mut s: HpioScript) -> Vec<AppOp> {
-        let mut ops = Vec::new();
-        while let Some(op) = s.next_op() {
-            ops.push(op);
-        }
-        ops
-    }
+    use crate::phased::drain;
+    use s4d_mpiio::AppOp;
+    use s4d_storage::IoKind;
 
     #[test]
     fn zero_spacing_is_contiguous() {
         let mut c = HpioConfig::paper_default("f", 0);
         c.region_count = 4;
         c.processes = 2;
-        let ops = drain(HpioScript::new(c, 0));
+        let ops = drain(c.script(0));
         let offsets: Vec<u64> = ops
             .iter()
             .filter_map(|op| match op {
@@ -201,7 +109,7 @@ mod tests {
     fn spacing_creates_holes() {
         let mut c = HpioConfig::paper_default("f", 4096);
         c.region_count = 3;
-        let ops = drain(HpioScript::new(c, 0));
+        let ops = drain(c.script(0));
         let offsets: Vec<u64> = ops
             .iter()
             .filter_map(|op| match op {
@@ -221,11 +129,21 @@ mod tests {
         let mut c = HpioConfig::paper_default("f", 1024);
         c.region_count = 4;
         let span = c.process_span();
-        let last_of_rank0 = {
-            let s = HpioScript::new(c.clone(), 0);
-            s.offset_for(3) + c.region_size
+        let write_offsets = |rank| {
+            drain(c.script(rank))
+                .into_iter()
+                .filter_map(|op| match op {
+                    AppOp::Io {
+                        kind: IoKind::Write,
+                        offset,
+                        ..
+                    } => Some(offset),
+                    _ => None,
+                })
+                .collect::<Vec<u64>>()
         };
-        let first_of_rank1 = HpioScript::new(c, 1).offset_for(0);
+        let last_of_rank0 = write_offsets(0).into_iter().max().unwrap() + c.region_size;
+        let first_of_rank1 = write_offsets(1).into_iter().min().unwrap();
         assert!(last_of_rank0 <= first_of_rank1);
         assert_eq!(first_of_rank1, span);
     }
@@ -234,7 +152,7 @@ mod tests {
     fn phases_and_counts() {
         let mut c = HpioConfig::paper_default("f", 0);
         c.region_count = 5;
-        let ops = drain(HpioScript::new(c, 0));
+        let ops = drain(c.script(0));
         let writes = ops
             .iter()
             .filter(|o| {

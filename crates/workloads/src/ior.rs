@@ -5,10 +5,8 @@
 //! random offsets within it. A write phase and a read phase are separated
 //! by barriers, like IOR's own phases.
 
-use s4d_mpiio::{AppOp, FileHandle, ProcessScript};
-use s4d_storage::IoKind;
-
 use crate::perm::Permutation;
+use crate::phased::{PhasedScript, Requests};
 
 /// Offset ordering within a process's region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,129 +79,40 @@ impl IorConfig {
     ///
     /// Panics if the geometry is degenerate (zero processes, request size
     /// of zero, or a region smaller than one request).
-    pub fn scripts(&self) -> Vec<IorScript> {
+    pub fn scripts(&self) -> Vec<PhasedScript> {
         assert!(self.processes > 0, "IOR needs at least one process");
         assert!(self.request_size > 0, "request size must be positive");
         assert!(
             self.region_size() >= self.request_size,
             "each process region must fit at least one request"
         );
-        (0..self.processes)
-            .map(|rank| IorScript::new(self.clone(), rank))
-            .collect()
+        (0..self.processes).map(|r| self.script(r)).collect()
     }
-}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Open,
-    OpenBarrier,
-    Write(u64),
-    WriteBarrier,
-    Read(u64),
-    Close,
-    Done,
-}
-
-/// The lazy per-process IOR operation stream.
-#[derive(Debug, Clone)]
-pub struct IorScript {
-    cfg: IorConfig,
-    rank: u32,
-    perm: Permutation,
-    phase: Phase,
-}
-
-impl IorScript {
-    /// Creates the script for one rank.
-    pub fn new(cfg: IorConfig, rank: u32) -> Self {
-        let count = cfg.requests_per_process().max(1);
-        let perm = Permutation::new(count, cfg.seed ^ (rank as u64) << 32 | rank as u64);
-        let phase = Phase::Open;
-        IorScript {
-            cfg,
-            rank,
+    /// The stream of one rank: `requests_per_process` requests over the
+    /// rank's region, ascending or in a permutation seeded per rank.
+    pub fn script(&self, rank: u32) -> PhasedScript {
+        let count = self.requests_per_process();
+        let seed = (self.seed ^ ((rank as u64) << 32)) | rank as u64;
+        let random = self.pattern == AccessPattern::Random;
+        let perm = random.then(|| Permutation::new(count.max(1), seed));
+        let requests = Requests {
+            count,
+            start: rank as u64 * self.region_size(),
+            stride: self.request_size,
+            len: self.request_size,
             perm,
-            phase,
-        }
-    }
-
-    fn offset_for(&self, i: u64) -> u64 {
-        let region_start = self.rank as u64 * self.cfg.region_size();
-        let slot = match self.cfg.pattern {
-            AccessPattern::Sequential => i,
-            AccessPattern::Random => self.perm.apply(i),
         };
-        region_start + slot * self.cfg.request_size
-    }
-
-    fn io(&self, kind: IoKind, i: u64) -> AppOp {
-        AppOp::Io {
-            handle: FileHandle(0),
-            kind,
-            offset: self.offset_for(i),
-            len: self.cfg.request_size,
-            data: None,
-        }
-    }
-}
-
-impl ProcessScript for IorScript {
-    fn next_op(&mut self) -> Option<AppOp> {
-        let total = self.cfg.requests_per_process();
-        loop {
-            match self.phase {
-                Phase::Open => {
-                    self.phase = Phase::OpenBarrier;
-                    return Some(AppOp::Open {
-                        name: self.cfg.file_name.clone(),
-                    });
-                }
-                Phase::OpenBarrier => {
-                    self.phase = if self.cfg.do_write {
-                        Phase::Write(0)
-                    } else {
-                        Phase::WriteBarrier
-                    };
-                    return Some(AppOp::Barrier);
-                }
-                Phase::Write(i) => {
-                    if i < total {
-                        self.phase = Phase::Write(i + 1);
-                        return Some(self.io(IoKind::Write, i));
-                    }
-                    self.phase = Phase::WriteBarrier;
-                }
-                Phase::WriteBarrier => {
-                    self.phase = if self.cfg.do_read {
-                        Phase::Read(0)
-                    } else {
-                        Phase::Close
-                    };
-                    return Some(AppOp::Barrier);
-                }
-                Phase::Read(i) => {
-                    if i < total {
-                        self.phase = Phase::Read(i + 1);
-                        return Some(self.io(IoKind::Read, i));
-                    }
-                    self.phase = Phase::Close;
-                }
-                Phase::Close => {
-                    self.phase = Phase::Done;
-                    return Some(AppOp::Close {
-                        handle: FileHandle(0),
-                    });
-                }
-                Phase::Done => return None,
-            }
-        }
+        PhasedScript::new(&self.file_name, requests, self.do_write, self.do_read)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phased::drain;
+    use s4d_mpiio::AppOp;
+    use s4d_storage::IoKind;
 
     fn cfg(pattern: AccessPattern) -> IorConfig {
         IorConfig {
@@ -218,14 +127,6 @@ mod tests {
         }
     }
 
-    fn drain(mut s: IorScript) -> Vec<AppOp> {
-        let mut ops = Vec::new();
-        while let Some(op) = s.next_op() {
-            ops.push(op);
-        }
-        ops
-    }
-
     #[test]
     fn geometry() {
         let c = cfg(AccessPattern::Sequential);
@@ -236,7 +137,7 @@ mod tests {
 
     #[test]
     fn sequential_structure() {
-        let ops = drain(IorScript::new(cfg(AccessPattern::Sequential), 1));
+        let ops = drain(cfg(AccessPattern::Sequential).script(1));
         // open, barrier, 4 writes, barrier, 4 reads, close
         assert_eq!(ops.len(), 12);
         assert!(matches!(ops[0], AppOp::Open { .. }));
@@ -262,7 +163,7 @@ mod tests {
 
     #[test]
     fn random_covers_region_exactly_once() {
-        let ops = drain(IorScript::new(cfg(AccessPattern::Random), 2));
+        let ops = drain(cfg(AccessPattern::Random).script(2));
         let mut offsets: Vec<u64> = ops
             .iter()
             .filter_map(|op| match op {
@@ -286,7 +187,7 @@ mod tests {
     fn read_only_instance_skips_write_phase() {
         let mut c = cfg(AccessPattern::Sequential);
         c.do_write = false;
-        let ops = drain(IorScript::new(c, 0));
+        let ops = drain(c.script(0));
         // open, barrier, barrier, 4 reads, close
         let writes = ops
             .iter()
@@ -320,7 +221,7 @@ mod tests {
     fn write_only_instance_skips_read_phase() {
         let mut c = cfg(AccessPattern::Sequential);
         c.do_read = false;
-        let ops = drain(IorScript::new(c, 0));
+        let ops = drain(c.script(0));
         let reads = ops
             .iter()
             .filter(|op| {

@@ -3,7 +3,8 @@
 //! Faithful request-stream generators for the three benchmarks the paper
 //! evaluates with (§V), each implementing
 //! [`s4d_mpiio::ProcessScript`] so the same generators drive both the stock
-//! and the S4D-Cache middleware:
+//! and the S4D-Cache middleware. The three paper benchmarks share one
+//! stream, [`PhasedScript`], and differ only in where its requests land:
 //!
 //! * [`IorConfig`] — IOR (LLNL): each of `n` processes owns `1/n` of a
 //!   shared file and issues fixed-size requests at sequential or random
@@ -31,11 +32,13 @@ mod checkpoint;
 mod hpio;
 mod ior;
 mod perm;
+mod phased;
 mod tileio;
 
 pub use chain::ChainScript;
 pub use checkpoint::{CheckpointConfig, CheckpointScript};
-pub use hpio::{HpioConfig, HpioScript};
-pub use ior::{AccessPattern, IorConfig, IorScript};
+pub use hpio::HpioConfig;
+pub use ior::{AccessPattern, IorConfig};
 pub use perm::Permutation;
-pub use tileio::{grid_for, TileIoConfig, TileIoScript};
+pub use phased::PhasedScript;
+pub use tileio::{grid_for, TileIoConfig};

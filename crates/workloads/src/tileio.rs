@@ -7,8 +7,7 @@
 //! dataset width. Better locality than random IOR, worse than pure
 //! sequential — which is why the paper's Fig. 10 gains sit between the two.
 
-use s4d_mpiio::{AppOp, FileHandle, ProcessScript};
-use s4d_storage::IoKind;
+use crate::phased::{PhasedScript, Requests};
 
 /// Chooses a near-square process grid for `n` processes: the factor pair
 /// `(x, y)`, `x ≥ y`, with the smallest difference.
@@ -90,129 +89,38 @@ impl TileIoConfig {
     /// # Panics
     ///
     /// Panics on degenerate geometry.
-    pub fn scripts(&self) -> Vec<TileIoScript> {
+    pub fn scripts(&self) -> Vec<PhasedScript> {
         assert!(self.processes > 0, "Tile-IO needs at least one process");
         assert!(
             self.tile_elems_x > 0 && self.tile_elems_y > 0 && self.element_size > 0,
             "tile geometry must be positive"
         );
-        (0..self.processes)
-            .map(|rank| TileIoScript::new(self.clone(), rank))
-            .collect()
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Open,
-    OpenBarrier,
-    Write(u64),
-    WriteBarrier,
-    Read(u64),
-    Close,
-    Done,
-}
-
-/// The lazy per-process Tile-IO operation stream: one op per tile row.
-#[derive(Debug, Clone)]
-pub struct TileIoScript {
-    cfg: TileIoConfig,
-    tile_x: u64,
-    tile_y: u64,
-    phase: Phase,
-}
-
-impl TileIoScript {
-    /// Creates the script for one rank.
-    pub fn new(cfg: TileIoConfig, rank: u32) -> Self {
-        let (px, _py) = cfg.grid();
-        TileIoScript {
-            tile_x: (rank % px) as u64,
-            tile_y: (rank / px) as u64,
-            cfg,
-            phase: Phase::Open,
-        }
+        (0..self.processes).map(|r| self.script(r)).collect()
     }
 
-    /// File offset of row `r` of this process's tile.
-    fn row_offset(&self, r: u64) -> u64 {
-        let global_row = self.tile_y * self.cfg.tile_elems_y + r;
-        let row_start_elem = global_row * self.cfg.dataset_elems_x();
-        let elem_in_row = self.tile_x * self.cfg.tile_elems_x;
-        (row_start_elem + elem_in_row) * self.cfg.element_size
-    }
-
-    fn row_len(&self) -> u64 {
-        self.cfg.tile_elems_x * self.cfg.element_size
-    }
-
-    fn io(&self, kind: IoKind, r: u64) -> AppOp {
-        AppOp::Io {
-            handle: FileHandle(0),
-            kind,
-            offset: self.row_offset(r),
-            len: self.row_len(),
-            data: None,
-        }
-    }
-}
-
-impl ProcessScript for TileIoScript {
-    fn next_op(&mut self) -> Option<AppOp> {
-        let rows = self.cfg.tile_elems_y;
-        loop {
-            match self.phase {
-                Phase::Open => {
-                    self.phase = Phase::OpenBarrier;
-                    return Some(AppOp::Open {
-                        name: self.cfg.file_name.clone(),
-                    });
-                }
-                Phase::OpenBarrier => {
-                    self.phase = if self.cfg.do_write {
-                        Phase::Write(0)
-                    } else {
-                        Phase::WriteBarrier
-                    };
-                    return Some(AppOp::Barrier);
-                }
-                Phase::Write(r) => {
-                    if r < rows {
-                        self.phase = Phase::Write(r + 1);
-                        return Some(self.io(IoKind::Write, r));
-                    }
-                    self.phase = Phase::WriteBarrier;
-                }
-                Phase::WriteBarrier => {
-                    self.phase = if self.cfg.do_read {
-                        Phase::Read(0)
-                    } else {
-                        Phase::Close
-                    };
-                    return Some(AppOp::Barrier);
-                }
-                Phase::Read(r) => {
-                    if r < rows {
-                        self.phase = Phase::Read(r + 1);
-                        return Some(self.io(IoKind::Read, r));
-                    }
-                    self.phase = Phase::Close;
-                }
-                Phase::Close => {
-                    self.phase = Phase::Done;
-                    return Some(AppOp::Close {
-                        handle: FileHandle(0),
-                    });
-                }
-                Phase::Done => return None,
-            }
-        }
+    /// The stream of one rank: one request per row of its tile, rows one
+    /// dataset width apart.
+    pub fn script(&self, rank: u32) -> PhasedScript {
+        let px = self.grid().0;
+        let (tile_x, tile_y) = ((rank % px) as u64, (rank / px) as u64);
+        let row = self.dataset_elems_x() * self.element_size;
+        let requests = Requests {
+            count: self.tile_elems_y,
+            start: tile_y * self.tile_elems_y * row
+                + tile_x * self.tile_elems_x * self.element_size,
+            stride: row,
+            len: self.tile_elems_x * self.element_size,
+            perm: None,
+        };
+        PhasedScript::new(&self.file_name, requests, self.do_write, self.do_read)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phased::drain;
+    use s4d_mpiio::AppOp;
     use std::collections::HashSet;
 
     #[test]
@@ -223,14 +131,6 @@ mod tests {
         assert_eq!(grid_for(100), (10, 10));
         assert_eq!(grid_for(400), (20, 20));
         assert_eq!(grid_for(13), (13, 1));
-    }
-
-    fn drain(mut s: TileIoScript) -> Vec<AppOp> {
-        let mut ops = Vec::new();
-        while let Some(op) = s.next_op() {
-            ops.push(op);
-        }
-        ops
     }
 
     #[test]
@@ -246,7 +146,7 @@ mod tests {
             do_write: true,
             do_read: false,
         };
-        let ops = drain(TileIoScript::new(cfg.clone(), 0));
+        let ops = drain(cfg.script(0));
         let offsets: Vec<u64> = ops
             .iter()
             .filter_map(|op| match op {
@@ -260,7 +160,7 @@ mod tests {
         // Rank 0 tile rows: row 0 at 0, row 1 one dataset-width later.
         assert_eq!(offsets, vec![0, 4 * 1024]);
         // Rank 3 (tile 1,1): rows 2 and 3, right half.
-        let ops = drain(TileIoScript::new(cfg, 3));
+        let ops = drain(cfg.script(3));
         let offsets: Vec<u64> = ops
             .iter()
             .filter_map(|op| match op {
@@ -285,7 +185,7 @@ mod tests {
         let mut seen: HashSet<u64> = HashSet::new();
         let mut bytes = 0u64;
         for rank in 0..6 {
-            for op in drain(TileIoScript::new(cfg.clone(), rank)) {
+            for op in drain(cfg.script(rank)) {
                 if let AppOp::Io { offset, len, .. } = op {
                     for b in (offset..offset + len).step_by(64) {
                         assert!(seen.insert(b), "element overlap at {b}");

@@ -26,7 +26,7 @@ fn cluster_with_degraded_dserver(tb: &Testbed, factor: f64) -> Cluster {
     cluster
 }
 
-fn workload() -> Vec<s4d::workloads::IorScript> {
+fn workload() -> Vec<s4d::workloads::PhasedScript> {
     IorConfig {
         file_name: "faulty.dat".into(),
         file_size: 32 * MIB,
