@@ -16,7 +16,7 @@ pub(crate) mod scrub;
 
 use s4d_mpiio::{BackgroundPoll, Cluster, Plan};
 use s4d_pfs::{FileId, Priority};
-use s4d_sim::{IdMap, IdSet, SimTime};
+use s4d_sim::{IdMap, IdSet, OneOrMany, SimTime};
 
 use crate::durability::Frame;
 use crate::layer::S4dCache;
@@ -72,7 +72,7 @@ pub(crate) enum Pending {
     /// The fetch is boxed: only the eager-fetch ablation plans one, and
     /// every in-flight obligation is as large as the largest variant.
     Read {
-        pins: Vec<(FileId, u64, u64)>,
+        pins: OneOrMany<(FileId, u64, u64)>,
         fetch: Option<Box<Fetch>>,
     },
     /// A foreground write. On completion every extent in `written` is
@@ -83,7 +83,7 @@ pub(crate) enum Pending {
     Write {
         orig: FileId,
         /// The extents overlapping the request, in `d_offset` order.
-        written: Vec<Written>,
+        written: OneOrMany<Written>,
         /// The journal frame riding the plan's `then`, if a group-commit
         /// batch came due.
         journal: Option<Frame>,
@@ -92,7 +92,7 @@ pub(crate) enum Pending {
     /// Grouping adjacent extents turns many small cache writes into one
     /// large sequential DServer write — the data *reorganisation* of
     /// §III.F, and a large part of why buffering random writes pays off.
-    Flush(Vec<FlushItem>),
+    Flush(OneOrMany<FlushItem>),
     /// A Rebuilder fetch.
     Fetch(Fetch),
     /// The background straggler drain's journal frame. Completion is a
@@ -166,7 +166,7 @@ impl BackgroundScheduler {
         })
     }
 
-    fn release_pins(&mut self, ranges: Vec<(FileId, u64, u64)>) {
+    fn release_pins(&mut self, ranges: OneOrMany<(FileId, u64, u64)>) {
         for range in ranges {
             if let Some(i) = self.pins.iter().position(|&p| p == range) {
                 self.pins.swap_remove(i);
@@ -256,7 +256,7 @@ impl S4dCache {
     /// cache space over good DServer data. The space goes to
     /// [`crate::durability::DurabilityEngine::free_removed`], and recovery
     /// replays insert-then-remove to the same table.
-    fn unwind_fresh(&mut self, cluster: &mut Cluster, orig: FileId, written: Vec<Written>) {
+    fn unwind_fresh(&mut self, cluster: &mut Cluster, orig: FileId, written: OneOrMany<Written>) {
         let mut freed = Vec::new();
         for w in written.into_iter().filter(|w| w.fresh) {
             // Only the extent this plan inserted: same start, same
@@ -307,7 +307,7 @@ impl S4dCache {
             &mut self.metrics,
             Priority::Background,
         ) {
-            let mut plan = Plan::single_phase(vec![op]);
+            let mut plan = Plan::single_phase(op);
             // Tag the frame so a failed drain rolls its reservation back
             // instead of leaving a hole in the journal.
             plan.tag = self.bg.attach(Pending::Journal(frame));
@@ -342,16 +342,16 @@ mod tests {
     fn attach_mints_a_fresh_tag_and_take_claims_it_once() {
         let mut bg = BackgroundScheduler::new(1);
         let read = Pending::Read {
-            pins: vec![(FileId(1), 0, 8)],
+            pins: OneOrMany::One((FileId(1), 0, 8)),
             fetch: None,
         };
         // Tag 0 means "no callback": the first tag is 1, and tags count up.
         let tag = bg.attach(read);
         assert_eq!(tag, 1);
-        assert_eq!(bg.attach(Pending::Flush(Vec::new())), 2);
+        assert_eq!(bg.attach(Pending::Flush(OneOrMany::new())), 2);
         match bg.take(tag) {
             Some(Pending::Read { pins, fetch: None }) => {
-                assert_eq!(pins, vec![(FileId(1), 0, 8)]);
+                assert_eq!(*pins, [(FileId(1), 0, 8)]);
             }
             other => panic!("expected the Read obligation, got {other:?}"),
         }

@@ -8,7 +8,7 @@
 
 use s4d_mpiio::{Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, Priority};
-use s4d_sim::SimTime;
+use s4d_sim::{OneOrMany, SimTime};
 use s4d_storage::IoKind;
 
 use crate::durability::crash::CrashSite;
@@ -46,14 +46,14 @@ impl S4dCache {
         let mut intents: Vec<JournalRecord> = Vec::new();
         let mut i = 0;
         while let Some(&(file, start, first)) = candidates.get(i) {
-            let mut items = vec![FlushItem {
+            let mut items = OneOrMany::One(FlushItem {
                 orig: file,
                 d_offset: start,
                 len: first.len,
                 c_file: first.c_file,
                 c_offset: first.c_offset,
                 version: first.version,
-            }];
+            });
             let mut end = start + first.len;
             let mut j = i + 1;
             while let Some(&(f2, d2, e2)) = candidates.get(j) {
@@ -74,7 +74,7 @@ impl S4dCache {
             }
             i = j;
             // Phase 1: read the cached bytes (merge cache-contiguous runs).
-            let mut reads: Vec<PlannedIo> = Vec::new();
+            let mut reads: OneOrMany<PlannedIo> = OneOrMany::new();
             for item in &items {
                 if let Some(last) = reads.last_mut() {
                     if last.file == item.c_file && last.offset + last.len == item.c_offset {
@@ -116,7 +116,7 @@ impl S4dCache {
             let tag = self.bg.attach(Pending::Flush(items));
             staged.push(Plan {
                 tag,
-                ..Plan::two_phase(reads, vec![write])
+                ..Plan::two_phase(reads, write)
             });
         }
         if intents.is_empty() {
@@ -326,7 +326,7 @@ impl S4dCache {
         }
     }
 
-    fn finish_flush_group(&mut self, cluster: &mut Cluster, mut items: Vec<FlushItem>) {
+    fn finish_flush_group(&mut self, cluster: &mut Cluster, mut items: OneOrMany<FlushItem>) {
         // Keep the items to seal: flushed, and still unverified.
         items.retain(|item| {
             // The extent may have vanished while the flush was in flight —

@@ -89,13 +89,20 @@ impl GroupCommitQueue {
 
     /// Drains every queue into one batch: shard 0's records first, then
     /// shard 1's, and so on, each in append order. Deterministic by
-    /// construction — no map iteration anywhere.
+    /// construction — no map iteration anywhere. Collects
+    /// [`GroupCommitQueue::drain_into`] into a fresh `Vec`.
     pub fn drain_all(&mut self) -> Vec<JournalRecord> {
         let mut out = Vec::with_capacity(self.len());
+        self.drain_into(&mut out);
+        out
+    }
+
+    /// [`GroupCommitQueue::drain_all`] appended to a caller-owned buffer,
+    /// which allocates nothing once the buffer has grown to a batch.
+    pub fn drain_into(&mut self, out: &mut Vec<JournalRecord>) {
         for q in &mut self.queues {
             out.extend(q.drain(..));
         }
-        out
     }
 
     /// Requeues a failed batch at the *front* of the owning queues so the
@@ -105,8 +112,8 @@ impl GroupCommitQueue {
     /// original order, so a later [`GroupCommitQueue::drain_all`]
     /// reproduces the failed batch's record order exactly (replay order is
     /// preserved; no hole, no reordering).
-    pub fn requeue_front(&mut self, records: Vec<JournalRecord>, router: &ShardRouter) {
-        for r in records.into_iter().rev() {
+    pub fn requeue_front(&mut self, records: &[JournalRecord], router: &ShardRouter) {
+        for &r in records.iter().rev() {
             let (f, o) = r.d_key();
             if let Some(q) = self.queue_mut(router.shard_of(f, o)) {
                 q.push_front(r);
@@ -195,7 +202,7 @@ mod tests {
         assert_eq!(batch, vec![rec(0, 0), rec(0, 5), rec(0, 10), rec(0, 15)]);
         // New records arrive while the failed batch awaits its retry.
         q.push(s[0], rec(0, 7));
-        q.requeue_front(batch.clone(), &router);
+        q.requeue_front(&batch, &router);
         let retry = q.drain_all();
         assert_eq!(&retry[..2], &batch[..2]);
         assert_eq!(retry[2], rec(0, 7), "newer record follows the requeue");

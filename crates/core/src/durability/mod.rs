@@ -139,6 +139,12 @@ pub(crate) struct DurabilityEngine {
     /// What the last `recover_from_cluster` found, if this instance was
     /// built by one.
     last_recovery: Option<RecoveryReport>,
+    /// Scratch for [`DurabilityEngine::append_journal_sync`]: the drained
+    /// batch and its encoding. Taken, filled, written and stored back
+    /// empty, so a synchronous append allocates only while the buffers
+    /// grow to the largest batch. They carry nothing between appends.
+    sync_records: Vec<JournalRecord>,
+    sync_bytes: Vec<u8>,
 }
 
 impl DurabilityEngine {
@@ -156,6 +162,8 @@ impl DurabilityEngine {
             stalled: false,
             parked: Vec::new(),
             last_recovery: None,
+            sync_records: Vec::new(),
+            sync_bytes: Vec::new(),
         }
     }
 
@@ -353,7 +361,7 @@ impl DurabilityEngine {
         // still requeue — at the front of their owning shard queues, so a
         // later drain reproduces the failed batch's order — and the
         // mutations eventually persist.
-        self.group.requeue_front(records, &self.router);
+        self.group.requeue_front(&records, &self.router);
         metrics.journal_requeues += 1;
     }
 
@@ -388,11 +396,14 @@ impl DurabilityEngine {
             return Some(DurabilityHandle(()));
         }
         let journal = self.ensure_journal(cluster);
-        let records = self.group.drain_all();
-        let data = journal::encode_batch(&records);
+        let mut records = std::mem::take(&mut self.sync_records);
+        let mut data = std::mem::take(&mut self.sync_bytes);
+        self.group.drain_into(&mut records);
+        journal::encode_batch_into(&records, &mut data);
         let len = data.len() as u64;
         let offset = self.journal_offset;
-        match self.fused_apply(cluster, CrashSite::SyncAppend, journal, offset, &data) {
+        let handle = match self.fused_apply(cluster, CrashSite::SyncAppend, journal, offset, &data)
+        {
             Ok(_) => {
                 // The full reservation is consumed even on a torn write:
                 // this instance is dead then, and recovery works from the
@@ -410,7 +421,7 @@ impl DurabilityEngine {
                 // advance the offset: a hole in the journal would truncate
                 // every later acked record at recovery. The engine stalls
                 // until a retry at this same offset succeeds.
-                self.group.requeue_front(records, &self.router);
+                self.group.requeue_front(&records, &self.router);
                 self.stalled = true;
                 metrics.durability_stalls += 1;
                 match err {
@@ -420,7 +431,12 @@ impl DurabilityEngine {
                 }
                 None
             }
-        }
+        };
+        records.clear();
+        data.clear();
+        self.sync_records = records;
+        self.sync_bytes = data;
+        handle
     }
 
     /// True while a failed synchronous append is waiting to be retried.

@@ -9,6 +9,7 @@
 
 use s4d_mpiio::{AppRequest, Cluster, Plan, Tier};
 use s4d_pfs::{FileId, Priority};
+use s4d_sim::OneOrMany;
 use s4d_storage::IoKind;
 
 use crate::background::{Fetch, Pending, Written};
@@ -112,7 +113,7 @@ impl S4dCache {
         // version-gated against racing overwrites. If the plan *fails*,
         // the journal reservation and the fresh admissions unwind instead
         // (`S4dCache::unwind_failed`).
-        let written: Vec<Written> = self
+        let written: OneOrMany<Written> = self
             .plane
             .overlapping(req.file, req.offset, req.len)
             .map(|(d_offset, e)| Written {
@@ -125,7 +126,7 @@ impl S4dCache {
             })
             .collect();
         let journal = frame.map(|(op, frame)| {
-            plan.then = vec![op];
+            plan.then = OneOrMany::One(op);
             frame
         });
         if !written.is_empty() || journal.is_some() {
@@ -232,7 +233,7 @@ impl S4dCache {
         let (writes, pieces) = self.reserve_fetch(req.file, gaps, Priority::Normal, |_| {});
         self.metrics.fetches += 1;
         self.metrics.fetched_bytes += total;
-        plan.then = writes;
+        plan.then = writes.into();
         Some(Box::new(Fetch {
             orig: req.file,
             cdt_keys: vec![(req.offset, req.len)],

@@ -25,7 +25,7 @@ pub(crate) mod redirect;
 
 use s4d_mpiio::PlannedIo;
 use s4d_pfs::FileId;
-use s4d_sim::SimDuration;
+use s4d_sim::{OneOrMany, SimDuration};
 
 /// Simulated CPU cost of the per-request decision path (cost-model
 /// evaluation + CDT/DMT lookups), charged before a request's plan
@@ -53,7 +53,7 @@ pub(crate) struct RequestCtx {
 #[derive(Debug)]
 pub(crate) struct WriteRoute {
     /// Ops covering the already-mapped pieces (re-dirtied cache writes).
-    pub(crate) ops: Vec<PlannedIo>,
+    pub(crate) ops: OneOrMany<PlannedIo>,
     /// Whether any piece was routed to the cache tier.
     pub(crate) used_cache: bool,
     /// Total bytes of the unmapped gaps the admit stage decides on (the

@@ -7,7 +7,7 @@
 
 use s4d_mpiio::{AppRequest, Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, Priority};
-use s4d_sim::SimTime;
+use s4d_sim::{OneOrMany, SimTime};
 use s4d_storage::IoKind;
 
 use crate::background::Pending;
@@ -26,7 +26,7 @@ impl S4dCache {
         ctx: &RequestCtx,
         view: &RangeView,
     ) -> WriteRoute {
-        let mut ops: Vec<PlannedIo> = Vec::new();
+        let mut ops = OneOrMany::new();
         let mut used_cache = false;
 
         // While the journal is stalled no new record can be made durable
@@ -122,7 +122,7 @@ impl S4dCache {
             // instead of silently returning bad bytes).
             self.verify_range(cluster, req.file, req.offset, req.len);
         }
-        let mut ops: Vec<PlannedIo> = Vec::new();
+        let mut ops = OneOrMany::new();
         let mut view = std::mem::take(&mut self.view_scratch);
         self.plane
             .view_into(req.file, req.offset, req.len, &mut view);
@@ -132,7 +132,7 @@ impl S4dCache {
         // none of the risk). Dirty pieces have no other copy — they keep
         // routing to the cache, and the runner's retry/replan machinery
         // rides out the outage.
-        let mut pins: Vec<(FileId, u64, u64)> = Vec::new();
+        let mut pins = OneOrMany::new();
         for piece in &view.pieces {
             if !piece.dirty && self.cache_range_unhealthy(cluster, now, piece.c_offset, piece.len) {
                 self.metrics.fallback_reads += 1;
@@ -268,7 +268,7 @@ impl S4dCache {
         }
         Plan {
             lead_in: DECISION_OVERHEAD,
-            ..Plan::single_phase(vec![op])
+            ..Plan::single_phase(op)
         }
     }
 

@@ -18,6 +18,7 @@
 //! replay-identical to the unsharded plane.
 
 use s4d_pfs::FileId;
+use s4d_sim::OneOrMany;
 
 use crate::cdt::{Cdt, CdtEntry};
 use crate::dmt::{Dmt, MapExtent, RangeView};
@@ -424,14 +425,15 @@ impl MetadataPlane {
 
     // ---- routed space operations -----------------------------------
 
-    /// Allocates `len` bytes from `shard`'s space ledger.
+    /// Allocates `len` bytes from `shard`'s space ledger; a single piece,
+    /// the usual answer, is held in place.
     pub(crate) fn alloc(
         &mut self,
         shard: ShardId,
         c_file: FileId,
         len: u64,
-    ) -> Option<Vec<AllocPiece>> {
-        self.shard_mut(shard).space.alloc(c_file, len)
+    ) -> Option<OneOrMany<AllocPiece>> {
+        self.shard_mut(shard).space.alloc_in(c_file, len)
     }
 
     /// Returns `len` bytes to `shard`'s space ledger.

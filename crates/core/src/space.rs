@@ -79,22 +79,34 @@ impl SpaceManager {
     /// Allocates `len` bytes in `c_file`, reusing freed extents first and
     /// extending the file otherwise. Returns the pieces (file order), or
     /// `None` if capacity is insufficient — the caller then evicts clean
-    /// space and retries, or falls back to DServers.
+    /// space and retries, or falls back to DServers. Collects
+    /// [`SpaceManager::alloc_in`] into a `Vec`.
     pub fn alloc(&mut self, c_file: FileId, len: u64) -> Option<Vec<AllocPiece>> {
+        self.alloc_in(c_file, len)
+    }
+
+    /// [`SpaceManager::alloc`] into any list type. With
+    /// [`s4d_sim::OneOrMany`] the usual single-piece answer allocates
+    /// nothing.
+    pub fn alloc_in<C: Default + Extend<AllocPiece>>(
+        &mut self,
+        c_file: FileId,
+        len: u64,
+    ) -> Option<C> {
         if len == 0 || !self.fits(len) {
-            return if len == 0 { Some(Vec::new()) } else { None };
+            return if len == 0 { Some(C::default()) } else { None };
         }
-        let mut pieces = Vec::new();
+        let mut pieces = C::default();
         let mut remaining = len;
         let free = self.free.entry(c_file).or_default();
         while remaining > 0 {
             match free.pop() {
                 Some((off, flen)) => {
                     let take = flen.min(remaining);
-                    pieces.push(AllocPiece {
+                    pieces.extend([AllocPiece {
                         c_offset: off,
                         len: take,
-                    });
+                    }]);
                     if take < flen {
                         free.push((off + take, flen - take));
                     }
@@ -102,10 +114,10 @@ impl SpaceManager {
                 }
                 None => {
                     let bump = self.bump.entry(c_file).or_insert(0);
-                    pieces.push(AllocPiece {
+                    pieces.extend([AllocPiece {
                         c_offset: *bump,
                         len: remaining,
-                    });
+                    }]);
                     *bump += remaining;
                     remaining = 0;
                 }

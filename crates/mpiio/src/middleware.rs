@@ -194,7 +194,7 @@ impl Middleware for StockMiddleware {
         if req.kind == IoKind::Write {
             op.data = req.data.clone();
         }
-        Plan::single_phase(vec![op])
+        Plan::single_phase(op)
     }
 
     fn close(

@@ -2,13 +2,13 @@
 //! submission, sub-request decomposition, and completion assembly.
 
 use s4d_pfs::{Priority, SubRange, SubRequest};
-use s4d_sim::{EventQueue, SimDuration, SimTime};
+use s4d_sim::{EventQueue, OneOrMany, SimDuration, SimTime};
 use s4d_storage::IoKind;
 
 use crate::middleware::Middleware;
 use crate::script::ProcessScript;
 use crate::types::{
-    AppOp, AppRequest, ErrorDirective, FileHandle, Plan, PlannedIo, Rank, SubIoFailure, Tier,
+    AppOp, AppRequest, ErrorDirective, FileHandle, PlannedIo, Rank, SubIoFailure, Tier,
 };
 
 use super::{Event, State};
@@ -64,11 +64,20 @@ impl PlanOwner {
     }
 }
 
+/// A launched plan, in the table until it completes or fails. Of the
+/// plan's two phases only `then` is kept here: `ops` wait out the
+/// lead-in in `State::first_phases`, so an entry carries one phase, not
+/// two.
 pub(super) struct PlanExec {
-    pub(super) plan: Plan,
-    /// The phase being submitted or drained: 0 for `plan.ops`, 1 for
-    /// `plan.then`; 2 once both are done.
-    pub(super) phase: usize,
+    /// The middleware's tag, echoed when the plan completes or fails.
+    pub(super) tag: u64,
+    /// The plan's per-sub-request deadline budget.
+    pub(super) deadline: Option<SimDuration>,
+    /// The second phase, moved out when it is submitted.
+    pub(super) then: OneOrMany<PlannedIo>,
+    /// The phase being submitted or drained: 0 for the plan's `ops`, 1
+    /// for its `then`; 2 once both are done.
+    pub(super) phase: u8,
     pub(super) outstanding: usize,
     pub(super) owner: PlanOwner,
     /// Set when a sub-request gave up: a remaining phase is skipped and
@@ -296,11 +305,11 @@ impl<M: Middleware> State<M> {
                 return; // a PlanStart or drain names a plan still in the table
             };
             let ops = match exec.phase {
-                0 => std::mem::take(&mut exec.plan.ops),
-                1 => std::mem::take(&mut exec.plan.then),
+                0 => self.first_phases.remove(&plan_id).unwrap_or_default(),
+                1 => std::mem::take(&mut exec.then),
                 _ => break,
             };
-            let deadline = exec.plan.deadline;
+            let deadline = exec.deadline;
             let owner = exec.owner.process();
             let mut created = 0;
             for op in &ops {
@@ -543,9 +552,9 @@ impl<M: Middleware> State<M> {
         exec: PlanExec,
         q: &mut EventQueue<Event>,
     ) {
-        if exec.plan.tag != 0 {
+        if exec.tag != 0 {
             self.middleware
-                .on_plan_complete(&mut self.cluster, now, exec.plan.tag);
+                .on_plan_complete(&mut self.cluster, now, exec.tag);
         }
         self.finish_plan_owner(now, exec.owner, q);
     }

@@ -30,13 +30,13 @@ mod retry;
 mod slab;
 
 use s4d_pfs::SubReqId;
-use s4d_sim::{Engine, EventQueue, IdMap, SimTime, World};
+use s4d_sim::{Engine, EventQueue, IdMap, OneOrMany, SimTime, World};
 
 use crate::cluster::Cluster;
 use crate::middleware::Middleware;
 use crate::report::RunReport;
 use crate::script::ProcessScript;
-use crate::types::{Plan, Rank, Tier};
+use crate::types::{Plan, PlannedIo, Rank, Tier};
 
 use exec::{PlanExec, PlanOwner, Proc, ProcStatus, SubMeta};
 use retry::{PendingReplan, PendingRetry};
@@ -68,6 +68,10 @@ struct State<M: Middleware> {
     middleware: M,
     procs: Vec<Proc>,
     plans: IdMap<u64, PlanExec>,
+    /// The `ops` of launched plans that have not started: a plan's first
+    /// phase waits here out of its lead-in, so the entries of `plans`
+    /// carry one phase, not two.
+    first_phases: IdMap<u64, OneOrMany<PlannedIo>>,
     next_plan: u64,
     /// In-flight sub-requests; the slab's key is the id the servers echo.
     subs: Slab<SubMeta>,
@@ -114,13 +118,18 @@ impl<M: Middleware> Runner<M> {
                 cursors: Vec::new(),
                 status: ProcStatus::Running,
             })
-            .collect();
+            .collect::<Vec<_>>();
+        // Sized for one waiting plan per process plus the one starting, so
+        // the table does not grow during a run; a middleware that gives
+        // background plans a lead-in only makes it grow.
+        let first_phases = IdMap::with_capacity_and_hasher(procs.len() + 1, Default::default());
         Runner {
             state: State {
                 cluster,
                 middleware,
                 procs,
                 plans: IdMap::default(),
+                first_phases,
                 next_plan: 1,
                 subs: Slab::new(),
                 retries: IdMap::default(),
@@ -239,13 +248,22 @@ impl<M: Middleware> State<M> {
     ) {
         let plan_id = self.next_plan;
         self.next_plan += 1;
-        let lead_in = plan.lead_in;
+        let Plan {
+            tag,
+            lead_in,
+            ops,
+            then,
+            deadline,
+        } = plan;
         // The plan stays in the table until it completes or fails; every
         // step in between updates it in place.
+        self.first_phases.insert(plan_id, ops);
         self.plans.insert(
             plan_id,
             PlanExec {
-                plan,
+                tag,
+                deadline,
+                then,
                 phase: 0,
                 outstanding: 0,
                 owner,

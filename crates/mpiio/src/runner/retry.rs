@@ -114,9 +114,9 @@ impl<M: Middleware> State<M> {
     /// the owning application request (background plans are just dropped
     /// and rebuilt by a later poll).
     pub(super) fn fail_plan(&mut self, now: SimTime, exec: PlanExec, q: &mut EventQueue<Event>) {
-        if exec.plan.tag != 0 {
+        if exec.tag != 0 {
             self.middleware
-                .on_plan_failed(&mut self.cluster, now, exec.plan.tag);
+                .on_plan_failed(&mut self.cluster, now, exec.tag);
         }
         match exec.owner {
             PlanOwner::Process {

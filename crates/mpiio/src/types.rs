@@ -1,7 +1,7 @@
 //! Shared types of the middleware layer.
 
 use s4d_pfs::{FileId, Priority};
-use s4d_sim::SimDuration;
+use s4d_sim::{OneOrMany, SimDuration};
 use s4d_storage::IoKind;
 
 /// An MPI process rank.
@@ -161,8 +161,9 @@ impl PlannedIo {
 
 /// An execution plan: the ops in `ops` run concurrently, and the ops in
 /// `then` start once every op in `ops` has completed. `tag` (when
-/// non-zero) is echoed to [`crate::Middleware::on_plan_complete`]. An
-/// empty `then` allocates nothing.
+/// non-zero) is echoed to [`crate::Middleware::on_plan_complete`]. A
+/// phase of at most one op is held in place ([`OneOrMany`]), so a plan
+/// allocates nothing until a phase holds a second op.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Plan {
     /// Middleware-private identifier; 0 means "no completion callback".
@@ -171,9 +172,9 @@ pub struct Plan {
     /// S4D-Cache uses this for its cost-model/lookup overhead, §V.E.2).
     pub lead_in: s4d_sim::SimDuration,
     /// The first phase: ops that run concurrently.
-    pub ops: Vec<PlannedIo>,
+    pub ops: OneOrMany<PlannedIo>,
     /// The second phase: ops that start once all of `ops` completed.
-    pub then: Vec<PlannedIo>,
+    pub then: OneOrMany<PlannedIo>,
     /// Per-sub-request deadline budget. When set, the runner arms a timer
     /// for every dispatched sub-request; one still outstanding when its
     /// budget lapses is reported to
@@ -183,20 +184,23 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// A single-phase plan with no callback.
-    pub fn single_phase(ops: Vec<PlannedIo>) -> Self {
+    /// A single-phase plan with no callback: one op, or a `Vec` of them.
+    pub fn single_phase(ops: impl Into<OneOrMany<PlannedIo>>) -> Self {
         Plan {
-            ops,
+            ops: ops.into(),
             ..Plan::default()
         }
     }
 
     /// A plan whose `then` ops start once all of `ops` completed, with no
     /// callback.
-    pub fn two_phase(ops: Vec<PlannedIo>, then: Vec<PlannedIo>) -> Self {
+    pub fn two_phase(
+        ops: impl Into<OneOrMany<PlannedIo>>,
+        then: impl Into<OneOrMany<PlannedIo>>,
+    ) -> Self {
         Plan {
-            ops,
-            then,
+            ops: ops.into(),
+            then: then.into(),
             ..Plan::default()
         }
     }
@@ -344,7 +348,17 @@ mod tests {
         assert_eq!(plan.ops.len(), 2);
         assert!(plan.then.is_empty());
         assert_eq!(plan.tag, 0);
-        let plan = Plan::two_phase(vec![op.clone()], vec![op]);
+        let plan = Plan::two_phase(vec![op.clone()], op.clone());
         assert_eq!((plan.ops.len(), plan.then.len()), (1, 1));
+        assert_eq!(plan.ops, plan.then, "a phase compares by its ops");
+    }
+
+    /// A phase of one op is no larger than the op itself: the inline form
+    /// shares the op's spare bit patterns for its discriminant, so holding
+    /// the op in place costs the plan nothing beyond the op.
+    #[test]
+    fn a_phase_is_no_larger_than_one_op() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<OneOrMany<PlannedIo>>(), size_of::<PlannedIo>());
     }
 }

@@ -5,7 +5,8 @@
 //! [`SimDuration`]), a deterministic event queue ([`EventQueue`]), a generic
 //! event-loop driver ([`Engine`]), a seeded random-number source ([`SimRng`]),
 //! a hash table for simulation-minted ids ([`IdMap`]), the interval
-//! operations of a map of disjoint ranges ([`RangeMap`]) and lightweight
+//! operations of a map of disjoint ranges ([`RangeMap`]), a list that
+//! keeps its only element inline ([`OneOrMany`]) and lightweight
 //! statistics collectors ([`stats`]).
 //!
 //! Determinism is a design requirement: two runs with the same configuration
@@ -45,6 +46,7 @@
 mod engine;
 mod event;
 mod idmap;
+pub mod one_or_many;
 mod range_map;
 mod rng;
 pub mod stats;
@@ -53,6 +55,7 @@ mod time;
 pub use engine::{Engine, World};
 pub use event::EventQueue;
 pub use idmap::{IdHasher, IdMap, IdSet};
+pub use one_or_many::OneOrMany;
 pub use range_map::{RangeMap, Span};
 pub use rng::{splitmix64, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -191,6 +191,9 @@ fn rows() -> Vec<Row> {
         row("alloc-in-hot-path", IDENTIFY, CDT_INSERT,
             "let key = vec![req.offset];\n            self.plane.cdt_insert(req.file, key[0], req.len);",
             Test("alloc_steady_state", "request_path_allocations_stay_under_their_ceilings"), "allocations each"),
+        row("alloc-on-bypass-path", ADMIT, "            if !admit {\n",
+            "            if !admit {\n                let _gap = std::hint::black_box(vec![g_off, g_len]);\n",
+            Test("alloc_steady_state", "bypass_requests_allocate_nothing_per_request"), "the bypass path allocates per request"),
         row("free-before-durable-remove", ENGINE,
             "        if self\n            .append_journal_sync(cluster, plane, metrics, &[])\n            .is_none()\n        {\n            return false;\n        }\n",
             "        if metrics.journal_writes == u64::MAX {\n            return false;\n        }\n",
@@ -202,7 +205,7 @@ fn rows() -> Vec<Row> {
             "        let allowed = { let _ = site; len };\n        if allowed > 0 {\n            let _ = cluster.cpfs_mut().discard(",
             Test("crash_torture", "crash_matrix_every_budget_recovers"), "EvictDiscard"),
         row("journal-before-data", ADMIT,
-            "            plan.then = vec![op];", "            plan.ops.push(op);",
+            "            plan.then = OneOrMany::One(op);", "            plan.ops.push(op);",
             Test("crash_torture", "journal_before_ack_audit"), "journal write must run in `then` only"),
         row("completion-no-longer-signals-success", "crates/core/src/layer.rs",
             "self.health.record_success(server);", "let _ = server;",
