@@ -11,6 +11,7 @@ use s4d_pfs::{FileId, Priority};
 use s4d_sim::{OneOrMany, SimTime};
 use s4d_storage::IoKind;
 
+use crate::dmt::MapExtent;
 use crate::durability::crash::CrashSite;
 use crate::durability::journal::{self, JournalRecord};
 use crate::durability::StagedFlushes;
@@ -46,32 +47,30 @@ impl S4dCache {
         let mut intents: Vec<JournalRecord> = Vec::new();
         let mut i = 0;
         while let Some(&(file, start, first)) = candidates.get(i) {
-            let mut items = OneOrMany::One(FlushItem {
-                orig: file,
-                d_offset: start,
-                len: first.len,
-                c_file: first.c_file,
-                c_offset: first.c_offset,
-                version: first.version,
-            });
+            // Find the run first, so a group of several is collected at
+            // its exact size.
             let mut end = start + first.len;
             let mut j = i + 1;
             while let Some(&(f2, d2, e2)) = candidates.get(j) {
                 if f2 == file && d2 == end && (end - start) + e2.len <= MAX_GROUP_BYTES {
-                    items.push(FlushItem {
-                        orig: f2,
-                        d_offset: d2,
-                        len: e2.len,
-                        c_file: e2.c_file,
-                        c_offset: e2.c_offset,
-                        version: e2.version,
-                    });
                     end = d2 + e2.len;
                     j += 1;
                 } else {
                     break;
                 }
             }
+            let item = |&(orig, d_offset, e): &(FileId, u64, MapExtent)| FlushItem {
+                orig,
+                d_offset,
+                len: e.len,
+                c_file: e.c_file,
+                c_offset: e.c_offset,
+                version: e.version,
+            };
+            let items = match candidates.get(i..j).unwrap_or_default() {
+                [one] => OneOrMany::One(item(one)),
+                run => OneOrMany::Many(run.iter().map(item).collect()),
+            };
             i = j;
             // Phase 1: read the cached bytes (merge cache-contiguous runs).
             let mut reads: OneOrMany<PlannedIo> = OneOrMany::new();

@@ -6,6 +6,8 @@
 //! satisfied by several non-contiguous pieces (each becomes its own DMT
 //! extent), so the only failure mode is genuine lack of capacity.
 
+use std::collections::BTreeMap;
+
 use s4d_pfs::FileId;
 use s4d_sim::IdMap;
 
@@ -18,6 +20,51 @@ pub struct AllocPiece {
     pub len: u64,
 }
 
+/// One cache file's freed extents: a LIFO stack of `(offset, len)` (the
+/// most recently freed extent is reused first) and the same extents as
+/// `end -> offset`, so a release checks for overlap in `O(log n)` rather
+/// than scanning them all. The extents are disjoint, which is what the
+/// check keeps true. Keyed by end, the index keeps its key when an
+/// allocation takes the front of an extent, so a partial reuse rewrites
+/// one value instead of moving an entry.
+#[derive(Debug, Clone, Default)]
+struct FreeList {
+    stack: Vec<(u64, u64)>,
+    by_end: BTreeMap<u64, u64>,
+}
+
+impl FreeList {
+    fn push(&mut self, off: u64, len: u64) {
+        self.stack.push((off, len));
+        self.by_end.insert(off + len, off);
+    }
+
+    /// Takes up to `want` bytes from the front of the most recently freed
+    /// extent, whose remainder stays on top: `(offset, len)` taken.
+    fn take(&mut self, want: u64) -> Option<(u64, u64)> {
+        let (off, len) = self.stack.pop()?;
+        let take = len.min(want);
+        if take < len {
+            self.stack.push((off + take, len - take));
+            if let Some(start) = self.by_end.get_mut(&(off + len)) {
+                *start = off + take;
+            }
+        } else {
+            self.by_end.remove(&(off + len));
+        }
+        Some((off, take))
+    }
+
+    /// True if `[off, end)` overlaps a free extent. Only the first extent
+    /// ending after `off` can: every later one starts after it ends.
+    fn overlaps(&self, off: u64, end: u64) -> bool {
+        self.by_end
+            .range(off + 1..)
+            .next()
+            .is_some_and(|(_, &start)| start < end)
+    }
+}
+
 /// Cache-space allocator over the CServers.
 #[derive(Debug, Clone)]
 pub struct SpaceManager {
@@ -26,7 +73,7 @@ pub struct SpaceManager {
     /// Per cache file: next fresh (never-used) offset.
     bump: IdMap<FileId, u64>,
     /// Per cache file: freed extents available for reuse.
-    free: IdMap<FileId, Vec<(u64, u64)>>,
+    free: IdMap<FileId, FreeList>,
     alloc_ops: u64,
     free_ops: u64,
     over_releases: u64,
@@ -100,16 +147,12 @@ impl SpaceManager {
         let mut remaining = len;
         let free = self.free.entry(c_file).or_default();
         while remaining > 0 {
-            match free.pop() {
-                Some((off, flen)) => {
-                    let take = flen.min(remaining);
+            match free.take(remaining) {
+                Some((off, take)) => {
                     pieces.extend([AllocPiece {
                         c_offset: off,
                         len: take,
                     }]);
-                    if take < flen {
-                        free.push((off + take, flen - take));
-                    }
                     remaining -= take;
                 }
                 None => {
@@ -168,19 +211,21 @@ impl SpaceManager {
         if len == 0 {
             return;
         }
-        let within_bump = c_offset
-            .checked_add(len)
-            .is_some_and(|end| end <= self.bump.get(&c_file).copied().unwrap_or(0));
-        let no_free_overlap = self.free.get(&c_file).is_none_or(|fl| {
-            fl.iter()
-                .all(|&(off, flen)| c_offset + len <= off || off + flen <= c_offset)
+        let bump = self.bump.get(&c_file).copied().unwrap_or(0);
+        let valid = c_offset.checked_add(len).is_some_and(|end| {
+            end <= bump
+                && len <= self.allocated
+                && !self
+                    .free
+                    .get(&c_file)
+                    .is_some_and(|fl| fl.overlaps(c_offset, end))
         });
-        if len > self.allocated || !within_bump || !no_free_overlap {
+        if !valid {
             self.over_releases += 1;
             return;
         }
         self.allocated -= len;
-        self.free.entry(c_file).or_default().push((c_offset, len));
+        self.free.entry(c_file).or_default().push(c_offset, len);
         self.free_ops += 1;
     }
 
@@ -358,6 +403,39 @@ mod tests {
                 let live_total: u64 = live.iter().map(|p| p.len).sum();
                 prop_assert_eq!(s.allocated(), live_total);
                 prop_assert!(s.allocated() <= s.capacity());
+            }
+        }
+
+        /// The indexed double-release check refuses exactly what a scan
+        /// of the whole free list refuses — double and partial-overlap
+        /// releases still count in `over_releases` — and the index holds
+        /// exactly the stack's extents.
+        #[test]
+        fn prop_indexed_release_check_equals_a_scan(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..160, 1u64..40), 1..120)
+        ) {
+            let mut s = SpaceManager::new(256);
+            for (is_alloc, off, len) in ops {
+                if is_alloc {
+                    let _ = s.alloc(CF, len);
+                } else {
+                    let stack = s.free.get(&CF).map(|fl| fl.stack.clone()).unwrap_or_default();
+                    let scan_overlap = stack
+                        .iter()
+                        .any(|&(o, l)| off < o + l && o < off + len);
+                    let bump = s.bump.get(&CF).copied().unwrap_or(0);
+                    let refused = scan_overlap || off + len > bump || len > s.allocated();
+                    let before = s.over_releases();
+                    s.release(CF, off, len);
+                    prop_assert_eq!(s.over_releases() - before, u64::from(refused));
+                }
+                if let Some(fl) = s.free.get(&CF) {
+                    let mut by_stack = fl.stack.clone();
+                    by_stack.sort_unstable();
+                    let mut by_index: Vec<(u64, u64)> = fl.by_end.iter().map(|(&e, &o)| (o, e - o)).collect();
+                    by_index.sort_unstable();
+                    prop_assert_eq!(by_stack, by_index);
+                }
             }
         }
     }

@@ -33,35 +33,29 @@ pub(super) struct Proc {
     /// Per-slot individual file pointers (`MPI_File_seek` state).
     pub(super) cursors: Vec<u64>,
     pub(super) status: ProcStatus,
+    /// The request in flight: a closed-loop process issues the next one
+    /// only after this one completes, so it has at most one.
+    pub(super) request: Option<InFlight>,
 }
 
-/// Who a plan belongs to.
+/// An application request from issue to completion, across re-plans.
+pub(super) struct InFlight {
+    /// The request as the middleware plans it; a re-plan borrows it again
+    /// (the write payload stays here, so a failed plan can be re-planned).
+    pub(super) req: AppRequest,
+    pub(super) issued: SimTime,
+    /// Functional read bytes, scattered in as sub-requests complete.
+    pub(super) read_buf: Option<Vec<u8>>,
+    /// How many times this request has been re-planned.
+    pub(super) replans: u32,
+}
+
+/// Who a plan belongs to: a process's in-flight request (held in the
+/// process's [`Proc::request`]) or the middleware's background work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum PlanOwner {
-    Process {
-        index: usize,
-        issued: SimTime,
-        file: s4d_pfs::FileId,
-        kind: IoKind,
-        offset: u64,
-        len: u64,
-        read_buf: Option<Vec<u8>>,
-        /// Original write payload, kept so a failed plan can be re-planned.
-        data: Option<Vec<u8>>,
-        /// How many times this request has been re-planned.
-        replans: u32,
-    },
+    Process(usize),
     Background,
-}
-
-impl PlanOwner {
-    /// The owning process's index and request kind; `None` for
-    /// background plans.
-    pub(super) fn process(&self) -> Option<(usize, IoKind)> {
-        match self {
-            PlanOwner::Process { index, kind, .. } => Some((*index, *kind)),
-            PlanOwner::Background => None,
-        }
-    }
 }
 
 /// A launched plan, in the table until it completes or fails. Of the
@@ -78,7 +72,8 @@ pub(super) struct PlanExec {
     /// The phase being submitted or drained: 0 for the plan's `ops`, 1
     /// for its `then`; 2 once both are done.
     pub(super) phase: u8,
-    pub(super) outstanding: usize,
+    /// Sub-requests of the current phase not yet settled.
+    pub(super) outstanding: u32,
     pub(super) owner: PlanOwner,
     /// Set when a sub-request gave up: a remaining phase is skipped and
     /// the plan fails instead of completing.
@@ -256,30 +251,32 @@ impl<M: Middleware> State<M> {
         if offset.checked_add(len).is_none() {
             panic!("{rank} requested {len} bytes at {offset}: the range ends past u64::MAX");
         }
-        let req = AppRequest {
-            rank,
-            file,
-            kind,
-            offset,
-            len,
-            data,
-        };
-        let plan = self.middleware.plan_io(&mut self.cluster, now, &req);
-        // Move the payload out of the request (plan_io only borrowed it)
-        // instead of cloning the write buffer on the hot path.
-        let data = req.data;
-        let owner = PlanOwner::Process {
-            index: i,
+        self.proc_mut(i).request = Some(InFlight {
+            req: AppRequest {
+                rank,
+                file,
+                kind,
+                offset,
+                len,
+                data,
+            },
             issued: now,
-            file,
-            kind,
-            offset,
-            len,
             read_buf: None,
-            data,
             replans: 0,
+        });
+        self.plan_request(now, i, q);
+    }
+
+    /// Asks the middleware to plan process `i`'s in-flight request and
+    /// launches the plan (on issue, and again after a failed plan).
+    pub(super) fn plan_request(&mut self, now: SimTime, i: usize, q: &mut EventQueue<Event>) {
+        let Some(inflight) = self.procs.get(i).and_then(|p| p.request.as_ref()) else {
+            return; // callers just stored or kept the request
         };
-        self.launch_plan(now, plan, owner, q);
+        let plan = self
+            .middleware
+            .plan_io(&mut self.cluster, now, &inflight.req);
+        self.launch_plan(now, plan, PlanOwner::Process(i), q);
     }
 
     pub(super) fn maybe_release_barrier(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
@@ -310,7 +307,7 @@ impl<M: Middleware> State<M> {
                 _ => break,
             };
             let deadline = exec.deadline;
-            let owner = exec.owner.process();
+            let owner = exec.owner;
             let mut created = 0;
             for op in &ops {
                 if op.len == 0 {
@@ -345,7 +342,7 @@ impl<M: Middleware> State<M> {
         deadline: Option<SimDuration>,
         hedge: bool,
         q: &mut EventQueue<Event>,
-    ) -> usize {
+    ) -> u32 {
         let mut created = 0;
         #[expect(clippy::panic, reason = "the middleware's own plan names its files")]
         let subranges = self
@@ -438,8 +435,7 @@ impl<M: Middleware> State<M> {
         };
         if let Some(error) = completed.error {
             self.report.degraded.io_errors += 1;
-            let overhead =
-                matches!(exec.owner, PlanOwner::Process { .. }) && meta.app_offset.is_none();
+            let overhead = exec.owner != PlanOwner::Background && meta.app_offset.is_none();
             let failure = SubIoFailure {
                 tier,
                 server,
@@ -494,20 +490,19 @@ impl<M: Middleware> State<M> {
                 now - meta.submitted,
             );
             // Scatter functional read bytes into the owner's buffer.
-            if let (Some(data), Some(app_off)) = (&completed.data, meta.app_offset) {
-                if let PlanOwner::Process {
-                    offset,
-                    len,
-                    read_buf,
-                    ..
-                } = &mut exec.owner
-                {
-                    let buf = read_buf.get_or_insert_with(|| vec![0u8; *len as usize]);
+            if let (Some(data), Some(app_off), PlanOwner::Process(index)) =
+                (&completed.data, meta.app_offset, exec.owner)
+            {
+                if let Some(inflight) = self.procs.get_mut(index).and_then(|p| p.request.as_mut()) {
+                    let (offset, len) = (inflight.req.offset, inflight.req.len);
+                    let buf = inflight
+                        .read_buf
+                        .get_or_insert_with(|| vec![0u8; len as usize]);
                     let layout = self.cluster.pfs(tier).layout();
                     let mut cursor = 0usize;
                     for (seg_off, seg_len) in layout.file_segments(&meta.sub) {
                         let app_pos = app_off + (seg_off - meta.op_offset);
-                        let at = (app_pos - *offset) as usize;
+                        let at = (app_pos - offset) as usize;
                         let n = seg_len as usize;
                         if let (Some(dst), Some(src)) =
                             (buf.get_mut(at..at + n), data.get(cursor..cursor + n))
@@ -566,21 +561,19 @@ impl<M: Middleware> State<M> {
         q: &mut EventQueue<Event>,
     ) {
         match owner {
-            PlanOwner::Process {
-                index,
-                issued,
-                kind,
-                offset,
-                len,
-                read_buf,
-                ..
-            } => {
+            PlanOwner::Process(index) => {
+                let proc = self.proc_mut(index);
+                let rank = proc.rank;
+                let Some(done) = proc.request.take() else {
+                    return; // a process plan completes its in-flight request
+                };
+                let (kind, offset, len, issued) =
+                    (done.req.kind, done.req.offset, done.req.len, done.issued);
                 self.report.kind_mut(kind).record(issued, now, len);
-                let rank = self.proc(index).rank;
                 for obs in &mut self.observers {
                     obs.on_request_complete(now, rank, kind, offset, len, issued);
                     if kind == IoKind::Read {
-                        obs.on_read_data(rank, offset, len, read_buf.as_deref());
+                        obs.on_read_data(rank, offset, len, done.read_buf.as_deref());
                     }
                 }
                 q.push(now, Event::ProcessWake(index));
@@ -589,5 +582,20 @@ impl<M: Middleware> State<M> {
                 self.report.background_plans += 1;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A plan-table entry holds one phase (see `types.rs`'s
+    /// `a_phase_is_no_larger_than_one_op`) and the plan's bookkeeping;
+    /// the request it serves stays with its process, so the table's
+    /// slots do not grow with the request record.
+    #[test]
+    fn a_plan_entry_carries_no_request() {
+        let size = std::mem::size_of::<PlanExec>();
+        assert!(size <= 120, "PlanExec is {size} B");
     }
 }

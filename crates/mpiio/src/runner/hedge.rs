@@ -54,10 +54,14 @@ impl<M: Middleware> State<M> {
             self.abandon_sub(now, sub, q);
             return;
         }
-        let app_file = self.plans.get(&meta.plan_id).and_then(|e| match &e.owner {
-            PlanOwner::Process { file, .. } => Some(*file),
-            PlanOwner::Background => None,
-        });
+        let app_file = match self.plans.get(&meta.plan_id).map(|e| e.owner) {
+            Some(PlanOwner::Process(i)) => self
+                .procs
+                .get(i)
+                .and_then(|p| p.request.as_ref())
+                .map(|r| r.req.file),
+            _ => None,
+        };
         let app_segments = match meta.app_offset {
             Some(app_off) => self
                 .cluster
@@ -103,7 +107,7 @@ impl<M: Middleware> State<M> {
         };
         self.detach_straggler(now, &meta, sub, q);
         let plan_id = meta.plan_id;
-        let Some(owner) = self.plans.get(&plan_id).map(|e| e.owner.process()) else {
+        let Some(owner) = self.plans.get(&plan_id).map(|e| e.owner) else {
             return; // an outstanding sub keeps its plan live
         };
         self.report.gray.hedges_issued += 1;

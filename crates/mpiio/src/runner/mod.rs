@@ -39,7 +39,7 @@ use crate::script::ProcessScript;
 use crate::types::{Plan, PlannedIo, Rank, Tier};
 
 use exec::{PlanExec, PlanOwner, Proc, ProcStatus, SubMeta};
-use retry::{PendingReplan, PendingRetry};
+use retry::PendingRetry;
 use slab::Slab;
 
 pub use observe::IoObserver;
@@ -55,8 +55,8 @@ enum Event {
     BackgroundWake,
     /// Resubmit a sub-request after a retry backoff.
     Retry(u64),
-    /// Re-plan an application request after a plan failure.
-    Replan(u64),
+    /// Re-plan process `i`'s in-flight request after a plan failure.
+    Replan(usize),
     /// A sub-request's deadline budget lapsed. The key pins the timer to
     /// one attempt: a retry runs under a fresh key with a fresh deadline,
     /// and the stale timer for the failed attempt misses.
@@ -77,8 +77,6 @@ struct State<M: Middleware> {
     subs: Slab<SubMeta>,
     retries: IdMap<u64, PendingRetry>,
     next_retry: u64,
-    replans: IdMap<u64, PendingReplan>,
-    next_replan: u64,
     barrier_waiting: usize,
     finished: usize,
     background_armed: bool,
@@ -117,6 +115,7 @@ impl<M: Middleware> Runner<M> {
                 handles: Vec::new(),
                 cursors: Vec::new(),
                 status: ProcStatus::Running,
+                request: None,
             })
             .collect::<Vec<_>>();
         // Sized for one waiting plan per process plus the one starting, so
@@ -134,8 +133,6 @@ impl<M: Middleware> Runner<M> {
                 subs: Slab::new(),
                 retries: IdMap::default(),
                 next_retry: 0,
-                replans: IdMap::default(),
-                next_replan: 0,
                 barrier_waiting: 0,
                 finished: 0,
                 background_armed: false,
@@ -214,7 +211,7 @@ impl<M: Middleware> World<Event> for State<M> {
             Event::PlanStart(id) => self.advance_plan(now, id, q),
             Event::BackgroundWake => self.background_wake(now, q),
             Event::Retry(token) => self.fire_retry(now, token, q),
-            Event::Replan(token) => self.fire_replan(now, token, q),
+            Event::Replan(i) => self.plan_request(now, i, q),
             Event::Deadline(sub) => self.fire_deadline(now, sub, q),
         }
     }

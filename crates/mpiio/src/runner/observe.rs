@@ -6,6 +6,7 @@ use s4d_storage::IoKind;
 use crate::middleware::Middleware;
 use crate::types::{PlannedIo, Rank, Tier};
 
+use super::exec::PlanOwner;
 use super::State;
 
 /// Observation hooks for tracing tools.
@@ -43,27 +44,25 @@ pub trait IoObserver {
 
 impl<M: Middleware> State<M> {
     /// Books a dispatched op into the report (tier traffic, overhead, or
-    /// background bytes) and fans it out to the observers.
-    /// `owner` is [`PlanOwner::process`](super::exec::PlanOwner::process)
-    /// of the op's plan.
-    pub(super) fn account_dispatch(
-        &mut self,
-        now: SimTime,
-        owner: Option<(usize, IoKind)>,
-        op: &PlannedIo,
-    ) {
+    /// background bytes) and fans it out to the observers. `owner` owns
+    /// the op's plan.
+    pub(super) fn account_dispatch(&mut self, now: SimTime, owner: PlanOwner, op: &PlannedIo) {
         match (owner, op.app_offset) {
-            (Some((index, kind)), Some(app_off)) => {
+            (PlanOwner::Process(index), Some(app_off)) => {
                 self.report.tiers.record(op.tier, op.len);
-                let rank = self.proc(index).rank;
-                for obs in &mut self.observers {
-                    obs.on_dispatch(now, rank, op.tier, kind, app_off, op.len);
+                let Some(proc) = self.procs.get(index) else {
+                    return; // owners name constructed processes
+                };
+                if let Some(kind) = proc.request.as_ref().map(|r| r.req.kind) {
+                    for obs in &mut self.observers {
+                        obs.on_dispatch(now, proc.rank, op.tier, kind, app_off, op.len);
+                    }
                 }
             }
-            (Some(_), None) => {
+            (PlanOwner::Process(_), None) => {
                 self.report.overhead_bytes += op.len;
             }
-            (None, _) => {
+            (PlanOwner::Background, _) => {
                 self.report.background_bytes += op.len;
             }
         }

@@ -10,7 +10,7 @@ use s4d_pfs::SubRequest;
 use s4d_sim::{EventQueue, SimDuration, SimTime};
 
 use crate::middleware::Middleware;
-use crate::types::{AppRequest, Tier};
+use crate::types::Tier;
 
 use super::exec::{PlanExec, PlanOwner, SubMeta};
 use super::{Event, State};
@@ -34,18 +34,6 @@ pub(super) struct PendingRetry {
     server: usize,
     req: SubRequest,
     meta: SubMeta,
-}
-
-/// A failed application request waiting to be re-planned.
-pub(super) struct PendingReplan {
-    index: usize,
-    issued: SimTime,
-    file: s4d_pfs::FileId,
-    kind: s4d_storage::IoKind,
-    offset: u64,
-    len: u64,
-    data: Option<Vec<u8>>,
-    replans: u32,
 }
 
 impl<M: Middleware> State<M> {
@@ -119,74 +107,28 @@ impl<M: Middleware> State<M> {
                 .on_plan_failed(&mut self.cluster, now, exec.tag);
         }
         match exec.owner {
-            PlanOwner::Process {
-                index,
-                issued,
-                file,
-                kind,
-                offset,
-                len,
-                data,
-                replans,
-                ..
-            } => {
+            PlanOwner::Process(index) => {
+                let Some(inflight) = self.procs.get_mut(index).and_then(|p| p.request.as_mut())
+                else {
+                    return; // a process plan fails its in-flight request
+                };
+                let replans = inflight.replans;
                 assert!(
                     replans < MAX_REPLANS,
-                    "request (offset {offset}, len {len}) re-planned {MAX_REPLANS} times \
-                     without succeeding — the middleware cannot route around the failure"
+                    "request (offset {}, len {}) re-planned {MAX_REPLANS} times \
+                     without succeeding — the middleware cannot route around the failure",
+                    inflight.req.offset,
+                    inflight.req.len
                 );
+                inflight.replans += 1;
+                // The next plan reads into a fresh buffer.
+                inflight.read_buf = None;
                 self.report.degraded.replans += 1;
-                let token = self.next_replan;
-                self.next_replan += 1;
-                self.replans.insert(
-                    token,
-                    PendingReplan {
-                        index,
-                        issued,
-                        file,
-                        kind,
-                        offset,
-                        len,
-                        data,
-                        replans: replans + 1,
-                    },
-                );
-                q.push(now + replan_delay(replans), Event::Replan(token));
+                q.push(now + replan_delay(replans), Event::Replan(index));
             }
             PlanOwner::Background => {
                 self.report.degraded.failed_background_plans += 1;
             }
         }
-    }
-
-    /// Re-plans a failed application request from scratch: the middleware's
-    /// state now reflects the failure (quarantine, invalidated mappings),
-    /// so the new plan routes around it.
-    pub(super) fn fire_replan(&mut self, now: SimTime, token: u64, q: &mut EventQueue<Event>) {
-        let Some(e) = self.replans.remove(&token) else {
-            return; // Replan tokens are minted once per pending replan
-        };
-        let rank = self.proc(e.index).rank;
-        let req = AppRequest {
-            rank,
-            file: e.file,
-            kind: e.kind,
-            offset: e.offset,
-            len: e.len,
-            data: e.data.clone(),
-        };
-        let plan = self.middleware.plan_io(&mut self.cluster, now, &req);
-        let owner = PlanOwner::Process {
-            index: e.index,
-            issued: e.issued,
-            file: e.file,
-            kind: e.kind,
-            offset: e.offset,
-            len: e.len,
-            read_buf: None,
-            data: e.data,
-            replans: e.replans,
-        };
-        self.launch_plan(now, plan, owner, q);
     }
 }

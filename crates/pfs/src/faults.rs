@@ -242,6 +242,12 @@ impl FaultPlan {
         self
     }
 
+    /// True if the plan schedules no fault: every query below answers
+    /// "healthy" and draws nothing from the server's RNG.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.faults.is_empty()
+    }
+
     /// True if a crash window covers `now`.
     pub(crate) fn offline_at(&self, now: SimTime) -> bool {
         self.faults.iter().any(|f| {

@@ -54,6 +54,11 @@ pub struct Pfs {
     files: IdMap<FileId, FileMeta>,
     by_name: HashMap<String, FileId>,
     next_file: u64,
+    /// The latest instant [`Pfs::advance_faults`] was called with.
+    fault_clock: s4d_sim::SimTime,
+    /// True if some server has a fault plan; while none has, advancing
+    /// faults only moves `fault_clock`.
+    any_faults: bool,
 }
 
 impl Pfs {
@@ -79,6 +84,8 @@ impl Pfs {
             files: IdMap::default(),
             by_name: HashMap::new(),
             next_file: 0,
+            fault_clock: s4d_sim::SimTime::ZERO,
+            any_faults: false,
         }
     }
 
@@ -174,7 +181,9 @@ impl Pfs {
         self.servers.iter()
     }
 
-    /// Installs a scripted fault plan on one server.
+    /// Installs a scripted fault plan on one server. The plan takes effect
+    /// from the file system's fault clock on: a crash it dates at or
+    /// before the latest [`Pfs::advance_faults`] instant never fires.
     ///
     /// # Errors
     ///
@@ -184,14 +193,25 @@ impl Pfs {
         server: usize,
         plan: crate::faults::FaultPlan,
     ) -> Result<(), PfsError> {
-        self.server_mut(server)?.set_fault_plan(plan);
+        let clock = self.fault_clock;
+        let s = self.server_mut(server)?;
+        // A server skipped while no plan was installed catches up first.
+        s.advance_faults(clock);
+        s.set_fault_plan(plan);
+        self.any_faults = self.servers.iter().any(FileServer::has_faults);
         Ok(())
     }
 
     /// Applies crash effects due by `now` on every server, so direct
     /// store reads ([`Pfs::read_bytes`], [`Pfs::copy_into`]) never observe
-    /// data a scripted crash should already have destroyed.
+    /// data a scripted crash should already have destroyed. While no
+    /// server has a fault plan there is nothing to apply, and only the
+    /// clock [`Pfs::set_fault_plan`] starts a new plan from moves.
     pub fn advance_faults(&mut self, now: s4d_sim::SimTime) {
+        self.fault_clock = self.fault_clock.max(now);
+        if !self.any_faults {
+            return;
+        }
         for s in &mut self.servers {
             s.advance_faults(now);
         }
@@ -673,6 +693,41 @@ mod tests {
         // Ranges entirely on healthy servers are unaffected (stripe 0 of
         // a 3-wide 4 KiB layout lives on server 0).
         assert!(p.read_bytes(f, 0, 16).is_ok());
+    }
+
+    #[test]
+    fn a_plan_installed_late_fires_only_crashes_after_the_install() {
+        use crate::faults::{FaultPlan, ServerFault};
+        use s4d_sim::SimTime;
+        let mut p = Pfs::hdd_cluster(
+            "opfs",
+            StripeLayout::new(4 * KIB, 2),
+            presets::hdd_seagate_st3250(),
+            NetworkConfig::ideal(),
+            StoreMode::Functional,
+            3,
+        );
+        let f = p.create("a").unwrap();
+        p.apply_bytes(f, 0, 8 * KIB, Some(&[5u8; 8 * 1024]))
+            .unwrap();
+        // No server has a plan: advancing only moves the clock.
+        p.advance_faults(SimTime::from_secs(10));
+        let crash = |at: u64| {
+            FaultPlan::new().with(ServerFault::Crash {
+                at: SimTime::from_secs(at),
+                recover_at: SimTime::from_secs(at + 1),
+            })
+        };
+        // Dated before the install: never fires.
+        p.set_fault_plan(0, crash(5)).unwrap();
+        p.advance_faults(SimTime::from_secs(20));
+        assert_eq!(p.covered_bytes(f, 0, 8 * KIB).unwrap(), 8 * KIB);
+        // Dated after it: wipes server 0's stripe once due.
+        p.set_fault_plan(1, crash(30)).unwrap();
+        p.advance_faults(SimTime::from_secs(29));
+        assert_eq!(p.covered_bytes(f, 0, 8 * KIB).unwrap(), 8 * KIB);
+        p.advance_faults(SimTime::from_secs(31));
+        assert_eq!(p.covered_bytes(f, 0, 8 * KIB).unwrap(), 4 * KIB);
     }
 
     #[test]

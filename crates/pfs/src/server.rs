@@ -160,6 +160,11 @@ impl FileServer {
         self.faults = plan;
     }
 
+    /// True if a fault plan with at least one fault is installed.
+    pub(crate) fn has_faults(&self) -> bool {
+        !self.faults.is_empty()
+    }
+
     /// Applies any crash effects that became due by `now`: a hard crash
     /// wipes every stored byte. Idempotent; called internally from
     /// [`FileServer::submit`] and [`FileServer::on_complete`], and by the
@@ -340,6 +345,9 @@ impl FileServer {
     /// as in [`FileServer::on_complete`]: zero-filled in functional mode.
     /// Returns `None` in timing mode.
     pub(crate) fn peek_store(&self, file: FileId, local_offset: u64, len: u64) -> Option<Vec<u8>> {
+        if self.store_mode == StoreMode::Timing {
+            return None; // extents hold coverage only: nothing to walk
+        }
         match self.stores.get(&file) {
             Some(store) => store.read(local_offset, len).data,
             None => {
@@ -387,10 +395,15 @@ impl FileServer {
     /// forever-stall parks the op: it holds the slot but no completion is
     /// scheduled, and only [`FileServer::abandon`] can free it.
     fn start(&mut self, now: SimTime, req: SubRequest) -> Option<Started> {
+        // Without a plan every fault query answers "healthy" and draws
+        // nothing, so a healthy server skips them.
+        let healthy = self.faults.is_empty();
         // Fault precedence is fixed (offline > no-space > media > transient)
         // so the decision — and the RNG draws it consumes — is a pure
         // function of the scripted plan, never of fault insertion order.
-        let fault = if self.faults.offline_at(now) {
+        let fault = if healthy {
+            None
+        } else if self.faults.offline_at(now) {
             Some(IoFault::Offline)
         } else if req.kind.is_write() && self.faults.no_space_at(now) {
             Some(IoFault::NoSpace)
@@ -406,7 +419,7 @@ impl FileServer {
         };
         self.current_fault = fault;
         // An offline server fails fast — a stall never outranks a crash.
-        let stall = if fault == Some(IoFault::Offline) {
+        let stall = if healthy || fault == Some(IoFault::Offline) {
             StallState::Clear
         } else {
             self.faults.stall_at(now)
@@ -426,7 +439,11 @@ impl FileServer {
             let device_time = self
                 .device
                 .service_time(req.kind, lba, req.len, &mut self.rng);
-            let factor = self.faults.slowdown(now, req.kind, &mut self.rng);
+            let factor = if healthy {
+                1.0
+            } else {
+                self.faults.slowdown(now, req.kind, &mut self.rng)
+            };
             let device_time = if factor > 1.0 {
                 SimDuration::from_secs_f64(device_time.as_secs_f64() * factor)
             } else {

@@ -11,9 +11,9 @@
 //! extents and carry their journal frames.
 //!
 //! The counts are exact, repeat run for run and are the same in debug
-//! and release builds: 1,269 over the 4,096 warm 16 KiB requests (0.31
-//! each), 40 for the one-request run, and 5,029 over the 4,096
-//! over-subscribed requests (1.23 each; every group-commit frame, whose
+//! and release builds: 1,213 over the 4,096 warm 16 KiB requests (0.30
+//! each), 40 for the one-request run, and 4,861 over the 4,096
+//! over-subscribed requests (1.19 each; every group-commit frame, whose
 //! records and bytes leave the cache with its plan, costs two). The
 //! ceilings sit less than one allocation per request above them, so one
 //! new per-request `Vec` in
@@ -27,12 +27,15 @@
 //! allocates exactly as much as a run of 2 (the mutation gate's
 //! `alloc-on-bypass-path` dies here), and a plan with one op per phase
 //! is built and consumed without touching the heap.
+//!
+//! The allocator also tracks live bytes, for one memory pin: a Critical
+//! Data Table of 65,536 entries holds at most 48 heap bytes per entry.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use s4d::bench::testbed;
-use s4d::cache::{S4dCache, S4dConfig, S4dMetrics};
+use s4d::cache::{Cdt, S4dCache, S4dConfig, S4dMetrics};
 use s4d::mpiio::{script, Cluster, Plan, PlannedIo, Runner, Tier};
 use s4d::pfs::FileId;
 use s4d::sim::OneOrMany;
@@ -42,12 +45,14 @@ use s4d::workloads::{AccessPattern, IorConfig};
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * 1024;
 
-/// Counts allocation calls made by the current thread while switched on
-/// (`None` = off), so parallel test threads do not see each other.
+/// Counts allocation calls and net heap bytes made by the current thread
+/// while switched on (`None` = off), so parallel test threads do not see
+/// each other.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    static LIVE: Cell<Option<i64>> = const { Cell::new(None) };
 }
 
 fn count() {
@@ -55,28 +60,36 @@ fn count() {
     let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
 }
 
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get().map(|n| n + delta)));
+}
+
 // SAFETY: every method forwards to `System` unchanged; the only addition
 // is a thread-local counter bump that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        live(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        live(layout.size() as i64);
         // SAFETY: as above, for `alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: as above, for `realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: as above, for `dealloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -90,6 +103,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     ALLOCS.with(|c| c.set(Some(0)));
     let out = f();
     let n = ALLOCS.with(|c| c.replace(None)).unwrap_or(0);
+    (out, n)
+}
+
+/// Runs `f` with byte tracking on; returns its result and the heap bytes
+/// it left live (what the result holds).
+fn live_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    LIVE.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = LIVE.with(|c| c.replace(None)).unwrap_or(0);
     (out, n)
 }
 
@@ -268,4 +290,42 @@ fn a_plan_of_one_op_per_phase_allocates_nothing() {
     });
     assert_eq!(bytes, 32 * KIB);
     assert_eq!(allocs, 0, "a plan of one op per phase allocated");
+}
+
+/// Live heap bytes of a CDT of `n` 16 KiB entries, `flagged` of them
+/// (the oldest) with `C_flag` set.
+fn cdt_bytes(n: u64, flagged: u64) -> i64 {
+    let (cdt, bytes) = live_bytes(|| {
+        // The default bound: memory must follow the entries, not it.
+        let mut cdt = Cdt::new(1 << 20);
+        for i in 0..n {
+            cdt.insert(FileId(1), i * 16 * KIB, 16 * KIB);
+        }
+        for i in 0..flagged {
+            cdt.set_c_flag(FileId(1), i * 16 * KIB, 16 * KIB);
+        }
+        cdt
+    });
+    assert_eq!(cdt.len() as u64, n);
+    bytes
+}
+
+/// The paper (§V.E.1) budgets 24 B of metadata per cached entry. A CDT
+/// entry is a 32 B ring record plus its share of an at most
+/// three-quarters-full index of 4 B slots: 40 B at 65,536 entries,
+/// pinned at 48. A flagged entry adds its sequence number to a B-tree
+/// set (about 20 B), pinned at 24.
+#[test]
+fn a_cdt_entry_costs_at_most_48_bytes() {
+    const N: u64 = 65_536;
+    let plain = cdt_bytes(N, 0) as f64 / N as f64;
+    assert!(
+        plain <= 48.0,
+        "{plain:.1} live heap bytes per CDT entry at {N} entries; ceiling 48"
+    );
+    let flag = (cdt_bytes(N, N) as f64 / N as f64) - plain;
+    assert!(
+        flag <= 24.0,
+        "a set C_flag costs {flag:.1} more live heap bytes; ceiling 24"
+    );
 }

@@ -231,6 +231,9 @@ fn rows() -> Vec<Row> {
             "            None => None,\n",
             CacheTest("background_scheduler", "fetch_over_a_server_without_the_file_caches_its_bytes"),
             "the re-read must return the OPFS bytes"),
+        row("cdt-evict-skips-backward-shift", "crates/core/src/cdt.rs",
+            "        let mut slot = hole;\n        loop {\n", "        let mut slot = hole;\n        while slot != hole {\n",
+            CacheTest("cdt_model", "cdt_matches_the_model"), "disagrees with the model"),
         row("hedge-serves-dirty-bytes", "crates/core/src/gray.rs",
             ".any(|(_, e)| e.dirty)", ".any(|(_, _e)| false)",
             Test("straggler_matrix", "dirty_reads_wait_out_the_stall"), "returned wrong bytes"),
