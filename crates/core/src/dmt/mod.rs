@@ -163,6 +163,19 @@ impl Dmt {
             .flat_map(|(&f, m)| m.iter().map(move |(&o, e)| (f, o, e)))
     }
 
+    /// The files holding extents (or once holding them), in no order.
+    pub(crate) fn files(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.files.keys().copied()
+    }
+
+    /// `file`'s extents as `(d_offset, extent)`, in offset order.
+    pub(crate) fn file_extents(&self, file: FileId) -> impl Iterator<Item = (u64, &MapExtent)> {
+        self.files
+            .get(&file)
+            .into_iter()
+            .flat_map(|m| m.iter().map(|(&o, e)| (o, e)))
+    }
+
     fn record(&mut self, r: JournalRecord) {
         self.pending_journal.push(r);
         self.journal_total += 1;

@@ -11,6 +11,7 @@
 //! checkpoint (and the slot rotation) stays with the durability engine.
 
 use crate::durability::journal::{crc32, decode_batch, FrameReader, JournalError, JournalRecord};
+use crate::shard::MetadataPlane;
 use crate::DMT_RECORD_BYTES;
 
 /// Magic bytes opening every checkpoint snapshot.
@@ -75,14 +76,74 @@ impl std::error::Error for CheckpointError {}
 
 /// Serialises a checkpoint snapshot (see [`Checkpoint`] for the layout).
 pub fn encode_checkpoint(covers_seq: u64, tail_offset: u64, records: &[JournalRecord]) -> Vec<u8> {
+    encode_checkpoint_iter(
+        covers_seq,
+        tail_offset,
+        records.len(),
+        records.iter().copied(),
+    )
+}
+
+/// The snapshot of `plane`: an `Insert` (plus `Seal`, when sealed) per
+/// live extent, in global `(file, d_offset)` order — independent of the
+/// shard layout, so the bytes (and the torture harness's crash points)
+/// are the same at any shard count. The records are encoded as the
+/// table is walked; the snapshot is never held as records.
+pub(crate) fn encode_plane_checkpoint(
+    covers_seq: u64,
+    tail_offset: u64,
+    plane: &MetadataPlane,
+) -> Vec<u8> {
+    let sealed = plane
+        .iter_extents()
+        .filter(|(_, _, e)| e.checksum.is_some())
+        .count();
+    let records = plane.iter_extents_sorted().flat_map(|(f, o, e)| {
+        let insert = JournalRecord::Insert {
+            d_file: f,
+            d_offset: o,
+            len: e.len,
+            c_file: e.c_file,
+            c_offset: e.c_offset,
+            dirty: e.dirty,
+        };
+        let seal = e.checksum.map(|checksum| JournalRecord::Seal {
+            d_file: f,
+            d_offset: o,
+            checksum,
+            len: e.len,
+        });
+        std::iter::once(insert).chain(seal)
+    });
+    encode_checkpoint_iter(
+        covers_seq,
+        tail_offset,
+        plane.entry_count() + sealed,
+        records,
+    )
+}
+
+/// The one checkpoint encoder: streams `records` into a buffer sized for
+/// `expected` of them. The header's count is what was written, so a
+/// wrong `expected` costs a regrowth, never a corrupt snapshot.
+fn encode_checkpoint_iter(
+    covers_seq: u64,
+    tail_offset: u64,
+    expected: usize,
+    records: impl IntoIterator<Item = JournalRecord>,
+) -> Vec<u8> {
     let mut out =
-        Vec::with_capacity(CHECKPOINT_HEADER_BYTES + records.len() * DMT_RECORD_BYTES as usize + 4);
+        Vec::with_capacity(CHECKPOINT_HEADER_BYTES + expected * DMT_RECORD_BYTES as usize + 4);
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.extend_from_slice(&covers_seq.to_le_bytes());
     out.extend_from_slice(&tail_offset.to_le_bytes());
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
     for r in records {
         out.extend_from_slice(&r.encode());
+    }
+    let count = (out.len() - CHECKPOINT_HEADER_BYTES) as u64 / DMT_RECORD_BYTES;
+    if let Some(field) = out.get_mut(CHECKPOINT_HEADER_BYTES - 8..CHECKPOINT_HEADER_BYTES) {
+        field.copy_from_slice(&count.to_le_bytes());
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -166,6 +227,75 @@ mod tests {
             corrupt[bit / 8] ^= 1 << (bit % 8);
             prop_assert!(decode_checkpoint(&corrupt).is_err(),
                 "bit flip at {} went undetected", bit);
+        }
+    }
+
+    /// The snapshot the engine built before it streamed: every extent
+    /// collected, sorted by `(file, d_offset)`, turned into records, then
+    /// encoded.
+    fn collect_and_sort(seq: u64, tail: u64, plane: &MetadataPlane) -> Vec<u8> {
+        let mut live: Vec<_> = plane.iter_extents().map(|(f, o, e)| (f, o, *e)).collect();
+        live.sort_unstable_by_key(|&(f, o, _)| (f.0, o));
+        let mut records = Vec::new();
+        for (f, o, e) in live {
+            records.push(JournalRecord::Insert {
+                d_file: f,
+                d_offset: o,
+                len: e.len,
+                c_file: e.c_file,
+                c_offset: e.c_offset,
+                dirty: e.dirty,
+            });
+            if let Some(sum) = e.checksum {
+                records.push(JournalRecord::Seal {
+                    d_file: f,
+                    d_offset: o,
+                    checksum: sum,
+                    len: e.len,
+                });
+            }
+        }
+        encode_checkpoint(seq, tail, &records)
+    }
+
+    proptest! {
+        /// Streaming the table into the snapshot writes the bytes the
+        /// collect-and-sort encoding wrote, at every shard count: the
+        /// torture harness's crash points are byte offsets into them.
+        #[test]
+        fn prop_streamed_checkpoint_matches_collect_and_sort(
+            extents in proptest::collection::vec(
+                (0u64..40, 0u64..96, any::<bool>(), any::<u8>()), 0..160),
+            seq in 1u64..100,
+        ) {
+            const TILE: u64 = 16 * 1024;
+            let mut seen = std::collections::BTreeSet::new();
+            let mut reference = None;
+            for count in [1, 4, 16] {
+                let router = crate::shard::ShardRouter::new(count, 4 * TILE);
+                let mut plane = MetadataPlane::new(router, 1 << 40, 64);
+                seen.clear();
+                for (i, &(file, slot, dirty, seal)) in extents.iter().enumerate() {
+                    if !seen.insert((file, slot)) {
+                        continue;
+                    }
+                    let (f, o) = (FileId(file * 7919), slot * TILE);
+                    plane.insert(f, o, TILE, CF, i as u64 * TILE, dirty);
+                    // A quarter of the extents carry a seal.
+                    if seal < 64 {
+                        prop_assert!(plane.seal_if(f, o, 0, u32::from(seal)));
+                    }
+                }
+                let streamed = encode_plane_checkpoint(seq, 4096, &plane);
+                prop_assert_eq!(
+                    &streamed,
+                    &collect_and_sort(seq, 4096, &plane),
+                    "streamed snapshot differs from collect-and-sort at {} shards",
+                    count
+                );
+                // The layout-independent order: the same bytes at any count.
+                prop_assert_eq!(reference.get_or_insert_with(|| streamed.clone()), &streamed);
+            }
         }
     }
 

@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 
 use crate::journal::JournalRecord;
 use crate::shard::{ShardId, ShardRouter};
+use crate::DMT_RECORD_BYTES;
 
 /// Per-shard journal append queues feeding one group-committed batch.
 #[derive(Debug)]
@@ -89,20 +90,29 @@ impl GroupCommitQueue {
 
     /// Drains every queue into one batch: shard 0's records first, then
     /// shard 1's, and so on, each in append order. Deterministic by
-    /// construction — no map iteration anywhere. Collects
-    /// [`GroupCommitQueue::drain_into`] into a fresh `Vec`.
+    /// construction — no map iteration anywhere.
     pub fn drain_all(&mut self) -> Vec<JournalRecord> {
         let mut out = Vec::with_capacity(self.len());
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// [`GroupCommitQueue::drain_all`] appended to a caller-owned buffer,
-    /// which allocates nothing once the buffer has grown to a batch.
-    pub fn drain_into(&mut self, out: &mut Vec<JournalRecord>) {
         for q in &mut self.queues {
             out.extend(q.drain(..));
         }
+        out
+    }
+
+    /// Encodes the batch [`GroupCommitQueue::drain_all`] would return,
+    /// appended to a caller-owned buffer, and leaves the queues as they
+    /// are: a synchronous append [`GroupCommitQueue::clear`]s them once
+    /// the bytes landed, and a failed one retries the same batch.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.len() * DMT_RECORD_BYTES as usize);
+        for r in self.queues.iter().flatten() {
+            out.extend_from_slice(&r.encode());
+        }
+    }
+
+    /// Empties every queue, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
     }
 
     /// Requeues a failed batch at the *front* of the owning queues so the

@@ -378,20 +378,12 @@ impl JournalRecord {
 }
 
 /// Serialises a batch of records into one journal write payload.
-/// Collects [`encode_batch_into`] into a fresh `Vec`.
 pub fn encode_batch(records: &[JournalRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_batch_into(records, &mut out);
-    out
-}
-
-/// [`encode_batch`] appended to a caller-owned buffer, which allocates
-/// nothing once the buffer has grown to a batch's size.
-pub fn encode_batch_into(records: &[JournalRecord], out: &mut Vec<u8>) {
-    out.reserve(records.len() * DMT_RECORD_BYTES as usize);
+    let mut out = Vec::with_capacity(records.len() * DMT_RECORD_BYTES as usize);
     for r in records {
         out.extend_from_slice(&r.encode());
     }
+    out
 }
 
 /// Parses a journal byte stream back into records.

@@ -139,11 +139,10 @@ pub(crate) struct DurabilityEngine {
     /// What the last `recover_from_cluster` found, if this instance was
     /// built by one.
     last_recovery: Option<RecoveryReport>,
-    /// Scratch for [`DurabilityEngine::append_journal_sync`]: the drained
-    /// batch and its encoding. Taken, filled, written and stored back
-    /// empty, so a synchronous append allocates only while the buffers
-    /// grow to the largest batch. They carry nothing between appends.
-    sync_records: Vec<JournalRecord>,
+    /// Scratch for [`DurabilityEngine::append_journal_sync`]: the queued
+    /// batch's encoding. Taken, filled, written and stored back empty, so
+    /// a synchronous append allocates only while the buffer grows to the
+    /// largest batch. It carries nothing between appends.
     sync_bytes: Vec<u8>,
 }
 
@@ -162,7 +161,6 @@ impl DurabilityEngine {
             stalled: false,
             parked: Vec::new(),
             last_recovery: None,
-            sync_records: Vec::new(),
             sync_bytes: Vec::new(),
         }
     }
@@ -396,10 +394,8 @@ impl DurabilityEngine {
             return Some(DurabilityHandle(()));
         }
         let journal = self.ensure_journal(cluster);
-        let mut records = std::mem::take(&mut self.sync_records);
         let mut data = std::mem::take(&mut self.sync_bytes);
-        self.group.drain_into(&mut records);
-        journal::encode_batch_into(&records, &mut data);
+        self.group.encode_into(&mut data);
         let len = data.len() as u64;
         let offset = self.journal_offset;
         let handle = match self.fused_apply(cluster, CrashSite::SyncAppend, journal, offset, &data)
@@ -412,16 +408,16 @@ impl DurabilityEngine {
                 self.stalled = false;
                 metrics.journal_writes += 1;
                 metrics.journal_bytes += len;
-                metrics.journal_records_written += records.len() as u64;
+                metrics.journal_records_written += self.group.len() as u64;
+                self.group.clear();
                 Some(DurabilityHandle(()))
             }
             Err(err) => {
                 // The append had no effect (apply_bytes is all-or-nothing
-                // under injected faults). Requeue the records and do not
-                // advance the offset: a hole in the journal would truncate
-                // every later acked record at recovery. The engine stalls
-                // until a retry at this same offset succeeds.
-                self.group.requeue_front(&records, &self.router);
+                // under injected faults). The records stay queued and the
+                // offset does not advance: a hole in the journal would
+                // truncate every later acked record at recovery. The
+                // engine stalls until a retry at this same offset succeeds.
                 self.stalled = true;
                 metrics.durability_stalls += 1;
                 match err {
@@ -432,9 +428,7 @@ impl DurabilityEngine {
                 None
             }
         };
-        records.clear();
         data.clear();
-        self.sync_records = records;
         self.sync_bytes = data;
         handle
     }
@@ -571,33 +565,8 @@ impl DurabilityEngine {
             return;
         }
         let tail_offset = self.journal_offset;
-        let mut live: Vec<(FileId, u64, crate::dmt::MapExtent)> =
-            plane.iter_extents().map(|(f, o, e)| (f, o, *e)).collect();
-        // Globally sorted snapshot order — independent of shard layout —
-        // keeps the byte stream (and therefore the torture harness's
-        // crash points) deterministic and identical at any shard count.
-        live.sort_unstable_by_key(|&(f, o, _)| (f.0, o));
-        let mut records = Vec::with_capacity(live.len());
-        for (f, o, e) in live {
-            records.push(JournalRecord::Insert {
-                d_file: f,
-                d_offset: o,
-                len: e.len,
-                c_file: e.c_file,
-                c_offset: e.c_offset,
-                dirty: e.dirty,
-            });
-            if let Some(sum) = e.checksum {
-                records.push(JournalRecord::Seal {
-                    d_file: f,
-                    d_offset: o,
-                    checksum: sum,
-                    len: e.len,
-                });
-            }
-        }
         let seq = self.checkpoint_seq + 1;
-        let data = journal::encode_checkpoint(seq, tail_offset, &records);
+        let data = checkpoint::encode_plane_checkpoint(seq, tail_offset, plane);
         let slot_name = if seq % 2 == 1 {
             CKPT_SLOT_A
         } else {
@@ -637,5 +606,81 @@ impl DurabilityEngine {
         metrics.checkpoints += 1;
         metrics.checkpoint_bytes += len;
         metrics.records_compacted += records_since;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use s4d_pfs::{FaultPlan, ServerFault};
+    use s4d_sim::SimTime;
+
+    use super::*;
+
+    /// A journal append failed by ENOSPC leaves the group-commit queue
+    /// exactly as it was, and the retry writes the same records, in the
+    /// same order, at the same offset.
+    #[test]
+    fn a_failed_append_leaves_the_queue_for_a_byte_identical_retry() {
+        let router = ShardRouter::new(4, 64 * 1024);
+        let mut cluster = Cluster::paper_testbed_small(3);
+        let mut plane = MetadataPlane::new(router, 1 << 30, 64);
+        let mut engine = DurabilityEngine::new(router);
+        let mut metrics = S4dMetrics::default();
+        // One acked append first, so the failed one is not at offset 0.
+        plane.insert(FileId(1), 0, 4096, FileId(9), 0, true);
+        assert!(engine
+            .append_journal_sync(&mut cluster, &mut plane, &mut metrics, &[])
+            .is_some());
+        let offset = engine.journal_offset;
+        // Records on every shard, interleaved, so the batch order is the
+        // shard-by-shard drain order rather than the push order.
+        let mut expected = GroupCommitQueue::new(router.count());
+        for i in 0..12u64 {
+            let (f, o) = (FileId(1 + i % 3), (i + 1) * 64 * 1024);
+            let (c_offset, dirty) = ((i + 1) * 4096, i % 2 == 0);
+            plane.insert(f, o, 4096, FileId(9), c_offset, dirty);
+            let insert = JournalRecord::Insert {
+                d_file: f,
+                d_offset: o,
+                len: 4096,
+                c_file: FileId(9),
+                c_offset,
+                dirty,
+            };
+            expected.push(router.shard_of(f, o), insert);
+        }
+        engine.collect_pending_records(&mut plane);
+        let queued = format!("{:?}", engine.group);
+
+        let (from, until) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        for server in 0..cluster.cpfs().server_count() {
+            let full = FaultPlan::new().with(ServerFault::SpaceExhausted { from, until });
+            assert!(cluster.cpfs_mut().set_fault_plan(server, full).is_ok());
+        }
+        cluster.advance_faults(from);
+        assert!(engine
+            .append_journal_sync(&mut cluster, &mut plane, &mut metrics, &[])
+            .is_none());
+        assert!(engine.is_stalled());
+        assert_eq!(metrics.nospace_failures, 1);
+        assert_eq!(
+            engine.journal_offset, offset,
+            "a failed append reserves nothing"
+        );
+        assert_eq!(format!("{:?}", engine.group), queued, "the queue moved");
+
+        cluster.advance_faults(until);
+        engine.retry_stall(&mut cluster, &mut plane, &mut metrics);
+        assert!(!engine.is_stalled());
+        assert!(engine.group.is_empty(), "a landed append empties the queue");
+        let batch = journal::encode_batch(&expected.drain_all());
+        assert_eq!(engine.journal_offset, offset + batch.len() as u64);
+        let journal = engine.ensure_journal(&mut cluster);
+        let landed = cluster
+            .cpfs()
+            .read_bytes(journal, offset, batch.len() as u64)
+            .ok()
+            .flatten();
+        assert_eq!(landed, Some(batch), "the retry wrote other bytes");
     }
 }

@@ -218,6 +218,31 @@ impl MetadataPlane {
         self.shards().flat_map(|s| s.dmt.iter_extents())
     }
 
+    /// Every live extent in global `(file, d_offset)` order — the same
+    /// order at any shard count. Each file's per-shard maps are merged in
+    /// place (one file's offsets are disjoint across shards), so nothing
+    /// is collected but the file ids.
+    pub(crate) fn iter_extents_sorted(&self) -> impl Iterator<Item = (FileId, u64, &MapExtent)> {
+        let mut files: Vec<FileId> = self.shards().flat_map(|s| s.dmt.files()).collect();
+        files.sort_unstable_by_key(|f| f.0);
+        files.dedup();
+        files.into_iter().flat_map(move |file| {
+            let mut heads: Vec<_> = self
+                .shards()
+                .map(|s| s.dmt.file_extents(file).peekable())
+                .collect();
+            std::iter::from_fn(move || {
+                let (_, next) = heads
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(i, h)| h.peek().map(|&(o, _)| (o, i)))
+                    .min()?;
+                heads.get_mut(next)?.next()
+            })
+            .map(move |(o, e)| (file, o, e))
+        })
+    }
+
     /// Buffered (undrained) mutation records across shards.
     pub fn pending_records(&self) -> usize {
         self.shards().map(|s| s.dmt.pending_records()).sum()

@@ -11,6 +11,7 @@ use crate::types::{
     AppOp, AppRequest, ErrorDirective, FileHandle, PlannedIo, Rank, SubIoFailure, Tier,
 };
 
+use super::slab::PlanId;
 use super::{Event, State};
 
 /// Time charged to a process for each `open` (metadata round-trip).
@@ -81,7 +82,7 @@ pub(super) struct PlanExec {
 }
 
 pub(super) struct SubMeta {
-    pub(super) plan_id: u64,
+    pub(super) plan_id: PlanId,
     /// Tier the sub-request was dispatched to.
     pub(super) tier: Tier,
     /// Tier-local file the sub-request targets.
@@ -296,9 +297,14 @@ impl<M: Middleware> State<M> {
     /// phase is left (an empty plan completes instantly). The plan is
     /// updated where it sits in the table; a phase's ops are moved out
     /// while they are submitted, since nothing reads them afterwards.
-    pub(super) fn advance_plan(&mut self, now: SimTime, plan_id: u64, q: &mut EventQueue<Event>) {
+    pub(super) fn advance_plan(
+        &mut self,
+        now: SimTime,
+        plan_id: PlanId,
+        q: &mut EventQueue<Event>,
+    ) {
         loop {
-            let Some(exec) = self.plans.get_mut(&plan_id) else {
+            let Some(exec) = self.plans.get_mut(plan_id) else {
                 return; // a PlanStart or drain names a plan still in the table
             };
             let ops = match exec.phase {
@@ -316,7 +322,7 @@ impl<M: Middleware> State<M> {
                 self.account_dispatch(now, owner, op);
                 created += self.submit_planned_op(now, plan_id, op, deadline, false, q);
             }
-            let Some(exec) = self.plans.get_mut(&plan_id) else {
+            let Some(exec) = self.plans.get_mut(plan_id) else {
                 return; // submission completes nothing, so the plan is still there
             };
             if created > 0 {
@@ -325,7 +331,7 @@ impl<M: Middleware> State<M> {
             }
             exec.phase += 1;
         }
-        if let Some(exec) = self.plans.remove(&plan_id) {
+        if let Some(exec) = self.plans.remove(plan_id) {
             self.complete_plan(now, exec, q);
         }
     }
@@ -337,7 +343,7 @@ impl<M: Middleware> State<M> {
     pub(super) fn submit_planned_op(
         &mut self,
         now: SimTime,
-        plan_id: u64,
+        plan_id: PlanId,
         op: &PlannedIo,
         deadline: Option<SimDuration>,
         hedge: bool,
@@ -430,7 +436,7 @@ impl<M: Middleware> State<M> {
             return; // an abandoned straggler's late completion: its key is retired
         };
         let plan_id = meta.plan_id;
-        let Some(exec) = self.plans.get_mut(&plan_id) else {
+        let Some(exec) = self.plans.get_mut(plan_id) else {
             return; // a sub-request's plan stays live until it drains
         };
         if let Some(error) = completed.error {
@@ -525,14 +531,14 @@ impl<M: Middleware> State<M> {
     pub(super) fn settle_drained_plan(
         &mut self,
         now: SimTime,
-        plan_id: u64,
+        plan_id: PlanId,
         q: &mut EventQueue<Event>,
     ) {
-        let Some(exec) = self.plans.get_mut(&plan_id) else {
+        let Some(exec) = self.plans.get_mut(plan_id) else {
             return; // callers just saw the plan drain
         };
         if exec.failed {
-            if let Some(exec) = self.plans.remove(&plan_id) {
+            if let Some(exec) = self.plans.remove(plan_id) {
                 self.fail_plan(now, exec, q);
             }
             return;

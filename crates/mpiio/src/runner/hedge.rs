@@ -54,7 +54,7 @@ impl<M: Middleware> State<M> {
             self.abandon_sub(now, sub, q);
             return;
         }
-        let app_file = match self.plans.get(&meta.plan_id).map(|e| e.owner) {
+        let app_file = match self.plans.get(meta.plan_id).map(|e| e.owner) {
             Some(PlanOwner::Process(i)) => self
                 .procs
                 .get(i)
@@ -107,7 +107,7 @@ impl<M: Middleware> State<M> {
         };
         self.detach_straggler(now, &meta, sub, q);
         let plan_id = meta.plan_id;
-        let Some(owner) = self.plans.get(&plan_id).map(|e| e.owner) else {
+        let Some(owner) = self.plans.get(plan_id).map(|e| e.owner) else {
             return; // an outstanding sub keeps its plan live
         };
         self.report.gray.hedges_issued += 1;
@@ -119,7 +119,7 @@ impl<M: Middleware> State<M> {
             self.account_dispatch(now, owner, op);
             launched += self.submit_planned_op(now, plan_id, op, meta.deadline, true, q);
         }
-        let Some(exec) = self.plans.get_mut(&plan_id) else {
+        let Some(exec) = self.plans.get_mut(plan_id) else {
             return; // submission completes nothing, so the plan is still there
         };
         exec.outstanding = exec.outstanding - 1 + launched;
@@ -136,7 +136,7 @@ impl<M: Middleware> State<M> {
         };
         self.detach_straggler(now, &meta, sub, q);
         let plan_id = meta.plan_id;
-        let Some(exec) = self.plans.get_mut(&plan_id) else {
+        let Some(exec) = self.plans.get_mut(plan_id) else {
             return; // an outstanding sub keeps its plan live
         };
         exec.failed = true;

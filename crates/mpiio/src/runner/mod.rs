@@ -20,7 +20,8 @@
 //! [`retry`] (sub-request retries and request re-planning), [`drain`]
 //! (background polling and draining), [`hedge`] (deadline budgets),
 //! [`observe`] (tracing hooks and report accounting), and [`slab`] (the
-//! table of in-flight sub-requests, keyed by the id the servers echo).
+//! generation slab behind the tables of in-flight sub-requests, plans
+//! and retries, keyed by the ids the servers and events carry).
 
 mod drain;
 mod exec;
@@ -40,7 +41,7 @@ use crate::types::{Plan, PlannedIo, Rank, Tier};
 
 use exec::{PlanExec, PlanOwner, Proc, ProcStatus, SubMeta};
 use retry::PendingRetry;
-use slab::Slab;
+use slab::{PlanId, RetryId, Slab};
 
 pub use observe::IoObserver;
 
@@ -51,10 +52,10 @@ enum Event {
         tier: Tier,
         server: usize,
     },
-    PlanStart(u64),
+    PlanStart(PlanId),
     BackgroundWake,
     /// Resubmit a sub-request after a retry backoff.
-    Retry(u64),
+    Retry(RetryId),
     /// Re-plan process `i`'s in-flight request after a plan failure.
     Replan(usize),
     /// A sub-request's deadline budget lapsed. The key pins the timer to
@@ -67,16 +68,17 @@ struct State<M: Middleware> {
     cluster: Cluster,
     middleware: M,
     procs: Vec<Proc>,
-    plans: IdMap<u64, PlanExec>,
+    /// Launched plans; the slab's key is the id `PlanStart` names.
+    plans: Slab<PlanId, PlanExec>,
     /// The `ops` of launched plans that have not started: a plan's first
     /// phase waits here out of its lead-in, so the entries of `plans`
     /// carry one phase, not two.
-    first_phases: IdMap<u64, OneOrMany<PlannedIo>>,
-    next_plan: u64,
+    first_phases: IdMap<PlanId, OneOrMany<PlannedIo>>,
     /// In-flight sub-requests; the slab's key is the id the servers echo.
-    subs: Slab<SubMeta>,
-    retries: IdMap<u64, PendingRetry>,
-    next_retry: u64,
+    subs: Slab<SubReqId, SubMeta>,
+    /// Failed sub-requests waiting out their backoff, keyed by the id
+    /// `Retry` names.
+    retries: Slab<RetryId, PendingRetry>,
     barrier_waiting: usize,
     finished: usize,
     background_armed: bool,
@@ -127,12 +129,10 @@ impl<M: Middleware> Runner<M> {
                 cluster,
                 middleware,
                 procs,
-                plans: IdMap::default(),
+                plans: Slab::new(),
                 first_phases,
-                next_plan: 1,
                 subs: Slab::new(),
-                retries: IdMap::default(),
-                next_retry: 0,
+                retries: Slab::new(),
                 barrier_waiting: 0,
                 finished: 0,
                 background_armed: false,
@@ -243,8 +243,6 @@ impl<M: Middleware> State<M> {
         owner: PlanOwner,
         q: &mut EventQueue<Event>,
     ) {
-        let plan_id = self.next_plan;
-        self.next_plan += 1;
         let Plan {
             tag,
             lead_in,
@@ -254,19 +252,16 @@ impl<M: Middleware> State<M> {
         } = plan;
         // The plan stays in the table until it completes or fails; every
         // step in between updates it in place.
+        let plan_id = self.plans.insert(PlanExec {
+            tag,
+            deadline,
+            then,
+            phase: 0,
+            outstanding: 0,
+            owner,
+            failed: false,
+        });
         self.first_phases.insert(plan_id, ops);
-        self.plans.insert(
-            plan_id,
-            PlanExec {
-                tag,
-                deadline,
-                then,
-                phase: 0,
-                outstanding: 0,
-                owner,
-                failed: false,
-            },
-        );
         if lead_in.is_zero() {
             self.advance_plan(now, plan_id, q);
         } else {

@@ -13,6 +13,7 @@ use crate::middleware::Middleware;
 use crate::types::Tier;
 
 use super::exec::{PlanExec, PlanOwner, SubMeta};
+use super::slab::RetryId;
 use super::{Event, State};
 
 /// Hard cap on re-planning one application request after plan failures —
@@ -50,30 +51,25 @@ impl<M: Middleware> State<M> {
         q: &mut EventQueue<Event>,
     ) {
         self.report.degraded.retries += 1;
-        let token = self.next_retry;
-        self.next_retry += 1;
-        self.retries.insert(
-            token,
-            PendingRetry {
-                tier,
-                server,
-                req,
-                meta,
-            },
-        );
+        let token = self.retries.insert(PendingRetry {
+            tier,
+            server,
+            req,
+            meta,
+        });
         q.push(now + delay, Event::Retry(token));
     }
 
     /// Resubmits a retried sub-request after its backoff.
-    pub(super) fn fire_retry(&mut self, now: SimTime, token: u64, q: &mut EventQueue<Event>) {
+    pub(super) fn fire_retry(&mut self, now: SimTime, token: RetryId, q: &mut EventQueue<Event>) {
         let Some(PendingRetry {
             tier,
             server,
             mut req,
             mut meta,
-        }) = self.retries.remove(&token)
+        }) = self.retries.remove(token)
         else {
-            return; // Retry tokens are minted once per pending retry
+            return; // a Retry event names a pending retry
         };
         meta.submitted = now;
         let deadline = meta.deadline;

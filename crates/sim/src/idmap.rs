@@ -1,6 +1,6 @@
 //! Hash tables keyed by identifiers the simulation mints itself.
 //!
-//! File ids, plan ids and retry tokens are small integers handed out by
+//! File ids and plan ids are small integers handed out by
 //! this program, so SipHash's protection against crafted keys buys
 //! nothing and costs most of a lookup. [`IdMap`] is `HashMap` (and
 //! [`IdSet`] is `HashSet`) over a one-multiply hasher. The multiply is *folded* (high half of the

@@ -11,9 +11,9 @@
 //! extents and carry their journal frames.
 //!
 //! The counts are exact, repeat run for run and are the same in debug
-//! and release builds: 1,213 over the 4,096 warm 16 KiB requests (0.30
-//! each), 40 for the one-request run, and 4,861 over the 4,096
-//! over-subscribed requests (1.19 each; every group-commit frame, whose
+//! and release builds: 1,202 over the 4,096 warm 16 KiB requests (0.29
+//! each), 38 for the one-request run, and 4,850 over the 4,096
+//! over-subscribed requests (1.18 each; every group-commit frame, whose
 //! records and bytes leave the cache with its plan, costs two). The
 //! ceilings sit less than one allocation per request above them, so one
 //! new per-request `Vec` in
@@ -28,17 +28,18 @@
 //! `alloc-on-bypass-path` dies here), and a plan with one op per phase
 //! is built and consumed without touching the heap.
 //!
-//! The allocator also tracks live bytes, for one memory pin: a Critical
-//! Data Table of 65,536 entries holds at most 48 heap bytes per entry.
+//! The allocator also tracks live bytes, for two memory pins: a Critical
+//! Data Table of 65,536 entries holds at most 48 heap bytes per entry,
+//! and a DMT checkpoint holds no heap beyond the snapshot's own bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use s4d::bench::testbed;
-use s4d::cache::{Cdt, S4dCache, S4dConfig, S4dMetrics};
-use s4d::mpiio::{script, Cluster, Plan, PlannedIo, Runner, Tier};
+use s4d::cache::{Cdt, S4dCache, S4dConfig, S4dMetrics, DMT_RECORD_BYTES};
+use s4d::mpiio::{script, AppRequest, Cluster, Middleware, Plan, PlannedIo, Rank, Runner, Tier};
 use s4d::pfs::FileId;
-use s4d::sim::OneOrMany;
+use s4d::sim::{OneOrMany, SimTime};
 use s4d::storage::IoKind;
 use s4d::workloads::{AccessPattern, IorConfig};
 
@@ -53,6 +54,7 @@ struct CountingAlloc;
 thread_local! {
     static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
     static LIVE: Cell<Option<i64>> = const { Cell::new(None) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
@@ -61,7 +63,12 @@ fn count() {
 }
 
 fn live(delta: i64) {
-    let _ = LIVE.try_with(|c| c.set(c.get().map(|n| n + delta)));
+    let _ = LIVE.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + delta));
+            let _ = PEAK.try_with(|p| p.set(p.get().max(n + delta)));
+        }
+    });
 }
 
 // SAFETY: every method forwards to `System` unchanged; the only addition
@@ -109,10 +116,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Runs `f` with byte tracking on; returns its result and the heap bytes
 /// it left live (what the result holds).
 fn live_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    peak_bytes(f).0
+}
+
+/// [`live_bytes`], plus the most heap `f` held live at any one time.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> ((T, i64), i64) {
+    PEAK.with(|p| p.set(0));
     LIVE.with(|c| c.set(Some(0)));
     let out = f();
     let n = LIVE.with(|c| c.replace(None)).unwrap_or(0);
-    (out, n)
+    ((out, n), PEAK.with(Cell::get))
 }
 
 fn ior(seed: u64) -> IorConfig {
@@ -327,5 +340,54 @@ fn a_cdt_entry_costs_at_most_48_bytes() {
     assert!(
         flag <= 24.0,
         "a set C_flag costs {flag:.1} more live heap bytes; ceiling 24"
+    );
+}
+
+/// A checkpoint streams the DMT into its snapshot bytes: while it runs,
+/// the heap holds the snapshot (`32 + 28·records + 4` bytes) and at most
+/// 4 KiB of anything else — no copy of the table as extents or records.
+#[test]
+fn a_checkpoint_holds_only_its_snapshot() {
+    const N: u64 = 8192;
+    let tb = testbed(3);
+    let mut config = S4dConfig::new(256 * MIB).with_checkpoint_after(N);
+    // No flush plans: the wake's only work is the checkpoint.
+    config.max_flush_per_wake = 0;
+    let mut cluster = tb.cluster();
+    let mut mw = S4dCache::new(config, tb.cost_params());
+    let file = mw
+        .open(&mut cluster, Rank(0), "ckpt.dat")
+        .expect("open a fresh file");
+    for i in 0..N {
+        let write = AppRequest {
+            rank: Rank(0),
+            file,
+            kind: IoKind::Write,
+            offset: i * MIB,
+            len: 16 * KIB,
+            data: None,
+        };
+        let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write);
+        if plan.tag != 0 {
+            mw.on_plan_complete(&mut cluster, SimTime::ZERO, plan.tag);
+        }
+    }
+    assert_eq!(mw.plane().entry_count() as u64, N, "every write admitted");
+    assert_eq!(mw.metrics().checkpoints, 0);
+
+    let ((poll, _), peak) = peak_bytes(|| mw.poll_background(&mut cluster, SimTime::from_secs(1)));
+    assert!(poll.plans.is_empty());
+    assert_eq!(
+        mw.metrics().checkpoints,
+        1,
+        "the wake installs one checkpoint"
+    );
+    let snapshot = 32 + N * DMT_RECORD_BYTES + 4;
+    assert_eq!(mw.metrics().checkpoint_bytes, snapshot);
+    let ceiling = snapshot as i64 + 4096;
+    assert!(
+        peak <= ceiling,
+        "a checkpoint of {N} extents peaked at {peak} live heap bytes; \
+         ceiling {ceiling} (the {snapshot}-byte snapshot plus 4 KiB)"
     );
 }

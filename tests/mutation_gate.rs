@@ -1,7 +1,7 @@
 //! The mutation gate: seeded protocol violations applied to the *real*
 //! modules, each of which must die by its declared killer — the compiler
-//! first, a clippy lint second, a named test last (a tier-1 test, or one
-//! of `s4d-cache`'s own suites).
+//! first, a clippy lint second, a named test last (a tier-1 test, one of
+//! `s4d-cache`'s own suites, or a crate's unit tests).
 //!
 //! This is the arbiter of what the static gate denies: a lint stays in a
 //! crate-root `#![deny(clippy::…)]` list or a `clippy.toml` only while
@@ -31,6 +31,8 @@ enum Killer {
     Test(&'static str, &'static str),
     /// `s4d-cache`'s `--test <target> <name>` fails.
     CacheTest(&'static str, &'static str),
+    /// The `-p <crate> --lib <name>` unit tests fail.
+    LibTest(&'static str, &'static str),
 }
 
 struct Row {
@@ -84,6 +86,18 @@ const EVICT_BEFORE_DURABLE: &str = "        if !victims.is_empty() {
             return self.plane.fits(shard, len);
         }
         // `evict_clean_lru_excluding` removed the victims and queued\n";
+const SHARD_MERGE: &str = "            let mut heads: Vec<_> = self
+                .shards()
+                .map(|s| s.dmt.file_extents(file).peekable())
+                .collect();
+            std::iter::from_fn(move || {
+                let (_, next) = heads
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(i, h)| h.peek().map(|&(o, _)| (o, i)))
+                    .min()?;
+                heads.get_mut(next)?.next()
+            })\n";
 const INTENT_APPEND: &str = "        match self
             .dur
             .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
@@ -91,7 +105,7 @@ const INTENT_APPEND: &str = "        match self
 
 #[rustfmt::skip]
 fn rows() -> Vec<Row> {
-    use Killer::{Build, CacheTest, Clippy, Test};
+    use Killer::{Build, CacheTest, Clippy, LibTest, Test};
     let row = |id, file, anchor, replacement, killer, evidence| Row { id, file, anchor, replacement, killer, evidence };
     let grown: &'static str = Box::leak(format!("{LAST_NAME}{}", "const _: u8 = 0;\n".repeat(800)).into_boxed_str());
     vec![
@@ -243,6 +257,13 @@ fn rows() -> Vec<Row> {
         row("recovery-appends-past-torn-suffix", RECOVERY,
             "journal_offset = tail_start + (bytes.len() as u64 - tail.dropped_bytes);", "journal_offset = tail_start + bytes.len() as u64;",
             Test("double_crash", "writes_acked_after_a_torn_journal_recovery_survive_the_next_crash"), "did not survive the second crash"),
+        row("slab-remove-keeps-generation", "crates/mpiio/src/runner/slab.rs",
+            "        slot.generation = slot.generation.wrapping_add(1);\n", "",
+            LibTest("s4d-mpiio", "runner::slab::tests::slab_matches_a_map"), "minted again"),
+        row("checkpoint-shard-order", "crates/core/src/shard/plane.rs", SHARD_MERGE,
+            "            self.shards().flat_map(move |s| s.dmt.file_extents(file))\n",
+            LibTest("s4d-cache", "durability::checkpoint::tests::prop_streamed_checkpoint_matches_collect_and_sort"),
+            "streamed snapshot differs"),
         row("split-keeps-seal", "crates/core/src/dmt/mod.rs",
             "        // A whole-extent checksum does not survive a split.\n        self.checksum = None;\n", "",
             Test("scrub", "partial_overwrite_of_a_sealed_dirty_extent_is_not_rot"), "kept the whole-extent seal"),
@@ -369,6 +390,7 @@ fn every_row_dies_in_a_scratch_copy() {
             Killer::CacheTest(target, name) => {
                 format!("test --offline -p s4d-cache --test {target} {name}")
             }
+            Killer::LibTest(krate, name) => format!("test --offline -p {krate} --lib {name}"),
         };
         let path = ws.join(row.file);
         let original = std::fs::read_to_string(&path).expect(row.file);
@@ -379,7 +401,9 @@ fn every_row_dies_in_a_scratch_copy() {
             Killer::Build => true,
             // `-D unfulfilled-lint-expectations`, `…/index.html#unwrap_used`.
             Killer::Clippy(lint) => out.replace('-', "_").contains(lint),
-            Killer::Test(..) | Killer::CacheTest(..) => out.contains("test result: FAILED"),
+            Killer::Test(..) | Killer::CacheTest(..) | Killer::LibTest(..) => {
+                out.contains("test result: FAILED")
+            }
         };
         if ok {
             survivors.push(format!("{}: survived `cargo {args}`", row.id));
