@@ -5,7 +5,8 @@
 //! workspace crates and regenerates every table and figure of the
 //! evaluation: [`figures::FIGURES`] holds one generator per artefact and
 //! the `reproduce` binary prints them. Measured-vs-paper numbers live in
-//! `EXPERIMENTS.md`.
+//! `EXPERIMENTS.md`. [`straggler`] is the gray-failure benchmark the
+//! `straggler` binary writes to `BENCH_straggler.json`.
 //!
 //! Experiments run at a scaled-down data size by default (same geometry,
 //! same request sizes, smaller files) so the whole suite completes in
@@ -18,9 +19,10 @@
 
 pub mod experiments;
 pub mod figures;
+pub mod straggler;
 pub mod table;
 
 pub use experiments::{
-    campaign_scripts, run_custom, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read,
-    testbed, ExperimentOutcome, Scale, Testbed,
+    run_custom, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read, testbed,
+    ExperimentOutcome, Scale, Testbed,
 };

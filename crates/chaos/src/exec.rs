@@ -26,7 +26,7 @@ use s4d_mpiio::{
     Tier,
 };
 use s4d_pfs::{FaultPlan, FileId, IoFault, PfsError, ServerFault};
-use s4d_sim::SimTime;
+use s4d_sim::{Fnv1a, SimTime};
 use s4d_storage::IoKind;
 
 use crate::oracle::{Oracle, Violation};
@@ -101,7 +101,7 @@ pub fn run(schedule: &Schedule) -> ChaosReport {
         dirty_lost: 0,
         nospace_seen: 0,
         media_seen: 0,
-        fp: Fp::new(),
+        fp: Fnv1a::new(),
     };
     ex.drive();
     ex.finish()
@@ -153,27 +153,6 @@ fn config(schedule: &Schedule) -> S4dConfig {
     }
 }
 
-/// FNV-1a fold for the run fingerprint.
-struct Fp(u64);
-
-impl Fp {
-    fn new() -> Self {
-        Fp(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 enum ExecStatus {
     /// Every op applied in full.
     Done,
@@ -211,7 +190,8 @@ struct Executor {
     dirty_lost: u64,
     nospace_seen: u64,
     media_seen: u64,
-    fp: Fp,
+    /// The run fingerprint.
+    fp: Fnv1a,
 }
 
 impl Executor {
@@ -425,7 +405,7 @@ impl Executor {
     fn app_write(&mut self, rank: u32, offset: u64, len: u64) {
         let Some(file) = self.file else { return };
         let payload = self.payload(offset, len);
-        self.fp.byte(b'w');
+        self.fp.bytes(b"w");
         self.fp.word(offset);
         self.fp.word(len);
         for _attempt in 0..2 {
@@ -471,7 +451,7 @@ impl Executor {
 
     fn app_read(&mut self, rank: u32, offset: u64, len: u64) {
         let Some(file) = self.file else { return };
-        self.fp.byte(b'r');
+        self.fp.bytes(b"r");
         self.fp.word(offset);
         self.fp.word(len);
         let mut last_err = String::new();
@@ -609,7 +589,7 @@ impl Executor {
             }
             // Re-crash mid-recovery: the partial instance is lost and
             // recovery re-enters below from the mutated cluster.
-            self.fp.byte(b'R');
+            self.fp.bytes(b"R");
         }
         let (mw1, report1) = S4dCache::recover_from_cluster(
             config(&self.schedule),
@@ -648,7 +628,7 @@ impl Executor {
 
     fn adopt(&mut self, mut mw: S4dCache, report: RecoveryReport) {
         self.recoveries += 1;
-        self.fp.byte(b'V');
+        self.fp.bytes(b"V");
         self.fp.word(report.records_replayed());
         self.fp.word(report.dropped_journal_bytes);
         self.fp.word(report.dropped_extents);
@@ -848,7 +828,7 @@ impl Executor {
             plan_failures: self.plan_failures,
             reads_checked: self.oracle.reads_checked,
             dirty_bytes_lost: self.dirty_lost,
-            fingerprint: self.fp.0,
+            fingerprint: self.fp.finish(),
             violations: self.oracle.violations().to_vec(),
         }
     }
