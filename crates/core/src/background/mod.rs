@@ -16,7 +16,7 @@ pub(crate) mod scrub;
 
 use s4d_mpiio::{BackgroundPoll, Cluster, Plan};
 use s4d_pfs::{FileId, Priority};
-use s4d_sim::{IdMap, IdSet, OneOrMany, SimTime};
+use s4d_sim::{IdSet, OneOrMany, SimTime, Slab};
 
 use crate::durability::Frame;
 use crate::layer::S4dCache;
@@ -107,10 +107,10 @@ pub(crate) enum Pending {
 /// the eviction pins of in-flight reads, and the scrubber's cursor.
 #[derive(Debug)]
 pub(crate) struct BackgroundScheduler {
-    /// Actions to apply when the tagged plan completes.
-    pending: IdMap<u64, Pending>,
-    /// Next plan tag to hand out (0 is reserved for "no callback").
-    next_tag: u64,
+    /// Actions to apply when the tagged plan completes; the slab's key
+    /// is the plan's tag. The slab never mints 0, which means "no
+    /// callback", and a claimed tag is retired.
+    pending: Slab<u64, Pending>,
     /// `(file, d_offset)` of dirty extents a flush plan is moving.
     inflight_flush: IdSet<(FileId, u64)>,
     /// `(file, offset, len)` CDT keys a fetch plan is filling.
@@ -130,8 +130,7 @@ impl BackgroundScheduler {
     /// metadata shard.
     pub(crate) fn new(shards: usize) -> Self {
         BackgroundScheduler {
-            pending: IdMap::default(),
-            next_tag: 1,
+            pending: Slab::new(),
             inflight_flush: IdSet::default(),
             inflight_fetch: IdSet::default(),
             pins: Vec::new(),
@@ -143,15 +142,12 @@ impl BackgroundScheduler {
     /// 0, which means "no callback") and returns the tag.
     #[must_use = "the tag must ride the plan, or the action never runs"]
     pub(crate) fn attach(&mut self, action: Pending) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.pending.insert(tag, action);
-        tag
+        self.pending.insert(action)
     }
 
     /// Claims the action registered under `tag`, if any.
     pub(crate) fn take(&mut self, tag: u64) -> Option<Pending> {
-        self.pending.remove(&tag)
+        self.pending.remove(tag)
     }
 
     /// Pins ranges against eviction for the lifetime of a read plan.
@@ -345,10 +341,10 @@ mod tests {
             pins: OneOrMany::One((FileId(1), 0, 8)),
             fetch: None,
         };
-        // Tag 0 means "no callback": the first tag is 1, and tags count up.
+        // Tag 0 means "no callback": no obligation is attached under it.
         let tag = bg.attach(read);
-        assert_eq!(tag, 1);
-        assert_eq!(bg.attach(Pending::Flush(OneOrMany::new())), 2);
+        let flush = bg.attach(Pending::Flush(OneOrMany::new()));
+        assert!(tag != 0 && flush != 0 && tag != flush);
         match bg.take(tag) {
             Some(Pending::Read { pins, fetch: None }) => {
                 assert_eq!(*pins, [(FileId(1), 0, 8)]);
@@ -356,7 +352,13 @@ mod tests {
             other => panic!("expected the Read obligation, got {other:?}"),
         }
         assert!(bg.take(tag).is_none(), "claimed exactly once");
-        assert!(matches!(bg.take(2), Some(Pending::Flush(_))));
+        let reused = bg.attach(Pending::Flush(OneOrMany::new()));
+        assert_ne!(reused, tag, "a claimed tag is retired");
+        assert!(
+            bg.take(tag).is_none(),
+            "the retired tag misses the new tenant"
+        );
+        assert!(matches!(bg.take(flush), Some(Pending::Flush(_))));
         assert!(bg.take(0).is_none(), "tag 0 carries nothing");
     }
 }

@@ -11,8 +11,7 @@ use crate::types::{
     AppOp, AppRequest, ErrorDirective, FileHandle, PlannedIo, Rank, SubIoFailure, Tier,
 };
 
-use super::slab::PlanId;
-use super::{Event, State};
+use super::{Event, PlanId, State};
 
 /// Time charged to a process for each `open` (metadata round-trip).
 const OPEN_COST: SimDuration = SimDuration::from_micros(500);
@@ -603,5 +602,13 @@ mod tests {
     fn a_plan_entry_carries_no_request() {
         let size = std::mem::size_of::<PlanExec>();
         assert!(size <= 120, "PlanExec is {size} B");
+    }
+
+    /// The plan table's slot: the free-list link shares the entry's
+    /// space, so a slot is a plan plus its generation.
+    #[test]
+    fn a_plan_slot_is_a_plan_and_a_generation() {
+        let size = s4d_sim::Slab::<PlanId, PlanExec>::SLOT_BYTES;
+        assert!(size <= 128, "a plan slot is {size} B");
     }
 }

@@ -19,19 +19,18 @@
 //! submodules — [`exec`] (script advancement and plan execution),
 //! [`retry`] (sub-request retries and request re-planning), [`drain`]
 //! (background polling and draining), [`hedge`] (deadline budgets),
-//! [`observe`] (tracing hooks and report accounting), and [`slab`] (the
-//! generation slab behind the tables of in-flight sub-requests, plans
-//! and retries, keyed by the ids the servers and events carry).
+//! and [`observe`] (tracing hooks and report accounting). The tables of
+//! in-flight sub-requests, plans and retries are [`Slab`]s keyed by the
+//! ids the servers and events carry.
 
 mod drain;
 mod exec;
 mod hedge;
 mod observe;
 mod retry;
-mod slab;
 
 use s4d_pfs::SubReqId;
-use s4d_sim::{Engine, EventQueue, IdMap, OneOrMany, SimTime, World};
+use s4d_sim::{Engine, EventQueue, IdMap, OneOrMany, SimTime, Slab, SlabKey, World};
 
 use crate::cluster::Cluster;
 use crate::middleware::Middleware;
@@ -41,9 +40,36 @@ use crate::types::{Plan, PlannedIo, Rank, Tier};
 
 use exec::{PlanExec, PlanOwner, Proc, ProcStatus, SubMeta};
 use retry::PendingRetry;
-use slab::{PlanId, RetryId, Slab};
 
 pub use observe::IoObserver;
+
+/// A launched plan's key in the runner's plan table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanId(u64);
+
+impl SlabKey for PlanId {
+    fn from_raw(raw: u64) -> Self {
+        PlanId(raw)
+    }
+
+    fn raw(self) -> u64 {
+        self.0
+    }
+}
+
+/// A sub-request waiting out its retry backoff.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RetryId(u64);
+
+impl SlabKey for RetryId {
+    fn from_raw(raw: u64) -> Self {
+        RetryId(raw)
+    }
+
+    fn raw(self) -> u64 {
+        self.0
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {

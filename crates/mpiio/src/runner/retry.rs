@@ -13,8 +13,7 @@ use crate::middleware::Middleware;
 use crate::types::Tier;
 
 use super::exec::{PlanExec, PlanOwner, SubMeta};
-use super::slab::RetryId;
-use super::{Event, State};
+use super::{Event, RetryId, State};
 
 /// Hard cap on re-planning one application request after plan failures —
 /// far above what converging fault scenarios need; hitting it means the

@@ -15,6 +15,17 @@ impl std::fmt::Display for FileId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubReqId(pub u64);
 
+/// The runner's sub-request table mints these ids.
+impl s4d_sim::SlabKey for SubReqId {
+    fn from_raw(raw: u64) -> Self {
+        SubReqId(raw)
+    }
+
+    fn raw(self) -> u64 {
+        self.0
+    }
+}
+
 impl std::fmt::Display for SubReqId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "subreq#{}", self.0)
