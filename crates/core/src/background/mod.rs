@@ -123,6 +123,11 @@ pub(crate) struct BackgroundScheduler {
     /// scrub progress each wake instead of one global walk starving the
     /// tail shards.
     scrub_cursors: Vec<Option<(FileId, u64)>>,
+    /// False once a seal's read-back found the CServer tier holding no
+    /// bytes (a timing-mode store). A cluster's store mode is fixed when
+    /// it is built, so from then on no seal can ever be computed and
+    /// completions skip sealing before any lookup.
+    cserver_bytes: bool,
 }
 
 impl BackgroundScheduler {
@@ -135,6 +140,7 @@ impl BackgroundScheduler {
             inflight_fetch: IdSet::default(),
             pins: Vec::new(),
             scrub_cursors: vec![None; shards.max(1)],
+            cserver_bytes: true,
         }
     }
 

@@ -303,12 +303,16 @@ impl S4dCache {
 
     /// Seals extents whose plan completed: reads the cached bytes back,
     /// checksums them, and attaches the seal if no write raced (version
-    /// gate). Timing-mode stores hold no bytes; sealing is skipped there.
+    /// gate). Timing-mode stores hold no bytes; once a read-back has shown
+    /// that, sealing returns before any lookup.
     pub(crate) fn finish_seals(
         &mut self,
         cluster: &mut Cluster,
         targets: impl IntoIterator<Item = (FileId, u64, u64)>,
     ) {
+        if !self.bg.cserver_bytes {
+            return;
+        }
         for (orig, d_offset, version) in targets {
             let Some(e) = self.plane.get(orig, d_offset) else {
                 continue;
@@ -317,8 +321,13 @@ impl S4dCache {
                 continue;
             }
             let (c_file, c_offset, len) = (e.c_file, e.c_offset, e.len);
-            let Ok(Some(bytes)) = cluster.cpfs().read_bytes(c_file, c_offset, len) else {
-                continue;
+            let bytes = match cluster.cpfs().read_bytes(c_file, c_offset, len) {
+                Ok(Some(bytes)) => bytes,
+                Ok(None) => {
+                    self.bg.cserver_bytes = false;
+                    return;
+                }
+                Err(_) => continue,
             };
             let sum = journal::crc32(&bytes);
             self.plane.seal_if(orig, d_offset, version, sum);
@@ -355,13 +364,7 @@ impl S4dCache {
                 // on the same DServer offsets. Flushing does not change the
                 // cached bytes: a flushed extent still unverified is sealed.
                 seal = allowed == item.len
-                    && self
-                        .plane
-                        .mark_clean_if(item.orig, item.d_offset, item.version)
-                    && self
-                        .plane
-                        .get(item.orig, item.d_offset)
-                        .is_some_and(|e| e.checksum.is_none());
+                    && self.plane.clean_if(item.orig, item.d_offset, item.version) == Some(true);
             }
             self.bg.inflight_flush.remove(&(item.orig, item.d_offset));
             seal

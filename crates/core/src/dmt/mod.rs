@@ -8,25 +8,30 @@
 //! implements this with Berkeley DB (§IV.A), whose key-value records serve
 //! the same role.
 //!
-//! Two recency indices — one for clean extents, one for dirty — support the
+//! A recency timeline ([`recency`]) orders the clean extents for the
 //! Redirector's eviction policy ("a clean space will be the candidate based
-//! on a LRU policy", §III.E) and the Rebuilder's oldest-first flushing, each
-//! in time proportional to the work done rather than to the table size.
+//! on a LRU policy", §III.E) and the dirty ones for the Rebuilder's
+//! oldest-first flushing, each walked in time proportional to the work
+//! done rather than to the table size. Every event costs at most one
+//! search of a file's ordered map: an operation on exactly one extent
+//! finds it with one lookup, and only a range that cuts an extent pays for
+//! the split.
 //!
 //! Coverage views and overlap enumeration live in the [`view`] submodule;
-//! the overlap search and the boundary split under them are
-//! [`s4d_sim::RangeMap`]'s. Sharded deployments hold one `Dmt` per shard
-//! behind [`crate::MetadataPlane`].
+//! the overlap search under them is [`s4d_sim::RangeMap`]'s. Sharded
+//! deployments hold one `Dmt` per shard behind [`crate::MetadataPlane`].
 
+mod recency;
 mod view;
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 use s4d_pfs::FileId;
 use s4d_sim::{IdMap, RangeMap, Span};
 
 use crate::journal::JournalRecord;
 
+use recency::Recency;
 pub use view::{CoveredPiece, RangeView};
 
 /// One mapped extent of an original file.
@@ -45,8 +50,8 @@ pub struct MapExtent {
     /// CRC32 of the cached bytes, when verified (the scrubber's seal).
     /// Cleared whenever the bytes may change: overwrites and splits.
     pub checksum: Option<u32>,
-    /// LRU timestamp (internal; lives in the index matching `dirty`).
-    touch: u64,
+    /// Slot in the recency timeline (internal; see [`recency`]).
+    touch: u32,
 }
 
 impl Span for MapExtent {
@@ -67,53 +72,137 @@ impl Span for MapExtent {
     }
 }
 
-/// The recency indices, touch → `(file, d_offset)`, one per `dirty` state.
-/// Only these methods keep an extent's touch in the index matching it.
+/// One file's extents, keyed by `d_offset`.
+type FileMap = BTreeMap<u64, MapExtent>;
+
+/// Everything the table keeps beside the extents themselves: the recency
+/// timeline, the running totals and the journal records. Its methods
+/// update all of them for an extent the caller has already found, so an
+/// event costs one search of the file's map.
 #[derive(Debug, Clone, Default)]
-struct Recency {
-    clean: BTreeMap<u64, (FileId, u64)>,
-    dirty: BTreeMap<u64, (FileId, u64)>,
-    next: u64,
+struct Book {
+    recency: Recency,
+    mapped: u64,
+    dirty_total: u64,
+    entry_count: usize,
+    /// Extents carrying a seal (`checksum.is_some()`).
+    sealed: usize,
+    /// Mutation records accumulated since the last journal drain.
+    pending_journal: Vec<JournalRecord>,
+    /// Lifetime mutation records (metadata-size accounting, §V.E.1).
+    journal_total: u64,
 }
 
-impl Recency {
-    fn index(&mut self, dirty: bool) -> &mut BTreeMap<u64, (FileId, u64)> {
-        if dirty {
-            &mut self.dirty
-        } else {
-            &mut self.clean
+impl Book {
+    fn record(&mut self, r: JournalRecord) {
+        self.pending_journal.push(r);
+        self.journal_total += 1;
+    }
+
+    /// Drops `e`'s seal, if it has one.
+    fn unseal(&mut self, e: &mut MapExtent) {
+        if e.checksum.take().is_some() {
+            self.sealed -= 1;
+        }
+    }
+
+    /// Seals `e` with `checksum`.
+    fn seal(&mut self, e: &mut MapExtent, checksum: u32) {
+        if e.checksum.replace(checksum).is_none() {
+            self.sealed += 1;
         }
     }
 
     /// Gives `e`, mapped at `key`, the most recent touch.
-    fn add(&mut self, file: FileId, key: u64, e: &mut MapExtent) {
-        e.touch = self.next;
-        self.next += 1;
-        self.file(file, key, e);
+    fn touch(&mut self, file: FileId, key: u64, e: &mut MapExtent) {
+        self.recency.forget(file, key, e);
+        self.recency.add(file, key, e);
     }
 
-    /// Files `e` under its current touch, keeping its place in the order.
-    fn file(&mut self, file: FileId, key: u64, e: &MapExtent) {
-        self.index(e.dirty).insert(e.touch, (file, key));
+    /// Marks `e`, mapped at `key`, dirty after an overwrite.
+    fn dirty(&mut self, file: FileId, key: u64, e: &mut MapExtent) {
+        self.recency.forget(file, key, e);
+        if !e.dirty {
+            self.dirty_total += e.len;
+        }
+        e.dirty = true;
+        e.version += 1;
+        self.unseal(e); // the bytes are about to change
+        self.recency.add(file, key, e);
+        self.record(JournalRecord::SetDirty {
+            d_file: file,
+            d_offset: key,
+            len: e.len,
+        });
     }
 
-    fn forget(&mut self, e: &MapExtent) {
-        self.index(e.dirty).remove(&e.touch);
+    /// Marks `e`, mapped at `key`, clean, keeping its place in the order.
+    fn clean(&mut self, file: FileId, key: u64, e: &mut MapExtent) {
+        if e.dirty {
+            self.recency.set_dirty(file, key, e, false);
+            self.dirty_total -= e.len;
+            self.record(JournalRecord::SetClean {
+                d_file: file,
+                d_offset: key,
+            });
+        }
+    }
+
+    /// Accounts for `e`, mapped at `key`, having left the table.
+    fn removed(&mut self, file: FileId, key: u64, e: &MapExtent) {
+        self.recency.forget(file, key, e);
+        if e.dirty {
+            self.dirty_total -= e.len;
+        }
+        if e.checksum.is_some() {
+            self.sealed -= 1;
+        }
+        self.mapped -= e.len;
+        self.entry_count -= 1;
+        self.record(JournalRecord::Remove {
+            d_file: file,
+            d_offset: key,
+        });
+    }
+
+    /// Splits the extent of `map` with `at` strictly inside it; both
+    /// halves take fresh touches, left first. No journal record:
+    /// replaying the mutation that triggered a split reproduces it.
+    /// (`RangeMap::split_at` would hand back only the left key, and the
+    /// recency and seal updates would search for both halves again.)
+    fn split(&mut self, map: &mut FileMap, file: FileId, at: u64) {
+        let Some((&start, left)) = map.range_mut(..at).next_back() else {
+            return;
+        };
+        if start + left.len <= at {
+            return;
+        }
+        let was_sealed = usize::from(left.checksum.is_some());
+        let mut right = left.split_off(at - start);
+        self.sealed = self.sealed
+            + usize::from(left.checksum.is_some())
+            + usize::from(right.checksum.is_some())
+            - was_sealed;
+        self.touch(file, start, left);
+        self.recency.add(file, at, &mut right);
+        map.insert(at, right);
+        self.entry_count += 1;
+    }
+
+    /// Splits the extents straddling either end of `[offset, offset+len)`.
+    fn split_bounds(&mut self, map: &mut FileMap, file: FileId, offset: u64, len: u64) {
+        if len > 0 {
+            self.split(map, file, offset);
+            self.split(map, file, offset + len);
+        }
     }
 }
 
 /// The Data Mapping Table.
 #[derive(Debug, Clone, Default)]
 pub struct Dmt {
-    files: IdMap<FileId, BTreeMap<u64, MapExtent>>,
-    recency: Recency,
-    mapped: u64,
-    dirty_total: u64,
-    entry_count: usize,
-    /// Mutation records accumulated since the last journal drain.
-    pending_journal: Vec<JournalRecord>,
-    /// Lifetime mutation records (metadata-size accounting, §V.E.1).
-    journal_total: u64,
+    files: IdMap<FileId, FileMap>,
+    book: Book,
 }
 
 impl Dmt {
@@ -124,36 +213,41 @@ impl Dmt {
 
     /// Total bytes currently mapped.
     pub fn mapped_bytes(&self) -> u64 {
-        self.mapped
+        self.book.mapped
     }
 
     /// Total dirty bytes (maintained incrementally).
     pub fn dirty_bytes(&self) -> u64 {
-        self.dirty_total
+        self.book.dirty_total
     }
 
     /// Number of extents.
     pub fn entry_count(&self) -> usize {
-        self.entry_count
+        self.book.entry_count
+    }
+
+    /// Number of extents carrying a seal (maintained incrementally).
+    pub(crate) fn sealed_count(&self) -> usize {
+        self.book.sealed
     }
 
     /// Lifetime mutation records (each costs [`crate::DMT_RECORD_BYTES`]
     /// of journal space).
     pub fn journal_records_total(&self) -> u64 {
-        self.journal_total
+        self.book.journal_total
     }
 
     /// Drains the mutation records accumulated since the last drain — the
     /// middleware serialises these into the next synchronous journal write,
     /// and crash recovery replays them (see [`crate::journal`]).
     pub fn take_pending_journal(&mut self) -> Vec<JournalRecord> {
-        std::mem::take(&mut self.pending_journal)
+        std::mem::take(&mut self.book.pending_journal)
     }
 
     /// [`Dmt::take_pending_journal`] in place: the buffer keeps its
     /// capacity, so a drained table does not regrow it record by record.
     pub fn drain_pending_journal(&mut self) -> std::vec::Drain<'_, JournalRecord> {
-        self.pending_journal.drain(..)
+        self.book.pending_journal.drain(..)
     }
 
     /// Iterates over every live extent as `(file, d_offset, extent)`.
@@ -176,9 +270,25 @@ impl Dmt {
             .flat_map(|m| m.iter().map(|(&o, e)| (o, e)))
     }
 
-    fn record(&mut self, r: JournalRecord) {
-        self.pending_journal.push(r);
-        self.journal_total += 1;
+    /// Every extent, mutably, in no order.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "order-independent: each extent is updated on its own"
+    )]
+    fn each_extent_mut(files: &mut IdMap<FileId, FileMap>, mut f: impl FnMut(&mut MapExtent)) {
+        for m in files.values_mut() {
+            m.values_mut().for_each(&mut f);
+        }
+    }
+
+    /// Renumbers the recency timeline densely once it is mostly dead
+    /// slots — a walk over every extent, paid for by the touches since
+    /// the last one.
+    fn compact_if_sparse(&mut self) {
+        if self.book.recency.is_sparse() {
+            let renumbering = self.book.recency.compact();
+            Self::each_extent_mut(&mut self.files, |e| e.touch = renumbering.of(e.touch));
+        }
     }
 
     /// Inserts a new extent mapping `[d_offset, d_offset+len)` →
@@ -206,18 +316,18 @@ impl Dmt {
             checksum: None,
             touch: 0,
         };
-        self.recency.add(file, d_offset, &mut e);
+        self.book.recency.add(file, d_offset, &mut e);
         let map = self.files.entry(file).or_default();
         assert!(
             map.insert_disjoint(d_offset, e).is_ok(),
             "DMT insert at {file}:{d_offset}+{len} is empty or overlaps an existing extent"
         );
-        self.mapped += len;
+        self.book.mapped += len;
         if dirty {
-            self.dirty_total += len;
+            self.book.dirty_total += len;
         }
-        self.entry_count += 1;
-        self.record(JournalRecord::Insert {
+        self.book.entry_count += 1;
+        self.book.record(JournalRecord::Insert {
             d_file: file,
             d_offset,
             len,
@@ -225,6 +335,7 @@ impl Dmt {
             c_offset,
             dirty,
         });
+        self.compact_if_sparse();
     }
 
     /// Refreshes the LRU position of every extent overlapping the range.
@@ -232,63 +343,36 @@ impl Dmt {
         let Some(map) = self.files.get_mut(&file) else {
             return;
         };
-        for (&key, e) in map.overlapping_mut(offset, offset + len) {
-            self.recency.forget(e);
-            self.recency.add(file, key, e);
-        }
-    }
-
-    /// Splits the extents straddling either end of `[offset, offset+len)`;
-    /// both halves take fresh touches, left first. No journal record:
-    /// replaying the mutation that triggered a split reproduces it.
-    fn split_at_bounds(&mut self, file: FileId, offset: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let Some(map) = self.files.get_mut(&file) else {
-            return;
-        };
-        for at in [offset, offset + len] {
-            let Some(left) = map.split_at(at) else {
-                continue;
-            };
-            self.entry_count += 1;
-            if let Some(e) = map.get_mut(&left) {
-                self.recency.forget(e);
-                self.recency.add(file, left, e);
-            }
-            if let Some(e) = map.get_mut(&at) {
-                self.recency.add(file, at, e);
+        let book = &mut self.book;
+        if let Some(e) = map.get_mut(&offset).filter(|e| e.len == len) {
+            book.touch(file, offset, e);
+        } else {
+            for (&key, e) in map.overlapping_mut(offset, offset + len) {
+                book.touch(file, key, e);
             }
         }
+        self.compact_if_sparse();
     }
 
     /// Marks `[offset, offset+len)` dirty, splitting boundary extents so
     /// only the written bytes are flagged. Bytes of the range not covered
     /// by the DMT are ignored (the caller routes them elsewhere).
     pub fn mark_dirty(&mut self, file: FileId, offset: u64, len: u64) {
-        self.split_at_bounds(file, offset, len);
-        // After splitting, flag every (now fully contained) extent.
         let Some(map) = self.files.get_mut(&file) else {
             return;
         };
-        for (&key, e) in map.overlapping_mut(offset, offset + len) {
-            debug_assert!(key >= offset && key + e.len <= offset + len);
-            self.recency.forget(e);
-            if !e.dirty {
-                self.dirty_total += e.len;
+        let book = &mut self.book;
+        if let Some(e) = map.get_mut(&offset).filter(|e| e.len == len) {
+            book.dirty(file, offset, e);
+        } else {
+            book.split_bounds(map, file, offset, len);
+            // After splitting, flag every (now fully contained) extent.
+            for (&key, e) in map.overlapping_mut(offset, offset + len) {
+                debug_assert!(key >= offset && key + e.len <= offset + len);
+                book.dirty(file, key, e);
             }
-            e.dirty = true;
-            e.version += 1;
-            e.checksum = None; // the bytes are about to change
-            self.recency.add(file, key, e);
-            self.pending_journal.push(JournalRecord::SetDirty {
-                d_file: file,
-                d_offset: key,
-                len: e.len,
-            });
-            self.journal_total += 1;
         }
+        self.compact_if_sparse();
     }
 
     /// Invalidates the seal of every extent overlapping the range without
@@ -298,45 +382,47 @@ impl Dmt {
     /// record is emitted (a lost or stale seal only downgrades integrity
     /// checking — both copies hold the new bytes, so repair converges).
     pub fn unseal(&mut self, file: FileId, offset: u64, len: u64) {
-        self.split_at_bounds(file, offset, len);
         let Some(map) = self.files.get_mut(&file) else {
             return;
         };
-        for e in map.overlapping_mut(offset, offset + len).map(|(_, e)| e) {
+        let book = &mut self.book;
+        book.split_bounds(map, file, offset, len);
+        for (_, e) in map.overlapping_mut(offset, offset + len) {
             e.version += 1;
-            e.checksum = None;
+            book.unseal(e);
         }
+        self.compact_if_sparse();
     }
 
     /// Marks the extent at exactly `d_offset` clean, provided its version
     /// still matches (no write raced the flush). Returns whether it did.
     pub fn mark_clean_if(&mut self, file: FileId, d_offset: u64, version: u64) -> bool {
-        let Some(e) = self.files.get_mut(&file).and_then(|m| m.get_mut(&d_offset)) else {
-            return false;
-        };
+        self.clean_if(file, d_offset, version).is_some()
+    }
+
+    /// [`Dmt::mark_clean_if`] with the same single lookup reporting, when
+    /// it cleaned, whether the extent is still unsealed — what a flush
+    /// completion asks next.
+    pub(crate) fn clean_if(&mut self, file: FileId, d_offset: u64, version: u64) -> Option<bool> {
+        let e = self.files.get_mut(&file)?.get_mut(&d_offset)?;
         if e.version != version || !e.dirty {
-            return false;
+            return None;
         }
-        self.force_clean(file, d_offset)
+        self.book.clean(file, d_offset, e);
+        Some(e.checksum.is_none())
     }
 
     /// Marks the extent at exactly `d_offset` clean unconditionally —
     /// used by journal replay, where the persisted record is authoritative.
     /// Returns whether such an extent existed.
     pub fn force_clean(&mut self, file: FileId, d_offset: u64) -> bool {
-        let Some(e) = self.files.get_mut(&file).and_then(|m| m.get_mut(&d_offset)) else {
+        let Some(map) = self.files.get_mut(&file) else {
             return false;
         };
-        if e.dirty {
-            self.recency.forget(e);
-            e.dirty = false;
-            self.recency.file(file, d_offset, e);
-            self.dirty_total -= e.len;
-            self.record(JournalRecord::SetClean {
-                d_file: file,
-                d_offset,
-            });
-        }
+        let Some(e) = map.get_mut(&d_offset) else {
+            return false;
+        };
+        self.book.clean(file, d_offset, e);
         true
     }
 
@@ -349,7 +435,7 @@ impl Dmt {
     /// write). The middleware's journal-before-ack audit asserts this is
     /// zero whenever an operation returns to the runner.
     pub fn pending_records(&self) -> usize {
-        self.pending_journal.len()
+        self.book.pending_journal.len()
     }
 
     /// Attaches a content checksum to the extent at exactly `d_offset`,
@@ -357,15 +443,15 @@ impl Dmt {
     /// verification). Records a `Seal` journal record. Returns whether the
     /// seal applied.
     pub fn seal_if(&mut self, file: FileId, d_offset: u64, version: u64, checksum: u32) -> bool {
-        let Some(e) = self.files.get_mut(&file).and_then(|m| m.get_mut(&d_offset)) else {
+        let Some(map) = self.files.get_mut(&file) else {
             return false;
         };
-        if e.version != version {
+        let Some(e) = map.get_mut(&d_offset).filter(|e| e.version == version) else {
             return false;
-        }
-        e.checksum = Some(checksum);
+        };
+        self.book.seal(e, checksum);
         let len = e.len;
-        self.record(JournalRecord::Seal {
+        self.book.record(JournalRecord::Seal {
             d_file: file,
             d_offset,
             checksum,
@@ -379,13 +465,13 @@ impl Dmt {
     /// split or re-created extent must not inherit a stale seal). Emits no
     /// journal record. Returns whether it applied.
     pub fn apply_seal(&mut self, file: FileId, d_offset: u64, len: u64, checksum: u32) -> bool {
-        let Some(e) = self.files.get_mut(&file).and_then(|m| m.get_mut(&d_offset)) else {
+        let Some(map) = self.files.get_mut(&file) else {
             return false;
         };
-        if e.len != len {
+        let Some(e) = map.get_mut(&d_offset).filter(|e| e.len == len) else {
             return false;
-        }
-        e.checksum = Some(checksum);
+        };
+        self.book.seal(e, checksum);
         true
     }
 
@@ -394,30 +480,19 @@ impl Dmt {
     /// extent's bytes ahead of its last sealed checksum, and treating that
     /// as corruption would discard acknowledged data. Dirty extents become
     /// unverified until their next flush or write completion re-seals them.
-    #[expect(clippy::iter_over_hash_type, reason = "order-independent: unseals all")]
     pub fn clear_dirty_checksums(&mut self) {
-        for m in self.files.values_mut() {
-            for e in m.values_mut() {
-                if e.dirty {
-                    e.checksum = None;
-                }
+        let book = &mut self.book;
+        Self::each_extent_mut(&mut self.files, |e| {
+            if e.dirty {
+                book.unseal(e);
             }
-        }
+        });
     }
 
     /// Removes the extent starting exactly at `d_offset`.
     pub fn remove(&mut self, file: FileId, d_offset: u64) -> Option<MapExtent> {
         let e = self.files.get_mut(&file)?.remove(&d_offset)?;
-        self.recency.forget(&e);
-        if e.dirty {
-            self.dirty_total -= e.len;
-        }
-        self.mapped -= e.len;
-        self.entry_count -= 1;
-        self.record(JournalRecord::Remove {
-            d_file: file,
-            d_offset,
-        });
+        self.book.removed(file, d_offset, &e);
         Some(e)
     }
 
@@ -438,30 +513,35 @@ impl Dmt {
     ) {
         victims.clear();
         let mut reclaimed = 0u64;
-        for &(file, d_off) in self.recency.clean.values() {
+        for (file, d_off) in self.book.recency.clean_keys() {
             if reclaimed >= bytes {
                 break;
             }
-            let Some(e) = self.get(file, d_off) else {
-                continue; // clean index entries are kept live; skip if stale
+            // One search per candidate: a victim leaves the map through
+            // the entry that found it.
+            let Some(btree_map::Entry::Occupied(slot)) =
+                self.files.get_mut(&file).map(|m| m.entry(d_off))
+            else {
+                continue; // clean slots are kept live; skip if stale
             };
-            if is_pinned(file, d_off, e.len) {
+            if is_pinned(file, d_off, slot.get().len) {
                 continue;
             }
+            let e = slot.remove();
             reclaimed += e.len;
-            victims.push((file, d_off, *e));
+            victims.push((file, d_off, e));
         }
-        for &(file, d_off, _) in victims.iter() {
-            self.remove(file, d_off);
+        for (file, d_off, e) in victims.iter() {
+            self.book.removed(*file, *d_off, e);
         }
     }
 
     /// The dirty extents' `(file, d_offset)` keys, least recently used
-    /// first, straight from the recency index: no extent is looked up, so
-    /// a caller that discards most keys (the Rebuilder skips extents
+    /// first, straight from the recency timeline: no extent is looked up,
+    /// so a caller that discards most keys (the Rebuilder skips extents
     /// already being flushed) pays only for the ones it keeps.
     pub fn dirty_keys(&self) -> impl Iterator<Item = (FileId, u64)> + '_ {
-        self.recency.dirty.values().copied()
+        self.book.recency.dirty_keys()
     }
 }
 

@@ -71,15 +71,23 @@ impl Dmt {
     }
 
     /// Appends the coverage of `[offset, offset+len)` to `out` — the
-    /// sharded plane concatenates per-segment views this way.
+    /// sharded plane concatenates per-segment views this way. One search
+    /// of the file's map: the walk runs backwards from the last extent
+    /// starting before the end and stops at the one holding `offset`, so
+    /// a range inside one extent, or inside one gap, costs a single step.
     pub(crate) fn append_view(&self, file: FileId, offset: u64, len: u64, out: &mut RangeView) {
         let end = offset + len;
-        let mut cursor = offset;
-        for (s, e) in self.overlapping(file, offset, len) {
-            let lo = s.max(offset);
+        let (pieces, gaps) = (out.pieces.len(), out.gaps.len());
+        let mut cursor = end;
+        let walk = self.files.get(&file).filter(|_| len > 0).into_iter();
+        for (&s, e) in walk.flat_map(|map| map.range(..end).rev()) {
             let hi = (s + e.len).min(end);
-            if lo > cursor {
-                out.gaps.push((cursor, lo - cursor));
+            if hi <= offset {
+                break;
+            }
+            let lo = s.max(offset);
+            if hi < cursor {
+                out.gaps.push((hi, cursor - hi));
             }
             out.pieces.push(CoveredPiece {
                 d_offset: lo,
@@ -88,10 +96,19 @@ impl Dmt {
                 c_offset: e.c_offset + (lo - s),
                 dirty: e.dirty,
             });
-            cursor = hi;
+            cursor = lo;
+            if s <= offset {
+                break;
+            }
         }
-        if cursor < end {
-            out.gaps.push((cursor, end - cursor));
+        if cursor > offset {
+            out.gaps.push((offset, cursor - offset));
+        }
+        if let Some(new) = out.pieces.get_mut(pieces..) {
+            new.reverse();
+        }
+        if let Some(new) = out.gaps.get_mut(gaps..) {
+            new.reverse();
         }
     }
 

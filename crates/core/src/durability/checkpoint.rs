@@ -76,71 +76,66 @@ impl std::error::Error for CheckpointError {}
 
 /// Serialises a checkpoint snapshot (see [`Checkpoint`] for the layout).
 pub fn encode_checkpoint(covers_seq: u64, tail_offset: u64, records: &[JournalRecord]) -> Vec<u8> {
-    encode_checkpoint_iter(
-        covers_seq,
-        tail_offset,
-        records.len(),
-        records.iter().copied(),
-    )
+    let mut out = begin_checkpoint(covers_seq, tail_offset, records.len());
+    for r in records {
+        out.extend_from_slice(&r.encode());
+    }
+    finish_checkpoint(out)
 }
 
 /// The snapshot of `plane`: an `Insert` (plus `Seal`, when sealed) per
 /// live extent, in global `(file, d_offset)` order — independent of the
 /// shard layout, so the bytes (and the torture harness's crash points)
-/// are the same at any shard count. The records are encoded as the
-/// table is walked; the snapshot is never held as records.
+/// are the same at any shard count. Each record is encoded into the
+/// buffer as the table is walked, and the buffer is sized exactly from
+/// the table's extent and seal counts: the snapshot is never held as
+/// records, and the buffer never regrows.
 pub(crate) fn encode_plane_checkpoint(
     covers_seq: u64,
     tail_offset: u64,
     plane: &MetadataPlane,
 ) -> Vec<u8> {
-    let sealed = plane
-        .iter_extents()
-        .filter(|(_, _, e)| e.checksum.is_some())
-        .count();
-    let records = plane.iter_extents_sorted().flat_map(|(f, o, e)| {
+    let records = plane.entry_count() + plane.sealed_count();
+    let mut out = begin_checkpoint(covers_seq, tail_offset, records);
+    plane.for_each_extent_sorted(|d_file, d_offset, e| {
         let insert = JournalRecord::Insert {
-            d_file: f,
-            d_offset: o,
+            d_file,
+            d_offset,
             len: e.len,
             c_file: e.c_file,
             c_offset: e.c_offset,
             dirty: e.dirty,
         };
-        let seal = e.checksum.map(|checksum| JournalRecord::Seal {
-            d_file: f,
-            d_offset: o,
-            checksum,
-            len: e.len,
-        });
-        std::iter::once(insert).chain(seal)
+        out.extend_from_slice(&insert.encode());
+        if let Some(checksum) = e.checksum {
+            let seal = JournalRecord::Seal {
+                d_file,
+                d_offset,
+                checksum,
+                len: e.len,
+            };
+            out.extend_from_slice(&seal.encode());
+        }
     });
-    encode_checkpoint_iter(
-        covers_seq,
-        tail_offset,
-        plane.entry_count() + sealed,
-        records,
-    )
+    finish_checkpoint(out)
 }
 
-/// The one checkpoint encoder: streams `records` into a buffer sized for
-/// `expected` of them. The header's count is what was written, so a
-/// wrong `expected` costs a regrowth, never a corrupt snapshot.
-fn encode_checkpoint_iter(
-    covers_seq: u64,
-    tail_offset: u64,
-    expected: usize,
-    records: impl IntoIterator<Item = JournalRecord>,
-) -> Vec<u8> {
+/// A snapshot buffer sized for `records` records, holding the header with
+/// a zero count.
+fn begin_checkpoint(covers_seq: u64, tail_offset: u64, records: usize) -> Vec<u8> {
     let mut out =
-        Vec::with_capacity(CHECKPOINT_HEADER_BYTES + expected * DMT_RECORD_BYTES as usize + 4);
+        Vec::with_capacity(CHECKPOINT_HEADER_BYTES + records * DMT_RECORD_BYTES as usize + 4);
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.extend_from_slice(&covers_seq.to_le_bytes());
     out.extend_from_slice(&tail_offset.to_le_bytes());
     out.extend_from_slice(&0u64.to_le_bytes());
-    for r in records {
-        out.extend_from_slice(&r.encode());
-    }
+    out
+}
+
+/// Closes a snapshot begun by [`begin_checkpoint`]: the header's count is
+/// what was written, so a wrong size estimate costs a regrowth, never a
+/// corrupt snapshot; then the CRC trailer.
+fn finish_checkpoint(mut out: Vec<u8>) -> Vec<u8> {
     let count = (out.len() - CHECKPOINT_HEADER_BYTES) as u64 / DMT_RECORD_BYTES;
     if let Some(field) = out.get_mut(CHECKPOINT_HEADER_BYTES - 8..CHECKPOINT_HEADER_BYTES) {
         field.copy_from_slice(&count.to_le_bytes());

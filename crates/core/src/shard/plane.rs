@@ -218,29 +218,45 @@ impl MetadataPlane {
         self.shards().flat_map(|s| s.dmt.iter_extents())
     }
 
-    /// Every live extent in global `(file, d_offset)` order — the same
-    /// order at any shard count. Each file's per-shard maps are merged in
-    /// place (one file's offsets are disjoint across shards), so nothing
+    /// Extents carrying a seal, across shards.
+    pub(crate) fn sealed_count(&self) -> usize {
+        self.shards().map(|s| s.dmt.sealed_count()).sum()
+    }
+
+    /// Calls `f` on every live extent in global `(file, d_offset)` order —
+    /// the same order at any shard count. One shard's file maps are
+    /// walked directly; with more, each file's per-shard maps are merged
+    /// in place (one file's offsets are disjoint across shards). Nothing
     /// is collected but the file ids.
-    pub(crate) fn iter_extents_sorted(&self) -> impl Iterator<Item = (FileId, u64, &MapExtent)> {
+    pub(crate) fn for_each_extent_sorted(&self, mut f: impl FnMut(FileId, u64, &MapExtent)) {
         let mut files: Vec<FileId> = self.shards().flat_map(|s| s.dmt.files()).collect();
         files.sort_unstable_by_key(|f| f.0);
         files.dedup();
-        files.into_iter().flat_map(move |file| {
+        if self.rest.is_empty() {
+            for file in files {
+                for (o, e) in self.shard0.dmt.file_extents(file) {
+                    f(file, o, e);
+                }
+            }
+            return;
+        }
+        for file in files {
             let mut heads: Vec<_> = self
                 .shards()
                 .map(|s| s.dmt.file_extents(file).peekable())
                 .collect();
-            std::iter::from_fn(move || {
+            let merged = std::iter::from_fn(move || {
                 let (_, next) = heads
                     .iter_mut()
                     .enumerate()
                     .filter_map(|(i, h)| h.peek().map(|&(o, _)| (o, i)))
                     .min()?;
                 heads.get_mut(next)?.next()
-            })
-            .map(move |(o, e)| (file, o, e))
-        })
+            });
+            for (o, e) in merged {
+                f(file, o, e);
+            }
+        }
     }
 
     /// Buffered (undrained) mutation records across shards.
@@ -360,12 +376,11 @@ impl MetadataPlane {
         self.shard_mut(idx).dmt.remove(file, d_offset)
     }
 
-    /// Version-gated clean transition (see [`Dmt::mark_clean_if`]).
-    pub(crate) fn mark_clean_if(&mut self, file: FileId, d_offset: u64, version: u64) -> bool {
+    /// Version-gated clean transition reporting whether the cleaned
+    /// extent is unsealed (see [`Dmt::clean_if`]).
+    pub(crate) fn clean_if(&mut self, file: FileId, d_offset: u64, version: u64) -> Option<bool> {
         let idx = self.router.shard_of(file, d_offset);
-        self.shard_mut(idx)
-            .dmt
-            .mark_clean_if(file, d_offset, version)
+        self.shard_mut(idx).dmt.clean_if(file, d_offset, version)
     }
 
     /// Unconditional clean transition (see [`Dmt::force_clean`]).

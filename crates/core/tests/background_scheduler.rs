@@ -136,6 +136,32 @@ fn inflight_flushes_count_against_the_wake_budget() {
     assert_eq!(flushed(&wake3), vec![2 * MIB]);
 }
 
+/// §III.F flushes the oldest dirty data first, and "oldest" is the last
+/// overwrite, not the offset: re-dirtying the first extent sends it to
+/// the back of the queue.
+#[test]
+fn a_wake_flushes_the_least_recently_dirtied_first() {
+    let mut cluster = Cluster::paper_testbed_small(9);
+    let config = S4dConfig::new(64 * MIB)
+        .with_journal_batch(1)
+        .with_max_flush_per_wake(2);
+    let mut mw = S4dCache::new(config, params_small());
+    let f = mw.open(&mut cluster, Rank(0), "data").unwrap();
+    for offset in [0, MIB, 2 * MIB, 0] {
+        mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, offset, 16 * KIB));
+    }
+    let mut flushed: Vec<u64> = poll_tagged(&mut mw, &mut cluster, SimTime::ZERO)
+        .iter()
+        .map(|p| p.then[0].offset)
+        .collect();
+    flushed.sort_unstable();
+    assert_eq!(
+        flushed,
+        vec![MIB, 2 * MIB],
+        "a wake of two must flush the two least recently dirtied extents"
+    );
+}
+
 #[test]
 fn rebuilder_fetch_cycle_caches_flagged_reads() {
     let (mut cluster, mut mw, f) = setup(64 * MIB);

@@ -63,13 +63,20 @@ impl<V: Span> RangeMap<V> for BTreeMap<u64, V> {
     }
 
     fn insert_disjoint(&mut self, start: u64, value: V) -> Result<(), V> {
-        match start.checked_add(value.span_len()) {
-            Some(end) if end > start && self.overlapping(start, end).next().is_none() => {
-                self.insert(start, value);
-                Ok(())
-            }
-            _ => Err(value),
+        // Only the last entry starting before `end` can overlap: one
+        // search checks the range is free.
+        let free = start.checked_add(value.span_len()).is_some_and(|end| {
+            end > start
+                && self
+                    .range(..end)
+                    .next_back()
+                    .is_none_or(|(&s, v)| s + v.span_len() <= start)
+        });
+        if !free {
+            return Err(value);
         }
+        self.insert(start, value);
+        Ok(())
     }
 
     fn split_at(&mut self, at: u64) -> Option<u64> {

@@ -88,18 +88,17 @@ const EVICT_BEFORE_DURABLE: &str = "        if !victims.is_empty() {
             return self.plane.fits(shard, len);
         }
         // `evict_clean_lru_excluding` removed the victims and queued\n";
-const SHARD_MERGE: &str = "            let mut heads: Vec<_> = self
-                .shards()
-                .map(|s| s.dmt.file_extents(file).peekable())
-                .collect();
-            std::iter::from_fn(move || {
+const SHARD_MERGE: &str = "            let merged = std::iter::from_fn(move || {
                 let (_, next) = heads
                     .iter_mut()
                     .enumerate()
                     .filter_map(|(i, h)| h.peek().map(|&(o, _)| (o, i)))
                     .min()?;
                 heads.get_mut(next)?.next()
-            })\n";
+            });\n";
+const RECENCY: &str = "crates/core/src/dmt/recency.rs";
+const CLEAN_WALK: &str = "self.clean.ones().filter_map(|t| self.slots.get(t).copied())";
+const DIRTY_WALK: &str = "self.dirty.ones().filter_map(|t| self.slots.get(t).copied())";
 const INTENT_APPEND: &str = "        match self
             .dur
             .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
@@ -242,6 +241,14 @@ fn rows() -> Vec<Row> {
         row("flush-scan-ignores-inflight", REBUILD,
             "            .filter(|key| !self.bg.inflight_flush.contains(key))\n", "",
             CacheTest("background_scheduler", "rebuilder_flush_cycle_marks_clean"), "must not re-issue"),
+        row("dirty-keys-newest-first", RECENCY, DIRTY_WALK,
+            "(0..self.slots.len()).rev().filter(|&t| self.dirty.word(t / 64) >> (t % 64) & 1 == 1).filter_map(|t| self.slots.get(t).copied())",
+            CacheTest("background_scheduler", "a_wake_flushes_the_least_recently_dirtied_first"),
+            "the two least recently dirtied"),
+        row("compaction-reorders-touches", RECENCY,
+            "(live & ((1 << bit) - 1)).count_ones()", "(live >> bit >> 1).count_ones()",
+            LibTest("s4d-cache", "dmt::recency::tests::recency_matches_the_btree_model"),
+            "holds another extent's touch"),
         row("missing-store-reads-as-timing", "crates/pfs/src/server.rs",
             "            None => {\n                ExtentStore::new(self.store_mode)\n                    .read(local_offset, len)\n                    .data\n            }\n",
             "            None => None,\n",
@@ -263,7 +270,7 @@ fn rows() -> Vec<Row> {
             "        slot.generation = slot.generation.wrapping_add(1).max(1);\n", "",
             LibTest("s4d-sim", "slab::tests::slab_matches_a_map"), "minted again"),
         row("checkpoint-shard-order", "crates/core/src/shard/plane.rs", SHARD_MERGE,
-            "            self.shards().flat_map(move |s| s.dmt.file_extents(file))\n",
+            "            let merged = heads.into_iter().flatten();\n",
             LibTest("s4d-cache", "durability::checkpoint::tests::prop_streamed_checkpoint_matches_collect_and_sort"),
             "streamed snapshot differs"),
         row("split-keeps-seal", "crates/core/src/dmt/mod.rs",
@@ -279,10 +286,11 @@ fn rows() -> Vec<Row> {
         row("eviction-reuses-space-before-durable-remove", ADMIT, EVICT_DURABLY, EVICT_BEFORE_DURABLE,
             Test("chaos_smoke", "fixed_seed_block_is_green"), "minimized to 1 event"),
         // Behaviour-only mutants: every byte read back is unchanged and the
-        // rest of tier-1 passes, so only the behaviour lock sees them.
-        row("eviction-takes-most-recent-clean", "crates/core/src/dmt/mod.rs",
-            "        for &(file, d_off) in self.recency.clean.values() {\n",
-            "        for &(file, d_off) in self.recency.clean.values().rev() {\n",
+        // rest of tier-1 passes, so only the behaviour lock sees them. The
+        // timeline's walks are reversed without allocating, so the
+        // allocation ceilings cannot see the eviction row either.
+        row("eviction-takes-most-recent-clean", RECENCY, CLEAN_WALK,
+            "(0..self.slots.len()).rev().filter(|&t| self.clean.word(t / 64) >> (t % 64) & 1 == 1).filter_map(|t| self.slots.get(t).copied())",
             Test("behaviour", "pipeline_decisions"), "locked: pipeline/mixed"),
         row("free-list-reuses-oldest-extent", "crates/core/src/space.rs",
             "        let (off, len) = self.stack.pop()?;\n",
