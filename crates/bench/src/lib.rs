@@ -6,7 +6,8 @@
 //! evaluation: [`figures::FIGURES`] holds one generator per artefact and
 //! the `reproduce` binary prints them. Measured-vs-paper numbers live in
 //! `EXPERIMENTS.md`. [`straggler`] is the gray-failure benchmark the
-//! `straggler` binary writes to `BENCH_straggler.json`.
+//! `straggler` binary writes to `BENCH_straggler.json`. [`benchmark`]
+//! declares the host-cost benchmark's five workloads.
 //!
 //! Experiments run at a scaled-down data size by default (same geometry,
 //! same request sizes, smaller files) so the whole suite completes in
@@ -17,6 +18,7 @@
 #![warn(missing_docs)]
 #![deny(unreachable_pub)]
 
+pub mod benchmark;
 pub mod experiments;
 pub mod figures;
 pub mod straggler;

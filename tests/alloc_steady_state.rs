@@ -3,7 +3,8 @@
 //! `benchmark/` scores `host_allocs_per_req` end to end, but it is its
 //! own workspace and root `cargo test` never builds it. This file keeps a
 //! cheap version of the same count in tier-1: a counting global allocator
-//! (this test binary only) around `Runner::run()` on a Timing-mode
+//! (`tests/common/alloc.rs`, which `tests/behaviour.rs` also installs for
+//! its `cost/*` lines) around `Runner::run()` on a Timing-mode
 //! cluster, for the three shapes the request path has — small requests
 //! the cache core serves from mapped extents (overwrites, full-hit
 //! reads), a large request that bypasses the cache, and small requests
@@ -32,9 +33,6 @@
 //! Data Table of 65,536 entries holds at most 48 heap bytes per entry,
 //! and a DMT checkpoint holds no heap beyond the snapshot's own bytes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use s4d::bench::testbed;
 use s4d::cache::{Cdt, S4dCache, S4dConfig, S4dMetrics, DMT_RECORD_BYTES};
 use s4d::mpiio::{script, AppRequest, Cluster, Middleware, Plan, PlannedIo, Rank, Runner, Tier};
@@ -43,90 +41,16 @@ use s4d::sim::{OneOrMany, SimTime};
 use s4d::storage::IoKind;
 use s4d::workloads::{AccessPattern, IorConfig};
 
-const KIB: u64 = 1024;
-const MIB: u64 = 1024 * 1024;
+#[path = "common/alloc.rs"]
+mod alloc;
 
-/// Counts allocation calls and net heap bytes made by the current thread
-/// while switched on (`None` = off), so parallel test threads do not see
-/// each other.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
-    static LIVE: Cell<Option<i64>> = const { Cell::new(None) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: a thread being torn down simply stops counting.
-    let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-fn live(delta: i64) {
-    let _ = LIVE.try_with(|c| {
-        if let Some(n) = c.get() {
-            c.set(Some(n + delta));
-            let _ = PEAK.try_with(|p| p.set(p.get().max(n + delta)));
-        }
-    });
-}
-
-// SAFETY: every method forwards to `System` unchanged; the only addition
-// is a thread-local counter bump that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        live(layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        live(layout.size() as i64);
-        // SAFETY: as above, for `alloc_zeroed`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        live(new_size as i64 - layout.size() as i64);
-        // SAFETY: as above, for `realloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        live(-(layout.size() as i64));
-        // SAFETY: as above, for `dealloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use alloc::{counted, live_bytes, peak_bytes, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with counting on; returns its result and the allocation calls.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.with(|c| c.set(Some(0)));
-    let out = f();
-    let n = ALLOCS.with(|c| c.replace(None)).unwrap_or(0);
-    (out, n)
-}
-
-/// Runs `f` with byte tracking on; returns its result and the heap bytes
-/// it left live (what the result holds).
-fn live_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
-    peak_bytes(f).0
-}
-
-/// [`live_bytes`], plus the most heap `f` held live at any one time.
-fn peak_bytes<T>(f: impl FnOnce() -> T) -> ((T, i64), i64) {
-    PEAK.with(|p| p.set(0));
-    LIVE.with(|c| c.set(Some(0)));
-    let out = f();
-    let n = LIVE.with(|c| c.replace(None)).unwrap_or(0);
-    ((out, n), PEAK.with(Cell::get))
-}
+const KIB: u64 = 1024;
+const MIB: u64 = 1024 * 1024;
 
 fn ior(seed: u64) -> IorConfig {
     IorConfig {

@@ -19,6 +19,16 @@
 //!   4 and 16 shards are `#[ignore]`d.
 //! - `reproduce64/*`: every paper artefact at `S4D_SCALE_FACTOR=64`,
 //!   `#[ignore]`d.
+//! - `bench/*` and `cost/*`: the host-cost benchmark's five workloads
+//!   (`s4d::bench::benchmark`) at its `--quick` size and seed 7, one run
+//!   each. `bench/<workload>` digests every simulated number of the run:
+//!   the `RunReport`, the cache's `S4dMetrics`, every server's counters
+//!   and the DMT's entry count. `cost/<workload>` holds exact host-work
+//!   counts from the counting allocator this binary installs: allocation
+//!   calls during `Runner::run`, the peak live heap of the run (set-up
+//!   included, as the benchmark's `host_peak_alloc_mib` counts it), sim
+//!   events and journal bytes. A host-only change leaves every `bench/*`
+//!   line and may only lower `cost/*` lines.
 //!
 //! CI runs `cargo test --release --test behaviour -- --include-ignored`.
 //! A change that moves behaviour on purpose re-records the lines it moved,
@@ -28,6 +38,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use s4d::bench::benchmark::{Workload, NAMES};
 use s4d::bench::figures::FIGURES;
 use s4d::bench::{straggler, table, Scale};
 use s4d::cache::{AdmissionPolicy, S4dCache, S4dConfig};
@@ -39,6 +50,12 @@ use s4d::storage::{presets, IoKind};
 use s4d::workloads::campaign::CampaignConfig;
 use s4d::workloads::{AccessPattern, CheckpointConfig, HpioConfig, IorConfig, TileIoConfig};
 use s4d_chaos::{run_caught, sweep_json, Schedule};
+
+#[path = "common/alloc.rs"]
+mod alloc;
+
+#[global_allocator]
+static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
 
 // ---- the lock file ------------------------------------------------------
 
@@ -589,4 +606,60 @@ fn reproduce_at_scale_64() {
         })
         .collect();
     lock(&lines);
+}
+
+// ---- benchmark workloads ------------------------------------------------
+
+/// The `bench/<name>` and `cost/<name>` lines of one benchmark workload.
+fn workload_lines(name: &str) -> [String; 2] {
+    let w = Workload::build(name, 7, Scale::SCALED).expect("a benchmark workload");
+    alloc::start();
+    let stack = w.stack();
+    let before = *stack.1.metrics();
+    let mut runner = w.runner(stack);
+    alloc::reset_peak();
+    let at_run = alloc::snapshot();
+    let report = runner.run();
+    let cost = alloc::stop();
+    let (cluster, mw, _) = runner.into_parts();
+    let after = *mw.metrics();
+    let mut text = format!("{report:?}\n{before:?}\n{after:?}\n");
+    for s in cluster
+        .opfs()
+        .iter_servers()
+        .chain(cluster.cpfs().iter_servers())
+    {
+        text.push_str(&format!("{:?}\n", s.stats()));
+    }
+    text.push_str(&format!("dmt_entries {}\n", mw.plane().entry_count()));
+    let bench = line(
+        &format!("bench/{name}"),
+        Fnv1a::of(text.as_bytes()),
+        &[
+            (
+                "write_mibs",
+                format!("{:.2}", report.writes.throughput_mibs()),
+            ),
+            (
+                "read_mibs",
+                format!("{:.2}", report.reads.throughput_mibs()),
+            ),
+        ],
+    );
+    let counts = [
+        ("allocs", cost.allocs - at_run.allocs),
+        ("peak_bytes", cost.peak.max(0) as u64),
+        ("events", report.events),
+        ("journal_bytes", after.journal_bytes - before.journal_bytes),
+    ];
+    let mut d = Fnv1a::new();
+    counts.iter().for_each(|&(_, n)| d.word(n));
+    let numbers: Vec<_> = counts.iter().map(|&(k, n)| (k, n.to_string())).collect();
+    [bench, line(&format!("cost/{name}"), d.finish(), &numbers)]
+}
+
+/// All five run in about half a second in the dev profile.
+#[test]
+fn benchmark_workloads() {
+    lock(&NAMES.map(workload_lines).concat());
 }
