@@ -11,18 +11,16 @@
 //! lines of `BEHAVIOUR.lock`.
 
 use s4d_cache::{S4dCache, S4dConfig};
-use s4d_mpiio::{Cluster, ProcessScript, Runner};
+use s4d_mpiio::{ProcessScript, Runner};
 use s4d_workloads::campaign::CampaignConfig;
-use s4d_workloads::{AccessPattern, IorConfig};
+use s4d_workloads::AccessPattern::{self, Random, Sequential};
+use s4d_workloads::IorConfig;
 
 use crate::experiments::{testbed, Scale, Testbed};
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * KIB;
 const GIB: u64 = 1024 * MIB;
-
-/// Simulated MPI processes of every workload.
-pub const PROCESSES: u32 = 32;
 
 /// The workload names, in the order the benchmark runs them.
 pub const NAMES: [&str; 5] = [
@@ -46,9 +44,7 @@ impl Source {
     /// Fresh scripts, one per process.
     pub fn scripts(&self) -> Vec<Box<dyn ProcessScript>> {
         fn boxed<S: ProcessScript + 'static>(v: Vec<S>) -> Vec<Box<dyn ProcessScript>> {
-            v.into_iter()
-                .map(|s| Box::new(s) as Box<dyn ProcessScript>)
-                .collect()
+            v.into_iter().map(|s| Box::new(s) as _).collect()
         }
         match self {
             Source::Ior(cfg) => boxed(cfg.scripts()),
@@ -60,24 +56,23 @@ impl Source {
 /// One workload with all its inputs fixed.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// One of [`NAMES`].
-    pub name: &'static str,
-    /// The testbed, seeded.
+    /// The seeded testbed.
     pub tb: Testbed,
     /// The cache's configuration.
     pub config: S4dConfig,
-    /// An untimed first run, followed by a background drain, on the same
-    /// cluster and middleware (`warm-rerun-16k` only).
+    /// An untimed first run on the same cluster and cache, followed by a
+    /// background drain (`warm-rerun-16k` only).
     pub prefill: Option<Source>,
     /// The measured scripts.
     pub source: Source,
 }
 
+/// One IOR instance of 32 processes: a write phase, then a read phase.
 fn ior(file: &str, size: u64, request: u64, pattern: AccessPattern, seed: u64) -> IorConfig {
     IorConfig {
         file_name: file.into(),
         file_size: size,
-        processes: PROCESSES,
+        processes: 32,
         request_size: request,
         pattern,
         do_write: true,
@@ -90,42 +85,26 @@ impl Workload {
     /// Builds the named workload from `seed` at `scale`; `None` for a
     /// name not in [`NAMES`].
     pub fn build(name: &str, seed: u64, scale: Scale) -> Option<Workload> {
-        let name = *NAMES.iter().find(|n| **n == name)?;
-        let rand16k = |seed| {
-            let size = scale.bytes(GIB);
-            ior("ior-rand.dat", size, 16 * KIB, AccessPattern::Random, seed)
-        };
-        let (capacity, source, prefill, shards) = match name {
-            "ior-rand-16k" | "ior-rand-16k-s16" => {
-                let cfg = rand16k(seed);
-                let shards = if name == "ior-rand-16k" { 1 } else { 16 };
-                (cfg.file_size / 5, Source::Ior(cfg), None, shards)
-            }
+        let gib = scale.bytes(GIB);
+        let rand16k = |seed| Source::Ior(ior("ior-rand.dat", gib, 16 * KIB, Random, seed));
+        let (source, prefill, capacity, shards) = match name {
+            "ior-rand-16k" => (rand16k(seed), None, gib / 5, 1),
+            "ior-rand-16k-s16" => (rand16k(seed), None, gib / 5, 16),
+            "warm-rerun-16k" => (rand16k(seed ^ 1), Some(rand16k(seed)), 2 * gib, 1),
             "ior-seq-4m" => {
                 let size = scale.bytes(256 * GIB);
-                let cfg = ior(
-                    "ior-seq.dat",
-                    size,
-                    4 * MIB,
-                    AccessPattern::Sequential,
-                    seed,
-                );
-                (cfg.file_size / 5, Source::Ior(cfg), None, 1)
+                let cfg = ior("ior-seq.dat", size, 4 * MIB, Sequential, seed);
+                (Source::Ior(cfg), None, size / 5, 1)
             }
-            "warm-rerun-16k" => {
-                let cfg = rand16k(seed ^ 1);
-                let prefill = Source::Ior(rand16k(seed));
-                (2 * cfg.file_size, Source::Ior(cfg), Some(prefill), 1)
-            }
-            _ => {
-                let mut cfg =
-                    CampaignConfig::paper_mix(PROCESSES, scale.bytes(128 * MIB), 16 * KIB);
+            "campaign-mix" => {
+                let mut cfg = CampaignConfig::paper_mix(32, scale.bytes(128 * MIB), 16 * KIB);
                 cfg.seed = seed;
-                (cfg.total_data_bytes() / 5, Source::Campaign(cfg), None, 1)
+                let capacity = cfg.total_data_bytes() / 5;
+                (Source::Campaign(cfg), None, capacity, 1)
             }
+            _ => return None,
         };
         Some(Workload {
-            name,
             tb: testbed(seed),
             config: S4dConfig::new(capacity).with_shards(shards),
             prefill,
@@ -133,23 +112,17 @@ impl Workload {
         })
     }
 
-    /// A fresh cluster and cache, prefilled and drained if the workload
-    /// has a prefill.
-    pub fn stack(&self) -> (Cluster, S4dCache) {
-        let cluster = self.tb.cluster();
-        let mw = S4dCache::new(self.config.clone(), self.tb.cost_params());
-        let Some(prefill) = &self.prefill else {
-            return (cluster, mw);
-        };
-        let mut first = Runner::new(cluster, mw, prefill.scripts(), self.tb.seed);
-        let end = first.run().end_time;
-        first.drain_background(end);
-        let (cluster, mw, _) = first.into_parts();
-        (cluster, mw)
-    }
-
-    /// The measured runner over a [`Workload::stack`].
-    pub fn runner(&self, (cluster, mw): (Cluster, S4dCache)) -> Runner<S4dCache> {
+    /// The measured runner over a fresh cluster and cache, which the
+    /// prefill (if any) has run on and been drained from first.
+    pub fn runner(&self) -> Runner<S4dCache> {
+        let mut cluster = self.tb.cluster();
+        let mut mw = S4dCache::new(self.config.clone(), self.tb.cost_params());
+        if let Some(prefill) = &self.prefill {
+            let mut first = Runner::new(cluster, mw, prefill.scripts(), self.tb.seed);
+            let end = first.run().end_time;
+            first.drain_background(end);
+            (cluster, mw, _) = first.into_parts();
+        }
         Runner::new(cluster, mw, self.source.scripts(), self.tb.seed ^ 1)
     }
 }

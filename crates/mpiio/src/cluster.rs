@@ -230,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_range_in_timing_mode_transfers_coverage() {
+    fn copy_range_in_timing_mode_stores_nothing() {
         let mut c = Cluster::paper_testbed(8); // timing mode
         let orig = c.opfs_mut().create("o").unwrap();
         let cache = c.cpfs_mut().create("c").unwrap();
@@ -241,8 +241,12 @@ mod tests {
             256 * 1024,
         )
         .unwrap();
-        assert_eq!(c.cpfs().stored_bytes(), 256 * 1024);
+        // Timing servers keep neither bytes nor coverage, and the copy does
+        // not grow the destination.
+        assert_eq!(c.cpfs().stored_bytes(), 0);
+        assert_eq!(c.cpfs().covered_bytes(cache, 0, 256 * 1024).unwrap(), 0);
         assert_eq!(c.cpfs().read_bytes(cache, 0, 256 * 1024).unwrap(), None);
+        assert_eq!(c.cpfs().meta(cache).unwrap().size, 0);
         // Zero-length copies are no-ops.
         c.copy_range((Tier::DServers, orig, 0), (Tier::CServers, cache, 0), 0)
             .unwrap();

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use s4d_sim::{IdMap, SimRng};
-use s4d_storage::{HddConfig, IoKind, SsdConfig, StoreMode};
+use s4d_storage::{DeviceModel, HddConfig, IoKind, SsdConfig, StoreMode};
 
 use crate::error::PfsError;
 use crate::layout::{StripeLayout, SubRanges};
@@ -50,6 +50,8 @@ pub struct FileMeta {
 pub struct Pfs {
     name: String,
     layout: StripeLayout,
+    /// Every server's store mode; timing-mode servers keep no bytes.
+    mode: StoreMode,
     servers: Vec<FileServer>,
     files: IdMap<FileId, FileMeta>,
     by_name: HashMap<String, FileId>,
@@ -70,6 +72,7 @@ impl Pfs {
     pub(crate) fn new(
         name: impl Into<String>,
         layout: StripeLayout,
+        mode: StoreMode,
         servers: Vec<FileServer>,
     ) -> Self {
         assert_eq!(
@@ -80,6 +83,7 @@ impl Pfs {
         Pfs {
             name: name.into(),
             layout,
+            mode,
             servers,
             files: IdMap::default(),
             by_name: HashMap::new(),
@@ -98,19 +102,8 @@ impl Pfs {
         mode: StoreMode,
         seed: u64,
     ) -> Self {
-        let mut rng = SimRng::seed(seed);
-        let servers = (0..layout.server_count())
-            .map(|i| {
-                FileServer::new(
-                    Box::new(config.clone().build()),
-                    config.capacity(),
-                    net,
-                    mode,
-                    rng.fork(i as u64),
-                )
-            })
-            .collect();
-        Pfs::new(name, layout, servers)
+        let device = || Box::new(config.clone().build()) as Box<dyn DeviceModel>;
+        Pfs::uniform(name, layout, device, config.capacity(), net, mode, seed)
     }
 
     /// Builds a file system of identical SSD servers (the paper's CServers).
@@ -122,19 +115,26 @@ impl Pfs {
         mode: StoreMode,
         seed: u64,
     ) -> Self {
+        let device = || Box::new(config.clone().build()) as Box<dyn DeviceModel>;
+        Pfs::uniform(name, layout, device, config.capacity(), net, mode, seed)
+    }
+
+    /// One server per layout column, each over a fresh `device` of
+    /// `capacity` bytes and its own fork of the `seed` stream.
+    fn uniform(
+        name: impl Into<String>,
+        layout: StripeLayout,
+        device: impl Fn() -> Box<dyn DeviceModel>,
+        capacity: u64,
+        net: NetworkConfig,
+        mode: StoreMode,
+        seed: u64,
+    ) -> Self {
         let mut rng = SimRng::seed(seed);
         let servers = (0..layout.server_count())
-            .map(|i| {
-                FileServer::new(
-                    Box::new(config.clone().build()),
-                    config.capacity(),
-                    net,
-                    mode,
-                    rng.fork(i as u64),
-                )
-            })
+            .map(|i| FileServer::new(device(), capacity, net, mode, rng.fork(i as u64)))
             .collect();
-        Pfs::new(name, layout, servers)
+        Pfs::new(name, layout, mode, servers)
     }
 
     /// The file system's name (e.g. `"opfs"` / `"cpfs"`).
@@ -227,11 +227,16 @@ impl Pfs {
         if self.by_name.contains_key(&name) {
             return Err(PfsError::FileExists(name));
         }
+        Ok(self.insert(name))
+    }
+
+    /// Adds a file the namespace does not hold yet.
+    fn insert(&mut self, name: String) -> FileId {
         let id = FileId(self.next_file);
         self.next_file += 1;
         self.by_name.insert(name.clone(), id);
         self.files.insert(id, FileMeta { id, name, size: 0 });
-        Ok(id)
+        id
     }
 
     /// Opens an existing file by name.
@@ -248,21 +253,10 @@ impl Pfs {
 
     /// Opens a file, creating it if absent.
     pub fn create_or_open(&mut self, name: &str) -> FileId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        match self.by_name.get(name) {
+            Some(&id) => id,
+            None => self.insert(name.to_owned()),
         }
-        let id = FileId(self.next_file);
-        self.next_file += 1;
-        self.by_name.insert(name.to_owned(), id);
-        self.files.insert(
-            id,
-            FileMeta {
-                id,
-                name: name.to_owned(),
-                size: 0,
-            },
-        );
-        id
     }
 
     /// Metadata of a file.
@@ -304,7 +298,8 @@ impl Pfs {
     }
 
     /// Discards stored data of `[offset, offset+len)` on every involved
-    /// server (cache eviction: metadata-only, no simulated I/O).
+    /// server (cache eviction: metadata-only, no simulated I/O). In timing
+    /// mode there is nothing to discard.
     ///
     /// # Errors
     ///
@@ -312,6 +307,9 @@ impl Pfs {
     pub fn discard(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), PfsError> {
         if !self.files.contains_key(&file) {
             return Err(PfsError::UnknownFile(file));
+        }
+        if self.mode == StoreMode::Timing {
+            return Ok(());
         }
         for sub in self.layout.split_iter(offset, len) {
             if let Some(s) = self.servers.get_mut(sub.server) {
@@ -321,7 +319,7 @@ impl Pfs {
         Ok(())
     }
 
-    /// Total bytes stored across all servers.
+    /// Total bytes stored across all servers (0 in timing mode).
     pub fn stored_bytes(&self) -> u64 {
         self.servers.iter().map(|s| s.stored_bytes()).sum()
     }
@@ -335,8 +333,8 @@ impl Pfs {
     /// bypassing the service queues — the durable effect of I/O whose
     /// *timing* was simulated elsewhere (journal appends, checkpoint
     /// installs). Extends the file size like a planned write. In timing
-    /// mode only extent coverage is recorded and `data` is ignored; in
-    /// functional mode a missing `data` stores zeroes.
+    /// mode nothing is stored and `data` is ignored; in functional mode a
+    /// missing `data` stores zeroes.
     ///
     /// # Errors
     ///
@@ -389,10 +387,10 @@ impl Pfs {
     /// queues — the data effect of a Rebuilder fetch, flush or scrub
     /// repair whose timing and faults were already simulated, so no fault
     /// gate applies. One walk over the source's stripe pieces: a piece
-    /// with any coverage is copied whole, holes inside it as zeroes (in
-    /// timing mode only the coverage moves, and no byte buffer is
-    /// allocated); a piece with none is skipped, so the destination gains
-    /// no coverage the source lacks.
+    /// with any coverage is copied whole, holes inside it as zeroes; a
+    /// piece with none is skipped, so the destination gains no coverage
+    /// (and no size) the source lacks. In timing mode nothing is copied
+    /// and the destination's size does not grow.
     ///
     /// # Errors
     ///
@@ -409,6 +407,9 @@ impl Pfs {
     ) -> Result<(), PfsError> {
         self.meta(file)?;
         dst.meta(dst_file)?;
+        if self.mode == StoreMode::Timing {
+            return Ok(());
+        }
         for sub in self.layout.split_iter(offset, len) {
             let Some(server) = self.servers.get(sub.server) else {
                 continue; // layout splits stay within the server count
@@ -426,12 +427,16 @@ impl Pfs {
         Ok(())
     }
 
-    /// Writes `[offset, offset+len)` of `file` into the server stores,
-    /// stripe piece by stripe piece, and grows the file size: the ungated
-    /// effect behind [`Pfs::apply_bytes`] and [`Pfs::copy_into`].
+    /// Grows the file size and writes `[offset, offset+len)` of `file` into
+    /// the server stores, stripe piece by stripe piece (in functional mode
+    /// only): the ungated effect behind [`Pfs::apply_bytes`] and
+    /// [`Pfs::copy_into`].
     fn store(&mut self, file: FileId, offset: u64, len: u64, data: Option<&[u8]>) {
         if let Some(meta) = self.files.get_mut(&file) {
             meta.size = meta.size.max(offset + len);
+        }
+        if self.mode == StoreMode::Timing {
+            return;
         }
         for sub in self.layout.split_iter(offset, len) {
             let mut local = sub.local_offset;
@@ -449,8 +454,8 @@ impl Pfs {
     }
 
     /// Reads `len` bytes at `offset` directly from the server stores,
-    /// zero-filled over unwritten holes. Returns `Ok(None)` when the
-    /// servers keep only timing metadata (no bytes to read).
+    /// zero-filled over unwritten holes. Returns `Ok(None)` in timing mode,
+    /// where the servers keep no bytes.
     ///
     /// # Errors
     ///
@@ -494,7 +499,8 @@ impl Pfs {
     }
 
     /// How many bytes of `[offset, offset+len)` are covered by previous
-    /// writes across the involved servers. Works in both store modes.
+    /// writes across the involved servers; 0 in timing mode, which keeps
+    /// no record of writes.
     ///
     /// # Errors
     ///
@@ -591,7 +597,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "server array must match layout width")]
     fn new_rejects_mismatched_width() {
-        Pfs::new("x", StripeLayout::new(4096, 3), Vec::new());
+        Pfs::new(
+            "x",
+            StripeLayout::new(4096, 3),
+            StoreMode::Timing,
+            Vec::new(),
+        );
     }
 
     #[test]
@@ -736,7 +747,10 @@ mod tests {
         let f = p.create("a").unwrap();
         p.apply_bytes(f, 0, 4 * KIB, None).unwrap();
         assert_eq!(p.read_bytes(f, 0, 4 * KIB).unwrap(), None);
-        assert_eq!(p.covered_bytes(f, 0, 4 * KIB).unwrap(), 4 * KIB);
+        // Timing servers keep no record of the write; the size still grows.
+        assert_eq!(p.covered_bytes(f, 0, 4 * KIB).unwrap(), 0);
+        assert_eq!(p.stored_bytes(), 0);
+        assert_eq!(p.meta(f).unwrap().size, 4 * KIB);
     }
 
     const KIB: u64 = 1024;

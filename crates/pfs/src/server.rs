@@ -1,4 +1,5 @@
-//! A single file server: device + per-file stores + two-level service queue.
+//! A single file server: device + two-level service queue, plus per-file
+//! byte stores in functional mode.
 
 use std::collections::VecDeque;
 
@@ -58,8 +59,6 @@ pub struct CompletedSubRequest {
     /// *failed write* this instead carries the original payload back so
     /// the caller can retry without keeping its own copy.
     pub data: Option<Vec<u8>>,
-    /// For reads: how many requested bytes were previously written.
-    pub covered_bytes: u64,
     /// `Some` if the operation failed (no store effect happened); see
     /// [`IoFault`] for retryability.
     pub error: Option<IoFault>,
@@ -103,6 +102,7 @@ pub struct FileServer {
     device: Box<dyn DeviceModel>,
     net: NetworkConfig,
     store_mode: StoreMode,
+    /// Per-file bytes; always empty in timing mode.
     stores: IdMap<FileId, ExtentStore>,
     bases: IdMap<FileId, u64>,
     next_base: u64,
@@ -247,66 +247,32 @@ impl FileServer {
                 None
             }
         });
-        if let Some(error) = fault {
-            self.stats.faulted_ops += 1;
-            let completed = CompletedSubRequest {
-                id: req.id,
-                file: req.file,
-                kind: req.kind,
-                local_offset: req.local_offset,
-                len: req.len,
-                // Hand the payload back so a failed write can be retried.
-                data: if req.kind.is_write() { req.data } else { None },
-                covered_bytes: 0,
-                error: Some(error),
-            };
-            let next = self
-                .normal
-                .pop_front()
-                .or_else(|| self.background.pop_front())
-                .and_then(|r| self.start(now, r));
-            return (completed, next);
-        }
-        let store = self
-            .stores
-            .entry(req.file)
-            .or_insert_with(|| ExtentStore::new(self.store_mode));
-        let completed = match req.kind {
-            IoKind::Write => {
-                self.stats.bytes_written += req.len;
-                write_store(store, req.local_offset, req.len, req.data.as_deref());
-                CompletedSubRequest {
-                    id: req.id,
-                    file: req.file,
-                    kind: req.kind,
-                    local_offset: req.local_offset,
-                    len: req.len,
-                    data: None,
-                    covered_bytes: req.len,
-                    error: None,
-                }
+        let data = match (fault, req.kind) {
+            // Hand the payload back so a failed write can be retried.
+            (Some(_), _) => {
+                self.stats.faulted_ops += 1;
+                req.data.filter(|_| req.kind.is_write())
             }
-            IoKind::Read => {
+            (None, IoKind::Write) => {
+                self.stats.bytes_written += req.len;
+                self.poke_store(req.file, req.local_offset, req.len, req.data.as_deref());
+                None
+            }
+            (None, IoKind::Read) => {
                 self.stats.bytes_read += req.len;
-                let outcome = store.read(req.local_offset, req.len);
-                CompletedSubRequest {
-                    id: req.id,
-                    file: req.file,
-                    kind: req.kind,
-                    local_offset: req.local_offset,
-                    len: req.len,
-                    data: outcome.data,
-                    covered_bytes: outcome.covered_bytes,
-                    error: None,
-                }
+                self.peek_store(req.file, req.local_offset, req.len)
             }
         };
-        let next = self
-            .normal
-            .pop_front()
-            .or_else(|| self.background.pop_front())
-            .and_then(|r| self.start(now, r));
-        (completed, next)
+        let completed = CompletedSubRequest {
+            id: req.id,
+            file: req.file,
+            kind: req.kind,
+            local_offset: req.local_offset,
+            len: req.len,
+            data,
+            error: fault,
+        };
+        (completed, self.start_next(now))
     }
 
     /// Abandons sub-request `id`: removes it from the queue, or frees the
@@ -322,12 +288,7 @@ impl FileServer {
             self.current_fault = None;
             self.parked = false;
             self.stats.abandoned_ops += 1;
-            let next = self
-                .normal
-                .pop_front()
-                .or_else(|| self.background.pop_front())
-                .and_then(|r| self.start(now, r));
-            return (true, next);
+            return (true, self.start_next(now));
         }
         for queue in [&mut self.normal, &mut self.background] {
             if let Some(pos) = queue.iter().position(|r| r.id == id) {
@@ -339,37 +300,34 @@ impl FileServer {
         (false, None)
     }
 
-    /// Reads stored bytes directly, bypassing the service queue — used for
-    /// instantaneous data-plane effects whose *timing* was already simulated
-    /// as separate I/O. A file this server never stored reads as a hole,
-    /// as in [`FileServer::on_complete`]: zero-filled in functional mode.
-    /// Returns `None` in timing mode.
+    /// Reads stored bytes, zero-filled over holes; a file this server never
+    /// stored reads as one hole. Serviced reads land here, and so do
+    /// instantaneous data-plane effects whose *timing* was already
+    /// simulated as separate I/O. Returns `None` in timing mode.
     pub(crate) fn peek_store(&self, file: FileId, local_offset: u64, len: u64) -> Option<Vec<u8>> {
         if self.store_mode == StoreMode::Timing {
-            return None; // extents hold coverage only: nothing to walk
+            return None;
         }
         match self.stores.get(&file) {
-            Some(store) => store.read(local_offset, len).data,
-            None => {
-                ExtentStore::new(self.store_mode)
-                    .read(local_offset, len)
-                    .data
-            }
+            Some(store) => Some(store.read(local_offset, len)),
+            None => Some(vec![0u8; len as usize]),
         }
     }
 
     /// How many bytes of `[local_offset, local_offset+len)` are covered by
-    /// previous writes (0 after a crash wiped the store). Works in both
-    /// store modes.
+    /// previous writes: 0 after a crash wiped the store, and always 0 in
+    /// timing mode.
     pub(crate) fn peek_coverage(&self, file: FileId, local_offset: u64, len: u64) -> u64 {
         self.stores
             .get(&file)
             .map_or(0, |s| s.read_covered(local_offset, len))
     }
 
-    /// Writes stored bytes directly, bypassing the service queue (see
-    /// [`FileServer::peek_store`]). In timing mode only extent coverage is
-    /// recorded and `data` is ignored.
+    /// Writes `[local_offset, local_offset+len)` of `file` into its store,
+    /// for serviced writes and for the bypass effects of
+    /// [`FileServer::peek_store`]. A missing payload (a timing-style
+    /// script on a functional server) stores zeroes, so coverage stays
+    /// accurate. Does nothing in timing mode.
     pub(crate) fn poke_store(
         &mut self,
         file: FileId,
@@ -377,18 +335,31 @@ impl FileServer {
         len: u64,
         data: Option<&[u8]>,
     ) {
-        let store = self
-            .stores
-            .entry(file)
-            .or_insert_with(|| ExtentStore::new(self.store_mode));
-        write_store(store, local_offset, len, data);
+        if self.store_mode == StoreMode::Timing {
+            return;
+        }
+        let store = self.stores.entry(file).or_default();
+        match data {
+            None => store.write(local_offset, len, Some(&vec![0u8; len as usize])),
+            data => store.write(local_offset, len, data),
+        }
     }
 
-    /// Discards a stored range of `file` (cache eviction).
+    /// Discards a stored range of `file` (cache eviction); a timing-mode
+    /// server holds no store to look up.
     pub(crate) fn discard_range(&mut self, file: FileId, local_offset: u64, len: u64) {
         if let Some(store) = self.stores.get_mut(&file) {
             store.discard(local_offset, len);
         }
+    }
+
+    /// Starts the next queued sub-request, foreground first.
+    fn start_next(&mut self, now: SimTime) -> Option<Started> {
+        let req = self
+            .normal
+            .pop_front()
+            .or_else(|| self.background.pop_front())?;
+        self.start(now, req)
     }
 
     /// Moves `req` into the service slot. Returns `None` when a
@@ -543,18 +514,6 @@ impl FileServer {
     }
 }
 
-/// Writes `[local_offset, local_offset+len)` into `store`. A functional
-/// write without a payload (a timing-style script) stores zeroes, so
-/// coverage stays accurate.
-fn write_store(store: &mut ExtentStore, local_offset: u64, len: u64, data: Option<&[u8]>) {
-    match (store.mode(), data) {
-        (StoreMode::Functional, None) => {
-            store.write(local_offset, len, Some(&vec![0u8; len as usize]));
-        }
-        (_, data) => store.write(local_offset, len, data),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,7 +620,7 @@ mod tests {
             )
             .unwrap();
         let (done, _) = s.on_complete(started.completes_at);
-        assert_eq!(done.covered_bytes, 5);
+        assert_eq!(s.peek_coverage(FileId(0), 98, 9), 5);
         assert_eq!(
             done.data.as_deref(),
             Some(&[0, 0, b'h', b'e', b'l', b'l', b'o', 0, 0][..])
@@ -720,6 +679,27 @@ mod tests {
     }
 
     #[test]
+    fn a_timing_server_holds_no_per_file_store() {
+        let mut s = hdd_server(StoreMode::Timing);
+        let mut t = SimTime::ZERO;
+        for (id, kind) in [(1, IoKind::Write), (2, IoKind::Read)] {
+            let st = s
+                .submit(t, req(id, kind, 0, 4 * KIB, Priority::Normal))
+                .unwrap();
+            let (done, _) = s.on_complete(st.completes_at);
+            assert_eq!(done.data, None);
+            t = st.completes_at;
+        }
+        // A store-to-store copy's two halves, then an eviction.
+        assert_eq!(s.peek_store(FileId(0), 0, 4 * KIB), None);
+        s.poke_store(FileId(1), 0, 4, Some(b"abcd"));
+        s.discard_range(FileId(0), 0, 4 * KIB);
+        assert!(s.stores.is_empty(), "a timing server keeps no store");
+        assert_eq!(s.peek_coverage(FileId(1), 0, 4), 0);
+        assert_eq!(s.stored_bytes(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "no sub-request in service")]
     fn on_complete_without_service_panics() {
         hdd_server(StoreMode::Timing).on_complete(SimTime::ZERO);
@@ -750,7 +730,7 @@ mod tests {
         let (done, _) = s.on_complete(st.completes_at);
         assert_eq!(done.error, Some(IoFault::Offline));
         assert_eq!(done.data, Some(vec![7; 4]));
-        assert_eq!(done.covered_bytes, 0);
+        assert_eq!(s.peek_coverage(FileId(0), 100, 4), 0);
         // The crash wiped the pre-crash write too.
         assert_eq!(s.stored_bytes(), 0);
         assert_eq!(s.peek_coverage(FileId(0), 0, 4), 0);
@@ -763,7 +743,11 @@ mod tests {
             .unwrap();
         let (done, _) = s.on_complete(st.completes_at);
         assert_eq!(done.error, None);
-        assert_eq!(done.covered_bytes, 0, "recovered server came back empty");
+        assert_eq!(
+            done.data,
+            Some(vec![0; 4]),
+            "recovered server came back empty"
+        );
     }
 
     #[test]
@@ -801,7 +785,6 @@ mod tests {
             let (done, _) = s.on_complete(st.completes_at);
             if done.error == Some(IoFault::Transient) {
                 failed += 1;
-                assert_eq!(done.covered_bytes, 0);
             }
             t = st.completes_at;
         }
@@ -918,7 +901,7 @@ mod tests {
             .unwrap();
         let (done, _) = s.on_complete(st.completes_at);
         assert_eq!(done.error, None);
-        assert_eq!(done.covered_bytes, 4);
+        assert_eq!(done.data, Some(vec![5; 4]));
 
         // Bypass query agrees inside, clears outside.
         assert_eq!(
@@ -954,7 +937,7 @@ mod tests {
             .unwrap();
         let (done, _) = s.on_complete(st.completes_at);
         assert_eq!(done.error, Some(IoFault::Media));
-        assert_eq!(done.covered_bytes, 0);
+        assert_eq!(done.data, None);
         // Retrying the same range fails the same way (permanent damage).
         let st = s
             .submit(

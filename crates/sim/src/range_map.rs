@@ -38,6 +38,17 @@ pub trait RangeMap<V: Span> {
     fn remove_range(&mut self, lo: u64, hi: u64, removed: impl FnMut(u64, V));
 }
 
+/// A run of bytes, as the file servers' extent stores hold them.
+impl Span for Vec<u8> {
+    fn span_len(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn split_off(&mut self, at: u64) -> Self {
+        Vec::split_off(self, at as usize)
+    }
+}
+
 /// The keys of every entry overlapping `[lo, hi)`: from the one straddling
 /// `lo` (if any) up to `hi`; entries are non-empty and disjoint.
 fn overlap_keys<V: Span>(map: &BTreeMap<u64, V>, lo: u64, hi: u64) -> Range<u64> {

@@ -14,8 +14,9 @@
 //!   and the cost model so decisions and outcomes stay consistent;
 //! * [`profile::profile_seek_curve`] — the offline profiling procedure that
 //!   produces a [`SeekProfile`] from measurements of a device;
-//! * [`ExtentStore`] — a sparse extent map holding file bytes (optional, so
-//!   large timing-only simulations do not hold gigabytes in RAM);
+//! * [`ExtentStore`] — a sparse extent map holding file bytes, kept only by
+//!   functional-mode servers, so large timing-only simulations hold no
+//!   per-file state;
 //! * [`presets`] — parameter sets for the paper's testbed hardware;
 //! * [`sector_is_bad`] / [`range_has_bad_sector`] — the seeded bad-sector
 //!   map behind `s4d-pfs`'s media-error fault (all fault *scripting* lives

@@ -614,9 +614,8 @@ fn reproduce_at_scale_64() {
 fn workload_lines(name: &str) -> [String; 2] {
     let w = Workload::build(name, 7, Scale::SCALED).expect("a benchmark workload");
     alloc::start();
-    let stack = w.stack();
-    let before = *stack.1.metrics();
-    let mut runner = w.runner(stack);
+    let mut runner = w.runner();
+    let before = *runner.middleware().metrics();
     alloc::reset_peak();
     let at_run = alloc::snapshot();
     let report = runner.run();

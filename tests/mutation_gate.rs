@@ -250,7 +250,7 @@ fn rows() -> Vec<Row> {
             LibTest("s4d-cache", "dmt::recency::tests::recency_matches_the_btree_model"),
             "holds another extent's touch"),
         row("missing-store-reads-as-timing", "crates/pfs/src/server.rs",
-            "            None => {\n                ExtentStore::new(self.store_mode)\n                    .read(local_offset, len)\n                    .data\n            }\n",
+            "            None => Some(vec![0u8; len as usize]),\n",
             "            None => None,\n",
             CacheTest("background_scheduler", "fetch_over_a_server_without_the_file_caches_its_bytes"),
             "the re-read must return the OPFS bytes"),
@@ -296,6 +296,16 @@ fn rows() -> Vec<Row> {
             "        let (off, len) = self.stack.pop()?;\n",
             "        let (off, len) = (!self.stack.is_empty()).then(|| self.stack.remove(0))?;\n",
             Test("behaviour", "pipeline_decisions"), "locked: pipeline/mixed"),
+        // Memory-only: a timing-mode server keeps a per-file store again.
+        // The store stays empty: one holding `ior-seq-4m`'s 32 GiB would not
+        // fit in memory, and a one-byte write per sub-request already trips
+        // `alloc_steady_state`'s ceilings. So in tier-1 only the exact
+        // `cost/*` lines see it (outside tier-1, `s4d-pfs`'s
+        // `a_timing_server_holds_no_per_file_store` does too).
+        row("timing-store-keeps-coverage", "crates/pfs/src/server.rs",
+            "                self.poke_store(req.file, req.local_offset, req.len, req.data.as_deref());\n",
+            "                self.stores.entry(req.file).or_default();\n                self.poke_store(req.file, req.local_offset, req.len, req.data.as_deref());\n",
+            Test("behaviour", "benchmark_workloads"), "locked: cost/"),
     ]
 }
 
