@@ -13,7 +13,6 @@ use s4d_cache::{AdmissionPolicy, S4dCache, S4dConfig, DMT_PAYLOAD_BYTES, DMT_REC
 use s4d_mpiio::{RunReport, Runner};
 use s4d_sim::SimTime;
 use s4d_storage::IoKind;
-use s4d_trace::{analysis, TraceCollector};
 use s4d_workloads::campaign::{chain_instances, CampaignConfig};
 use s4d_workloads::{AccessPattern, HpioConfig, IorConfig, TileIoConfig};
 
@@ -22,6 +21,7 @@ use crate::experiments::{
     ExperimentOutcome, Scale,
 };
 use crate::table::{mibs, speedup_pct, Table};
+use crate::trace::{tier_distribution, TraceCollector};
 
 /// One entry of the registry.
 #[derive(Debug, Clone, Copy)]
@@ -208,7 +208,7 @@ fn tab03_distribution(scale: Scale) -> Vec<Table> {
         let end = out.report.end_time.as_nanos();
         let from = SimTime::from_nanos(end / 2);
         let to = SimTime::from_nanos(end / 2 + end / 10);
-        let dist = analysis::tier_distribution(&records, Some((from, to)), Some(IoKind::Write));
+        let dist = tier_distribution(&records, Some((from, to)), Some(IoKind::Write));
         rows.push(vec![
             format!("{req_kib} KiB"),
             format!("{:.1}", dist.d_percent()),

@@ -7,7 +7,8 @@
 //! the `reproduce` binary prints them. Measured-vs-paper numbers live in
 //! `EXPERIMENTS.md`. [`straggler`] is the gray-failure benchmark the
 //! `straggler` binary writes to `BENCH_straggler.json`. [`benchmark`]
-//! declares the host-cost benchmark's five workloads.
+//! declares the host-cost benchmark's five workloads. [`trace`] is the
+//! IOSIG-style dispatch tracer behind Table III.
 //!
 //! Experiments run at a scaled-down data size by default (same geometry,
 //! same request sizes, smaller files) so the whole suite completes in
@@ -23,6 +24,7 @@ pub mod experiments;
 pub mod figures;
 pub mod straggler;
 pub mod table;
+pub mod trace;
 
 pub use experiments::{
     run_custom, run_s4d, run_s4d_second_read, run_stock, run_stock_second_read, testbed,

@@ -576,6 +576,10 @@ mod tests {
             PfsError::BadServer { index: 8, count: 8 }
         );
         assert!(p.server_mut(8).is_err());
+        assert_eq!(
+            p.set_fault_plan(8, crate::FaultPlan::new()),
+            Err(PfsError::BadServer { index: 8, count: 8 })
+        );
         assert_eq!(p.iter_servers().count(), 8);
         assert_eq!(p.name(), "opfs");
         assert_eq!(p.stored_bytes(), 0);

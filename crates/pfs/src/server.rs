@@ -328,6 +328,10 @@ impl FileServer {
     /// [`FileServer::peek_store`]. A missing payload (a timing-style
     /// script on a functional server) stores zeroes, so coverage stays
     /// accurate. Does nothing in timing mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a payload is not `len` bytes long.
     pub(crate) fn poke_store(
         &mut self,
         file: FileId,
@@ -340,8 +344,15 @@ impl FileServer {
         }
         let store = self.stores.entry(file).or_default();
         match data {
-            None => store.write(local_offset, len, Some(&vec![0u8; len as usize])),
-            data => store.write(local_offset, len, data),
+            None => store.write(local_offset, &vec![0u8; len as usize]),
+            Some(d) => {
+                assert!(
+                    d.len() as u64 == len,
+                    "data length {} != extent length {len}",
+                    d.len()
+                );
+                store.write(local_offset, d);
+            }
         }
     }
 
@@ -703,6 +714,12 @@ mod tests {
     #[should_panic(expected = "no sub-request in service")]
     fn on_complete_without_service_panics() {
         hdd_server(StoreMode::Timing).on_complete(SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "data length")]
+    fn functional_write_checks_length() {
+        hdd_server(StoreMode::Functional).poke_store(FileId(1), 0, 4, Some(b"xy"));
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Lightweight statistics collectors for simulation output.
 //!
-//! Three collectors cover everything the experiment harness reports:
+//! Two collectors cover everything the experiment harness reports:
 //!
 //! * [`LatencyHistogram`] — logarithmically bucketed request latencies with
 //!   quantile queries;
 //! * [`BandwidthMeter`] — bytes moved over a measured interval, reported in
-//!   MB/s the way the paper reports aggregate I/O throughput;
-//! * [`TimeSeries`] — per-window byte counts for plots over time.
+//!   MB/s the way the paper reports aggregate I/O throughput.
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// One mebibyte, the unit the paper's throughput figures use.
 pub const MIB: f64 = 1024.0 * 1024.0;
@@ -217,73 +216,6 @@ impl BandwidthMeter {
     }
 }
 
-/// Per-window byte counts: a bandwidth-over-time series.
-///
-/// Windows are fixed-width, starting at `t = 0`. Recording at time `t`
-/// attributes the bytes to window `t / width`.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    width: SimDuration,
-    windows: Vec<u64>,
-}
-
-impl TimeSeries {
-    /// Creates a series with the given window width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn new(width: SimDuration) -> Self {
-        assert!(!width.is_zero(), "window width must be positive");
-        TimeSeries {
-            width,
-            windows: Vec::new(),
-        }
-    }
-
-    /// Window width.
-    pub fn width(&self) -> SimDuration {
-        self.width
-    }
-
-    /// Records `bytes` moved at instant `at`.
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
-        let idx = (at.as_nanos() / self.width.as_nanos()) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, 0);
-        }
-        if let Some(window) = self.windows.get_mut(idx) {
-            *window += bytes;
-        }
-    }
-
-    /// Bytes recorded in window `idx` (zero if beyond the last write).
-    pub fn window_bytes(&self, idx: usize) -> u64 {
-        self.windows.get(idx).copied().unwrap_or(0)
-    }
-
-    /// Number of windows touched.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Iterator over `(window_start, MiB/s)` pairs.
-    pub fn iter_mibs(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        let w = self.width;
-        self.windows.iter().enumerate().map(move |(i, &b)| {
-            (
-                SimTime::from_nanos(i as u64 * w.as_nanos()),
-                b as f64 / MIB / w.as_secs_f64(),
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,29 +283,5 @@ mod tests {
         n.add(512);
         m.merge(&n);
         assert_eq!(m.ops(), 3);
-    }
-
-    #[test]
-    fn time_series_buckets() {
-        let mut s = TimeSeries::new(SimDuration::from_secs(1));
-        s.record(SimTime::from_nanos(100), 10);
-        s.record(SimTime::from_secs(1), 20); // second window
-        s.record(SimTime::from_secs(3), 5); // fourth window, gap in third
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.window_bytes(0), 10);
-        assert_eq!(s.window_bytes(1), 20);
-        assert_eq!(s.window_bytes(2), 0);
-        assert_eq!(s.window_bytes(3), 5);
-        assert_eq!(s.window_bytes(99), 0);
-        let pts: Vec<_> = s.iter_mibs().collect();
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[1].0, SimTime::from_secs(1));
-        assert!((pts[1].1 - 20.0 / MIB).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "window width")]
-    fn time_series_rejects_zero_width() {
-        TimeSeries::new(SimDuration::ZERO);
     }
 }

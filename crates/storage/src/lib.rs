@@ -6,14 +6,17 @@
 //! experiments depend on:
 //!
 //! * [`HddModel`] — mechanical disk with a head position, a seek-distance →
-//!   seek-time curve (`F(d)` in the paper, obtained by offline profiling per
-//!   its reference \[28\]), rotational delay, and a sequential transfer rate;
+//!   seek-time curve (`F(d)` in the paper), rotational delay, and a
+//!   sequential transfer rate;
 //! * [`SsdModel`] — position-insensitive device with asymmetric read/write
 //!   transfer rates and a small fixed per-operation latency;
-//! * [`SeekProfile`] — the fitted `F(d)` curve, shared between the simulator
-//!   and the cost model so decisions and outcomes stay consistent;
-//! * [`profile::profile_seek_curve`] — the offline profiling procedure that
-//!   produces a [`SeekProfile`] from measurements of a device;
+//! * [`SeekProfile`] — the `F(d)` curve. The cost model reads the device
+//!   preset's own ground-truth curve, the one the simulator runs, so
+//!   decisions and outcomes share it;
+//! * [`profile::profile_seek_curve`] — the paper's offline profiling
+//!   procedure (its reference \[28\]): it fits a [`SeekProfile`] to
+//!   measurements of a device. Nothing in the model uses the fit; a test
+//!   checks that it recovers the ground-truth curve;
 //! * [`ExtentStore`] — a sparse extent map holding file bytes, kept only by
 //!   functional-mode servers, so large timing-only simulations hold no
 //!   per-file state;

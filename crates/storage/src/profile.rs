@@ -11,6 +11,8 @@
 //! In a real deployment the probes would hit the physical drive; here they
 //! hit an [`crate::HddModel`], and the tests confirm the fit recovers the model's
 //! own curve — which is exactly the property the paper's methodology needs.
+//! The cost model does not run this procedure: `CostParams::from_hardware`
+//! reads the preset's ground-truth curve directly.
 
 use s4d_sim::SimRng;
 
@@ -20,11 +22,11 @@ use crate::seek::SeekProfile;
 
 /// One profiling observation: distance probed and mean positioning time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeekSample {
+struct SeekSample {
     /// Probe distance in bytes.
-    pub distance: u64,
+    distance: u64,
     /// Estimated pure seek time in seconds (rotation removed).
-    pub seek_secs: f64,
+    seek_secs: f64,
 }
 
 /// Collects seek samples from a device built from `config`.
@@ -38,7 +40,7 @@ pub struct SeekSample {
 /// # Panics
 ///
 /// Panics if `samples_per_distance == 0`.
-pub fn collect_seek_samples(
+fn collect_seek_samples(
     config: &HddConfig,
     samples_per_distance: u32,
     rng: &mut SimRng,
@@ -93,7 +95,7 @@ pub fn collect_seek_samples(
 /// Returns [`FitError`] if fewer than four samples are supplied (two per
 /// regime) or the fit degenerates to negative coefficients that cannot be
 /// clamped meaningfully.
-pub fn fit_seek_profile(samples: &[SeekSample]) -> Result<SeekProfile, FitError> {
+fn fit_seek_profile(samples: &[SeekSample]) -> Result<SeekProfile, FitError> {
     if samples.len() < 4 {
         return Err(FitError::TooFewSamples(samples.len()));
     }
@@ -132,7 +134,7 @@ pub fn fit_seek_profile(samples: &[SeekSample]) -> Result<SeekProfile, FitError>
 ///
 /// # Errors
 ///
-/// Propagates [`FitError`] from [`fit_seek_profile`].
+/// Returns [`FitError`] if the probes are too few or too flat to fit.
 pub fn profile_seek_curve(
     config: &HddConfig,
     samples_per_distance: u32,

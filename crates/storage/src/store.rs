@@ -34,7 +34,7 @@ pub enum StoreMode {
 /// ```
 /// use s4d_storage::ExtentStore;
 /// let mut s = ExtentStore::new();
-/// s.write(10, 4, Some(b"abcd"));
+/// s.write(10, b"abcd");
 /// assert_eq!(s.read(8, 8), [0, 0, b'a', b'b', b'c', b'd', 0, 0]);
 /// assert_eq!(s.read_covered(8, 8), 4);
 /// ```
@@ -55,33 +55,24 @@ impl ExtentStore {
         self.extents.values().map(Span::span_len).sum()
     }
 
-    /// Writes `len` bytes at `offset`.
+    /// Writes `data` at `offset`.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is missing or of the wrong length, or if
-    /// `offset + len` overflows.
-    pub fn write(&mut self, offset: u64, len: u64, data: Option<&[u8]>) {
-        if len == 0 {
+    /// Panics if the extent's end overflows `u64`.
+    pub fn write(&mut self, offset: u64, data: &[u8]) {
+        if data.is_empty() {
             return;
         }
         #[expect(
             clippy::expect_used,
             reason = "documented contract above: an extent past u64::MAX has no representation, and clamping it would drop bytes silently"
         )]
-        let end = offset.checked_add(len).expect("extent end overflows u64");
-        #[expect(
-            clippy::expect_used,
-            reason = "documented contract above: a functional store that invents bytes would pass the integrity tests it exists for"
-        )]
-        let d = data.expect("functional store requires data bytes");
-        assert!(
-            d.len() as u64 == len,
-            "data length {} != extent length {len}",
-            d.len()
-        );
+        let end = offset
+            .checked_add(data.len() as u64)
+            .expect("extent end overflows u64");
         self.remove_range(offset, end);
-        self.insert_coalescing(offset, d.to_vec());
+        self.insert_coalescing(offset, data.to_vec());
     }
 
     /// Reads `len` bytes at `offset`, zero-filled over unwritten holes.
@@ -171,7 +162,7 @@ mod tests {
     #[test]
     fn roundtrip_functional() {
         let mut s = ExtentStore::new();
-        s.write(100, 5, Some(b"hello"));
+        s.write(100, b"hello");
         assert_eq!(s.read(100, 5), b"hello");
         assert!(s.covers(100, 5));
         assert_eq!(s.written_bytes(), 5);
@@ -180,7 +171,7 @@ mod tests {
     #[test]
     fn holes_read_as_zeroes() {
         let mut s = ExtentStore::new();
-        s.write(10, 2, Some(b"ab"));
+        s.write(10, b"ab");
         assert_eq!(s.read(8, 6), [0, 0, b'a', b'b', 0, 0]);
         assert_eq!(s.read_covered(8, 6), 2);
         assert!(!s.covers(8, 6));
@@ -189,8 +180,8 @@ mod tests {
     #[test]
     fn overwrite_replaces_overlap() {
         let mut s = ExtentStore::new();
-        s.write(0, 8, Some(b"AAAAAAAA"));
-        s.write(2, 4, Some(b"bbbb"));
+        s.write(0, b"AAAAAAAA");
+        s.write(2, b"bbbb");
         assert_eq!(s.read(0, 8), b"AAbbbbAA");
         assert_eq!(s.written_bytes(), 8);
     }
@@ -198,9 +189,9 @@ mod tests {
     #[test]
     fn adjacent_writes_coalesce() {
         let mut s = ExtentStore::new();
-        s.write(0, 4, Some(b"aaaa"));
-        s.write(4, 4, Some(b"bbbb"));
-        s.write(8, 4, Some(b"cccc"));
+        s.write(0, b"aaaa");
+        s.write(4, b"bbbb");
+        s.write(8, b"cccc");
         assert_eq!(s.extents.len(), 1);
         assert_eq!(s.read(0, 12), b"aaaabbbbcccc");
     }
@@ -208,10 +199,10 @@ mod tests {
     #[test]
     fn coalesce_left_then_right_bridging() {
         let mut s = ExtentStore::new();
-        s.write(0, 4, Some(b"aaaa"));
-        s.write(8, 4, Some(b"cccc"));
+        s.write(0, b"aaaa");
+        s.write(8, b"cccc");
         assert_eq!(s.extents.len(), 2);
-        s.write(4, 4, Some(b"bbbb")); // bridges both neighbours
+        s.write(4, b"bbbb"); // bridges both neighbours
         assert_eq!(s.extents.len(), 1);
         assert_eq!(s.read(0, 12), b"aaaabbbbcccc");
     }
@@ -219,7 +210,7 @@ mod tests {
     #[test]
     fn discard_splits_extents() {
         let mut s = ExtentStore::new();
-        s.write(0, 10, Some(b"0123456789"));
+        s.write(0, b"0123456789");
         s.discard(3, 4);
         assert_eq!(s.written_bytes(), 6);
         assert_eq!(s.extents.len(), 2);
@@ -235,23 +226,11 @@ mod tests {
     #[test]
     fn zero_length_ops_are_noops() {
         let mut s = ExtentStore::new();
-        s.write(5, 0, Some(b""));
+        s.write(5, b"");
         assert_eq!(s.written_bytes(), 0);
         assert!(s.read(5, 0).is_empty());
         assert_eq!(s.read_covered(5, 0), 0);
         s.discard(5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "functional store requires data")]
-    fn functional_write_requires_data() {
-        ExtentStore::new().write(0, 4, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "data length")]
-    fn functional_write_checks_length() {
-        ExtentStore::new().write(0, 4, Some(b"xy"));
     }
 
     // Model-based property test: the extent store must agree with a plain
@@ -278,7 +257,7 @@ mod tests {
                     }
                 } else {
                     let data = vec![byte; len as usize];
-                    store.write(off, len, Some(&data));
+                    store.write(off, &data);
                     for i in off..off + len {
                         model[i as usize] = Some(byte);
                     }

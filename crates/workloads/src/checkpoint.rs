@@ -65,12 +65,6 @@ impl CheckpointConfig {
         per_proc_round * self.processes as u64 * self.rounds as u64
     }
 
-    /// Bulk (dump) fraction of the bytes, in `[0, 1]`.
-    pub fn bulk_fraction(&self) -> f64 {
-        let records = self.record_size * self.records_per_round as u64;
-        self.dump_slice as f64 / (self.dump_slice + records) as f64
-    }
-
     /// Builds the per-process scripts.
     ///
     /// # Panics
@@ -307,7 +301,6 @@ mod tests {
     fn accounting() {
         let c = cfg();
         assert_eq!(c.total_bytes(), 2 * 2 * ((8 << 20) + 3 * 16 * 1024));
-        assert!(c.bulk_fraction() > 0.9);
         assert_eq!(c.scripts().len(), 2);
     }
 

@@ -5,12 +5,12 @@
 //! every substrate the paper runs on: storage device models, a PVFS2-style
 //! striped parallel file system, an MPI-IO-like middleware layer, the
 //! paper's cost model and selective-caching algorithms, the benchmark
-//! workloads (IOR, HPIO, MPI-Tile-IO), an IOSIG-style tracer, and an
-//! experiment harness regenerating every table and figure of the
+//! workloads (IOR, HPIO, MPI-Tile-IO), and an experiment harness with an
+//! IOSIG-style tracer that regenerates every table and figure of the
 //! evaluation.
 //!
 //! This crate is a facade: it re-exports the workspace crates under one
-//! name and hosts the runnable examples and cross-crate integration tests.
+//! name and hosts the cross-crate integration tests.
 //!
 //! ## Layer map
 //!
@@ -23,8 +23,8 @@
 //! | [`mpiio`] | `s4d-mpiio` | MPI-IO-like API, middleware seam, simulation runner |
 //! | [`cache`] | `s4d-cache` | **the contribution**: Identifier, Redirector, Rebuilder |
 //! | [`workloads`] | `s4d-workloads` | IOR / HPIO / MPI-Tile-IO generators |
-//! | [`trace`] | `s4d-trace` | IOSIG-style tracing and analysis |
 //! | [`bench`](mod@bench) | `s4d-bench` | experiment harness for all tables/figures |
+//! | [`trace`] | `s4d-bench` | IOSIG-style dispatch tracing (Table III) |
 //!
 //! ## Quickstart
 //!
@@ -58,11 +58,11 @@
 #![warn(missing_docs)]
 
 pub use s4d_bench as bench;
+pub use s4d_bench::trace;
 pub use s4d_cache as cache;
 pub use s4d_cost as cost;
 pub use s4d_mpiio as mpiio;
 pub use s4d_pfs as pfs;
 pub use s4d_sim as sim;
 pub use s4d_storage as storage;
-pub use s4d_trace as trace;
 pub use s4d_workloads as workloads;

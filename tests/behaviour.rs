@@ -12,6 +12,12 @@
 //! - `streams/*`: every op the IOR, HPIO, MPI-Tile-IO, campaign and
 //!   checkpoint generators emit over a fixed grid of geometries, phase
 //!   selections and seeds.
+//! - `scenario/checkpoint-burst`: the stock and S4D runs of one
+//!   checkpoint job (each rank's large sequential dumps and small
+//!   scattered state records), their `RunReport`s and the cache's
+//!   `S4dMetrics`. It is the one check in which a single run gives its
+//!   requests different verdicts: every dump stays on the DServers and
+//!   every record goes to the CServers.
 //! - `straggler/*`: the gray-failure benchmark's two variants (every read
 //!   latency, throughput and the hedging counters).
 //! - `chaos/*`: the JSON `s4d-chaos` prints for a seed block. The blocks
@@ -40,7 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use s4d::bench::benchmark::{Workload, NAMES};
 use s4d::bench::figures::FIGURES;
-use s4d::bench::{straggler, table, Scale};
+use s4d::bench::{run_s4d, run_stock, straggler, table, testbed, Scale};
 use s4d::cache::{AdmissionPolicy, S4dCache, S4dConfig};
 use s4d::cost::CostParams;
 use s4d::mpiio::{AppOp, AppRequest, Cluster, Middleware, ProcessScript, Rank, SubIoFailure, Tier};
@@ -505,6 +511,47 @@ fn workload_streams() {
         campaign_stream(),
         checkpoint_stream(),
     ]);
+}
+
+// ---- scenarios ----------------------------------------------------------
+
+/// The paper's motivating job (§I): each round, every rank writes one
+/// 8 MiB slice of a sequential dump and 64 scattered 16 KiB records, on a
+/// cache of a fifth of the bytes written. Selective caching must split
+/// the two by request: the dumps to the DServers, the records to the
+/// CServers.
+#[test]
+fn checkpoint_burst() {
+    let tb = testbed(1234);
+    let cfg = CheckpointConfig::representative(16);
+    let stock = run_stock(&tb, cfg.scripts(), Vec::new());
+    let s4d = run_s4d(
+        &tb,
+        S4dConfig::new(cfg.total_bytes() / 5),
+        cfg.scripts(),
+        Vec::new(),
+    );
+    let tiers = &s4d.report.tiers;
+    let dumps = u64::from(cfg.processes * cfg.rounds);
+    assert_eq!(tiers.d_ops, dumps, "every dump stays on the DServers");
+    assert_eq!(
+        tiers.c_ops,
+        dumps * u64::from(cfg.records_per_round),
+        "every record goes to the CServers"
+    );
+    let text = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n",
+        stock.report, stock.metrics, s4d.report, s4d.metrics
+    );
+    lock(&[line(
+        "scenario/checkpoint-burst",
+        Fnv1a::of(text.as_bytes()),
+        &[
+            ("d_ops", tiers.d_ops.to_string()),
+            ("c_ops", tiers.c_ops.to_string()),
+            ("write_mibs", format!("{:.2}", s4d.write_mibs())),
+        ],
+    )]);
 }
 
 // ---- straggler benchmark ------------------------------------------------

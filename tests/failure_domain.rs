@@ -333,6 +333,46 @@ fn quarantine_degrades_clean_reads_to_opfs() {
     assert!(report.degraded.io_errors > 0);
 }
 
+/// A crash dated after the run ends changes nothing: the report and the
+/// cache's metrics equal those of the same run with no fault plan.
+#[test]
+fn a_crash_after_the_run_ends_changes_nothing() {
+    let at = SimTime::from_secs(10_000);
+    let run = |fault: FaultPlan| {
+        let config = S4dConfig::new(64 * 1024 * KIB)
+            .with_rebuild_period(SimDuration::from_millis(200))
+            .with_retry_attempts(4)
+            .with_quarantine(5, SimDuration::from_secs(2));
+        // Write, flush clean, overwrite a quarter (dirty again), read all.
+        let mut b = script().open("late.dat");
+        let mut expected = HashMap::new();
+        for (v, count) in [(1, 32u64), (2, 8)] {
+            for i in 0..count {
+                let off = i * 16 * KIB;
+                b = b.write_bytes(0, off, pattern(off, 16 * KIB, v));
+                expected.insert(off, pattern(off, 16 * KIB, v));
+            }
+            b = b.think(SimDuration::from_millis(1050));
+        }
+        for i in 0..32u64 {
+            b = b.read(0, i * 16 * KIB, 16 * KIB);
+        }
+        let Setup {
+            mut runner,
+            failures,
+        } = build(0x54D, config, fault, b, expected);
+        let report = runner.run();
+        assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
+        assert!(report.end_time < at, "the run must end before the crash");
+        format!("{report:?}\n{:?}", runner.middleware().metrics())
+    };
+    let late = FaultPlan::new().with(ServerFault::Crash {
+        at,
+        recover_at: at + SimDuration::from_secs(1),
+    });
+    assert_eq!(run(late), run(FaultPlan::new()));
+}
+
 /// Runs background wakes from `now`, executing every plan they return,
 /// until no work is pending; returns the time of the last wake.
 fn drain_background(cluster: &mut Cluster, mw: &mut S4dCache, mut now: SimTime) -> SimTime {

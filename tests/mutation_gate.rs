@@ -394,6 +394,16 @@ fn every_row_dies_in_a_scratch_copy() {
     // runs, so only the mutated crate and its dependents rebuild.
     let ws = Path::new(env!("CARGO_TARGET_TMPDIR")).join("mutation-gate-ws");
     std::fs::create_dir_all(&ws).expect("create scratch workspace");
+    // Everything but the build cache goes, so a part deleted from the
+    // repository does not survive in the copy from an earlier run.
+    for entry in std::fs::read_dir(&ws).expect("read scratch workspace") {
+        let path = entry.expect("scratch entry").path();
+        if path.is_dir() && !path.ends_with("target") {
+            std::fs::remove_dir_all(&path).expect("clear scratch dir");
+        } else if path.is_file() {
+            std::fs::remove_file(&path).expect("clear scratch file");
+        }
+    }
     for part in [
         "BEHAVIOUR.lock",
         "Cargo.toml",
@@ -402,11 +412,9 @@ fn every_row_dies_in_a_scratch_copy() {
         "EXPERIMENTS.md",
         "src",
         "tests",
-        "examples",
         "crates",
         "vendor",
     ] {
-        let _ = std::fs::remove_dir_all(ws.join(part));
         copy_tree(&root.join(part), &ws.join(part));
     }
     let cargo = |args: &str| cargo::cargo(&ws, &ws.join("target"), args);
