@@ -367,4 +367,12 @@ mod tests {
         assert!(matches!(bg.take(flush), Some(Pending::Flush(_))));
         assert!(bg.take(0).is_none(), "tag 0 carries nothing");
     }
+
+    /// The obligation table's slot: a saturated CServer tier keeps tens
+    /// of thousands of flushes in flight, each holding one obligation.
+    #[test]
+    fn an_obligation_slot_is_at_most_72_bytes() {
+        let size = Slab::<u64, Pending>::SLOT_BYTES;
+        assert!(size <= 72, "an obligation slot is {size} B");
+    }
 }

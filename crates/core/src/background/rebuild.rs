@@ -6,12 +6,11 @@
 //! family) so the two halves of each background cycle — what a plan
 //! promises and what its completion delivers — can be read side by side.
 
-use s4d_mpiio::{Cluster, Plan, PlannedIo, Tier};
+use s4d_mpiio::{AppOffset, Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, Priority};
 use s4d_sim::{OneOrMany, SimTime};
 use s4d_storage::IoKind;
 
-use crate::dmt::MapExtent;
 use crate::durability::crash::CrashSite;
 use crate::durability::journal::{self, JournalRecord};
 use crate::durability::StagedFlushes;
@@ -34,42 +33,49 @@ impl S4dCache {
     /// extents, in-flight ones included; those are skipped by key before
     /// any extent is looked up.
     pub(crate) fn build_flushes(&mut self, cluster: &mut Cluster) -> Vec<Plan> {
-        let mut candidates: Vec<_> = self
+        // Per candidate, only what its flush item needs.
+        let mut candidates: Vec<FlushItem> = self
             .plane
             .dirty_keys(self.config.max_flush_per_wake)
             .filter(|key| !self.bg.inflight_flush.contains(key))
-            .filter_map(|(f, d)| Some((f, d, *self.plane.get(f, d)?)))
+            .filter_map(|(orig, d_offset)| {
+                let e = self.plane.get(orig, d_offset)?;
+                Some(FlushItem {
+                    orig,
+                    d_offset,
+                    len: e.len,
+                    c_file: e.c_file,
+                    c_offset: e.c_offset,
+                    version: e.version,
+                })
+            })
             .collect();
-        candidates.sort_by_key(|(f, d, _)| (f.0, *d));
+        candidates.sort_by_key(|c| (c.orig.0, c.d_offset));
         let mut staged = StagedFlushes::default();
         let flushes_before = self.metrics.flushes;
         let flushed_before = self.metrics.flushed_bytes;
         let mut intents: Vec<JournalRecord> = Vec::new();
         let mut i = 0;
-        while let Some(&(file, start, first)) = candidates.get(i) {
+        while let Some(first) = candidates.get(i) {
+            let (file, start) = (first.orig, first.d_offset);
             // Find the run first, so a group of several is collected at
             // its exact size.
             let mut end = start + first.len;
             let mut j = i + 1;
-            while let Some(&(f2, d2, e2)) = candidates.get(j) {
-                if f2 == file && d2 == end && (end - start) + e2.len <= MAX_GROUP_BYTES {
-                    end = d2 + e2.len;
+            while let Some(next) = candidates.get(j) {
+                if next.orig == file
+                    && next.d_offset == end
+                    && (end - start) + next.len <= MAX_GROUP_BYTES
+                {
+                    end = next.d_offset + next.len;
                     j += 1;
                 } else {
                     break;
                 }
             }
-            let item = |&(orig, d_offset, e): &(FileId, u64, MapExtent)| FlushItem {
-                orig,
-                d_offset,
-                len: e.len,
-                c_file: e.c_file,
-                c_offset: e.c_offset,
-                version: e.version,
-            };
             let items = match candidates.get(i..j).unwrap_or_default() {
-                [one] => OneOrMany::One(item(one)),
-                run => OneOrMany::Many(run.iter().map(item).collect()),
+                [one] => OneOrMany::One(*one),
+                run => OneOrMany::Many(run.to_vec()),
             };
             i = j;
             // Phase 1: read the cached bytes (merge cache-contiguous runs).
@@ -89,7 +95,7 @@ impl S4dCache {
                     len: item.len,
                     priority: Priority::Background,
                     data: None,
-                    app_offset: None,
+                    app_offset: AppOffset::NONE,
                 });
             }
             // Phase 2: one sequential write to the original file.
@@ -101,7 +107,7 @@ impl S4dCache {
                 len: end - start,
                 priority: Priority::Background,
                 data: None,
-                app_offset: None,
+                app_offset: AppOffset::NONE,
             };
             self.metrics.flushes += items.len() as u64;
             self.metrics.flushed_bytes += end - start;
@@ -216,7 +222,7 @@ impl S4dCache {
                         len: seg.len,
                         priority: Priority::Background,
                         data: None,
-                        app_offset: None,
+                        app_offset: AppOffset::NONE,
                     });
                 });
             for &(o, l) in &keys {
@@ -270,7 +276,7 @@ impl S4dCache {
                         len: p.len,
                         priority,
                         data: None,
-                        app_offset: None,
+                        app_offset: AppOffset::NONE,
                     });
                     pieces.push((cursor, p.len, c_file, p.c_offset));
                     cursor += p.len;

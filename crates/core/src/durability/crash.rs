@@ -214,7 +214,7 @@ pub fn exec_plan_fused<'p>(
                     .read_bytes(op.file, op.offset, op.len)
                     .map_err(|e| (op, e))?;
                 if let (Some(bytes), Some((buf, base)), Some(app)) =
-                    (bytes, &mut read_into, op.app_offset)
+                    (bytes, &mut read_into, op.app_offset.get())
                 {
                     let dst = app
                         .checked_sub(*base)

@@ -34,7 +34,7 @@ mod replay;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use s4d_mpiio::{Cluster, Plan, PlannedIo, Tier};
+use s4d_mpiio::{AppOffset, Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, PfsError, Priority};
 use s4d_storage::IoKind;
 
@@ -67,7 +67,9 @@ pub(crate) type FreedRange = (ShardId, FileId, u64, u64);
 #[derive(Debug)]
 pub(crate) struct Frame {
     pub(crate) offset: u64,
-    pub(crate) records: Vec<JournalRecord>,
+    /// A boxed slice (the batch never grows), so a write's obligation
+    /// carrying a frame stays within the slot of the other obligations.
+    pub(crate) records: Box<[JournalRecord]>,
 }
 
 /// One end of a simulated copy: `(tier, file, offset)`.
@@ -332,13 +334,15 @@ impl DurabilityEngine {
             offset,
             len,
             priority,
-            data: Some(data),
-            app_offset: None,
+            data: Some(data.into_boxed_slice()),
+            app_offset: AppOffset::NONE,
         };
         self.journal_offset += len;
         metrics.journal_writes += 1;
         metrics.journal_bytes += len;
         metrics.journal_records_written += records.len() as u64;
+        // `drain_all` sizes the batch exactly, so boxing it is free.
+        let records = records.into_boxed_slice();
         Some((op, Frame { offset, records }))
     }
 

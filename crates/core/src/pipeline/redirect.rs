@@ -5,7 +5,7 @@
 //! reads are fully decided here (they claim no space except through the
 //! eager-fetch ablation, which delegates to admit).
 
-use s4d_mpiio::{AppRequest, Cluster, Plan, PlannedIo, Tier};
+use s4d_mpiio::{AppOffset, AppRequest, Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, Priority};
 use s4d_sim::{OneOrMany, SimTime};
 use s4d_storage::IoKind;
@@ -233,7 +233,7 @@ impl S4dCache {
             (IoKind::Write, Some(full)) => {
                 let at = (app_offset - req.offset) as usize;
                 // None (short payload) degrades to a sizing-only op.
-                full.get(at..at + len as usize).map(<[u8]>::to_vec)
+                full.get(at..at + len as usize).map(Box::from)
             }
             _ => None,
         };
@@ -245,7 +245,7 @@ impl S4dCache {
             len,
             priority: Priority::Normal,
             data,
-            app_offset: Some(app_offset),
+            app_offset: AppOffset::new(app_offset),
         }
     }
 
@@ -261,7 +261,7 @@ impl S4dCache {
             req.len,
             req.offset,
         );
-        op.data = req.data.clone();
+        op.data = req.data.as_deref().map(Box::from);
         match req.kind {
             IoKind::Write => self.metrics.writes_to_disk += 1,
             IoKind::Read => self.metrics.read_misses += 1,

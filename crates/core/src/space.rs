@@ -27,16 +27,27 @@ pub struct AllocPiece {
 /// check keeps true. Keyed by end, the index keeps its key when an
 /// allocation takes the front of an extent, so a partial reuse rewrites
 /// one value instead of moving an entry.
+///
+/// The top of the stack enters the index only once another extent is
+/// pushed over it, and [`FreeList::overlaps`] checks it beside the index.
+/// So freeing an extent that the next allocation takes whole (an eviction
+/// followed by an admission of the same size) touches no B-tree node and
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct FreeList {
     stack: Vec<(u64, u64)>,
     by_end: BTreeMap<u64, u64>,
+    /// The top of `stack` is in `by_end` too; every extent below it is.
+    top_indexed: bool,
 }
 
 impl FreeList {
     fn push(&mut self, off: u64, len: u64) {
+        if let (Some(&(top_off, top_len)), false) = (self.stack.last(), self.top_indexed) {
+            self.by_end.insert(top_off + top_len, top_off);
+        }
         self.stack.push((off, len));
-        self.by_end.insert(off + len, off);
+        self.top_indexed = false;
     }
 
     /// Takes up to `want` bytes from the front of the most recently freed
@@ -46,19 +57,29 @@ impl FreeList {
         let take = len.min(want);
         if take < len {
             self.stack.push((off + take, len - take));
-            if let Some(start) = self.by_end.get_mut(&(off + len)) {
+            if let (Some(start), true) = (self.by_end.get_mut(&(off + len)), self.top_indexed) {
                 *start = off + take;
             }
         } else {
-            self.by_end.remove(&(off + len));
+            if self.top_indexed {
+                self.by_end.remove(&(off + len));
+            }
+            // The new top was below the old one.
+            self.top_indexed = true;
         }
         Some((off, take))
     }
 
-    /// True if `[off, end)` overlaps a free extent. Only the first extent
-    /// ending after `off` can: every later one starts after it ends.
+    /// True if `[off, end)` overlaps a free extent: the unindexed top, or
+    /// the first indexed extent ending after `off` (every later one
+    /// starts after it ends).
     fn overlaps(&self, off: u64, end: u64) -> bool {
-        self.by_end
+        let top = match (self.stack.last(), self.top_indexed) {
+            (Some(&(top_off, top_len)), false) => top_off < end && off < top_off + top_len,
+            _ => false,
+        };
+        top || self
+            .by_end
             .range(off + 1..)
             .next()
             .is_some_and(|(_, &start)| start < end)
@@ -355,6 +376,35 @@ mod tests {
         assert_eq!(s.allocated(), 50);
     }
 
+    /// An eviction that frees an extent the next admission takes whole
+    /// leaves the overlap index as it was: the cycle touches no B-tree
+    /// node, so it allocates nothing.
+    #[test]
+    fn reusing_the_extent_just_freed_leaves_the_index_alone() {
+        let mut s = SpaceManager::new(1000);
+        s.alloc(CF, 300).unwrap();
+        s.release(CF, 0, 100);
+        s.release(CF, 200, 100);
+        let index = |s: &SpaceManager| s.free.get(&CF).map(|fl| fl.by_end.clone());
+        let before = index(&s);
+        for _ in 0..50 {
+            let pieces = s.alloc(CF, 100).unwrap();
+            assert_eq!(
+                pieces,
+                vec![AllocPiece {
+                    c_offset: 200,
+                    len: 100
+                }]
+            );
+            assert_eq!(index(&s), before);
+            s.release(CF, 200, 100);
+            assert_eq!(index(&s), before);
+        }
+        // The unindexed top still refuses a double release.
+        s.release(CF, 250, 10);
+        assert_eq!(s.over_releases(), 1);
+    }
+
     #[test]
     fn rebuild_resumes_past_recovered_extents() {
         let extents = vec![(CF, 0u64, 30u64), (CF, 50, 20), (FileId(2), 10, 5)];
@@ -433,6 +483,9 @@ mod tests {
                     let mut by_stack = fl.stack.clone();
                     by_stack.sort_unstable();
                     let mut by_index: Vec<(u64, u64)> = fl.by_end.iter().map(|(&e, &o)| (o, e - o)).collect();
+                    if !fl.top_indexed {
+                        by_index.extend(fl.stack.last());
+                    }
                     by_index.sort_unstable();
                     prop_assert_eq!(by_stack, by_index);
                 }

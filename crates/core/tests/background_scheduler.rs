@@ -219,7 +219,9 @@ fn fetch_over_a_server_without_the_file_caches_its_bytes() {
     assert_eq!(tiers_of(&plan), vec![Tier::CServers]);
     let mut cached = vec![0u8; len as usize];
     for op in plan.ops.iter().chain(&plan.then) {
-        let Some(app) = op.app_offset else { continue };
+        let Some(app) = op.app_offset.get() else {
+            continue;
+        };
         let bytes = cluster.cpfs().read_bytes(op.file, op.offset, op.len);
         let bytes = bytes.unwrap().expect("functional stores hold bytes");
         let at = (app - offset) as usize;

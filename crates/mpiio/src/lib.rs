@@ -61,6 +61,6 @@ pub use report::{
 pub use runner::{IoObserver, Runner};
 pub use script::{script, ProcessScript, ScriptBuilder, VecScript};
 pub use types::{
-    AppOp, AppRequest, ErrorDirective, FileHandle, HedgeDirective, MiddlewareError, Plan,
-    PlannedIo, Rank, StragglerCtx, SubIoFailure, Tier,
+    AppOffset, AppOp, AppRequest, ErrorDirective, FileHandle, HedgeDirective, MiddlewareError,
+    Plan, PlannedIo, Rank, StragglerCtx, SubIoFailure, Tier,
 };

@@ -192,7 +192,7 @@ impl Middleware for StockMiddleware {
             req.offset,
         );
         if req.kind == IoKind::Write {
-            op.data = req.data.clone();
+            op.data = req.data.as_deref().map(Box::from);
         }
         Plan::single_phase(op)
     }
@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(op.tier, Tier::DServers);
         assert_eq!(op.offset, 4096);
         assert_eq!(op.len, 8192);
-        assert_eq!(op.app_offset, Some(4096));
+        assert_eq!(op.app_offset.get(), Some(4096));
         assert_eq!(plan.tag, 0);
         mw.close(&mut cluster, Rank(0), f).unwrap();
         assert_eq!(mw.name(), "stock");

@@ -1,7 +1,7 @@
 //! Script advancement and plan execution: process bookkeeping, phase
 //! submission, sub-request decomposition, and completion assembly.
 
-use s4d_pfs::{Priority, SubRange, SubRequest};
+use s4d_pfs::{Priority, StripeLayout, SubRange, SubReqId, SubRequest};
 use s4d_sim::{EventQueue, OneOrMany, SimDuration, SimTime};
 use s4d_storage::IoKind;
 
@@ -65,49 +65,142 @@ pub(super) enum PlanOwner {
 pub(super) struct PlanExec {
     /// The middleware's tag, echoed when the plan completes or fails.
     pub(super) tag: u64,
-    /// The plan's per-sub-request deadline budget.
-    pub(super) deadline: Option<SimDuration>,
+    /// The plan's per-sub-request deadline budget; `SimDuration::MAX`
+    /// stands for none (a budget that long could never be armed).
+    deadline: SimDuration,
     /// The second phase, moved out when it is submitted.
     pub(super) then: OneOrMany<PlannedIo>,
+    /// Sub-requests of the current phase not yet settled.
+    pub(super) outstanding: u32,
+    /// The owning process's index, or `u32::MAX` for background work
+    /// (process indices are `Rank`s, which are `u32`s).
+    owner: u32,
     /// The phase being submitted or drained: 0 for the plan's `ops`, 1
     /// for its `then`; 2 once both are done.
     pub(super) phase: u8,
-    /// Sub-requests of the current phase not yet settled.
-    pub(super) outstanding: u32,
-    pub(super) owner: PlanOwner,
     /// Set when a sub-request gave up: a remaining phase is skipped and
     /// the plan fails instead of completing.
     pub(super) failed: bool,
 }
 
+impl PlanExec {
+    /// A launched plan holding its second phase, before any submission.
+    pub(super) fn new(
+        tag: u64,
+        deadline: Option<SimDuration>,
+        then: OneOrMany<PlannedIo>,
+        owner: PlanOwner,
+    ) -> Self {
+        PlanExec {
+            tag,
+            deadline: deadline.unwrap_or(SimDuration::MAX),
+            then,
+            outstanding: 0,
+            owner: match owner {
+                PlanOwner::Process(i) => i as u32,
+                PlanOwner::Background => u32::MAX,
+            },
+            phase: 0,
+            failed: false,
+        }
+    }
+
+    /// The plan's per-sub-request deadline budget.
+    pub(super) fn deadline(&self) -> Option<SimDuration> {
+        (self.deadline != SimDuration::MAX).then_some(self.deadline)
+    }
+
+    /// Who the plan belongs to.
+    pub(super) fn owner(&self) -> PlanOwner {
+        match self.owner {
+            u32::MAX => PlanOwner::Background,
+            i => PlanOwner::Process(i as usize),
+        }
+    }
+}
+
+/// An in-flight sub-request. Each fact is held once: the deadline budget
+/// is the plan's, the piece is `(server, local_offset, len)` (its file
+/// segments come from the tier's layout, [`SubMeta::piece`]), and a
+/// data-carrying op's two offsets are kept as their difference.
+#[derive(Clone, Copy)]
 pub(super) struct SubMeta {
     pub(super) plan_id: PlanId,
-    /// Tier the sub-request was dispatched to.
-    pub(super) tier: Tier,
     /// Tier-local file the sub-request targets.
     pub(super) file: s4d_pfs::FileId,
-    /// Read or write.
-    pub(super) kind: IoKind,
-    /// Offset of the planned op within its file.
-    pub(super) op_offset: u64,
-    /// Application-file offset the op's bytes belong to, if data-carrying.
-    pub(super) app_offset: Option<u64>,
-    /// The server-local piece of the op this sub-request carries. Its
-    /// `(file_offset_within_op_file, len)` segments are derived on demand
-    /// from the tier's layout ([`s4d_pfs::StripeLayout::file_segments`]).
-    pub(super) sub: SubRange,
-    /// Service class (needed to rebuild the sub-request on retry).
-    pub(super) priority: Priority,
-    /// Attempts so far, including the in-flight one.
-    pub(super) attempts: u32,
+    /// Offset of the piece within the server-local file object.
+    pub(super) local_offset: u64,
+    /// Piece length in bytes.
+    pub(super) len: u64,
+    /// For an op carrying application bytes, the application offset of
+    /// its file offset 0 (`app_offset - op_offset`, wrapping); see
+    /// [`SubMeta::app_shift`].
+    app_shift: u64,
     /// When the current attempt was submitted (latency measurement).
     pub(super) submitted: SimTime,
-    /// Deadline budget to re-arm on retries (`None`: never expires).
-    pub(super) deadline: Option<SimDuration>,
+    /// Index of the server holding the piece.
+    pub(super) server: u32,
+    /// Attempts so far, including the in-flight one.
+    pub(super) attempts: u32,
+    /// Tier the sub-request was dispatched to.
+    pub(super) tier: Tier,
+    /// Read or write.
+    pub(super) kind: IoKind,
+    /// Service class (needed to rebuild the sub-request on retry).
+    pub(super) priority: Priority,
     /// True for a hedged replacement op: its own deadline miss abandons
     /// outright instead of hedging again, bounding the escalation chain
     /// at original → hedge → abandon/re-plan.
     pub(super) hedge: bool,
+    /// The op carries application bytes (`app_shift` is set).
+    carries_app: bool,
+}
+
+impl SubMeta {
+    /// The record of `op`'s piece `sub`, first submitted at `now`.
+    fn new(plan_id: PlanId, op: &PlannedIo, sub: &SubRange, now: SimTime, hedge: bool) -> Self {
+        let app_shift = op.app_offset.get().map(|app| app.wrapping_sub(op.offset));
+        SubMeta {
+            plan_id,
+            file: op.file,
+            local_offset: sub.local_offset,
+            len: sub.len,
+            app_shift: app_shift.unwrap_or(0),
+            submitted: now,
+            server: sub.server as u32,
+            attempts: 1,
+            tier: op.tier,
+            kind: op.kind,
+            priority: op.priority,
+            hedge,
+            carries_app: app_shift.is_some(),
+        }
+    }
+
+    /// For an op carrying application bytes, what to add (wrapping) to a
+    /// file offset of the op to get the application offset its byte
+    /// belongs to; `None` for overhead traffic.
+    pub(super) fn app_shift(&self) -> Option<u64> {
+        self.carries_app.then_some(self.app_shift)
+    }
+
+    /// The piece this sub-request carries, rebuilt on the tier's layout.
+    pub(super) fn piece(&self, layout: StripeLayout) -> SubRange {
+        layout.piece(self.server as usize, self.local_offset, self.len)
+    }
+
+    /// The sub-request this record describes, under `id`.
+    pub(super) fn request(&self, id: SubReqId, data: Option<Box<[u8]>>) -> SubRequest {
+        SubRequest {
+            id,
+            file: self.file,
+            kind: self.kind,
+            local_offset: self.local_offset,
+            len: self.len,
+            priority: self.priority,
+            data,
+        }
+    }
 }
 
 impl<M: Middleware> State<M> {
@@ -311,8 +404,8 @@ impl<M: Middleware> State<M> {
                 1 => std::mem::take(&mut exec.then),
                 _ => break,
             };
-            let deadline = exec.deadline;
-            let owner = exec.owner;
+            let deadline = exec.deadline();
+            let owner = exec.owner();
             let mut created = 0;
             for op in &ops {
                 if op.len == 0 {
@@ -365,31 +458,11 @@ impl<M: Middleware> State<M> {
                         buf.extend_from_slice(seg);
                     }
                 }
-                buf
+                buf.into_boxed_slice()
             });
-            let id = self.subs.insert(SubMeta {
-                plan_id,
-                tier: op.tier,
-                file: op.file,
-                kind: op.kind,
-                op_offset: op.offset,
-                app_offset: op.app_offset,
-                sub,
-                priority: op.priority,
-                attempts: 1,
-                submitted: now,
-                deadline,
-                hedge,
-            });
-            let sr = SubRequest {
-                id,
-                file: op.file,
-                kind: op.kind,
-                local_offset: sub.local_offset,
-                len: sub.len,
-                priority: op.priority,
-                data,
-            };
+            let meta = SubMeta::new(plan_id, op, &sub, now, hedge);
+            let id = self.subs.insert(meta);
+            let sr = meta.request(id, data);
             let tier = op.tier;
             let server_idx = sub.server;
             let sub_len = sub.len;
@@ -440,7 +513,7 @@ impl<M: Middleware> State<M> {
         };
         if let Some(error) = completed.error {
             self.report.degraded.io_errors += 1;
-            let overhead = exec.owner != PlanOwner::Background && meta.app_offset.is_none();
+            let overhead = exec.owner() != PlanOwner::Background && !meta.carries_app;
             let failure = SubIoFailure {
                 tier,
                 server,
@@ -458,18 +531,10 @@ impl<M: Middleware> State<M> {
                     let mut meta = meta;
                     meta.attempts += 1;
                     // A failed write hands its payload back in `data`. The
-                    // id is retired; the retry is submitted under a new one.
-                    let req = SubRequest {
-                        id: completed.id,
-                        file: completed.file,
-                        kind: completed.kind,
-                        local_offset: completed.local_offset,
-                        len: completed.len,
-                        priority: meta.priority,
-                        data: completed.data,
-                    };
-                    // The sub-request stays outstanding on its plan.
-                    self.schedule_retry(now, delay, tier, server, req, meta, q);
+                    // id is retired; the retry is submitted under a new
+                    // one. The sub-request stays outstanding on its plan.
+                    let data = completed.data.map(Vec::into_boxed_slice);
+                    self.schedule_retry(now, delay, meta, data, q);
                     return;
                 }
                 ErrorDirective::GiveUp => {
@@ -495,8 +560,8 @@ impl<M: Middleware> State<M> {
                 now - meta.submitted,
             );
             // Scatter functional read bytes into the owner's buffer.
-            if let (Some(data), Some(app_off), PlanOwner::Process(index)) =
-                (&completed.data, meta.app_offset, exec.owner)
+            if let (Some(data), Some(shift), PlanOwner::Process(index)) =
+                (&completed.data, meta.app_shift(), exec.owner())
             {
                 if let Some(inflight) = self.procs.get_mut(index).and_then(|p| p.request.as_mut()) {
                     let (offset, len) = (inflight.req.offset, inflight.req.len);
@@ -505,8 +570,8 @@ impl<M: Middleware> State<M> {
                         .get_or_insert_with(|| vec![0u8; len as usize]);
                     let layout = self.cluster.pfs(tier).layout();
                     let mut cursor = 0usize;
-                    for (seg_off, seg_len) in layout.file_segments(&meta.sub) {
-                        let app_pos = app_off + (seg_off - meta.op_offset);
+                    for (seg_off, seg_len) in layout.file_segments(&meta.piece(layout)) {
+                        let app_pos = seg_off.wrapping_add(shift);
                         let at = (app_pos - offset) as usize;
                         let n = seg_len as usize;
                         if let (Some(dst), Some(src)) =
@@ -556,7 +621,7 @@ impl<M: Middleware> State<M> {
             self.middleware
                 .on_plan_complete(&mut self.cluster, now, exec.tag);
         }
-        self.finish_plan_owner(now, exec.owner, q);
+        self.finish_plan_owner(now, exec.owner(), q);
     }
 
     pub(super) fn finish_plan_owner(
@@ -601,7 +666,7 @@ mod tests {
     #[test]
     fn a_plan_entry_carries_no_request() {
         let size = std::mem::size_of::<PlanExec>();
-        assert!(size <= 120, "PlanExec is {size} B");
+        assert!(size <= 88, "PlanExec is {size} B");
     }
 
     /// The plan table's slot: the free-list link shares the entry's
@@ -609,6 +674,29 @@ mod tests {
     #[test]
     fn a_plan_slot_is_a_plan_and_a_generation() {
         let size = s4d_sim::Slab::<PlanId, PlanExec>::SLOT_BYTES;
-        assert!(size <= 128, "a plan slot is {size} B");
+        assert!(size <= 96, "a plan slot is {size} B");
+    }
+
+    /// The sub-request table's slot: a saturated tier keeps tens of
+    /// thousands of sub-requests in flight, each holding its facts once.
+    #[test]
+    fn a_sub_slot_holds_each_fact_once() {
+        let size = s4d_sim::Slab::<SubReqId, SubMeta>::SLOT_BYTES;
+        assert!(size <= 72, "a sub-request slot is {size} B");
+    }
+
+    #[test]
+    fn a_plan_records_its_owner_and_budget() {
+        let budget = Some(SimDuration::from_millis(3));
+        let exec = PlanExec::new(7, budget, OneOrMany::new(), PlanOwner::Process(5));
+        assert_eq!(
+            (exec.owner(), exec.deadline()),
+            (PlanOwner::Process(5), budget)
+        );
+        let exec = PlanExec::new(7, None, OneOrMany::new(), PlanOwner::Background);
+        assert_eq!(
+            (exec.owner(), exec.deadline()),
+            (PlanOwner::Background, None)
+        );
     }
 }

@@ -36,7 +36,7 @@ use s4d_sim::{EventQueue, SimTime};
 use crate::middleware::Middleware;
 use crate::types::{HedgeDirective, PlannedIo, StragglerCtx};
 
-use super::exec::{PlanOwner, SubMeta};
+use super::exec::{PlanExec, PlanOwner, SubMeta};
 use super::{Event, State};
 
 impl<M: Middleware> State<M> {
@@ -54,7 +54,7 @@ impl<M: Middleware> State<M> {
             self.abandon_sub(now, sub, q);
             return;
         }
-        let app_file = match self.plans.get(meta.plan_id).map(|e| e.owner) {
+        let app_file = match self.plans.get(meta.plan_id).map(PlanExec::owner) {
             Some(PlanOwner::Process(i)) => self
                 .procs
                 .get(i)
@@ -62,22 +62,22 @@ impl<M: Middleware> State<M> {
                 .map(|r| r.req.file),
             _ => None,
         };
-        let app_segments = match meta.app_offset {
-            Some(app_off) => self
-                .cluster
-                .pfs(meta.tier)
-                .layout()
-                .file_segments(&meta.sub)
-                .map(|(o, l)| (app_off + (o - meta.op_offset), l))
-                .collect(),
+        let app_segments = match meta.app_shift() {
+            Some(shift) => {
+                let layout = self.cluster.pfs(meta.tier).layout();
+                layout
+                    .file_segments(&meta.piece(layout))
+                    .map(|(o, l)| (o.wrapping_add(shift), l))
+                    .collect()
+            }
             None => Vec::new(),
         };
         let ctx = StragglerCtx {
             tier: meta.tier,
-            server: meta.sub.server,
+            server: meta.server as usize,
             file: meta.file,
             kind: meta.kind,
-            len: meta.sub.len,
+            len: meta.len,
             app_file,
             app_segments,
             attempts: meta.attempts,
@@ -107,7 +107,8 @@ impl<M: Middleware> State<M> {
         };
         self.detach_straggler(now, &meta, sub, q);
         let plan_id = meta.plan_id;
-        let Some(owner) = self.plans.get(plan_id).map(|e| e.owner) else {
+        let Some((owner, deadline)) = self.plans.get(plan_id).map(|e| (e.owner(), e.deadline()))
+        else {
             return; // an outstanding sub keeps its plan live
         };
         self.report.gray.hedges_issued += 1;
@@ -117,7 +118,7 @@ impl<M: Middleware> State<M> {
                 continue;
             }
             self.account_dispatch(now, owner, op);
-            launched += self.submit_planned_op(now, plan_id, op, meta.deadline, true, q);
+            launched += self.submit_planned_op(now, plan_id, op, deadline, true, q);
         }
         let Some(exec) = self.plans.get_mut(plan_id) else {
             return; // submission completes nothing, so the plan is still there
@@ -158,9 +159,10 @@ impl<M: Middleware> State<M> {
         sub: SubReqId,
         q: &mut EventQueue<Event>,
     ) {
+        let server = meta.server as usize;
         self.middleware
-            .on_io_abandoned(meta.tier, meta.sub.server, meta.kind, meta.sub.len);
-        let Ok(srv) = self.cluster.pfs_mut(meta.tier).server_mut(meta.sub.server) else {
+            .on_io_abandoned(meta.tier, server, meta.kind, meta.len);
+        let Ok(srv) = self.cluster.pfs_mut(meta.tier).server_mut(server) else {
             return; // the sub was dispatched to a server the tier has
         };
         let (freed, next) = srv.abandon(now, sub);
@@ -172,7 +174,7 @@ impl<M: Middleware> State<M> {
                 s.completes_at,
                 Event::ServerDone {
                     tier: meta.tier,
-                    server: meta.sub.server,
+                    server,
                 },
             );
         }

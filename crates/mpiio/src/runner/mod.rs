@@ -278,15 +278,7 @@ impl<M: Middleware> State<M> {
         } = plan;
         // The plan stays in the table until it completes or fails; every
         // step in between updates it in place.
-        let plan_id = self.plans.insert(PlanExec {
-            tag,
-            deadline,
-            then,
-            phase: 0,
-            outstanding: 0,
-            owner,
-            failed: false,
-        });
+        let plan_id = self.plans.insert(PlanExec::new(tag, deadline, then, owner));
         self.first_phases.insert(plan_id, ops);
         if lead_in.is_zero() {
             self.advance_plan(now, plan_id, q);

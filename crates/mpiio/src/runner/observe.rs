@@ -47,7 +47,7 @@ impl<M: Middleware> State<M> {
     /// background bytes) and fans it out to the observers. `owner` owns
     /// the op's plan.
     pub(super) fn account_dispatch(&mut self, now: SimTime, owner: PlanOwner, op: &PlannedIo) {
-        match (owner, op.app_offset) {
+        match (owner, op.app_offset.get()) {
             (PlanOwner::Process(index), Some(app_off)) => {
                 self.report.tiers.record(op.tier, op.len);
                 let Some(proc) = self.procs.get(index) else {

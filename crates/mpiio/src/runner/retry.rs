@@ -6,11 +6,9 @@
 //! middleware for a fresh one once its state reflects the failure
 //! (quarantine, invalidated mappings), so the new plan routes around it.
 
-use s4d_pfs::SubRequest;
 use s4d_sim::{EventQueue, SimDuration, SimTime};
 
 use crate::middleware::Middleware;
-use crate::types::Tier;
 
 use super::exec::{PlanExec, PlanOwner, SubMeta};
 use super::{Event, RetryId, State};
@@ -28,57 +26,41 @@ fn replan_delay(replans: u32) -> SimDuration {
     SimDuration::from_millis(8 << exp).min(SimDuration::from_secs(1))
 }
 
-/// A failed sub-request waiting out its retry backoff.
+/// A failed sub-request waiting out its retry backoff: its record, and
+/// the write payload the failed attempt handed back.
 pub(super) struct PendingRetry {
-    tier: Tier,
-    server: usize,
-    req: SubRequest,
     meta: SubMeta,
+    data: Option<Box<[u8]>>,
 }
 
 impl<M: Middleware> State<M> {
     /// Parks a failed sub-request until its backoff elapses.
-    #[expect(clippy::too_many_arguments, reason = "all a retry needs to be rebuilt")]
     pub(super) fn schedule_retry(
         &mut self,
         now: SimTime,
         delay: SimDuration,
-        tier: Tier,
-        server: usize,
-        req: SubRequest,
         meta: SubMeta,
+        data: Option<Box<[u8]>>,
         q: &mut EventQueue<Event>,
     ) {
         self.report.degraded.retries += 1;
-        let token = self.retries.insert(PendingRetry {
-            tier,
-            server,
-            req,
-            meta,
-        });
+        let token = self.retries.insert(PendingRetry { meta, data });
         q.push(now + delay, Event::Retry(token));
     }
 
     /// Resubmits a retried sub-request after its backoff.
     pub(super) fn fire_retry(&mut self, now: SimTime, token: RetryId, q: &mut EventQueue<Event>) {
-        let Some(PendingRetry {
-            tier,
-            server,
-            mut req,
-            mut meta,
-        }) = self.retries.remove(token)
-        else {
+        let Some(PendingRetry { mut meta, data }) = self.retries.remove(token) else {
             return; // a Retry event names a pending retry
         };
         meta.submitted = now;
-        let deadline = meta.deadline;
-        let kind = req.kind;
-        let len = req.len;
+        let deadline = self.plans.get(meta.plan_id).and_then(PlanExec::deadline);
+        let (tier, server, kind, len) = (meta.tier, meta.server as usize, meta.kind, meta.len);
         // Each attempt runs under a fresh key with a fresh deadline; the
         // failed attempt's key was retired when it completed, so its timer
         // cannot fire on this one.
         let id = self.subs.insert(meta);
-        req.id = id;
+        let req = meta.request(id, data);
         let Ok(srv) = self.cluster.pfs_mut(tier).server_mut(server) else {
             self.subs.remove(id);
             return; // the retried server was valid when the retry was queued
@@ -101,7 +83,7 @@ impl<M: Middleware> State<M> {
             self.middleware
                 .on_plan_failed(&mut self.cluster, now, exec.tag);
         }
-        match exec.owner {
+        match exec.owner() {
             PlanOwner::Process(index) => {
                 let Some(inflight) = self.procs.get_mut(index).and_then(|p| p.request.as_mut())
                 else {

@@ -112,6 +112,58 @@ pub struct AppRequest {
     pub data: Option<Vec<u8>>,
 }
 
+/// Where a planned op's bytes belong in the *application* file, or
+/// nothing for overhead traffic such as metadata journal writes — an
+/// `Option<u64>` in 8 B instead of 16, so a plan phase and every
+/// in-flight record that copies it stay small.
+///
+/// `u64::MAX` stands for none: no byte can start there, since a request
+/// ends by `u64::MAX` and an op of no bytes is never dispatched.
+///
+/// ```
+/// use s4d_mpiio::AppOffset;
+/// assert_eq!(AppOffset::new(4096).get(), Some(4096));
+/// assert!(AppOffset::NONE.is_none());
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct AppOffset(u64);
+
+impl AppOffset {
+    /// No application bytes: overhead traffic.
+    pub const NONE: AppOffset = AppOffset(u64::MAX);
+
+    /// The application-file offset `offset` (`u64::MAX` reads back as
+    /// [`AppOffset::NONE`]).
+    pub const fn new(offset: u64) -> Self {
+        AppOffset(offset)
+    }
+
+    /// The offset, or `None` for overhead traffic.
+    pub const fn get(self) -> Option<u64> {
+        if self.0 == u64::MAX {
+            None
+        } else {
+            Some(self.0)
+        }
+    }
+
+    /// True if the op carries application bytes.
+    pub const fn is_some(self) -> bool {
+        self.0 != u64::MAX
+    }
+
+    /// True for overhead traffic.
+    pub const fn is_none(self) -> bool {
+        self.0 == u64::MAX
+    }
+}
+
+impl std::fmt::Debug for AppOffset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// One planned physical I/O produced by middleware for a request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedIo {
@@ -128,12 +180,14 @@ pub struct PlannedIo {
     pub len: u64,
     /// Service class at the file servers.
     pub priority: Priority,
-    /// Write payload (functional runs only).
-    pub data: Option<Vec<u8>>,
+    /// Write payload (functional runs only). A boxed slice, 8 B smaller
+    /// than a `Vec`: a planned payload never grows.
+    pub data: Option<Box<[u8]>>,
     /// For ops that carry a slice of the *application* request: the
     /// absolute offset in the original file where this op's bytes belong.
-    /// `None` for overhead traffic such as metadata journal writes.
-    pub app_offset: Option<u64>,
+    /// [`AppOffset::NONE`] for overhead traffic such as metadata journal
+    /// writes.
+    pub app_offset: AppOffset,
 }
 
 impl PlannedIo {
@@ -154,7 +208,7 @@ impl PlannedIo {
             len,
             priority: Priority::Normal,
             data: None,
-            app_offset: Some(app_offset),
+            app_offset: AppOffset::new(app_offset),
         }
     }
 }
@@ -360,5 +414,14 @@ mod tests {
     fn a_phase_is_no_larger_than_one_op() {
         use std::mem::size_of;
         assert_eq!(size_of::<OneOrMany<PlannedIo>>(), size_of::<PlannedIo>());
+    }
+
+    /// An op is its coordinates, a boxed payload and an 8 B application
+    /// offset: every plan holds two phases of one op each inline, and the
+    /// runner's plan table holds one.
+    #[test]
+    fn a_planned_op_is_at_most_56_bytes() {
+        let size = std::mem::size_of::<PlannedIo>();
+        assert!(size <= 56, "PlannedIo is {size} B");
     }
 }

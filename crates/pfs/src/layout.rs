@@ -121,6 +121,21 @@ impl StripeLayout {
         }
     }
 
+    /// Rebuilds the sub-range of a piece stored as `(server,
+    /// local_offset, len)`: its `file_offset` is where its first local
+    /// byte sits in the global file, so a record of an in-flight piece
+    /// need not keep it. For every piece [`StripeLayout::split_iter`]
+    /// yields, this returns that piece.
+    pub fn piece(&self, server: usize, local_offset: u64, len: u64) -> SubRange {
+        let global_stripe = (local_offset / self.stripe) * self.servers as u64 + server as u64;
+        SubRange {
+            server,
+            local_offset,
+            file_offset: global_stripe * self.stripe + local_offset % self.stripe,
+            len,
+        }
+    }
+
     /// Expands a sub-range back into the global-file segments it carries.
     ///
     /// A merged sub-range is contiguous in the server's local space but may
@@ -475,6 +490,28 @@ mod tests {
                 let lazy = l.file_segments(sub);
                 prop_assert_eq!(lazy.len(), segs.len());
                 prop_assert_eq!(lazy.collect::<Vec<_>>(), segs);
+            }
+        }
+
+        /// Every piece `split` yields comes back whole from its
+        /// `(server, local_offset, len)`, for any offset, length and
+        /// server count — including ends that saturate at `u64::MAX`.
+        #[test]
+        fn prop_piece_rebuilds_every_split_piece(
+            stripe in 1u64..(1 << 17),
+            servers in 1usize..12,
+            near_end in any::<bool>(),
+            raw_offset in 0u64..(1 << 24),
+            len in prop_oneof![Just(0u64), 1u64..(1 << 22), Just(u64::MAX)],
+        ) {
+            let l = StripeLayout::new(stripe, servers);
+            let offset = if near_end || len == u64::MAX {
+                u64::MAX - raw_offset
+            } else {
+                raw_offset
+            };
+            for sub in l.split(offset, len) {
+                prop_assert_eq!(l.piece(sub.server, sub.local_offset, sub.len), sub);
             }
         }
 

@@ -30,7 +30,9 @@ pub struct SubRequest {
     /// Foreground or background service class.
     pub priority: Priority,
     /// Write payload (required when the server stores bytes functionally).
-    pub data: Option<Vec<u8>>,
+    /// A boxed slice: a queued sub-request never grows its payload, and
+    /// the box is 8 B smaller than a `Vec`.
+    pub data: Option<Box<[u8]>>,
 }
 
 /// Acknowledgement that a sub-request entered service.
@@ -251,7 +253,7 @@ impl FileServer {
             // Hand the payload back so a failed write can be retried.
             (Some(_), _) => {
                 self.stats.faulted_ops += 1;
-                req.data.filter(|_| req.kind.is_write())
+                req.data.filter(|_| req.kind.is_write()).map(Vec::from)
             }
             (None, IoKind::Write) => {
                 self.stats.bytes_written += req.len;
@@ -621,7 +623,7 @@ mod tests {
         let mut s = hdd_server(StoreMode::Functional);
         let t0 = SimTime::ZERO;
         let mut w = req(1, IoKind::Write, 100, 5, Priority::Normal);
-        w.data = Some(b"hello".to_vec());
+        w.data = Some(b"hello".to_vec().into());
         let started = s.submit(t0, w).unwrap();
         s.on_complete(started.completes_at);
         let started = s
@@ -681,7 +683,7 @@ mod tests {
         let mut s = hdd_server(StoreMode::Functional);
         let t = SimTime::ZERO;
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
-        w.data = Some(vec![7; 4]);
+        w.data = Some(vec![7; 4].into());
         let st = s.submit(t, w).unwrap();
         s.on_complete(st.completes_at);
         assert_eq!(s.stored_bytes(), 4);
@@ -710,6 +712,14 @@ mod tests {
         assert_eq!(s.stored_bytes(), 0);
     }
 
+    /// A queued sub-request is four words and a boxed payload: a
+    /// saturated tier's background queues hold tens of thousands.
+    #[test]
+    fn a_sub_request_is_at_most_56_bytes() {
+        let size = std::mem::size_of::<SubRequest>();
+        assert!(size <= 56, "SubRequest is {size} B");
+    }
+
     #[test]
     #[should_panic(expected = "no sub-request in service")]
     fn on_complete_without_service_panics() {
@@ -732,7 +742,7 @@ mod tests {
         }));
         // Healthy write before the crash.
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
-        w.data = Some(vec![9; 4]);
+        w.data = Some(vec![9; 4].into());
         let st = s.submit(SimTime::ZERO, w).unwrap();
         s.on_complete(st.completes_at);
         assert_eq!(s.stored_bytes(), 4);
@@ -741,7 +751,7 @@ mod tests {
         // effect, and returns its payload for retry.
         let t_down = SimTime::from_secs(12);
         let mut w = req(2, IoKind::Write, 100, 4, Priority::Normal);
-        w.data = Some(vec![7; 4]);
+        w.data = Some(vec![7; 4].into());
         let st = s.submit(t_down, w).unwrap();
         assert_eq!(st.completes_at, t_down + SimDuration::from_millis(2));
         let (done, _) = s.on_complete(st.completes_at);
@@ -777,7 +787,7 @@ mod tests {
         }));
         // Starts healthy at t=0, but the server is down by completion.
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
-        w.data = Some(vec![1; 4]);
+        w.data = Some(vec![1; 4].into());
         let st = s.submit(SimTime::ZERO, w).unwrap();
         let (done, _) = s.on_complete(st.completes_at);
         assert_eq!(done.error, Some(IoFault::Offline));
@@ -797,7 +807,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for i in 0..200 {
             let mut w = req(i, IoKind::Write, 0, 4, Priority::Normal);
-            w.data = Some(vec![3; 4]);
+            w.data = Some(vec![3; 4].into());
             let st = s.submit(t, w).unwrap();
             let (done, _) = s.on_complete(st.completes_at);
             if done.error == Some(IoFault::Transient) {
@@ -823,7 +833,7 @@ mod tests {
             release: Some(SimTime::from_secs(5)),
         }));
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
-        w.data = Some(vec![2; 4]);
+        w.data = Some(vec![2; 4].into());
         let st = s
             .submit(SimTime::ZERO, w)
             .expect("released stall schedules");
@@ -848,7 +858,7 @@ mod tests {
         }));
         // Before the stall: normal service.
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
-        w.data = Some(vec![1; 4]);
+        w.data = Some(vec![1; 4].into());
         let st = s.submit(SimTime::ZERO, w).expect("healthy start");
         s.on_complete(st.completes_at);
 
@@ -896,7 +906,7 @@ mod tests {
         }));
         // Healthy write before the window.
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
-        w.data = Some(vec![5; 4]);
+        w.data = Some(vec![5; 4].into());
         let st = s.submit(SimTime::ZERO, w).unwrap();
         s.on_complete(st.completes_at);
         assert_eq!(s.stored_bytes(), 4);
@@ -905,7 +915,7 @@ mod tests {
         // and hands its payload back.
         let t = SimTime::from_secs(10);
         let mut w = req(2, IoKind::Write, 100, 4, Priority::Normal);
-        w.data = Some(vec![6; 4]);
+        w.data = Some(vec![6; 4].into());
         let st = s.submit(t, w).unwrap();
         let (done, _) = s.on_complete(st.completes_at);
         assert_eq!(done.error, Some(IoFault::NoSpace));
@@ -944,7 +954,7 @@ mod tests {
         };
         let mut s = build();
         let mut w = req(1, IoKind::Write, 0, 4, Priority::Normal);
-        w.data = Some(vec![8; 4]);
+        w.data = Some(vec![8; 4].into());
         let st = s.submit(SimTime::ZERO, w).unwrap();
         s.on_complete(st.completes_at);
 

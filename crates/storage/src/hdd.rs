@@ -113,21 +113,15 @@ impl HddConfig {
     /// Finishes configuration, producing a model with the head parked at 0.
     pub fn build(self) -> HddModel {
         HddModel {
-            config: self,
             head: 0,
-            streams: Vec::new(),
+            stream_ends: Vec::with_capacity(self.max_streams),
+            stream_used: Vec::with_capacity(self.max_streams),
+            config: self,
             clock: 0,
             ops: 0,
             seeks: 0,
         }
     }
-}
-
-/// An active sequential stream: where it ended, and when it was last used.
-#[derive(Debug, Clone, Copy)]
-struct Stream {
-    end: u64,
-    last_used: u64,
 }
 
 /// A stateful hard-drive model.
@@ -146,7 +140,12 @@ struct Stream {
 pub struct HddModel {
     config: HddConfig,
     head: u64,
-    streams: Vec<Stream>,
+    /// The active streams, one index per stream across both vectors:
+    /// where each ended, and the clock of its last use. Parallel arrays,
+    /// so the continuation scan and the LRU scan each walk one dense
+    /// `u64` slice.
+    stream_ends: Vec<u64>,
+    stream_used: Vec<u64>,
     clock: u64,
     ops: u64,
     seeks: u64,
@@ -173,12 +172,23 @@ impl HddModel {
         &self.config
     }
 
-    /// Finds a stream that `lba` continues.
-    fn find_stream(&mut self, lba: u64) -> Option<&mut Stream> {
+    /// The first stream that `lba` continues: it starts at or after the
+    /// stream's end, within the window. The test is branch-free, so the
+    /// scan is a straight walk.
+    fn find_stream(&self, lba: u64) -> Option<usize> {
         let window = self.config.stream_window;
-        self.streams
-            .iter_mut()
-            .find(|s| lba >= s.end && lba - s.end <= window)
+        self.stream_ends
+            .iter()
+            .position(|&end| (lba >= end) & (lba.wrapping_sub(end) <= window))
+    }
+
+    /// The least recently used stream (clocks are unique per op).
+    fn lru_stream(&self) -> Option<usize> {
+        self.stream_used
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &used)| used)
+            .map(|(i, _)| i)
     }
 }
 
@@ -192,9 +202,13 @@ impl DeviceModel for HddModel {
         self.clock += 1;
         let clock = self.clock;
         let positioning = match self.find_stream(lba) {
-            Some(stream) => {
-                stream.end = lba.saturating_add(len);
-                stream.last_used = clock;
+            Some(i) => {
+                if let (Some(end), Some(used)) =
+                    (self.stream_ends.get_mut(i), self.stream_used.get_mut(i))
+                {
+                    *end = lba.saturating_add(len);
+                    *used = clock;
+                }
                 0.0
             }
             None => {
@@ -202,22 +216,15 @@ impl DeviceModel for HddModel {
                 let distance = lba.abs_diff(self.head);
                 let seek = self.config.seek.seek_secs(distance);
                 let rotation = rng.f64() * self.config.rotation_secs();
-                if self.streams.len() == self.config.max_streams {
+                if self.stream_ends.len() == self.config.max_streams {
                     // Evict the least-recently-used stream context.
-                    let lru = self
-                        .streams
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, s)| s.last_used)
-                        .map(|(i, _)| i);
-                    if let Some(lru) = lru {
-                        self.streams.swap_remove(lru);
+                    if let Some(lru) = self.lru_stream() {
+                        self.stream_ends.swap_remove(lru);
+                        self.stream_used.swap_remove(lru);
                     }
                 }
-                self.streams.push(Stream {
-                    end: lba.saturating_add(len),
-                    last_used: clock,
-                });
+                self.stream_ends.push(lba.saturating_add(len));
+                self.stream_used.push(clock);
                 seek + rotation
             }
         };
@@ -288,7 +295,7 @@ mod tests {
             }
         }
         assert_eq!(m.seeks(), 32, "only the first round should seek");
-        assert_eq!(m.streams.len(), 32);
+        assert_eq!(m.stream_ends.len(), 32);
     }
 
     #[test]
@@ -299,7 +306,7 @@ mod tests {
         for p in 0..5u64 {
             m.service_time(IoKind::Write, p * GIB, 4 * KIB, &mut rng);
         }
-        assert_eq!(m.streams.len(), 4);
+        assert_eq!(m.stream_ends.len(), 4);
         // Stream 0 was evicted: continuing it seeks again.
         let seeks_before = m.seeks();
         m.service_time(IoKind::Write, 4 * KIB, 4 * KIB, &mut rng);

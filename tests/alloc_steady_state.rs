@@ -17,7 +17,10 @@
 //! over-subscribed requests (1.07 each; every group-commit frame, whose
 //! records and bytes leave the cache with its plan, costs two). A
 //! timing-mode file server keeps no per-file store, so none of them
-//! touches an extent store. The ceilings sit less than one allocation
+//! touches an extent store. Shrinking the in-flight records (a boxed
+//! payload, an 8 B application offset, one deadline per plan) left all
+//! three counts where they were: a slab grows by the same doublings
+//! whatever its slot size. The ceilings sit less than one allocation
 //! per request above them, so one new per-request `Vec` in
 //! `identify`, `plan_io`, `on_plan_complete`, the pfs split or the
 //! runner's sub-request bookkeeping fails here first. This test is the mutation gate's killer for `alloc-in-hot-path`
@@ -35,7 +38,9 @@
 
 use s4d::bench::testbed;
 use s4d::cache::{Cdt, S4dCache, S4dConfig, S4dMetrics, DMT_RECORD_BYTES};
-use s4d::mpiio::{script, AppRequest, Cluster, Middleware, Plan, PlannedIo, Rank, Runner, Tier};
+use s4d::mpiio::{
+    script, AppOffset, AppRequest, Cluster, Middleware, Plan, PlannedIo, Rank, Runner, Tier,
+};
 use s4d::pfs::FileId;
 use s4d::sim::{OneOrMany, SimTime};
 use s4d::storage::IoKind;
@@ -201,7 +206,7 @@ fn bypass_requests_allocate_nothing_per_request() {
 fn a_plan_of_one_op_per_phase_allocates_nothing() {
     let data = PlannedIo::data_op(Tier::CServers, FileId(1), IoKind::Write, 0, 16 * KIB, 0);
     let journal = PlannedIo {
-        app_offset: None,
+        app_offset: AppOffset::NONE,
         ..data.clone()
     };
     let (bytes, allocs) = counted(|| {

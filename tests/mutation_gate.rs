@@ -104,11 +104,25 @@ const INTENT_APPEND: &str = "        match self
             .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
         {\n";
 
+const SUB_META: &str = "crates/mpiio/src/runner/exec.rs";
+/// The end of the runner's sub-request record and the head of its one
+/// constructor, so a row can grow the record and still build it.
+const SUB_META_TAIL: &str = "    carries_app: bool,
+}
+
+impl SubMeta {
+    /// The record of `op`'s piece `sub`, first submitted at `now`.
+    fn new(plan_id: PlanId, op: &PlannedIo, sub: &SubRange, now: SimTime, hedge: bool) -> Self {
+        let app_shift = op.app_offset.get().map(|app| app.wrapping_sub(op.offset));
+        SubMeta {\n";
+
 #[rustfmt::skip]
 fn rows() -> Vec<Row> {
     use Killer::{Build, CacheTest, Clippy, LibTest, Test};
     let row = |id, file, anchor, replacement, killer, evidence| Row { id, file, anchor, replacement, killer, evidence };
     let grown: &'static str = Box::leak(format!("{LAST_NAME}{}", "const _: u8 = 0;\n".repeat(800)).into_boxed_str());
+    let deadline_copy: &'static str = Box::leak(format!("{}            deadline: None,\n",
+        SUB_META_TAIL.replacen("bool,\n", "bool,\n    deadline: Option<SimDuration>,\n", 1)).into_boxed_str());
     vec![
         // -- carried by types: the compiler is the killer ----------------
         row("discard-without-append", ADMIT,
@@ -305,6 +319,13 @@ fn rows() -> Vec<Row> {
         row("timing-store-keeps-coverage", "crates/pfs/src/server.rs",
             "                self.poke_store(req.file, req.local_offset, req.len, req.data.as_deref());\n",
             "                self.stores.entry(req.file).or_default();\n                self.poke_store(req.file, req.local_offset, req.len, req.data.as_deref());\n",
+            Test("behaviour", "benchmark_workloads"), "locked: cost/"),
+        // Memory-only: the sub-request record keeps its own copy of the
+        // plan's deadline again (16 B a slot). No simulated number moves,
+        // so in tier-1 only the exact `cost/*` lines see it; outside
+        // tier-1, `s4d-mpiio`'s size pin `a_sub_slot_holds_each_fact_once`
+        // does too.
+        row("sub-request-record-regrows", SUB_META, SUB_META_TAIL, deadline_copy,
             Test("behaviour", "benchmark_workloads"), "locked: cost/"),
     ]
 }

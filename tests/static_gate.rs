@@ -14,7 +14,7 @@ mod cargo;
 
 /// `#[expect(clippy::…)]` sites under `crates/*/src`. A ratchet: lower it
 /// when a site is retired; a new site needs the review its reason asks for.
-const EXPECT_SITES: usize = 25;
+const EXPECT_SITES: usize = 24;
 
 /// Non-test code lines a library module may have: past this a seam was
 /// missed (DESIGN.md §12).
