@@ -118,11 +118,8 @@ pub(crate) struct BackgroundScheduler {
     /// Ranges referenced by in-flight foreground reads; eviction must not
     /// discard them (a queued sub-request would read freed space).
     pins: Vec<(FileId, u64, u64)>,
-    /// Per-shard scrub resume positions: the last `(file, d_offset)`
-    /// verified in each shard. Independent cursors let every shard make
-    /// scrub progress each wake instead of one global walk starving the
-    /// tail shards.
-    scrub_cursors: Vec<Option<(FileId, u64)>>,
+    /// The scrub resume position: the last `(file, d_offset)` verified.
+    scrub_cursor: Option<(FileId, u64)>,
     /// False once a seal's read-back found the CServer tier holding no
     /// bytes (a timing-mode store). A cluster's store mode is fixed when
     /// it is built, so from then on no seal can ever be computed and
@@ -131,15 +128,15 @@ pub(crate) struct BackgroundScheduler {
 }
 
 impl BackgroundScheduler {
-    /// A fresh scheduler with nothing pending and one scrub cursor per
-    /// metadata shard.
-    pub(crate) fn new(shards: usize) -> Self {
+    /// A fresh scheduler with nothing pending and the scrub cursor at the
+    /// start.
+    pub(crate) fn new() -> Self {
         BackgroundScheduler {
             pending: Slab::new(),
             inflight_flush: IdSet::default(),
             inflight_fetch: IdSet::default(),
             pins: Vec::new(),
-            scrub_cursors: vec![None; shards.max(1)],
+            scrub_cursor: None,
             cserver_bytes: true,
         }
     }
@@ -342,7 +339,7 @@ mod tests {
 
     #[test]
     fn attach_mints_a_fresh_tag_and_take_claims_it_once() {
-        let mut bg = BackgroundScheduler::new(1);
+        let mut bg = BackgroundScheduler::new();
         let read = Pending::Read {
             pins: OneOrMany::One((FileId(1), 0, 8)),
             fetch: None,

@@ -50,11 +50,16 @@ impl S4dCache {
                 })
             })
             .collect();
+        if candidates.is_empty() {
+            return Vec::new();
+        }
         candidates.sort_by_key(|c| (c.orig.0, c.d_offset));
+        // Each group's FlushIntent queues behind every mutation recorded
+        // so far, so the append below carries them in that order.
+        self.dur.collect_pending_records(&mut self.plane);
         let mut staged = StagedFlushes::default();
         let flushes_before = self.metrics.flushes;
         let flushed_before = self.metrics.flushed_bytes;
-        let mut intents: Vec<JournalRecord> = Vec::new();
         let mut i = 0;
         while let Some(first) = candidates.get(i) {
             let (file, start) = (first.orig, first.d_offset);
@@ -114,7 +119,7 @@ impl S4dCache {
             for item in &items {
                 self.bg.inflight_flush.insert((item.orig, item.d_offset));
             }
-            intents.push(JournalRecord::FlushIntent {
+            self.dur.queue_record(JournalRecord::FlushIntent {
                 d_file: file,
                 d_offset: start,
             });
@@ -124,9 +129,6 @@ impl S4dCache {
                 ..Plan::two_phase(reads, write)
             });
         }
-        if intents.is_empty() {
-            return Vec::new();
-        }
         // Journal the intents before any flush plan can run: recovery
         // sees which ranges were mid-flush and that a re-flush is due.
         // The matching commit is the SetClean record at completion, so
@@ -134,7 +136,7 @@ impl S4dCache {
         // plans come out only against the append's handle.
         match self
             .dur
-            .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
+            .append_journal_sync(cluster, &mut self.plane, &mut self.metrics)
         {
             Some(proof) => staged.release(&proof),
             None => {

@@ -69,53 +69,27 @@ impl S4dCache {
         Some(e.len)
     }
 
-    /// One background scrub pass: each shard's cursor walks that shard's
-    /// extents in `(file, offset)` order until its slice of the per-wake
-    /// byte budget is spent. The budget splits evenly with the remainder
-    /// on shard 0, so at `shard_count = 1` the whole budget drives the
-    /// single cursor — the legacy walk. Wraps around, so every extent is
-    /// eventually visited.
+    /// One background scrub pass: the cursor walks every cached extent in
+    /// `(file, offset)` order, starting after the last one it verified,
+    /// until the per-wake byte budget is spent. Wraps around, so every
+    /// extent is eventually visited.
     pub(crate) fn run_scrub(&mut self, cluster: &mut Cluster) {
-        let shards = self.plane.shard_count();
-        let mut per_shard: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); shards];
-        for (f, o, _) in self.plane.iter_extents() {
-            let shard = self.plane.router().shard_of(f, o);
-            if let Some(list) = per_shard.get_mut(shard.index()) {
-                list.push((f, o));
+        let mut targets: Vec<(FileId, u64)> =
+            self.plane.iter_extents().map(|(f, o, _)| (f, o)).collect();
+        targets.sort_unstable_by_key(|&(f, o)| (f.0, o));
+        let start = self.bg.scrub_cursor.map_or(0, |(cf, co)| {
+            targets.partition_point(|&(f, o)| (f.0, o) <= (cf.0, co))
+        });
+        let mut budget = self.config.scrub_bytes_per_wake;
+        for &(f, o) in targets.iter().cycle().skip(start).take(targets.len()) {
+            if budget == 0 {
+                break;
             }
-        }
-        let total = self.config.scrub_bytes_per_wake;
-        let base = total / shards as u64;
-        let rem = total % shards as u64;
-        for (shard, targets) in per_shard.iter_mut().enumerate() {
-            if targets.is_empty() {
-                continue;
-            }
-            targets.sort_unstable_by_key(|&(f, o)| (f.0, o));
-            let cursor = self.bg.scrub_cursors.get(shard).copied().flatten();
-            let start = match cursor {
-                None => 0,
-                Some((cf, co)) => targets
-                    .iter()
-                    .position(|&(f, o)| (f.0, o) > (cf.0, co))
-                    .unwrap_or(0),
-            };
-            let mut budget = if shard == 0 { base + rem } else { base };
-            for k in 0..targets.len() {
-                if budget == 0 {
-                    break;
-                }
-                let Some(&(f, o)) = targets.get((start + k) % targets.len()) else {
-                    break; // modulo of a non-empty vec is always in range
-                };
-                match self.scrub_extent(cluster, f, o) {
-                    None => return,
-                    Some(scanned) => {
-                        budget = budget.saturating_sub(scanned.max(1));
-                        if let Some(c) = self.bg.scrub_cursors.get_mut(shard) {
-                            *c = Some((f, o));
-                        }
-                    }
+            match self.scrub_extent(cluster, f, o) {
+                None => return,
+                Some(scanned) => {
+                    budget = budget.saturating_sub(scanned.max(1));
+                    self.bg.scrub_cursor = Some((f, o));
                 }
             }
         }

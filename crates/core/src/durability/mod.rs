@@ -277,6 +277,15 @@ impl DurabilityEngine {
         }
     }
 
+    /// Queues `record` in its owning shard's group-commit queue, behind
+    /// whatever is queued there; the next synchronous append carries it.
+    /// A caller that needs it behind the plane's fresh mutations collects
+    /// them first ([`DurabilityEngine::collect_pending_records`]).
+    pub(crate) fn queue_record(&mut self, record: JournalRecord) {
+        let (f, o) = record.d_key();
+        self.group.push(self.router.shard_of(f, o), record);
+    }
+
     /// Accumulates pending DMT mutations and, once a group-commit batch
     /// is full, returns the journal write and the [`Frame`] it carries.
     /// The caller owns placing the op — in the plan's `then`, data before
@@ -367,12 +376,12 @@ impl DurabilityEngine {
         metrics.journal_requeues += 1;
     }
 
-    /// Appends `extra` plus every pending record to the journal right now,
-    /// bypassing the planned-I/O path — for records whose durability must
-    /// precede an imminent destructive effect (Removes before a discard,
-    /// FlushIntents before the flush plan is issued). The write is applied
-    /// through the crash fuse: a torture crash leaves a torn suffix that
-    /// recovery truncates.
+    /// Appends every pending record to the journal right now, bypassing
+    /// the planned-I/O path — for records whose durability must precede an
+    /// imminent destructive effect (Removes before a discard, FlushIntents
+    /// queued by [`DurabilityEngine::queue_record`] before the flush plan
+    /// is issued). The write is applied through the crash fuse: a torture
+    /// crash leaves a torn suffix that recovery truncates.
     ///
     /// Returns the [`DurabilityHandle`] that releases
     /// [`StagedFlushes`] for the effects the append covers, or `None` when
@@ -386,13 +395,8 @@ impl DurabilityEngine {
         cluster: &mut Cluster,
         plane: &mut MetadataPlane,
         metrics: &mut S4dMetrics,
-        extra: &[JournalRecord],
     ) -> Option<DurabilityHandle> {
         self.collect_pending_records(plane);
-        for r in extra {
-            let (f, o) = r.d_key();
-            self.group.push(self.router.shard_of(f, o), *r);
-        }
         if self.group.is_empty() {
             self.stalled = false;
             return Some(DurabilityHandle(()));
@@ -450,7 +454,7 @@ impl DurabilityEngine {
         metrics: &mut S4dMetrics,
     ) {
         if self.stalled {
-            let _ = self.append_journal_sync(cluster, plane, metrics, &[]);
+            let _ = self.append_journal_sync(cluster, plane, metrics);
         }
     }
 
@@ -487,10 +491,7 @@ impl DurabilityEngine {
         metrics: &mut S4dMetrics,
         ranges: impl IntoIterator<Item = FreedRange>,
     ) -> bool {
-        if self
-            .append_journal_sync(cluster, plane, metrics, &[])
-            .is_none()
-        {
+        if self.append_journal_sync(cluster, plane, metrics).is_none() {
             return false;
         }
         for range in ranges {
@@ -511,10 +512,7 @@ impl DurabilityEngine {
         if self.stalled || self.parked.is_empty() {
             return;
         }
-        if self
-            .append_journal_sync(cluster, plane, metrics, &[])
-            .is_some()
-        {
+        if self.append_journal_sync(cluster, plane, metrics).is_some() {
             for range in std::mem::take(&mut self.parked) {
                 self.free_range(cluster, plane, range);
             }
@@ -555,10 +553,7 @@ impl DurabilityEngine {
         }
         // Force-drain so the snapshot covers every journaled mutation and
         // the tail past `tail_offset` is an exact record-order suffix.
-        if self
-            .append_journal_sync(cluster, plane, metrics, &[])
-            .is_none()
-        {
+        if self.append_journal_sync(cluster, plane, metrics).is_none() {
             // Journal stalled (ENOSPC / media error): a snapshot now would
             // claim coverage of records that are not durable. Skip; the
             // previous checkpoint plus the journal tail stay authoritative.
@@ -633,7 +628,7 @@ mod tests {
         // One acked append first, so the failed one is not at offset 0.
         plane.insert(FileId(1), 0, 4096, FileId(9), 0, true);
         assert!(engine
-            .append_journal_sync(&mut cluster, &mut plane, &mut metrics, &[])
+            .append_journal_sync(&mut cluster, &mut plane, &mut metrics)
             .is_some());
         let offset = engine.journal_offset;
         // Records on every shard, interleaved, so the batch order is the
@@ -663,7 +658,7 @@ mod tests {
         }
         cluster.advance_faults(from);
         assert!(engine
-            .append_journal_sync(&mut cluster, &mut plane, &mut metrics, &[])
+            .append_journal_sync(&mut cluster, &mut plane, &mut metrics)
             .is_none());
         assert!(engine.is_stalled());
         assert_eq!(metrics.nospace_failures, 1);

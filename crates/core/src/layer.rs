@@ -49,7 +49,7 @@ pub struct S4dCache {
     pub(crate) metrics: S4dMetrics,
     /// Journal, checkpoint slots, crash fuse — everything durable.
     pub(crate) dur: DurabilityEngine,
-    /// Pending state machine, in-flight markers, pins, scrub cursors.
+    /// Pending state machine, in-flight markers, pins, the scrub cursor.
     pub(crate) bg: BackgroundScheduler,
     /// Scratch coverage view for the request path (DESIGN.md §12): a
     /// stage `mem::take`s it, fills it with `MetadataPlane::view_into`
@@ -71,7 +71,6 @@ impl S4dCache {
     pub fn new(config: S4dConfig, params: CostParams) -> Self {
         let router = ShardRouter::new(config.shard_count, config.shard_stripe);
         let plane = MetadataPlane::new(router, config.cache_capacity, config.cdt_max_entries);
-        let bg = BackgroundScheduler::new(router.count());
         S4dCache {
             config,
             evaluator: BenefitEvaluator::new(params),
@@ -80,7 +79,7 @@ impl S4dCache {
             health: HealthMonitor::default(),
             metrics: S4dMetrics::default(),
             dur: DurabilityEngine::new(router),
-            bg,
+            bg: BackgroundScheduler::new(),
             view_scratch: RangeView::default(),
             victims_scratch: Vec::new(),
         }

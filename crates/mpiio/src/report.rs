@@ -178,7 +178,7 @@ pub struct RunReport {
     pub durability: Option<DurabilityCounts>,
     /// Simulated instant at which the run finished.
     pub end_time: SimTime,
-    /// Total events processed by the engine.
+    /// Events `Runner::run` delivered (a background drain is not counted).
     pub events: u64,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The [`Runner`] owns the [`Cluster`], a [`Middleware`] implementation and
 //! one [`ProcessScript`] per simulated MPI process. It drives everything
-//! through `s4d-sim`'s event loop:
+//! by popping one `s4d-sim` [`EventQueue`] in time order:
 //!
 //! * a process executes its script; opens/closes are instantaneous control
 //!   operations, reads/writes become middleware [`Plan`]s;
@@ -30,7 +30,7 @@ mod observe;
 mod retry;
 
 use s4d_pfs::SubReqId;
-use s4d_sim::{Engine, EventQueue, IdMap, OneOrMany, SimTime, Slab, SlabKey, World};
+use s4d_sim::{EventQueue, IdMap, OneOrMany, SimTime, Slab, SlabKey};
 
 use crate::cluster::Cluster;
 use crate::middleware::Middleware;
@@ -177,21 +177,16 @@ impl<M: Middleware> Runner<M> {
     /// Runs every process script to completion (plus in-flight background
     /// work) and returns the report.
     pub fn run(&mut self) -> RunReport {
-        let mut engine: Engine<Event> = Engine::new();
+        let mut q = EventQueue::new();
         for i in 0..self.state.procs.len() {
-            engine
-                .queue_mut()
-                .push(SimTime::ZERO, Event::ProcessWake(i));
+            q.push(SimTime::ZERO, Event::ProcessWake(i));
         }
-        engine
-            .queue_mut()
-            .push(SimTime::ZERO, Event::BackgroundWake);
+        q.push(SimTime::ZERO, Event::BackgroundWake);
         self.state.background_armed = true;
         self.state.drain_mode = false;
-        // To queue-empty.
-        let end = engine.run_until(&mut self.state, SimTime::MAX);
+        let (end, events) = self.state.deliver_all(q);
         self.state.report.end_time = end;
-        self.state.report.events = engine.processed();
+        self.state.report.events = events;
         self.state.report.durability = self.state.middleware.durability();
         self.state.report.gray.shed_admissions = self.state.middleware.shed_admissions();
         self.state.report.clone()
@@ -200,11 +195,11 @@ impl<M: Middleware> Runner<M> {
     /// Runs only background (Rebuilder) work until the middleware reports
     /// none left. Used between a workload's first and second run.
     pub fn drain_background(&mut self, start: SimTime) -> SimTime {
-        let mut engine: Engine<Event> = Engine::new();
-        engine.queue_mut().push(start, Event::BackgroundWake);
+        let mut q = EventQueue::new();
+        q.push(start, Event::BackgroundWake);
         self.state.background_armed = true;
         self.state.drain_mode = true;
-        let end = engine.run_until(&mut self.state, SimTime::MAX);
+        let (end, _) = self.state.deliver_all(q);
         self.state.drain_mode = false;
         end
     }
@@ -225,25 +220,32 @@ impl<M: Middleware> Runner<M> {
     }
 }
 
-impl<M: Middleware> World<Event> for State<M> {
-    fn handle(&mut self, now: SimTime, ev: Event, q: &mut EventQueue<Event>) {
-        // Scripted crash effects become visible the moment time reaches
-        // them, never later — direct store reads (Rebuilder copies) must
-        // not observe destroyed data.
-        self.cluster.advance_faults(now);
-        match ev {
-            Event::ProcessWake(i) => self.advance_process(now, i, q),
-            Event::ServerDone { tier, server } => self.server_done(now, tier, server, q),
-            Event::PlanStart(id) => self.advance_plan(now, id, q),
-            Event::BackgroundWake => self.background_wake(now, q),
-            Event::Retry(token) => self.fire_retry(now, token, q),
-            Event::Replan(i) => self.plan_request(now, i, q),
-            Event::Deadline(sub) => self.fire_deadline(now, sub, q),
-        }
-    }
-}
-
 impl<M: Middleware> State<M> {
+    /// The event loop: delivers `q`'s events in time order until it
+    /// drains. Returns the instant of the last event and how many were
+    /// delivered.
+    fn deliver_all(&mut self, mut q: EventQueue<Event>) -> (SimTime, u64) {
+        let (mut end, mut delivered) = (SimTime::ZERO, 0);
+        while let Some((now, ev)) = q.pop() {
+            end = now;
+            delivered += 1;
+            // Scripted crash effects become visible the moment time
+            // reaches them, never later — direct store reads (Rebuilder
+            // copies) must not observe destroyed data.
+            self.cluster.advance_faults(now);
+            match ev {
+                Event::ProcessWake(i) => self.advance_process(now, i, &mut q),
+                Event::ServerDone { tier, server } => self.server_done(now, tier, server, &mut q),
+                Event::PlanStart(id) => self.advance_plan(now, id, &mut q),
+                Event::BackgroundWake => self.background_wake(now, &mut q),
+                Event::Retry(token) => self.fire_retry(now, token, &mut q),
+                Event::Replan(i) => self.plan_request(now, i, &mut q),
+                Event::Deadline(sub) => self.fire_deadline(now, sub, &mut q),
+            }
+        }
+        (end, delivered)
+    }
+
     /// Process state for an event- or owner-carried index. Indices are
     /// minted from `procs` at construction and the vector never shrinks.
     #[expect(clippy::expect_used, reason = "see above: a miss is queue corruption")]

@@ -36,7 +36,10 @@ impl<E> Ord for Scheduled<E> {
 /// A time-ordered queue of simulation events.
 ///
 /// Events scheduled for the same instant are delivered in the order they were
-/// pushed, which makes the simulation fully deterministic.
+/// pushed, which makes the simulation fully deterministic. The queue keeps
+/// the instant of the last delivered event as its clock: an event scheduled
+/// before it is a causality violation, and delivering it panics, because a
+/// time-travelling event silently corrupts every downstream measurement.
 ///
 /// ```
 /// use s4d_sim::{EventQueue, SimTime};
@@ -53,7 +56,8 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    scheduled_total: u64,
+    /// The instant of the last event [`EventQueue::pop`] delivered.
+    now: SimTime,
 }
 
 impl<E> EventQueue<E> {
@@ -62,7 +66,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
+            now: SimTime::ZERO,
         }
     }
 
@@ -70,18 +74,26 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Removes and returns the earliest event, if any.
+    /// Removes and returns the earliest event, if any, and advances the
+    /// clock to its instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event is earlier than the last delivered one (it was
+    /// scheduled in the past).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.event))
-    }
-
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        let s = self.heap.pop()?;
+        assert!(
+            s.at >= self.now,
+            "causality violation: event at {at} delivered when clock is {now}",
+            at = s.at,
+            now = self.now
+        );
+        self.now = s.at;
+        Some((s.at, s.event))
     }
 
     /// Number of currently pending events.
@@ -93,19 +105,13 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.heap.len())
-            .field("scheduled_total", &self.scheduled_total)
-            .field("next_time", &self.peek_time())
+            .field("now", &self.now)
             .finish()
     }
 }
@@ -144,15 +150,22 @@ mod tests {
     fn bookkeeping() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_nanos(3), ());
         q.push(SimTime::from_nanos(1), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
         q.pop();
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "causality violation")]
+    fn scheduling_in_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(5), ());
+        q.pop();
+        q.push(SimTime::ZERO, ());
+        q.pop();
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! # s4d-sim — deterministic discrete-event simulation engine
+//! # s4d-sim — deterministic discrete-event simulation substrate
 //!
 //! This crate provides the simulation substrate used by the S4D-Cache
 //! reproduction: a nanosecond-resolution simulated clock ([`SimTime`],
-//! [`SimDuration`]), a deterministic event queue ([`EventQueue`]), a generic
-//! event-loop driver ([`Engine`]), a seeded random-number source ([`SimRng`]),
-//! a hash table for simulation-minted ids ([`IdMap`]), the interval
-//! operations of a map of disjoint ranges ([`RangeMap`]), a list that
-//! keeps its only element inline ([`OneOrMany`]), a generation slab for
-//! tables of in-flight work keyed by the ids it mints ([`Slab`]), the
+//! [`SimDuration`]), a deterministic event queue ([`EventQueue`]) whose
+//! owner pops it in its own loop, a seeded random-number source
+//! ([`SimRng`]), a hash table for simulation-minted ids ([`IdMap`]), the
+//! interval operations of a map of disjoint ranges ([`RangeMap`]), a list
+//! that keeps its only element inline ([`OneOrMany`]), a generation slab
+//! for tables of in-flight work keyed by the ids it mints ([`Slab`]), the
 //! workspace's one content digest ([`Fnv1a`]) and lightweight statistics
 //! collectors ([`stats`]).
 //!
@@ -16,24 +16,21 @@
 //! by a monotonically increasing sequence number assigned at scheduling time.
 //!
 //! ```
-//! use s4d_sim::{Engine, EventQueue, SimDuration, SimTime, World};
+//! use s4d_sim::{EventQueue, SimDuration, SimTime};
 //!
-//! struct Counter(u32);
-//! impl World<u32> for Counter {
-//!     fn handle(&mut self, now: SimTime, ev: u32, q: &mut EventQueue<u32>) {
-//!         self.0 += ev;
-//!         if ev < 3 {
-//!             q.push(now + SimDuration::from_micros(1), ev + 1);
-//!         }
+//! // An event loop: each delivered event may schedule follow-ups.
+//! let mut q = EventQueue::new();
+//! q.push(SimTime::ZERO, 1u32);
+//! let (mut sum, mut end) = (0, SimTime::ZERO);
+//! while let Some((now, ev)) = q.pop() {
+//!     sum += ev;
+//!     end = now;
+//!     if ev < 3 {
+//!         q.push(now + SimDuration::from_micros(1), ev + 1);
 //!     }
 //! }
-//!
-//! let mut engine = Engine::new();
-//! engine.queue_mut().push(SimTime::ZERO, 1u32);
-//! let mut world = Counter(0);
-//! engine.run(&mut world);
-//! assert_eq!(world.0, 1 + 2 + 3);
-//! assert_eq!(engine.now(), SimTime::ZERO + SimDuration::from_micros(2));
+//! assert_eq!(sum, 1 + 2 + 3);
+//! assert_eq!(end, SimTime::ZERO + SimDuration::from_micros(2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,7 +42,6 @@
 #![warn(missing_docs)]
 #![deny(unreachable_pub)]
 
-mod engine;
 mod event;
 mod fnv;
 mod idmap;
@@ -56,7 +52,6 @@ mod slab;
 pub mod stats;
 mod time;
 
-pub use engine::{Engine, World};
 pub use event::EventQueue;
 pub use fnv::Fnv1a;
 pub use idmap::{IdHasher, IdMap, IdSet};

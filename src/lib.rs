@@ -16,11 +16,11 @@
 //!
 //! | module | crate | role |
 //! |--------|-------|------|
-//! | [`sim`] | `s4d-sim` | deterministic discrete-event engine |
+//! | [`sim`] | `s4d-sim` | simulated clock, deterministic event queue, seeded RNG, slabs |
 //! | [`storage`] | `s4d-storage` | HDD/SSD service-time models, seek profiling, byte stores |
 //! | [`pfs`] | `s4d-pfs` | striped parallel file system (OPFS/CPFS substrate) |
 //! | [`cost`] | `s4d-cost` | the paper's cost model (Eq. 1–8, Table II) |
-//! | [`mpiio`] | `s4d-mpiio` | MPI-IO-like API, middleware seam, simulation runner |
+//! | [`mpiio`] | `s4d-mpiio` | MPI-IO-like API, middleware seam, the runner and its event loop |
 //! | [`cache`] | `s4d-cache` | **the contribution**: Identifier, Redirector, Rebuilder |
 //! | [`workloads`] | `s4d-workloads` | IOR / HPIO / MPI-Tile-IO generators |
 //! | [`bench`](mod@bench) | `s4d-bench` | experiment harness for all tables/figures |

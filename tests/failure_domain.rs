@@ -3,86 +3,21 @@
 //! full CServer tier stalling the journal under an eviction.
 
 mod common;
+#[path = "common/faulted.rs"]
+mod faulted;
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use common::{check_invariants, extents_of, read_through, run_plan, write_req};
+use faulted::{build, pattern, Setup, KIB};
 use s4d::bench::testbed;
 use s4d::cache::{S4dCache, S4dConfig};
 use s4d::mpiio::{
-    script, AppRequest, Cluster, ErrorDirective, IoObserver, Middleware, Rank, Runner,
-    ScriptBuilder, SubIoFailure, Tier,
+    script, AppRequest, Cluster, ErrorDirective, Middleware, Rank, SubIoFailure, Tier,
 };
 use s4d::pfs::{FaultPlan, FileId, IoFault, ServerFault};
 use s4d::sim::{SimDuration, SimTime};
 use s4d::storage::IoKind;
-
-const KIB: u64 = 1024;
-
-/// Deterministic pattern bytes for a write at `offset` with version `v`.
-fn pattern(offset: u64, len: u64, v: u64) -> Vec<u8> {
-    (0..len)
-        .map(|j| ((offset / KIB) * 37 + j * 11 + v * 101) as u8)
-        .collect()
-}
-
-/// Observer checking every read against an expected byte image.
-struct Verify {
-    expected: Rc<RefCell<HashMap<u64, Vec<u8>>>>,
-    failures: Rc<RefCell<Vec<String>>>,
-}
-
-impl IoObserver for Verify {
-    fn on_read_data(&mut self, _r: Rank, offset: u64, len: u64, data: Option<&[u8]>) {
-        let expected = self.expected.borrow();
-        let Some(want) = expected.get(&offset) else {
-            self.failures
-                .borrow_mut()
-                .push(format!("unexpected read at {offset}"));
-            return;
-        };
-        let data = data.expect("functional run returns data");
-        if want.as_slice() != data {
-            self.failures
-                .borrow_mut()
-                .push(format!("wrong bytes at offset {offset} len {len}"));
-        }
-    }
-}
-
-struct Setup {
-    runner: Runner<S4dCache>,
-    failures: Rc<RefCell<Vec<String>>>,
-}
-
-fn build(
-    seed: u64,
-    config: S4dConfig,
-    fault: FaultPlan,
-    script: ScriptBuilder,
-    expected: HashMap<u64, Vec<u8>>,
-) -> Setup {
-    let mut cluster = Cluster::paper_testbed_small(seed);
-    cluster
-        .cpfs_mut()
-        .set_fault_plan(0, fault)
-        .expect("CServer 0 exists");
-    let params = testbed(seed).cost_params();
-    let mut runner = Runner::new(
-        cluster,
-        S4dCache::new(config, params),
-        vec![script.close(0).build()],
-        seed,
-    );
-    let failures = Rc::new(RefCell::new(Vec::new()));
-    runner.add_observer(Box::new(Verify {
-        expected: Rc::new(RefCell::new(expected)),
-        failures: failures.clone(),
-    }));
-    Setup { runner, failures }
-}
 
 /// A CServer hard-crashes mid-run, destroying the cached bytes. Dirty
 /// (not-yet-flushed) overwrites are genuinely lost — reads roll back to

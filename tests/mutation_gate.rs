@@ -101,7 +101,7 @@ const CLEAN_WALK: &str = "self.clean.ones().filter_map(|t| self.slots.get(t).cop
 const DIRTY_WALK: &str = "self.dirty.ones().filter_map(|t| self.slots.get(t).copied())";
 const INTENT_APPEND: &str = "        match self
             .dur
-            .append_journal_sync(cluster, &mut self.plane, &mut self.metrics, &intents)
+            .append_journal_sync(cluster, &mut self.plane, &mut self.metrics)
         {\n";
 
 const SUB_META: &str = "crates/mpiio/src/runner/exec.rs";
@@ -129,7 +129,7 @@ fn rows() -> Vec<Row> {
             ".try_free_removed(cluster, &mut self.plane, &mut self.metrics, freed)",
             ".fused_discard(cluster, crate::durability::crash::CrashSite::EvictDiscard, FileId(0), 0, 0)",
             Build, "E0624"),
-        row("flush-intent-not-durable", REBUILD, INTENT_APPEND, "        match Some(intents.len()) {\n",
+        row("flush-intent-not-durable", REBUILD, INTENT_APPEND, "        match Some(()) {\n",
             Build, "E0308"),
         row("flush-released-by-a-forged-handle", REBUILD,
             "Some(proof) => staged.release(&proof),", "Some(_) => staged.release(&crate::durability::DurabilityHandle(())),",
@@ -224,7 +224,7 @@ fn rows() -> Vec<Row> {
             "            if !admit {\n                let _gap = std::hint::black_box(vec![g_off, g_len]);\n",
             Test("alloc_steady_state", "bypass_requests_allocate_nothing_per_request"), "the bypass path allocates per request"),
         row("free-before-durable-remove", ENGINE,
-            "        if self\n            .append_journal_sync(cluster, plane, metrics, &[])\n            .is_none()\n        {\n            return false;\n        }\n",
+            "        if self.append_journal_sync(cluster, plane, metrics).is_none() {\n            return false;\n        }\n",
             "        if metrics.journal_writes == u64::MAX {\n            return false;\n        }\n",
             Test("crash_torture", "crash_matrix_every_budget_recovers"), "diverged after recovery"),
         row("stalled-removes-freed-anyway", ENGINE,

@@ -11,78 +11,23 @@ use std::rc::Rc;
 use proptest::prelude::*;
 use s4d::cache::{S4dCache, S4dConfig};
 use s4d::cost::CostParams;
-use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner, ScriptBuilder};
+use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner};
 use s4d::sim::SimDuration;
 
-const KIB: u64 = 1024;
-const SPAN: u64 = 96 * 16 * KIB; // 1.5 MiB of addressable file
+#[path = "common/ops.rs"]
+mod ops;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Write { offset: u64, len: u64, tag: u8 },
-    Read { offset: u64, len: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..SPAN / KIB, 1u64..64, any::<u8>()).prop_map(|(o, l, tag)| {
-            let offset = o * KIB;
-            let len = (l * KIB).min(SPAN - offset).max(KIB);
-            Op::Write { offset, len, tag }
-        }),
-        (0u64..SPAN / KIB, 1u64..64).prop_map(|(o, l)| {
-            let offset = o * KIB;
-            let len = (l * KIB).min(SPAN - offset).max(KIB);
-            Op::Read { offset, len }
-        }),
-    ]
-}
-
-type Reads = Rc<RefCell<Vec<(u64, Vec<u8>)>>>;
-
-struct Capture {
-    reads: Reads,
-}
-
-impl IoObserver for Capture {
-    fn on_read_data(&mut self, _r: Rank, offset: u64, _l: u64, data: Option<&[u8]>) {
-        self.reads
-            .borrow_mut()
-            .push((offset, data.expect("functional run").to_vec()));
-    }
-}
+use ops::{capture_reads, op_strategy, script_and_reads, Op, KIB, SPAN};
 
 fn run_case(ops: &[Op], capacity: u64, rebuild_ms: u64, seed: u64) {
-    // Reference model: a plain byte image.
-    let mut image = vec![0u8; SPAN as usize];
-    let mut expected_reads: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut b: ScriptBuilder = script().open("prop.dat");
-    for op in ops {
-        match *op {
-            Op::Write { offset, len, tag } => {
-                let data: Vec<u8> = (0..len).map(|j| tag ^ (j % 251) as u8).collect();
-                image[offset as usize..(offset + len) as usize].copy_from_slice(&data);
-                b = b.write_bytes(0, offset, data);
-            }
-            Op::Read { offset, len } => {
-                expected_reads.push((
-                    offset,
-                    image[offset as usize..(offset + len) as usize].to_vec(),
-                ));
-                b = b.read(0, offset, len);
-            }
-        }
-    }
+    let (b, expected_reads) = script_and_reads("prop.dat", ops);
     let config = S4dConfig::new(capacity)
         .with_journal_batch(1)
         .with_rebuild_period(SimDuration::from_millis(rebuild_ms));
     let middleware = S4dCache::new(config, CostParams::paper_testbed_small());
     let cluster = Cluster::paper_testbed_small(seed);
     let mut runner = Runner::new(cluster, middleware, vec![b.close(0).build()], seed);
-    let reads = Rc::new(RefCell::new(Vec::new()));
-    runner.add_observer(Box::new(Capture {
-        reads: reads.clone(),
-    }));
+    let reads = capture_reads(&mut runner);
     runner.run();
     let got = reads.borrow();
     assert_eq!(got.len(), expected_reads.len(), "read count");

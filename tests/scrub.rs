@@ -67,11 +67,21 @@ fn flip_cached_byte(cluster: &mut Cluster, mw: &S4dCache, file: FileId, d_offset
 
 #[test]
 fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
+    for shards in [1, 4] {
+        repair_case(shards);
+    }
+}
+
+/// The file's 16 requests span four 64 KiB shard tiles, so at four
+/// shards every shard owns extents: one scrub wake must visit each
+/// extent once and heal the corrupted one.
+fn repair_case(shards: u32) {
     let mut cluster = Cluster::paper_testbed_small(31);
     let mut mw = S4dCache::new(
         S4dConfig::new(64 * MIB)
             .with_journal_batch(1)
-            .with_scrub(MIB),
+            .with_scrub(MIB)
+            .with_shards(shards),
         CostParams::paper_testbed_small(),
     );
     let file = mw.open(&mut cluster, Rank(0), "scrub.dat").unwrap();
@@ -80,11 +90,16 @@ fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
         .apply_bytes(file, 0, FILE_LEN, Some(&seed_bytes()))
         .unwrap();
     let mut shadow = seed_bytes();
-    for i in 0..4u64 {
+    for i in 0..FILE_LEN / REQ {
         let data = payload(i);
         shadow[(i * REQ) as usize..((i + 1) * REQ) as usize].copy_from_slice(&data);
         app_write(&mut cluster, &mut mw, file, i * REQ, data);
     }
+    assert_eq!(
+        mw.plane().mapped_bytes(),
+        FILE_LEN,
+        "{shards} shards: every write cached"
+    );
     // Flush everything clean (and sealed); the scrubber also runs each
     // wake but has nothing to repair yet.
     drain(&mut cluster, &mut mw, 1);
@@ -92,23 +107,47 @@ fn scrubber_repairs_corrupt_clean_extent_from_dservers() {
     assert_eq!(mw.metrics().scrub_repaired_bytes, 0);
     assert!(mw.metrics().scrub_scanned_bytes > 0, "scrubber patrols");
 
-    let len = flip_cached_byte(&mut cluster, &mw, file, REQ);
-    // The next scrub wake detects the seal mismatch and repairs the
-    // extent from DServers (clean data: OPFS holds the same bytes).
-    drain(&mut cluster, &mut mw, 100);
-    assert_eq!(mw.metrics().scrub_repaired_bytes, len, "one extent healed");
+    // In the last tile: the last shard's, at four shards.
+    let victim = 13 * REQ;
+    let len = flip_cached_byte(&mut cluster, &mw, file, victim);
+    // The next scrub wake visits every extent once, detects the seal
+    // mismatch and repairs the extent from DServers (clean data: OPFS
+    // holds the same bytes).
+    let scanned = mw.metrics().scrub_scanned_bytes;
+    let now = SimTime::from_secs(100);
+    let poll = mw.poll_background(&mut cluster, now);
+    for plan in &poll.plans {
+        run_plan(&mut cluster, &mut mw, None, plan, now);
+    }
+    assert_eq!(
+        mw.metrics().scrub_scanned_bytes - scanned,
+        FILE_LEN,
+        "{shards} shards: one wake visits every extent once"
+    );
+    assert_eq!(
+        mw.metrics().scrub_repaired_bytes,
+        len,
+        "{shards} shards: one extent healed"
+    );
     assert_eq!(mw.metrics().scrub_lost_bytes, 0);
     // The cached copy is byte-identical to the truth again, and reads —
     // still routed to the cache — return the written content.
-    let got = read_through(&mut cluster, &mut mw, file, REQ, REQ);
-    assert_eq!(got, shadow[REQ as usize..2 * REQ as usize].to_vec());
-    let e = *mw.plane().get(file, REQ).expect("extent still mapped");
+    let got = read_through(&mut cluster, &mut mw, file, victim, REQ);
+    assert_eq!(
+        got,
+        shadow[victim as usize..(victim + REQ) as usize].to_vec()
+    );
+    let e = *mw.plane().get(file, victim).expect("extent still mapped");
     let cached = cluster
         .cpfs()
         .read_bytes(e.c_file, e.c_offset, e.len)
         .unwrap()
         .unwrap();
-    let truth = cluster.opfs().read_bytes(file, REQ, REQ).unwrap().unwrap();
+    let truth = cluster
+        .opfs()
+        .read_bytes(file, victim, REQ)
+        .unwrap()
+        .unwrap();
     assert_eq!(cached, truth, "repair restored the cached bytes");
 }
 

@@ -10,68 +10,16 @@
 //! generous cache, while semantic invisibility is separately checked
 //! under a tiny cache too.)
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use proptest::prelude::*;
 use s4d::cache::{S4dCache, S4dConfig};
 use s4d::cost::CostParams;
-use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner, ScriptBuilder};
+use s4d::mpiio::{Cluster, Runner};
 use s4d::sim::SimDuration;
 
-const KIB: u64 = 1024;
-const SPAN: u64 = 96 * 16 * KIB; // 1.5 MiB of addressable file
+#[path = "common/ops.rs"]
+mod ops;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Write { offset: u64, len: u64, tag: u8 },
-    Read { offset: u64, len: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..SPAN / KIB, 1u64..64, any::<u8>()).prop_map(|(o, l, tag)| {
-            let offset = o * KIB;
-            let len = (l * KIB).min(SPAN - offset).max(KIB);
-            Op::Write { offset, len, tag }
-        }),
-        (0u64..SPAN / KIB, 1u64..64).prop_map(|(o, l)| {
-            let offset = o * KIB;
-            let len = (l * KIB).min(SPAN - offset).max(KIB);
-            Op::Read { offset, len }
-        }),
-    ]
-}
-
-fn build_script(ops: &[Op]) -> ScriptBuilder {
-    let mut b: ScriptBuilder = script().open("shard.dat");
-    for op in ops {
-        match *op {
-            Op::Write { offset, len, tag } => {
-                let data: Vec<u8> = (0..len).map(|j| tag ^ (j % 251) as u8).collect();
-                b = b.write_bytes(0, offset, data);
-            }
-            Op::Read { offset, len } => {
-                b = b.read(0, offset, len);
-            }
-        }
-    }
-    b
-}
-
-type Reads = Rc<RefCell<Vec<(u64, Vec<u8>)>>>;
-
-struct Capture {
-    reads: Reads,
-}
-
-impl IoObserver for Capture {
-    fn on_read_data(&mut self, _r: Rank, offset: u64, _l: u64, data: Option<&[u8]>) {
-        self.reads
-            .borrow_mut()
-            .push((offset, data.expect("functional run").to_vec()));
-    }
-}
+use ops::{capture_reads, op_strategy, script_and_reads, Op, KIB, SPAN};
 
 /// Everything a shard count must not change, collected from one full run.
 struct Observation {
@@ -93,16 +41,9 @@ fn observe(ops: &[Op], shards: u32, capacity: u64, seed: u64) -> Observation {
         .with_rebuild_period(SimDuration::from_millis(40));
     let middleware = S4dCache::new(config, CostParams::paper_testbed_small());
     let cluster = Cluster::paper_testbed_small(seed);
-    let mut runner = Runner::new(
-        cluster,
-        middleware,
-        vec![build_script(ops).close(0).build()],
-        seed,
-    );
-    let reads = Rc::new(RefCell::new(Vec::new()));
-    runner.add_observer(Box::new(Capture {
-        reads: reads.clone(),
-    }));
+    let (script, _) = script_and_reads("shard.dat", ops);
+    let mut runner = Runner::new(cluster, middleware, vec![script.close(0).build()], seed);
+    let reads = capture_reads(&mut runner);
     runner.run();
     let (_cluster, mw, _report) = runner.into_parts();
     let mut coverage = vec![0u8; SPAN as usize];
@@ -113,9 +54,7 @@ fn observe(ops: &[Op], shards: u32, capacity: u64, seed: u64) -> Observation {
     }
     let m = mw.metrics();
     Observation {
-        reads: Rc::try_unwrap(reads)
-            .expect("observer dropped")
-            .into_inner(),
+        reads: reads.take(),
         coverage,
         mapped_bytes: mw.plane().mapped_bytes(),
         dirty_bytes: mw.plane().dirty_bytes(),
@@ -193,22 +132,7 @@ proptest! {
         shards in 2u32..=16,
         seed in 0u64..1000,
     ) {
-        let mut image = vec![0u8; SPAN as usize];
-        let mut expected: Vec<(u64, Vec<u8>)> = Vec::new();
-        for op in &ops {
-            match *op {
-                Op::Write { offset, len, tag } => {
-                    let data: Vec<u8> = (0..len).map(|j| tag ^ (j % 251) as u8).collect();
-                    image[offset as usize..(offset + len) as usize].copy_from_slice(&data);
-                }
-                Op::Read { offset, len } => {
-                    expected.push((
-                        offset,
-                        image[offset as usize..(offset + len) as usize].to_vec(),
-                    ));
-                }
-            }
-        }
+        let (_, expected) = script_and_reads("shard.dat", &ops);
         let got = observe(&ops, shards, 64 * KIB, seed);
         prop_assert_eq!(got.reads.len(), expected.len(), "read count");
         for (i, ((go, gd), (eo, ed))) in got.reads.iter().zip(expected.iter()).enumerate() {

@@ -8,81 +8,18 @@
 //! tails) and scenarios where it must *not* (released stalls without
 //! deadlines, mild degradation inside a generous budget).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+#[path = "common/faulted.rs"]
+mod faulted;
 
-use s4d::bench::testbed;
-use s4d::cache::{S4dCache, S4dConfig};
-use s4d::mpiio::{script, Cluster, GrayFailureCounts, IoObserver, Rank, Runner, ScriptBuilder};
+use std::collections::HashMap;
+
+use s4d::cache::S4dConfig;
+use s4d::mpiio::{script, GrayFailureCounts, ScriptBuilder};
 use s4d::pfs::{FaultPlan, OpClass, ServerFault};
 use s4d::sim::{SimDuration, SimTime};
 use s4d::storage::IoKind;
 
-const KIB: u64 = 1024;
-
-/// Deterministic pattern bytes for a write at `offset` with version `v`.
-fn pattern(offset: u64, len: u64, v: u64) -> Vec<u8> {
-    (0..len)
-        .map(|j| ((offset / KIB) * 37 + j * 11 + v * 101) as u8)
-        .collect()
-}
-
-/// Observer checking every read against an expected byte image.
-struct Verify {
-    expected: Rc<RefCell<HashMap<u64, Vec<u8>>>>,
-    failures: Rc<RefCell<Vec<String>>>,
-}
-
-impl IoObserver for Verify {
-    fn on_read_data(&mut self, _r: Rank, offset: u64, len: u64, data: Option<&[u8]>) {
-        let expected = self.expected.borrow();
-        let Some(want) = expected.get(&offset) else {
-            self.failures
-                .borrow_mut()
-                .push(format!("unexpected read at {offset}"));
-            return;
-        };
-        let data = data.expect("functional run returns data");
-        if want.as_slice() != data {
-            self.failures
-                .borrow_mut()
-                .push(format!("wrong bytes at offset {offset} len {len}"));
-        }
-    }
-}
-
-struct Setup {
-    runner: Runner<S4dCache>,
-    failures: Rc<RefCell<Vec<String>>>,
-}
-
-fn build(
-    seed: u64,
-    config: S4dConfig,
-    fault: FaultPlan,
-    script: ScriptBuilder,
-    expected: HashMap<u64, Vec<u8>>,
-) -> Setup {
-    let mut cluster = Cluster::paper_testbed_small(seed);
-    cluster
-        .cpfs_mut()
-        .set_fault_plan(0, fault)
-        .expect("CServer 0 exists");
-    let params = testbed(seed).cost_params();
-    let mut runner = Runner::new(
-        cluster,
-        S4dCache::new(config, params),
-        vec![script.close(0).build()],
-        seed,
-    );
-    let failures = Rc::new(RefCell::new(Vec::new()));
-    runner.add_observer(Box::new(Verify {
-        expected: Rc::new(RefCell::new(expected)),
-        failures: failures.clone(),
-    }));
-    Setup { runner, failures }
-}
+use faulted::{build, pattern, Setup, KIB};
 
 /// Writes the standard 8 × 16 KiB pattern and records the expected image.
 fn write_phase(mut b: ScriptBuilder, expected: &mut HashMap<u64, Vec<u8>>) -> ScriptBuilder {
