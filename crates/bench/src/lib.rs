@@ -15,10 +15,6 @@
 //! minutes; set `S4D_SCALE_FACTOR=1` to run the paper's full 2 GB-per-
 //! instance sizes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![deny(unreachable_pub)]
-
 pub mod benchmark;
 pub mod experiments;
 pub mod figures;

@@ -82,6 +82,7 @@ fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
 pub fn run_variant(name: &'static str, hedged: bool) -> Variant {
     let tb = testbed(0x57A11);
     let mut cluster = tb.cluster();
+    #[expect(clippy::expect_used, reason = "the fixed testbed has a CServer 0")]
     cluster
         .cpfs_mut()
         .set_fault_plan(

@@ -15,14 +15,11 @@
 //! byte-identical run and report (compare [`ChaosReport::fingerprint`]),
 //! which is what CI's determinism check asserts.
 
-#![forbid(unsafe_code)]
-// The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
-#![deny(clippy::iter_over_hash_type)]
-#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
-#![warn(missing_docs)]
-#![deny(unreachable_pub)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the harness indexes the schedule and server tables it built; \
+              a panic is a finding, turned into a violation by `run_caught`"
+)]
 
 pub mod exec;
 pub mod minimize;

@@ -2,7 +2,7 @@
 //!
 //! Each test binary compiles this module independently, so not every
 //! helper is used by every suite.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each suite uses its own subset")]
 
 use s4d_cache::{S4dCache, S4dConfig};
 use s4d_cost::CostParams;
@@ -11,11 +11,11 @@ use s4d_pfs::{FileId, IoFault};
 use s4d_sim::SimTime;
 use s4d_storage::{presets, IoKind};
 
-pub const KIB: u64 = 1024;
-pub const MIB: u64 = 1024 * 1024;
+pub(crate) const KIB: u64 = 1024;
+pub(crate) const MIB: u64 = 1024 * 1024;
 
 /// Cost-model parameters for the paper's small testbed hardware.
-pub fn params_small() -> CostParams {
+pub(crate) fn params_small() -> CostParams {
     CostParams::from_hardware(
         &presets::hdd_seagate_st3250(),
         &presets::ssd_ocz_revodrive_x2(),
@@ -27,7 +27,8 @@ pub fn params_small() -> CostParams {
 }
 
 /// A small-testbed cluster and middleware with one open file.
-pub fn setup(capacity: u64) -> (Cluster, S4dCache, FileId) {
+#[expect(clippy::unwrap_used, reason = "the fresh cluster opens the file")]
+pub(crate) fn setup(capacity: u64) -> (Cluster, S4dCache, FileId) {
     // Journal batch of 1 so tests can observe per-request journaling.
     let config = S4dConfig::new(capacity).with_journal_batch(1);
     let mut cluster = Cluster::paper_testbed_small(9);
@@ -36,7 +37,7 @@ pub fn setup(capacity: u64) -> (Cluster, S4dCache, FileId) {
     (cluster, mw, f)
 }
 
-pub fn write_req(file: FileId, offset: u64, len: u64) -> AppRequest {
+pub(crate) fn write_req(file: FileId, offset: u64, len: u64) -> AppRequest {
     AppRequest {
         rank: Rank(0),
         file,
@@ -47,7 +48,7 @@ pub fn write_req(file: FileId, offset: u64, len: u64) -> AppRequest {
     }
 }
 
-pub fn read_req(file: FileId, offset: u64, len: u64) -> AppRequest {
+pub(crate) fn read_req(file: FileId, offset: u64, len: u64) -> AppRequest {
     AppRequest {
         rank: Rank(0),
         file,
@@ -59,7 +60,7 @@ pub fn read_req(file: FileId, offset: u64, len: u64) -> AppRequest {
 }
 
 /// The tier of every data op in the plan, in phase order.
-pub fn tiers_of(plan: &Plan) -> Vec<Tier> {
+pub(crate) fn tiers_of(plan: &Plan) -> Vec<Tier> {
     plan.ops
         .iter()
         .chain(&plan.then)
@@ -71,7 +72,7 @@ pub fn tiers_of(plan: &Plan) -> Vec<Tier> {
 /// Runs one Rebuilder wake and keeps only the plans that carry a
 /// completion tag — flushes and fetches. Background journal drains are
 /// untagged fire-and-forget writes and are filtered out.
-pub fn poll_tagged(mw: &mut S4dCache, cluster: &mut Cluster, now: SimTime) -> Vec<Plan> {
+pub(crate) fn poll_tagged(mw: &mut S4dCache, cluster: &mut Cluster, now: SimTime) -> Vec<Plan> {
     mw.poll_background(cluster, now)
         .plans
         .into_iter()
@@ -79,7 +80,7 @@ pub fn poll_tagged(mw: &mut S4dCache, cluster: &mut Cluster, now: SimTime) -> Ve
         .collect()
 }
 
-pub fn transient_failure(server: usize, attempts: u32) -> SubIoFailure {
+pub(crate) fn transient_failure(server: usize, attempts: u32) -> SubIoFailure {
     SubIoFailure {
         tier: Tier::CServers,
         server,
@@ -91,7 +92,7 @@ pub fn transient_failure(server: usize, attempts: u32) -> SubIoFailure {
     }
 }
 
-pub fn offline_failure(server: usize) -> SubIoFailure {
+pub(crate) fn offline_failure(server: usize) -> SubIoFailure {
     SubIoFailure {
         error: IoFault::Offline,
         ..transient_failure(server, 1)
@@ -99,7 +100,7 @@ pub fn offline_failure(server: usize) -> SubIoFailure {
 }
 
 /// Quarantines CServer 0 through three consecutive transient errors.
-pub fn quarantine_server_zero(cluster: &mut Cluster, mw: &mut S4dCache, now: SimTime) {
+pub(crate) fn quarantine_server_zero(cluster: &mut Cluster, mw: &mut S4dCache, now: SimTime) {
     for attempts in 1..=3 {
         mw.on_io_error(cluster, now, &transient_failure(0, attempts));
     }

@@ -36,15 +36,6 @@
 //! assert!(b.benefit_secs > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-// The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
-#![deny(clippy::indexing_slicing)]
-#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
-#![warn(missing_docs)]
-#![deny(unreachable_pub)]
-
 mod benefit;
 mod model;
 mod params;

@@ -409,6 +409,7 @@ fn at_millis(ms: u64) -> SimTime {
 /// t = 500 µs after the open) under a 30 ms deadline budget, with
 /// `faults` scripted on that server. Returns the report and how many
 /// ops the server serviced.
+#[expect(clippy::unwrap_used, reason = "the small cluster has a DServer 0")]
 fn run_one_write_with_deadline(
     mut mw: RetryingStock,
     abandons: u32,

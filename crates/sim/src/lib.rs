@@ -33,15 +33,6 @@
 //! assert_eq!(end, SimTime::ZERO + SimDuration::from_micros(2));
 //! ```
 
-#![forbid(unsafe_code)]
-// The static gate (DESIGN.md §10); `clippy.toml` exempts test code.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
-#![deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
-#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
-#![warn(missing_docs)]
-#![deny(unreachable_pub)]
-
 mod event;
 mod fnv;
 mod idmap;

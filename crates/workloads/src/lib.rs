@@ -22,10 +22,6 @@
 //! operations. Random patterns come from a seeded Feistel
 //! [`Permutation`], so runs are deterministic and memory-free.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![deny(unreachable_pub)]
-
 pub mod campaign;
 mod chain;
 mod checkpoint;

@@ -4,8 +4,9 @@
 //! event count — the evidence the mutation gate's
 //! `eviction-reuses-space-before-durable-remove` row checks, proving the
 //! oracle catches a seeded durability bug and the minimizer shrinks it.
-//! The nightly workflow runs the full 1,000-seed sweep; this block keeps
-//! the signal in every CI run at debug-build cost.
+//! The behaviour lock's `chaos/*-seeds1000` lines run the full 1,000-seed
+//! sweeps in release; this block keeps the signal in tier-1 at
+//! debug-build cost.
 
 use s4d_chaos::{minimize, report_json, run, Schedule};
 
@@ -40,7 +41,7 @@ fn same_seed_is_byte_identical() {
 }
 
 /// The sharded metadata plane is an internal reorganization, so every
-/// shard count the nightly sweep exercises must stay green on the same
+/// shard count the 1,000-seed sweeps exercise must stay green on the same
 /// fixed seed block — same workload, same fault script, only the plane
 /// partitioning differs — and each (seed, shards) pair must be
 /// deterministic across runs.

@@ -5,12 +5,13 @@
 //! behaviour without changing a byte read back die by `tests/behaviour.rs`
 //! (`BEHAVIOUR.lock`).
 //!
-//! This is the arbiter of what the static gate denies: a lint stays in a
-//! crate-root `#![deny(clippy::…)]` list or a `clippy.toml` only while
-//! some row names it as killer, and a property carried by a type
-//! (`ShardId`, the non-`Clone` `#[must_use]` `Pending`, the
-//! `DurabilityHandle`-gated flush plans, the `fused_*` effects, module
-//! privacy) keeps a row showing the violation still cannot land.
+//! This is the arbiter of what the static gate denies: a lint stays in
+//! the root `Cargo.toml`'s `[workspace.lints.clippy]` table or a
+//! `clippy.toml` only while some row names it as killer, and a property
+//! carried by a type (`ShardId`, the non-`Clone` `#[must_use]` `Pending`,
+//! the `DurabilityHandle`-gated flush plans, the `fused_*` effects, module
+//! privacy) keeps a row showing the violation still cannot land. A crate
+//! that stops inheriting the table is a row too.
 //!
 //! Every row's anchor must match its file exactly once, checked in the
 //! ordinary `cargo test` run, so the table cannot rot. The rows
@@ -216,6 +217,10 @@ fn rows() -> Vec<Row> {
             Clippy("allow_attributes"), "#[allow] attribute found"),
         row("module-over-budget", "crates/core/src/names.rs", LAST_NAME, grown,
             Test("static_gate", "no_library_module_exceeds_the_line_budget"), "non-test code lines"),
+        // Clippy cannot kill this one: storage's code stays clean without
+        // the table, so the lints would only be missing.
+        row("crate-opts-out-of-the-lint-table", "crates/storage/Cargo.toml", "\n[lints]\nworkspace = true\n", "\n",
+            Test("static_gate", "every_library_crate_inherits_the_workspace_lints"), "does not inherit"),
         // -- behaviour: a named tier-1 test is the killer ----------------
         row("alloc-in-hot-path", IDENTIFY, CDT_INSERT,
             "let key = vec![req.offset];\n            self.plane.cdt_insert(req.file, key[0], req.len);",
@@ -346,28 +351,33 @@ fn mutate(row: &Row, src: &str) -> String {
     src.replacen(row.anchor, row.replacement, 1)
 }
 
-/// Every lint the static gate names: the crate-root `#![deny(clippy::…)]`
-/// lists and the `disallowed-*` tables of the two `clippy.toml`s.
+/// Every lint the static gate names: the root `Cargo.toml`'s
+/// `[workspace.lints.clippy]` table and the `disallowed-*` tables of the
+/// two `clippy.toml`s.
 fn denied_lints(root: &Path) -> Vec<String> {
-    let mut lints = Vec::new();
-    let mut read = |path: PathBuf| {
-        for line in std::fs::read_to_string(path).unwrap_or_default().lines() {
-            if let Some(list) = line.strip_prefix("#![deny(clippy::") {
-                let list = list.trim_end_matches(")]");
-                lints.extend(list.split(", clippy::").map(str::to_owned));
-            } else if line.starts_with("disallowed-") {
+    let read = |path: PathBuf| std::fs::read_to_string(path).unwrap_or_default();
+    let manifest = read(root.join("Cargo.toml"));
+    let table = manifest
+        .split("[workspace.lints.clippy]\n")
+        .nth(1)
+        .unwrap_or_default();
+    let mut lints: Vec<String> = table
+        .lines()
+        .take_while(|line| !line.starts_with('['))
+        .filter_map(|line| line.split_once(" = "))
+        .map(|(lint, _)| lint.to_owned())
+        .collect();
+    for config in [
+        root.join("clippy.toml"),
+        root.join("crates/core/clippy.toml"),
+    ] {
+        for line in read(config).lines() {
+            if line.starts_with("disallowed-") {
                 let key = line.split(' ').next().unwrap_or_default();
                 lints.push(key.replace('-', "_"));
             }
         }
-    };
-    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
-        let krate = krate.expect("dir entry").path();
-        for file in ["src/lib.rs", "src/main.rs", "clippy.toml"] {
-            read(krate.join(file));
-        }
     }
-    read(root.join("clippy.toml"));
     lints.sort();
     lints.dedup();
     lints

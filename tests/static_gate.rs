@@ -1,20 +1,23 @@
 //! Tier-1 static gate: the toolchain is the linter (DESIGN.md §10).
 //!
 //! What no type carries — panic-freedom, determinism, ordered iteration,
-//! the durable-effect fence — is a clippy lint denied at the crate roots
-//! and configured in the two `clippy.toml`s; a suppression is an
+//! the durable-effect fence — is a lint denied in the root `Cargo.toml`'s
+//! one `[workspace.lints]` table, which every library crate inherits, and
+//! configured in the two `clippy.toml`s; a suppression is an
 //! `#[expect(clippy::…, reason = "…")]`, which rustc itself checks for
 //! being justified and used. This file runs the one command CI runs,
-//! ratchets the suppression count and holds the module size cap.
+//! holds every crate to the one table, ratchets the suppression count and
+//! holds the module size cap.
 
 use std::path::{Path, PathBuf};
 
 #[path = "common/cargo.rs"]
 mod cargo;
 
-/// `#[expect(clippy::…)]` sites under `crates/*/src`. A ratchet: lower it
-/// when a site is retired; a new site needs the review its reason asks for.
-const EXPECT_SITES: usize = 24;
+/// `#[expect(clippy::…)]` and `#![expect(clippy::…)]` sites under
+/// `crates/*/src`. A ratchet: lower it when a site is retired; a new site
+/// needs the review its reason asks for.
+const EXPECT_SITES: usize = 26;
 
 /// Non-test code lines a library module may have: past this a seam was
 /// missed (DESIGN.md §12).
@@ -55,12 +58,37 @@ fn workspace_is_clippy_clean() {
 }
 
 #[test]
+fn every_library_crate_inherits_the_workspace_lints() {
+    for krate in std::fs::read_dir(root().join("crates")).expect("crates/") {
+        let manifest = krate.expect("dir entry").path().join("Cargo.toml");
+        let toml = std::fs::read_to_string(&manifest).expect("readable manifest");
+        assert!(
+            toml.contains("\n[lints]\nworkspace = true\n"),
+            "{} does not inherit the workspace lints: add `[lints]` / `workspace = true`",
+            manifest.display()
+        );
+    }
+    // A crate-root level would fork the one table again.
+    for (path, src) in library_sources() {
+        for line in src.lines() {
+            assert!(
+                !["#![deny(", "#![warn(", "#![forbid("]
+                    .iter()
+                    .any(|level| line.starts_with(level)),
+                "{}: `{line}` — lint levels live in `[workspace.lints]`",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
 fn expect_sites_match_the_pinned_count_and_no_pragma_comment_remains() {
     let sites: usize = library_sources()
         .iter()
         .map(|(_, src)| {
             let dense: String = src.split_whitespace().collect();
-            dense.matches("#[expect(clippy::").count()
+            dense.matches("#[expect(clippy::").count() + dense.matches("#![expect(clippy::").count()
         })
         .sum();
     assert_eq!(sites, EXPECT_SITES, "`#[expect(clippy::…)]` sites drifted");
