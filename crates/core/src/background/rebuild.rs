@@ -6,7 +6,7 @@
 //! family) so the two halves of each background cycle — what a plan
 //! promises and what its completion delivers — can be read side by side.
 
-use s4d_mpiio::{AppOffset, Cluster, Plan, PlannedIo, Tier};
+use s4d_mpiio::{Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, Priority};
 use s4d_sim::{OneOrMany, SimTime};
 use s4d_storage::IoKind;
@@ -22,6 +22,32 @@ use super::{Fetch, FetchPiece, FlushItem, Pending};
 
 /// Maximum critical read ranges fetched per wake.
 const MAX_FETCH_PER_WAKE: usize = 64;
+
+/// Splits `sorted`, ordered by (file, offset), into the runs one
+/// Rebuilder plan groups: the same file, each entry starting where the
+/// run ends, at most [`MAX_GROUP_BYTES`] in all. `key` gives an entry's
+/// (file, offset, len); each run comes with its file, start and end.
+fn adjacent_runs<'a, T>(
+    sorted: &'a [T],
+    key: impl Fn(&T) -> (FileId, u64, u64) + 'a,
+) -> impl Iterator<Item = (FileId, u64, u64, &'a [T])> + 'a {
+    let mut rest = sorted;
+    std::iter::from_fn(move || {
+        let (file, start, len) = key(rest.first()?);
+        let mut end = start + len;
+        let mut n = 1;
+        for (f, offset, len) in rest.iter().skip(1).map(&key) {
+            if f != file || offset != end || (end - start) + len > MAX_GROUP_BYTES {
+                break;
+            }
+            end = offset + len;
+            n += 1;
+        }
+        let (run, after) = rest.split_at(n);
+        rest = after;
+        Some((file, start, end, run))
+    })
+}
 
 impl S4dCache {
     /// Builds the Rebuilder's flush plans (dirty cache data → DServers,
@@ -60,29 +86,11 @@ impl S4dCache {
         let mut staged = StagedFlushes::default();
         let flushes_before = self.metrics.flushes;
         let flushed_before = self.metrics.flushed_bytes;
-        let mut i = 0;
-        while let Some(first) = candidates.get(i) {
-            let (file, start) = (first.orig, first.d_offset);
-            // Find the run first, so a group of several is collected at
-            // its exact size.
-            let mut end = start + first.len;
-            let mut j = i + 1;
-            while let Some(next) = candidates.get(j) {
-                if next.orig == file
-                    && next.d_offset == end
-                    && (end - start) + next.len <= MAX_GROUP_BYTES
-                {
-                    end = next.d_offset + next.len;
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            let items = match candidates.get(i..j).unwrap_or_default() {
+        for (file, start, end, run) in adjacent_runs(&candidates, |c| (c.orig, c.d_offset, c.len)) {
+            let items = match run {
                 [one] => OneOrMany::One(*one),
                 run => OneOrMany::Many(run.to_vec()),
             };
-            i = j;
             // Phase 1: read the cached bytes (merge cache-contiguous runs).
             let mut reads: OneOrMany<PlannedIo> = OneOrMany::new();
             for item in &items {
@@ -92,28 +100,24 @@ impl S4dCache {
                         continue;
                     }
                 }
-                reads.push(PlannedIo {
-                    tier: Tier::CServers,
-                    file: item.c_file,
-                    kind: IoKind::Read,
-                    offset: item.c_offset,
-                    len: item.len,
-                    priority: Priority::Background,
-                    data: None,
-                    app_offset: AppOffset::NONE,
-                });
+                reads.push(PlannedIo::overhead(
+                    Tier::CServers,
+                    item.c_file,
+                    IoKind::Read,
+                    item.c_offset,
+                    item.len,
+                    Priority::Background,
+                ));
             }
             // Phase 2: one sequential write to the original file.
-            let write = PlannedIo {
-                tier: Tier::DServers,
+            let write = PlannedIo::overhead(
+                Tier::DServers,
                 file,
-                kind: IoKind::Write,
-                offset: start,
-                len: end - start,
-                priority: Priority::Background,
-                data: None,
-                app_offset: AppOffset::NONE,
-            };
+                IoKind::Write,
+                start,
+                end - start,
+                Priority::Background,
+            );
             self.metrics.flushes += items.len() as u64;
             self.metrics.flushed_bytes += end - start;
             for item in &items {
@@ -179,23 +183,11 @@ impl S4dCache {
             .collect();
         flagged.sort_by_key(|e| (e.file.0, e.offset));
         let mut view = std::mem::take(&mut self.view_scratch);
-        let mut i = 0;
-        while let Some(head) = flagged.get(i) {
-            let file = head.file;
-            let start = head.offset;
-            let mut end = start + head.len;
-            let mut keys = vec![(head.offset, head.len)];
-            let mut j = i + 1;
-            while let Some(e) = flagged.get(j) {
-                if e.file == file && e.offset == end && (end - start) + e.len <= MAX_GROUP_BYTES {
-                    end = e.offset + e.len;
-                    keys.push((e.offset, e.len));
-                    j += 1;
-                } else {
-                    break;
-                }
+        for (file, start, end, run) in adjacent_runs(&flagged, |e| (e.file, e.offset, e.len)) {
+            let mut keys = Vec::with_capacity(1);
+            for e in run {
+                keys.push((e.offset, e.len));
             }
-            i = j;
             if !self.cache_file_of.contains_key(&file) {
                 continue;
             }
@@ -216,16 +208,14 @@ impl S4dCache {
             let mut reads = Vec::new();
             let (writes, pieces) =
                 self.reserve_fetch(file, &view.gaps, Priority::Background, |seg| {
-                    reads.push(PlannedIo {
-                        tier: Tier::DServers,
+                    reads.push(PlannedIo::overhead(
+                        Tier::DServers,
                         file,
-                        kind: IoKind::Read,
-                        offset: seg.offset,
-                        len: seg.len,
-                        priority: Priority::Background,
-                        data: None,
-                        app_offset: AppOffset::NONE,
-                    });
+                        IoKind::Read,
+                        seg.offset,
+                        seg.len,
+                        Priority::Background,
+                    ));
                 });
             for &(o, l) in &keys {
                 self.bg.inflight_fetch.insert((file, o, l));
@@ -270,16 +260,14 @@ impl S4dCache {
                 on_segment(seg);
                 let mut cursor = seg.offset;
                 for p in allocs {
-                    writes.push(PlannedIo {
-                        tier: Tier::CServers,
-                        file: c_file,
-                        kind: IoKind::Write,
-                        offset: p.c_offset,
-                        len: p.len,
+                    writes.push(PlannedIo::overhead(
+                        Tier::CServers,
+                        c_file,
+                        IoKind::Write,
+                        p.c_offset,
+                        p.len,
                         priority,
-                        data: None,
-                        app_offset: AppOffset::NONE,
-                    });
+                    ));
                     pieces.push((cursor, p.len, c_file, p.c_offset));
                     cursor += p.len;
                 }

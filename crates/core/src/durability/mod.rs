@@ -34,7 +34,7 @@ mod replay;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use s4d_mpiio::{AppOffset, Cluster, Plan, PlannedIo, Tier};
+use s4d_mpiio::{Cluster, Plan, PlannedIo, Tier};
 use s4d_pfs::{FileId, PfsError, Priority};
 use s4d_storage::IoKind;
 
@@ -336,16 +336,15 @@ impl DurabilityEngine {
         let data = journal::encode_batch(&records);
         let len = data.len() as u64;
         let offset = self.journal_offset;
-        let op = PlannedIo {
-            tier: Tier::CServers,
-            file: journal,
-            kind: IoKind::Write,
+        let mut op = PlannedIo::overhead(
+            Tier::CServers,
+            journal,
+            IoKind::Write,
             offset,
             len,
             priority,
-            data: Some(data.into_boxed_slice()),
-            app_offset: AppOffset::NONE,
-        };
+        );
+        op.data = Some(data.into_boxed_slice());
         self.journal_offset += len;
         metrics.journal_writes += 1;
         metrics.journal_bytes += len;

@@ -132,12 +132,6 @@ impl S4dCache {
         self.health.ensure_servers(cluster.cpfs().server_count());
     }
 
-    pub(crate) fn ensure_space_manager(&mut self) {
-        if self.plane.capacity() != self.config.cache_capacity {
-            self.plane.reset_space(self.config.cache_capacity);
-        }
-    }
-
     /// The cache file backing `shard`'s slice of `orig`'s cached bytes
     /// (shard 0's file is the legacy `{name}.cache`).
     pub(crate) fn cache_file_for(&self, orig: FileId, shard: ShardId) -> Option<FileId> {
@@ -153,7 +147,6 @@ impl Middleware for S4dCache {
         _rank: Rank,
         name: &str,
     ) -> Result<FileId, MiddlewareError> {
-        self.ensure_space_manager();
         self.ensure_health(cluster);
         self.dur.ensure_journal(cluster);
         let orig = cluster.opfs_mut().create_or_open(name);

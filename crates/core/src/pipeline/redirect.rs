@@ -253,22 +253,13 @@ impl S4dCache {
     /// the fallback when the file has no cache mapping (never opened
     /// through the middleware).
     pub(crate) fn direct_plan(&mut self, req: &AppRequest) -> Plan {
-        let mut op = PlannedIo::data_op(
-            Tier::DServers,
-            req.file,
-            req.kind,
-            req.offset,
-            req.len,
-            req.offset,
-        );
-        op.data = req.data.as_deref().map(Box::from);
         match req.kind {
             IoKind::Write => self.metrics.writes_to_disk += 1,
             IoKind::Read => self.metrics.read_misses += 1,
         }
         Plan {
             lead_in: DECISION_OVERHEAD,
-            ..Plan::single_phase(op)
+            ..Plan::single_phase(PlannedIo::from(req))
         }
     }
 

@@ -130,17 +130,6 @@ impl MetadataPlane {
         }
     }
 
-    /// Replaces every shard's space ledger with a fresh one splitting
-    /// `capacity` — the open-time capacity (re)initialisation, matching
-    /// the pre-shard middleware's fresh `SpaceManager` swap.
-    pub(crate) fn reset_space(&mut self, capacity: u64) {
-        let n = self.router.count();
-        let (first, base) = split_capacity(capacity, n);
-        for (i, shard) in self.shards_mut().enumerate() {
-            shard.space = SpaceManager::new(if i == 0 { first } else { base });
-        }
-    }
-
     fn shards(&self) -> impl Iterator<Item = &MetadataShard> {
         std::iter::once(&self.shard0).chain(self.rest.iter())
     }

@@ -69,14 +69,15 @@ pub(crate) fn tiers_of(plan: &Plan) -> Vec<Tier> {
         .collect()
 }
 
-/// Runs one Rebuilder wake and keeps only the plans that carry a
-/// completion tag — flushes and fetches. Background journal drains are
-/// untagged fire-and-forget writes and are filtered out.
+/// Runs one Rebuilder wake and keeps only its two-phase plans — flushes
+/// and fetches. A background journal drain is a single-phase write (it
+/// carries a `Pending::Journal` tag, so the tag does not tell it apart)
+/// and is filtered out.
 pub(crate) fn poll_tagged(mw: &mut S4dCache, cluster: &mut Cluster, now: SimTime) -> Vec<Plan> {
     mw.poll_background(cluster, now)
         .plans
         .into_iter()
-        .filter(|p| p.tag != 0)
+        .filter(|p| p.tag != 0 && !p.then.is_empty())
         .collect()
 }
 

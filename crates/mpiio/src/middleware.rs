@@ -183,18 +183,7 @@ impl Middleware for StockMiddleware {
     }
 
     fn plan_io(&mut self, _cluster: &mut Cluster, _now: SimTime, req: &AppRequest) -> Plan {
-        let mut op = PlannedIo::data_op(
-            Tier::DServers,
-            req.file,
-            req.kind,
-            req.offset,
-            req.len,
-            req.offset,
-        );
-        if req.kind == IoKind::Write {
-            op.data = req.data.as_deref().map(Box::from);
-        }
-        Plan::single_phase(op)
+        Plan::single_phase(PlannedIo::from(req))
     }
 
     fn close(

@@ -2,16 +2,17 @@
 //! ops, and abandonment.
 //!
 //! A plan carrying a [`Plan::deadline`](crate::Plan::deadline) budget
-//! gets a timer per dispatched sub-request (armed in
-//! `submit_planned_op`, re-armed per attempt in `fire_retry`). When a
-//! timer fires with its sub-request still outstanding, the middleware is
-//! consulted ([`Middleware::on_deadline`]) and the runner executes the
-//! verdict:
+//! gets a timer per dispatched sub-request, armed by the runner's one
+//! `dispatch` for every attempt — first, hedge or retry — under that
+//! attempt's key. When a timer fires with its sub-request still
+//! outstanding, the middleware is consulted ([`Middleware::on_deadline`])
+//! and the runner executes the verdict:
 //!
 //! * **Wait** — nothing happens; the straggler keeps its slot (correct
 //!   when the straggler holds the only copy of dirty bytes).
 //! * **Hedge** — cancel-and-replace: the straggler is abandoned and the
-//!   replacement ops run under the same plan. A straggler genuinely in
+//!   replacement ops run under the same plan, submitted as a phase the
+//!   way `advance_plan` submits one. A straggler genuinely in
 //!   device service cannot be recalled; its late completion carries a
 //!   retired slab key — abandoning bumped the slot's generation — so
 //!   `server_done` misses and discards it, however the slot has been
@@ -37,7 +38,7 @@ use crate::middleware::Middleware;
 use crate::types::{HedgeDirective, PlannedIo, StragglerCtx};
 
 use super::exec::{PlanExec, PlanOwner, SubMeta};
-use super::{Event, State};
+use super::{server_started, Event, State};
 
 impl<M: Middleware> State<M> {
     /// A deadline timer fired: if its sub-request is still outstanding
@@ -106,27 +107,9 @@ impl<M: Middleware> State<M> {
             return; // raced with a completion delivered this instant
         };
         self.detach_straggler(now, &meta, sub, q);
-        let plan_id = meta.plan_id;
-        let Some((owner, deadline)) = self.plans.get(plan_id).map(|e| (e.owner(), e.deadline()))
-        else {
-            return; // an outstanding sub keeps its plan live
-        };
         self.report.gray.hedges_issued += 1;
-        let mut launched = 0;
-        for op in &ops {
-            if op.len == 0 {
-                continue;
-            }
-            self.account_dispatch(now, owner, op);
-            launched += self.submit_planned_op(now, plan_id, op, deadline, true, q);
-        }
-        let Some(exec) = self.plans.get_mut(plan_id) else {
-            return; // submission completes nothing, so the plan is still there
-        };
-        exec.outstanding = exec.outstanding - 1 + launched;
-        if exec.outstanding == 0 {
-            self.settle_drained_plan(now, plan_id, q);
-        }
+        self.submit_phase(now, meta.plan_id, &ops, true, q);
+        self.sub_settled(now, meta.plan_id, false, q);
     }
 
     /// Abandons the straggler and fails its plan; once the plan drains,
@@ -136,15 +119,7 @@ impl<M: Middleware> State<M> {
             return; // raced with a completion delivered this instant
         };
         self.detach_straggler(now, &meta, sub, q);
-        let plan_id = meta.plan_id;
-        let Some(exec) = self.plans.get_mut(plan_id) else {
-            return; // an outstanding sub keeps its plan live
-        };
-        exec.failed = true;
-        exec.outstanding -= 1;
-        if exec.outstanding == 0 {
-            self.settle_drained_plan(now, plan_id, q);
-        }
+        self.sub_settled(now, meta.plan_id, true, q);
     }
 
     /// Closes the books on an abandoned straggler: balances the dispatch
@@ -169,14 +144,6 @@ impl<M: Middleware> State<M> {
         if freed {
             self.report.gray.stall_abandons += 1;
         }
-        if let Some(s) = next {
-            q.push(
-                s.completes_at,
-                Event::ServerDone {
-                    tier: meta.tier,
-                    server,
-                },
-            );
-        }
+        server_started(q, meta.tier, server, next);
     }
 }

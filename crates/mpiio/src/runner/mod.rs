@@ -29,7 +29,7 @@ mod hedge;
 mod observe;
 mod retry;
 
-use s4d_pfs::SubReqId;
+use s4d_pfs::{Started, SubReqId};
 use s4d_sim::{EventQueue, IdMap, OneOrMany, SimTime, Slab, SlabKey};
 
 use crate::cluster::Cluster;
@@ -88,6 +88,16 @@ enum Event {
     /// one attempt: a retry runs under a fresh key with a fresh deadline,
     /// and the stale timer for the failed attempt misses.
     Deadline(SubReqId),
+}
+
+/// Queues `server`'s completion event if a submit, completion or
+/// abandon just started an op there. Not generic, so only `#[inline]`
+/// lets the runner's instances in other crates inline it.
+#[inline]
+fn server_started(q: &mut EventQueue<Event>, tier: Tier, server: usize, started: Option<Started>) {
+    if let Some(s) = started {
+        q.push(s.completes_at, Event::ServerDone { tier, server });
+    }
 }
 
 struct State<M: Middleware> {

@@ -2,7 +2,8 @@
 //!
 //! Two recovery levels with different scopes: a *retry* resubmits one
 //! failed sub-request to the same server after a middleware-chosen
-//! backoff; a *re-plan* throws the whole plan away and asks the
+//! backoff, through the runner's one `dispatch` under a fresh key and a
+//! fresh deadline; a *re-plan* throws the whole plan away and asks the
 //! middleware for a fresh one once its state reflects the failure
 //! (quarantine, invalidated mappings), so the new plan routes around it.
 
@@ -54,25 +55,11 @@ impl<M: Middleware> State<M> {
             return; // a Retry event names a pending retry
         };
         meta.submitted = now;
-        let deadline = self.plans.get(meta.plan_id).and_then(PlanExec::deadline);
-        let (tier, server, kind, len) = (meta.tier, meta.server as usize, meta.kind, meta.len);
         // Each attempt runs under a fresh key with a fresh deadline; the
         // failed attempt's key was retired when it completed, so its timer
         // cannot fire on this one.
-        let id = self.subs.insert(meta);
-        let req = meta.request(id, data);
-        let Ok(srv) = self.cluster.pfs_mut(tier).server_mut(server) else {
-            self.subs.remove(id);
-            return; // the retried server was valid when the retry was queued
-        };
-        let started = srv.submit(now, req);
-        self.middleware.on_io_dispatched(tier, server, kind, len);
-        if let Some(budget) = deadline {
-            q.push(now + budget, Event::Deadline(id));
-        }
-        if let Some(s) = started {
-            q.push(s.completes_at, Event::ServerDone { tier, server });
-        }
+        let deadline = self.plans.get(meta.plan_id).and_then(PlanExec::deadline);
+        self.dispatch(now, meta, data, deadline, q);
     }
 
     /// A plan failed: notify the middleware, then schedule a re-plan of

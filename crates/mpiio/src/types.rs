@@ -201,14 +201,43 @@ impl PlannedIo {
         app_offset: u64,
     ) -> Self {
         PlannedIo {
+            app_offset: AppOffset::new(app_offset),
+            ..PlannedIo::overhead(tier, file, kind, offset, len, Priority::Normal)
+        }
+    }
+
+    /// An op that carries no application bytes — a Rebuilder copy or a
+    /// metadata journal write: no payload yet, [`AppOffset::NONE`].
+    pub fn overhead(
+        tier: Tier,
+        file: FileId,
+        kind: IoKind,
+        offset: u64,
+        len: u64,
+        priority: Priority,
+    ) -> Self {
+        PlannedIo {
             tier,
             file,
             kind,
             offset,
             len,
-            priority: Priority::Normal,
+            priority,
             data: None,
-            app_offset: AppOffset::new(app_offset),
+            app_offset: AppOffset::NONE,
+        }
+    }
+}
+
+impl From<&AppRequest> for PlannedIo {
+    /// The pass-through op: the request's range of its file on the
+    /// DServers, carrying a write's payload.
+    fn from(req: &AppRequest) -> Self {
+        let (file, kind, offset) = (req.file, req.kind, req.offset);
+        let data = req.data.as_deref().filter(|_| kind == IoKind::Write);
+        PlannedIo {
+            data: data.map(Box::from),
+            ..PlannedIo::data_op(Tier::DServers, file, kind, offset, req.len, offset)
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the discrete-event runner: script execution,
 //! barriers, functional data round-trips, determinism, the two-phase plan
-//! contract, and the retry / re-plan machinery — all through the public
-//! crate surface.
+//! contract, and the retry / re-plan / hedge machinery — all through the
+//! public crate surface.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -248,8 +248,13 @@ struct RetryingStock {
     /// Deadline budget stamped on every plan.
     deadline: Option<SimDuration>,
     /// How many deadline misses are answered with `Abandon` before the
-    /// middleware settles for `Wait`.
+    /// middleware settles for `Wait` (or, with `hedge`, `Hedge`).
     abandons: u32,
+    /// Answer a deadline miss by hedging the straggler's application
+    /// bytes to the CServers, where `open` mirrors each file.
+    hedge: bool,
+    /// The CServer mirror of the file last opened, when hedging.
+    mirror: Option<FileId>,
 }
 
 impl RetryingStock {
@@ -259,6 +264,8 @@ impl RetryingStock {
             max_attempts,
             deadline: None,
             abandons: 0,
+            hedge: false,
+            mirror: None,
         }
     }
 }
@@ -270,6 +277,9 @@ impl Middleware for RetryingStock {
         rank: Rank,
         name: &str,
     ) -> Result<FileId, MiddlewareError> {
+        if self.hedge {
+            self.mirror = Some(cluster.cpfs_mut().create_or_open(name));
+        }
         self.inner.open(cluster, rank, name)
     }
 
@@ -292,10 +302,17 @@ impl Middleware for RetryingStock {
         &mut self,
         _cluster: &mut Cluster,
         _now: SimTime,
-        _ctx: &StragglerCtx,
+        ctx: &StragglerCtx,
     ) -> HedgeDirective {
         if self.abandons == 0 {
-            return HedgeDirective::Wait;
+            let Some(mirror) = self.mirror else {
+                return HedgeDirective::Wait;
+            };
+            let ops = ctx.app_segments.iter();
+            let ops = ops.map(|&(off, len)| {
+                PlannedIo::data_op(Tier::CServers, mirror, ctx.kind, off, len, off)
+            });
+            return HedgeDirective::Hedge { ops: ops.collect() };
         }
         self.abandons -= 1;
         HedgeDirective::Abandon
@@ -405,21 +422,27 @@ fn at_millis(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
 }
 
-/// Runs one 4 KiB write (a single sub-request on DServer 0, issued at
-/// t = 500 µs after the open) under a 30 ms deadline budget, with
+/// Runs one 4 KiB `kind` op (a single sub-request on DServer 0, issued
+/// at t = 500 µs after the open) under a 30 ms deadline budget, with
 /// `faults` scripted on that server. Returns the report and how many
 /// ops the server serviced.
 #[expect(clippy::unwrap_used, reason = "the small cluster has a DServer 0")]
-fn run_one_write_with_deadline(
+fn run_one_op_with_deadline(
     mut mw: RetryingStock,
     abandons: u32,
     faults: s4d_pfs::FaultPlan,
+    kind: IoKind,
 ) -> (s4d_mpiio::RunReport, u64) {
     mw.deadline = Some(SimDuration::from_millis(30));
     mw.abandons = abandons;
     let mut cluster = small_cluster();
     cluster.opfs_mut().set_fault_plan(0, faults).unwrap();
-    let scripts = vec![script().open("f").write(0, 0, 4096).close(0).build()];
+    let script = script().open("f");
+    let script = match kind {
+        IoKind::Write => script.write(0, 0, 4096),
+        IoKind::Read => script.read(0, 0, 4096),
+    };
+    let scripts = vec![script.close(0).build()];
     let mut r = Runner::new(cluster, mw, scripts, 13);
     let rep = r.run();
     let (cluster, _, _) = r.into_parts();
@@ -443,7 +466,8 @@ fn limping(from: SimTime) -> s4d_pfs::ServerFault {
 fn late_completion_of_an_abandoned_straggler_is_discarded() {
     let faults = || s4d_pfs::FaultPlan::new().with(limping(SimTime::ZERO));
     // Reference: the middleware waits the limping op out.
-    let (waited, serviced) = run_one_write_with_deadline(RetryingStock::new(1), 0, faults());
+    let (waited, serviced) =
+        run_one_op_with_deadline(RetryingStock::new(1), 0, faults(), IoKind::Write);
     assert_eq!(waited.app_ops(IoKind::Write), 1);
     assert_eq!(serviced, 1);
     assert_eq!(waited.gray.deadline_misses, 1);
@@ -453,7 +477,8 @@ fn late_completion_of_an_abandoned_straggler_is_discarded() {
     // so the request is re-planned and the new sub-request — which reuses
     // the abandoned one's slot under a new key — queues behind it. The
     // straggler's completion must not be taken for the new sub-request's.
-    let (abandoned, serviced) = run_one_write_with_deadline(RetryingStock::new(1), 1, faults());
+    let (abandoned, serviced) =
+        run_one_op_with_deadline(RetryingStock::new(1), 1, faults(), IoKind::Write);
     assert_eq!(abandoned.app_ops(IoKind::Write), 1);
     assert_eq!(abandoned.degraded.replans, 1);
     assert_eq!(abandoned.gray.stall_abandons, 0, "in service, not recalled");
@@ -482,7 +507,7 @@ fn a_retried_sub_request_gets_a_fresh_deadline_under_its_new_key() {
             error_rate: 1.0,
         })
         .with(limping(at_millis(1)));
-    let (rep, serviced) = run_one_write_with_deadline(RetryingStock::new(2), 0, faults);
+    let (rep, serviced) = run_one_op_with_deadline(RetryingStock::new(2), 0, faults, IoKind::Write);
     assert_eq!(rep.app_ops(IoKind::Write), 1);
     assert_eq!(rep.degraded.io_errors, 1);
     assert_eq!(rep.degraded.retries, 1);
@@ -491,6 +516,29 @@ fn a_retried_sub_request_gets_a_fresh_deadline_under_its_new_key() {
     // The failed attempt's timer lapses while the retry is in flight and
     // must miss (its key is retired); the retry's own timer fires once.
     assert_eq!(rep.gray.deadline_misses, 1);
+    assert!(rep.end_time > at_millis(100));
+}
+
+#[test]
+fn a_hedged_replacement_op_completes_the_plan() {
+    // The read's only sub-request limps on DServer 0 far past its budget;
+    // the miss is answered with one replacement read on the CServers.
+    let mut mw = RetryingStock::new(1);
+    mw.hedge = true;
+    let faults = s4d_pfs::FaultPlan::new().with(limping(SimTime::ZERO));
+    let (rep, serviced) = run_one_op_with_deadline(mw, 0, faults, IoKind::Read);
+    assert_eq!(rep.app_ops(IoKind::Read), 1);
+    assert_eq!(rep.gray.deadline_misses, 1, "the hedge finishes in budget");
+    assert_eq!((rep.gray.hedges_issued, rep.gray.hedges_won), (1, 1));
+    assert_eq!(rep.tiers.c_ops, 1, "the replacement ran on the CServers");
+    assert_eq!(serviced, 1, "the straggler, already in service, ran out");
+    // The request completes with the replacement, not with the straggler
+    // that ends past the limping window.
+    assert!(
+        rep.reads.last_completion < Some(at_millis(40)),
+        "read completed at {:?}",
+        rep.reads.last_completion
+    );
     assert!(rep.end_time > at_millis(100));
 }
 

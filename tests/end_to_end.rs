@@ -1,12 +1,16 @@
 //! Cross-crate integration tests: the full stack from application scripts
 //! through middleware, parallel file systems, and device models.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use common::{check_invariants, run_plan, write_req};
 use s4d::bench::{run_s4d, run_s4d_second_read, run_stock, testbed};
 use s4d::cache::{AdmissionPolicy, S4dCache, S4dConfig};
-use s4d::mpiio::{script, Cluster, IoObserver, Rank, Runner};
+use s4d::cost::CostParams;
+use s4d::mpiio::{script, Cluster, IoObserver, Middleware, Rank, Runner};
 use s4d::sim::SimTime;
 use s4d::storage::IoKind;
 use s4d::workloads::{AccessPattern, IorConfig};
@@ -232,6 +236,24 @@ fn capacity_invariant_holds_after_pressure() {
         mw.metrics().admission_denied_space > 0,
         "pressure must have hit"
     );
+}
+
+/// A cache smaller than its shard count clamps each shard's share to one
+/// byte, so the shares sum past the configured capacity. Opening another
+/// file must keep the space ledgers, and with them the live allocations.
+#[test]
+fn opening_a_file_keeps_the_space_of_a_tiny_sharded_cache() {
+    let mut cluster = Cluster::paper_testbed_small(3);
+    let config = S4dConfig::new(1)
+        .with_shards(2)
+        .with_admission(AdmissionPolicy::AlwaysAdmit);
+    let mut mw = S4dCache::new(config, CostParams::paper_testbed_small());
+    let f = mw.open(&mut cluster, Rank(0), "a.dat").expect("open");
+    let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, 0, vec![7]));
+    assert!(run_plan(&mut cluster, &mut mw, None, &plan, SimTime::ZERO));
+    assert_eq!(mw.plane().allocated(), 1, "the 1-byte write is admitted");
+    mw.open(&mut cluster, Rank(0), "b.dat").expect("open");
+    check_invariants(&cluster, &mw);
 }
 
 #[test]
