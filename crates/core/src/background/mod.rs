@@ -42,7 +42,7 @@ pub(crate) type FetchPiece = (u64, u64, FileId, u64);
 pub(crate) struct Fetch {
     pub(crate) orig: FileId,
     /// The `(offset, len)` CDT keys whose `C_flag` this fetch clears.
-    pub(crate) cdt_keys: Vec<(u64, u64)>,
+    pub(crate) cdt_keys: OneOrMany<(u64, u64)>,
     /// The cache pieces reserved for the data.
     pub(crate) pieces: Vec<FetchPiece>,
 }

@@ -79,7 +79,9 @@ impl S4dCache {
         if candidates.is_empty() {
             return Vec::new();
         }
-        candidates.sort_by_key(|c| (c.orig.0, c.d_offset));
+        // The keys are unique, so an unstable sort gives the same order
+        // without a stable sort's scratch buffer.
+        candidates.sort_unstable_by_key(|c| (c.orig.0, c.d_offset));
         // Each group's FlushIntent queues behind every mutation recorded
         // so far, so the append below carries them in that order.
         self.dur.collect_pending_records(&mut self.plane);
@@ -87,12 +89,15 @@ impl S4dCache {
         let flushes_before = self.metrics.flushes;
         let flushed_before = self.metrics.flushed_bytes;
         for (file, start, end, run) in adjacent_runs(&candidates, |c| (c.orig, c.d_offset, c.len)) {
-            let items = match run {
-                [one] => OneOrMany::One(*one),
-                run => OneOrMany::Many(run.to_vec()),
-            };
-            // Phase 1: read the cached bytes (merge cache-contiguous runs).
-            let mut reads: OneOrMany<PlannedIo> = OneOrMany::new();
+            let items: OneOrMany<FlushItem> = run.iter().copied().collect();
+            // Phase 1: read the cached bytes, one op per cache-contiguous
+            // run of items; the runs are counted first, so the phase is
+            // built at its size.
+            let runs = 1 + items
+                .windows(2)
+                .filter(|w| !matches!(w, [a, b] if a.c_file == b.c_file && a.c_offset + a.len == b.c_offset))
+                .count();
+            let mut reads: OneOrMany<PlannedIo> = OneOrMany::with_capacity(runs);
             for item in &items {
                 if let Some(last) = reads.last_mut() {
                     if last.file == item.c_file && last.offset + last.len == item.c_offset {
@@ -184,13 +189,10 @@ impl S4dCache {
         flagged.sort_by_key(|e| (e.file.0, e.offset));
         let mut view = std::mem::take(&mut self.view_scratch);
         for (file, start, end, run) in adjacent_runs(&flagged, |e| (e.file, e.offset, e.len)) {
-            let mut keys = Vec::with_capacity(1);
-            for e in run {
-                keys.push((e.offset, e.len));
-            }
             if !self.cache_file_of.contains_key(&file) {
                 continue;
             }
+            let keys: OneOrMany<(u64, u64)> = run.iter().map(|e| (e.offset, e.len)).collect();
             self.plane.view_into(file, start, end - start, &mut view);
             if view.fully_covered() {
                 for &(o, l) in &keys {
@@ -205,7 +207,7 @@ impl S4dCache {
                 // No clean space to reclaim: stop fetching this wake.
                 break;
             }
-            let mut reads = Vec::new();
+            let mut reads = OneOrMany::new();
             let (writes, pieces) =
                 self.reserve_fetch(file, &view.gaps, Priority::Background, |seg| {
                     reads.push(PlannedIo::overhead(
@@ -246,8 +248,8 @@ impl S4dCache {
         gaps: &[(u64, u64)],
         priority: Priority,
         mut on_segment: impl FnMut(ShardSegment),
-    ) -> (Vec<PlannedIo>, Vec<FetchPiece>) {
-        let mut writes = Vec::new();
+    ) -> (OneOrMany<PlannedIo>, Vec<FetchPiece>) {
+        let mut writes = OneOrMany::new();
         let mut pieces = Vec::new();
         for &(g_off, g_len) in gaps {
             for seg in self.plane.router().segments_iter(file, g_off, g_len) {
@@ -375,7 +377,7 @@ impl S4dCache {
             cdt_keys,
             pieces,
         } = fetch;
-        let mut seals: Vec<(FileId, u64, u64)> = Vec::new();
+        let mut seals: OneOrMany<(FileId, u64, u64)> = OneOrMany::new();
         let mut view = std::mem::take(&mut self.view_scratch);
         for (d_off, len, c_file, c_off) in pieces {
             // A foreground write may have mapped (parts of) this range while

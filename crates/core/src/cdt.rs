@@ -6,19 +6,21 @@
 //! — the granularity at which applications re-issue requests, which is what
 //! makes first-run identification useful on the second run (§V.A).
 //!
-//! The table is one insertion-ordered ring of [`CdtEntry`] records (32 B
+//! The table is one insertion-ordered ring of [`CdtEntry`] records (24 B
 //! each) plus two small indexes: an open-addressing table of ring
-//! positions (4 B a slot, at most three quarters full) and the sequence
-//! numbers of flagged entries. A record's sequence number is implied by
-//! its ring position, so the ring holds nothing but the entries.
+//! positions (4 B a slot, at most three quarters full) and the `C_flag`s,
+//! one bit per ring position. The ring holds nothing but the entries.
 
-use std::collections::BTreeSet;
 use std::hash::Hasher;
 
 use s4d_pfs::FileId;
 use s4d_sim::IdHasher;
 
-/// One CDT entry.
+use crate::dmt::set_bits;
+
+/// One CDT entry: a critical range. Its `C_flag` is a bit of the table's
+/// flag bitmap, not a field: [`Cdt::flagged`] yields the entries whose
+/// flag is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CdtEntry {
     /// Original file.
@@ -27,8 +29,6 @@ pub struct CdtEntry {
     pub offset: u64,
     /// Request length.
     pub len: u64,
-    /// Whether the Rebuilder should cache this data (the paper's `C_flag`).
-    pub c_flag: bool,
 }
 
 impl CdtEntry {
@@ -43,12 +43,15 @@ const EMPTY: u32 = u32::MAX;
 /// Slots the index starts with on its first insert.
 const MIN_SLOTS: usize = 16;
 
+/// Flag bits per bitmap word.
+const WORD_BITS: usize = 64;
+
 /// The Critical Data Table: a bounded map of performance-critical ranges.
 ///
 /// When full, the oldest entry is evicted (insertion order), bounding the
 /// memory the Identifier may consume on arbitrarily long runs. Memory
-/// follows the live entries, never the bound: the ring and the index grow
-/// by doubling as entries arrive.
+/// follows the live entries, never the bound: the ring, the index and the
+/// flag bitmap grow by doubling as entries arrive.
 #[derive(Debug, Clone)]
 pub struct Cdt {
     /// Live entries in insertion order. Until the table is full the
@@ -59,12 +62,12 @@ pub struct Cdt {
     /// Linear-probing index of ring positions ([`EMPTY`] = free slot);
     /// its length is zero or a power of two.
     index: Vec<u32>,
-    /// Sequence numbers of flagged entries, so the Rebuilder's scan costs
-    /// O(flagged), not O(table).
-    flagged: BTreeSet<u64>,
-    /// Sequence number of the next insert; the oldest live entry's is
-    /// `next_seq - ring.len()`.
-    next_seq: u64,
+    /// The `C_flag`s: bit `p % 64` of word `p / 64` is ring position
+    /// `p`'s. Empty until the first flag is set, then as long as the
+    /// ring's capacity needs; every bit past the live ring is clear.
+    flags: Vec<u64>,
+    /// Set bits in `flags`, so a table with none is scanned in O(1).
+    flag_count: usize,
     max_entries: usize,
     inserted_total: u64,
     evicted_total: u64,
@@ -84,8 +87,8 @@ impl Cdt {
             ring: Vec::new(),
             head: 0,
             index: Vec::new(),
-            flagged: BTreeSet::new(),
-            next_seq: 0,
+            flags: Vec::new(),
+            flag_count: 0,
             max_entries: max_entries.min(EMPTY as usize - 1),
             inserted_total: 0,
             evicted_total: 0,
@@ -118,20 +121,13 @@ impl Cdt {
         if self.find(file, offset, len).is_some() {
             return;
         }
-        let entry = CdtEntry {
-            file,
-            offset,
-            len,
-            c_flag: false,
-        };
+        let entry = CdtEntry { file, offset, len };
         let pos = if self.ring.len() == self.max_entries {
-            // Full: the new entry takes the oldest one's place.
+            // Full: the new entry takes the oldest one's place, unflagged.
             let pos = self.head;
             if let Some(old) = self.ring.get(pos).copied() {
                 self.unindex(pos, &old);
-                if old.c_flag {
-                    self.flagged.remove(&self.oldest_seq());
-                }
+                self.set_bit(pos, false);
                 self.evicted_total += 1;
             }
             if let Some(slot) = self.ring.get_mut(pos) {
@@ -149,7 +145,6 @@ impl Cdt {
             self.ring.push(entry);
             self.ring.len() - 1
         };
-        self.next_seq += 1;
         self.inserted_total += 1;
         self.index_insert(pos);
     }
@@ -160,13 +155,13 @@ impl Cdt {
         let Some(pos) = self.find(file, offset, len) else {
             return false;
         };
-        let seq = self.seq_at(pos);
-        if let Some(e) = self.ring.get_mut(pos) {
-            if !e.c_flag {
-                e.c_flag = true;
-                self.flagged.insert(seq);
-            }
+        if self.flags.len() * WORD_BITS <= pos {
+            // Cover the ring's capacity, so the bitmap regrows only when
+            // the ring did.
+            self.flags
+                .resize(self.ring.capacity().div_ceil(WORD_BITS), 0);
         }
+        self.set_bit(pos, true);
         true
     }
 
@@ -176,48 +171,50 @@ impl Cdt {
         let Some(pos) = self.find(file, offset, len) else {
             return false;
         };
-        let seq = self.seq_at(pos);
-        if let Some(e) = self.ring.get_mut(pos) {
-            if e.c_flag {
-                e.c_flag = false;
-                self.flagged.remove(&seq);
-            }
-        }
+        self.set_bit(pos, false);
         true
     }
 
-    /// Up to `limit` entries whose `C_flag` is set, oldest first. Cost is
-    /// `O(limit)`.
+    /// Up to `limit` entries whose `C_flag` is set, oldest first: the
+    /// scan walks the bitmap from the oldest entry around the ring,
+    /// skipping clear words, and stops at the last flag. With none set it
+    /// costs nothing.
     pub fn flagged(&self, limit: usize) -> impl Iterator<Item = CdtEntry> + '_ {
-        self.flagged
-            .iter()
-            .take(limit)
-            .filter_map(|&seq| self.ring.get(self.pos_of(seq)).copied())
+        let head = self.head;
+        let first = head / WORD_BITS;
+        let from_head = self.flags.get(first..).unwrap_or_default();
+        set_bits(from_head)
+            .map(move |p| first * WORD_BITS + p)
+            .skip_while(move |&p| p < head)
+            .chain(set_bits(&self.flags).take_while(move |&p| p < head))
+            .take(limit.min(self.flag_count))
+            .filter_map(|pos| self.ring.get(pos).copied())
     }
 
-    /// Removes everything. The ring and index keep their capacity.
+    /// Removes everything. The ring, index and bitmap keep their capacity.
     pub fn clear(&mut self) {
         self.ring.clear();
         self.head = 0;
         self.index.fill(EMPTY);
-        self.flagged.clear();
+        self.flags.fill(0);
+        self.flag_count = 0;
     }
 
-    /// Sequence number of the oldest live entry.
-    fn oldest_seq(&self) -> u64 {
-        self.next_seq - self.ring.len() as u64
-    }
-
-    /// Sequence number of the entry at ring position `pos`.
-    fn seq_at(&self, pos: usize) -> u64 {
-        let n = self.ring.len();
-        self.oldest_seq() + ((pos + n - self.head) % n) as u64
-    }
-
-    /// Ring position of the live entry with sequence number `seq`.
-    fn pos_of(&self, seq: u64) -> usize {
-        let age = (seq - self.oldest_seq()) as usize;
-        (self.head + age) % self.ring.len().max(1)
+    /// Sets or clears ring position `pos`'s flag bit (setting needs the
+    /// bitmap to cover `pos`), keeping the count.
+    fn set_bit(&mut self, pos: usize, on: bool) {
+        let Some(word) = self.flags.get_mut(pos / WORD_BITS) else {
+            return;
+        };
+        let bit = 1u64 << (pos % WORD_BITS);
+        if (*word & bit != 0) != on {
+            *word ^= bit;
+            if on {
+                self.flag_count += 1;
+            } else {
+                self.flag_count -= 1;
+            }
+        }
     }
 
     /// The index slot a key's probe sequence starts at.
@@ -360,7 +357,6 @@ mod tests {
                 file: F,
                 offset: 0,
                 len: 100,
-                c_flag: true
             }
         );
         assert!(t.clear_c_flag(F, 0, 100));
@@ -413,6 +409,30 @@ mod tests {
         t.insert(F, 6, 1); // evicts 2, flagged
         let got: Vec<u64> = t.flagged(10).map(|e| e.offset).collect();
         assert_eq!(got, vec![4, 5]);
+    }
+
+    #[test]
+    fn flags_span_bitmap_words_and_an_overwrite_starts_unflagged() {
+        let mut t = Cdt::new(100);
+        for i in 0..100 {
+            t.insert(F, i, 1);
+        }
+        assert_eq!(t.flags.capacity(), 0, "no bitmap before the first flag");
+        for i in [3, 64, 70, 99] {
+            assert!(t.set_c_flag(F, i, 1));
+        }
+        // 100..105 take the places of 0..5, flagged 3 among them; the
+        // oldest is now 5, in the first word.
+        for i in 100..105 {
+            t.insert(F, i, 1);
+        }
+        assert!(t.set_c_flag(F, 101, 1));
+        let got: Vec<u64> = t.flagged(10).map(|e| e.offset).collect();
+        assert_eq!(got, vec![64, 70, 99, 101]);
+        assert_eq!(t.flagged(2).count(), 2);
+        assert!(t.clear_c_flag(F, 64, 1));
+        let got: Vec<u64> = t.flagged(10).map(|e| e.offset).collect();
+        assert_eq!(got, vec![70, 99, 101]);
     }
 
     #[test]

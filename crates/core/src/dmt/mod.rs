@@ -31,6 +31,7 @@ use s4d_sim::{IdMap, RangeMap, Span};
 
 use crate::journal::JournalRecord;
 
+pub(crate) use recency::set_bits;
 use recency::Recency;
 pub use view::{CoveredPiece, RangeView};
 

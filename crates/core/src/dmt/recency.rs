@@ -21,8 +21,9 @@ use super::MapExtent;
 /// compaction's cost is paid for by the dead slots it drops.
 const SLACK: usize = 64;
 
-/// The indices of the set bits of `words`, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+/// The indices of the set bits of `words`, ascending. Clear words
+/// yield nothing, so the walk moves straight past them.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &word)| {
         let mut rest = word;
         std::iter::from_fn(move || {

@@ -144,8 +144,11 @@ pub(crate) struct DurabilityEngine {
     /// Scratch for [`DurabilityEngine::append_journal_sync`]: the queued
     /// batch's encoding. Taken, filled, written and stored back empty, so
     /// a synchronous append allocates only while the buffer grows to the
-    /// largest batch. It carries nothing between appends.
+    /// largest batch. It carries nothing between appends, and a
+    /// checkpoint cuts it back to `sync_high` when it is far larger.
     sync_bytes: Vec<u8>,
+    /// The longest synchronous append since the last checkpoint.
+    sync_high: usize,
 }
 
 impl DurabilityEngine {
@@ -164,6 +167,7 @@ impl DurabilityEngine {
             parked: Vec::new(),
             last_recovery: None,
             sync_bytes: Vec::new(),
+            sync_high: 0,
         }
     }
 
@@ -404,6 +408,7 @@ impl DurabilityEngine {
         let mut data = std::mem::take(&mut self.sync_bytes);
         self.group.encode_into(&mut data);
         let len = data.len() as u64;
+        self.sync_high = self.sync_high.max(data.len());
         let offset = self.journal_offset;
         let handle = match self.fused_apply(cluster, CrashSite::SyncAppend, journal, offset, &data)
         {
@@ -552,12 +557,22 @@ impl DurabilityEngine {
         }
         // Force-drain so the snapshot covers every journaled mutation and
         // the tail past `tail_offset` is an exact record-order suffix.
+        let high = std::mem::take(&mut self.sync_high);
         if self.append_journal_sync(cluster, plane, metrics).is_none() {
             // Journal stalled (ENOSPC / media error): a snapshot now would
             // claim coverage of records that are not durable. Skip; the
             // previous checkpoint plus the journal tail stay authoritative.
             metrics.checkpoints_skipped += 1;
             return;
+        }
+        // The drain may be far longer than the appends around it (a
+        // catch-up of everything queued); a buffer kept at its size would
+        // stay live for the rest of the run. Cut it back to the longest
+        // append of the period just ended: at most one allocation per
+        // checkpoint, and none once the buffer fits the steady appends.
+        self.sync_high = 0;
+        if self.sync_bytes.capacity() > 4 * high {
+            self.sync_bytes.shrink_to(high);
         }
         if self.fuse_dead() {
             return;

@@ -233,10 +233,10 @@ impl S4dCache {
         let (writes, pieces) = self.reserve_fetch(req.file, gaps, Priority::Normal, |_| {});
         self.metrics.fetches += 1;
         self.metrics.fetched_bytes += total;
-        plan.then = writes.into();
+        plan.then = writes;
         Some(Box::new(Fetch {
             orig: req.file,
-            cdt_keys: vec![(req.offset, req.len)],
+            cdt_keys: OneOrMany::One((req.offset, req.len)),
             pieces,
         }))
     }

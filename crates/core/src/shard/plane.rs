@@ -41,19 +41,18 @@ impl MetadataShard {
         MetadataShard {
             dmt: Dmt::new(),
             cdt: Cdt::new(cdt_max.max(1)),
-            space: SpaceManager::new(capacity.max(1)),
+            space: SpaceManager::new(capacity),
         }
     }
 }
 
 /// Splits total cache capacity across `n` shards: every shard gets
-/// `capacity / n`, shard 0 absorbs the remainder. Degenerate configs
-/// (capacity < n) clamp each share to 1 byte rather than panicking.
+/// `capacity / n`, shard 0 absorbs the remainder, and the shares sum to
+/// `capacity`. Below `n` bytes the other shards get 0 and admit nothing.
 fn split_capacity(capacity: u64, n: usize) -> (u64, u64) {
     let n64 = n.max(1) as u64;
-    let base = (capacity / n64).max(1);
-    let first = capacity.saturating_sub(base.saturating_mul(n64 - 1)).max(1);
-    (first, base)
+    let base = capacity / n64;
+    (capacity - base * (n64 - 1), base)
 }
 
 /// The metadata plane: every shard of the DMT, CDT, and space accounting
@@ -647,6 +646,8 @@ mod tests {
         assert_eq!(available, vec![1003 - 250 * 3, 250, 250, 250]);
         let single = plane(1, 64, 1003);
         assert_eq!(single.shard_available(single.router().shard_of(F, 0)), 1003);
+        let tiny = plane(2, 64, 1);
+        assert_eq!(tiny.capacity(), 1, "a cache below its shard count");
     }
 
     #[test]

@@ -101,13 +101,10 @@ pub struct SpaceManager {
 }
 
 impl SpaceManager {
-    /// Creates a manager over `capacity` bytes of total cache space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
+    /// Creates a manager over `capacity` bytes of total cache space. A
+    /// manager over 0 bytes (a shard of a cache smaller than its shard
+    /// count) allocates nothing.
     pub fn new(capacity: u64) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
         SpaceManager {
             capacity,
             allocated: 0,
@@ -339,9 +336,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn rejects_zero_capacity() {
-        SpaceManager::new(0);
+    fn a_zero_capacity_manager_allocates_nothing() {
+        let mut s = SpaceManager::new(0);
+        assert!(s.alloc(CF, 1).is_none());
+        assert!(!s.fits(1));
+        assert_eq!((s.capacity(), s.allocated()), (0, 0));
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! an index slot lost in a deletion shows up as a live key the table no
 //! longer finds (the mutation gate's `cdt-evict-skips-backward-shift`
 //! dies here).
+//!
+//! The `C_flag`s are a bitmap of 64 ring positions a word, which tables
+//! of at most 64 entries keep in one word; the second property runs
+//! tables of 65 to 200 entries over 1,024 keys, so the ring wraps inside
+//! later words and a scan crosses word boundaries both ways. An entry
+//! that takes a flagged entry's place must start unflagged (the gate's
+//! `cdt-overwrite-keeps-flag` dies here).
 
 use std::collections::VecDeque;
 
@@ -27,19 +34,23 @@ enum Op {
     Clear,
 }
 
-fn key() -> impl Strategy<Value = Key> {
-    (0u64..2, 0u64..32, 1u64..3).prop_map(|(f, o, l)| (f, o * 4096, l * 4096))
+/// Keys of two files, `offsets` offsets and two lengths.
+fn key(offsets: u64) -> impl Strategy<Value = Key> {
+    (0u64..2, 0..offsets, 1u64..3).prop_map(|(f, o, l)| (f, o * 4096, l * 4096))
 }
 
-/// Of 64 ops, 36 inserts, 16 flag sets, 8 flag clears, 3 scans and one
-/// clear — rare enough that tables of 64 fill and wrap.
-fn op() -> impl Strategy<Value = Op> {
-    (0u8..64, key(), 0usize..80).prop_map(|(pick, k, limit)| match pick {
-        0..=35 => Op::Insert(k),
-        36..=51 => Op::SetFlag(k),
-        52..=59 => Op::ClearFlag(k),
-        60..=62 => Op::Flagged(limit),
-        _ => Op::Clear,
+/// One clear in about `clear_one_in` ops; of the other 63 in 64, 36
+/// inserts, 16 flag sets, 8 flag clears and 3 scans. At one clear in 64
+/// tables of 64 fill and wrap.
+fn op(offsets: u64, clear_one_in: u16) -> impl Strategy<Value = Op> {
+    (0..clear_one_in, 0u8..63, key(offsets), 0usize..80).prop_map(|(clear, pick, k, limit)| match (
+        clear, pick,
+    ) {
+        (0, _) => Op::Clear,
+        (_, 0..=35) => Op::Insert(k),
+        (_, 36..=51) => Op::SetFlag(k),
+        (_, 52..=59) => Op::ClearFlag(k),
+        _ => Op::Flagged(limit),
     })
 }
 
@@ -76,43 +87,55 @@ impl Model {
                 file: FileId(file),
                 offset,
                 len,
-                c_flag: true,
             })
             .collect()
     }
+}
+
+/// Applies `op` to the table and the model, checking what it returns.
+fn apply(cdt: &mut Cdt, model: &mut Model, op: &Op, step: usize) {
+    match *op {
+        Op::Insert((f, o, l)) => {
+            cdt.insert(FileId(f), o, l);
+            model.insert((f, o, l));
+        }
+        Op::SetFlag((f, o, l)) => {
+            let expected = model.find((f, o, l)).map(|flag| *flag = true).is_some();
+            assert_eq!(
+                cdt.set_c_flag(FileId(f), o, l),
+                expected,
+                "set_c_flag at step {step}"
+            );
+        }
+        Op::ClearFlag((f, o, l)) => {
+            let expected = model.find((f, o, l)).map(|flag| *flag = false).is_some();
+            assert_eq!(
+                cdt.clear_c_flag(FileId(f), o, l),
+                expected,
+                "clear_c_flag at step {step}"
+            );
+        }
+        Op::Flagged(limit) => {
+            let got: Vec<CdtEntry> = cdt.flagged(limit).collect();
+            assert_eq!(got, model.flagged(limit), "flagged({limit}) at step {step}");
+        }
+        Op::Clear => {
+            cdt.clear();
+            model.entries.clear();
+        }
+    }
+    assert_eq!(cdt.len(), model.entries.len(), "len at step {step}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 384, ..ProptestConfig::default() })]
 
     #[test]
-    fn cdt_matches_the_model(cap in 1usize..=64, ops in proptest::collection::vec(op(), 1..400)) {
+    fn cdt_matches_the_model(cap in 1usize..=64, ops in proptest::collection::vec(op(32, 64), 1..400)) {
         let mut cdt = Cdt::new(cap);
         let mut model = Model { cap, entries: VecDeque::new() };
         for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Insert((f, o, l)) => {
-                    cdt.insert(FileId(f), o, l);
-                    model.insert((f, o, l));
-                }
-                Op::SetFlag((f, o, l)) => {
-                    let expected = model.find((f, o, l)).map(|flag| *flag = true).is_some();
-                    prop_assert_eq!(cdt.set_c_flag(FileId(f), o, l), expected, "set_c_flag at step {}", step);
-                }
-                Op::ClearFlag((f, o, l)) => {
-                    let expected = model.find((f, o, l)).map(|flag| *flag = false).is_some();
-                    prop_assert_eq!(cdt.clear_c_flag(FileId(f), o, l), expected, "clear_c_flag at step {}", step);
-                }
-                Op::Flagged(limit) => {
-                    let got: Vec<CdtEntry> = cdt.flagged(limit).collect();
-                    prop_assert_eq!(got, model.flagged(limit), "flagged({}) at step {}", limit, step);
-                }
-                Op::Clear => {
-                    cdt.clear();
-                    model.entries.clear();
-                }
-            }
-            prop_assert_eq!(cdt.len(), model.entries.len(), "len at step {}", step);
+            apply(&mut cdt, &mut model, op, step);
             for f in 0..2 {
                 for o in 0..32 {
                     for l in 1..3 {
@@ -127,5 +150,20 @@ proptest! {
             }
         }
         prop_assert_eq!(cdt.flagged(usize::MAX).collect::<Vec<_>>(), model.flagged(usize::MAX));
+    }
+
+    /// Flags on rings longer than one bitmap word: after every step the
+    /// whole flagged list, oldest first, matches the model.
+    #[test]
+    fn flags_survive_a_wrapped_ring(cap in 65usize..=200, ops in proptest::collection::vec(op(256, 600), 1..1200)) {
+        let mut cdt = Cdt::new(cap);
+        let mut model = Model { cap, entries: VecDeque::new() };
+        for (step, op) in ops.iter().enumerate() {
+            apply(&mut cdt, &mut model, op, step);
+            prop_assert_eq!(
+                cdt.flagged(usize::MAX).collect::<Vec<_>>(), model.flagged(usize::MAX),
+                "flagged entries after step {} ({:?})", step, op
+            );
+        }
     }
 }

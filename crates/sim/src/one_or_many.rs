@@ -30,6 +30,16 @@ impl<T> OneOrMany<T> {
         OneOrMany::Many(Vec::new())
     }
 
+    /// The empty list, ready for `n` pushes with at most one allocation:
+    /// room for one is the inline slot, more is a `Vec` of exactly `n`.
+    pub fn with_capacity(n: usize) -> Self {
+        if n > 1 {
+            OneOrMany::Many(Vec::with_capacity(n))
+        } else {
+            OneOrMany::new()
+        }
+    }
+
     /// Appends `value`. Onto an empty list without capacity it is stored
     /// inline; a second element moves both into a `Vec`.
     pub fn push(&mut self, value: T) {
@@ -102,8 +112,15 @@ impl<T> Extend<T> for OneOrMany<T> {
     }
 }
 
+/// An iterator known to yield at least two elements is collected
+/// straight into a `Vec` (one allocation when it knows its length);
+/// anything else is pushed one by one.
 impl<T> FromIterator<T> for OneOrMany<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        if iter.size_hint().0 > 1 {
+            return OneOrMany::Many(iter.collect());
+        }
         let mut out = OneOrMany::new();
         out.extend(iter);
         out
@@ -230,6 +247,22 @@ mod tests {
         let taken = mem::take(&mut l);
         assert_eq!(&*taken, &[5]);
         assert!(matches!(&l, OneOrMany::Many(v) if v.capacity() == 0));
+    }
+
+    #[test]
+    fn a_known_length_sizes_the_vec_exactly() {
+        let one: OneOrMany<u32> = [4].into_iter().collect();
+        assert!(matches!(one, OneOrMany::One(4)));
+        let five: OneOrMany<u32> = (0..5).collect();
+        assert!(matches!(&five, OneOrMany::Many(v) if v.capacity() == 5));
+        let none: OneOrMany<u32> = std::iter::empty().collect();
+        assert!(matches!(&none, OneOrMany::Many(v) if v.capacity() == 0));
+        let mut three = OneOrMany::with_capacity(3);
+        three.extend([1u32, 2, 3]);
+        assert!(matches!(&three, OneOrMany::Many(v) if v.capacity() == 3));
+        let mut single = OneOrMany::with_capacity(1);
+        single.push(1u32);
+        assert!(matches!(single, OneOrMany::One(1)));
     }
 
     #[test]

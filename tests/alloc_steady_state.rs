@@ -12,9 +12,9 @@
 //! extents and carry their journal frames.
 //!
 //! The counts are exact, repeat run for run and are the same in debug
-//! and release builds: 265 over the 4,096 warm 16 KiB requests (0.06
-//! each), 27 for the one-request run, and 4,367 over the 4,096
-//! over-subscribed requests (1.07 each; every group-commit frame, whose
+//! and release builds: 206 over the 4,096 warm 16 KiB requests (0.05
+//! each), 27 for the one-request run, and 3,816 over the 4,096
+//! over-subscribed requests (0.93 each; every group-commit frame, whose
 //! records and bytes leave the cache with its plan, costs two). A
 //! timing-mode file server keeps no per-file store, so none of them
 //! touches an extent store. Shrinking the in-flight records (a boxed
@@ -27,14 +27,16 @@
 //! (`tests/mutation_gate.rs`), which adds a `vec![…]` per critical
 //! request.
 //!
-//! Two more checks pin what costs nothing: a run of 16 bypass requests
+//! Three more checks pin what costs nothing: a run of 16 bypass requests
 //! allocates exactly as much as a run of 2 (the mutation gate's
-//! `alloc-on-bypass-path` dies here), and a plan with one op per phase
-//! is built and consumed without touching the heap.
+//! `alloc-on-bypass-path` dies here), a plan with one op per phase is
+//! built and consumed without touching the heap, and a Rebuilder fetch of
+//! one entry and one gap allocates nothing per element.
 //!
 //! The allocator also tracks live bytes, for two memory pins: a Critical
-//! Data Table of 65,536 entries holds at most 48 heap bytes per entry,
-//! and a DMT checkpoint holds no heap beyond the snapshot's own bytes.
+//! Data Table of 65,536 entries holds at most 48 heap bytes per entry and
+//! at most 1 more per set `C_flag`, and a DMT checkpoint holds no heap
+//! beyond the snapshot's own bytes.
 
 use s4d::bench::testbed;
 use s4d::cache::{Cdt, S4dCache, S4dConfig, S4dMetrics, DMT_RECORD_BYTES};
@@ -234,6 +236,66 @@ fn a_plan_of_one_op_per_phase_allocates_nothing() {
     assert_eq!(allocs, 0, "a plan of one op per phase allocated");
 }
 
+/// A Rebuilder fetch of one flagged 16 KiB read miss, one gap, on a
+/// Timing-mode cluster: the wake that plans it and the completion that
+/// maps it. Its key list, its two plan phases and its completion's seal
+/// list each hold one element inline, so the counted cycle allocates
+/// three blocks, none of them per element: the wake's flagged-entry and
+/// plan lists, and the fetch's reserved pieces (a `Vec`: inline, they
+/// would grow every obligation slot from 72 to 80 bytes). The first
+/// cycle grows the tables and scratch buffers; the second is counted.
+#[test]
+fn a_one_entry_one_gap_fetch_allocates_only_its_wake_lists_and_pieces() {
+    let tb = testbed(3);
+    let mut cluster = tb.cluster();
+    let mut mw = S4dCache::new(S4dConfig::new(64 * MIB), tb.cost_params());
+    let file = mw
+        .open(&mut cluster, Rank(0), "fetch.dat")
+        .expect("open a fresh file");
+    let mut cycle = |offset: u64| {
+        // A wake first commits the journal records queued so far, so the
+        // counted wake plans the fetch alone.
+        for plan in mw.poll_background(&mut cluster, SimTime::ZERO).plans {
+            mw.on_plan_complete(&mut cluster, SimTime::ZERO, plan.tag);
+        }
+        let read = AppRequest {
+            rank: Rank(0),
+            file,
+            kind: IoKind::Read,
+            offset,
+            len: 16 * KIB,
+            data: None,
+        };
+        let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &read);
+        if plan.tag != 0 {
+            mw.on_plan_complete(&mut cluster, SimTime::ZERO, plan.tag);
+        }
+        assert_eq!(mw.plane().cdt_flagged(10).count(), 1, "the miss is flagged");
+        let (mapped, allocs) = counted(|| {
+            let poll = mw.poll_background(&mut cluster, SimTime::from_secs(1));
+            let [fetch] = &poll.plans[..] else {
+                panic!("one fetch plan, got {:?}", poll.plans);
+            };
+            assert_eq!((fetch.ops.len(), fetch.then.len()), (1, 1));
+            mw.on_plan_complete(&mut cluster, SimTime::from_secs(2), fetch.tag);
+            mw.plane().mapped_bytes()
+        });
+        assert!(
+            mw.plane().cdt_flagged(10).next().is_none(),
+            "the fetch cleared the flag"
+        );
+        (mapped, allocs)
+    };
+    assert_eq!(cycle(0).0, 16 * KIB);
+    let (mapped, allocs) = cycle(MIB);
+    assert_eq!(mapped, 32 * KIB, "the fetch mapped the missed range");
+    assert_eq!(
+        allocs, 3,
+        "a one-entry, one-gap fetch cost {allocs} allocations; the wake's two \
+         lists and the reserved pieces are 3"
+    );
+}
+
 /// Live heap bytes of a CDT of `n` 16 KiB entries, `flagged` of them
 /// (the oldest) with `C_flag` set.
 fn cdt_bytes(n: u64, flagged: u64) -> i64 {
@@ -253,10 +315,10 @@ fn cdt_bytes(n: u64, flagged: u64) -> i64 {
 }
 
 /// The paper (§V.E.1) budgets 24 B of metadata per cached entry. A CDT
-/// entry is a 32 B ring record plus its share of an at most
-/// three-quarters-full index of 4 B slots: 40 B at 65,536 entries,
-/// pinned at 48. A flagged entry adds its sequence number to a B-tree
-/// set (about 20 B), pinned at 24.
+/// entry is a 24 B ring record plus its share of an at most
+/// three-quarters-full index of 4 B slots: 32 B at 65,536 entries,
+/// pinned at 48. The `C_flag`s are one bit per ring position, allocated
+/// with the first: 0.125 B an entry, pinned at 1.
 #[test]
 fn a_cdt_entry_costs_at_most_48_bytes() {
     const N: u64 = 65_536;
@@ -267,8 +329,8 @@ fn a_cdt_entry_costs_at_most_48_bytes() {
     );
     let flag = (cdt_bytes(N, N) as f64 / N as f64) - plain;
     assert!(
-        flag <= 24.0,
-        "a set C_flag costs {flag:.1} more live heap bytes; ceiling 24"
+        flag <= 1.0,
+        "a set C_flag costs {flag:.1} more live heap bytes; ceiling 1"
     );
 }
 

@@ -70,11 +70,17 @@ pub fn read_through(
     out
 }
 
-/// Structural invariants of a recovered instance: the extents sum to the
-/// mapped total, space accounting matches the mapping and fits the
-/// capacity, and every mapped cache byte is present on CPFS.
+/// Structural invariants of a recovered instance: the shards' capacities
+/// sum to the configured cache, the extents sum to the mapped total,
+/// space accounting matches the mapping and fits the capacity, and every
+/// mapped cache byte is present on CPFS.
 pub fn check_invariants(cluster: &Cluster, mw: &S4dCache) {
     let plane = mw.plane();
+    assert_eq!(
+        plane.capacity(),
+        mw.config().cache_capacity,
+        "the shards hold a different cache than the configured one"
+    );
     let sum: u64 = plane.iter_extents().map(|(_, _, e)| e.len).sum();
     assert_eq!(sum, plane.mapped_bytes(), "extent sum vs mapped_bytes");
     assert_eq!(

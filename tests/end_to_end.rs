@@ -6,7 +6,7 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{check_invariants, run_plan, write_req};
+use common::{check_invariants, read_through, run_plan, write_req};
 use s4d::bench::{run_s4d, run_s4d_second_read, run_stock, testbed};
 use s4d::cache::{AdmissionPolicy, S4dCache, S4dConfig};
 use s4d::cost::CostParams;
@@ -238,9 +238,9 @@ fn capacity_invariant_holds_after_pressure() {
     );
 }
 
-/// A cache smaller than its shard count clamps each shard's share to one
-/// byte, so the shares sum past the configured capacity. Opening another
-/// file must keep the space ledgers, and with them the live allocations.
+/// A cache smaller than its shard count gives every share but shard 0's
+/// zero bytes. Opening another file must keep the space ledgers, and with
+/// them the live allocations.
 #[test]
 fn opening_a_file_keeps_the_space_of_a_tiny_sharded_cache() {
     let mut cluster = Cluster::paper_testbed_small(3);
@@ -254,6 +254,31 @@ fn opening_a_file_keeps_the_space_of_a_tiny_sharded_cache() {
     assert_eq!(mw.plane().allocated(), 1, "the 1-byte write is admitted");
     mw.open(&mut cluster, Rank(0), "b.dat").expect("open");
     check_invariants(&cluster, &mw);
+}
+
+/// One byte of cache over two shards is one byte, not one per shard: of
+/// two 1-byte writes that route to different shards, one is admitted.
+#[test]
+fn a_cache_below_its_shard_count_holds_only_its_capacity() {
+    let mut cluster = Cluster::paper_testbed_small(3);
+    let config = S4dConfig::new(1)
+        .with_shards(2)
+        .with_admission(AdmissionPolicy::AlwaysAdmit);
+    let mut mw = S4dCache::new(config, CostParams::paper_testbed_small());
+    let f = mw.open(&mut cluster, Rank(0), "a.dat").expect("open");
+    for offset in [0, 64 * 1024] {
+        let plan = mw.plan_io(&mut cluster, SimTime::ZERO, &write_req(f, offset, vec![7]));
+        assert!(run_plan(&mut cluster, &mut mw, None, &plan, SimTime::ZERO));
+    }
+    assert_eq!(
+        mw.plane().allocated(),
+        1,
+        "one byte of cache admits one byte"
+    );
+    check_invariants(&cluster, &mw);
+    for offset in [0, 64 * 1024] {
+        assert_eq!(read_through(&mut cluster, &mut mw, f, offset, 1), [7]);
+    }
 }
 
 #[test]

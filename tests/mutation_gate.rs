@@ -276,6 +276,10 @@ fn rows() -> Vec<Row> {
         row("cdt-evict-skips-backward-shift", "crates/core/src/cdt.rs",
             "        let mut slot = hole;\n        loop {\n", "        let mut slot = hole;\n        while slot != hole {\n",
             CacheTest("cdt_model", "cdt_matches_the_model"), "disagrees with the model"),
+        row("cdt-overwrite-keeps-flag", "crates/core/src/cdt.rs",
+            "                self.set_bit(pos, false);\n                self.evicted_total += 1;\n",
+            "                self.evicted_total += 1;\n",
+            CacheTest("cdt_model", "flags_survive_a_wrapped_ring"), "flagged entries after step"),
         row("hedge-serves-dirty-bytes", "crates/core/src/gray.rs",
             ".any(|(_, e)| e.dirty)", ".any(|(_, _e)| false)",
             Test("straggler_matrix", "dirty_reads_wait_out_the_stall"), "returned wrong bytes"),
